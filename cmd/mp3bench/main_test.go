@@ -184,7 +184,7 @@ func TestMinimizeCacheDirColdWarm(t *testing.T) {
 	if err := run(args, &warm); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(warm.String(), "0 probes simulated") {
+	if !strings.Contains(warm.String(), "; 0 probes simulated") {
 		t.Errorf("warm cache-dir run still simulated probes:\n%s", warm.String())
 	}
 	if !strings.Contains(warm.String(), "1 loaded") {

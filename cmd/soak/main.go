@@ -8,13 +8,6 @@
 // The exit status is the gate: non-zero when any request failed or the
 // measured request rate fell below -min-rps, so CI can run a short soak
 // as a smoke test.
-//
-// With -workers host1,host2 the harness switches to distributed-sweep
-// mode: each "request" is one coordinator-driven period sweep sharded
-// across the listed vrdfserve workers (internal/dispatch), and every
-// folded result is compared point-for-point against a single-machine
-// baseline computed up front — a mismatch counts as a failure, so the
-// soak doubles as a byte-identity check under real network load.
 package main
 
 import (
@@ -30,10 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vrdfcap"
-	"vrdfcap/internal/capacity"
-	"vrdfcap/internal/dispatch"
-	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/serve"
 )
 
@@ -62,14 +51,11 @@ func run(args []string, out io.Writer) error {
 	variants := fs.Int("variants", 8, "textual variants per problem (same canonical graph)")
 	minRPS := fs.Float64("min-rps", 0, "fail when the measured request rate falls below this floor")
 	graphPath := fs.String("graph", "", "graph document to load-test with (default: built-in Figure 1 pair)")
-	workersStr := fs.String("workers", "", "comma-separated vrdfserve base URLs: drive coordinator-distributed period sweeps instead of minimize traffic")
-	sweepPeriods := fs.Int("sweep-grid", 24, "periods per distributed sweep in -workers mode")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	workers := splitList(*workersStr)
-	if *addr == "" && len(workers) == 0 {
-		return fmt.Errorf("-addr is required (or -workers for distributed-sweep mode)")
+	if *addr == "" {
+		return fmt.Errorf("-addr is required")
 	}
 	if *concurrency <= 0 || *problems <= 0 || *variants <= 0 {
 		return fmt.Errorf("concurrency, problems and variants must be positive")
@@ -81,9 +67,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		doc = string(data)
-	}
-	if len(workers) > 0 {
-		return runDistributed(out, doc, workers, *sweepPeriods, *duration, *concurrency, *minRPS)
 	}
 	base := strings.TrimRight(*addr, "/")
 
@@ -176,139 +159,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("measured %.1f req/s, below the -min-rps floor of %.1f", rps, *minRPS)
 	}
 	return nil
-}
-
-// runDistributed is the -workers mode: concurrent coordinator-driven
-// sweeps over a grid of periods around the document's constraint, each
-// compared point-for-point against the single-machine baseline. The
-// workers' /statsz (read from the first worker) frames the server-side
-// effort; the dispatch counters frame the coordinator-side effort.
-func runDistributed(out io.Writer, doc string, workers []string, gridN int, duration time.Duration, concurrency int, minRPS float64) error {
-	if gridN <= 0 {
-		return fmt.Errorf("sweep-grid must be positive")
-	}
-	g, c, err := vrdfcap.DecodeGraph([]byte(doc))
-	if err != nil {
-		return err
-	}
-	if c == nil {
-		return fmt.Errorf("graph document has no throughput constraint")
-	}
-	// Periods from ~1/2× to ~3/2× the constrained period: the grid is
-	// meant to straddle the feasibility frontier so sweeps mix valid and
-	// infeasible verdicts.
-	periods := make([]ratio.Rat, 0, gridN)
-	for i := 0; i < gridN; i++ {
-		periods = append(periods, c.Period.Mul(ratio.MustNew(int64(gridN+2*i), int64(2*gridN))))
-	}
-	policy := capacity.PolicyEquation4
-	baseline, err := capacity.SweepPeriodsOpt(g, c.Task, periods, policy, capacity.SweepOptions{
-		Parallel: 1, NoCache: true,
-	})
-	if err != nil {
-		return fmt.Errorf("baseline sweep: %w", err)
-	}
-
-	client := &http.Client{}
-	before, statsOK := readStats(client, strings.TrimRight(workers[0], "/"))
-
-	dstats := &dispatch.Stats{}
-	deadline := time.Now().Add(duration)
-	var failures atomic.Int64
-	lats := make([][]int64, concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mine := make([]int64, 0, 1024)
-			for time.Now().Before(deadline) {
-				t0 := time.Now()
-				pts, err := capacity.SweepPeriodsOpt(g, c.Task, periods, policy, capacity.SweepOptions{
-					Workers:       workers,
-					DispatchStats: dstats,
-					NoCache:       true, // every sweep does full work
-				})
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				if err := sweepMismatch(baseline, pts); err != nil {
-					fmt.Fprintf(out, "soak: distributed sweep diverged: %v\n", err)
-					failures.Add(1)
-					continue
-				}
-				mine = append(mine, int64(time.Since(t0)))
-			}
-			lats[w] = mine
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var all []int64
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	total := int64(len(all)) + failures.Load()
-	rps := float64(total) / elapsed.Seconds()
-
-	fmt.Fprintf(out, "soak: %d distributed sweeps (%d periods each) in %.1fs (%.1f sweeps/s), %d failures\n",
-		total, gridN, elapsed.Seconds(), rps, failures.Load())
-	if len(all) > 0 {
-		fmt.Fprintf(out, "latency: p50=%s p99=%s max=%s\n",
-			time.Duration(percentile(all, 0.50)),
-			time.Duration(percentile(all, 0.99)),
-			time.Duration(all[len(all)-1]))
-	}
-	fmt.Fprintf(out, "%s\n", dstats.Snapshot())
-	if after, ok := readStats(client, strings.TrimRight(workers[0], "/")); ok && statsOK {
-		fmt.Fprintf(out, "worker[0]: probe_batches+%d probe_periods+%d computes+%d coalesced+%d hits+%d\n",
-			after.ProbeBatches-before.ProbeBatches,
-			after.ProbePeriods-before.ProbePeriods,
-			after.Computes-before.Computes,
-			after.Coalesced-before.Coalesced,
-			after.CacheHits-before.CacheHits)
-	}
-
-	if n := failures.Load(); n > 0 {
-		return fmt.Errorf("%d of %d distributed sweeps failed or diverged", n, total)
-	}
-	if minRPS > 0 && rps < minRPS {
-		return fmt.Errorf("measured %.1f sweeps/s, below the -min-rps floor of %.1f", rps, minRPS)
-	}
-	return nil
-}
-
-// sweepMismatch compares a distributed sweep against the baseline on the
-// (period, valid, total) triples — the byte-identity surface (distributed
-// points carry no per-buffer Result).
-func sweepMismatch(want, got []capacity.SweepPoint) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("%d points, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if !w.Period.Equal(g.Period) || w.Valid != g.Valid || w.Total != g.Total {
-			return fmt.Errorf("point %d: got (%s valid=%v total=%d), want (%s valid=%v total=%d)",
-				i, g.Period, g.Valid, g.Total, w.Period, w.Valid, w.Total)
-		}
-	}
-	return nil
-}
-
-// splitList parses a comma-separated flag value, dropping whitespace and
-// empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // percentile returns the q-quantile of a sorted latency slice.

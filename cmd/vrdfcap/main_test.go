@@ -390,7 +390,7 @@ func TestRunMinimizeCacheDirColdWarm(t *testing.T) {
 	if err := run(args, &warm); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(warm.String(), "0 probes simulated") {
+	if !strings.Contains(warm.String(), "; 0 probes simulated") {
 		t.Errorf("warm cache-dir run still simulated probes:\n%s", warm.String())
 	}
 	if !strings.Contains(warm.String(), "1 loaded") {
@@ -411,7 +411,7 @@ func TestRunMinimizeCacheDirColdWarm(t *testing.T) {
 	if err := run(args, &healed); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(healed.String(), "0 probes simulated") {
+	if strings.Contains(healed.String(), "; 0 probes simulated") {
 		t.Errorf("corrupt cache was trusted:\n%s", healed.String())
 	}
 	if !strings.Contains(healed.String(), "1 skipped") {
@@ -436,7 +436,7 @@ func TestRunNoCacheDisablesCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if strings.Contains(text, "0 probes simulated") {
+	if strings.Contains(text, "; 0 probes simulated") {
 		t.Errorf("-no-cache run answered probes from a cache:\n%s", text)
 	}
 	if !strings.Contains(text, ", 0 answered by the feasibility cache") {

@@ -58,7 +58,7 @@ func SweepPeriods(g *Graph, task string, periods []RatNum, p Policy) ([]SweepPoi
 	return capacity.SweepPeriods(g, task, periods, p)
 }
 
-// SweepPeriodsOpt is SweepPeriods with explicit options: Workers bounds the
+// SweepPeriodsOpt is SweepPeriods with explicit options: Parallel bounds the
 // number of periods analysed concurrently (0 selects GOMAXPROCS, 1 forces
 // the serial path); the results are identical for every setting.
 func SweepPeriodsOpt(g *Graph, task string, periods []RatNum, p Policy, opts SweepOptions) ([]SweepPoint, error) {

@@ -40,13 +40,13 @@ func (a *Analyzer) String() string { return a.Name }
 // A Pass is one (analyzer, package) unit of work, carrying the syntax and
 // type information of exactly one package.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	Analyzer   *Analyzer
+	Fset       *token.FileSet
+	Files      []*ast.File
+	Pkg        *types.Package
+	TypesInfo  *types.Info
 	TypesSizes types.Sizes
-	Report    func(Diagnostic)
+	Report     func(Diagnostic)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

@@ -5,11 +5,9 @@
 // from quietly opting out.
 //
 // Scope: non-test files of the packages minimize, capacity, exact, sim,
-// serve, cachestore and dispatch (matched by final import-path element) —
-// serve joined when the service grew accept/drain loops that must stop
-// with the server's base context; dispatch joined with the distributed
-// sweep coordinator, whose take/retry/steal loops must abort with the
-// sweep's budget rather than spin against a dead fleet. Two loop shapes are budget-relevant:
+// serve and cachestore (matched by final import-path element) — serve
+// joined when the service grew accept/drain loops that must stop with the
+// server's base context. Two loop shapes are budget-relevant:
 //
 //   - condition-only and infinite `for` statements (`for {`, `for lo < hi {`)
 //     — the shape of every event loop, binary search and coordinate descent
@@ -43,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // packages whose loops are checked.
-var corePackages = []string{"minimize", "capacity", "exact", "sim", "serve", "cachestore", "dispatch"}
+var corePackages = []string{"minimize", "capacity", "exact", "sim", "serve", "cachestore"}
 
 // probeCall matches direct callee names that imply per-iteration
 // simulation work inside a range loop.

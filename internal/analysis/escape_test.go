@@ -43,9 +43,9 @@ func TestNoAllocMatchesEscapeAnalysis(t *testing.T) {
 	root := repoRoot(t)
 
 	fset := token.NewFileSet()
-	ranges := make(map[string][]funcRange)  // repo-relative file -> annotated spans
+	ranges := make(map[string][]funcRange)              // repo-relative file -> annotated spans
 	waivers := make(map[string]map[int]analysis.Waiver) // repo-relative file -> allocok waivers
-	pkgDirs := make(map[string]bool)        // repo-relative package dirs to compile
+	pkgDirs := make(map[string]bool)                    // repo-relative package dirs to compile
 	annotated := 0
 
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -84,9 +84,9 @@ type interp struct {
 	body     *ast.BlockStmt
 	reported map[token.Pos]bool
 	snaps    map[types.Object]snapInfo
-	rootObjs map[string]types.Object      // root identifier name -> object
-	deferred map[string]bool              // machines with a deferred reset
-	waivers  map[int]analysis.Waiver      // //vrdf:reuseok waivers of the file
+	rootObjs map[string]types.Object // root identifier name -> object
+	deferred map[string]bool         // machines with a deferred reset
+	waivers  map[int]analysis.Waiver // //vrdf:reuseok waivers of the file
 }
 
 // report emits a diagnostic unless the site carries a reuseok waiver; a

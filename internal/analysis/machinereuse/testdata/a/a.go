@@ -113,6 +113,6 @@ func freshSnapshot(m *sim.Machine) {
 
 func escapes(m *sim.Machine, f func(*sim.Machine)) {
 	m.Run()
-	f(m) // m escapes: the callee may reset it
+	f(m)    // m escapes: the callee may reset it
 	m.Run() // ok: unknown state never reports
 }

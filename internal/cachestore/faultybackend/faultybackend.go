@@ -8,7 +8,7 @@
 // the final sizings are byte-identical to a cache-less run under every
 // schedule. Like internal/faults, every injected fault is a pure function
 // of (Seed, op index): op k misbehaves iff
-// splitmix64(seed ⊕ splitmix64(k) ⊕ salt) mod N == 0 for that fault's
+// SplitMix64(seed ⊕ SplitMix64(k) ⊕ salt) mod N == 0 for that fault's
 // one-in-N rate, so a failing run replays bit-identically from its seed.
 //
 // Payload faults (truncation, corruption) model a store that serves bytes
@@ -27,6 +27,7 @@ import (
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/cachestore"
+	"vrdfcap/internal/mix"
 )
 
 // ErrInjected is the transport-style failure every injected op fault and
@@ -94,7 +95,7 @@ func (b *Backend) String() string { return "faulty(" + b.inner.String() + ")" }
 
 // draw is the deterministic per-(op, fault) uniform draw.
 func (b *Backend) draw(k, salt uint64) uint64 {
-	return splitmix64(b.spec.Seed ^ splitmix64(k) ^ salt)
+	return mix.SplitMix64(b.spec.Seed ^ mix.SplitMix64(k) ^ salt)
 }
 
 // hits reports whether op k triggers a one-in-n fault.
@@ -171,14 +172,4 @@ func (b *Backend) List(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	return b.inner.List(ctx)
-}
-
-// splitmix64 is the finaliser of the splitmix64 generator — the same
-// bijective avalanche mix internal/faults uses, so (seed, k) pairs hash to
-// independent uniform draws without shared state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

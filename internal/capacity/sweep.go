@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vrdfcap/internal/budget"
-	"vrdfcap/internal/dispatch"
 	"vrdfcap/internal/parallel"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
@@ -37,22 +36,6 @@ type SweepOptions struct {
 	// identical for every setting (see internal/parallel for the
 	// first-error contract).
 	Parallel int
-	// Workers, when non-empty, lists remote vrdfserve base URLs
-	// ("http://host:8080") and switches SweepPeriodsOpt to the
-	// internal/dispatch coordinator: the grid is cut into interleaved
-	// shards driven over each worker's /v1/probe endpoint, with retries,
-	// per-worker circuit breaking, work stealing and a local fallback for
-	// anything no worker answers. Every probe is the same pure function
-	// wherever it runs, so the points' Period/Valid/Total are identical
-	// to a local sweep under every fault schedule; remote points carry a
-	// nil Result. Parallel and Workers are independent: Parallel governs
-	// the local path (and the coordinator's fallback probes run
-	// serially). MinimalFeasiblePeriodOpt ignores Workers — a binary
-	// search probes one period at a time, which batching cannot help.
-	Workers []string
-	// DispatchStats, if non-nil, accumulates the coordinator's per-worker
-	// shard/retry/steal counters across distributed sweeps.
-	DispatchStats *dispatch.Stats
 	// Context, if non-nil, cancels the sweep cooperatively between
 	// periods; the typed error satisfies budget.ErrCanceled.
 	Context context.Context
@@ -115,9 +98,6 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 		return nil, err
 	}
 	cache := opts.cache(g, task, p)
-	if len(opts.Workers) > 0 {
-		return sweepDistributed(g, task, periods, p, a, cache, opts)
-	}
 	bud := budget.At(opts.Context, opts.Deadline)
 	eval := func(i int) (SweepPoint, error) {
 		if err := bud.Err(); err != nil {

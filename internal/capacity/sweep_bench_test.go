@@ -54,5 +54,4 @@ func benchmarkSweep(b *testing.B, workers int) {
 // BenchmarkSweepPeriods is the serial design-space sweep the CI bench
 // gate tracks for allocs/op regressions.
 func BenchmarkSweepPeriods(b *testing.B)  { benchmarkSweep(b, 1) }
-func BenchmarkSweepSerial(b *testing.B)   { benchmarkSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }

@@ -20,6 +20,7 @@ package faults
 import (
 	"fmt"
 
+	"vrdfcap/internal/mix"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/sim"
@@ -119,7 +120,7 @@ func New(tg *taskgraph.Graph, spec Spec) (*Injector, error) {
 			stall = rho.Mul(spec.Overrun)
 			inj.extra = append(inj.extra, stall)
 		}
-		salt := splitmix64(spec.Seed ^ hashString(name))
+		salt := mix.SplitMix64(spec.Seed ^ hashString(name))
 		inj.exec[name] = func(k int64) ratio.Rat {
 			if overrun && every > 0 && k%every == every-1 {
 				return stall
@@ -127,7 +128,7 @@ func New(tg *taskgraph.Graph, spec Spec) (*Injector, error) {
 			if !jitter {
 				return rho
 			}
-			u := int64(splitmix64(salt^splitmix64(uint64(k))) % uint64(res))
+			u := int64(mix.SplitMix64(salt^mix.SplitMix64(uint64(k))) % uint64(res))
 			return rho.Sub(g.MulInt(u))
 		}
 	}
@@ -186,14 +187,4 @@ func hashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// splitmix64 is the finaliser of the splitmix64 generator: a bijective
-// avalanche mix, so hashing (seed, k) pairs through it yields independent
-// uniform draws without shared state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

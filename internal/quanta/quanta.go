@@ -14,6 +14,7 @@ package quanta
 import (
 	"fmt"
 
+	"vrdfcap/internal/mix"
 	"vrdfcap/internal/taskgraph"
 )
 
@@ -122,7 +123,7 @@ func Bursty(q taskgraph.QuantaSet, lowLen, highLen int64) Sequence {
 func Uniform(q taskgraph.QuantaSet, seed int64) Sequence {
 	vals := q.Values()
 	return Func(func(k int64) int64 {
-		h := splitmix64(uint64(seed) ^ splitmix64(uint64(k)))
+		h := mix.SplitMix64(uint64(seed) ^ mix.SplitMix64(uint64(k)))
 		return vals[h%uint64(len(vals))]
 	})
 }
@@ -142,9 +143,9 @@ func Walk(q taskgraph.QuantaSet, seed int64) Sequence {
 		// from the epoch boundary (at most 64 steps).
 		const epoch = 64
 		start := (k / epoch) * epoch
-		pos := int64(splitmix64(uint64(seed)^uint64(start)) % uint64(n))
+		pos := int64(mix.SplitMix64(uint64(seed)^uint64(start)) % uint64(n))
 		for i := start; i <= k; i++ {
-			step := int64(splitmix64(uint64(seed)+uint64(i)*0x6a09e667f3bcc909) % 3)
+			step := int64(mix.SplitMix64(uint64(seed)+uint64(i)*0x6a09e667f3bcc909) % 3)
 			pos += step - 1
 			if pos < 0 {
 				pos = 0
@@ -194,13 +195,4 @@ func Validate(seq Sequence, set taskgraph.QuantaSet, n int64) error {
 		}
 	}
 	return nil
-}
-
-// splitmix64 is the SplitMix64 mixing function; a tiny, well-distributed
-// stateless hash suitable for reproducible workload generation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -933,6 +933,7 @@ func (m *Machine) start(a *actorState, t int64) error {
 // finish completes actor a's oldest running firing at tick t: produces
 // output tokens and queues the actors this may enable — the consumers of
 // the edges that received tokens, plus a itself, now free to start again.
+//
 //vrdf:noalloc
 func (m *Machine) finish(a *actorState, t int64) {
 	k := a.finished

@@ -154,6 +154,7 @@ func (m *Machine) snapshotInto(s *Snapshot, tick int64, midRun bool) {
 // buffers are truncated to their snapshot lengths; their retained prefixes
 // are identical to the snapshot's time (runs only append, and the one
 // mutable element — the last occupancy sample — is restored explicitly).
+//
 //vrdf:noalloc
 func (m *Machine) restoreFrom(s *Snapshot) {
 	m.eq = append(m.eq[:0], s.eq...) //vrdf:allocok(the calendar keeps its capacity across Reset; a snapshot never holds more events than the run that produced it)
@@ -354,6 +355,7 @@ func (m *Machine) ckptValidFor(s *Snapshot, des []int64) bool {
 // transfer sequence, so every occupancy value on a changed edge differs by
 // exactly the initial-token delta), adjusts the retained older checkpoints
 // the same way, and arms Run to resume. Returns the events skipped.
+//
 //vrdf:noalloc
 func (m *Machine) restoreWarm(j int, des []int64) int64 {
 	s := m.ckpts[j]
