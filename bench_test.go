@@ -52,6 +52,9 @@ func mp3Graph(b *testing.B) *Graph {
 // implies but does not list).
 func BenchmarkFigure1MotivatingExample(b *testing.B) {
 	g := figure1Graph(b)
+	// Serial, so the probe and allocation counts CI gates on do not depend
+	// on the runner's core count (speculative probing scales with workers).
+	serial := minimize.Options{Workers: 1}
 	var n3, n2, alt int64
 	var probes, cached int
 	b.ReportAllocs()
@@ -67,8 +70,8 @@ func BenchmarkFigure1MotivatingExample(b *testing.B) {
 		} {
 			check := minimize.DeadlockFreeCheck(g, "wb", 100, []sim.Workloads{
 				{"wa->wb": {Cons: c.seq}},
-			})
-			res, err := minimize.Search([]string{"wa->wb"}, map[string]int64{"wa->wb": 16}, check)
+			}, serial)
+			res, err := minimize.Search([]string{"wa->wb"}, map[string]int64{"wa->wb": 16}, check, serial)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -272,7 +275,9 @@ func BenchmarkSection5MP3Minimize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		stats := &minimize.ProbeStats{}
-		opts := minimize.Options{Checkpoints: 8, Bounds: bnds, Stats: stats}
+		// Serial, so the gated probe, event and allocation counts do not
+		// depend on the runner's core count.
+		opts := minimize.Options{Workers: 1, Checkpoints: 8, Bounds: bnds, Stats: stats}
 		check := minimize.ThroughputCheck(g, c, 2205, w, opts)
 		mres, err := minimize.Search(names[:], upper, check, opts)
 		if err != nil {

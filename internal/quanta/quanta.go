@@ -38,6 +38,15 @@ type constantSeq int64
 
 func (c constantSeq) At(int64) int64 { return int64(c) }
 
+// ConstantValue reports the value of a sequence built by Constant (or MaxOf,
+// or MinOf). Simulators use it to read a data-independent quantum once
+// instead of calling At per firing. It reports false for every other
+// sequence, even one that happens to be constant.
+func ConstantValue(s Sequence) (int64, bool) {
+	c, ok := s.(constantSeq)
+	return int64(c), ok
+}
+
 // Cycle returns the sequence vals[k mod len(vals)]. It panics if vals is
 // empty. Cycle(2, 3) reproduces the alternating consumption of the paper's
 // Figure 3.

@@ -16,6 +16,20 @@ func TestConstant(t *testing.T) {
 	}
 }
 
+func TestConstantValue(t *testing.T) {
+	if v, ok := ConstantValue(Constant(7)); !ok || v != 7 {
+		t.Errorf("ConstantValue(Constant(7)) = %d, %v; want 7, true", v, ok)
+	}
+	if v, ok := ConstantValue(Constant(0)); !ok || v != 0 {
+		t.Errorf("ConstantValue(Constant(0)) = %d, %v; want 0, true", v, ok)
+	}
+	for _, s := range []Sequence{Cycle(7), Sticky(7), Func(func(int64) int64 { return 7 })} {
+		if _, ok := ConstantValue(s); ok {
+			t.Errorf("ConstantValue(%T) reported constant; only Constant sequences qualify", s)
+		}
+	}
+}
+
 func TestCycle(t *testing.T) {
 	s := Cycle(2, 3)
 	want := []int64{2, 3, 2, 3, 2}

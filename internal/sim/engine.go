@@ -21,14 +21,16 @@
 // The engine is built for tight feasibility-search loops: Compile builds all
 // index-based state of a run once, Reset rewinds it in O(graph) without
 // reallocating, and the event loop itself — a typed binary heap over a
-// preallocated []event plus a dirty-actor worklist — performs no heap
-// allocation per event. Run is the convenience wrapper for one-shot use.
+// preallocated []event plus a dirty-actor bitset — performs no heap
+// allocation per event. Ports with a constant quantum read it as a plain
+// integer; only data-dependent ports call their quanta.Sequence. Run is the
+// convenience wrapper for one-shot use.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -316,9 +318,33 @@ func Run(cfg Config) (*Result, error) {
 	return m.Run()
 }
 
+// portRef is one input or output port of an actor. A port whose quantum is
+// data-independent keeps it in q and leaves seq nil, so the event loop reads
+// it without an interface call; otherwise seq yields the per-firing quantum.
 type portRef struct {
-	edge *edgeState
 	seq  quanta.Sequence
+	edge *edgeState
+	q    int64
+}
+
+// at returns the port's transfer quantum of firing k.
+//
+//vrdf:noalloc
+func (p *portRef) at(k int64) int64 {
+	if p.seq == nil {
+		return p.q
+	}
+	return p.seq.At(k)
+}
+
+// newPort builds a port over seq, hoisting a quanta.Constant value out of
+// the interface. A quanta.Checked wrapper is never hoisted, so under
+// Config.Validate every transfer is still checked.
+func newPort(es *edgeState, seq quanta.Sequence) portRef {
+	if v, ok := quanta.ConstantValue(seq); ok {
+		return portRef{edge: es, q: v}
+	}
+	return portRef{edge: es, seq: seq}
 }
 
 type actorState struct {
@@ -393,26 +419,37 @@ const (
 	evShiftedStart
 )
 
+// ordKindShift places an event's kind above its push sequence number in
+// event.ord. Sequence numbers count pushes, and every pushed event is
+// either popped as a counted event or still waiting in the calendar, so
+// they stay below MaxEvents plus the calendar size: far below 2^60 for any
+// run that can finish.
+const ordKindShift = 60
+
 type event struct {
-	tick  int64
-	kind  eventKind
+	tick int64
+	// ord is kind<<ordKindShift | seq: the kind, then the push sequence
+	// number as a tiebreaker, folded into one comparable key.
+	ord   uint64
 	actor int
-	seq   int64 // tiebreaker for deterministic ordering
 }
+
+// kind returns the event's kind.
+//
+//vrdf:noalloc
+func (ev event) kind() eventKind { return eventKind(ev.ord >> ordKindShift) }
 
 // eventLess is the total order of the event calendar: time, then kind
 // (finishes before starts at equal time), then push order. Total because
-// seq is unique, so the pop sequence is independent of heap layout.
+// the push sequence number is unique, so the pop sequence is independent
+// of heap layout.
 //
 //vrdf:noalloc
 func eventLess(a, b event) bool {
 	if a.tick != b.tick {
 		return a.tick < b.tick
 	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
+	return a.ord < b.ord
 }
 
 // eventHeap is a hand-inlined binary min-heap over a preallocated []event.
@@ -486,10 +523,9 @@ type Machine struct {
 	stop       *actorState
 	bud        *budget.Budget
 	invariants []resolvedInvariant
-	dirty      []int32 // ASAP actors to re-examine at the current tick
-	dirtyIn    []bool
-	ran        bool // a Run consumed the state; Reset required
-	resumed    bool // next Run resumes from a restored checkpoint
+	dirty      []uint64 // bitset by actor index: ASAP actors to re-examine at the current tick
+	ran        bool     // a Run consumed the state; Reset required
+	resumed    bool     // next Run resumes from a restored checkpoint
 
 	baseFirings int64   // compiled Stop.Firings; Reset reverts SetStopFirings to it
 	runTokens   []int64 // per edgeList index: initial tokens of the pending/current run
@@ -502,6 +538,7 @@ type Machine struct {
 	ckptSlots  int         // retained checkpoint slots; 0 disables
 	ckpts      []*Snapshot // checkpoints of the last/current run, ascending by events
 	ckptFree   []*Snapshot // retired snapshot arenas for reuse
+	ckptArena  []Snapshot  // checkpoint slots never handed out yet
 	ckptEvery  int64       // current checkpoint interval in events
 	ckptNext   int64       // event count at which the next checkpoint is taken
 	ckptTokens []int64     // initial tokens of the run the checkpoints describe
@@ -678,8 +715,8 @@ func Compile(cfg Config) (*Machine, error) {
 		src := m.byName[ge.Src]
 		dst := m.byName[ge.Dst]
 		es.consumer = dst.idx
-		src.out = append(src.out, portRef{edge: es, seq: prod})
-		dst.in = append(dst.in, portRef{edge: es, seq: cons})
+		src.out = append(src.out, newPort(es, prod))
+		dst.in = append(dst.in, newPort(es, cons))
 	}
 
 	if cfg.CheckInvariants {
@@ -703,8 +740,14 @@ func Compile(cfg Config) (*Machine, error) {
 	// shifted actor; preallocate past that so the steady state never
 	// grows the backing array.
 	m.eq = make(eventHeap, 0, 3*len(m.actors)+8)
-	m.dirty = make([]int32, 0, len(m.actors))
-	m.dirtyIn = make([]bool, len(m.actors))
+	m.dirty = make([]uint64, (len(m.actors)+63)/64)
+	if m.stop.record {
+		// The stop actor starts at most Stop.Firings firings per run;
+		// presize its recording so the first run does not grow it by
+		// doubling. The cap keeps a long horizon from reserving memory
+		// that a run stopped early by an underrun never uses.
+		m.stop.starts = make([]int64, 0, min(cfg.Stop.Firings, 1<<16))
+	}
 	m.runTokens = make([]int64, len(m.edgeList))
 	if cfg.Checkpoints < 0 {
 		return nil, fmt.Errorf("sim: negative checkpoint count %d", cfg.Checkpoints)
@@ -808,10 +851,7 @@ func (m *Machine) resetTokens(initialTokens map[string]int64) error {
 	m.eq = m.eq[:0]
 	m.seq = 0
 	m.events = 0
-	m.dirty = m.dirty[:0]
-	for i := range m.dirtyIn {
-		m.dirtyIn[i] = false
-	}
+	clear(m.dirty)
 	m.ran = false
 	m.resumed = false
 	m.epoch++
@@ -851,22 +891,21 @@ func (m *Machine) SetStopFirings(firings int64) error {
 	return nil
 }
 
+// push schedules an event of the given kind for actor at tick.
+//
 //vrdf:noalloc
-func (m *Machine) push(ev event) {
-	ev.seq = m.seq
+func (m *Machine) push(tick int64, kind eventKind, actor int) {
+	m.eq.push(event{tick: tick, ord: uint64(kind)<<ordKindShift | uint64(m.seq), actor: actor})
 	m.seq++
-	m.eq.push(ev)
 }
 
 // markDirty queues an ASAP actor for a start attempt at the current tick.
 //
 //vrdf:noalloc
 func (m *Machine) markDirty(idx int) {
-	if m.actors[idx].mode != ASAP || m.dirtyIn[idx] {
-		return
+	if m.actors[idx].mode == ASAP {
+		m.dirty[idx>>6] |= 1 << (idx & 63)
 	}
-	m.dirtyIn[idx] = true
-	m.dirty = append(m.dirty, int32(idx)) //vrdf:allocok(m.dirty is bounded by the actor count and keeps its capacity across Reset)
 }
 
 // enabled reports whether actor a's next firing has sufficient tokens on
@@ -877,7 +916,7 @@ func (a *actorState) enabled() (ok bool, lacking *portRef, need int64) {
 	k := a.started
 	for i := range a.in {
 		p := &a.in[i]
-		n := p.seq.At(k)
+		n := p.at(k)
 		if p.edge.tokens < n {
 			return false, p, n
 		}
@@ -891,7 +930,7 @@ func (m *Machine) start(a *actorState, t int64) error {
 	k := a.started
 	for i := range a.in {
 		p := &a.in[i]
-		n := p.seq.At(k)
+		n := p.at(k)
 		if n > 0 {
 			p.edge.consumed += n
 			if p.edge.record {
@@ -926,7 +965,7 @@ func (m *Machine) start(a *actorState, t int64) error {
 	if a.record {
 		a.starts = append(a.starts, t)
 	}
-	m.push(event{tick: t + execT, kind: evFinish, actor: a.idx})
+	m.push(t+execT, evFinish, a.idx)
 	return nil
 }
 
@@ -939,7 +978,7 @@ func (m *Machine) finish(a *actorState, t int64) {
 	k := a.finished
 	for i := range a.out {
 		p := &a.out[i]
-		n := p.seq.At(k)
+		n := p.at(k)
 		if n > 0 {
 			p.edge.tokens += n
 			p.edge.produced += n
@@ -961,63 +1000,65 @@ func (m *Machine) finish(a *actorState, t int64) {
 }
 
 // startDirty starts every queued ASAP actor that is enabled at tick t, in
-// actor-index order — the same order as the full fixpoint scan it replaces.
-// One ordered pass suffices: production happens only at finish, so a start
-// at t can disable but never enable a peer at t, and an actor can only have
-// become startable through an event that marked it dirty (its own finish, a
-// token arrival on an input edge, or an armed shifted start expiring).
+// actor-index order — the same order as the full fixpoint scan it replaces,
+// and the order a walk over the dirty bitset yields. One ordered pass
+// suffices: production happens only at finish, so a start at t can disable
+// but never enable a peer at t (nor mark one dirty), and an actor can only
+// have become startable through an event that marked it dirty (its own
+// finish, a token arrival on an input edge, or an armed shifted start
+// expiring).
 func (m *Machine) startDirty(t int64) error {
-	if len(m.dirty) == 0 {
-		return nil
-	}
-	slices.Sort(m.dirty)
-	for n := 0; n < len(m.dirty); n++ {
-		idx := m.dirty[n]
-		m.dirtyIn[idx] = false
-		a := m.actors[idx]
-		//vrdf:unbudgeted(each firing consumes tokens or advances busyUntil, so the start cascade is bounded; Run budgets the surrounding event loop)
-		for a.busyUntil <= t {
-			ok, p, need := a.enabled()
-			if !ok {
-				// Remember how far the failing edge was from enabling;
-				// warm starts must not add enough tokens to flip a
-				// replayed failure into a start.
-				if sh := need - p.edge.tokens; sh < p.edge.minShortfall {
-					p.edge.minShortfall = sh
+	for w, word := range m.dirty {
+		if word == 0 {
+			continue
+		}
+		m.dirty[w] = 0
+		//vrdf:unbudgeted(one iteration per set bit of a 64-bit word; Run budgets the surrounding event loop)
+		for ; word != 0; word &= word - 1 {
+			a := m.actors[w<<6|bits.TrailingZeros64(word)]
+			//vrdf:unbudgeted(each firing consumes tokens or advances busyUntil, so the start cascade is bounded; Run budgets the surrounding event loop)
+			for a.busyUntil <= t {
+				ok, p, need := a.enabled()
+				if !ok {
+					// Remember how far the failing edge was from enabling;
+					// warm starts must not add enough tokens to flip a
+					// replayed failure into a start.
+					if sh := need - p.edge.tokens; sh < p.edge.minShortfall {
+						p.edge.minShortfall = sh
+					}
+					break
 				}
-				break
-			}
-			if a.startShift != nil {
-				if a.armedFor == a.started {
-					// Timer armed for this firing; wait for it.
-					if a.readyAt > t {
-						break
-					}
-				} else {
-					// First time this firing is enabled: apply the
-					// shift once, measured from the enabling time.
-					d := a.startShift(a.started)
-					if d.Sign() < 0 {
-						return fmt.Errorf("sim: actor %s: negative start shift %v", a.name, d)
-					}
-					dt, err := m.base.Ticks(d)
-					if err != nil {
-						return fmt.Errorf("sim: actor %s start shift: %w", a.name, err)
-					}
-					if dt > 0 {
-						a.armedFor = a.started
-						a.readyAt = t + dt
-						m.push(event{tick: a.readyAt, kind: evShiftedStart, actor: a.idx})
-						break
+				if a.startShift != nil {
+					if a.armedFor == a.started {
+						// Timer armed for this firing; wait for it.
+						if a.readyAt > t {
+							break
+						}
+					} else {
+						// First time this firing is enabled: apply the
+						// shift once, measured from the enabling time.
+						d := a.startShift(a.started)
+						if d.Sign() < 0 {
+							return fmt.Errorf("sim: actor %s: negative start shift %v", a.name, d)
+						}
+						dt, err := m.base.Ticks(d)
+						if err != nil {
+							return fmt.Errorf("sim: actor %s start shift: %w", a.name, err)
+						}
+						if dt > 0 {
+							a.armedFor = a.started
+							a.readyAt = t + dt
+							m.push(a.readyAt, evShiftedStart, a.idx)
+							break
+						}
 					}
 				}
-			}
-			if err := m.start(a, t); err != nil {
-				return err
+				if err := m.start(a, t); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	m.dirty = m.dirty[:0]
 	return nil
 }
 
@@ -1047,7 +1088,7 @@ func (m *Machine) Run() (*Result, error) {
 		// actor its initial start attempt at tick 0.
 		for _, a := range m.actors {
 			if a.mode == Periodic {
-				m.push(event{tick: a.offsetT, kind: evPeriodicStart, actor: a.idx})
+				m.push(a.offsetT, evPeriodicStart, a.idx)
 			} else {
 				m.markDirty(a.idx)
 			}
@@ -1071,7 +1112,7 @@ func (m *Machine) Run() (*Result, error) {
 		m.events++
 		now = ev.tick
 		a := m.actors[ev.actor]
-		switch ev.kind {
+		switch ev.kind() {
 		case evFinish:
 			m.finish(a, now)
 			if a == m.stop && a.finished >= m.cfg.Stop.Firings {
@@ -1111,7 +1152,7 @@ func (m *Machine) Run() (*Result, error) {
 				return nil, err
 			}
 			if a.started < m.cfg.Stop.Firings || a != m.stop {
-				m.push(event{tick: a.offsetT + a.started*a.periodT, kind: evPeriodicStart, actor: a.idx})
+				m.push(a.offsetT+a.started*a.periodT, evPeriodicStart, a.idx)
 			}
 		}
 		if m.cfg.CheckInvariants {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"vrdfcap/internal/quanta"
@@ -559,5 +561,74 @@ func TestBusyTicksUtilisation(t *testing.T) {
 	}
 	if res.BusyTicks["wa"] > res.EndTick {
 		t.Error("busy time exceeds run length for a serial actor")
+	}
+}
+
+// TestConstantPortsMatchSequencePorts pins the event loop's constant-quantum
+// fast path against the interface path on a chain long enough that the
+// dirty-actor bitset spans two words: nil EdgeQuanta (quanta hoisted into
+// the ports as plain integers) and the same constants behind quanta.Func
+// (one Sequence call per transfer) must produce deeply equal Results.
+func TestConstantPortsMatchSequencePorts(t *testing.T) {
+	const tasks = 72
+	stages := make([]taskgraph.Stage, tasks)
+	links := make([]taskgraph.Link, tasks-1)
+	for i := range stages {
+		stages[i] = taskgraph.Stage{Name: fmt.Sprintf("t%02d", i), WCRT: r(int64(1+i%3), 1)}
+	}
+	for i := range links {
+		// Rates cycle through 1→2, 2→3, 3→1, so every three links the
+		// repetition vector returns to 1 and no stage starves the sink.
+		p, c := int64(1+i%3), int64(1+(i+1)%3)
+		links[i] = taskgraph.Link{Prod: taskgraph.MustQuanta(p), Cons: taskgraph.MustQuanta(c), Capacity: p + c + int64(i%2)}
+	}
+	g, err := taskgraph.BuildChain(stages, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := stages[tasks-1].Name
+
+	build := func(wrap, periodic bool) Config {
+		cfg, mapping, err := TaskGraphConfig(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrap {
+			for _, ge := range cfg.Graph.Edges() {
+				prod, cons := ge.Prod.Max(), ge.Cons.Max()
+				cfg.Quanta[ge.Name] = EdgeQuanta{
+					Prod: quanta.Func(func(int64) int64 { return prod }),
+					Cons: quanta.Func(func(int64) int64 { return cons }),
+				}
+			}
+		}
+		cfg.Stop = Stop{Actor: sink, Firings: 300}
+		for _, s := range stages {
+			cfg.RecordStarts = append(cfg.RecordStarts, s.Name)
+		}
+		for _, p := range mapping.Pairs[60:] {
+			cfg.RecordTransfers = append(cfg.RecordTransfers, p.Data, p.Space)
+			cfg.RecordOccupancy = append(cfg.RecordOccupancy, p.Data)
+		}
+		if periodic {
+			cfg.Actors = map[string]ActorConfig{sink: {Mode: Periodic, Offset: r(400, 1), Period: r(3, 1)}}
+		}
+		return cfg
+	}
+	for _, periodic := range []bool{false, true} {
+		want, err := Run(build(true, periodic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(build(false, periodic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("periodic=%v: constant ports diverged from Sequence ports\nsequence: %+v\nconstant: %+v", periodic, want, got)
+		}
+		if want.Fired[sink] == 0 || want.Events < 10*tasks {
+			t.Fatalf("periodic=%v: run too short to cover the second bitset word: %d events, outcome %v", periodic, want.Events, want.Outcome)
+		}
 	}
 }

@@ -184,10 +184,7 @@ func (m *Machine) restoreFrom(s *Snapshot) {
 			es.occ[sn.occLen-1] = sn.lastOcc
 		}
 	}
-	m.dirty = m.dirty[:0]
-	for i := range m.dirtyIn {
-		m.dirtyIn[i] = false
-	}
+	clear(m.dirty)
 }
 
 // initialCheckpointEvery is the event interval of the first checkpoint of
@@ -250,7 +247,8 @@ func (m *Machine) takeCheckpoint(tick int64) {
 }
 
 // grabSnapshot returns a checkpoint slot, reusing a retired one when the
-// free list has any.
+// free list has any and otherwise taking the next unused slot of the
+// machine's checkpoint arena.
 //
 //vrdf:noalloc
 func (m *Machine) grabSnapshot() *Snapshot {
@@ -260,7 +258,36 @@ func (m *Machine) grabSnapshot() *Snapshot {
 		m.ckptFree = m.ckptFree[:n-1]
 		return s
 	}
-	return &Snapshot{} //vrdf:allocok(cold path: runs only until the checkpoint slots fill once, then every grab reuses the free list)
+	if len(m.ckptArena) == 0 {
+		m.newCheckpointArena() //vrdf:allocok(cold path: runs once per machine, on its first checkpoint)
+	}
+	s := &m.ckptArena[0]
+	m.ckptArena = m.ckptArena[1:]
+	return s
+}
+
+// newCheckpointArena allocates every checkpoint slot a run can hold at once
+// — the retained slots plus the one taken before thinning — with their
+// calendars, actor and edge records carved from one backing array each, so
+// a checkpointing machine pays a fixed handful of allocations instead of
+// several per slot.
+func (m *Machine) newCheckpointArena() {
+	n := m.ckptSlots + 1
+	evCap, na, ne := cap(m.eq), len(m.actors), len(m.edgeList)
+	m.ckptArena = make([]Snapshot, n)
+	evs := make([]event, n*evCap)
+	actors := make([]actorSnap, n*na)
+	edges := make([]edgeSnap, n*ne)
+	for i := range m.ckptArena {
+		s := &m.ckptArena[i]
+		s.eq = evs[i*evCap : i*evCap : (i+1)*evCap]
+		s.actors = actors[i*na : (i+1)*na : (i+1)*na]
+		s.edges = edges[i*ne : (i+1)*ne : (i+1)*ne]
+	}
+	if m.ckpts == nil {
+		m.ckpts = make([]*Snapshot, 0, n)
+		m.ckptFree = make([]*Snapshot, 0, n)
+	}
 }
 
 // dropCheckpoints retires the checkpoints from index from onward into the

@@ -206,12 +206,15 @@ type VerifyOptions struct {
 	// (see Config.Deadline); the typed error satisfies
 	// budget.ErrBudgetExceeded.
 	Deadline time.Time
-	// Checkpoints enables warm-started probing on both phase machines:
+	// Checkpoints enables warm-started probing on the phase machines:
 	// each retains up to this many run checkpoints (Config.Checkpoints)
 	// and Verify resumes a phase from the newest checkpoint the changed
 	// capacities cannot have affected instead of replaying from tick 0.
-	// Results are bit-identical either way; LastEffort reports how much
-	// re-simulation each Verify actually skipped. 0 disables.
+	// Checkpoints are only valid under the offset they were taken with,
+	// so every periodic-phase offset attempt then runs on a machine of its
+	// own, compiled on first use. Results are bit-identical either way;
+	// LastEffort reports how much re-simulation each Verify actually
+	// skipped. 0 disables.
 	Checkpoints int
 }
 
@@ -224,12 +227,20 @@ type VerifyOptions struct {
 //
 // A Verifier is not safe for concurrent use.
 type Verifier struct {
-	c           taskgraph.Constraint
-	firings     int64
-	mapping     *vrdf.Mapping
-	tg          *taskgraph.Graph
-	selfTimed   *Machine
-	periodic    *Machine
+	c         taskgraph.Constraint
+	firings   int64
+	mapping   *vrdf.Mapping
+	tg        *taskgraph.Graph
+	selfTimed *Machine
+	// periodic holds the periodic-phase machine of each offset attempt
+	// when warm starts are on (nil until the attempt first runs), or the
+	// one machine every attempt shares when they are off. Attempt i keeps
+	// checkpoints taken under its own offset, which the next probe's
+	// attempt i usually repeats.
+	periodic []*Machine
+	// pcfg is the periodic phase's configuration, kept to compile
+	// attempt machines on first use.
+	pcfg        Config
 	periodTicks int64
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
@@ -336,7 +347,7 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		mapping:     mapping,
 		tg:          tg,
 		selfTimed:   selfTimed,
-		periodic:    periodic,
+		pcfg:        pcfg,
 		periodTicks: periodTicks,
 	}
 	for _, o := range opts.Offsets {
@@ -349,7 +360,38 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		}
 		vf.fixedOffsets = append(vf.fixedOffsets, t)
 	}
+	machines := 1
+	if opts.Checkpoints > 0 {
+		machines = len(vf.fixedOffsets) + len(slackPeriods)
+	}
+	vf.periodic = make([]*Machine, machines)
+	vf.periodic[0] = periodic
 	return vf, nil
+}
+
+// slackPeriods lists the automatically derived periodic offsets, in periods
+// of slack beyond the smallest offset dominating the self-timed schedule.
+var slackPeriods = [...]int64{0, 1, 10, 100}
+
+// attemptMachine returns the periodic-phase machine of offset attempt i,
+// compiling it on first use. A machine compiled late starts from the
+// buffer-invariant bounds the earlier machines were repointed to.
+func (vf *Verifier) attemptMachine(i int) (*Machine, error) {
+	if len(vf.periodic) == 1 {
+		return vf.periodic[0], nil
+	}
+	if m := vf.periodic[i]; m != nil {
+		return m, nil
+	}
+	m, err := Compile(vf.pcfg)
+	if err != nil {
+		return nil, err
+	}
+	for j, inv := range vf.periodic[0].invariants {
+		m.invariants[j].max = inv.max
+	}
+	vf.periodic[i] = m
+	return m, nil
 }
 
 // overrides translates a capacity assignment into the space-edge
@@ -374,8 +416,13 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 			return nil, fmt.Errorf("sim: Verify: buffer %q has no edge pair", name)
 		}
 		ov[pair.Space] = c
-		vf.selfTimed.setInvariantMax("buffer "+pair.Buffer, c)
-		vf.periodic.setInvariantMax("buffer "+pair.Buffer, c)
+		inv := "buffer " + pair.Buffer
+		vf.selfTimed.setInvariantMax(inv, c)
+		for _, m := range vf.periodic {
+			if m != nil {
+				m.setInvariantMax(inv, c)
+			}
+		}
 	}
 	return ov, nil
 }
@@ -395,7 +442,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	// capacity change provably cannot affect the replayed prefix; with
 	// checkpointing disabled it is a plain cold reset. Either way it
 	// must not revert the per-attempt knob overrides, so the periodic
-	// phase below sets its offset first and resets after.
+	// phase below sets each attempt's offset first and resets after.
 	resumed, err := vf.selfTimed.ResetWarm(ov)
 	if err != nil {
 		return nil, err
@@ -426,24 +473,28 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	// slack; a sizing that underruns even with generous slack is
 	// insufficient.
 	offsetTicks := append([]int64(nil), vf.fixedOffsets...)
-	for _, slack := range []int64{0, 1, 10, 100} {
+	for _, slack := range slackPeriods {
 		offsetTicks = append(offsetTicks, base+slack*vf.periodTicks)
 	}
 	//vrdf:unbudgeted(at most len fixedOffsets plus four attempts; each Run enforces the machine budget)
-	for _, ot := range offsetTicks {
+	for i, ot := range offsetTicks {
 		v.Attempts++
 		v.OffsetTicks = ot
 		v.Offset = vf.selfTimed.Base().Rat(ot)
 
-		//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; Verify re-points it on every attempt)
-		if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
-			return nil, err
-		}
-		resumed, err := vf.periodic.ResetWarm(ov)
+		pm, err := vf.attemptMachine(i)
 		if err != nil {
 			return nil, err
 		}
-		periodic, err := vf.periodic.Run()
+		//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; Verify re-points it on every attempt)
+		if err := pm.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
+			return nil, err
+		}
+		resumed, err := pm.ResetWarm(ov)
+		if err != nil {
+			return nil, err
+		}
+		periodic, err := pm.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -452,16 +503,17 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		// The structured diagnostics track the last attempt, like Reason.
 		v.Underrun = periodic.Underrun
 		v.Deadlock = periodic.Deadlock
-		switch periodic.Outcome {
-		case Completed:
+		if periodic.Outcome == Completed {
 			v.OK = true
-			v.Reason = ""
 			return v, nil
-		case Underrun:
-			v.Reason = periodic.Underrun.String()
-		default:
-			v.Reason = fmt.Sprintf("periodic phase %s", periodic.Outcome)
 		}
+	}
+	// Every attempt failed. Reason explains the last one, so only that
+	// one is formatted.
+	if v.Underrun != nil {
+		v.Reason = v.Underrun.String()
+	} else {
+		v.Reason = fmt.Sprintf("periodic phase %s", v.Periodic.Outcome)
 	}
 	return v, nil
 }

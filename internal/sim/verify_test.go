@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"vrdfcap/internal/mp3"
@@ -378,5 +379,132 @@ func TestJitterTicks(t *testing.T) {
 	}
 	if _, err := JitterTicks([]int64{1}); err == nil {
 		t.Error("single start accepted")
+	}
+}
+
+// TestVerifierWarmMatchesCold walks the §5 MP3 chain through a
+// coordinate-wise bisection of its capacities, the probe pattern of a
+// minimisation, on a warm-starting Verifier and on a cold one. Every verdict
+// and diagnostic must agree, and the walk must include probes whose later
+// offset attempts resume from their own checkpoints.
+func TestVerifierWarmMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation horizon too long for -short")
+	}
+	g := sizedMP3(t, 6015, 3263, 883)
+	c := mp3.Constraint()
+	opts := VerifyOptions{
+		Firings:    2205,
+		Workloads:  mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
+		LiteResult: true,
+	}
+	cold, err := CompileVerifier(g, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Checkpoints = 8
+	warm, err := CompileVerifier(g, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	names := mp3.BufferNames()
+	caps := map[string]int64{names[0]: 6015, names[1]: 3263, names[2]: 883}
+	var probes, retried, warmRetried int
+	probe := func() bool {
+		probes++
+		cv, err := cold.Verify(caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wv, err := warm.Verify(caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cv.OK != wv.OK || cv.Reason != wv.Reason || cv.Attempts != wv.Attempts || cv.OffsetTicks != wv.OffsetTicks ||
+			!reflect.DeepEqual(cv.Underrun, wv.Underrun) || !reflect.DeepEqual(cv.Deadlock, wv.Deadlock) {
+			t.Fatalf("caps %v: warm verdict diverged from cold\ncold: ok=%v attempts=%d offset=%d %q\nwarm: ok=%v attempts=%d offset=%d %q",
+				caps, cv.OK, cv.Attempts, cv.OffsetTicks, cv.Reason, wv.OK, wv.Attempts, wv.OffsetTicks, wv.Reason)
+		}
+		if (cv.Periodic == nil) != (wv.Periodic == nil) || cv.Periodic != nil && cv.Periodic.Events != wv.Periodic.Events {
+			t.Fatalf("caps %v: periodic phase diverged: cold %+v, warm %+v", caps, cv.Periodic, wv.Periodic)
+		}
+		if _, _, _, coldResets := cold.LastEffort(); cv.Periodic != nil && coldResets != 1+cv.Attempts {
+			t.Fatalf("caps %v: cold verifier reported %d cold resets for %d attempts", caps, coldResets, cv.Attempts)
+		}
+		if cv.Attempts > 1 {
+			retried++
+			// The self-timed phase and attempt 1 could warm-start on one
+			// shared periodic machine too; any further warm reset is a
+			// later attempt resuming under its own offset.
+			if _, _, w, _ := warm.LastEffort(); w > 2 {
+				warmRetried++
+			}
+		}
+		return cv.OK
+	}
+	if !probe() {
+		t.Fatal("Equation-4 capacities failed verification")
+	}
+	for _, name := range names {
+		lo, hi := int64(1), caps[name] // hi feasible
+		for lo < hi {
+			caps[name] = (lo + hi) / 2
+			if probe() {
+				hi = caps[name]
+			} else {
+				lo = caps[name] + 1
+			}
+		}
+		caps[name] = hi
+	}
+	t.Logf("%d probes: %d retried, %d warm-retried", probes, retried, warmRetried)
+	if retried == 0 || warmRetried == 0 {
+		t.Fatalf("%d probes: %d retried an offset, %d of them warm-started a later attempt; the walk no longer exercises per-attempt checkpoints",
+			probes, retried, warmRetried)
+	}
+}
+
+// TestAttemptMachinesInheritInvariantBounds checks that a periodic-phase
+// machine compiled on a later offset attempt starts from the buffer
+// invariant bounds of the current probe, not the compiled capacities.
+func TestAttemptMachinesInheritInvariantBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation horizon too long for -short")
+	}
+	g := sizedMP3(t, 6015, 3263, 883)
+	vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
+		Firings:     2205,
+		Workloads:   mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
+		Validate:    true,
+		Checkpoints: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := mp3.BufferNames()
+	// A d2 this small underruns the periodic DAC under every offset, so
+	// every later attempt compiles its machine mid-probe.
+	caps := map[string]int64{names[1]: 1632}
+	v, err := vf.Verify(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Attempts < 2 {
+		t.Fatalf("probe took %d attempts; want a retried offset", v.Attempts)
+	}
+	for i, m := range vf.periodic[:v.Attempts] {
+		found := false
+		for _, inv := range m.invariants {
+			if inv.name == "buffer "+names[1] {
+				found = true
+				if inv.max != caps[names[1]] {
+					t.Errorf("attempt %d machine bounds %s at %d, want %d", i+1, inv.name, inv.max, caps[names[1]])
+				}
+			}
+		}
+		if !found {
+			t.Errorf("attempt %d machine has no invariant for buffer %s", i+1, names[1])
+		}
 	}
 }
