@@ -230,120 +230,6 @@ func Compute(g *taskgraph.Graph, c taskgraph.Constraint, p Policy) (*Result, err
 	return a.At(c.Period)
 }
 
-// propagatePhi fills res.Phi for every task per §4.3 (sink-constrained) or
-// §4.4 (source-constrained).
-func propagatePhi(res *Result, tasks []*taskgraph.Task, buffers []*taskgraph.Buffer) error {
-	tau := res.Constraint.Period
-	switch res.Direction {
-	case SinkConstrained:
-		res.Phi[tasks[len(tasks)-1].Name] = tau
-		// Walk upstream: φ(vx) = (φ(vy)/γ̂(e_xy)) · π̌(e_xy).
-		for i := len(buffers) - 1; i >= 0; i-- {
-			b := buffers[i]
-			phiCons := res.Phi[b.Consumer]
-			mu := phiCons.DivInt(b.Cons.Max())
-			prodMin := b.Prod.Min()
-			if prodMin == 0 {
-				res.Valid = false
-				res.Diagnostics = append(res.Diagnostics, fmt.Sprintf(
-					"buffer %s: production quantum 0 is not allowed under a sink constraint (the producer's required rate would be unbounded); only consumption quanta may contain 0",
-					b.DefaultName()))
-				// φ would be 0; keep a positive placeholder equal to μ so
-				// downstream arithmetic stays well-defined while the
-				// result is already marked invalid.
-				res.Phi[b.Producer] = mu
-				continue
-			}
-			res.Phi[b.Producer] = mu.MulInt(prodMin)
-		}
-	case SourceConstrained:
-		res.Phi[tasks[0].Name] = tau
-		// Walk downstream: φ(vy) = (φ(vx)/π̂(e_xy)) · γ̌(e_xy).
-		for _, b := range buffers {
-			phiProd := res.Phi[b.Producer]
-			mu := phiProd.DivInt(b.Prod.Max())
-			consMin := b.Cons.Min()
-			if consMin == 0 {
-				res.Valid = false
-				res.Diagnostics = append(res.Diagnostics, fmt.Sprintf(
-					"buffer %s: consumption quantum 0 is not allowed under a source constraint (the consumer's required rate would be unbounded); only production quanta may contain 0",
-					b.DefaultName()))
-				res.Phi[b.Consumer] = mu
-				continue
-			}
-			res.Phi[b.Consumer] = mu.MulInt(consMin)
-		}
-	}
-	return nil
-}
-
-// runTaskChecks evaluates ρ(w) ≤ φ(w) for every task.
-func runTaskChecks(res *Result, tasks []*taskgraph.Task) {
-	for _, w := range tasks {
-		phi := res.Phi[w.Name]
-		ok := w.WCRT.LessEq(phi)
-		res.Checks = append(res.Checks, TaskCheck{Task: w.Name, Rho: w.WCRT, Phi: phi, OK: ok})
-		if !ok {
-			res.Valid = false
-			res.Diagnostics = append(res.Diagnostics, fmt.Sprintf(
-				"task %s: worst-case response time %v exceeds the minimal start distance %v required by the throughput constraint; no valid schedule exists",
-				w.Name, w.WCRT, phi))
-		}
-	}
-}
-
-// computeBuffer evaluates Equations (1)–(4) and the baseline for one
-// buffer; prodTask and consTask are the resolved producing and consuming
-// tasks (hoisted to compile time by CompileAnalysis).
-func computeBuffer(res *Result, b *taskgraph.Buffer, prodTask, consTask *taskgraph.Task, p Policy) (BufferResult, error) {
-	var mu ratio.Rat
-	if res.Direction == SinkConstrained {
-		mu = res.Phi[b.Consumer].DivInt(b.Cons.Max())
-	} else {
-		mu = res.Phi[b.Producer].DivInt(b.Prod.Max())
-	}
-	dist, err := bounds.Distances(mu, prodTask.WCRT, consTask.WCRT, b.Prod.Max(), b.Cons.Max())
-	if err != nil {
-		return BufferResult{}, fmt.Errorf("capacity: buffer %s: %w", b.DefaultName(), err)
-	}
-	br := BufferResult{
-		Buffer:         b.DefaultName(),
-		Producer:       b.Producer,
-		Consumer:       b.Consumer,
-		Mu:             mu,
-		RhoProd:        prodTask.WCRT,
-		RhoCons:        consTask.WCRT,
-		ProdMax:        b.Prod.Max(),
-		ConsMax:        b.Cons.Max(),
-		Distances:      dist,
-		CapacityEq4:    dist.SufficientTokens(),
-		ConstantRates:  b.Prod.IsConstant() && b.Cons.IsConstant(),
-		ContainerBytes: b.ContainerBytes,
-	}
-	if br.ConstantRates {
-		br.CapacityBaseline = baselineCapacity(mu, prodTask.WCRT, consTask.WCRT, b.Prod.Max(), b.Cons.Max())
-	}
-	switch p {
-	case PolicyEquation4:
-		br.Capacity = br.CapacityEq4
-	case PolicyBaseline:
-		if !br.ConstantRates {
-			return BufferResult{}, fmt.Errorf(
-				"capacity: buffer %s has variable quanta (ξ=%v, λ=%v); the baseline technique requires constant rates — this is precisely the limitation the paper lifts",
-				b.DefaultName(), b.Prod, b.Cons)
-		}
-		br.Capacity = br.CapacityBaseline
-	case PolicyHybrid:
-		br.Capacity = br.CapacityEq4
-		if br.ConstantRates && br.CapacityBaseline < br.Capacity {
-			br.Capacity = br.CapacityBaseline
-		}
-	default:
-		return BufferResult{}, fmt.Errorf("capacity: unknown policy %v", p)
-	}
-	return br, nil
-}
-
 // baselineCapacity is the constant-rate comparator of [10, 14]:
 //
 //	capacity = (ρx + ρy)/μ + p + c − 2·gcd(p, c)

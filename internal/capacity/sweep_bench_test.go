@@ -55,3 +55,38 @@ func benchmarkSweep(b *testing.B, workers int) {
 // gate tracks for allocs/op regressions.
 func BenchmarkSweepPeriods(b *testing.B)  { benchmarkSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }
+
+// BenchmarkSweepPeriodsSmall mirrors one cold job of the chain-sweep
+// ledger workload: short graphgen chains (4–8 tasks), each swept serially
+// over the 64-point k/32·τ grid with caching off. Unlike the 40-stage
+// fixture above, roughly half of these grid points are infeasible, so
+// diagnostics and per-period set-up weigh as they do in practice.
+func BenchmarkSweepPeriodsSmall(b *testing.B) {
+	const chains = 16
+	gs := make([]*taskgraph.Graph, chains)
+	tasks := make([]string, chains)
+	grids := make([][]ratio.Rat, chains)
+	for i := range gs {
+		g, c, err := graphgen.Random(graphgen.Config{
+			Seed: int64(i), MinTasks: 4, MaxTasks: 8, MaxQuantum: 8, MaxSetSize: 3,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs[i], tasks[i], grids[i] = g, c.Task, chainSweepGrid(c.Period)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, g := range gs {
+			pts, err := SweepPeriodsOpt(g, tasks[j], grids[j], PolicyEquation4,
+				SweepOptions{Parallel: 1, NoCache: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !pts[len(pts)-1].Valid {
+				b.Fatalf("chain %d infeasible at 2τ", j)
+			}
+		}
+	}
+}

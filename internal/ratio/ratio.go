@@ -10,7 +10,9 @@
 //
 // A Rat is always kept in canonical form: the denominator is strictly
 // positive and gcd(|num|, den) == 1. The zero value is the rational number
-// 0/1 and is ready to use.
+// 0/1 and is ready to use. The arithmetic methods build their results in
+// canonical form directly from canonical operands; New, which runs a full
+// reduction, is for components not already known to be reduced.
 //
 // All operations are overflow-checked. Overflow in this domain indicates a
 // malformed model (the magnitudes involved are sample rates and frame sizes,
@@ -142,13 +144,16 @@ func (r Rat) Add(s Rat) Rat {
 func (r Rat) AddChecked(s Rat) (Rat, error) {
 	r, s = r.normalised(), s.normalised()
 	// a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)) with g = gcd(b, d).
-	g := gcd64(r.den, s.den)
-	db := s.den / g
-	n1, ok := mul64(r.num, db)
+	g := int64(gcdU64(uint64(r.den), uint64(s.den)))
+	bg, dg := r.den, s.den
+	if g != 1 {
+		bg, dg = bg/g, dg/g
+	}
+	n1, ok := mul64(r.num, dg)
 	if !ok {
 		return Rat{}, &OverflowError{Op: "add"}
 	}
-	n2, ok := mul64(s.num, r.den/g)
+	n2, ok := mul64(s.num, bg)
 	if !ok {
 		return Rat{}, &OverflowError{Op: "add"}
 	}
@@ -156,11 +161,23 @@ func (r Rat) AddChecked(s Rat) (Rat, error) {
 	if !ok {
 		return Rat{}, &OverflowError{Op: "add"}
 	}
-	d, ok := mul64(r.den, db)
+	d, ok := mul64(r.den, dg)
 	if !ok {
 		return Rat{}, &OverflowError{Op: "add"}
 	}
-	return New(n, d)
+	if n == 0 {
+		return Zero, nil
+	}
+	// The numerator is coprime to both b/g and d/g, so only a common
+	// factor of g can remain (Knuth, TAOCP 4.5.1); with g == 1 the sum
+	// is already reduced.
+	if g != 1 {
+		if g2 := int64(gcdU64(absU64(n), uint64(g))); g2 != 1 {
+			n /= g2
+			d /= g2
+		}
+	}
+	return Rat{n, d}, nil
 }
 
 // Sub returns r - s, panicking on overflow.
@@ -211,18 +228,30 @@ func (r Rat) Mul(s Rat) Rat {
 // MulChecked returns r * s, or an error on overflow.
 func (r Rat) MulChecked(s Rat) (Rat, error) {
 	r, s = r.normalised(), s.normalised()
-	// Cross-reduce before multiplying to keep intermediates small.
-	g1 := gcd64(abs64(r.num), s.den)
-	g2 := gcd64(abs64(s.num), r.den)
-	n, ok := mul64(r.num/g1, s.num/g2)
+	if r.num == 0 || s.num == 0 {
+		return Zero, nil
+	}
+	// Cross-reduce before multiplying to keep intermediates small. With
+	// both operands canonical the cross-reduced product is canonical
+	// too: each numerator factor is coprime to both denominator factors,
+	// and the denominator stays positive. The gcds are unsigned so that
+	// a MinInt64 numerator reduces by a positive divisor.
+	a, b, c, d := r.num, r.den, s.num, s.den
+	if g1 := int64(gcdU64(absU64(a), uint64(d))); g1 != 1 {
+		a, d = a/g1, d/g1
+	}
+	if g2 := int64(gcdU64(absU64(c), uint64(b))); g2 != 1 {
+		c, b = c/g2, b/g2
+	}
+	n, ok := mul64(a, c)
 	if !ok {
 		return Rat{}, &OverflowError{Op: "mul"}
 	}
-	d, ok := mul64(r.den/g2, s.den/g1)
+	d, ok = mul64(b, d)
 	if !ok {
 		return Rat{}, &OverflowError{Op: "mul"}
 	}
-	return New(n, d)
+	return Rat{n, d}, nil
 }
 
 // Div returns r / s, panicking on overflow or division by zero.
@@ -240,9 +269,15 @@ func (r Rat) DivChecked(s Rat) (Rat, error) {
 	if s.num == 0 {
 		return Rat{}, fmt.Errorf("ratio: division by zero")
 	}
-	inv, err := New(s.den, s.num)
-	if err != nil {
-		return Rat{}, err
+	// The reciprocal of a canonical s is canonical once the sign moves to
+	// the numerator; only a MinInt64 numerator has no positive
+	// denominator form.
+	inv := Rat{s.den, s.num}
+	if inv.den < 0 {
+		if inv.den == math.MinInt64 {
+			return Rat{}, &OverflowError{Op: "new"}
+		}
+		inv = Rat{-inv.num, -inv.den}
 	}
 	return r.MulChecked(inv)
 }
@@ -406,15 +441,13 @@ func Parse(s string) (Rat, error) {
 		if err != nil {
 			return Rat{}, err
 		}
-		w := FromInt(abs64(whole))
-		v, err := w.AddChecked(f)
-		if err != nil {
-			return Rat{}, err
-		}
+		// The fraction extends the integer part away from zero. Adding it
+		// to the signed part, rather than negating a magnitude, keeps
+		// "-9223372036854775808.0" in range.
 		if neg {
-			return v.NegChecked()
+			return FromInt(whole).SubChecked(f)
 		}
-		return v, nil
+		return FromInt(whole).AddChecked(f)
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
@@ -443,7 +476,7 @@ func GCD(a, b int64) int64 {
 	if a < 0 || b < 0 {
 		panic("ratio: GCD of negative value")
 	}
-	return gcd64(a, b)
+	return int64(gcdU64(uint64(a), uint64(b)))
 }
 
 // LCM returns the least common multiple of a and b (both positive),
@@ -452,33 +485,19 @@ func LCM(a, b int64) int64 {
 	if a <= 0 || b <= 0 {
 		panic("ratio: LCM of non-positive value")
 	}
-	v, ok := mul64(a/gcd64(a, b), b)
+	v, ok := mul64(a/GCD(a, b), b)
 	if !ok {
 		panic(&OverflowError{Op: "lcm"})
 	}
 	return v
 }
 
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// gcdU64 is the unsigned Euclid used by New, where magnitudes may be 2⁶³.
+// gcdU64 is the unsigned Euclid, well-defined for magnitudes of 2⁶³.
 func gcdU64(a, b uint64) uint64 {
 	for b != 0 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func abs64(n int64) int64 {
-	if n < 0 {
-		return -n // note: undefined for MinInt64; callers guard.
-	}
-	return n
 }
 
 func add64(a, b int64) (int64, bool) {
@@ -489,16 +508,22 @@ func add64(a, b int64) (int64, bool) {
 	return s, true
 }
 
+// mul64 returns a·b and whether it fits an int64. The product of the
+// magnitudes is taken in 128 bits, so the check needs no division.
 func mul64(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/b != a {
+	hi, lo := bits.Mul64(absU64(a), absU64(b))
+	if hi != 0 {
 		return 0, false
 	}
-	if (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
+	if (a < 0) != (b < 0) {
+		// A negative product may reach magnitude 2⁶³ (MinInt64).
+		if lo > 1<<63 {
+			return 0, false
+		}
+		return int64(-lo), true
+	}
+	if lo > math.MaxInt64 {
 		return 0, false
 	}
-	return p, true
+	return int64(lo), true
 }

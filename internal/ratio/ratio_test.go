@@ -198,6 +198,45 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseBoundaryDecimals pins decimals at the int64 limits: a decimal
+// parses to the same value as the equal integer or fraction, including
+// at MinInt64, and only values outside int64 range are rejected.
+func TestParseBoundaryDecimals(t *testing.T) {
+	min, max := int64(math.MinInt64), int64(math.MaxInt64)
+	cases := []struct {
+		in   string
+		want Rat
+	}{
+		{"-9223372036854775808.0", FromInt(min)},
+		{"-9223372036854775808.000", FromInt(min)},
+		{"-9223372036854775807.0", FromInt(min + 1)},
+		{"9223372036854775807.0", FromInt(max)},
+		{"-922337203685477580.8", MustNew(min, 10)},
+		// (2⁶³ − 3)/5 + 3/5: the numerator reaches 2⁶³ only with a minus sign.
+		{"-1844674407370955161.6", MustNew(min, 5)},
+		{"-0.0", Zero},
+		{"-.5", MustNew(-1, 2)},
+	}
+	for _, c := range cases {
+		got, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	for _, bad := range []string{
+		"9223372036854775808.0", "-9223372036854775809.0", "1844674407370955161.6",
+		"-9223372036854775808.5", "9223372036854775807.5",
+	} {
+		if v, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) = %v, want an out-of-range error", bad, v)
+		}
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	for _, r := range []Rat{Zero, One, MustNew(-7, 3), MustNew(441, 44100), FromInt(6015)} {
 		b, err := r.MarshalText()
