@@ -27,8 +27,20 @@ import (
 var ErrCanceled = errors.New("canceled")
 
 // ErrBudgetExceeded reports that a wall-clock budget (an explicit deadline
-// or a context deadline) ran out before the computation finished.
+// or a context deadline) ran out before the computation finished. Errors
+// marked by Exhausted — another budget, such as a simulation's event cap,
+// ran out — satisfy it too.
 var ErrBudgetExceeded = errors.New("wall-clock budget exceeded")
+
+// Exhausted marks err as a budget that ran out before the computation
+// reached its answer, for budgets other than wall-clock time (a
+// simulation's event cap). The result keeps err's message and satisfies
+// errors.Is(·, ErrBudgetExceeded) as well as every identity err has.
+func Exhausted(err error) error { return exhaustedError{err} }
+
+type exhaustedError struct{ error }
+
+func (e exhaustedError) Unwrap() []error { return []error{e.error, ErrBudgetExceeded} }
 
 // Budget combines a context and an optional absolute wall-clock deadline
 // into one cheap cooperative checker. The zero-cost unconstrained form is a

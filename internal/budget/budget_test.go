@@ -97,3 +97,20 @@ func TestClassify(t *testing.T) {
 		t.Errorf("Classify(other) = %v, want passthrough", got)
 	}
 }
+
+func TestExhaustedKeepsMessageAndIdentity(t *testing.T) {
+	inner := errors.New("sim: periodic phase hit the event cap after 300 events, before a verdict")
+	err := Exhausted(inner)
+	if err.Error() != inner.Error() {
+		t.Errorf("message = %q, want %q", err.Error(), inner.Error())
+	}
+	if !errors.Is(err, ErrBudgetExceeded) || !errors.Is(err, inner) {
+		t.Errorf("Exhausted(%v) loses an identity", inner)
+	}
+	if errors.Is(err, ErrCanceled) {
+		t.Error("an exhausted budget must not read as a cancellation")
+	}
+	if Classify(err) != err {
+		t.Error("Classify must pass an exhausted budget through unchanged")
+	}
+}

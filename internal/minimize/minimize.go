@@ -48,8 +48,8 @@ type Options struct {
 	// identical for every setting.
 	Workers int
 	// MaxEvents caps each simulation run as a runaway guard (0 = engine
-	// default). Hitting the cap is reported as an error, never as
-	// infeasibility.
+	// default). Hitting the cap is reported as an error satisfying
+	// budget.ErrBudgetExceeded, never as infeasibility.
 	MaxEvents int64
 	// NoCache disables the monotone feasibility cache in Search, forcing
 	// every probe through the CheckFunc. The assignment found is
@@ -122,15 +122,20 @@ func (o Options) deadlineCtx() (context.Context, context.CancelFunc) {
 // Underrun from a misconfigured periodic actor, a LimitExceeded runaway
 // guard — carries no evidence about capacities, and treating it as
 // "infeasible" would silently poison the monotone search; it is an error.
+// A LimitExceeded run exhausted its event budget, so its error satisfies
+// budget.ErrBudgetExceeded, like sim.Verifier.Feasible's.
 func feasibleOutcome(res *sim.Result) (bool, error) {
 	switch res.Outcome {
 	case sim.Completed:
 		return true, nil
 	case sim.Deadlocked:
 		return false, nil
-	default:
-		return false, fmt.Errorf("minimize: simulation ended with outcome %v, which says nothing about capacity feasibility (expected completed or deadlocked)", res.Outcome)
 	}
+	err := fmt.Errorf("minimize: simulation ended with outcome %v, which says nothing about capacity feasibility (expected completed or deadlocked)", res.Outcome)
+	if res.Outcome == sim.LimitExceeded {
+		err = budget.Exhausted(err)
+	}
+	return false, err
 }
 
 // errInfeasible is the sentinel that lets the worker pool stop early on a
@@ -221,11 +226,15 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 // sim.VerifyThroughput succeeds for every given workload. The per-workload
 // verifications run concurrently on up to Options.Workers goroutines.
 //
-// Each worker reuses a compiled sim.Verifier per workload across probes,
-// so a probe re-runs the two verification phases without re-validating or
-// rebuilding the graph. With Options.Checkpoints set the phase machines
-// warm-start between probes; the LIFO pools give each worker back the
-// verifier it used last so its checkpoints match the previous probe.
+// Each worker reuses a compiled sim.Verifier per workload across probes
+// and asks it only for the verdict (sim.Verifier.Feasible): one self-timed
+// run and one periodic run at the largest candidate offset, which by
+// Definition 1 passes exactly when Verify would. With Options.Checkpoints
+// set both runs warm-start between probes; the periodic run always uses
+// the same slack, and the LIFO pools give each worker back the verifier it
+// used last, so its checkpoints match the previous probe. A probe that
+// Options.MaxEvents cuts short is an error satisfying
+// budget.ErrBudgetExceeded, never a verdict.
 func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, opts ...Options) CheckFunc {
 	o := optOf(opts)
 	tpl := &probeTemplate{base: g}
@@ -251,7 +260,7 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 					return false, err
 				}
 			}
-			v, err := vf.Verify(caps)
+			feasible, err := vf.Feasible(caps)
 			if err != nil {
 				return false, err
 			}
@@ -263,7 +272,7 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 				o.Stats.ColdResets.Add(int64(cold))
 			}
 			pools[i].put(vf)
-			return v.OK, nil
+			return feasible, nil
 		})
 	}
 }

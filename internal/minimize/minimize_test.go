@@ -1,11 +1,15 @@
 package minimize
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"vrdfcap/internal/budget"
+	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/graphgen"
+	"vrdfcap/internal/mp3"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/sim"
@@ -180,8 +184,48 @@ func TestMaxEventsIsErrorNotInfeasible(t *testing.T) {
 	if !strings.Contains(err.Error(), "says nothing about capacity feasibility") {
 		t.Errorf("unexpected error text: %v", err)
 	}
+	if !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Errorf("truncated simulation error %v does not satisfy budget.ErrBudgetExceeded", err)
+	}
 	if _, serr := Search([]string{buf}, map[string]int64{buf: 20}, check); serr == nil {
 		t.Error("Search swallowed the truncated-simulation error")
+	}
+}
+
+// TestThroughputMaxEventsIsErrorNotInfeasible is the ThroughputCheck twin
+// of TestMaxEventsIsErrorNotInfeasible. On the §5 MP3 chain at 200 firings
+// under a 300-event cap, α̂ decides the first probe and every simulated
+// probe after it is cut short. Those probes used to read as "infeasible",
+// so the search returned the Equation-4 sizing as its minimum with a nil
+// error; the cap must surface as an exhausted budget instead.
+func TestThroughputMaxEventsIsErrorNotInfeasible(t *testing.T) {
+	g, err := mp3.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mp3.Constraint()
+	res, err := capacity.Compute(g, c, capacity.PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sufficient, necessary, err := capacity.SearchBounds(res, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := mp3.BufferNames()
+	upper := make(map[string]int64, len(names))
+	for _, n := range names {
+		upper[n] = res.BufferByName(n).Capacity
+	}
+	w := []sim.Workloads{{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), 2008)}}}
+	opts := Options{Workers: 1, MaxEvents: 300, Bounds: &Bounds{Sufficient: sufficient, Necessary: necessary}}
+	check := ThroughputCheck(g, c, 200, w, opts)
+	if ok, err := check(upper); !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Fatalf("capped probe = (%v, %v); want an error satisfying budget.ErrBudgetExceeded", ok, err)
+	}
+	mres, err := Search(names[:], upper, check, opts)
+	if !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Fatalf("Search = (%+v, %v); want an error satisfying budget.ErrBudgetExceeded", mres, err)
 	}
 }
 

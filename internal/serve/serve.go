@@ -79,6 +79,8 @@ type Config struct {
 	Firings    int64
 	MaxFirings int64
 	// MaxEvents caps simulated events per probe run (0: engine default).
+	// A minimization whose probe hits the cap answers 504, like any
+	// other exhausted budget.
 	MaxEvents int64
 	// MaxSweepPeriods caps the periods of one sweep request (≤0: 64).
 	MaxSweepPeriods int

@@ -303,6 +303,40 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestMinimizeEventCapIs504 pins that a probe cut short by Config.MaxEvents
+// exhausts the request's budget: /v1/minimize answers 504, not 200 with the
+// analytic sizing as its "minimum", and the shared frontier records no
+// verdict the cut-short probes would have made up.
+func TestMinimizeEventCapIs504(t *testing.T) {
+	s := newTestServer(t, Config{MaxEvents: 5})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	status, body := post(t, ts, "/v1/minimize?firings=200&seed=7", pairDoc)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", status, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "event cap") {
+		t.Errorf("error body %q does not name the event cap", body)
+	}
+	s.problems.mu.Lock()
+	defer s.problems.mu.Unlock()
+	if len(s.problems.entries) != 1 {
+		t.Fatalf("%d compiled problems, want 1", len(s.problems.entries))
+	}
+	for _, prob := range s.problems.entries {
+		if _, infeasible := prob.frontier.Size(); infeasible != 0 {
+			t.Errorf("frontier recorded %d infeasible verdicts from cut-short probes", infeasible)
+		}
+		for _, b := range prob.buffers {
+			below := map[string]int64{b: prob.upper[b] - 1}
+			if _, hit := prob.frontier.Lookup(below); hit {
+				t.Errorf("frontier decides %v below the analytic sizing", below)
+			}
+		}
+	}
+}
+
 // TestPoolShedsLoad pins the overload behaviour: with one worker and a
 // queue of one, a third distinct in-flight problem is rejected with 503
 // and a Retry-After header instead of queueing unboundedly. Distinct seeds

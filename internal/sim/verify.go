@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"vrdfcap/internal/budget"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
@@ -206,62 +207,62 @@ type VerifyOptions struct {
 	// (see Config.Deadline); the typed error satisfies
 	// budget.ErrBudgetExceeded.
 	Deadline time.Time
-	// Checkpoints enables warm-started probing on the phase machines:
+	// Checkpoints enables warm-started probing on both phase machines:
 	// each retains up to this many run checkpoints (Config.Checkpoints)
-	// and Verify resumes a phase from the newest checkpoint the changed
+	// and a probe resumes a phase from the newest checkpoint the changed
 	// capacities cannot have affected instead of replaying from tick 0.
-	// Checkpoints are only valid under the offset they were taken with,
-	// so every periodic-phase offset attempt then runs on a machine of its
-	// own, compiled on first use. Results are bit-identical either way;
-	// LastEffort reports how much re-simulation each Verify actually
-	// skipped. 0 disables.
+	// Periodic-phase checkpoints are only valid under the offset they
+	// were taken with. Feasible runs one periodic offset per probe, so its
+	// next probe usually resumes; Verify's ascending attempts mostly
+	// replay cold. Results are bit-identical either way; LastEffort
+	// reports how much re-simulation each call actually skipped. 0
+	// disables.
 	Checkpoints int
 }
 
 // Verifier is a compiled throughput verification: both simulation phases —
 // self-timed and strictly periodic — built once and reusable across
 // capacity assignments. Capacity searches compile one Verifier per worker
-// and call Verify with a fresh capacity vector per probe; each probe only
-// resets token counts and counters instead of re-validating and rebuilding
-// the graph.
+// and call Feasible (or Verify, for the full diagnostics) with a fresh
+// capacity vector per probe; each probe only resets token counts and
+// counters instead of re-validating and rebuilding the graph.
+//
+// A Verifier holds exactly two machines, one per phase. Every periodic run
+// repoints the one periodic machine's offset; its checkpoints are keyed on
+// that offset, so they serve the next run at the same offset — which is
+// what consecutive Feasible probes are, since each runs at the largest
+// candidate offset.
 //
 // A Verifier is not safe for concurrent use.
 type Verifier struct {
-	c         taskgraph.Constraint
-	firings   int64
-	mapping   *vrdf.Mapping
-	tg        *taskgraph.Graph
-	selfTimed *Machine
-	// periodic holds the periodic-phase machine of each offset attempt
-	// when warm starts are on (nil until the attempt first runs), or the
-	// one machine every attempt shares when they are off. Attempt i keeps
-	// checkpoints taken under its own offset, which the next probe's
-	// attempt i usually repeats.
-	periodic []*Machine
-	// pcfg is the periodic phase's configuration, kept to compile
-	// attempt machines on first use.
-	pcfg        Config
+	c           taskgraph.Constraint
+	firings     int64
+	mapping     *vrdf.Mapping
+	tg          *taskgraph.Graph
+	selfTimed   *Machine
+	periodic    *Machine
 	periodTicks int64
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
 	fixedOffsets []int64
-	// Effort counters of the most recent Verify (see LastEffort).
+	// Effort counters of the most recent Verify or Feasible (see
+	// LastEffort).
 	lastSim     int64
 	lastResumed int64
 	lastWarm    int
 	lastCold    int
 }
 
-// LastEffort reports the simulation effort of the most recent Verify call:
-// events actually executed across all phase runs, events skipped by
-// resuming phases from checkpoints, and how many phase resets were warm
-// (resumed) versus cold (replayed from tick 0). All zeros before the first
-// Verify; without VerifyOptions.Checkpoints every reset is cold.
+// LastEffort reports the simulation effort of the most recent Verify or
+// Feasible call: events actually executed across all phase runs, events
+// skipped by resuming phases from checkpoints, and how many phase resets
+// were warm (resumed) versus cold (replayed from tick 0). All zeros before
+// the first call; without VerifyOptions.Checkpoints every reset is cold.
 func (vf *Verifier) LastEffort() (simulated, resumedEvents int64, warm, cold int) {
 	return vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold
 }
 
-// noteRun accumulates one phase run's effort into the Verify counters.
+// noteRun accumulates one phase run's effort into the call's counters.
 func (vf *Verifier) noteRun(totalEvents, resumed int64) {
 	vf.lastSim += totalEvents - resumed
 	vf.lastResumed += resumed
@@ -273,8 +274,9 @@ func (vf *Verifier) noteRun(totalEvents, resumed int64) {
 }
 
 // CompileVerifier validates the constraint and builds both phases of the
-// throughput check once. The graph must be fully sized; Verify(caps) can
-// override buffer capacities per probe without recompiling.
+// throughput check once. The graph must be fully sized; Verify(caps) and
+// Feasible(caps) can override buffer capacities per probe without
+// recompiling.
 func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOptions) (*Verifier, error) {
 	if err := c.Validate(tg); err != nil {
 		return nil, err
@@ -320,8 +322,8 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	for k, ac := range cfg.Actors {
 		pcfg.Actors[k] = ac
 	}
-	// The offset is repointed per attempt via SetPeriodicOffsetTicks;
-	// compile with the placeholder 0.
+	// The offset is repointed per run via SetPeriodicOffsetTicks; compile
+	// with the placeholder 0.
 	constrained := ActorConfig{Mode: Periodic, Offset: ratio.MustNew(0, 1), Period: c.Period}
 	if prev, ok := cfg.Actors[c.Task]; ok {
 		constrained.Exec = prev.Exec
@@ -347,7 +349,7 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		mapping:     mapping,
 		tg:          tg,
 		selfTimed:   selfTimed,
-		pcfg:        pcfg,
+		periodic:    periodic,
 		periodTicks: periodTicks,
 	}
 	for _, o := range opts.Offsets {
@@ -360,39 +362,12 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		}
 		vf.fixedOffsets = append(vf.fixedOffsets, t)
 	}
-	machines := 1
-	if opts.Checkpoints > 0 {
-		machines = len(vf.fixedOffsets) + len(slackPeriods)
-	}
-	vf.periodic = make([]*Machine, machines)
-	vf.periodic[0] = periodic
 	return vf, nil
 }
 
 // slackPeriods lists the automatically derived periodic offsets, in periods
 // of slack beyond the smallest offset dominating the self-timed schedule.
 var slackPeriods = [...]int64{0, 1, 10, 100}
-
-// attemptMachine returns the periodic-phase machine of offset attempt i,
-// compiling it on first use. A machine compiled late starts from the
-// buffer-invariant bounds the earlier machines were repointed to.
-func (vf *Verifier) attemptMachine(i int) (*Machine, error) {
-	if len(vf.periodic) == 1 {
-		return vf.periodic[0], nil
-	}
-	if m := vf.periodic[i]; m != nil {
-		return m, nil
-	}
-	m, err := Compile(vf.pcfg)
-	if err != nil {
-		return nil, err
-	}
-	for j, inv := range vf.periodic[0].invariants {
-		m.invariants[j].max = inv.max
-	}
-	vf.periodic[i] = m
-	return m, nil
-}
 
 // overrides translates a capacity assignment into the space-edge
 // initial-token overrides of the next runs and repoints the buffer
@@ -418,13 +393,48 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 		ov[pair.Space] = c
 		inv := "buffer " + pair.Buffer
 		vf.selfTimed.setInvariantMax(inv, c)
-		for _, m := range vf.periodic {
-			if m != nil {
-				m.setInvariantMax(inv, c)
-			}
-		}
+		vf.periodic.setInvariantMax(inv, c)
 	}
 	return ov, nil
+}
+
+// runSelfTimed resets the call's effort counters and runs the self-timed
+// phase under the token overrides ov. ResetWarm resumes the phase from a
+// retained checkpoint when the capacity change provably cannot affect the
+// replayed prefix; with checkpointing disabled it is a plain cold reset.
+func (vf *Verifier) runSelfTimed(ov map[string]int64) (*Result, error) {
+	vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold = 0, 0, 0, 0
+	resumed, err := vf.selfTimed.ResetWarm(ov)
+	if err != nil {
+		return nil, err
+	}
+	res, err := vf.selfTimed.Run()
+	if err != nil {
+		return nil, err
+	}
+	vf.noteRun(res.Events, resumed)
+	return res, nil
+}
+
+// runPeriodic runs the periodic phase with the constrained task's first
+// start at offset ticks. ResetWarm must not revert the offset override, so
+// the offset is set first and the machine reset after; the checkpoints it
+// resumes from are only those taken under the same offset.
+func (vf *Verifier) runPeriodic(ov map[string]int64, offset int64) (*Result, error) {
+	//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; every periodic run re-points it)
+	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
+		return nil, err
+	}
+	resumed, err := vf.periodic.ResetWarm(ov)
+	if err != nil {
+		return nil, err
+	}
+	res, err := vf.periodic.Run()
+	if err != nil {
+		return nil, err
+	}
+	vf.noteRun(res.Events, resumed)
+	return res, nil
 }
 
 // Verify runs both phases for one capacity assignment: buffers named in
@@ -432,26 +442,20 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 // compiled machines), all others keep the capacity they were compiled
 // with. Verify(nil) checks the graph as compiled. Results are bit-identical
 // to VerifyThroughput on an equivalently sized graph.
+//
+// Verify tries the candidate offsets in ascending order and reports the
+// first that passes, or the last failure, with full diagnostics. Callers
+// that only need the verdict should call Feasible, which reaches the same
+// verdict with one periodic run.
 func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	ov, err := vf.overrides(caps)
 	if err != nil {
 		return nil, err
 	}
-	vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold = 0, 0, 0, 0
-	// ResetWarm resumes the phase from a retained checkpoint when the
-	// capacity change provably cannot affect the replayed prefix; with
-	// checkpointing disabled it is a plain cold reset. Either way it
-	// must not revert the per-attempt knob overrides, so the periodic
-	// phase below sets each attempt's offset first and resets after.
-	resumed, err := vf.selfTimed.ResetWarm(ov)
+	selfTimed, err := vf.runSelfTimed(ov)
 	if err != nil {
 		return nil, err
 	}
-	selfTimed, err := vf.selfTimed.Run()
-	if err != nil {
-		return nil, err
-	}
-	vf.noteRun(selfTimed.Events, resumed)
 	v := &Verification{SelfTimed: selfTimed}
 	if selfTimed.Outcome != Completed {
 		v.Reason = fmt.Sprintf("self-timed phase %s", selfTimed.Outcome)
@@ -477,28 +481,14 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		offsetTicks = append(offsetTicks, base+slack*vf.periodTicks)
 	}
 	//vrdf:unbudgeted(at most len fixedOffsets plus four attempts; each Run enforces the machine budget)
-	for i, ot := range offsetTicks {
+	for _, ot := range offsetTicks {
 		v.Attempts++
 		v.OffsetTicks = ot
 		v.Offset = vf.selfTimed.Base().Rat(ot)
-
-		pm, err := vf.attemptMachine(i)
+		periodic, err := vf.runPeriodic(ov, ot)
 		if err != nil {
 			return nil, err
 		}
-		//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; Verify re-points it on every attempt)
-		if err := pm.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
-			return nil, err
-		}
-		resumed, err := pm.ResetWarm(ov)
-		if err != nil {
-			return nil, err
-		}
-		periodic, err := pm.Run()
-		if err != nil {
-			return nil, err
-		}
-		vf.noteRun(periodic.Events, resumed)
 		v.Periodic = periodic
 		// The structured diagnostics track the last attempt, like Reason.
 		v.Underrun = periodic.Underrun
@@ -516,6 +506,54 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		v.Reason = fmt.Sprintf("periodic phase %s", v.Periodic.Outcome)
 	}
 	return v, nil
+}
+
+// Feasible reports the verdict of Verify(caps).OK with a single periodic
+// run. A periodic phase that passes at offset o also passes at every
+// o+d: the passing run shifted by d is a schedule for offset o+d in which
+// every task starts d later, and since VRDF graphs are monotone in their
+// start times (Definition 1) the self-timed tasks of the actual run at o+d
+// start no later than in that shifted run, so every periodic start is
+// still enabled. The largest of Verify's candidate offsets — the fixed
+// offsets and the one with 100 periods of slack — therefore passes exactly
+// when some candidate does, and Feasible runs only that one.
+//
+// A phase cut short by VerifyOptions.MaxEvents says nothing about the
+// capacities: Feasible then returns an error satisfying
+// errors.Is(err, budget.ErrBudgetExceeded) instead of a verdict.
+func (vf *Verifier) Feasible(caps map[string]int64) (bool, error) {
+	ov, err := vf.overrides(caps)
+	if err != nil {
+		return false, err
+	}
+	selfTimed, err := vf.runSelfTimed(ov)
+	if err != nil {
+		return false, err
+	}
+	if selfTimed.Outcome != Completed {
+		return false, eventCapError("self-timed", selfTimed)
+	}
+	offset := MaxLateness(selfTimed.Starts[vf.c.Task], vf.periodTicks) + slackPeriods[len(slackPeriods)-1]*vf.periodTicks
+	for _, ot := range vf.fixedOffsets {
+		offset = max(offset, ot)
+	}
+	periodic, err := vf.runPeriodic(ov, offset)
+	if err != nil {
+		return false, err
+	}
+	if periodic.Outcome != Completed {
+		return false, eventCapError("periodic", periodic)
+	}
+	return true, nil
+}
+
+// eventCapError returns the typed error of a phase run that MaxEvents cut
+// short, and nil for any outcome that is a verdict.
+func eventCapError(phase string, res *Result) error {
+	if res.Outcome != LimitExceeded {
+		return nil
+	}
+	return budget.Exhausted(fmt.Errorf("sim: %s phase hit the event cap after %d events, before a verdict", phase, res.Events))
 }
 
 // VerifyThroughput checks by simulation that the (sized) task graph can

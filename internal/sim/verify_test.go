@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"vrdfcap/internal/budget"
 	"vrdfcap/internal/mp3"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
@@ -384,9 +387,11 @@ func TestJitterTicks(t *testing.T) {
 
 // TestVerifierWarmMatchesCold walks the §5 MP3 chain through a
 // coordinate-wise bisection of its capacities, the probe pattern of a
-// minimisation, on a warm-starting Verifier and on a cold one. Every verdict
-// and diagnostic must agree, and the walk must include probes whose later
-// offset attempts resume from their own checkpoints.
+// minimisation, with a cold Verifier steering the walk. At every probe a
+// warm-starting Feasible must give the cold Verify(caps).OK, and a
+// warm-starting Verify must match the cold one field by field. The walk
+// must include probes whose Feasible resumed its periodic phase from the
+// previous probe's checkpoints.
 func TestVerifierWarmMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation horizon too long for -short")
@@ -403,43 +408,61 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Checkpoints = 8
-	warm, err := CompileVerifier(g, c, opts)
+	warmVerify, err := CompileVerifier(g, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmFeasible, err := CompileVerifier(g, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	names := mp3.BufferNames()
 	caps := map[string]int64{names[0]: 6015, names[1]: 3263, names[2]: 883}
-	var probes, retried, warmRetried int
+	var probes, infeasible, periodicResumed int
 	probe := func() bool {
 		probes++
 		cv, err := cold.Verify(caps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wv, err := warm.Verify(caps)
+		wv, err := warmVerify.Verify(caps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cv.OK != wv.OK || cv.Reason != wv.Reason || cv.Attempts != wv.Attempts || cv.OffsetTicks != wv.OffsetTicks ||
-			!reflect.DeepEqual(cv.Underrun, wv.Underrun) || !reflect.DeepEqual(cv.Deadlock, wv.Deadlock) {
-			t.Fatalf("caps %v: warm verdict diverged from cold\ncold: ok=%v attempts=%d offset=%d %q\nwarm: ok=%v attempts=%d offset=%d %q",
+			cv.Offset != wv.Offset || !reflect.DeepEqual(cv.Underrun, wv.Underrun) || !reflect.DeepEqual(cv.Deadlock, wv.Deadlock) {
+			t.Fatalf("caps %v: warm Verify diverged from cold\ncold: ok=%v attempts=%d offset=%d %q\nwarm: ok=%v attempts=%d offset=%d %q",
 				caps, cv.OK, cv.Attempts, cv.OffsetTicks, cv.Reason, wv.OK, wv.Attempts, wv.OffsetTicks, wv.Reason)
 		}
-		if (cv.Periodic == nil) != (wv.Periodic == nil) || cv.Periodic != nil && cv.Periodic.Events != wv.Periodic.Events {
-			t.Fatalf("caps %v: periodic phase diverged: cold %+v, warm %+v", caps, cv.Periodic, wv.Periodic)
+		if cv.SelfTimed.Events != wv.SelfTimed.Events ||
+			(cv.Periodic == nil) != (wv.Periodic == nil) || cv.Periodic != nil && cv.Periodic.Events != wv.Periodic.Events {
+			t.Fatalf("caps %v: warm Verify phases diverged: cold %+v / %+v, warm %+v / %+v",
+				caps, cv.SelfTimed, cv.Periodic, wv.SelfTimed, wv.Periodic)
 		}
 		if _, _, _, coldResets := cold.LastEffort(); cv.Periodic != nil && coldResets != 1+cv.Attempts {
 			t.Fatalf("caps %v: cold verifier reported %d cold resets for %d attempts", caps, coldResets, cv.Attempts)
 		}
-		if cv.Attempts > 1 {
-			retried++
-			// The self-timed phase and attempt 1 could warm-start on one
-			// shared periodic machine too; any further warm reset is a
-			// later attempt resuming under its own offset.
-			if _, _, w, _ := warm.LastEffort(); w > 2 {
-				warmRetried++
-			}
+		ok, err := warmFeasible.Feasible(caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != cv.OK {
+			t.Fatalf("caps %v: warm Feasible = %v, cold Verify OK = %v (%s)", caps, ok, cv.OK, cv.Reason)
+		}
+		if !ok {
+			infeasible++
+		}
+		// Feasible runs the periodic phase only after a completed
+		// self-timed one; two warm resets mean the periodic one resumed.
+		phases := 1
+		if cv.Periodic != nil {
+			phases = 2
+		}
+		if _, _, warm, cold := warmFeasible.LastEffort(); warm+cold != phases {
+			t.Fatalf("caps %v: Feasible reported %d phase resets, want %d", caps, warm+cold, phases)
+		} else if warm == 2 {
+			periodicResumed++
 		}
 		return cv.OK
 	}
@@ -458,23 +481,52 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 		}
 		caps[name] = hi
 	}
-	t.Logf("%d probes: %d retried, %d warm-retried", probes, retried, warmRetried)
-	if retried == 0 || warmRetried == 0 {
-		t.Fatalf("%d probes: %d retried an offset, %d of them warm-started a later attempt; the walk no longer exercises per-attempt checkpoints",
-			probes, retried, warmRetried)
+	t.Logf("%d probes: %d infeasible, %d resumed Feasible's periodic phase", probes, infeasible, periodicResumed)
+	if infeasible == 0 || periodicResumed == 0 {
+		t.Fatalf("%d probes: %d infeasible, %d resumed Feasible's periodic phase; the walk no longer exercises periodic checkpoints",
+			probes, infeasible, periodicResumed)
 	}
 }
 
-// TestAttemptMachinesInheritInvariantBounds checks that a periodic-phase
-// machine compiled on a later offset attempt starts from the buffer
-// invariant bounds of the current probe, not the compiled capacities.
-func TestAttemptMachinesInheritInvariantBounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation horizon too long for -short")
-	}
+// TestFeasibleEventCapIsBudgetError pins that a phase cut short by
+// MaxEvents is an error satisfying budget.ErrBudgetExceeded, never an
+// "infeasible" verdict, while Verify keeps reporting it as a failed
+// verification.
+func TestFeasibleEventCapIsBudgetError(t *testing.T) {
 	g := sizedMP3(t, 6015, 3263, 883)
 	vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
-		Firings:     2205,
+		Firings:    200,
+		Workloads:  mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
+		MaxEvents:  300,
+		LiteResult: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := vf.Feasible(nil)
+	if !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Fatalf("Feasible = (%v, %v); want an error satisfying budget.ErrBudgetExceeded", ok, err)
+	}
+	if !strings.Contains(err.Error(), "event cap") {
+		t.Errorf("error %q does not name the event cap", err)
+	}
+	v, err := vf.Verify(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.OK || v.Periodic == nil || v.Periodic.Outcome != LimitExceeded {
+		t.Errorf("Verify = ok %v, %q; want a failed verification whose periodic phase the cap cut short", v.OK, v.Reason)
+	}
+}
+
+// TestVerifierRepointsInvariantBounds checks that a capacity override moves
+// the buffer invariant of both phase machines: a raised capacity holds more
+// tokens than the compiled bound allows, so a stale bound on either machine
+// aborts the run under Validate.
+func TestVerifierRepointsInvariantBounds(t *testing.T) {
+	g := sizedMP3(t, 6015, 3263, 883)
+	vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
+		Firings:     200,
 		Workloads:   mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
 		Validate:    true,
 		Checkpoints: 8,
@@ -483,28 +535,11 @@ func TestAttemptMachinesInheritInvariantBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := mp3.BufferNames()
-	// A d2 this small underruns the periodic DAC under every offset, so
-	// every later attempt compiles its machine mid-probe.
-	caps := map[string]int64{names[1]: 1632}
-	v, err := vf.Verify(caps)
-	if err != nil {
-		t.Fatal(err)
+	caps := map[string]int64{names[0]: 7000, names[1]: 4000, names[2]: 1000}
+	if ok, err := vf.Feasible(caps); err != nil || !ok {
+		t.Fatalf("Feasible(%v) = (%v, %v); want a pass within the raised bounds", caps, ok, err)
 	}
-	if v.Attempts < 2 {
-		t.Fatalf("probe took %d attempts; want a retried offset", v.Attempts)
-	}
-	for i, m := range vf.periodic[:v.Attempts] {
-		found := false
-		for _, inv := range m.invariants {
-			if inv.name == "buffer "+names[1] {
-				found = true
-				if inv.max != caps[names[1]] {
-					t.Errorf("attempt %d machine bounds %s at %d, want %d", i+1, inv.name, inv.max, caps[names[1]])
-				}
-			}
-		}
-		if !found {
-			t.Errorf("attempt %d machine has no invariant for buffer %s", i+1, names[1])
-		}
+	if v, err := vf.Verify(caps); err != nil || !v.OK {
+		t.Fatalf("Verify(%v) = (%+v, %v); want a pass within the raised bounds", caps, v, err)
 	}
 }

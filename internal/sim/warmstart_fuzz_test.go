@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"vrdfcap/internal/budget"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/graphgen"
 	"vrdfcap/internal/ratio"
@@ -147,6 +149,86 @@ func FuzzWarmStartDifferential(f *testing.F) {
 			if !reflect.DeepEqual(cres, wres) {
 				t.Fatalf("probe %d (caps %v, resumed %d events): warm run diverged from cold\ncold: %+v\nwarm: %+v",
 					probe, caps, resumed, cres, wres)
+			}
+		}
+	})
+}
+
+// FuzzFeasibleMatchesVerify is the oracle for Verifier.Feasible: across
+// random sink- and source-constrained chains, workloads, fixed offsets and
+// capacity walks, a warm-starting Feasible must give the verdict a cold
+// Verify(caps).OK gives. A disagreement means either the Definition 1
+// argument behind the single largest offset or a periodic-phase warm start
+// is wrong.
+func FuzzFeasibleMatchesVerify(f *testing.F) {
+	f.Add(int64(1), int64(1))
+	f.Add(int64(2), int64(9))
+	f.Add(int64(5), int64(3))
+	f.Add(int64(10), int64(0))
+	f.Add(int64(12), int64(6))
+	f.Add(int64(25), int64(14))
+	f.Fuzz(func(t *testing.T, seed, walkSeed int64) {
+		gcfg := graphgen.Defaults(seed)
+		gcfg.SourceConstrained = seed%2 == 0
+		gcfg.ZeroConsumption = seed%5 == 0
+		g, c, err := graphgen.Random(gcfg)
+		if err != nil {
+			t.Skip()
+		}
+		res, err := capacity.Compute(g, c, capacity.PolicyEquation4)
+		if err != nil || !res.Valid {
+			t.Skip()
+		}
+		sized, err := capacity.Sized(g, res)
+		if err != nil {
+			t.Skip()
+		}
+		w := UniformWorkloads(sized, seed)
+		if walkSeed%3 == 1 {
+			w = AdversarialWorkloads(sized, Adversaries[(walkSeed/3%3+3)%3])
+		}
+		opts := VerifyOptions{Firings: 300, Workloads: w, MaxEvents: 2_000_000, LiteResult: true}
+		if walkSeed%4 == 0 {
+			// A fixed offset beyond the 100-period slack makes Feasible
+			// run at it instead.
+			opts.Offsets = []ratio.Rat{c.Period.MulInt(1000)}
+		}
+		cold, err := CompileVerifier(sized, c, opts)
+		if err != nil {
+			t.Skip()
+		}
+		opts.Checkpoints = int(1 + (walkSeed%4+4)%4)
+		warm, err := CompileVerifier(sized, c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A walk from the Equation-4 capacities, nudging one buffer at a
+		// time and drifting downwards, so verdicts flip both ways.
+		rnd := rand.New(rand.NewSource(walkSeed ^ seed<<17))
+		buffers := sized.Buffers()
+		caps := make(map[string]int64, len(buffers))
+		for _, b := range buffers {
+			caps[b.DefaultName()] = b.Capacity
+		}
+		for probe := 0; probe < 8; probe++ {
+			if probe > 0 {
+				name := buffers[rnd.Intn(len(buffers))].DefaultName()
+				caps[name] = max(1, caps[name]+int64(rnd.Intn(7)-4))
+			}
+			v, err := cold.Verify(caps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, err := warm.Feasible(caps)
+			if errors.Is(err, budget.ErrBudgetExceeded) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != v.OK {
+				t.Fatalf("probe %d (caps %v): warm Feasible = %v, cold Verify OK = %v (%s)", probe, caps, ok, v.OK, v.Reason)
 			}
 		}
 	})
