@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	minimizeFlag := fs.Bool("minimize", false, "additionally search the empirically minimal capacities for the VBR workload")
 	minimizeFirings := fs.Int64("minimize-firings", 2205, "DAC firings per minimization probe (default: 50 ms of audio)")
 	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
-	parallelN := fs.Int("parallel", 0, "worker goroutines for the verification workloads (0 = GOMAXPROCS, 1 = serial)")
+	parallelN := fs.Int("parallel", 0, "worker goroutines for the verification workloads and -degradation (0 = GOMAXPROCS, 1 = serial; -minimize is always serial)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during verification, e.g. 1/2")
@@ -181,7 +181,7 @@ func run(args []string, out io.Writer) error {
 		}
 		mstats := &minimize.ProbeStats{}
 		mopts := minimize.Options{
-			Workers: *parallelN, MaxEvents: *maxEvents, Deadline: deadline,
+			MaxEvents: *maxEvents, Deadline: deadline,
 			Cache: frontier, NoCache: cacheFlags.Disable,
 			Checkpoints: *checkpointsN,
 			Bounds:      &minimize.Bounds{Sufficient: sufficient, Necessary: necessary},

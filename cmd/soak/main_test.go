@@ -6,14 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/serve"
 )
 
 // TestSoakAgainstInProcessServer drives a short soak at a real serve.Server
 // and checks the report plus the success gate.
 func TestSoakAgainstInProcessServer(t *testing.T) {
-	s := serve.New(serve.Config{Store: probecache.NewStore(""), Firings: 200})
+	s := serve.New(serve.Config{Firings: 200})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s)
 	defer ts.Close()

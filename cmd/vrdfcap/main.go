@@ -27,7 +27,8 @@
 //	-minimize-firings n  firings per minimization probe (0 = use -firings)
 //	-checkpoints n checkpoints retained per probe machine for warm starts
 //	               during -minimize (0 disables warm-starting; default 8)
-//	-parallel n    worker goroutines for the sweep (0 = GOMAXPROCS)
+//	-parallel n    worker goroutines for -sweep and -degradation
+//	               (0 = GOMAXPROCS); -minimize is always serial
 //	-timeout d     wall-clock budget for simulation-backed steps (0 = none)
 //	-max-events n  cap simulated events per run (0 = engine default)
 //	-jitter q      admissible execution-time jitter in [0,1) for -verify
@@ -83,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	minimizeFlag := fs.Bool("minimize", false, "search the empirically minimal capacities that still satisfy the constraint (simulation-based)")
 	minimizeFirings := fs.Int64("minimize-firings", 0, "firings of the constrained task per minimization probe (0 = use -firings)")
 	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
-	parallelN := fs.Int("parallel", 0, "worker goroutines for the period sweep (0 = GOMAXPROCS, 1 = serial)")
+	parallelN := fs.Int("parallel", 0, "worker goroutines for -sweep and -degradation (0 = GOMAXPROCS, 1 = serial; -minimize is always serial)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during -verify, e.g. 1/2")
@@ -168,7 +169,6 @@ func run(args []string, out io.Writer) error {
 		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
 			Parallel: *parallelN,
 			Deadline: deadline,
-			NoCache:  cacheFlags.Disable,
 			Cache:    cachecli.Periods(store, capacity.SweepKey(g, c.Task, policy)),
 		})
 		if err != nil {
@@ -269,7 +269,7 @@ func run(args []string, out io.Writer) error {
 			}
 			mstats := &minimize.ProbeStats{}
 			mopts := minimize.Options{
-				Workers: *parallelN, MaxEvents: *maxEvents, Deadline: deadline,
+				MaxEvents: *maxEvents, Deadline: deadline,
 				Cache: frontier, NoCache: cacheFlags.Disable,
 				Checkpoints: *checkpointsN,
 				Bounds:      &minimize.Bounds{Sufficient: sufficient, Necessary: necessary},

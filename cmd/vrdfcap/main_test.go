@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -424,15 +425,16 @@ func TestRunMinimizeCacheDirColdWarm(t *testing.T) {
 
 func TestRunNoCacheDisablesCaching(t *testing.T) {
 	path := writeMP3JSON(t, true)
-	// Warm the process-wide shared store first, then prove -no-cache
-	// ignores it (and -cache-dir) entirely.
+	// Warm a cache directory first, then prove -no-cache ignores it
+	// entirely.
+	dir := t.TempDir()
 	var warmup bytes.Buffer
-	if err := run([]string{"-minimize", "-minimize-firings", "441", path}, &warmup); err != nil {
+	if err := run([]string{"-minimize", "-minimize-firings", "441", "-cache-dir", dir, path}, &warmup); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	if err := run([]string{"-minimize", "-minimize-firings", "441", "-no-cache",
-		"-cache-dir", t.TempDir(), "-stats", path}, &out); err != nil {
+		"-cache-dir", dir, "-stats", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -447,6 +449,29 @@ func TestRunNoCacheDisablesCaching(t *testing.T) {
 	}
 	if got, want := minimizeSection(t, text), minimizeSection(t, warmup.String()); got != want {
 		t.Errorf("-no-cache changed the found capacities:\n--- cached ---\n%s\n--- no-cache ---\n%s", want, got)
+	}
+}
+
+// TestRunMinimizeIndependentOfCoreCount pins that -parallel does not reach
+// the minimiser: on two cores, -parallel 0 (one worker per core) and
+// -parallel 1 print byte-identical reports, probe counts and simulated
+// events included.
+func TestRunMinimizeIndependentOfCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	report := func(parallel string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run([]string{"-minimize", "-no-cache", "-parallel", parallel, "../../testdata/mp3.txt"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	serial := report("1")
+	if perCore := report("0"); perCore != serial {
+		t.Errorf("-parallel 0 and -parallel 1 differ:\n--- 1 ---\n%s\n--- 0 ---\n%s", serial, perCore)
+	}
+	if !strings.Contains(serial, "minimal=4274") {
+		t.Errorf("unexpected minimum:\n%s", serial)
 	}
 }
 

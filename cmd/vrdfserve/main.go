@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "analysis worker goroutines (0: GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "jobs waiting for a worker before requests are shed with 503")
 	timeout := fs.Duration("timeout", 30*time.Second, "wall-clock budget per computation (negative: unlimited)")
-	searchWorkers := fs.Int("search-workers", 1, "parallelism inside one search or sweep")
+	searchWorkers := fs.Int("search-workers", 1, "parallelism inside one sweep or degradation curve (minimizations are serial)")
 	firings := fs.Int64("firings", 1000, "default simulation horizon for minimize and degradation")
 	maxFirings := fs.Int64("max-firings", 200_000, "cap on the per-request firings override")
 	maxEvents := fs.Int64("max-events", 0, "cap on simulated events per probe run (0: engine default)")
@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logW = f
 	}
 
-	store := probecache.Shared()
+	store := probecache.NewStore("")
 	switch {
 	case *cacheBackend != "":
 		b, err := cachestore.Parse(*cacheBackend)

@@ -17,7 +17,8 @@ type (
 	ChainSchedule = capacity.ChainSchedule
 	// SweepPoint is one point of a throughput/buffer trade-off curve.
 	SweepPoint = capacity.SweepPoint
-	// SweepOptions tunes the worker count of SweepPeriodsOpt.
+	// SweepOptions tunes the worker count, budget and verdict cache of
+	// SweepPeriodsOpt.
 	SweepOptions = capacity.SweepOptions
 
 	// TDM and RoundRobin derive worst-case response times κ from

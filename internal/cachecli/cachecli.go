@@ -38,7 +38,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 
 // Store resolves the flags to a verdict store: nil when caching is
 // disabled, a backend-backed store for -cache-backend, a disk-backed
-// store for -cache-dir, and the process-wide in-memory store otherwise.
+// store for -cache-dir, and a fresh in-memory store otherwise.
 //
 // A -cache-backend spec naming a directory or remote store is wrapped in
 // the cachestore.Resilient fault-tolerance layer with an in-memory
@@ -68,7 +68,7 @@ func (f *Flags) Store() (*probecache.Store, error) {
 	case f.Dir != "":
 		return probecache.NewStore(f.Dir), nil
 	default:
-		return probecache.Shared(), nil
+		return probecache.NewStore(""), nil
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 
 // Mem is an in-memory backend: a mutex-guarded map of copied payloads.
 // It is the zero-dependency tier — the default fallback a Resilient
-// wrapper demotes to, and the store behind a single-process run that
-// wants isolation from the process-wide shared probecache.
+// wrapper demotes to, and the store behind a -cache-backend mem: run.
 type Mem struct {
 	mu sync.Mutex
 	m  map[string][]byte

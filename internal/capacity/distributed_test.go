@@ -59,7 +59,7 @@ func pairGrid(n int) []ratio.Rat {
 // base URL.
 func newHub(t *testing.T) string {
 	t.Helper()
-	s := serve.New(serve.Config{Store: probecache.NewStore(""), CacheBackend: cachestore.NewMem()})
+	s := serve.New(serve.Config{CacheBackend: cachestore.NewMem()})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -127,7 +127,7 @@ func fold(parts [][]capacity.SweepPoint, total int) []capacity.SweepPoint {
 func localSweep(t *testing.T, g *taskgraph.Graph, task string, periods []ratio.Rat) []capacity.SweepPoint {
 	t.Helper()
 	pts, err := capacity.SweepPeriodsOpt(g, task, periods, capacity.PolicyEquation4,
-		capacity.SweepOptions{Parallel: 1, NoCache: true})
+		capacity.SweepOptions{Parallel: 1})
 	if err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestDistributedSweepWorkerKilledMidSweep(t *testing.T) {
 	periods := pairGrid(32)
 	baseline := localSweep(t, g, c.Task, periods)
 
-	s := serve.New(serve.Config{Store: probecache.NewStore(""), CacheBackend: cachestore.NewMem()})
+	s := serve.New(serve.Config{CacheBackend: cachestore.NewMem()})
 	t.Cleanup(s.Close)
 	var killed atomic.Bool
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -42,30 +42,15 @@ type SweepOptions struct {
 	// Deadline, if non-zero, bounds the sweep in wall-clock time; the
 	// typed error satisfies budget.ErrBudgetExceeded.
 	Deadline time.Time
-	// Cache overrides the period-verdict cache the sweep records into and
-	// MinimalFeasiblePeriod probes from. When nil, the process-wide
-	// probecache.Shared() entry under SweepKey(g, task, p) is used, so a
-	// sweep and a later minimal-period search over the same graph share
-	// verdicts automatically. Cached verdicts never change a sweep's
-	// points — every point is fully recomputed and overwrites the cache —
-	// they only let MinimalFeasiblePeriod skip re-analysing periods whose
-	// validity is already decided.
+	// Cache is the period-verdict cache the sweep records into and
+	// MinimalFeasiblePeriod probes from; nil means no cache. Passing one
+	// cache (for example a probecache.Store entry under SweepKey) to a
+	// sweep and a later minimal-period search over the same graph lets
+	// them share verdicts. Cached verdicts never change a sweep's points —
+	// every point is fully recomputed and overwrites the cache — they only
+	// let MinimalFeasiblePeriod skip re-analysing periods whose validity
+	// is already decided.
 	Cache *probecache.Periods
-	// NoCache disables verdict recording and lookup entirely; it wins
-	// over Cache.
-	NoCache bool
-}
-
-// cache resolves the period-verdict cache the options select for graph g.
-func (o SweepOptions) cache(g *taskgraph.Graph, task string, p Policy) *probecache.Periods {
-	switch {
-	case o.NoCache:
-		return nil
-	case o.Cache != nil:
-		return o.Cache
-	default:
-		return probecache.Shared().Entry(SweepKey(g, task, p)).Periods()
-	}
 }
 
 // SweepKey returns the probecache fingerprint under which period sweeps of
@@ -97,7 +82,7 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 	if err != nil {
 		return nil, err
 	}
-	cache := opts.cache(g, task, p)
+	cache := opts.Cache
 	bud := budget.At(opts.Context, opts.Deadline)
 	eval := func(i int) (SweepPoint, error) {
 		if err := bud.Err(); err != nil {
@@ -158,11 +143,9 @@ func MinimalFeasiblePeriod(g *taskgraph.Graph, task string, periods []ratio.Rat,
 // Validity is monotone in the period — every schedule check compares a
 // fixed response time ρ(w) against φ(w) = τ·const with const > 0, so
 // relaxing τ can only help — which makes binary search over the sorted
-// candidates exact. Instead of analysing every candidate (the historical
-// behaviour, which re-verified periods a SweepPeriods in the same process
-// had already answered), the search probes O(log n) candidates and answers
-// each probe from the shared period-verdict cache when a recorded verdict
-// — exact or by dominance — already decides it.
+// candidates exact. Instead of analysing every candidate, the search probes
+// O(log n) candidates and answers each probe from opts.Cache, when given,
+// if a recorded verdict — exact or by dominance — already decides it.
 func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) (SweepPoint, error) {
 	if len(periods) == 0 {
 		return SweepPoint{}, fmt.Errorf("capacity: empty period sweep")
@@ -188,7 +171,7 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	cache := opts.cache(g, task, p)
+	cache := opts.Cache
 	bud := budget.At(opts.Context, opts.Deadline)
 	computed := make([]*SweepPoint, len(periods))
 	probe := func(i int) (bool, error) {

@@ -33,15 +33,16 @@ func benchmarkSweepFixture(b *testing.B) (sweepFixture, []ratio.Rat) {
 // analysis cost dominates the pool overhead, so the parallel variant
 // approaches a GOMAXPROCS-fold speedup on multi-core runners. The sweep
 // compiles the chain once (CompileAnalysis) and probes the compiled
-// analysis per period; NoCache keeps the measurement free of cross-run
-// verdict caching so allocs/op is deterministic for the CI bench gate.
+// analysis per period; the nil Cache keeps the measurement free of
+// cross-run verdict caching so allocs/op is deterministic for the CI bench
+// gate.
 func benchmarkSweep(b *testing.B, workers int) {
 	fx, periods := benchmarkSweepFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pts, err := SweepPeriodsOpt(fx.g, fx.task, periods, PolicyEquation4,
-			SweepOptions{Parallel: workers, NoCache: true})
+			SweepOptions{Parallel: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func BenchmarkSweepPeriodsSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j, g := range gs {
 			pts, err := SweepPeriodsOpt(g, tasks[j], grids[j], PolicyEquation4,
-				SweepOptions{Parallel: 1, NoCache: true})
+				SweepOptions{Parallel: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

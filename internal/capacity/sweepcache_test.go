@@ -59,7 +59,7 @@ func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 	}
 
 	// The partially warmed cache must not perturb a full re-sweep.
-	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 
 	// And the minimal-period search over the warm cache agrees with the
 	// cold ground truth.
-	wantPt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	wantPt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMinimalFeasiblePeriodReusesSweepVerdicts(t *testing.T) {
 	if hits == 0 {
 		t.Error("minimal-period search hit the cache zero times")
 	}
-	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,31 +124,33 @@ func TestMinimalFeasiblePeriodReusesSweepVerdicts(t *testing.T) {
 	}
 }
 
-// TestMinimalFeasiblePeriodSharedDefault pins the zero-plumbing path: with
-// default options, SweepPeriods and MinimalFeasiblePeriod share the
-// process-wide store keyed by SweepKey, so the search after a sweep is
-// pure cache hits.
+// TestMinimalFeasiblePeriodSharedDefault pins how callers share period
+// verdicts now that there is no process-wide default: a sweep and a later
+// minimal-period search that each fetch the probecache.Store entry under
+// SweepKey get one Periods, so the search after the sweep is pure cache
+// hits.
 func TestMinimalFeasiblePeriodSharedDefault(t *testing.T) {
 	g := sweepPair(t)
-	// A fresh period axis avoids interference from other tests' sweeps of
-	// the same fingerprint within this process.
 	var periods []ratio.Rat
 	for i := int64(1); i <= 32; i++ {
 		periods = append(periods, r(i*7, 13))
 	}
-	if _, err := SweepPeriods(g, "wb", periods, PolicyEquation4); err != nil {
+	store := probecache.NewStore("")
+	periodsOf := func() *probecache.Periods {
+		return store.Entry(SweepKey(g, "wb", PolicyEquation4)).Periods()
+	}
+	if _, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: periodsOf()}); err != nil {
 		t.Fatal(err)
 	}
-	entry := probecache.Shared().Entry(SweepKey(g, "wb", PolicyEquation4))
-	_, missesBefore := entry.Periods().Counters()
-	pt, err := MinimalFeasiblePeriod(g, "wb", periods, PolicyEquation4)
+	_, missesBefore := periodsOf().Counters()
+	pt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: periodsOf()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := entry.Periods().Counters(); misses != missesBefore {
-		t.Errorf("default-path search re-analysed %d periods after a sweep", misses-missesBefore)
+	if _, misses := periodsOf().Counters(); misses != missesBefore {
+		t.Errorf("search re-analysed %d periods after a sweep through the same store entry", misses-missesBefore)
 	}
-	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	want, err := MinimalFeasiblePeriod(g, "wb", periods, PolicyEquation4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
 		for k := int64(2); k < 18; k++ {
 			periods = append(periods, c.Period.MulInt(k).DivInt(8))
 		}
-		pts, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{NoCache: true})
+		pts, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -182,7 +184,7 @@ func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
 				break
 			}
 		}
-		for _, opts := range []SweepOptions{{NoCache: true}, {Cache: probecache.NewPeriods()}} {
+		for _, opts := range []SweepOptions{{}, {Cache: probecache.NewPeriods()}} {
 			got, err := MinimalFeasiblePeriodOpt(g, c.Task, periods, PolicyEquation4, opts)
 			if want == nil {
 				if err == nil {
@@ -215,7 +217,7 @@ func TestSweepHealsPoisonedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,24 +73,8 @@ func TestSearchWithBoundsIdenticalCaps(t *testing.T) {
 	if plain.BoundHits != 0 {
 		t.Errorf("BoundHits = %d without Options.Bounds", plain.BoundHits)
 	}
-	// Sibling probes of one parallel round may or may not be answered from
-	// each other's verdicts depending on which finishes first, so the
-	// check counts are compared on the serial path, where they are
-	// deterministic.
-	serialPlain, err := Search([]string{buf}, map[string]int64{buf: 20}, mk(), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialPruned, err := Search([]string{buf}, map[string]int64{buf: 20}, mk(), Options{Workers: 1, Bounds: bounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialPlain.Caps, plain.Caps) || !reflect.DeepEqual(serialPruned.Caps, plain.Caps) {
-		t.Errorf("serial searches disagree with the parallel one: plain %v, pruned %v, want %v",
-			serialPlain.Caps, serialPruned.Caps, plain.Caps)
-	}
-	if serialPruned.Checks >= serialPlain.Checks {
-		t.Errorf("bounds did not reduce simulated checks: plain %d, pruned %d", serialPlain.Checks, serialPruned.Checks)
+	if pruned.Checks >= plain.Checks {
+		t.Errorf("bounds did not reduce simulated checks: plain %d, pruned %d", plain.Checks, pruned.Checks)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vrdfcap/internal/budget"
+	"vrdfcap/internal/parallel"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/sim"
 	"vrdfcap/internal/taskgraph"
@@ -57,14 +58,14 @@ func TestSearchCanceledMidSearch(t *testing.T) {
 	probes := 0
 	inner := DeadlockFreeCheck(g, "wb", 200, []sim.Workloads{
 		{buf: {Cons: quanta.Cycle(2, 3)}},
-	}, Options{Context: ctx, Workers: 1})
+	}, Options{Context: ctx})
 	check := func(caps map[string]int64) (bool, error) {
 		if probes++; probes == 2 {
 			cancel()
 		}
 		return inner(caps)
 	}
-	_, err := Search([]string{buf}, map[string]int64{buf: 1 << 20}, check, Options{Context: ctx, Workers: 1})
+	_, err := Search([]string{buf}, map[string]int64{buf: 1 << 20}, check, Options{Context: ctx})
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -101,16 +102,16 @@ func TestSearchBudgetedMatchesUnbudgeted(t *testing.T) {
 		}
 		return res
 	}
-	plain := run(Options{Workers: 1})
-	budgeted := run(Options{Workers: 1, Context: context.Background(), Deadline: time.Now().Add(time.Hour)})
+	plain := run(Options{})
+	budgeted := run(Options{Context: context.Background(), Deadline: time.Now().Add(time.Hour)})
 	if plain.Caps[buf] != budgeted.Caps[buf] || plain.Checks != budgeted.Checks {
 		t.Errorf("budgeted search diverged: %+v vs %+v", plain, budgeted)
 	}
 }
 
 // TestSearchPanicIsolated pins that a panicking CheckFunc surfaces as a
-// *parallel.PanicError instead of killing the process, and that the pool
-// comes home.
+// *parallel.PanicError instead of killing the process, and that no
+// goroutine leaks.
 func TestSearchPanicIsolated(t *testing.T) {
 	before := runtime.NumGoroutine()
 	check := func(caps map[string]int64) (bool, error) {
@@ -120,8 +121,9 @@ func TestSearchPanicIsolated(t *testing.T) {
 		return true, nil
 	}
 	_, err := Search([]string{buf}, map[string]int64{buf: 20}, check, Options{NoCache: true})
-	if err == nil {
-		t.Fatal("Search swallowed a panicking check")
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *parallel.PanicError", err)
 	}
 	noLeakedGoroutines(t, before)
 }

@@ -8,9 +8,11 @@ import (
 	"vrdfcap/internal/vrdf"
 )
 
-// pool is a free-list of reusable per-worker probe engines (compiled
-// machines or verifiers). sync.Pool is unsuitable here: construction can
-// fail, and compiled engines are too expensive to let the collector drop
+// pool is a free-list of reusable probe engines (compiled machines or
+// verifiers). One CheckFunc may serve concurrent searches (the server's
+// problem cache hands it to successive requests), so each call takes its
+// own engine. sync.Pool is unsuitable here: construction can fail, and
+// compiled engines are too expensive to let the collector drop
 // mid-search. Callers that hit an engine error simply don't return the
 // engine, so a poisoned engine never re-enters circulation.
 type pool[T any] struct {

@@ -11,20 +11,14 @@
 // Feasibility is monotone in every buffer capacity (more space never hurts,
 // by the monotonicity of VRDF execution), so each buffer admits binary
 // search; chains are minimised by coordinate-descent passes until a
-// fixpoint. Because every feasibility probe is an independent pure
-// simulation, the searches parallelise: per-workload simulations run
-// concurrently inside a check, and the binary searches probe several
-// speculative capacities per round (monotonicity makes the narrowing exact
-// whichever probes come back first). The result of a search is identical
-// for every worker count; only the probe count may differ.
+// fixpoint. The search is serial: one probe at a time, workloads checked in
+// order. The same inputs therefore simulate the same probes, and report the
+// same effort counters, at every core count.
 package minimize
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"vrdfcap/internal/budget"
@@ -36,16 +30,14 @@ import (
 
 // CheckFunc reports whether a capacity assignment (buffer name → capacity)
 // is feasible. Implementations must be monotone: if caps is feasible, any
-// pointwise-larger assignment must be too. When a search or check runs with
-// more than one worker, the CheckFunc must additionally be safe for
+// pointwise-larger assignment must be too. Search calls it one probe at a
+// time; a CheckFunc shared by concurrent searches must be safe for
 // concurrent calls (the checks built by this package are).
 type CheckFunc func(caps map[string]int64) (bool, error)
 
-// Options tunes the parallelism and guards of checks and searches.
+// Options tunes the caches and guards of checks and searches.
 type Options struct {
-	// Workers bounds concurrent simulations and speculative probes: 0
-	// selects GOMAXPROCS, 1 forces the serial path. The outcome is
-	// identical for every setting.
+	// Deprecated: checks and searches are serial; nothing reads Workers.
 	Workers int
 	// MaxEvents caps each simulation run as a runaway guard (0 = engine
 	// default). Hitting the cap is reported as an error satisfying
@@ -138,59 +130,33 @@ func feasibleOutcome(res *sim.Result) (bool, error) {
 	return false, err
 }
 
-// errInfeasible is the sentinel that lets the worker pool stop early on a
-// definitively infeasible workload while preserving the serial loop's
-// lowest-index-first semantics.
-var errInfeasible = errors.New("minimize: workload infeasible")
-
-// allFeasible evaluates one feasibility predicate per workload index on the
-// pool and ANDs the answers. Like the serial loop it replaces, the verdict
-// is decided by the lowest failing index: an infeasible workload there
-// yields (false, nil) even if a higher index would have errored.
-func allFeasible(ctx context.Context, workers, n int, eval func(i int) (bool, error)) (bool, error) {
-	_, err := parallel.Map(ctx, workers, n, func(i int) (struct{}, error) {
-		ok, err := eval(i)
-		if err != nil {
-			return struct{}{}, err
-		}
-		if !ok {
-			return struct{}{}, errInfeasible
-		}
-		return struct{}{}, nil
-	})
-	switch {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, errInfeasible):
-		return false, nil
-	default:
-		return false, budget.Classify(err)
-	}
-}
-
 // DeadlockFreeCheck returns a CheckFunc that accepts an assignment when the
 // self-timed execution of the sized graph completes `firings` firings of
-// `task` under every given workload without deadlocking. The per-workload
-// simulations run concurrently on up to Options.Workers goroutines.
+// `task` under every given workload without deadlocking. The workloads are
+// simulated in order and the first infeasible one decides.
 //
-// Each worker reuses a compiled machine per workload across probes: a probe
+// The check reuses a compiled machine per workload across probes: a probe
 // only resets token counts (the capacity assignment becomes the space
 // edges' initial tokens) instead of cloning the graph and rebuilding the
 // engine. With Options.Checkpoints set, the reset is warm: the machine
 // retains run snapshots and resumes from the latest checkpoint the capacity
-// change cannot affect. The per-workload machine pools are LIFO, so a worker
-// tends to get back the machine it used last — consecutive probes of a
+// change cannot affect. The per-workload machine pools are LIFO, so a probe
+// gets back the machine the previous probe used — consecutive probes of a
 // binary search then differ on one edge and its checkpoints stay valid.
 func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads []sim.Workloads, opts ...Options) CheckFunc {
 	o := optOf(opts)
 	tpl := &probeTemplate{base: g}
 	pools := make([]pool[*sim.Machine], len(workloads))
+	ctx := o.ctx()
 	return func(caps map[string]int64) (bool, error) {
 		ov, err := tpl.overrides(caps)
 		if err != nil {
 			return false, err
 		}
-		return allFeasible(o.ctx(), o.Workers, len(workloads), func(i int) (bool, error) {
+		for i := range workloads {
+			if err := ctx.Err(); err != nil {
+				return false, budget.Classify(err)
+			}
 			m, ok := pools[i].get()
 			if !ok {
 				cfg, _, err := sim.TaskGraphConfig(tpl.sized, workloads[i])
@@ -217,33 +183,40 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 			}
 			o.Stats.note(res.Events-resumed, resumed)
 			pools[i].put(m)
-			return feasibleOutcome(res)
-		})
+			if ok, err := feasibleOutcome(res); !ok || err != nil {
+				return false, err
+			}
+		}
+		return true, nil
 	}
 }
 
 // ThroughputCheck returns a CheckFunc that accepts an assignment when
-// sim.VerifyThroughput succeeds for every given workload. The per-workload
-// verifications run concurrently on up to Options.Workers goroutines.
+// sim.VerifyThroughput succeeds for every given workload. The workloads are
+// verified in order and the first infeasible one decides.
 //
-// Each worker reuses a compiled sim.Verifier per workload across probes
+// The check reuses a compiled sim.Verifier per workload across probes
 // and asks it only for the verdict (sim.Verifier.Feasible): one self-timed
 // run and one periodic run at the largest candidate offset, which by
 // Definition 1 passes exactly when Verify would. With Options.Checkpoints
 // set both runs warm-start between probes; the periodic run always uses
-// the same slack, and the LIFO pools give each worker back the verifier it
-// used last, so its checkpoints match the previous probe. A probe that
+// the same slack, and the LIFO pools give each probe back the verifier the
+// previous probe used, so its checkpoints match. A probe that
 // Options.MaxEvents cuts short is an error satisfying
 // budget.ErrBudgetExceeded, never a verdict.
 func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, opts ...Options) CheckFunc {
 	o := optOf(opts)
 	tpl := &probeTemplate{base: g}
 	pools := make([]pool[*sim.Verifier], len(workloads))
+	ctx := o.ctx()
 	return func(caps map[string]int64) (bool, error) {
 		if _, err := tpl.overrides(caps); err != nil {
 			return false, err
 		}
-		return allFeasible(o.ctx(), o.Workers, len(workloads), func(i int) (bool, error) {
+		for i := range workloads {
+			if err := ctx.Err(); err != nil {
+				return false, budget.Classify(err)
+			}
 			vf, ok := pools[i].get()
 			if !ok {
 				var err error
@@ -272,20 +245,21 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 				o.Stats.ColdResets.Add(int64(cold))
 			}
 			pools[i].put(vf)
-			return feasible, nil
-		})
+			if !feasible {
+				return false, nil
+			}
+		}
+		return true, nil
 	}
 }
 
 // Result reports the outcome of a search.
 type Result struct {
-	// Caps is the minimal feasible assignment found. It is identical for
-	// every worker count and unaffected by the feasibility cache.
+	// Caps is the minimal feasible assignment found. It is unaffected by
+	// the feasibility cache and the bounds.
 	Caps map[string]int64
 	// Checks counts simulated feasibility evaluations — CheckFunc
-	// invocations, each of which may run several simulations. With more
-	// than one worker, speculative probing may raise the count above the
-	// serial minimum; the assignment found is unaffected.
+	// invocations, each of which may run one simulation per workload.
 	Checks int
 	// CacheHits counts probes answered by the monotone feasibility cache
 	// without invoking the CheckFunc (zero under Options.NoCache).
@@ -315,17 +289,16 @@ func (r *Result) Total() int64 {
 // is exact; passes repeat until no capacity changes, yielding an assignment
 // where no single buffer can shrink further.
 //
-// With Options.Workers > 1 each binary-search round probes several
-// capacities speculatively and concurrently; monotonicity makes the
-// narrowing exact, so the assignment found is bit-identical to the serial
-// search. A check whose answers violate monotonicity is reported as an
-// error when the probes expose it.
+// Probes run one at a time, so the probe sequence, and with it every
+// counter of the Result, depends only on the inputs. A check whose answers
+// violate monotonicity is reported as an error when the feasibility cache
+// exposes it. A panicking CheckFunc is recovered into a
+// *parallel.PanicError.
 func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...Options) (*Result, error) {
 	if len(buffers) == 0 {
 		return nil, fmt.Errorf("minimize: no buffers to search")
 	}
 	o := optOf(opts)
-	workers := parallel.Workers(o.Workers)
 	// The deadline gets its own derived context so the search stops between
 	// probes even when the CheckFunc ignores budgets.
 	ctx, cancelBudget := o.deadlineCtx()
@@ -338,7 +311,7 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		}
 		cur[b] = u
 	}
-	var checks, cacheHits, boundHits atomic.Int64
+	var checks, cacheHits, boundHits int
 	var cache *probecache.Frontier
 	switch {
 	case o.NoCache:
@@ -367,7 +340,7 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		// frontier error, not a silent wrong answer.
 		if o.Bounds != nil {
 			if feasible, decided := o.Bounds.Decide(caps); decided {
-				boundHits.Add(1)
+				boundHits++
 				if cache != nil {
 					if err := cache.Insert(caps, feasible); err != nil {
 						return false, err
@@ -378,12 +351,12 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		}
 		if cache != nil {
 			if feasible, hit := cache.Lookup(caps); hit {
-				cacheHits.Add(1)
+				cacheHits++
 				return feasible, nil
 			}
 		}
-		checks.Add(1)
-		ok, err := check(caps)
+		checks++
+		ok, err := parallel.Call(func(int) (bool, error) { return check(caps) }, 0)
 		if err != nil {
 			return false, budget.Classify(err)
 		}
@@ -394,52 +367,32 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		}
 		return ok, nil
 	}
-	res := &Result{Caps: cur}
 	ok, err := probe(copyCaps(cur))
 	if err != nil {
-		res.Checks = int(checks.Load())
-		res.CacheHits = int(cacheHits.Load())
-		res.BoundHits = int(boundHits.Load())
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("minimize: upper bound %v is not feasible", cur)
 	}
+	passes := 0
 	for {
-		res.Passes++
+		passes++
 		before := copyCaps(cur)
 		for _, b := range buffers {
 			// Invariant: hi is feasible, everything below lo is not.
 			lo, hi := int64(1), cur[b]
 			for lo < hi {
-				pts := probePoints(lo, hi, int64(workers))
-				feas, err := parallel.Map(ctx, workers, len(pts), func(j int) (bool, error) {
-					caps := copyCaps(cur)
-					caps[b] = pts[j]
-					return probe(caps)
-				})
+				mid := lo + (hi-lo)/2
+				caps := copyCaps(cur)
+				caps[b] = mid
+				ok, err := probe(caps)
 				if err != nil {
-					res.Checks = int(checks.Load())
-					res.CacheHits = int(cacheHits.Load())
-					res.BoundHits = int(boundHits.Load())
-					return nil, budget.Classify(err)
+					return nil, err
 				}
-				// Monotone narrowing: the largest infeasible probe
-				// raises lo, the smallest feasible probe lowers hi.
-				seenFeasible := false
-				for j, ok := range feas {
-					switch {
-					case ok && !seenFeasible:
-						seenFeasible = true
-						hi = pts[j]
-					case !ok && seenFeasible:
-						res.Checks = int(checks.Load())
-						res.CacheHits = int(cacheHits.Load())
-						res.BoundHits = int(boundHits.Load())
-						return nil, fmt.Errorf("minimize: check is not monotone on buffer %q: capacity %d feasible but %d infeasible", b, hi, pts[j])
-					case !ok:
-						lo = pts[j] + 1
-					}
+				if ok {
+					hi = mid
+				} else {
+					lo = mid + 1
 				}
 			}
 			cur[b] = hi
@@ -455,30 +408,7 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 			break
 		}
 	}
-	res.Checks = int(checks.Load())
-	res.CacheHits = int(cacheHits.Load())
-	res.BoundHits = int(boundHits.Load())
-	res.Caps = cur
-	return res, nil
-}
-
-// probePoints returns up to k distinct speculative probe capacities that
-// split [lo, hi-1] evenly (hi is already known feasible). With k == 1 this
-// is exactly the classic binary-search midpoint lo + (hi-lo)/2, so the
-// serial path probes the same sequence it always did.
-func probePoints(lo, hi, k int64) []int64 {
-	span := hi - lo
-	if k > span {
-		k = span
-	}
-	out := make([]int64, 0, k)
-	for j := int64(1); j <= k; j++ {
-		// lo + floor(span·j/(k+1)), in 128 bits: span can be any int64.
-		carry, prod := bits.Mul64(uint64(span), uint64(j))
-		q, _ := bits.Div64(carry, prod, uint64(k+1))
-		out = append(out, lo+int64(q))
-	}
-	return out
+	return &Result{Caps: cur, Checks: checks, CacheHits: cacheHits, BoundHits: boundHits, Passes: passes}, nil
 }
 
 func copyCaps(m map[string]int64) map[string]int64 {

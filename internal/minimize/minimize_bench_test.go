@@ -10,11 +10,9 @@ import (
 
 var benchCap int64
 
-// benchmarkMinimize searches the Figure 1 pair under four workloads with
-// long runs; each feasibility probe costs four simulations, so both the
-// concurrent per-workload checks and the speculative probes pay off on
-// multi-core runners.
-func benchmarkMinimize(b *testing.B, workers int) {
+// BenchmarkMinimizeSerial searches the Figure 1 pair under four workloads
+// with long runs; each feasibility probe costs four simulations.
+func BenchmarkMinimizeSerial(b *testing.B) {
 	g, err := taskgraph.Pair("wa", r(1, 1), "wb", r(1, 1),
 		taskgraph.MustQuanta(3), taskgraph.MustQuanta(2, 3))
 	if err != nil {
@@ -26,13 +24,12 @@ func benchmarkMinimize(b *testing.B, workers int) {
 		{buf: {Cons: quanta.Cycle(2, 3)}},
 		{buf: {Cons: quanta.Uniform(taskgraph.MustQuanta(2, 3), 5)}},
 	}
-	opt := Options{Workers: workers}
-	check := DeadlockFreeCheck(g, "wb", 400, workloads, opt)
+	check := DeadlockFreeCheck(g, "wb", 400, workloads)
 	var probes, cached int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Search([]string{buf}, map[string]int64{buf: 64}, check, opt)
+		res, err := Search([]string{buf}, map[string]int64{buf: 64}, check)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,6 +40,3 @@ func benchmarkMinimize(b *testing.B, workers int) {
 	b.ReportMetric(float64(probes), "probes_sim")
 	b.ReportMetric(float64(cached), "probes_cached")
 }
-
-func BenchmarkMinimizeSerial(b *testing.B)   { benchmarkMinimize(b, 1) }
-func BenchmarkMinimizeParallel(b *testing.B) { benchmarkMinimize(b, 0) }

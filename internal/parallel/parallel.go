@@ -1,6 +1,6 @@
 // Package parallel is the small, dependency-free worker-pool layer shared
 // by the exploration paths of this library: the period sweeps of
-// internal/capacity, the capacity searches of internal/minimize and the
+// internal/capacity, the degradation sweeps of internal/faults and the
 // verification fan-outs of the commands.
 //
 // Map is the only scheduling primitive: it evaluates an indexed pure
@@ -53,10 +53,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: evaluation %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// call evaluates fn(i), converting a panic into a *PanicError so the worker
-// goroutine survives and the pool's first-error semantics apply to panics
-// exactly as they do to returned errors.
-func call[T any](fn func(i int) (T, error), i int) (v T, err error) {
+// Call evaluates fn(i), converting a panic into a *PanicError. Map runs
+// every evaluation through it, so the worker goroutine survives and the
+// pool's first-error semantics apply to panics exactly as they do to
+// returned errors; serial callers use it for the same isolation.
+func Call[T any](fn func(i int) (T, error), i int) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
@@ -114,7 +115,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 					fail(i, err)
 					return
 				}
-				v, err := call(fn, int(i))
+				v, err := Call(fn, int(i))
 				if err != nil {
 					fail(i, err)
 					continue

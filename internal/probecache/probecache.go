@@ -16,8 +16,9 @@
 //     minimize.Search so independent searches can share it.
 //   - Periods: exact and dominance-based period verdicts for the analytic
 //     sweep, shared between SweepPeriods and MinimalFeasiblePeriod.
-//   - Store: a process-wide registry keyed by a canonical graph
-//     fingerprint (GraphKey), optionally persisted as versioned JSON files
+//   - Store: a registry keyed by a canonical graph fingerprint
+//     (GraphKey), owned by whoever creates it and passed explicitly to
+//     the sweeps and searches that use it, optionally persisted as versioned JSON files
 //     so repeated CLI invocations warm-start. Disk content is advisory: a
 //     file that fails to parse, carries the wrong version or fingerprint,
 //     or contradicts monotonicity is ignored, never trusted.
@@ -42,8 +43,7 @@ import (
 // infeasible one) can only come from a non-monotone check and is reported
 // as an error, preserving the caller's non-monotone-check semantics.
 //
-// Safe for concurrent use; speculative parallel probes and concurrent
-// searches may share one Frontier.
+// Safe for concurrent use; concurrent searches may share one Frontier.
 type Frontier struct {
 	keys       []string // buffer order of the vectors
 	mu         sync.Mutex

@@ -64,14 +64,6 @@ func NewStoreBackend(b cachestore.Backend) *Store {
 	return &Store{backend: b, entries: make(map[string]*Entry)}
 }
 
-var shared = NewStore("")
-
-// Shared returns the process-wide in-memory store. Sweeps default to it so
-// that repeated probes of the same graph within one process — for example
-// a SweepPeriods followed by a MinimalFeasiblePeriod binary search — share
-// verdicts without any caller plumbing.
-func Shared() *Store { return shared }
-
 // Dir returns the backing directory when the store persists to a local
 // directory backend, "" otherwise.
 func (s *Store) Dir() string {

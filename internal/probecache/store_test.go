@@ -407,15 +407,6 @@ func TestMemoryStoreFlushIsNoOp(t *testing.T) {
 	}
 }
 
-func TestSharedStoreIsSingleton(t *testing.T) {
-	if Shared() != Shared() {
-		t.Error("Shared returned distinct stores")
-	}
-	if Shared().Dir() != "" {
-		t.Error("shared store must be memory-only")
-	}
-}
-
 func TestFlushSkipsEmptyEntries(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"vrdfcap/internal/probecache"
 )
 
 // nopWriter is an http.ResponseWriter that swallows the response. Its
@@ -33,7 +31,7 @@ func (b *rewindBody) rewind()                    { _, _ = b.r.Seek(0, io.SeekSta
 // for the returned request, plus the rewindable body backing it.
 func warmHit(tb testing.TB) (*Server, *http.Request, *rewindBody) {
 	tb.Helper()
-	s := New(Config{Store: probecache.NewStore("")})
+	s := New(Config{})
 	tb.Cleanup(s.Close)
 	body := &rewindBody{r: bytes.NewReader([]byte(pairDoc))}
 	req := httptest.NewRequest(http.MethodPost, "/v1/size", nil)
@@ -86,7 +84,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 // so the full parse → fingerprint → flight → frontier-replay pipeline runs
 // with warm verdicts and no simulation.
 func BenchmarkServeWarmProblem(b *testing.B) {
-	s := New(Config{Store: probecache.NewStore(""), Firings: 200})
+	s := New(Config{Firings: 200})
 	b.Cleanup(s.Close)
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/minimize?firings=200",

@@ -70,8 +70,9 @@ type Config struct {
 	// RequestTimeout is the wall-clock budget per computation, enforced
 	// through internal/budget (0: 30s; negative: unlimited).
 	RequestTimeout time.Duration
-	// SearchWorkers is the parallelism inside one search or sweep (≤0: 1;
-	// cross-request parallelism comes from Workers).
+	// SearchWorkers is the parallelism inside one sweep or degradation
+	// curve (≤0: 1; cross-request parallelism comes from Workers).
+	// Minimizations are serial.
 	SearchWorkers int
 	// Firings is the default simulation horizon for minimize and
 	// degradation requests (≤0: 1000); MaxFirings caps the per-request
@@ -98,8 +99,9 @@ type Config struct {
 	// AccessLog receives drained access-log lines (nil: entries are
 	// drained and discarded; drops are still counted either way).
 	AccessLog io.Writer
-	// Store holds feasibility verdicts across requests and processes
-	// (nil: probecache.Shared()).
+	// Store holds feasibility verdicts across requests, and across
+	// processes when it is backed (nil: a private in-memory store per
+	// Server).
 	Store *probecache.Store
 	// CacheBackend, when non-nil, is served under /v1/cache/ so a fleet
 	// of replicas can pool verdict payloads through this process
@@ -160,7 +162,7 @@ func (c Config) withDefaults() Config {
 		c.LogInterval = 50 * time.Millisecond
 	}
 	if c.Store == nil {
-		c.Store = probecache.Shared()
+		c.Store = probecache.NewStore("")
 	}
 	return c
 }
@@ -633,7 +635,6 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string,
 		}
 		check := minimize.ThroughputCheck(g, *con, firings,
 			[]sim.Workloads{sim.UniformWorkloads(sized, seed)}, minimize.Options{
-				Workers:     s.cfg.SearchWorkers,
 				MaxEvents:   s.cfg.MaxEvents,
 				Checkpoints: s.cfg.Checkpoints,
 				Stats:       &s.stats.probes,
@@ -648,7 +649,6 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string,
 		s.problems.put(fp, prob)
 	}
 	mres, err := minimize.Search(prob.buffers, prob.upper, prob.check, minimize.Options{
-		Workers:  s.cfg.SearchWorkers,
 		Context:  ctx,
 		Deadline: deadline,
 		Cache:    prob.frontier,

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"vrdfcap/internal/probecache"
 )
 
 // pairDoc is the paper's Figure 1 pair: producer always writes 3, consumer
@@ -31,13 +29,9 @@ func variant(i int) string {
 	return fmt.Sprintf("# request variant %d\n%s", i, pairDoc)
 }
 
-// newTestServer returns a started server on a private store (tests must
-// not pollute the process-wide shared store) and closes it with the test.
+// newTestServer returns a started server and closes it with the test.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.Store == nil {
-		cfg.Store = probecache.NewStore("")
-	}
 	if cfg.Firings == 0 {
 		cfg.Firings = 200
 	}
@@ -424,6 +418,37 @@ func TestHealthzStatsz(t *testing.T) {
 	}
 	if st.CachedResponses != 1 {
 		t.Fatalf("cachedResponses = %d, want 1", st.CachedResponses)
+	}
+}
+
+// TestServersDoNotShareVerdicts pins that a server's default verdict store
+// is its own: a second server in the same process, asked a problem the
+// first already solved, must simulate it afresh, as /statsz shows.
+func TestServersDoNotShareVerdicts(t *testing.T) {
+	simEvents := func(s *Server) int64 {
+		t.Helper()
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		if status, body := post(t, ts, "/v1/minimize?firings=200&seed=7", pairDoc); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, body)
+		}
+		resp, err := http.Get(ts.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.SimEvents
+	}
+	for i := 1; i <= 2; i++ {
+		s := New(Config{})
+		t.Cleanup(s.Close)
+		if n := simEvents(s); n == 0 {
+			t.Fatalf("server %d answered a cold minimize without simulating", i)
+		}
 	}
 }
 
