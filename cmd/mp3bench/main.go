@@ -134,10 +134,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	store, err := cacheFlags.Store()
-	if err != nil {
-		return err
-	}
+	store := cacheFlags.Store()
 	stats := parallel.Stats{Workers: parallel.Workers(*parallelN)}
 	timer := parallel.StartTimer()
 	// reportStats flushes the verdict cache and prints the shared run

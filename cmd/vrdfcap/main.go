@@ -33,11 +33,9 @@
 //	-max-events n  cap simulated events per run (0 = engine default)
 //	-jitter q      admissible execution-time jitter in [0,1) for -verify
 //	-degradation q fault-injection sweep up to overrun factor q (> 1)
-//	-cache-backend s  verdict-store backend: dir:PATH, mem:, or
-//	               http[s]://HOST (a vrdfserve /v1/cache store, wrapped in
-//	               retries + circuit breaking with in-memory fallback)
-//	-cache-dir d   persist probe verdicts under d and warm-start from them
-//	-no-cache      disable cross-probe verdict caching (wins over the others)
+//	-cache-dir d   persist probe verdicts under d and warm-start from them;
+//	               processes sharing d pool their verdicts
+//	-no-cache      disable cross-probe verdict caching (wins over -cache-dir)
 //	-stats         print run statistics (probes, events, wall/CPU time)
 //	-cpuprofile f  write a CPU profile to f
 //	-memprofile f  write a heap profile to f on exit
@@ -138,10 +136,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("bad -jitter: %w", err)
 		}
 	}
-	store, err := cacheFlags.Store()
-	if err != nil {
-		return err
-	}
+	store := cacheFlags.Store()
 	stats := parallel.Stats{Workers: parallel.Workers(*parallelN)}
 	timer := parallel.StartTimer()
 	sized, res, err := vrdfcap.Size(g, *c, policy)

@@ -2,9 +2,6 @@
 // behind a hardened net/http server: POST graph documents to /v1/size,
 // /v1/minimize, /v1/sweep or /v1/degradation; probe /healthz and
 // /statsz.
-// The -cache-store tier is additionally served under /v1/cache/, so a
-// fleet of vrdfcap/vrdfserve replicas pointed at this process with
-// -cache-backend=http://host:port pools one feasibility frontier.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener stops
 // accepting, in-flight requests get a drain window, the worker pool and
@@ -26,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"vrdfcap/internal/cachestore"
 	"vrdfcap/internal/graphio"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/serve"
@@ -89,11 +85,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	logBuffer := fs.Int("log-buffer", 1024, "access-log ring size in entries (drops, never blocks)")
 	accessLog := fs.String("access-log", "", "access-log destination: a file path, \"-\" for stderr, empty for none")
 	cacheDir := fs.String("cache-dir", "", "directory for the on-disk feasibility cache (default: in-memory)")
-	cacheBackend := fs.String("cache-backend", "",
-		"verdict-store backend for this replica's own analyses: dir:PATH, mem:, or http[s]://HOST (overrides -cache-dir)")
-	cacheStore := fs.String("cache-store", "mem:",
-		"backend SERVED to the fleet under /v1/cache/: dir:PATH or mem:; empty disables the endpoints")
-	cacheEntries := fs.Int("cache-entries", 4096, "cap on distinct fingerprints the served /v1/cache store accepts")
 	drain := fs.Duration("drain", 5*time.Second, "grace window for in-flight requests on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,36 +107,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logW = f
 	}
 
-	store := probecache.NewStore("")
-	switch {
-	case *cacheBackend != "":
-		b, err := cachestore.Parse(*cacheBackend)
-		if err != nil {
-			return err
-		}
-		// Same resilience posture as the CLIs: a misbehaving backend
-		// demotes to the in-memory tier, never stalls a request.
-		store = probecache.NewStoreBackend(cachestore.NewResilient(b, cachestore.NewMem(), cachestore.Options{
-			Seed: uint64(os.Getpid()),
-		}))
-	case *cacheDir != "":
-		store = probecache.NewStore(*cacheDir)
-	}
-
-	var cacheTier cachestore.Backend
-	if *cacheStore != "" {
-		b, err := cachestore.Parse(*cacheStore)
-		if err != nil {
-			return fmt.Errorf("bad -cache-store: %w", err)
-		}
-		if _, ok := b.(*cachestore.HTTP); ok {
-			// Serving a remote store through this process would make it a
-			// blind proxy (and a loop hazard when pointed at itself).
-			return fmt.Errorf("bad -cache-store %q: serve a local tier (dir:PATH or mem:), not a remote one", *cacheStore)
-		}
-		cacheTier = b
-	}
-
+	store := probecache.NewStore(*cacheDir)
 	s := serve.New(serve.Config{
 		Limits: graphio.Limits{
 			MaxBytes: *maxBytes, MaxTasks: *maxTasks,
@@ -165,8 +127,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		LogBuffer:         *logBuffer,
 		AccessLog:         logW,
 		Store:             store,
-		CacheBackend:      cacheTier,
-		MaxCacheEntries:   *cacheEntries,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -200,12 +160,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	written, flushErr := store.Flush()
 	fmt.Fprintf(out, "served %d requests: %d cache hits, %d coalesced, %d computed, %d shed, %d errors, %d log drops\n",
 		st.Requests, st.CacheHits, st.Coalesced, st.Computes, st.Rejected, st.Errors, st.LogDropped)
-	if desc := store.Describe(); desc != "" {
-		fmt.Fprintf(out, "cache: %d verdict payload(s) flushed to %s\n", written, desc)
-	}
-	if st.StoreDemotions > 0 || st.StoreBreakerOpen {
-		fmt.Fprintf(out, "cache resilience: %d retries, %d demotions, breaker open=%v\n",
-			st.StoreRetries, st.StoreDemotions, st.StoreBreakerOpen)
+	if tier := store.Stats().Backend; tier != "" {
+		fmt.Fprintf(out, "cache: %d verdict payload(s) flushed to %s\n", written, tier)
 	}
 	if flushErr != nil {
 		return fmt.Errorf("flush cache: %w", flushErr)

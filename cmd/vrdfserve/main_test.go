@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -86,27 +87,21 @@ func TestRunServesAndShutsDown(t *testing.T) {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
 	}
 
-	// The default -cache-store mem: serves the /v1/cache protocol.
-	fp := strings.Repeat("ab", 32)
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/cache/"+fp, strings.NewReader(`{"advisory":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("cache PUT: status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/v1/cache/" + fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cache GET: status %d", resp.StatusCode)
+	// No verdict-store route is served: writes to it are plain 404s.
+	url := base + path.Join("/v1", "cache", strings.Repeat("ab", 32))
+	for _, method := range []string{http.MethodPut, http.MethodDelete} {
+		req, err := http.NewRequest(method, url, strings.NewReader(`{"advisory":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", method, url, resp.StatusCode)
+		}
 	}
 
 	cancel()
@@ -144,11 +139,13 @@ func TestRunRejectsBadInvocation(t *testing.T) {
 	if err := run(context.Background(), []string{"-access-log", filepath.Join(t.TempDir(), "missing", "log")}, &out); err == nil {
 		t.Error("unopenable access log accepted")
 	}
-	if err := run(context.Background(), []string{"-cache-backend", "bogus"}, &out); err == nil {
-		t.Error("bad -cache-backend spec accepted")
-	}
-	if err := run(context.Background(), []string{"-cache-store", "http://elsewhere:8080"}, &out); err == nil {
-		t.Error("remote -cache-store accepted (would proxy blindly)")
+	// The remote verdict-store flags are gone: each is an unknown flag.
+	for _, name := range []string{"backend", "store", "entries"} {
+		flagName := "-cache-" + name
+		if err := run(context.Background(), []string{flagName, "x"}, &out); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flagName, err)
+		}
 	}
 }
 

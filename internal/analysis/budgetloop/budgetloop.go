@@ -4,8 +4,8 @@
 // to walk away from a 50M-event simulation; this analyzer keeps new loops
 // from quietly opting out.
 //
-// Scope: non-test files of the packages minimize, capacity, exact, sim,
-// serve and cachestore (matched by final import-path element) — serve
+// Scope: non-test files of the packages minimize, capacity, exact, sim
+// and serve (matched by final import-path element) — serve
 // joined when the service grew accept/drain loops that must stop with the
 // server's base context. Two loop shapes are budget-relevant:
 //
@@ -41,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // packages whose loops are checked.
-var corePackages = []string{"minimize", "capacity", "exact", "sim", "serve", "cachestore"}
+var corePackages = []string{"minimize", "capacity", "exact", "sim", "serve"}
 
 // probeCall matches direct callee names that imply per-iteration
 // simulation work inside a range loop.

@@ -1,27 +1,16 @@
-// End-to-end tests of sweeps spread over several machines: each replica
-// sweeps its own share of a period grid and pools the verdicts through a
-// real vrdfserve verdict store (served under /v1/cache/ from an httptest
-// listener), wrapped in cachestore.Resilient with an in-memory fallback —
-// the exact stack `vrdfcap -cache-backend http://...` and
-// `vrdfserve -cache-backend http://...` build. The external test package
-// breaks the capacity ← serve import cycle.
+// End-to-end test of a sweep spread over several processes: each replica
+// sweeps its own share of a period grid and pools the verdicts through
+// one shared cache directory — the stack `vrdfcap -sweep ... -cache-dir D`
+// builds when several runs point at the same D.
 package capacity_test
 
 import (
-	"context"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"vrdfcap/internal/cachestore"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/graphio"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
-	"vrdfcap/internal/serve"
 	"vrdfcap/internal/taskgraph"
 )
 
@@ -54,53 +43,20 @@ func pairGrid(n int) []ratio.Rat {
 	return out
 }
 
-// newHub boots a real capacity-analysis service whose in-memory tier is
-// served under /v1/cache/ (vrdfserve -cache-store mem:) and returns its
-// base URL.
-func newHub(t *testing.T) string {
-	t.Helper()
-	s := serve.New(serve.Config{CacheBackend: cachestore.NewMem()})
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return ts.URL
-}
-
-// replica is one machine of a fleet: a verdict store on the shared hub
-// with the same resilience posture as the CLIs, and fast retries so dead
-// hubs cost milliseconds.
-type replica struct {
-	res   *cachestore.Resilient
-	store *probecache.Store
-}
-
-func newReplica(t *testing.T, hubURL string, seed uint64) replica {
-	t.Helper()
-	b, err := cachestore.Parse(hubURL)
-	if err != nil {
-		t.Fatalf("parse hub %q: %v", hubURL, err)
-	}
-	res := cachestore.NewResilient(b, cachestore.NewMem(), cachestore.Options{
-		OpTimeout:  2 * time.Second,
-		Backoff:    time.Millisecond,
-		MaxBackoff: 2 * time.Millisecond,
-		Seed:       seed,
-	})
-	return replica{res: res, store: probecache.NewStoreBackend(res)}
-}
-
-// sweep runs one shard of the grid on the replica, recording into its
-// store's entry, and flushes the verdicts to the hub.
-func (r replica) sweep(t *testing.T, g *taskgraph.Graph, task string, periods []ratio.Rat) []capacity.SweepPoint {
+// replicaSweep runs one shard of the grid as a fresh process would: a new
+// store on the shared directory, recording into its entry, flushed at the
+// end.
+func replicaSweep(t *testing.T, dir string, g *taskgraph.Graph, task string, periods []ratio.Rat) []capacity.SweepPoint {
 	t.Helper()
 	p := capacity.PolicyEquation4
-	entry := r.store.EntryContext(context.Background(), capacity.SweepKey(g, task, p))
+	store := probecache.NewStore(dir)
+	entry := store.Entry(capacity.SweepKey(g, task, p))
 	pts, err := capacity.SweepPeriodsOpt(g, task, periods, p,
 		capacity.SweepOptions{Parallel: 1, Cache: entry.Periods()})
 	if err != nil {
 		t.Fatalf("replica sweep: %v", err)
 	}
-	if _, err := r.store.Flush(); err != nil {
+	if _, err := store.Flush(); err != nil {
 		t.Fatalf("replica flush: %v", err)
 	}
 	return pts
@@ -167,105 +123,27 @@ func mustHoldVerdicts(t *testing.T, store *probecache.Store, g *taskgraph.Graph,
 	}
 }
 
-// TestDistributedSweepMatchesLocal pins the happy path over the real HTTP
-// stack: three replicas each sweep a third of the grid and flush to one
-// hub; the folded points equal the single-machine sweep, and a fourth
-// replica opening the same entry finds every period's verdict pooled.
+// TestDistributedSweepMatchesLocal pins the happy path: three replicas
+// each sweep a third of the grid and flush to one directory; the folded
+// points equal the single-machine sweep, and a fourth replica opening the
+// same entry finds every period's verdict pooled.
 func TestDistributedSweepMatchesLocal(t *testing.T) {
 	g, c := decodePair(t)
 	periods := pairGrid(24)
 	baseline := localSweep(t, g, c.Task, periods)
 
-	hub := newHub(t)
+	dir := t.TempDir()
 	parts := shards(periods, 3)
 	got := make([][]capacity.SweepPoint, len(parts))
 	for i, shard := range parts {
-		r := newReplica(t, hub, uint64(i+1))
-		got[i] = r.sweep(t, g, c.Task, shard)
-		if st := r.res.Stats(); st.Demotions != 0 || st.PrimaryErrors != 0 {
-			t.Fatalf("replica %d: healthy hub demoted: %+v", i, st)
-		}
+		got[i] = replicaSweep(t, dir, g, c.Task, shard)
 	}
 	mustMatchPoints(t, fold(got, len(periods)), baseline)
 
-	reader := newReplica(t, hub, 4)
-	mustHoldVerdicts(t, reader.store, g, c.Task, baseline)
-	mustMatchPoints(t, reader.sweep(t, g, c.Task, periods), baseline)
-}
-
-// TestDistributedSweepWorkerKilledMidSweep pins the fault case over real
-// HTTP: the hub answers the first replica and then fails every request;
-// the second replica demotes to its local tier without an error, the
-// folded sweep still equals the single-machine run, and the verdicts the
-// hub took before it died stay readable once it is reachable again.
-func TestDistributedSweepWorkerKilledMidSweep(t *testing.T) {
-	g, c := decodePair(t)
-	periods := pairGrid(32)
-	baseline := localSweep(t, g, c.Task, periods)
-
-	s := serve.New(serve.Config{CacheBackend: cachestore.NewMem()})
-	t.Cleanup(s.Close)
-	var killed atomic.Bool
-	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if killed.Load() && strings.HasPrefix(r.URL.Path, "/v1/cache/") {
-			// The process is gone: every later store request fails hard.
-			http.Error(w, "hub killed", http.StatusBadGateway)
-			return
-		}
-		s.ServeHTTP(w, r)
-	}))
-	t.Cleanup(dying.Close)
-
-	parts := shards(periods, 2)
-	first := newReplica(t, dying.URL, 1)
-	got0 := first.sweep(t, g, c.Task, parts[0])
-
-	killed.Store(true)
-	second := newReplica(t, dying.URL, 2)
-	got1 := second.sweep(t, g, c.Task, parts[1])
-	if st := second.res.Stats(); st.Demotions == 0 {
-		t.Fatalf("dead hub: second replica never demoted: %+v", st)
+	reader := probecache.NewStore(dir)
+	mustHoldVerdicts(t, reader, g, c.Task, baseline)
+	if st := reader.Stats(); st.Loaded != 1 || st.Skipped != 0 {
+		t.Fatalf("reader did not warm-start from the pooled file: %+v", st)
 	}
-	mustMatchPoints(t, fold([][]capacity.SweepPoint{got0, got1}, len(periods)), baseline)
-	// The second replica's verdicts survive in its own fallback tier.
-	mustHoldVerdicts(t, second.store, g, c.Task, localSweep(t, g, c.Task, parts[1]))
-
-	killed.Store(false)
-	reader := newReplica(t, dying.URL, 3)
-	mustHoldVerdicts(t, reader.store, g, c.Task, got0)
-}
-
-// TestDistributedSweepAllWorkersDead pins graceful degradation over real
-// sockets: the hub URL points at a closed listener (connection refused),
-// and every replica still returns the exact local result and flushes
-// without an error into its fallback tier.
-func TestDistributedSweepAllWorkersDead(t *testing.T) {
-	g, c := decodePair(t)
-	periods := pairGrid(12)
-	baseline := localSweep(t, g, c.Task, periods)
-
-	dead := httptest.NewServer(http.NotFoundHandler())
-	url := dead.URL
-	dead.Close() // nothing listens here any more
-
-	parts := shards(periods, 2)
-	got := make([][]capacity.SweepPoint, len(parts))
-	for i, shard := range parts {
-		r := newReplica(t, url, uint64(i+1))
-		got[i] = r.sweep(t, g, c.Task, shard)
-		if st := r.res.Stats(); st.Demotions == 0 || st.PrimaryErrors == 0 {
-			t.Fatalf("replica %d: dead hub was never noticed: %+v", i, st)
-		}
-	}
-	mustMatchPoints(t, fold(got, len(periods)), baseline)
-}
-
-// TestDistributedSweepBadWorkerURL pins the fail-fast contract: a
-// malformed hub URL is a configuration error, not a degraded sweep.
-func TestDistributedSweepBadWorkerURL(t *testing.T) {
-	for _, spec := range []string{"ftp://nope", "http://"} {
-		if _, err := cachestore.Parse(spec); err == nil {
-			t.Errorf("Parse(%q): want an error for a bad hub URL", spec)
-		}
-	}
+	mustMatchPoints(t, replicaSweep(t, dir, g, c.Task, periods), baseline)
 }

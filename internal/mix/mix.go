@@ -1,6 +1,5 @@
 // Package mix holds the one stateless mixing function every seeded
-// schedule in the tree draws from: workload quanta, injected faults, the
-// fault-injecting cache backend and the resilience layer's retry jitter.
+// schedule in the tree draws from: workload quanta and injected faults.
 // Keeping a single definition means those schedules cannot drift apart.
 package mix
 

@@ -218,9 +218,8 @@ func (c *Frontier) Counters() (hits, misses int64) {
 // and infeasible sets are antichains (no member dominates another, so
 // every entry is load-bearing) and they never contradict (no feasible
 // vector pointwise at or below an infeasible one — monotonicity). The
-// chaos suite runs it after merging verdicts from faulty backends: no
-// fault schedule may ever smuggle a non-monotone verdict into a live
-// frontier.
+// merge tests run it after folding in verdicts another process flushed:
+// no merge may ever smuggle a non-monotone verdict into a live frontier.
 func (c *Frontier) SelfCheck() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,7 +1,6 @@
 package probecache
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,17 +10,15 @@ import (
 	"strconv"
 	"sync"
 
-	"vrdfcap/internal/budget"
-	"vrdfcap/internal/cachestore"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
 )
 
 // Version is the persisted format version. A payload carrying any other
 // version is ignored on load; Flush always writes the current version.
-// Version 2 added the content checksum (Sum): once verdicts can arrive
-// over a network, a flipped byte that still parses must be detectable,
-// because a silently altered Total would change sweep answers.
+// Version 2 added the content checksum (Sum): a flipped byte that still
+// parses must be detectable, because a silently altered Total would
+// change sweep answers.
 const Version = 2
 
 var (
@@ -30,70 +27,39 @@ var (
 )
 
 // Store is a registry of cache entries keyed by canonical graph
-// fingerprints (GraphKey). A store without a backend lives purely in
-// memory; with one, Entry warm-starts from the backend's payload for the
-// fingerprint when a trustworthy one exists, and Flush persists every
-// entry back, merging with whatever another replica published in the
-// meantime. Persisted data is advisory — a payload that is unreadable,
+// fingerprints (GraphKey). A store without a directory lives purely in
+// memory; with one, Entry warm-starts from the fingerprint's file when a
+// trustworthy one exists, and Flush persists every entry back, merging
+// with the file already there. Processes sharing one directory therefore
+// pool verdicts, though two interleaved flushes can lose some (see
+// Flush). Persisted data is advisory — a payload that is unreadable,
 // malformed, mis-versioned, mis-fingerprinted, checksum-broken or
 // monotonically inconsistent is skipped without error, and the verdicts
 // recomputed in its place overwrite it on the next Flush.
 //
 // Safe for concurrent use.
 type Store struct {
-	backend cachestore.Backend // nil: memory-only
+	dir     string // "": memory-only
 	mu      sync.Mutex
 	entries map[string]*Entry
-	loaded  int // payloads absorbed from the backend
+	loaded  int // payloads absorbed from the directory
 	skipped int // payloads present but untrusted
 }
 
 // NewStore returns a store persisting to a directory of JSON files;
-// dir == "" disables the persistence tier.
+// dir == "" disables the persistence tier. The directory is created on
+// the first Flush that has something to write, so a directory that does
+// not exist yet simply reads as empty.
 func NewStore(dir string) *Store {
-	if dir == "" {
-		return &Store{entries: make(map[string]*Entry)}
-	}
-	return NewStoreBackend(cachestore.NewDir(dir))
-}
-
-// NewStoreBackend returns a store persisting through an arbitrary
-// backend — a local directory, process memory, or a Resilient-wrapped
-// remote store shared by a fleet. A nil backend is memory-only.
-func NewStoreBackend(b cachestore.Backend) *Store {
-	return &Store{backend: b, entries: make(map[string]*Entry)}
-}
-
-// Dir returns the backing directory when the store persists to a local
-// directory backend, "" otherwise.
-func (s *Store) Dir() string {
-	if d, ok := s.backend.(*cachestore.Dir); ok {
-		return d.Path()
-	}
-	return ""
-}
-
-// Describe names the persistence tier for stats lines: "dir:...",
-// "mem:", "resilient(http://... -> mem:)", or "" for a memory-only
-// store.
-func (s *Store) Describe() string {
-	if s.backend == nil {
-		return ""
-	}
-	return s.backend.String()
+	return &Store{dir: dir, entries: make(map[string]*Entry)}
 }
 
 // Entry returns the cache entry for a fingerprint, creating it (and, for
-// backed stores, attempting a one-time load of its payload) on first use.
+// persisted stores, attempting a one-time load of its payload) on first
+// use. A load that fails for any reason starts the entry cold — the cache
+// is advisory, so the caller simply probes by simulation; the entry is
+// NOT reloaded later.
 func (s *Store) Entry(fingerprint string) *Entry {
-	return s.EntryContext(context.Background(), fingerprint)
-}
-
-// EntryContext is Entry with a caller Context bounding the one-time
-// backend load. A load cut short by cancellation (or any backend
-// failure) starts the entry cold — the cache is advisory, so the caller
-// simply probes by simulation; the entry is NOT reloaded later.
-func (s *Store) EntryContext(ctx context.Context, fingerprint string) *Entry {
 	s.mu.Lock()
 	e, ok := s.entries[fingerprint]
 	if !ok {
@@ -101,12 +67,11 @@ func (s *Store) EntryContext(ctx context.Context, fingerprint string) *Entry {
 		s.entries[fingerprint] = e
 	}
 	s.mu.Unlock()
-	if s.backend != nil {
-		// Outside s.mu: a slow backend load (a remote tier riding its
-		// retry budget) must not serialise unrelated entries. Concurrent
-		// callers of the SAME entry block here until the load settles,
-		// which is exactly the warm-start they asked for.
-		e.loadOnce.Do(func() { s.load(ctx, e) })
+	if s.dir != "" {
+		// Outside s.mu: file I/O must not serialise unrelated entries.
+		// Concurrent callers of the SAME entry block here until the load
+		// settles, which is exactly the warm-start they asked for.
+		e.loadOnce.Do(func() { s.load(e) })
 	}
 	return e
 }
@@ -182,11 +147,11 @@ func decodeFile(data []byte, fingerprint string) (diskFile, error) {
 
 // load absorbs the entry's persisted payload if one exists and is
 // trustworthy. Runs once per entry, outside the store mutex.
-func (s *Store) load(ctx context.Context, e *Entry) {
-	data, err := s.backend.Read(ctx, e.fp)
+func (s *Store) load(e *Entry) {
+	data, err := readPayload(s.dir, e.fp)
 	if err != nil {
-		// Miss, backend failure or caller cancellation: start cold. A
-		// cache may cost probes, never block them.
+		// Miss or unreadable file: start cold. A cache may cost probes,
+		// never block them.
 		return
 	}
 	f, err := decodeFile(data, e.fp)
@@ -220,18 +185,17 @@ func (s *Store) note(counter *int) {
 	s.mu.Unlock()
 }
 
-// Flush writes every entry with content back to the persistence tier and
-// returns how many payloads it wrote. Memory-only stores flush nothing.
+// Flush writes every entry with content back to the directory and
+// returns how many payloads it wrote; memory-only stores flush nothing.
+// Each entry is merged with the payload currently persisted under its
+// fingerprint and written back sealed with a fresh checksum, so verdicts
+// another process flushed earlier survive. The read-merge-rename is not
+// atomic across processes: a flush of the same fingerprint landing
+// between this one's read and its rename is overwritten, and its
+// verdicts are lost. Losing verdicts only costs re-simulation; the
+// answers never change.
 func (s *Store) Flush() (written int, err error) {
-	return s.FlushContext(context.Background())
-}
-
-// FlushContext is Flush bounded by a caller Context. Each entry is
-// merged with the payload currently persisted under its fingerprint —
-// two replicas flushing through one shared store lose neither side's
-// verdicts — and written back sealed with a fresh checksum.
-func (s *Store) FlushContext(ctx context.Context) (written int, err error) {
-	if s.backend == nil {
+	if s.dir == "" {
 		return 0, nil
 	}
 	s.mu.Lock()
@@ -241,27 +205,25 @@ func (s *Store) FlushContext(ctx context.Context) (written int, err error) {
 	}
 	s.mu.Unlock()
 	// Deterministic write order: a flush must touch payloads in the same
-	// order every run, or two flushes racing over the same tier could
-	// interleave differently run to run.
+	// order every run, or two flushes racing over the same directory
+	// could interleave differently run to run.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].fp < entries[j].fp })
 	for _, e := range entries {
 		f := e.file()
 		if f.Frontier == nil && len(f.Periods) == 0 {
 			continue
 		}
-		if data, rerr := s.backend.Read(ctx, e.fp); rerr == nil {
+		if data, rerr := readPayload(s.dir, e.fp); rerr == nil {
 			if theirs, derr := decodeFile(data, e.fp); derr == nil {
 				f = mergeFiles(f, theirs)
 			}
 			// An untrusted persisted payload is simply overwritten.
-		} else if errors.Is(rerr, budget.ErrCanceled) || errors.Is(rerr, budget.ErrBudgetExceeded) {
-			return written, rerr
 		}
 		data, err := seal(f)
 		if err != nil {
 			return written, fmt.Errorf("probecache: encode %s: %w", e.fp, err)
 		}
-		if werr := s.backend.Write(ctx, e.fp, data); werr != nil {
+		if werr := writePayload(s.dir, e.fp, data); werr != nil {
 			return written, fmt.Errorf("probecache: write %s: %w", e.fp, werr)
 		}
 		written++
@@ -306,15 +268,13 @@ func mergeFiles(ours, theirs diskFile) diskFile {
 // StoreStats aggregates a store's cache effectiveness for reporting.
 type StoreStats struct {
 	Entries int   // distinct fingerprints touched
-	Loaded  int   // payloads warm-started from the backend
+	Loaded  int   // payloads warm-started from the directory
 	Skipped int   // payloads present but untrusted (bad version, corrupt, ...)
 	Hits    int64 // lookups answered from cache across all entries
 	Misses  int64 // lookups that had to compute
-	// Backend describes the persistence tier ("" for memory-only).
+	// Backend describes the persistence tier: "dir:PATH", or "" for a
+	// memory-only store.
 	Backend string
-	// Resilience carries the fault-tolerance counters when the backend
-	// is a cachestore.Resilient wrapper (demotions, breaker state, ...).
-	Resilience *cachestore.Stats
 }
 
 // Stats returns the store's aggregate counters.
@@ -339,12 +299,8 @@ func (s *Store) Stats() StoreStats {
 		st.Misses += m
 		e.mu.Unlock()
 	}
-	if s.backend != nil {
-		st.Backend = s.backend.String()
-		if r, ok := s.backend.(*cachestore.Resilient); ok {
-			rs := r.Stats()
-			st.Resilience = &rs
-		}
+	if s.dir != "" {
+		st.Backend = "dir:" + s.dir
 	}
 	return st
 }
@@ -355,7 +311,7 @@ type Entry struct {
 	fp       string
 	loadOnce sync.Once
 	mu       sync.Mutex
-	pending  *frontierSnapshot // loaded from the backend, not yet validated
+	pending  *frontierSnapshot // loaded from the directory, not yet validated
 	frontier *Frontier
 	periods  *Periods
 }

@@ -68,12 +68,17 @@ func TestGraphKeyDeterministicAndSensitive(t *testing.T) {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	// A directory that does not exist yet reads as empty; the first
+	// Flush creates it.
+	dir := filepath.Join(t.TempDir(), "not-yet")
 	g := pairGraph(t)
 	key := GraphKey(g, "test")
 
 	s := NewStore(dir)
 	e := s.Entry(key)
+	if st := s.Stats(); st.Loaded != 0 || st.Skipped != 0 {
+		t.Fatalf("missing directory was not a plain miss: %+v", st)
+	}
 	f, err := e.Frontier([]string{"wa->wb", "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +93,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	e.Periods().Insert(r(1, 2), Verdict{Valid: false})
 	if n, err := s.Flush(); err != nil || n != 1 {
 		t.Fatalf("Flush = (%d, %v), want (1, nil)", n, err)
+	}
+	// The payload lands at <dir>/<fingerprint>.json, the layout every
+	// earlier -cache-dir used.
+	if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
+		t.Fatalf("payload not at <dir>/<fingerprint>.json: %v", err)
 	}
 
 	// A fresh store warm-starts from the file.
@@ -215,8 +225,7 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 	})
 	t.Run("checksum-mismatch", func(t *testing.T) {
 		// A flipped digit in a Total parses fine and is monotonically
-		// plausible — only the content checksum can catch it. This is the
-		// corruption the chaos schedules inject.
+		// plausible — only the content checksum can catch it.
 		dir := t.TempDir()
 		good := diskFile{Version: Version, Fingerprint: key,
 			Periods: []periodRecord{{Num: 3, Den: 1, Valid: true, Total: 7}}}
@@ -236,6 +245,55 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 		expectCold(t, dir)
 		if st := NewStoreLoaded(t, dir, key, buffers); st.Skipped != 1 {
 			t.Errorf("skipped = %d, want 1", st.Skipped)
+		}
+	})
+	t.Run("unsafe-fingerprint", func(t *testing.T) {
+		// A fingerprint that is not a plain file name is never read or
+		// written, inside the cache directory or outside it.
+		for _, bad := range []string{"../x", ".hidden", strings.Repeat("a", 257), "a/b"} {
+			root := t.TempDir()
+			dir := filepath.Join(root, "cache")
+			if err := os.MkdirAll(filepath.Join(dir, "a"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			// A trustworthy payload planted where the unsafe name points.
+			data, err := seal(diskFile{Version: Version, Fingerprint: bad,
+				Periods: []periodRecord{{Num: 1, Den: 1, Valid: true}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			planted := filepath.Join(dir, bad+".json")
+			if len(bad) <= 256 {
+				if err := os.WriteFile(planted, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := NewStore(dir)
+			e := s.Entry(bad)
+			if st := s.Stats(); st.Loaded != 0 || e.Periods().Len() != 0 {
+				t.Errorf("%q: payload outside the safe layout was loaded: %+v", bad, st)
+			}
+			e.Periods().Insert(r(2, 1), Verdict{Valid: true, Total: 3})
+			if n, err := s.Flush(); err == nil || n != 0 {
+				t.Errorf("%q: Flush = (%d, %v), want an error and nothing written", bad, n, err)
+			}
+			if len(bad) <= 256 {
+				if got, err := os.ReadFile(planted); err != nil || string(got) != string(data) {
+					t.Errorf("%q: Flush touched %s", bad, planted)
+				}
+			}
+			var files []string
+			if err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+				if err == nil && !d.IsDir() && p != planted {
+					files = append(files, p)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != 0 {
+				t.Errorf("%q: Flush wrote %v", bad, files)
+			}
 		}
 	})
 }
@@ -314,7 +372,7 @@ func TestStoreToleratesTruncationAtEveryByte(t *testing.T) {
 }
 
 // TestFlushMergesConcurrentReplicas drives two stores over one shared
-// backend directory — the two-replica topology — and checks a flush
+// directory — two processes sharing a -cache-dir — and checks a flush
 // folds in what the other replica persisted instead of overwriting it.
 func TestFlushMergesConcurrentReplicas(t *testing.T) {
 	g := pairGraph(t)

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"vrdfcap/internal/budget"
-	"vrdfcap/internal/cachestore"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/faults"
 	"vrdfcap/internal/graphio"
@@ -100,19 +99,9 @@ type Config struct {
 	// drained and discarded; drops are still counted either way).
 	AccessLog io.Writer
 	// Store holds feasibility verdicts across requests, and across
-	// processes when it is backed (nil: a private in-memory store per
-	// Server).
+	// processes when it persists to a directory (nil: a private
+	// in-memory store per Server).
 	Store *probecache.Store
-	// CacheBackend, when non-nil, is served under /v1/cache/ so a fleet
-	// of replicas can pool verdict payloads through this process
-	// (vrdfserve -cache-store). The endpoints are auth-free but
-	// limit-guarded: payloads are capped at Limits.MaxBytes and distinct
-	// fingerprints at MaxCacheEntries (≤0: 4096), with typed statuses
-	// (413 oversized payload, 507 full store) so clients can tell a
-	// durable refusal from a transient failure. nil disables the
-	// endpoints (404).
-	CacheBackend    cachestore.Backend
-	MaxCacheEntries int
 
 	// computeHook, when set, runs on the worker goroutine right before a
 	// flight leader computes. Test seam for pinning coalescing behaviour.
@@ -194,7 +183,6 @@ type Server struct {
 	pool     *workerPool
 	problems *problemCache
 	ring     *ring
-	cache    http.Handler // /v1/cache endpoints; nil when no CacheBackend
 	stats    serverStats
 	baseCtx  context.Context
 	cancel   context.CancelFunc
@@ -209,7 +197,6 @@ type serverStats struct {
 	computes  atomic.Int64
 	rejected  atomic.Int64
 	errors    atomic.Int64
-	cacheOps  atomic.Int64
 	probes    minimize.ProbeStats
 }
 
@@ -227,13 +214,6 @@ func New(cfg Config) *Server {
 		baseCtx:  baseCtx,
 		cancel:   cancel,
 		logDone:  make(chan struct{}),
-	}
-	if cfg.CacheBackend != nil {
-		s.cache = http.StripPrefix(strings.TrimSuffix(cachestore.CachePath, "/"),
-			cachestore.Handler(cfg.CacheBackend, cachestore.HandlerLimits{
-				MaxPayloadBytes: cfg.Limits.MaxBytes,
-				MaxEntries:      cfg.MaxCacheEntries,
-			}))
 	}
 	s.pool = newWorkerPool(baseCtx, cfg.Workers, cfg.Queue)
 	go s.drainLog()
@@ -358,15 +338,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveStatsz(w)
 		return
 	default:
-		if strings.HasPrefix(r.URL.Path, cachestore.CachePath) {
-			if s.cache == nil {
-				s.plainError(w, http.StatusNotFound, "no cache store configured")
-				return
-			}
-			s.stats.cacheOps.Add(1)
-			s.cache.ServeHTTP(w, r)
-			return
-		}
 		s.plainError(w, http.StatusNotFound, "not found")
 		return
 	}
@@ -554,7 +525,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				Parallel: s.cfg.SearchWorkers,
 				Context:  ctx,
 				Deadline: deadline,
-				Cache:    s.cfg.Store.EntryContext(ctx, capacity.SweepKey(g, con.Task, policy)).Periods(),
+				Cache:    s.cfg.Store.Entry(capacity.SweepKey(g, con.Task, policy)).Periods(),
 			})
 			if err != nil {
 				return nil, err
@@ -625,7 +596,7 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string,
 			buffers = append(buffers, b.DefaultName())
 			upper[b.DefaultName()] = b.Capacity
 		}
-		frontier, err := s.cfg.Store.EntryContext(ctx, fp).Frontier(buffers)
+		frontier, err := s.cfg.Store.Entry(fp).Frontier(buffers)
 		if err != nil {
 			return nil, err
 		}
@@ -958,24 +929,12 @@ type Stats struct {
 	ColdResets       int64  `json:"coldResets"`
 	VerdictHits      int64  `json:"verdictHits"`
 	VerdictMisses    int64  `json:"verdictMisses"`
-	// CacheOps counts /v1/cache requests (0 unless a CacheBackend is
-	// configured).
-	CacheOps int64 `json:"cacheOps"`
-	// StoreBackend names the verdict store's persistence tier ("" for a
-	// memory-only store); the resilience fields surface the
-	// fault-tolerance layer when the tier is a cachestore.Resilient
-	// wrapper — StoreDemotions counts operations served by the fallback
-	// tier, StoreBreakerOpen reports a currently-tripped circuit.
-	StoreBackend     string `json:"storeBackend,omitempty"`
-	StoreDemotions   int64  `json:"storeDemotions,omitempty"`
-	StoreBreakerOpen bool   `json:"storeBreakerOpen,omitempty"`
-	StoreRetries     int64  `json:"storeRetries,omitempty"`
 }
 
 // StatsSnapshot returns the current counters.
 func (s *Server) StatsSnapshot() Stats {
 	cs := s.cfg.Store.Stats()
-	st := Stats{
+	return Stats{
 		Requests:         s.stats.requests.Load(),
 		CacheHits:        s.stats.hits.Load(),
 		Coalesced:        s.stats.coalesced.Load(),
@@ -991,15 +950,7 @@ func (s *Server) StatsSnapshot() Stats {
 		ColdResets:       s.stats.probes.ColdResets.Load(),
 		VerdictHits:      cs.Hits,
 		VerdictMisses:    cs.Misses,
-		CacheOps:         s.stats.cacheOps.Load(),
-		StoreBackend:     cs.Backend,
 	}
-	if cs.Resilience != nil {
-		st.StoreDemotions = cs.Resilience.Demotions
-		st.StoreBreakerOpen = cs.Resilience.BreakerOpen
-		st.StoreRetries = cs.Resilience.Retries
-	}
-	return st
 }
 
 func (s *Server) serveStatsz(w http.ResponseWriter) {
