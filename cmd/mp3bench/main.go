@@ -16,17 +16,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"vrdfcap"
-	"vrdfcap/internal/cachecli"
 	"vrdfcap/internal/capacity"
+	"vrdfcap/internal/cli"
 	"vrdfcap/internal/minimize"
 	"vrdfcap/internal/mp3"
 	"vrdfcap/internal/parallel"
-	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/sim"
 )
@@ -45,20 +42,25 @@ func run(args []string, out io.Writer) error {
 	skipVerify := fs.Bool("skip-verify", false, "skip the simulation-based verification")
 	minimizeFlag := fs.Bool("minimize", false, "additionally search the empirically minimal capacities for the VBR workload")
 	minimizeFirings := fs.Int64("minimize-firings", 2205, "DAC firings per minimization probe (default: 50 ms of audio)")
-	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
 	parallelN := fs.Int("parallel", 0, "worker goroutines for the verification workloads and -degradation (0 = GOMAXPROCS, 1 = serial; -minimize is always serial)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during verification, e.g. 1/2")
 	degradationStr := fs.String("degradation", "", "sweep fault-injection overrun factors from 1 up to this value (> 1, e.g. 2 or 3/2)")
-	var cacheFlags cachecli.Flags
+	var cacheFlags cli.Flags
 	cacheFlags.Register(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
+	if *firings <= 0 {
+		return fmt.Errorf("-firings must be positive, got %d", *firings)
+	}
+	if *minimizeFirings <= 0 {
+		return fmt.Errorf("-minimize-firings must be positive, got %d", *minimizeFirings)
+	}
+	stopProfiling, err := cli.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
@@ -140,53 +142,28 @@ func run(args []string, out io.Writer) error {
 	// reportStats flushes the verdict cache and prints the shared run
 	// statistics footer of every exit path.
 	reportStats := func() error {
-		written, err := cachecli.Flush(store)
+		written, err := cli.Flush(store)
 		if err != nil {
 			return err
 		}
 		timer.Stop(&stats)
 		fmt.Fprintf(out, "\nrun stats: %s\n", stats)
-		cachecli.WriteStats(out, store, written)
+		cli.WriteStats(out, store, written)
 		return nil
 	}
 	// runMinimize searches the smallest capacities that still sustain the
 	// 44.1 kHz schedule for the uniform VBR stream — the empirical lower
 	// bound the paper's analytic sizing is compared against.
 	runMinimize := func() error {
-		upper := make(map[string]int64, len(names))
-		for _, n := range names {
-			upper[n] = res.BufferByName(n).Capacity
-		}
-		fp := probecache.GraphKey(sized,
-			"minimize-throughput",
-			"task="+c.Task, "period="+c.Period.String(),
-			fmt.Sprintf("firings=%d", *minimizeFirings),
-			fmt.Sprintf("workload=uniform-vbr:seed=%d", *seed),
-			fmt.Sprintf("max-events=%d", *maxEvents),
-		)
-		frontier, err := cachecli.Frontier(store, fp, names[:])
-		if err != nil {
-			return err
-		}
-		// The Equation-4 analysis prunes probes before any simulation: its
-		// capacities are sufficient for every admissible stream (so also for
-		// this one) and the liveness thresholds — the CD block, the MP3
-		// frame, the converter's output block — are necessary at any horizon.
-		sufficient, necessary, err := capacity.SearchBounds(res, g)
-		if err != nil {
-			return err
-		}
 		mstats := &minimize.ProbeStats{}
-		mopts := minimize.Options{
-			MaxEvents: *maxEvents, Deadline: deadline,
-			Cache: frontier, NoCache: cacheFlags.Disable,
-			Checkpoints: *checkpointsN,
-			Bounds:      &minimize.Bounds{Sufficient: sufficient, Necessary: necessary},
-			Stats:       mstats,
+		prob, err := minimize.NewProblem(g, sized, res, c, *minimizeFirings,
+			sim.Workloads{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}},
+			fmt.Sprintf("uniform-vbr:seed=%d", *seed), store,
+			minimize.Options{MaxEvents: *maxEvents, Deadline: deadline, Stats: mstats})
+		if err != nil {
+			return err
 		}
-		check := minimize.ThroughputCheck(g, c, *minimizeFirings,
-			[]sim.Workloads{{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}}}, mopts)
-		mres, err := minimize.Search(names[:], upper, check, mopts)
+		mres, err := prob.Search(context.Background(), deadline)
 		if err != nil {
 			return err
 		}
@@ -195,8 +172,8 @@ func run(args []string, out io.Writer) error {
 		stats.Events += mstats.SimEvents.Load()
 		fmt.Fprintf(out, "\nempirically minimal capacities for the uniform VBR stream (%d DAC firings per probe; %d probes simulated, %d answered by the feasibility cache, %d decided by analytic bounds):\n",
 			*minimizeFirings, mres.Checks, mres.CacheHits, mres.BoundHits)
-		for i, n := range names {
-			fmt.Fprintf(out, "  d%d %-10s eq(4) %6d  minimal %6d\n", i+1, n, upper[n], mres.Caps[n])
+		for i, n := range prob.Buffers {
+			fmt.Fprintf(out, "  d%d %-10s eq(4) %6d  minimal %6d\n", i+1, n, prob.Upper[n], mres.Caps[n])
 		}
 		fmt.Fprintf(out, "  totals: eq(4)=%d, minimal=%d (lower bound for this stream; eq(4) covers every admissible stream)\n",
 			res.TotalCapacity(), mres.Total())
@@ -209,17 +186,14 @@ func run(args []string, out io.Writer) error {
 	// the robustness margin of the paper's sizing, as a curve from nominal
 	// timing to 2x overruns on every 7th firing.
 	runDegradation := func() error {
-		maxFactor, err := vrdfcap.ParseRat(*degradationStr)
+		factors, err := cli.DegradationFactors(*degradationStr)
 		if err != nil {
-			return fmt.Errorf("bad -degradation: %w", err)
-		}
-		if !vrdfcap.Rat(1, 1).Less(maxFactor) {
-			return fmt.Errorf("-degradation factor %s must exceed 1", maxFactor)
+			return err
 		}
 		curve, err := vrdfcap.SweepDegradation(vrdfcap.DegradationConfig{
 			Graph:      sized,
 			Constraint: c,
-			Factors:    vrdfcap.OverrunFactors(vrdfcap.Rat(1, 1), maxFactor, 9),
+			Factors:    factors,
 			Jitter:     jitter,
 			Seed:       uint64(*seed),
 			Firings:    *minimizeFirings,
@@ -344,47 +318,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return reportStats()
-}
-
-// startProfiling starts a CPU profile and/or arranges a heap profile,
-// returning a stop function to defer. The heap profile is written at stop
-// after a GC so it reflects live steady-state allocations.
-func startProfiling(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			_ = f.Close() // the start error is the one worth reporting
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			// A failed close can silently truncate the profile.
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
 }
 
 func paperRho(task string) string {

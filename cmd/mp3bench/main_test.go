@@ -75,6 +75,26 @@ func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	if err := run([]string{"-checkpoints", "0"}, &out); err == nil {
+		t.Error("removed -checkpoints flag accepted")
+	}
+}
+
+// TestRejectsNonPositiveHorizons pins that a non-positive horizon is an
+// error: it is neither simulated at a default horizon nor written into a
+// cache fingerprint.
+func TestRejectsNonPositiveHorizons(t *testing.T) {
+	for _, args := range [][]string{
+		{"-skip-verify", "-minimize", "-minimize-firings", "0"},
+		{"-skip-verify", "-minimize", "-minimize-firings", "-3"},
+		{"-firings", "0"},
+		{"-firings", "-1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "firings must be positive") {
+			t.Errorf("%v: err = %v, want a non-positive horizon error", args, err)
+		}
+	}
 }
 
 // stripTimings removes the lines whose content legitimately varies between

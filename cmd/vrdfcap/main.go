@@ -25,8 +25,6 @@
 //	-exact         exhaustive deadlock-freedom certificate (small graphs)
 //	-minimize      search the empirically minimal capacities by simulation
 //	-minimize-firings n  firings per minimization probe (0 = use -firings)
-//	-checkpoints n checkpoints retained per probe machine for warm starts
-//	               during -minimize (0 disables warm-starting; default 8)
 //	-parallel n    worker goroutines for -sweep and -degradation
 //	               (0 = GOMAXPROCS); -minimize is always serial
 //	-timeout d     wall-clock budget for simulation-backed steps (0 = none)
@@ -42,22 +40,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"vrdfcap"
-	"vrdfcap/internal/cachecli"
 	"vrdfcap/internal/capacity"
+	"vrdfcap/internal/cli"
 	"vrdfcap/internal/minimize"
 	"vrdfcap/internal/parallel"
-	"vrdfcap/internal/probecache"
-	"vrdfcap/internal/sim"
 )
 
 func main() {
@@ -81,14 +76,13 @@ func run(args []string, out io.Writer) error {
 	exactFlag := fs.Bool("exact", false, "certify the sizing deadlock-free by exhaustive adversarial search (small graphs)")
 	minimizeFlag := fs.Bool("minimize", false, "search the empirically minimal capacities that still satisfy the constraint (simulation-based)")
 	minimizeFirings := fs.Int64("minimize-firings", 0, "firings of the constrained task per minimization probe (0 = use -firings)")
-	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
 	parallelN := fs.Int("parallel", 0, "worker goroutines for -sweep and -degradation (0 = GOMAXPROCS, 1 = serial; -minimize is always serial)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during -verify, e.g. 1/2")
 	degradationStr := fs.String("degradation", "", "sweep fault-injection overrun factors from 1 up to this value (> 1, e.g. 2 or 3/2)")
 	statsFlag := fs.Bool("stats", false, "print run statistics (analyses, simulation events, wall/CPU time)")
-	var cacheFlags cachecli.Flags
+	var cacheFlags cli.Flags
 	cacheFlags.Register(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -98,7 +92,13 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected exactly one graph file, got %d arguments", fs.NArg())
 	}
-	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
+	if *firings <= 0 {
+		return fmt.Errorf("-firings must be positive, got %d", *firings)
+	}
+	if *minimizeFirings < 0 {
+		return fmt.Errorf("-minimize-firings must be positive (or 0 to use -firings), got %d", *minimizeFirings)
+	}
+	stopProfiling, err := cli.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
@@ -164,7 +164,7 @@ func run(args []string, out io.Writer) error {
 		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
 			Parallel: *parallelN,
 			Deadline: deadline,
-			Cache:    cachecli.Periods(store, capacity.SweepKey(g, c.Task, policy)),
+			Cache:    cli.Periods(store, capacity.SweepKey(g, c.Task, policy)),
 		})
 		if err != nil {
 			return err
@@ -230,49 +230,18 @@ func run(args []string, out io.Writer) error {
 		if !res.Valid {
 			fmt.Fprintln(out, "\nskipping minimization: the analysis already proved the constraint infeasible")
 		} else {
-			var buffers []string
-			upper := make(map[string]int64)
-			for _, b := range sized.Buffers() {
-				buffers = append(buffers, b.DefaultName())
-				upper[b.DefaultName()] = b.Capacity
-			}
 			probeFirings := *minimizeFirings
-			if probeFirings <= 0 {
+			if probeFirings == 0 {
 				probeFirings = *firings
 			}
-			// The fingerprint must pin everything that co-determines a
-			// probe's verdict: the sized graph (upper bounds included),
-			// the constraint, the horizon and the workload.
-			fp := probecache.GraphKey(sized,
-				"minimize-throughput",
-				"task="+c.Task, "period="+c.Period.String(),
-				fmt.Sprintf("firings=%d", probeFirings),
-				fmt.Sprintf("workload=uniform:seed=%d", *seed),
-				fmt.Sprintf("max-events=%d", *maxEvents),
-			)
-			frontier, err := cachecli.Frontier(store, fp, buffers)
-			if err != nil {
-				return err
-			}
-			// The analytic result prunes probes the simulator need not run:
-			// its capacities are sufficient for every admissible workload
-			// (so also for this one), and the liveness thresholds are
-			// necessary for any horizon.
-			sufficient, necessary, err := capacity.SearchBounds(res, g)
-			if err != nil {
-				return err
-			}
 			mstats := &minimize.ProbeStats{}
-			mopts := minimize.Options{
-				MaxEvents: *maxEvents, Deadline: deadline,
-				Cache: frontier, NoCache: cacheFlags.Disable,
-				Checkpoints: *checkpointsN,
-				Bounds:      &minimize.Bounds{Sufficient: sufficient, Necessary: necessary},
-				Stats:       mstats,
+			prob, err := minimize.NewProblem(g, sized, res, *c, probeFirings,
+				vrdfcap.UniformWorkloads(sized, *seed), fmt.Sprintf("uniform:seed=%d", *seed), store,
+				minimize.Options{MaxEvents: *maxEvents, Deadline: deadline, Stats: mstats})
+			if err != nil {
+				return err
 			}
-			check := minimize.ThroughputCheck(g, *c, probeFirings,
-				[]sim.Workloads{vrdfcap.UniformWorkloads(sized, *seed)}, mopts)
-			mres, err := minimize.Search(buffers, upper, check, mopts)
+			mres, err := prob.Search(context.Background(), deadline)
 			if err != nil {
 				return err
 			}
@@ -281,8 +250,8 @@ func run(args []string, out io.Writer) error {
 			stats.Events += mstats.SimEvents.Load()
 			fmt.Fprintf(out, "\nempirically minimal capacities for this workload (%d firings per probe; %d probes simulated, %d answered by the feasibility cache, %d decided by analytic bounds):\n",
 				probeFirings, mres.Checks, mres.CacheHits, mres.BoundHits)
-			for _, b := range buffers {
-				fmt.Fprintf(out, "  %-12s analytic %6d  minimal %6d\n", b, upper[b], mres.Caps[b])
+			for _, b := range prob.Buffers {
+				fmt.Fprintf(out, "  %-12s analytic %6d  minimal %6d\n", b, prob.Upper[b], mres.Caps[b])
 			}
 			fmt.Fprintf(out, "  totals: analytic=%d, minimal=%d (a lower bound for this workload; the analytic sizing covers every admissible workload)\n",
 				res.TotalCapacity(), mres.Total())
@@ -292,12 +261,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *degradationStr != "" {
-		maxFactor, err := vrdfcap.ParseRat(*degradationStr)
+		factors, err := cli.DegradationFactors(*degradationStr)
 		if err != nil {
-			return fmt.Errorf("bad -degradation: %w", err)
-		}
-		if !vrdfcap.Rat(1, 1).Less(maxFactor) {
-			return fmt.Errorf("-degradation factor %s must exceed 1", maxFactor)
+			return err
 		}
 		if !res.Valid {
 			fmt.Fprintln(out, "\nskipping degradation sweep: the analysis already proved the constraint infeasible")
@@ -305,7 +271,7 @@ func run(args []string, out io.Writer) error {
 			curve, err := vrdfcap.SweepDegradation(vrdfcap.DegradationConfig{
 				Graph:      sized,
 				Constraint: *c,
-				Factors:    vrdfcap.OverrunFactors(vrdfcap.Rat(1, 1), maxFactor, 9),
+				Factors:    factors,
 				Jitter:     jitter,
 				Seed:       uint64(*seed),
 				Firings:    *firings,
@@ -329,57 +295,16 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "\n%s\n", data)
 	}
-	written, err := cachecli.Flush(store)
+	written, err := cli.Flush(store)
 	if err != nil {
 		return err
 	}
 	if *statsFlag {
 		timer.Stop(&stats)
 		fmt.Fprintf(out, "\nrun stats: %s\n", &stats)
-		cachecli.WriteStats(out, store, written)
+		cli.WriteStats(out, store, written)
 	}
 	return nil
-}
-
-// startProfiling starts a CPU profile and/or arranges a heap profile,
-// returning a stop function to defer. The heap profile is written at stop
-// after a GC so it reflects live steady-state allocations.
-func startProfiling(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			_ = f.Close() // the start error is the one worth reporting
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			// A failed close can silently truncate the profile.
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
 }
 
 // parsePeriods parses a comma-separated list of exact rationals.

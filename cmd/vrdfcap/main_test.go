@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +15,8 @@ import (
 
 	"vrdfcap"
 	"vrdfcap/internal/mp3"
+	"vrdfcap/internal/probecache"
+	"vrdfcap/internal/serve"
 )
 
 func writeMP3JSON(t *testing.T, withConstraint bool) string {
@@ -212,17 +218,25 @@ func TestRunMinimize(t *testing.T) {
 	}
 }
 
-// TestRunMinimizeColdCheckpoints pins the -checkpoints 0 escape hatch: warm
-// starts off, the search still runs and finds the same kind of report.
-func TestRunMinimizeColdCheckpoints(t *testing.T) {
+// TestRunRejectsNonPositiveHorizons pins that a non-positive horizon is
+// an error, not silently replaced by a default horizon, and that the
+// removed -checkpoints flag is unknown.
+func TestRunRejectsNonPositiveHorizons(t *testing.T) {
 	path := writeMP3JSON(t, true)
-	var out bytes.Buffer
-	if err := run([]string{"-minimize", "-firings", "441", "-checkpoints", "0", path}, &out); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{
+		{"-verify", "-firings", "-5"},
+		{"-verify", "-firings", "0"},
+		{"-minimize", "-minimize-firings", "-1"},
+	} {
+		var out bytes.Buffer
+		if err := run(append(args, path), &out); err == nil || !strings.Contains(err.Error(), "firings must be positive") {
+			t.Errorf("%v: err = %v, want a non-positive horizon error", args, err)
+		}
 	}
-	text := out.String()
-	if !strings.Contains(text, "0 replayed from checkpoints (0 warm resets") {
-		t.Errorf("-checkpoints 0 still warm-started:\n%s", text)
+	var out bytes.Buffer
+	if err := run([]string{"-minimize", "-checkpoints", "0", path}, &out); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-checkpoints: err = %v, want an unknown-flag error", err)
 	}
 }
 
@@ -345,6 +359,68 @@ func TestRunBadFaultFlags(t *testing.T) {
 	}
 	if err := run([]string{"-verify", "-jitter", "3/2", path}, &out); err == nil {
 		t.Error("inadmissible jitter >= 1 accepted")
+	}
+}
+
+// TestRunMinimizeCacheFileName pins the verdict-store fingerprint of the
+// §5 MP3 document: a -cache-dir written by an earlier build keeps reading
+// warm only while the fingerprint format is unchanged.
+func TestRunMinimizeCacheFileName(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-minimize", "-cache-dir", dir, "../../testdata/mp3.txt"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "2b5bd9c48e635030881630cbea8f73256cdf0c3717f82a28fce96a2a9793e4f0.json"
+	if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
+		entries, _ := os.ReadDir(dir)
+		t.Fatalf("cache file %s not written (%v); dir holds %v", want, err, entries)
+	}
+}
+
+// TestMinimizeSharesVerdictsWithServe pins that the CLI and the service
+// fingerprint a minimisation the same way: a server handed the CLI's
+// -cache-dir answers /v1/minimize for the same document without
+// simulating, with the CLI's minimal capacities.
+func TestMinimizeSharesVerdictsWithServe(t *testing.T) {
+	const doc = "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod 3 cons {2,3}\nconstraint b period 3\n"
+	path := filepath.Join(t.TempDir(), "pair.txt")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-minimize", "-firings", "200", "-cache-dir", dir, path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "; 0 probes simulated") {
+		t.Fatalf("cold CLI run simulated nothing, so the cache dir proves nothing:\n%s", out.String())
+	}
+
+	s := serve.New(serve.Config{Store: probecache.NewStore(dir), Firings: 200})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/minimize", strings.NewReader(doc)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/minimize: status %d: %s", rec.Code, rec.Body)
+	}
+	var resp struct {
+		Buffers []struct {
+			Name              string
+			Analytic, Minimal int64
+		}
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Buffers) != 1 {
+		t.Fatalf("bad /v1/minimize body %s (%v)", rec.Body, err)
+	}
+	b := resp.Buffers[0]
+	line := fmt.Sprintf("  %-12s analytic %6d  minimal %6d\n", b.Name, b.Analytic, b.Minimal)
+	if !strings.Contains(out.String(), line) {
+		t.Errorf("service answered %q; the CLI reported:\n%s", line, out.String())
+	}
+	if st := s.StatsSnapshot(); st.SimEvents != 0 || st.VerdictHits == 0 {
+		t.Errorf("service simulated %d events with %d verdict hits; want 0 events from the CLI's verdicts",
+			st.SimEvents, st.VerdictHits)
 	}
 }
 

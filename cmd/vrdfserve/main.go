@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	firings := fs.Int64("firings", 1000, "default simulation horizon for minimize and degradation")
 	maxFirings := fs.Int64("max-firings", 200_000, "cap on the per-request firings override")
 	maxEvents := fs.Int64("max-events", 0, "cap on simulated events per probe run (0: engine default)")
-	checkpoints := fs.Int("checkpoints", 8, "warm-start checkpoints per probe machine (negative: disabled)")
 	maxBytes := fs.Int("max-bytes", graphio.DefaultLimits.MaxBytes, "request-document byte limit")
 	maxTasks := fs.Int("max-tasks", graphio.DefaultLimits.MaxTasks, "request-document task limit")
 	maxBuffers := fs.Int("max-buffers", graphio.DefaultLimits.MaxBuffers, "request-document buffer limit")
@@ -120,7 +119,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Firings:           *firings,
 		MaxFirings:        *maxFirings,
 		MaxEvents:         *maxEvents,
-		Checkpoints:       *checkpoints,
 		MaxSweepPeriods:   *sweepPeriods,
 		ResponseCacheSize: *respCache,
 		ProblemCacheSize:  *problemCache,

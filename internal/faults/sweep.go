@@ -94,6 +94,11 @@ func (c *DegradationCurve) Slack() ratio.Rat {
 	return slack
 }
 
+// DegradationPoints is the number of overrun factors a degradation sweep
+// of the CLIs and the service evaluates, from 1 up to the requested
+// maximum.
+const DegradationPoints = 9
+
 // FactorRange builds n evenly spaced overrun factors from lo to hi
 // inclusive (n ≥ 2, lo < hi).
 func FactorRange(lo, hi ratio.Rat, n int) []ratio.Rat {

@@ -64,7 +64,7 @@ type Options struct {
 	// consecutive probes that change one capacity resume simulation from
 	// the latest checkpoint the change cannot affect instead of replaying
 	// from t=0. 0 disables warm starts; the verdicts and the assignment
-	// found are bit-identical either way.
+	// found are bit-identical either way. NewProblem always uses 8.
 	Checkpoints int
 	// Bounds, if non-nil, decides probes by the conservative linear α̂/α̌
 	// bounds before consulting the cache or simulating. Bound-decided

@@ -1,0 +1,104 @@
+package minimize
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"vrdfcap/internal/capacity"
+	"vrdfcap/internal/probecache"
+	"vrdfcap/internal/sim"
+	"vrdfcap/internal/taskgraph"
+)
+
+// problemCheckpoints is the warm-start checkpoint count of every
+// Problem's probe machines. Warm and cold probes give the same verdicts,
+// so it sets only how fast a probe is, never its answer.
+const problemCheckpoints = 8
+
+// Fingerprint is the verdict-store key of a throughput minimisation: it
+// pins everything that co-determines a probe's verdict — the sized graph
+// (upper bounds included), the constraint, the probe horizon, the
+// workload and the event cap. workloadKey names the workload, for example
+// "uniform:seed=1". Every surface that minimises the same problem gets
+// the same key, so CLI runs and the service share one frontier.
+func Fingerprint(sized *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloadKey string, maxEvents int64) string {
+	return probecache.GraphKey(sized,
+		"minimize-throughput",
+		"task="+c.Task, "period="+c.Period.String(),
+		fmt.Sprintf("firings=%d", firings),
+		"workload="+workloadKey,
+		fmt.Sprintf("max-events=%d", maxEvents),
+	)
+}
+
+// Problem is one throughput-constrained minimisation, set up once and
+// searchable any number of times: the buffer order and analytic upper
+// bounds of the sized graph, the α̂/α̌ pruning bounds, the verdict-store
+// frontier and the compiled ThroughputCheck, whose verifiers are reused
+// across probes and across searches.
+type Problem struct {
+	// Fingerprint keys the problem's frontier in the verdict store.
+	Fingerprint string
+	// Buffers lists the searched buffers in chain order.
+	Buffers []string
+	// Upper holds the analytic capacity of each buffer.
+	Upper map[string]int64
+
+	check    CheckFunc
+	bounds   *Bounds
+	frontier *probecache.Frontier
+}
+
+// NewProblem sets up the minimisation of the sized graph (the analysis
+// result res applied to g) under constraint c, probing `firings` firings
+// of the constrained task against one workload named by workloadKey.
+// Verdicts come from and go to store's frontier for the problem's
+// Fingerprint; a nil store disables verdict caching entirely. opts
+// supplies MaxEvents, Stats, Context and Deadline for the probes; the
+// problem sets the cache, the bounds and the checkpoint count itself.
+func NewProblem(g, sized *taskgraph.Graph, res *capacity.Result, c taskgraph.Constraint, firings int64, workloads sim.Workloads, workloadKey string, store *probecache.Store, opts Options) (*Problem, error) {
+	if firings <= 0 {
+		return nil, fmt.Errorf("minimize: probe horizon must be positive, got %d firings", firings)
+	}
+	p := &Problem{
+		Fingerprint: Fingerprint(sized, c, firings, workloadKey, opts.MaxEvents),
+		Upper:       make(map[string]int64, len(sized.Buffers())),
+	}
+	for _, b := range sized.Buffers() {
+		p.Buffers = append(p.Buffers, b.DefaultName())
+		p.Upper[b.DefaultName()] = b.Capacity
+	}
+	if store != nil {
+		var err error
+		if p.frontier, err = store.Entry(p.Fingerprint).Frontier(p.Buffers); err != nil {
+			return nil, err
+		}
+	}
+	// The analytic result prunes probes the simulator need not run: its
+	// capacities are sufficient for every admissible workload (so also
+	// for this one), and the liveness thresholds are necessary at any
+	// horizon.
+	sufficient, necessary, err := capacity.SearchBounds(res, g)
+	if err != nil {
+		return nil, err
+	}
+	p.bounds = &Bounds{Sufficient: sufficient, Necessary: necessary}
+	opts.Checkpoints = problemCheckpoints
+	p.check = ThroughputCheck(g, c, firings, []sim.Workloads{workloads}, opts)
+	return p, nil
+}
+
+// Search finds the minimal capacities under ctx and deadline (zero: no
+// deadline), pruning with the problem's bounds and its frontier.
+// Concurrent searches of one Problem are safe; they share the frontier
+// and the verifier pool.
+func (p *Problem) Search(ctx context.Context, deadline time.Time) (*Result, error) {
+	return Search(p.Buffers, p.Upper, p.check, Options{
+		Context:  ctx,
+		Deadline: deadline,
+		Cache:    p.frontier,
+		NoCache:  p.frontier == nil,
+		Bounds:   p.bounds,
+	})
+}

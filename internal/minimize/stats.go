@@ -3,8 +3,9 @@ package minimize
 import "sync/atomic"
 
 // ProbeStats accumulates simulation-effort counters across the probes of a
-// check or search. All fields are atomic so concurrent workers can share one
-// instance; pass it via Options.Stats. Counters are cumulative — zero the
+// check or search. All fields are atomic so the checks of concurrent
+// searches — the service's requests, for example — can share one instance;
+// pass it via Options.Stats. Counters are cumulative — zero the
 // struct (or use a fresh one) to measure a single search.
 type ProbeStats struct {
 	// SimEvents counts events actually simulated, excluding events replayed

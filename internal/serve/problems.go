@@ -4,22 +4,7 @@ import (
 	"sync"
 
 	"vrdfcap/internal/minimize"
-	"vrdfcap/internal/probecache"
 )
-
-// problem is one compiled minimization problem: the buffer order, the
-// analytic upper bounds, the pruning bounds, the shared feasibility
-// frontier and — the expensive part — the compiled CheckFunc, whose
-// internal machine pool reuses pre-compiled simulators across probes and
-// across requests. Reusing a problem turns a repeat sizing request into
-// pure frontier lookups with zero machine compilation.
-type problem struct {
-	buffers  []string
-	upper    map[string]int64
-	check    minimize.CheckFunc
-	bounds   *minimize.Bounds
-	frontier *probecache.Frontier
-}
 
 // problemCache is a bounded LRU of compiled problems keyed by the same
 // canonical fingerprint that keys the feasibility frontier. Eviction only
@@ -28,17 +13,17 @@ type problem struct {
 type problemCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*problem
+	entries map[string]*minimize.Problem
 	order   []string // least recently used first
 }
 
 func newProblemCache(max int) *problemCache {
-	return &problemCache{max: max, entries: make(map[string]*problem, max)}
+	return &problemCache{max: max, entries: make(map[string]*minimize.Problem, max)}
 }
 
 // get returns the compiled problem for a fingerprint, refreshing its
 // recency.
-func (c *problemCache) get(fp string) (*problem, bool) {
+func (c *problemCache) get(fp string) (*minimize.Problem, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.entries[fp]
@@ -50,7 +35,7 @@ func (c *problemCache) get(fp string) (*problem, bool) {
 
 // put inserts a compiled problem, evicting the least recently used entry
 // when full.
-func (c *problemCache) put(fp string, p *problem) {
+func (c *problemCache) put(fp string, p *minimize.Problem) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[fp]; ok {

@@ -84,9 +84,6 @@ type Config struct {
 	MaxEvents int64
 	// MaxSweepPeriods caps the periods of one sweep request (≤0: 64).
 	MaxSweepPeriods int
-	// Checkpoints is the warm-start checkpoint count per probe machine
-	// (0: 8; negative: disabled).
-	Checkpoints int
 	// ResponseCacheSize bounds the rendered-response cache (≤0: 1024).
 	ResponseCacheSize int
 	// ProblemCacheSize bounds the compiled-problem LRU (≤0: 64).
@@ -131,12 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepPeriods <= 0 {
 		c.MaxSweepPeriods = 64
-	}
-	switch {
-	case c.Checkpoints == 0:
-		c.Checkpoints = 8
-	case c.Checkpoints < 0:
-		c.Checkpoints = 0
 	}
 	if c.ResponseCacheSize <= 0 {
 		c.ResponseCacheSize = 1024
@@ -496,17 +487,10 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		if err != nil {
 			return nil, badReq(err)
 		}
-		// Identical to cmd/vrdfcap's -minimize fingerprint, so the service
-		// and the CLI share one feasibility frontier per problem.
-		fp := probecache.GraphKey(sized,
-			"minimize-throughput",
-			"task="+con.Task, "period="+con.Period.String(),
-			fmt.Sprintf("firings=%d", firings),
-			fmt.Sprintf("workload=uniform:seed=%d", seed),
-			fmt.Sprintf("max-events=%d", s.cfg.MaxEvents),
-		)
+		workload := fmt.Sprintf("uniform:seed=%d", seed)
+		fp := minimize.Fingerprint(sized, *con, firings, workload, s.cfg.MaxEvents)
 		return &jobSpec{key: fp, run: func(ctx context.Context, deadline time.Time) (any, error) {
-			return s.runMinimize(ctx, deadline, fp, g, sized, res, con, policy, firings, seed)
+			return s.runMinimize(ctx, deadline, fp, workload, g, sized, res, con, policy, firings, seed)
 		}}, nil
 
 	case pathSweep:
@@ -566,7 +550,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 			curve, err := faults.Sweep(faults.DegradationConfig{
 				Graph:      sized,
 				Constraint: *con,
-				Factors:    faults.FactorRange(ratio.FromInt(1), maxFactor, degradationPoints),
+				Factors:    faults.FactorRange(ratio.FromInt(1), maxFactor, faults.DegradationPoints),
 				Seed:       uint64(seed),
 				Firings:    firings,
 				Workers:    s.cfg.SearchWorkers,
@@ -582,50 +566,22 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 	return nil, badReqf("unknown endpoint id %d", pathID)
 }
 
-// degradationPoints is the number of overrun factors swept per request,
-// matching cmd/vrdfcap's -degradation.
-const degradationPoints = 9
-
 // runMinimize executes (or replays from the warm caches) one minimization.
-func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string, g, sized *taskgraph.Graph, res *capacity.Result, con *taskgraph.Constraint, policy capacity.Policy, firings, seed int64) (any, error) {
+// The compiled problem is kept in the LRU under its fingerprint, so a
+// repeat request reuses the compiled verifiers.
+func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp, workload string, g, sized *taskgraph.Graph, res *capacity.Result, con *taskgraph.Constraint, policy capacity.Policy, firings, seed int64) (any, error) {
 	prob, ok := s.problems.get(fp)
 	if !ok {
-		buffers := make([]string, 0, len(sized.Buffers()))
-		upper := make(map[string]int64, len(sized.Buffers()))
-		for _, b := range sized.Buffers() {
-			buffers = append(buffers, b.DefaultName())
-			upper[b.DefaultName()] = b.Capacity
-		}
-		frontier, err := s.cfg.Store.Entry(fp).Frontier(buffers)
+		var err error
+		prob, err = minimize.NewProblem(g, sized, res, *con, firings,
+			sim.UniformWorkloads(sized, seed), workload, s.cfg.Store,
+			minimize.Options{MaxEvents: s.cfg.MaxEvents, Stats: &s.stats.probes})
 		if err != nil {
 			return nil, err
-		}
-		sufficient, necessary, err := capacity.SearchBounds(res, g)
-		if err != nil {
-			return nil, err
-		}
-		check := minimize.ThroughputCheck(g, *con, firings,
-			[]sim.Workloads{sim.UniformWorkloads(sized, seed)}, minimize.Options{
-				MaxEvents:   s.cfg.MaxEvents,
-				Checkpoints: s.cfg.Checkpoints,
-				Stats:       &s.stats.probes,
-			})
-		prob = &problem{
-			buffers:  buffers,
-			upper:    upper,
-			check:    check,
-			bounds:   &minimize.Bounds{Sufficient: sufficient, Necessary: necessary},
-			frontier: frontier,
 		}
 		s.problems.put(fp, prob)
 	}
-	mres, err := minimize.Search(prob.buffers, prob.upper, prob.check, minimize.Options{
-		Context:  ctx,
-		Deadline: deadline,
-		Cache:    prob.frontier,
-		Bounds:   prob.bounds,
-		Stats:    &s.stats.probes,
-	})
+	mres, err := prob.Search(ctx, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -640,11 +596,11 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string,
 	// Probe-effort counters (cache hits, events simulated) deliberately
 	// stay out of the body: cold, warm and coalesced answers to the same
 	// problem must be byte-identical. Effort is visible on /statsz.
-	for _, name := range prob.buffers {
+	for _, name := range prob.Buffers {
 		resp.Buffers = append(resp.Buffers, minimizeBuffer{
-			Name: name, Analytic: prob.upper[name], Minimal: mres.Caps[name],
+			Name: name, Analytic: prob.Upper[name], Minimal: mres.Caps[name],
 		})
-		resp.AnalyticTotal += prob.upper[name]
+		resp.AnalyticTotal += prob.Upper[name]
 		resp.MinimalTotal += mres.Caps[name]
 	}
 	return resp, nil

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vrdfcap/internal/faults"
 )
 
 // pairDoc is the paper's Figure 1 pair: producer always writes 3, consumer
@@ -239,8 +241,8 @@ func TestSizeSweepDegradation(t *testing.T) {
 	if err := json.Unmarshal(body, &deg); err != nil {
 		t.Fatal(err)
 	}
-	if !deg.Valid || len(deg.Points) != degradationPoints {
-		t.Fatalf("degradation response %+v, want %d points", deg, degradationPoints)
+	if !deg.Valid || len(deg.Points) != faults.DegradationPoints {
+		t.Fatalf("degradation response %+v, want %d points", deg, faults.DegradationPoints)
 	}
 	if !deg.Points[0].OK {
 		t.Fatalf("nominal point (factor 1) failed: %+v", deg.Points[0])
@@ -319,12 +321,16 @@ func TestMinimizeEventCapIs504(t *testing.T) {
 		t.Fatalf("%d compiled problems, want 1", len(s.problems.entries))
 	}
 	for _, prob := range s.problems.entries {
-		if _, infeasible := prob.frontier.Size(); infeasible != 0 {
+		frontier, err := s.cfg.Store.Entry(prob.Fingerprint).Frontier(prob.Buffers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, infeasible := frontier.Size(); infeasible != 0 {
 			t.Errorf("frontier recorded %d infeasible verdicts from cut-short probes", infeasible)
 		}
-		for _, b := range prob.buffers {
-			below := map[string]int64{b: prob.upper[b] - 1}
-			if _, hit := prob.frontier.Lookup(below); hit {
+		for _, b := range prob.Buffers {
+			below := map[string]int64{b: prob.Upper[b] - 1}
+			if _, hit := frontier.Lookup(below); hit {
 				t.Errorf("frontier decides %v below the analytic sizing", below)
 			}
 		}

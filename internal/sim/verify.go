@@ -222,9 +222,9 @@ type VerifyOptions struct {
 
 // Verifier is a compiled throughput verification: both simulation phases —
 // self-timed and strictly periodic — built once and reusable across
-// capacity assignments. Capacity searches compile one Verifier per worker
-// and call Feasible (or Verify, for the full diagnostics) with a fresh
-// capacity vector per probe; each probe only resets token counts and
+// capacity assignments. A capacity search compiles one Verifier per
+// workload, pools it between probes, and calls Feasible (or Verify, for
+// the full diagnostics) with a fresh capacity vector per probe; each probe only resets token counts and
 // counters instead of re-validating and rebuilding the graph.
 //
 // A Verifier holds exactly two machines, one per phase. Every periodic run
