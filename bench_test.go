@@ -13,7 +13,6 @@ import (
 	"vrdfcap/internal/bounds"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/cheap"
-	"vrdfcap/internal/csdf"
 	"vrdfcap/internal/exact"
 	"vrdfcap/internal/minimize"
 	"vrdfcap/internal/mp3"
@@ -24,7 +23,6 @@ import (
 	"vrdfcap/internal/sim"
 	"vrdfcap/internal/taskgraph"
 	"vrdfcap/internal/trace"
-	"vrdfcap/internal/video"
 	"vrdfcap/internal/vrdf"
 )
 
@@ -637,75 +635,6 @@ func BenchmarkCHEAPPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationPatternKnowledge quantifies what knowing the exact
-// cyclo-static pattern is worth: Equation (4) (which sees only the quanta
-// sets) against the empirical minimum under the exact cyclic workload.
-func BenchmarkAblationPatternKnowledge(b *testing.B) {
-	chain, err := csdf.BuildChain(
-		[]csdf.Stage{
-			{Name: "src", WCRT: Rat(1, 8)},
-			{Name: "fir", WCRT: Rat(1, 8)},
-			{Name: "snk", WCRT: Rat(1, 8)},
-		},
-		[]csdf.Link{
-			{Prod: csdf.Pattern{2}, Cons: csdf.Pattern{3, 1}},
-			{Prod: csdf.Pattern{1, 3}, Cons: csdf.Pattern{2}},
-		},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	con := Constraint{Task: "snk", Period: Rat(1, 1)}
-	var eq4Total, patternTotal int64
-	for i := 0; i < b.N; i++ {
-		min, res, err := chain.PatternMinimalCapacities(con, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eq4Total = res.TotalCapacity()
-		patternTotal = 0
-		for _, v := range min {
-			patternTotal += v
-		}
-	}
-	if patternTotal > eq4Total {
-		b.Fatalf("pattern minimum %d above Equation 4 %d", patternTotal, eq4Total)
-	}
-	b.ReportMetric(float64(eq4Total), "cap_eq4")
-	b.ReportMetric(float64(patternTotal), "cap_pattern")
-	b.ReportMetric(float64(eq4Total-patternTotal), "knowledge_gain")
-}
-
-// BenchmarkVideoCaseStudy is a second, video-rate case study (the paper's
-// intro motivates audio *and* video): a 25 Hz QCIF playback chain with a
-// variable-length decoder, sized and spot-checked against closed forms.
-func BenchmarkVideoCaseStudy(b *testing.B) {
-	g, err := video.Graph()
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := video.Constraint()
-	var caps [3]int64
-	for i := 0; i < b.N; i++ {
-		res, err := Analyze(g, c, PolicyEquation4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Valid {
-			b.Fatalf("infeasible: %v", res.Diagnostics)
-		}
-		for j, n := range video.BufferNames() {
-			caps[j] = res.BufferByName(n).Capacity
-		}
-	}
-	if caps != [3]int64{6143, 219, 144} {
-		b.Fatalf("capacities = %v, want [6143 219 144]", caps)
-	}
-	b.ReportMetric(float64(caps[0]), "d1")
-	b.ReportMetric(float64(caps[1]), "d2")
-	b.ReportMetric(float64(caps[2]), "d3")
 }
 
 // BenchmarkExactAdversarialMinimum computes the true minimum deadlock-free

@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "analysis worker goroutines (0: GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "jobs waiting for a worker before requests are shed with 503")
 	timeout := fs.Duration("timeout", 30*time.Second, "wall-clock budget per computation (negative: unlimited)")
-	searchWorkers := fs.Int("search-workers", 1, "parallelism inside one sweep or degradation curve (minimizations are serial)")
 	firings := fs.Int64("firings", 1000, "default simulation horizon for minimize and degradation")
 	maxFirings := fs.Int64("max-firings", 200_000, "cap on the per-request firings override")
 	maxEvents := fs.Int64("max-events", 0, "cap on simulated events per probe run (0: engine default)")
@@ -115,7 +114,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Workers:           *workers,
 		Queue:             *queue,
 		RequestTimeout:    *timeout,
-		SearchWorkers:     *searchWorkers,
 		Firings:           *firings,
 		MaxFirings:        *maxFirings,
 		MaxEvents:         *maxEvents,

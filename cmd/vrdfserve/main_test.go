@@ -139,9 +139,9 @@ func TestRunRejectsBadInvocation(t *testing.T) {
 	if err := run(context.Background(), []string{"-access-log", filepath.Join(t.TempDir(), "missing", "log")}, &out); err == nil {
 		t.Error("unopenable access log accepted")
 	}
-	// The remote verdict-store flags and -checkpoints are gone: each is an
-	// unknown flag.
-	for _, flagName := range []string{"-cache-backend", "-cache-store", "-cache-entries", "-checkpoints"} {
+	// The remote verdict-store flags, -checkpoints and -search-workers are
+	// gone: each is an unknown flag.
+	for _, flagName := range []string{"-cache-backend", "-cache-store", "-cache-entries", "-checkpoints", "-search-workers"} {
 		if err := run(context.Background(), []string{flagName, "x"}, &out); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flagName, err)

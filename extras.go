@@ -1,7 +1,6 @@
 package vrdfcap
 
 import (
-	"vrdfcap/internal/alloc"
 	"vrdfcap/internal/arbiter"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/exact"
@@ -27,13 +26,6 @@ type (
 	RoundRobin = arbiter.RoundRobin
 	// Arbiter is any rate-independent response-time guarantee.
 	Arbiter = arbiter.Arbiter
-
-	// Platform dimensioning: processors, bindings and the Dimension
-	// outcome.
-	Processor      = alloc.Processor
-	Binding        = alloc.Binding
-	Platform       = alloc.Platform
-	PlatformResult = alloc.Result
 
 	// Fault injection: deterministic seeded timing faults (jitter within
 	// (0, ρ], overrun stalls beyond ρ) and the degradation sweep that
@@ -76,14 +68,6 @@ func MinimalFeasiblePeriod(g *Graph, task string, periods []RatNum, p Policy) (S
 // time under an arbiter — the §3.1 assumption made concrete.
 func ResponseTime(a Arbiter, wcet RatNum) (RatNum, error) {
 	return a.ResponseTime(wcet)
-}
-
-// Dimension chooses TDM slices for every task (deadline: the φ the
-// throughput constraint demands), reports per-processor loads and runs the
-// capacity analysis with the derived response times — WCETs to guaranteed
-// system in one call.
-func Dimension(g *Graph, c Constraint, platform Platform, p Policy) (*PlatformResult, error) {
-	return alloc.Dimension(g, c, platform, p)
 }
 
 // ExactPairMinimum returns the true minimum deadlock-free capacity of a

@@ -109,32 +109,3 @@ func TestSweepOnMP3Chain(t *testing.T) {
 		t.Errorf("relaxing the period did not shrink capacity: %d >= %d", pts[2].Total, pts[1].Total)
 	}
 }
-
-func TestDimensionFacade(t *testing.T) {
-	g, err := Chain(
-		[]Stage{
-			{Name: "a", WCRT: Rat(1, 1)},
-			{Name: "b", WCRT: Rat(1, 1)},
-		},
-		[]Link{{Prod: Quanta(1), Cons: Quanta(1)}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Dimension(g, Constraint{Task: "b", Period: Rat(12, 1)}, Platform{
-		Processors: []Processor{{Name: "cpu", Frame: Rat(10, 1)}},
-		Bindings: []Binding{
-			{Task: "a", Processor: "cpu", WCET: Rat(1, 1)},
-			{Task: "b", Processor: "cpu", WCET: Rat(1, 1)},
-		},
-	}, PolicyEquation4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatalf("infeasible: %v", res.Diagnostics)
-	}
-	if res.Analysis.TotalCapacity() <= 0 {
-		t.Error("no capacities computed")
-	}
-}

@@ -66,63 +66,6 @@ func (t TDM) ResponseTime(wcet ratio.Rat) (ratio.Rat, error) {
 	return gap.MulInt(slices).Add(wcet), nil
 }
 
-// Utilisation returns Slice/Frame, the long-run fraction of the resource
-// the allocation guarantees.
-func (t TDM) Utilisation() ratio.Rat { return t.Slice.Div(t.Frame) }
-
-// MinSliceForDeadline returns the smallest TDM slice (with the receiver's
-// frame) whose worst-case response time for the given WCET does not exceed
-// the deadline, or an error if no slice up to a full frame works. Useful for
-// dimensioning arbiters against the minimal start distances φ computed by
-// the capacity analysis.
-func (t TDM) MinSliceForDeadline(wcet, deadline ratio.Rat) (ratio.Rat, error) {
-	if t.Frame.Sign() <= 0 {
-		return ratio.Rat{}, fmt.Errorf("arbiter: TDM frame must be positive, got %v", t.Frame)
-	}
-	if wcet.Sign() <= 0 {
-		return ratio.Rat{}, fmt.Errorf("arbiter: WCET must be positive, got %v", wcet)
-	}
-	if deadline.Less(wcet) {
-		return ratio.Rat{}, fmt.Errorf("arbiter: deadline %v below WCET %v; infeasible on any arbiter", deadline, wcet)
-	}
-	// With k slices the response time is k·(P−S) + C ≤ D, i.e.
-	// S ≥ P − (D−C)/k, and k slices suffice iff S ≥ C/k. Try increasing
-	// k; the feasible slice for k is max(C/k, P−(D−C)/k), and the best
-	// (smallest) choice appears for some k ≤ ⌈C·P/(D−C+ε)⌉ — we simply
-	// stop when C/k alone stops improving the bound.
-	slack := deadline.Sub(wcet)
-	var best ratio.Rat
-	found := false
-	for k := int64(1); k <= 1024; k++ {
-		sMin := wcet.DivInt(k)
-		sLat := t.Frame.Sub(slack.DivInt(k))
-		s := ratio.Max(sMin, sLat)
-		if t.Frame.Less(s) {
-			continue
-		}
-		// Verify (guards rounding pessimism in the derivation).
-		cand := TDM{Slice: s, Frame: t.Frame}
-		rt, err := cand.ResponseTime(wcet)
-		if err != nil {
-			return ratio.Rat{}, err
-		}
-		if rt.LessEq(deadline) {
-			if !found || s.Less(best) {
-				best = s
-				found = true
-			}
-		}
-		// Once latency no longer dominates, larger k cannot help.
-		if sLat.LessEq(sMin) && found {
-			break
-		}
-	}
-	if !found {
-		return ratio.Rat{}, fmt.Errorf("arbiter: no TDM slice within frame %v meets deadline %v for WCET %v", t.Frame, deadline, wcet)
-	}
-	return best, nil
-}
-
 // RoundRobin is a round-robin arbiter: the task owns OwnSlice and shares
 // the resource with tasks owning OtherSlices.
 type RoundRobin struct {

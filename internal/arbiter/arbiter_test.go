@@ -50,64 +50,6 @@ func TestTDMValidation(t *testing.T) {
 	}
 }
 
-func TestTDMUtilisation(t *testing.T) {
-	u := TDM{Slice: r(2, 1), Frame: r(10, 1)}.Utilisation()
-	if !u.Equal(r(1, 5)) {
-		t.Errorf("utilisation = %v, want 1/5", u)
-	}
-}
-
-func TestMinSliceForDeadline(t *testing.T) {
-	tdm := TDM{Frame: r(10, 1)}
-	// WCET 2, deadline 10: a slice of 2 gives rho = 10 exactly.
-	s, err := tdm.MinSliceForDeadline(r(2, 1), r(10, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := TDM{Slice: s, Frame: tdm.Frame}.ResponseTime(r(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(r(10, 1)) > 0 {
-		t.Errorf("slice %v gives ρ = %v > deadline", s, got)
-	}
-	// A tight deadline forces a bigger slice than a loose one.
-	loose, err := tdm.MinSliceForDeadline(r(2, 1), r(40, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Less(loose) {
-		t.Errorf("loose deadline needs bigger slice (%v) than tight (%v)", loose, s)
-	}
-	// Infeasible: deadline below WCET.
-	if _, err := tdm.MinSliceForDeadline(r(2, 1), r(1, 1)); err == nil {
-		t.Error("deadline < WCET accepted")
-	}
-}
-
-func TestMinSliceForDeadlineAlwaysMeets(t *testing.T) {
-	f := func(c8, d8 uint8) bool {
-		frame := r(100, 1)
-		wcet := r(int64(c8%50)+1, 1)
-		deadline := wcet.Add(r(int64(d8)+1, 1))
-		tdm := TDM{Frame: frame}
-		s, err := tdm.MinSliceForDeadline(wcet, deadline)
-		if err != nil {
-			// Infeasible configurations are allowed; the property
-			// only covers returned slices.
-			return true
-		}
-		rt, err := TDM{Slice: s, Frame: frame}.ResponseTime(wcet)
-		if err != nil {
-			return false
-		}
-		return rt.LessEq(deadline) && s.LessEq(frame) && s.Sign() > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRoundRobinResponseTime(t *testing.T) {
 	rr := RoundRobin{
 		OwnSlice:    r(2, 1),

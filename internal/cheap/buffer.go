@@ -14,6 +14,12 @@
 // enough — which this package lets you validate in a genuinely concurrent
 // execution (run the tests with -race).
 //
+// It is the goroutine rung of the oracle ladder that checks Equation (4):
+// beside the closed form (internal/capacity), the exact constant-edge
+// minima (internal/sdf) and the discrete-event simulator (internal/sim),
+// TestPipelineVariableRates runs the Figure-1 pair at the capacity
+// capacity.Compute returns, on real goroutines and blocking buffers.
+//
 // Buffers are single-producer single-consumer, as in a task-graph chain.
 package cheap
 

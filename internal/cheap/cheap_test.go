@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/quanta"
+	"vrdfcap/internal/ratio"
+	"vrdfcap/internal/taskgraph"
 )
 
 func TestBufferFIFOWrapAround(t *testing.T) {
@@ -230,9 +233,22 @@ func TestPipelineIdentityPreservesOrder(t *testing.T) {
 }
 
 func TestPipelineVariableRates(t *testing.T) {
-	// Figure-1 shape on a real concurrent runtime: producer emits 3 per
-	// firing, consumer takes 2 or 3 per firing. Capacity 7 (Equation 4)
-	// completes; the values arrive in order.
+	// The paper's Figure-1 pair on a real concurrent runtime: producer
+	// emits 3 per firing, consumer takes 2 or 3 per firing. The buffer
+	// gets the capacity Equation (4) computes for τ = 3; the run must
+	// complete with the values in order.
+	g, err := taskgraph.Pair("wa", ratio.FromInt(1), "wb", ratio.FromInt(1),
+		taskgraph.MustQuanta(3), taskgraph.MustQuanta(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := capacity.Compute(g, taskgraph.Constraint{Task: "wb", Period: ratio.FromInt(3)}, capacity.PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Valid {
+		t.Fatalf("Equation 4 infeasible: %v", res.Diagnostics)
+	}
 	var mu sync.Mutex
 	var got []int64
 	next := int64(0)
@@ -257,12 +273,26 @@ func TestPipelineVariableRates(t *testing.T) {
 			},
 		},
 	}
-	p, err := NewPipeline(stages, []int64{7})
+	size := res.Buffers[0].Capacity
+	p, err := NewPipeline(stages, []int64{size})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(400); err != nil {
-		t.Fatal(err)
+	// An insufficient capacity stalls the goroutines rather than
+	// erroring, so a stall fails the test instead of hanging it.
+	done := make(chan error, 1)
+	go func() { done <- p.Run(400) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		for _, b := range p.buffers {
+			b.Close()
+		}
+		<-done
+		t.Fatalf("capacity %d stalled after %d sink firings", size, p.SinkFired())
 	}
 	// 400 firings of the 2,3 cycle consume 200·5 = 1000 values.
 	if len(got) != 1000 {

@@ -30,10 +30,9 @@ type Limits struct {
 }
 
 // DefaultLimits are the limits a service should start from: roomy enough
-// for every graph in this repository (the §5 MP3 chain, the video case
-// study, the generated soak graphs) with two orders of magnitude to spare,
-// small enough that a hostile document cannot make the parser allocate
-// unbounded memory.
+// for every graph in this repository (the §5 MP3 chain, the generated
+// soak graphs) with two orders of magnitude to spare, small enough that a
+// hostile document cannot make the parser allocate unbounded memory.
 var DefaultLimits = Limits{
 	MaxBytes:   1 << 20, // 1 MiB of input
 	MaxTasks:   4096,

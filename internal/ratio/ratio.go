@@ -362,22 +362,6 @@ func (r Rat) Ceil() int64 {
 	return q
 }
 
-// Min returns the smaller of r and s.
-func Min(r, s Rat) Rat {
-	if r.Cmp(s) <= 0 {
-		return r
-	}
-	return s
-}
-
-// Max returns the larger of r and s.
-func Max(r, s Rat) Rat {
-	if r.Cmp(s) >= 0 {
-		return r
-	}
-	return s
-}
-
 // Float64 returns the nearest float64 approximation of r. It is intended for
 // reporting only; the analysis never rounds through floats.
 func (r Rat) Float64() float64 {

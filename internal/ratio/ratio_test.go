@@ -277,16 +277,6 @@ func TestGCDLCM(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	a, b := MustNew(1, 3), MustNew(1, 2)
-	if got := Min(a, b); !got.Equal(a) {
-		t.Errorf("Min = %v, want %v", got, a)
-	}
-	if got := Max(a, b); !got.Equal(b) {
-		t.Errorf("Max = %v, want %v", got, b)
-	}
-}
-
 // small draws bounded rationals so that property tests stay clear of
 // legitimate overflow.
 func small(n1, d1 int64) Rat {

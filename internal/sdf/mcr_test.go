@@ -205,3 +205,50 @@ func TestAnalyticPeriodValidation(t *testing.T) {
 		t.Error("unknown actor accepted")
 	}
 }
+
+// TestExactMinimaOfConstantMP3Edges is the exact rung of the oracle ladder
+// for the two constant-rate edges of the §5 MP3 chain. Each edge is an
+// isolated credit loop with the paper's response times, and the exact
+// minimum is the smallest capacity whose self-timed consumer period meets
+// the constraint: 882 on vSRC→vDAC (the d3 the paper prints) and 3072 on
+// vMP3→vSRC, against Equation (4)'s 883 and 3263. One token below each
+// minimum the period is strictly slower.
+func TestExactMinimaOfConstantMP3Edges(t *testing.T) {
+	wcrt := mp3.WCRTs()
+	cases := []struct {
+		name       string
+		src, dst   string
+		prod, cons int64
+		min, eq4   int64
+		below      ratio.Rat // consumer period at min−1
+		target     ratio.Rat // consumer period the constraint demands
+	}{
+		{
+			name: "vSRC→vDAC", src: mp3.TaskSRC, dst: mp3.TaskDAC,
+			prod: mp3.SRCOut, cons: 1, min: 882, eq4: 883,
+			below: r(221, 9724050), target: r(1, mp3.OutputRate),
+		},
+		{
+			name: "vMP3→vSRC", src: mp3.TaskMP3, dst: mp3.TaskSRC,
+			prod: mp3.FrameSamples, cons: mp3.SRCIn, min: 3072, eq4: 3263,
+			below: r(61, 6000), target: r(1, 100),
+		},
+	}
+	for _, c := range cases {
+		if !c.target.Less(c.below) {
+			t.Fatalf("%s: %v does not miss the target %v", c.name, c.below, c.target)
+		}
+		for _, p := range []struct {
+			d    int64
+			want ratio.Rat
+		}{{c.min - 1, c.below}, {c.min, c.target}, {c.eq4, c.target}} {
+			got, err := AnalyticPeriod(credit(t, wcrt[c.src], wcrt[c.dst], c.prod, c.cons, p.d), "v")
+			if err != nil {
+				t.Fatalf("%s at %d: %v", c.name, p.d, err)
+			}
+			if !got.Equal(p.want) {
+				t.Errorf("%s at %d: period %v, want %v", c.name, p.d, got, p.want)
+			}
+		}
+	}
+}

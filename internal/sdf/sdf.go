@@ -11,6 +11,11 @@
 // package rejects — data-dependent rates, where no repetition vector
 // exists because the balance equations change every firing.
 //
+// On constant-rate edges it is the exact rung of the oracle ladder that
+// checks Equation (4): AnalyticPeriod on an isolated credit loop gives the
+// exact minimum capacity of each constant edge of the §5 MP3 chain
+// (TestExactMinimaOfConstantMP3Edges).
+//
 // An SDF graph is represented as a vrdf.Graph whose quanta sets are all
 // singletons; IsSDF checks the restriction.
 package sdf

@@ -69,10 +69,6 @@ type Config struct {
 	// RequestTimeout is the wall-clock budget per computation, enforced
 	// through internal/budget (0: 30s; negative: unlimited).
 	RequestTimeout time.Duration
-	// SearchWorkers is the parallelism inside one sweep or degradation
-	// curve (≤0: 1; cross-request parallelism comes from Workers).
-	// Minimizations are serial.
-	SearchWorkers int
 	// Firings is the default simulation horizon for minimize and
 	// degradation requests (≤0: 1000); MaxFirings caps the per-request
 	// override (≤0: 200000).
@@ -116,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.SearchWorkers <= 0 {
-		c.SearchWorkers = 1
 	}
 	if c.Firings <= 0 {
 		c.Firings = 1000
@@ -505,8 +498,10 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		key := probecache.GraphKey(g, "serve-sweep",
 			"task="+con.Task, "policy="+policy.String(), "periods="+joined)
 		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
+			// One worker per request: Config.Workers already runs
+			// requests in parallel, and results do not depend on it.
 			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
-				Parallel: s.cfg.SearchWorkers,
+				Parallel: 1,
 				Context:  ctx,
 				Deadline: deadline,
 				Cache:    s.cfg.Store.Entry(capacity.SweepKey(g, con.Task, policy)).Periods(),
@@ -553,7 +548,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				Factors:    faults.FactorRange(ratio.FromInt(1), maxFactor, faults.DegradationPoints),
 				Seed:       uint64(seed),
 				Firings:    firings,
-				Workers:    s.cfg.SearchWorkers,
+				Workers:    1,
 				Context:    ctx,
 				Deadline:   deadline,
 			})
