@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"vrdfcap"
+	"vrdfcap/internal/budget"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/cli"
 	"vrdfcap/internal/minimize"
@@ -65,9 +65,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer stopProfiling()
-	var deadline time.Time
+	ctx := context.Background()
 	if *timeout > 0 {
-		deadline = time.Now().Add(*timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 	var jitter vrdfcap.RatNum
 	if *jitterStr != "" {
@@ -159,11 +161,11 @@ func run(args []string, out io.Writer) error {
 		prob, err := minimize.NewProblem(g, sized, res, c, *minimizeFirings,
 			sim.Workloads{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}},
 			fmt.Sprintf("uniform-vbr:seed=%d", *seed), store,
-			minimize.Options{MaxEvents: *maxEvents, Deadline: deadline, Stats: mstats})
+			minimize.Options{MaxEvents: *maxEvents, Stats: mstats})
 		if err != nil {
 			return err
 		}
-		mres, err := prob.Search(context.Background(), deadline)
+		mres, err := prob.Search(ctx)
 		if err != nil {
 			return err
 		}
@@ -199,7 +201,7 @@ func run(args []string, out io.Writer) error {
 			Firings:    *minimizeFirings,
 			Workloads:  vrdfcap.Workloads{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}},
 			Workers:    *parallelN,
-			Deadline:   deadline,
+			Context:    ctx,
 		})
 		if err != nil {
 			return err
@@ -243,13 +245,13 @@ func run(args []string, out io.Writer) error {
 	// The streams are independent simulations; run them on the pool and
 	// report in order, failing on the first bad stream as the serial loop
 	// did.
-	verifications, err := parallel.Map(context.Background(), *parallelN, len(streams), func(i int) (*vrdfcap.Verification, error) {
+	verifications, err := parallel.Map(ctx, *parallelN, len(streams), func(i int) (*vrdfcap.Verification, error) {
 		vopts := vrdfcap.VerifyOptions{
 			Firings:   *firings,
 			Workloads: vrdfcap.Workloads{names[0]: {Cons: streams[i].seq}},
 			Validate:  true,
 			MaxEvents: *maxEvents,
-			Deadline:  deadline,
+			Context:   ctx,
 		}
 		if inj != nil {
 			inj.Apply(&vopts)
@@ -257,7 +259,7 @@ func run(args []string, out io.Writer) error {
 		return vrdfcap.Verify(sized, c, vopts)
 	})
 	if err != nil {
-		return err
+		return budget.Classify(err)
 	}
 	for i, v := range verifications {
 		stats.Probes++

@@ -46,7 +46,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"vrdfcap"
 	"vrdfcap/internal/capacity"
@@ -125,10 +124,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	// One budget covers the whole invocation: every simulation-backed step
-	// below shares the same wall-clock deadline.
-	var deadline time.Time
+	// below runs under the same context, whose deadline -timeout sets.
+	ctx := context.Background()
 	if *timeout > 0 {
-		deadline = time.Now().Add(*timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 	var jitter vrdfcap.RatNum
 	if *jitterStr != "" {
@@ -163,7 +164,7 @@ func run(args []string, out io.Writer) error {
 		}
 		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
 			Parallel: *parallelN,
-			Deadline: deadline,
+			Context:  ctx,
 			Cache:    cli.Periods(store, capacity.SweepKey(g, c.Task, policy)),
 		})
 		if err != nil {
@@ -199,7 +200,7 @@ func run(args []string, out io.Writer) error {
 				Workloads: vrdfcap.UniformWorkloads(sized, *seed),
 				Validate:  true,
 				MaxEvents: *maxEvents,
-				Deadline:  deadline,
+				Context:   ctx,
 			}
 			if jitter.Sign() > 0 {
 				inj, err := vrdfcap.NewFaultInjector(sized, vrdfcap.FaultSpec{Jitter: jitter, Seed: uint64(*seed)})
@@ -237,11 +238,11 @@ func run(args []string, out io.Writer) error {
 			mstats := &minimize.ProbeStats{}
 			prob, err := minimize.NewProblem(g, sized, res, *c, probeFirings,
 				vrdfcap.UniformWorkloads(sized, *seed), fmt.Sprintf("uniform:seed=%d", *seed), store,
-				minimize.Options{MaxEvents: *maxEvents, Deadline: deadline, Stats: mstats})
+				minimize.Options{MaxEvents: *maxEvents, Stats: mstats})
 			if err != nil {
 				return err
 			}
-			mres, err := prob.Search(context.Background(), deadline)
+			mres, err := prob.Search(ctx)
 			if err != nil {
 				return err
 			}
@@ -276,7 +277,7 @@ func run(args []string, out io.Writer) error {
 				Seed:       uint64(*seed),
 				Firings:    *firings,
 				Workers:    *parallelN,
-				Deadline:   deadline,
+				Context:    ctx,
 			})
 			if err != nil {
 				return err

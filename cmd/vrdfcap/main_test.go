@@ -339,12 +339,18 @@ func TestRunDegradationSweep(t *testing.T) {
 	}
 }
 
+// TestRunTimeoutExpired pins that -timeout is a context deadline: every
+// simulation-backed step reports it with the library's and the service's
+// typed error and text.
 func TestRunTimeoutExpired(t *testing.T) {
 	path := writeMP3JSON(t, true)
-	var out bytes.Buffer
-	err := run([]string{"-verify", "-timeout", "1ns", path}, &out)
-	if !errors.Is(err, vrdfcap.ErrBudgetExceeded) {
-		t.Errorf("expired -timeout: err = %v, want ErrBudgetExceeded", err)
+	for _, step := range []string{"-verify", "-minimize", "-sweep=1/44100", "-degradation=2"} {
+		var out bytes.Buffer
+		err := run([]string{step, "-timeout", "1ns", path}, &out)
+		if !errors.Is(err, vrdfcap.ErrBudgetExceeded) ||
+			!strings.HasSuffix(err.Error(), "wall-clock budget exceeded: context deadline exceeded") {
+			t.Errorf("%s with an expired -timeout: err = %v, want ErrBudgetExceeded ending in the context deadline", step, err)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package budgetloop checks that the search loops of the analysis core
-// consult a cancellation budget. PR 3 threaded context/deadline budgets
-// through every search path precisely because a sizing service must be able
-// to walk away from a 50M-event simulation; this analyzer keeps new loops
-// from quietly opting out.
+// consult a cancellation budget. Every search path takes a context, the
+// one carrier of cancellation and wall-clock budgets, precisely because a
+// sizing service must be able to walk away from a 50M-event simulation;
+// this analyzer keeps new loops from quietly opting out.
 //
 // Scope: non-test files of the packages minimize, capacity, exact, sim
 // and serve (matched by final import-path element) — serve
@@ -18,9 +18,9 @@
 //
 // A relevant loop passes if its body (or a local closure it calls — the
 // core's probe/eval closures hide the budget check one level down)
-// contains a budget touch: a method call on a *budget.Budget or a
-// context.Context, a call into package budget, passing a Budget or Context
-// to a callee, or a select with a Done channel. Loops that are genuinely
+// contains a budget touch: a method call on a context.Context, a call into
+// package budget, passing a Context to a callee, or a select with a Done
+// channel. Loops that are genuinely
 // bounded and cheap carry a //vrdf:unbudgeted(reason) waiver on the line
 // above; a waiver with an empty reason is itself a finding.
 package budgetloop
@@ -165,8 +165,7 @@ func hasBudgetCheck(pass *analysis.Pass, body *ast.BlockStmt, closures map[types
 		if !ok {
 			return true
 		}
-		// A method on a Budget/Context receiver, or any call into package
-		// budget.
+		// A method on a Context receiver, or any call into package budget.
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if isBudgetish(pass, sel.X) {
 				found = true
@@ -179,7 +178,7 @@ func hasBudgetCheck(pass *analysis.Pass, body *ast.BlockStmt, closures map[types
 				}
 			}
 		}
-		// Delegation: a Budget or Context handed to the callee.
+		// Delegation: a Context handed to the callee.
 		for _, a := range call.Args {
 			if isBudgetish(pass, a) {
 				found = true
@@ -202,30 +201,12 @@ func hasBudgetCheck(pass *analysis.Pass, body *ast.BlockStmt, closures map[types
 	return found
 }
 
-// isBudgetish reports whether the expression is a *budget.Budget or a
-// context.Context.
+// isBudgetish reports whether the expression is a context.Context.
 func isBudgetish(pass *analysis.Pass, x ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(x)
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := pass.TypesInfo.TypeOf(x).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	if obj.Name() == "Budget" && analysis.PkgIs(path, "budget") {
-		return true
-	}
-	if obj.Name() == "Context" && path == "context" {
-		return true
-	}
-	return false
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

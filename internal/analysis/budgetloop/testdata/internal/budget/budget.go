@@ -1,12 +1,7 @@
 // Package budget is a stub of vrdfcap/internal/budget for analyzer
-// fixtures: the budgetloop analyzer matches the Budget type and the package
-// by final import-path element.
+// fixtures: the budgetloop analyzer matches the package by final
+// import-path element.
 package budget
 
-// Budget mirrors the cancellation surface of budget.Budget.
-type Budget struct{}
-
-func (b *Budget) Err() error { return nil }
-
-// Exceeded is a package-level helper, standing in for budget.* calls.
-func Exceeded(b *Budget) bool { return false }
+// Classify is a package-level helper, standing in for budget.* calls.
+func Classify(err error) error { return err }

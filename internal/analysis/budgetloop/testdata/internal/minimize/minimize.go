@@ -12,6 +12,8 @@ import (
 func simulate(x int) int { return x }
 func plain(x int) int    { return x }
 
+func probeUnder(ctx context.Context, x int) bool { return x > 0 }
+
 // --- flagged ---
 
 func unbudgetedBinarySearch(lo, hi int) int {
@@ -44,9 +46,9 @@ func unbudgetedProbeRange(periods []int) int {
 
 // --- allowed: budget or context consulted ---
 
-func budgetedSearch(bud *budget.Budget, lo, hi int) int {
-	for lo < hi { // ok: checks the budget
-		if bud.Err() != nil {
+func budgetedSearch(ctx context.Context, lo, hi int) int {
+	for lo < hi { // ok: checks the context
+		if ctx.Err() != nil {
 			return lo
 		}
 		lo++
@@ -54,14 +56,24 @@ func budgetedSearch(bud *budget.Budget, lo, hi int) int {
 	return lo
 }
 
-func budgetedByDelegation(bud *budget.Budget, lo, hi int) int {
-	for lo < hi { // ok: hands the budget to the callee
-		if budget.Exceeded(bud) {
+func budgetedByDelegation(ctx context.Context, lo, hi int) int {
+	for lo < hi { // ok: hands the context to the callee
+		if probeUnder(ctx, lo) {
 			return lo
 		}
 		lo++
 	}
 	return lo
+}
+
+func budgetPackageCall(errs []error) int {
+	i := 0
+	for { // ok: calls into package budget
+		if budget.Classify(errs[i]) != nil {
+			return i
+		}
+		i++
+	}
 }
 
 func contextLoop(ctx context.Context) {
@@ -72,9 +84,9 @@ func contextLoop(ctx context.Context) {
 	}
 }
 
-func closureProbe(bud *budget.Budget, lo, hi int) int {
+func closureProbe(ctx context.Context, lo, hi int) int {
 	probe := func(x int) bool {
-		if bud.Err() != nil {
+		if ctx.Err() != nil {
 			return false
 		}
 		return plain(x) > 0

@@ -7,9 +7,9 @@
 //
 // Findings, in non-test files of the core packages:
 //
-//   - time.Now / time.Since / time.Until calls. Deadline handling belongs in
-//     internal/budget, which owns the single clock; core code receives
-//     budgets, not clocks.
+//   - time.Now / time.Since / time.Until calls. A wall-clock budget reaches
+//     the core as a context deadline, whose timer the context package
+//     owns; core code polls ctx.Err() and never reads a clock.
 //   - calls to math/rand or math/rand/v2 package-level functions (the shared,
 //     unseeded generator). Using an explicitly seeded *rand.Rand is allowed —
 //     determinism comes from the caller-owned seed.

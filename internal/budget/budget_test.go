@@ -8,72 +8,45 @@ import (
 	"time"
 )
 
-func TestNilBudgetNeverTrips(t *testing.T) {
-	var b *Budget
-	if err := b.Err(); err != nil {
-		t.Errorf("nil budget Err() = %v", err)
-	}
-	if _, ok := b.Deadline(); ok {
-		t.Error("nil budget reports a deadline")
-	}
-	if b.Context() == nil {
-		t.Error("nil budget Context() is nil")
-	}
-	if At(nil, time.Time{}) != nil {
-		t.Error("At with no constraints should return the nil budget")
-	}
-	if New(nil, 0) != nil {
-		t.Error("New with no constraints should return the nil budget")
-	}
-}
-
 func TestErrCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	b := At(ctx, time.Time{})
-	if err := b.Err(); err != nil {
-		t.Fatalf("Err() before cancel = %v", err)
+	if err := Classify(ctx.Err()); err != nil {
+		t.Fatalf("Classify(ctx.Err()) before cancel = %v", err)
 	}
 	cancel()
-	err := b.Err()
+	err := Classify(ctx.Err())
 	if !errors.Is(err, ErrCanceled) {
-		t.Errorf("Err() = %v, want ErrCanceled", err)
+		t.Errorf("Classify(ctx.Err()) = %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Err() = %v, want to also satisfy context.Canceled", err)
+		t.Errorf("Classify(ctx.Err()) = %v, want to also satisfy context.Canceled", err)
 	}
 }
 
 func TestErrBudgetExceeded(t *testing.T) {
-	b := At(nil, time.Now().Add(-time.Second))
-	if err := b.Err(); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("expired deadline Err() = %v, want ErrBudgetExceeded", err)
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if err := Classify(past.Err()); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("expired deadline Classify(ctx.Err()) = %v, want ErrBudgetExceeded", err)
 	}
-	if err := At(nil, time.Now().Add(time.Hour)).Err(); err != nil {
-		t.Errorf("future deadline Err() = %v, want nil", err)
+	future, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if err := Classify(future.Err()); err != nil {
+		t.Errorf("future deadline Classify(ctx.Err()) = %v, want nil", err)
 	}
 }
 
+// TestContextDeadlineClassifiesAsBudget pins the error text every surface
+// reports for an exhausted wall-clock budget.
 func TestContextDeadlineClassifiesAsBudget(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
-	err := At(ctx, time.Time{}).Err()
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("context past its deadline Err() = %v, want ErrBudgetExceeded", err)
+	err := Classify(ctx.Err())
+	if !errors.Is(err, ErrBudgetExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("context past its deadline classified as %v, want ErrBudgetExceeded and context.DeadlineExceeded", err)
 	}
-}
-
-func TestDeadlineMergesContextDeadline(t *testing.T) {
-	far := time.Now().Add(time.Hour)
-	near := time.Now().Add(time.Minute)
-	ctx, cancel := context.WithDeadline(context.Background(), near)
-	defer cancel()
-	d, ok := At(ctx, far).Deadline()
-	if !ok || !d.Equal(near) {
-		t.Errorf("Deadline() = %v, %v; want the earlier context deadline %v", d, ok, near)
-	}
-	d, ok = At(nil, far).Deadline()
-	if !ok || !d.Equal(far) {
-		t.Errorf("Deadline() = %v, %v; want explicit deadline %v", d, ok, far)
+	if want := "wall-clock budget exceeded: context deadline exceeded"; err.Error() != want {
+		t.Errorf("message = %q, want %q", err.Error(), want)
 	}
 }
 

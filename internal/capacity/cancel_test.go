@@ -53,8 +53,10 @@ func TestSweepDeadlineExceeded(t *testing.T) {
 	g := sweepPair(t)
 	for _, workers := range []int{1, 0} {
 		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		_, err := SweepPeriodsOpt(g, "wb", sweepPeriodList(), PolicyEquation4,
-			SweepOptions{Parallel: workers, Deadline: time.Now().Add(-time.Second)})
+			SweepOptions{Parallel: workers, Context: ctx})
+		cancel()
 		if !errors.Is(err, budget.ErrBudgetExceeded) {
 			t.Fatalf("workers=%d: err = %v, want ErrBudgetExceeded", workers, err)
 		}
@@ -71,8 +73,9 @@ func TestSweepBudgetedMatchesUnbudgeted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4,
-		SweepOptions{Context: context.Background(), Deadline: time.Now().Add(time.Hour)})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	budgeted, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

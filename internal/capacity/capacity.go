@@ -42,10 +42,11 @@ const (
 	// Known off-by-one versus the published table (DESIGN.md §2,
 	// EXPERIMENTS.md): on the MP3 chain's fully constant SRC→DAC buffer a
 	// faithful evaluation of Equation (4) yields d3 = 883 where the paper
-	// reports 882 — the formula's +1 counts the exact-tie token that a
-	// simultaneous produce/consume at the same instant would cover, which
-	// exact-tie counting shows is not needed on that edge. d1 and d2
-	// reproduce exactly; PolicyHybrid recovers 882.
+	// reports 882. 882 is that edge's exact minimum (internal/sdf,
+	// TestExactMinimaOfConstantMP3Edges: 881 misses the rate); the extra
+	// token is Equation (4)'s +1 tie term, which covers a produce and a
+	// consume at the same instant and is not needed on a fully constant
+	// edge. d1 and d2 reproduce exactly; PolicyHybrid recovers 882.
 	PolicyEquation4 Policy = iota
 	// PolicyBaseline is the constant-rate comparator of [10, 14]:
 	// capacity = (ρx+ρy)/μ + p + c − 2·gcd(p, c). It is only applicable

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/parallel"
@@ -36,12 +35,10 @@ type SweepOptions struct {
 	// identical for every setting (see internal/parallel for the
 	// first-error contract).
 	Parallel int
-	// Context, if non-nil, cancels the sweep cooperatively between
-	// periods; the typed error satisfies budget.ErrCanceled.
+	// Context, if non-nil, cancels or time-bounds the sweep
+	// cooperatively between periods; the typed errors satisfy
+	// budget.ErrCanceled and budget.ErrBudgetExceeded.
 	Context context.Context
-	// Deadline, if non-zero, bounds the sweep in wall-clock time; the
-	// typed error satisfies budget.ErrBudgetExceeded.
-	Deadline time.Time
 	// Cache is the period-verdict cache the sweep records into and
 	// MinimalFeasiblePeriod probes from; nil means no cache. Passing one
 	// cache (for example a probecache.Store entry under SweepKey) to a
@@ -83,10 +80,13 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 		return nil, err
 	}
 	cache := opts.Cache
-	bud := budget.At(opts.Context, opts.Deadline)
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	eval := func(i int) (SweepPoint, error) {
-		if err := bud.Err(); err != nil {
-			return SweepPoint{}, err
+		if err := ctx.Err(); err != nil {
+			return SweepPoint{}, budget.Classify(err)
 		}
 		tau := periods[i]
 		res, err := a.At(tau)
@@ -116,10 +116,6 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 			out = append(out, pt)
 		}
 		return out, nil
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	pts, err := parallel.Map(ctx, opts.Parallel, len(periods), eval)
 	if err != nil {
@@ -172,11 +168,14 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 		return SweepPoint{}, err
 	}
 	cache := opts.Cache
-	bud := budget.At(opts.Context, opts.Deadline)
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	computed := make([]*SweepPoint, len(periods))
 	probe := func(i int) (bool, error) {
-		if err := bud.Err(); err != nil {
-			return false, err
+		if err := ctx.Err(); err != nil {
+			return false, budget.Classify(err)
 		}
 		tau := periods[i]
 		if cache != nil {

@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/parallel"
@@ -41,11 +40,9 @@ type DegradationConfig struct {
 	Workloads sim.Workloads
 	// Workers bounds the sweep's parallelism (<= 0 means GOMAXPROCS).
 	Workers int
-	// Context, if non-nil, cancels the sweep cooperatively; Deadline, if
-	// non-zero, bounds it in wall-clock time. Errors carry the typed
-	// budget sentinels.
-	Context  context.Context
-	Deadline time.Time
+	// Context, if non-nil, cancels or time-bounds the sweep
+	// cooperatively. Errors carry the typed budget sentinels.
+	Context context.Context
 }
 
 // DegradationPoint is the verification outcome at one overrun factor.
@@ -159,8 +156,7 @@ func Sweep(cfg DegradationConfig) (*DegradationCurve, error) {
 			Firings:    cfg.Firings,
 			Workloads:  workloads,
 			LiteResult: true,
-			Context:    cfg.Context,
-			Deadline:   cfg.Deadline,
+			Context:    ctx,
 		}
 		inj.Apply(&opts)
 		v, err := sim.VerifyThroughput(cfg.Graph, cfg.Constraint, opts)

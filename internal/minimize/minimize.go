@@ -19,10 +19,8 @@ package minimize
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"vrdfcap/internal/budget"
-	"vrdfcap/internal/parallel"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/sim"
 	"vrdfcap/internal/taskgraph"
@@ -34,6 +32,11 @@ import (
 // time; a CheckFunc shared by concurrent searches must be safe for
 // concurrent calls (the checks built by this package are).
 type CheckFunc func(caps map[string]int64) (bool, error)
+
+// probeFunc is a check that runs under the context of the search probing
+// it. A Problem's check is one: its pooled verifiers take each probe's
+// context from the search, so none of them keeps a search's context.
+type probeFunc func(ctx context.Context, caps map[string]int64) (bool, error)
 
 // Options tunes the caches and guards of checks and searches.
 type Options struct {
@@ -76,12 +79,11 @@ type Options struct {
 	// (events simulated, events skipped by warm starts, warm/cold reset
 	// counts) across all probes of the check.
 	Stats *ProbeStats
-	// Context, if non-nil, cancels checks and searches cooperatively; the
-	// typed error satisfies budget.ErrCanceled (and context.Canceled).
+	// Context, if non-nil, cancels or time-bounds checks and searches
+	// cooperatively, down to the running simulation; the typed errors
+	// satisfy budget.ErrCanceled (and context.Canceled) and
+	// budget.ErrBudgetExceeded (and context.DeadlineExceeded).
 	Context context.Context
-	// Deadline, if non-zero, bounds checks and searches in wall-clock
-	// time; the typed error satisfies budget.ErrBudgetExceeded.
-	Deadline time.Time
 }
 
 func optOf(opts []Options) Options {
@@ -89,23 +91,6 @@ func optOf(opts []Options) Options {
 		return opts[0]
 	}
 	return Options{}
-}
-
-// ctx returns the option's context, never nil.
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
-// deadlineCtx returns a context enforcing both Context and Deadline, with
-// the cancel the caller must run to release the deadline timer.
-func (o Options) deadlineCtx() (context.Context, context.CancelFunc) {
-	if o.Deadline.IsZero() {
-		return o.ctx(), func() {}
-	}
-	return context.WithDeadline(o.ctx(), o.Deadline)
 }
 
 // feasibleOutcome maps a simulation outcome onto feasibility. Only two
@@ -147,7 +132,10 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 	o := optOf(opts)
 	tpl := &probeTemplate{base: g}
 	pools := make([]pool[*sim.Machine], len(workloads))
-	ctx := o.ctx()
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	return func(caps map[string]int64) (bool, error) {
 		ov, err := tpl.overrides(caps)
 		if err != nil {
@@ -168,7 +156,6 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 				cfg.LiteResult = true
 				cfg.Checkpoints = o.Checkpoints
 				cfg.Context = o.Context
-				cfg.Deadline = o.Deadline
 				if m, err = sim.Compile(cfg); err != nil {
 					return false, err
 				}
@@ -206,10 +193,20 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 // budget.ErrBudgetExceeded, never a verdict.
 func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, opts ...Options) CheckFunc {
 	o := optOf(opts)
+	check := throughputCheck(g, c, firings, workloads, o)
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return func(caps map[string]int64) (bool, error) { return check(ctx, caps) }
+}
+
+// throughputCheck is ThroughputCheck with the context taken per probe
+// instead of from Options.Context, which it ignores.
+func throughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, o Options) probeFunc {
 	tpl := &probeTemplate{base: g}
 	pools := make([]pool[*sim.Verifier], len(workloads))
-	ctx := o.ctx()
-	return func(caps map[string]int64) (bool, error) {
+	return func(ctx context.Context, caps map[string]int64) (bool, error) {
 		if _, err := tpl.overrides(caps); err != nil {
 			return false, err
 		}
@@ -226,14 +223,12 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 					MaxEvents:   o.MaxEvents,
 					LiteResult:  true,
 					Checkpoints: o.Checkpoints,
-					Context:     o.Context,
-					Deadline:    o.Deadline,
 				})
 				if err != nil {
 					return false, err
 				}
 			}
-			feasible, err := vf.Feasible(caps)
+			feasible, err := vf.Feasible(ctx, caps)
 			if err != nil {
 				return false, err
 			}
@@ -292,17 +287,25 @@ func (r *Result) Total() int64 {
 // Probes run one at a time, so the probe sequence, and with it every
 // counter of the Result, depends only on the inputs. A check whose answers
 // violate monotonicity is reported as an error when the feasibility cache
-// exposes it. A panicking CheckFunc is recovered into a
-// *parallel.PanicError.
+// exposes it. Options.Context is checked before every probe, so the search
+// stops between probes even when the CheckFunc ignores it.
 func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...Options) (*Result, error) {
+	o := optOf(opts)
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return search(ctx, buffers, upper, func(_ context.Context, caps map[string]int64) (bool, error) {
+		return check(caps)
+	}, o)
+}
+
+// search is Search under ctx, which it checks before every probe and hands
+// to check; it reads only the cache and bound options of o.
+func search(ctx context.Context, buffers []string, upper map[string]int64, check probeFunc, o Options) (*Result, error) {
 	if len(buffers) == 0 {
 		return nil, fmt.Errorf("minimize: no buffers to search")
 	}
-	o := optOf(opts)
-	// The deadline gets its own derived context so the search stops between
-	// probes even when the CheckFunc ignores budgets.
-	ctx, cancelBudget := o.deadlineCtx()
-	defer cancelBudget()
 	cur := make(map[string]int64, len(buffers))
 	for _, b := range buffers {
 		u, ok := upper[b]
@@ -356,7 +359,7 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 			}
 		}
 		checks++
-		ok, err := parallel.Call(func(int) (bool, error) { return check(caps) }, 0)
+		ok, err := check(ctx, caps)
 		if err != nil {
 			return false, budget.Classify(err)
 		}

@@ -3,7 +3,6 @@ package minimize
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/probecache"
@@ -35,8 +34,9 @@ func Fingerprint(sized *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 // Problem is one throughput-constrained minimisation, set up once and
 // searchable any number of times: the buffer order and analytic upper
 // bounds of the sized graph, the α̂/α̌ pruning bounds, the verdict-store
-// frontier and the compiled ThroughputCheck, whose verifiers are reused
-// across probes and across searches.
+// frontier and the compiled throughput check, whose verifiers are reused
+// across probes and across searches. The Problem holds no context: each
+// Search hands its own to the probes it runs.
 type Problem struct {
 	// Fingerprint keys the problem's frontier in the verdict store.
 	Fingerprint string
@@ -45,7 +45,7 @@ type Problem struct {
 	// Upper holds the analytic capacity of each buffer.
 	Upper map[string]int64
 
-	check    CheckFunc
+	check    probeFunc
 	bounds   *Bounds
 	frontier *probecache.Frontier
 }
@@ -55,8 +55,9 @@ type Problem struct {
 // of the constrained task against one workload named by workloadKey.
 // Verdicts come from and go to store's frontier for the problem's
 // Fingerprint; a nil store disables verdict caching entirely. opts
-// supplies MaxEvents, Stats, Context and Deadline for the probes; the
-// problem sets the cache, the bounds and the checkpoint count itself.
+// supplies MaxEvents and Stats for the probes; the problem sets the cache,
+// the bounds and the checkpoint count itself, and ignores opts.Context:
+// the context of each Search bounds its probes.
 func NewProblem(g, sized *taskgraph.Graph, res *capacity.Result, c taskgraph.Constraint, firings int64, workloads sim.Workloads, workloadKey string, store *probecache.Store, opts Options) (*Problem, error) {
 	if firings <= 0 {
 		return nil, fmt.Errorf("minimize: probe horizon must be positive, got %d firings", firings)
@@ -85,20 +86,20 @@ func NewProblem(g, sized *taskgraph.Graph, res *capacity.Result, c taskgraph.Con
 	}
 	p.bounds = &Bounds{Sufficient: sufficient, Necessary: necessary}
 	opts.Checkpoints = problemCheckpoints
-	p.check = ThroughputCheck(g, c, firings, []sim.Workloads{workloads}, opts)
+	p.check = throughputCheck(g, c, firings, []sim.Workloads{workloads}, opts)
 	return p, nil
 }
 
-// Search finds the minimal capacities under ctx and deadline (zero: no
-// deadline), pruning with the problem's bounds and its frontier.
-// Concurrent searches of one Problem are safe; they share the frontier
-// and the verifier pool.
-func (p *Problem) Search(ctx context.Context, deadline time.Time) (*Result, error) {
-	return Search(p.Buffers, p.Upper, p.check, Options{
-		Context:  ctx,
-		Deadline: deadline,
-		Cache:    p.frontier,
-		NoCache:  p.frontier == nil,
-		Bounds:   p.bounds,
+// Search finds the minimal capacities, pruning with the problem's bounds
+// and its frontier. ctx cancels or time-bounds the search: it is checked
+// before every probe and by the probe's running simulation, so a search
+// stops within a few thousand simulated events of ctx ending. Concurrent
+// searches of one Problem are safe; they share the frontier and the
+// verifier pool.
+func (p *Problem) Search(ctx context.Context) (*Result, error) {
+	return search(ctx, p.Buffers, p.Upper, p.check, Options{
+		Cache:   p.frontier,
+		NoCache: p.frontier == nil,
+		Bounds:  p.bounds,
 	})
 }

@@ -2,10 +2,13 @@ package minimize
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
+
+	"vrdfcap/internal/budget"
 
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/mp3"
@@ -53,7 +56,7 @@ func TestProblemMatchesColdSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, err := p.Search(context.Background(), time.Time{})
+		got, err := p.Search(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -88,7 +91,7 @@ func TestProblemSharesStoreByFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := p.Search(context.Background(), time.Time{})
+		out, err := p.Search(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,5 +123,63 @@ func TestNewProblemRejectsNonPositiveHorizon(t *testing.T) {
 			!strings.Contains(err.Error(), "horizon must be positive") {
 			t.Errorf("firings=%d: err = %v, want a non-positive horizon error", firings, err)
 		}
+	}
+}
+
+// trippingCtx is a context whose Err reports an expired deadline from its
+// n-th call on, so a search can be stopped deterministically at a chosen
+// budget check.
+type trippingCtx struct {
+	context.Context
+	calls, n int64
+}
+
+func (c *trippingCtx) Err() error {
+	if atomic.AddInt64(&c.calls, 1) >= c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestProblemSearchContextReachesRunningProbe pins that the context a
+// Problem is searched with is the one its running simulation checks: the
+// budget check that trips is the engine's, mid-run, not the search's check
+// between probes. The problem stays usable, and a later search under a
+// live context finds the same minimum as a fresh problem.
+func TestProblemSearchContextReachesRunningProbe(t *testing.T) {
+	g, err := mp3.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mp3.Constraint()
+	sized, res := sizedProblem(t, g, c)
+	wl := sim.UniformWorkloads(sized, 1)
+	newProblem := func() *Problem {
+		t.Helper()
+		p, err := NewProblem(g, sized, res, c, 4410, wl, "uniform:seed=1", probecache.NewStore(""), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := newProblem()
+	// Checks 1-3 are the search's two probe checks (the upper bound is
+	// bound-decided) and the check's own; 4 and 5 are the engine's at
+	// events 0 and 4096 of the first simulated probe.
+	_, err = p.Search(&trippingCtx{Context: context.Background(), n: 5})
+	if !errors.Is(err, budget.ErrBudgetExceeded) || !strings.Contains(err.Error(), "sim: run aborted after 4096 events") ||
+		!strings.HasSuffix(err.Error(), "wall-clock budget exceeded: context deadline exceeded") {
+		t.Fatalf("err = %v; want the running probe aborted at its 4096-event budget check with budget.ErrBudgetExceeded", err)
+	}
+	got, err := p.Search(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newProblem().Search(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Caps, want.Caps) {
+		t.Errorf("search after an aborted one found %v, a fresh problem %v", got.Caps, want.Caps)
 	}
 }

@@ -39,7 +39,8 @@ func Workers(n int) int {
 // and the goroutine stack captured at the panic site. Map converts panics
 // into errors so that one faulty evaluation cannot take down the process or
 // leak the pool's goroutines; the stack makes the fault debuggable after
-// the fact.
+// the fact. Error names the panic value only, so the stack never leaks into
+// a message shown to a client.
 type PanicError struct {
 	// Index is the evaluation index whose fn call panicked.
 	Index int
@@ -50,14 +51,14 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("parallel: evaluation %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
+	return fmt.Sprintf("parallel: evaluation %d panicked: %v", e.Index, e.Value)
 }
 
-// Call evaluates fn(i), converting a panic into a *PanicError. Map runs
+// call evaluates fn(i), converting a panic into a *PanicError. Map runs
 // every evaluation through it, so the worker goroutine survives and the
 // pool's first-error semantics apply to panics exactly as they do to
-// returned errors; serial callers use it for the same isolation.
-func Call[T any](fn func(i int) (T, error), i int) (v T, err error) {
+// returned errors.
+func call[T any](fn func(i int) (T, error), i int) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
@@ -115,7 +116,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 					fail(i, err)
 					return
 				}
-				v, err := Call(fn, int(i))
+				v, err := call(fn, int(i))
 				if err != nil {
 					fail(i, err)
 					continue

@@ -24,9 +24,9 @@
 //   - Bounded everything. Documents are parsed under graphio.Limits,
 //     computations run on a fixed worker pool with a bounded queue (a full
 //     queue sheds load with 503 instead of buffering), each computation
-//     gets a wall-clock budget enforced through internal/budget, and the
-//     access log is a lock-free ring that drops entries under pressure
-//     rather than blocking the request path.
+//     runs under a context deadline that reaches the running simulation,
+//     and the access log is a lock-free ring that drops entries under
+//     pressure rather than blocking the request path.
 package serve
 
 import (
@@ -66,8 +66,9 @@ type Config struct {
 	Workers int
 	// Queue bounds jobs waiting for a worker; a full queue answers 503 (≤0: 64).
 	Queue int
-	// RequestTimeout is the wall-clock budget per computation, enforced
-	// through internal/budget (0: 30s; negative: unlimited).
+	// RequestTimeout is the wall-clock budget per computation, a deadline
+	// on the context its probes and sweeps check (0: 30s; negative:
+	// unlimited).
 	RequestTimeout time.Duration
 	// Firings is the default simulation horizon for minimize and
 	// degradation requests (≤0: 1000); MaxFirings caps the per-request
@@ -371,10 +372,7 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 	if leader {
 		kind = kindCompute
 		job := func() {
-			if s.cfg.computeHook != nil {
-				s.cfg.computeHook()
-			}
-			e, err := s.render(spec)
+			e, err := s.compute(spec)
 			s.flights.finish(spec.key, call, e, err)
 		}
 		if err := s.pool.submit(job); err != nil {
@@ -404,6 +402,22 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 	s.log(c, pathID, int32(call.entry.status), kind, start)
 }
 
+// compute runs one flight's computation on a worker. It is the service's
+// one panic boundary: a panicking computation becomes an error that maps
+// to 500 for the leader and every coalesced waiter alike, and the worker
+// lives on. The panic value reaches the response; the stack does not.
+func (s *Server) compute(spec *jobSpec) (e *respEntry, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, err = nil, fmt.Errorf("serve: computation panicked: %v", r)
+		}
+	}()
+	if s.cfg.computeHook != nil {
+		s.cfg.computeHook()
+	}
+	return s.render(spec)
+}
+
 // render runs a computation under the per-request wall-clock budget and
 // encodes the response it will share with every coalesced waiter. The
 // budget hangs off the server's base context, NOT the leader's request
@@ -411,14 +425,12 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 // coalesced onto its flight.
 func (s *Server) render(spec *jobSpec) (*respEntry, error) {
 	ctx := s.baseCtx
-	var deadline time.Time
-	cancel := func() {}
 	if s.cfg.RequestTimeout > 0 {
-		deadline = time.Now().Add(s.cfg.RequestTimeout)
-		ctx, cancel = context.WithDeadline(ctx, deadline)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
 	}
-	defer cancel()
-	v, err := spec.run(ctx, deadline)
+	v, err := spec.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +445,7 @@ func (s *Server) render(spec *jobSpec) (*respEntry, error) {
 // that produces the (JSON-encodable) response value.
 type jobSpec struct {
 	key string
-	run func(ctx context.Context, deadline time.Time) (any, error)
+	run func(ctx context.Context) (any, error)
 }
 
 // buildSpec validates the per-endpoint parameters and prepares the
@@ -454,7 +466,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		}
 		key := probecache.GraphKey(g, "serve-size",
 			"policy="+policy.String(), "task="+con.Task, "period="+con.Period.String())
-		return &jobSpec{key: key, run: func(context.Context, time.Time) (any, error) {
+		return &jobSpec{key: key, run: func(context.Context) (any, error) {
 			return sizeResponseOf(res, policy), nil
 		}}, nil
 
@@ -470,7 +482,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		if !res.Valid {
 			key := probecache.GraphKey(g, "serve-minimize-invalid",
 				"policy="+policy.String(), "task="+con.Task, "period="+con.Period.String())
-			return &jobSpec{key: key, run: func(context.Context, time.Time) (any, error) {
+			return &jobSpec{key: key, run: func(context.Context) (any, error) {
 				return minimizeResponse{Valid: false, Policy: policy.String(), Task: con.Task,
 					Period: con.Period.String(), Firings: firings, Seed: seed,
 					Diagnostics: res.Diagnostics}, nil
@@ -482,8 +494,8 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		}
 		workload := fmt.Sprintf("uniform:seed=%d", seed)
 		fp := minimize.Fingerprint(sized, *con, firings, workload, s.cfg.MaxEvents)
-		return &jobSpec{key: fp, run: func(ctx context.Context, deadline time.Time) (any, error) {
-			return s.runMinimize(ctx, deadline, fp, workload, g, sized, res, con, policy, firings, seed)
+		return &jobSpec{key: fp, run: func(ctx context.Context) (any, error) {
+			return s.runMinimize(ctx, fp, workload, g, sized, res, con, policy, firings, seed)
 		}}, nil
 
 	case pathSweep:
@@ -497,13 +509,12 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		}
 		key := probecache.GraphKey(g, "serve-sweep",
 			"task="+con.Task, "policy="+policy.String(), "periods="+joined)
-		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
+		return &jobSpec{key: key, run: func(ctx context.Context) (any, error) {
 			// One worker per request: Config.Workers already runs
 			// requests in parallel, and results do not depend on it.
 			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
 				Parallel: 1,
 				Context:  ctx,
-				Deadline: deadline,
 				Cache:    s.cfg.Store.Entry(capacity.SweepKey(g, con.Task, policy)).Periods(),
 			})
 			if err != nil {
@@ -528,7 +539,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		if !res.Valid {
 			key := probecache.GraphKey(g, "serve-degradation-invalid",
 				"policy="+policy.String(), "task="+con.Task, "period="+con.Period.String())
-			return &jobSpec{key: key, run: func(context.Context, time.Time) (any, error) {
+			return &jobSpec{key: key, run: func(context.Context) (any, error) {
 				return degradationResponse{Valid: false, Diagnostics: res.Diagnostics}, nil
 			}}, nil
 		}
@@ -541,7 +552,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 			fmt.Sprintf("firings=%d", firings),
 			fmt.Sprintf("seed=%d", seed),
 		)
-		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
+		return &jobSpec{key: key, run: func(ctx context.Context) (any, error) {
 			curve, err := faults.Sweep(faults.DegradationConfig{
 				Graph:      sized,
 				Constraint: *con,
@@ -550,7 +561,6 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				Firings:    firings,
 				Workers:    1,
 				Context:    ctx,
-				Deadline:   deadline,
 			})
 			if err != nil {
 				return nil, err
@@ -564,7 +574,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 // runMinimize executes (or replays from the warm caches) one minimization.
 // The compiled problem is kept in the LRU under its fingerprint, so a
 // repeat request reuses the compiled verifiers.
-func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp, workload string, g, sized *taskgraph.Graph, res *capacity.Result, con *taskgraph.Constraint, policy capacity.Policy, firings, seed int64) (any, error) {
+func (s *Server) runMinimize(ctx context.Context, fp, workload string, g, sized *taskgraph.Graph, res *capacity.Result, con *taskgraph.Constraint, policy capacity.Policy, firings, seed int64) (any, error) {
 	prob, ok := s.problems.get(fp)
 	if !ok {
 		var err error
@@ -576,7 +586,7 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp, worklo
 		}
 		s.problems.put(fp, prob)
 	}
-	mres, err := prob.Search(ctx, deadline)
+	mres, err := prob.Search(ctx)
 	if err != nil {
 		return nil, err
 	}

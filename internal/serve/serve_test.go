@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,15 +45,14 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // blockCompute installs a computeHook that blocks flight leaders until the
-// returned release func runs; release is idempotent and registered as a
-// cleanup so a failing test cannot wedge Server.Close behind a blocked
-// worker.
-func blockCompute(t *testing.T, cfg *Config) (release func()) {
-	t.Helper()
+// returned release func runs. release is idempotent: callers defer it
+// right after deferring the test server's Close, so it runs first and a
+// failing test reports instead of wedging Close (and Server.Close) behind
+// a blocked worker.
+func blockCompute(cfg *Config) (release func()) {
 	ch := make(chan struct{})
 	var once sync.Once
 	release = func() { once.Do(func() { close(ch) }) }
-	t.Cleanup(release)
 	cfg.computeHook = func() { <-ch }
 	return release
 }
@@ -86,10 +87,11 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
 func TestCoalescing(t *testing.T) {
 	const n = 8
 	var cfg Config
-	release := blockCompute(t, &cfg)
+	release := blockCompute(&cfg)
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	defer release()
 
 	type reply struct {
 		status int
@@ -337,16 +339,97 @@ func TestMinimizeEventCapIs504(t *testing.T) {
 	}
 }
 
+// TestMinimizeTimeoutStopsRunningProbe pins that the request's wall-clock
+// budget reaches the simulation it interrupts: with a 1 ms budget and a
+// horizon whose single probe simulates for far longer, /v1/minimize
+// answers 504 from inside the running probe, not after it.
+func TestMinimizeTimeoutStopsRunningProbe(t *testing.T) {
+	doc, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{RequestTimeout: time.Millisecond, MaxFirings: 2_000_000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	start := time.Now()
+	status, body := post(t, ts, "/v1/minimize?firings=2000000", string(doc))
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", status, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("bad error body %s: %v", body, err)
+	}
+	if !strings.Contains(er.Error, "sim: run aborted after") ||
+		!strings.HasSuffix(er.Error, "wall-clock budget exceeded: context deadline exceeded") {
+		t.Errorf("error %q: want the running simulation aborted by the exhausted wall-clock budget", er.Error)
+	}
+	// One probe at this horizon simulates for well over 100 ms even on a
+	// fast machine; an answer after it would mean the budget was only
+	// checked between probes.
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("504 after %v; want it within a few ms of the 1 ms budget", elapsed)
+	}
+}
+
+// TestComputePanicIs500 pins the service's one panic boundary: a panicking
+// computation on any endpoint answers 500 without a stack trace in the
+// body, the process and its workers survive, and the next request
+// computes normally.
+func TestComputePanicIs500(t *testing.T) {
+	var explode atomic.Bool
+	explode.Store(true)
+	cfg := Config{Workers: 1}
+	cfg.computeHook = func() {
+		if explode.Load() {
+			panic("probe exploded")
+		}
+	}
+	s := newTestServer(t, cfg)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	paths := []string{"/v1/size", "/v1/minimize?firings=200", "/v1/sweep?periods=3,4", "/v1/degradation?firings=200&max=2"}
+	for _, path := range paths {
+		status, body := post(t, ts, path, pairDoc)
+		if status != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d, want 500: %s", path, status, body)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("%s: bad error body %s: %v", path, body, err)
+		}
+		if er.Error != "serve: computation panicked: probe exploded" {
+			t.Errorf("%s: error %q, want the panic value and no stack", path, er.Error)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the panics: status %d", resp.StatusCode)
+	}
+	explode.Store(false)
+	for _, path := range paths {
+		if status, body := post(t, ts, path, pairDoc); status != http.StatusOK {
+			t.Errorf("%s after the panics: status %d, want 200: %s", path, status, body)
+		}
+	}
+}
+
 // TestPoolShedsLoad pins the overload behaviour: with one worker and a
 // queue of one, a third distinct in-flight problem is rejected with 503
 // and a Retry-After header instead of queueing unboundedly. Distinct seeds
 // make distinct problems — comment variants would coalesce instead.
 func TestPoolShedsLoad(t *testing.T) {
 	cfg := Config{Workers: 1, Queue: 1}
-	release := blockCompute(t, &cfg)
+	release := blockCompute(&cfg)
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	defer release()
 
 	errc := make(chan error, 2)
 	for i := 0; i < 2; i++ {

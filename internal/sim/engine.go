@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"time"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/quanta"
@@ -109,14 +108,12 @@ type Config struct {
 	// MaxEvents bounds the total number of processed events as a runaway
 	// guard; 0 means the default of 50 million.
 	MaxEvents int64
-	// Context, if non-nil, cancels a Run cooperatively: the engine
-	// checks it every budgetCheckInterval events and aborts with an
-	// error satisfying errors.Is(err, budget.ErrCanceled).
+	// Context, if non-nil, cancels or time-bounds each Run
+	// cooperatively: the engine checks it every budgetCheckInterval
+	// events and aborts with an error satisfying errors.Is(err,
+	// budget.ErrCanceled) once it is cancelled, or
+	// errors.Is(err, budget.ErrBudgetExceeded) once its deadline passed.
 	Context context.Context
-	// Deadline, if non-zero, bounds each Run in wall-clock time; the
-	// engine checks it alongside Context and aborts with an error
-	// satisfying errors.Is(err, budget.ErrBudgetExceeded).
-	Deadline time.Time
 	// RecordStarts lists actors whose firing start times are collected.
 	RecordStarts []string
 	// RecordTransfers lists edges whose token transfers are collected
@@ -301,10 +298,10 @@ type Result struct {
 const defaultMaxEvents = 50_000_000
 
 // budgetCheckInterval is how often (in processed events) the event loop
-// re-checks the run's Context and Deadline. A power of two so the check is
-// a mask, not a division; small enough that cancellation is honoured within
-// a fraction of a millisecond of simulation work, large enough that the
-// time.Now call never shows up in profiles.
+// re-checks the run's context. A power of two so the check is a mask, not a
+// division; small enough that cancellation is honoured within a fraction of
+// a millisecond of simulation work, large enough that ctx.Err never shows
+// up in profiles.
 const budgetCheckInterval = 4096
 
 // Run executes the configured simulation: Compile plus one (*Machine).Run.
@@ -521,7 +518,6 @@ type Machine struct {
 	events     int64
 	maxEvents  int64
 	stop       *actorState
-	bud        *budget.Budget
 	invariants []resolvedInvariant
 	dirty      []uint64 // bitset by actor index: ASAP actors to re-examine at the current tick
 	ran        bool     // a Run consumed the state; Reset required
@@ -613,7 +609,6 @@ func Compile(cfg Config) (*Machine, error) {
 		byName:    make(map[string]*actorState),
 		edges:     make(map[string]*edgeState),
 		maxEvents: cfg.MaxEvents,
-		bud:       budget.At(cfg.Context, cfg.Deadline),
 	}
 	if m.maxEvents <= 0 {
 		m.maxEvents = defaultMaxEvents
@@ -1067,7 +1062,13 @@ func (m *Machine) startDirty(t int64) error {
 // resumed from a ResetWarm checkpoint continues mid-schedule and produces
 // results bit-identical to a cold run of the same configuration, with
 // Result.Events still counting from tick 0 (replayed prefix included).
-func (m *Machine) Run() (*Result, error) {
+// The run honours Config.Context.
+func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context) }
+
+// run is Run under ctx (nil: no cancellation). A Verifier passes each
+// call's context here, so a pooled machine never keeps a caller's context
+// beyond the run it bounds.
+func (m *Machine) run(ctx context.Context) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("sim: Machine.Run called again without Reset")
 	}
@@ -1103,9 +1104,9 @@ func (m *Machine) Run() (*Result, error) {
 			m.fill(res, now)
 			return res, nil
 		}
-		if m.bud != nil && m.events&(budgetCheckInterval-1) == 0 {
-			if err := m.bud.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run aborted after %d events at tick %d: %w", m.events, now, err)
+		if ctx != nil && m.events&(budgetCheckInterval-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("sim: run aborted after %d events at tick %d: %w", m.events, now, budget.Classify(err))
 			}
 		}
 		ev := m.eq.pop()

@@ -57,8 +57,10 @@ func TestRunCanceledMidRun(t *testing.T) {
 }
 
 func TestRunDeadlineExceeded(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	cfg, _ := pairConfig(t, 4, quanta.Constant(2), 1000)
-	cfg.Deadline = time.Now().Add(-time.Second)
+	cfg.Context = ctx
 	_, err := Run(cfg)
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Fatalf("Run past its deadline: err = %v, want ErrBudgetExceeded", err)
@@ -72,9 +74,10 @@ func TestRunWithinBudgetUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	cfg, _ := pairConfig(t, 4, quanta.Constant(2), 500)
-	cfg.Context = context.Background()
-	cfg.Deadline = time.Now().Add(time.Hour)
+	cfg.Context = ctx
 	budgeted, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/quanta"
@@ -200,13 +199,11 @@ type VerifyOptions struct {
 	AllowOverrun bool
 	// Validate enables per-transfer quanta-set checking.
 	Validate bool
-	// Context, if non-nil, cancels the verification cooperatively (see
-	// Config.Context); the typed error satisfies budget.ErrCanceled.
+	// Context, if non-nil, cancels or time-bounds Verify cooperatively
+	// (see Config.Context); the typed errors satisfy budget.ErrCanceled
+	// and budget.ErrBudgetExceeded. Feasible takes its context per call
+	// instead.
 	Context context.Context
-	// Deadline, if non-zero, bounds the verification in wall-clock time
-	// (see Config.Deadline); the typed error satisfies
-	// budget.ErrBudgetExceeded.
-	Deadline time.Time
 	// Checkpoints enables warm-started probing on both phase machines:
 	// each retains up to this many run checkpoints (Config.Checkpoints)
 	// and a probe resumes a phase from the newest checkpoint the changed
@@ -298,7 +295,6 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	cfg.LiteResult = opts.LiteResult
 	cfg.AllowOverrun = opts.AllowOverrun
 	cfg.Context = opts.Context
-	cfg.Deadline = opts.Deadline
 	cfg.Checkpoints = opts.Checkpoints
 	cfg.ExtraTimes = append([]ratio.Rat{c.Period}, opts.Offsets...)
 	cfg.ExtraTimes = append(cfg.ExtraTimes, opts.ExtraTimes...)
@@ -399,16 +395,17 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 }
 
 // runSelfTimed resets the call's effort counters and runs the self-timed
-// phase under the token overrides ov. ResetWarm resumes the phase from a
-// retained checkpoint when the capacity change provably cannot affect the
-// replayed prefix; with checkpointing disabled it is a plain cold reset.
-func (vf *Verifier) runSelfTimed(ov map[string]int64) (*Result, error) {
+// phase under ctx and the token overrides ov. ResetWarm resumes the phase
+// from a retained checkpoint when the capacity change provably cannot
+// affect the replayed prefix; with checkpointing disabled it is a plain
+// cold reset.
+func (vf *Verifier) runSelfTimed(ctx context.Context, ov map[string]int64) (*Result, error) {
 	vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold = 0, 0, 0, 0
 	resumed, err := vf.selfTimed.ResetWarm(ov)
 	if err != nil {
 		return nil, err
 	}
-	res, err := vf.selfTimed.Run()
+	res, err := vf.selfTimed.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -416,11 +413,11 @@ func (vf *Verifier) runSelfTimed(ov map[string]int64) (*Result, error) {
 	return res, nil
 }
 
-// runPeriodic runs the periodic phase with the constrained task's first
-// start at offset ticks. ResetWarm must not revert the offset override, so
-// the offset is set first and the machine reset after; the checkpoints it
-// resumes from are only those taken under the same offset.
-func (vf *Verifier) runPeriodic(ov map[string]int64, offset int64) (*Result, error) {
+// runPeriodic runs the periodic phase under ctx with the constrained task's
+// first start at offset ticks. ResetWarm must not revert the offset
+// override, so the offset is set first and the machine reset after; the
+// checkpoints it resumes from are only those taken under the same offset.
+func (vf *Verifier) runPeriodic(ctx context.Context, ov map[string]int64, offset int64) (*Result, error) {
 	//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; every periodic run re-points it)
 	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
 		return nil, err
@@ -429,7 +426,7 @@ func (vf *Verifier) runPeriodic(ov map[string]int64, offset int64) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	res, err := vf.periodic.Run()
+	res, err := vf.periodic.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +449,8 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	if err != nil {
 		return nil, err
 	}
-	selfTimed, err := vf.runSelfTimed(ov)
+	ctx := vf.selfTimed.cfg.Context
+	selfTimed, err := vf.runSelfTimed(ctx, ov)
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +483,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		v.Attempts++
 		v.OffsetTicks = ot
 		v.Offset = vf.selfTimed.Base().Rat(ot)
-		periodic, err := vf.runPeriodic(ov, ot)
+		periodic, err := vf.runPeriodic(ctx, ov, ot)
 		if err != nil {
 			return nil, err
 		}
@@ -518,15 +516,19 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 // offsets and the one with 100 periods of slack — therefore passes exactly
 // when some candidate does, and Feasible runs only that one.
 //
-// A phase cut short by VerifyOptions.MaxEvents says nothing about the
-// capacities: Feasible then returns an error satisfying
-// errors.Is(err, budget.ErrBudgetExceeded) instead of a verdict.
-func (vf *Verifier) Feasible(caps map[string]int64) (bool, error) {
+// Both phases run under ctx (nil: no cancellation) in place of
+// VerifyOptions.Context, so one pooled Verifier serves probes of searches
+// with different budgets and keeps none of their contexts. A phase cut
+// short by VerifyOptions.MaxEvents says nothing about the capacities:
+// Feasible then returns an error satisfying
+// errors.Is(err, budget.ErrBudgetExceeded) instead of a verdict, as it
+// does when ctx's deadline passes.
+func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, error) {
 	ov, err := vf.overrides(caps)
 	if err != nil {
 		return false, err
 	}
-	selfTimed, err := vf.runSelfTimed(ov)
+	selfTimed, err := vf.runSelfTimed(ctx, ov)
 	if err != nil {
 		return false, err
 	}
@@ -537,7 +539,7 @@ func (vf *Verifier) Feasible(caps map[string]int64) (bool, error) {
 	for _, ot := range vf.fixedOffsets {
 		offset = max(offset, ot)
 	}
-	periodic, err := vf.runPeriodic(ov, offset)
+	periodic, err := vf.runPeriodic(ctx, ov, offset)
 	if err != nil {
 		return false, err
 	}

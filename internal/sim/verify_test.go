@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -443,7 +444,7 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 		if _, _, _, coldResets := cold.LastEffort(); cv.Periodic != nil && coldResets != 1+cv.Attempts {
 			t.Fatalf("caps %v: cold verifier reported %d cold resets for %d attempts", caps, coldResets, cv.Attempts)
 		}
-		ok, err := warmFeasible.Feasible(caps)
+		ok, err := warmFeasible.Feasible(nil, caps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +504,7 @@ func TestFeasibleEventCapIsBudgetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := vf.Feasible(nil)
+	ok, err := vf.Feasible(nil, nil)
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Fatalf("Feasible = (%v, %v); want an error satisfying budget.ErrBudgetExceeded", ok, err)
 	}
@@ -536,10 +537,42 @@ func TestVerifierRepointsInvariantBounds(t *testing.T) {
 	}
 	names := mp3.BufferNames()
 	caps := map[string]int64{names[0]: 7000, names[1]: 4000, names[2]: 1000}
-	if ok, err := vf.Feasible(caps); err != nil || !ok {
+	if ok, err := vf.Feasible(nil, caps); err != nil || !ok {
 		t.Fatalf("Feasible(%v) = (%v, %v); want a pass within the raised bounds", caps, ok, err)
 	}
 	if v, err := vf.Verify(caps); err != nil || !v.OK {
 		t.Fatalf("Verify(%v) = (%+v, %v); want a pass within the raised bounds", caps, v, err)
+	}
+}
+
+// TestFeasibleRunsUnderCallContext pins that Feasible's context, not one
+// compiled into the Verifier, bounds the probe: a cancelled call context
+// stops the run mid-simulation, and the next call under a live context
+// passes, so a pooled Verifier keeps no context between probes.
+func TestFeasibleRunsUnderCallContext(t *testing.T) {
+	g := sizedMP3(t, 6015, 3263, 883)
+	stale, cancelStale := context.WithCancel(context.Background())
+	cancelStale()
+	vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
+		Firings:     2000,
+		Workloads:   mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
+		LiteResult:  true,
+		Checkpoints: 8,
+		Context:     stale,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ok, err := vf.Feasible(ctx, nil)
+	if !errors.Is(err, budget.ErrCanceled) || !strings.Contains(err.Error(), "sim: run aborted after") {
+		t.Fatalf("Feasible under a cancelled context = (%v, %v); want a run aborted with budget.ErrCanceled", ok, err)
+	}
+	if ok, err := vf.Feasible(context.Background(), nil); err != nil || !ok {
+		t.Fatalf("Feasible under a live context after a cancelled one = (%v, %v); want a pass", ok, err)
+	}
+	if _, err := vf.Verify(nil); !errors.Is(err, budget.ErrCanceled) {
+		t.Fatalf("Verify = %v; want the compiled, cancelled VerifyOptions.Context to stop it", err)
 	}
 }

@@ -220,7 +220,7 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := warm.Feasible(caps)
+			ok, err := warm.Feasible(nil, caps)
 			if errors.Is(err, budget.ErrBudgetExceeded) {
 				continue
 			}

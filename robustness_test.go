@@ -111,10 +111,12 @@ func TestTypedErrorsFacade(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("cancelled Verify: err = %v, want ErrCanceled", err)
 	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
 	_, err = Verify(sized, c, VerifyOptions{
 		Firings:   100,
 		Workloads: Workloads{"wa->wb": {Cons: CycleSeq(2, 3)}},
-		Deadline:  time.Now().Add(-time.Second),
+		Context:   expired,
 	})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("expired Verify: err = %v, want ErrBudgetExceeded", err)

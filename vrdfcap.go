@@ -100,13 +100,17 @@ type (
 )
 
 // Typed cancellation and budget errors, re-exported from internal/budget.
-// Any search, sweep or verification given a Context or Deadline reports
-// running out of either with an error satisfying errors.Is against these.
+// Any search, sweep or verification given a Context reports its
+// cancellation or its expired deadline with an error satisfying errors.Is
+// against these.
 var (
 	// ErrCanceled reports a cooperative cancellation via a Context; such
 	// errors also satisfy errors.Is(err, context.Canceled).
 	ErrCanceled = budget.ErrCanceled
-	// ErrBudgetExceeded reports an exhausted wall-clock Deadline.
+	// ErrBudgetExceeded reports an exhausted wall-clock budget: a Context
+	// whose deadline passed (the error text ends in "wall-clock budget
+	// exceeded: context deadline exceeded"), or a simulation cut short by
+	// its MaxEvents cap.
 	ErrBudgetExceeded = budget.ErrBudgetExceeded
 )
 
