@@ -139,8 +139,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	store := cacheFlags.Store()
-	stats := parallel.Stats{Workers: parallel.Workers(*parallelN)}
-	timer := parallel.StartTimer()
+	workers := parallel.Workers(*parallelN)
+	stats := cli.StartRun(workers)
 	// reportStats flushes the verdict cache and prints the shared run
 	// statistics footer of every exit path.
 	reportStats := func() error {
@@ -148,20 +148,17 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		timer.Stop(&stats)
-		fmt.Fprintf(out, "\nrun stats: %s\n", stats)
-		cli.WriteStats(out, store, written)
+		stats.WriteStats(out, &cacheFlags, store, written)
 		return nil
 	}
 	// runMinimize searches the smallest capacities that still sustain the
 	// 44.1 kHz schedule for the uniform VBR stream — the empirical lower
 	// bound the paper's analytic sizing is compared against.
 	runMinimize := func() error {
-		mstats := &minimize.ProbeStats{}
 		prob, err := minimize.NewProblem(g, sized, res, c, *minimizeFirings,
 			sim.Workloads{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}},
 			fmt.Sprintf("uniform-vbr:seed=%d", *seed), store,
-			minimize.Options{MaxEvents: *maxEvents, Stats: mstats})
+			minimize.Options{MaxEvents: *maxEvents, Stats: &stats.Search})
 		if err != nil {
 			return err
 		}
@@ -169,9 +166,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		stats.Probes += int64(mres.Checks)
-		stats.CacheHits += int64(mres.CacheHits + mres.BoundHits)
-		stats.Events += mstats.SimEvents.Load()
 		fmt.Fprintf(out, "\nempirically minimal capacities for the uniform VBR stream (%d DAC firings per probe; %d probes simulated, %d answered by the feasibility cache, %d decided by analytic bounds):\n",
 			*minimizeFirings, mres.Checks, mres.CacheHits, mres.BoundHits)
 		for i, n := range prob.Buffers {
@@ -179,9 +173,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  totals: eq(4)=%d, minimal=%d (lower bound for this stream; eq(4) covers every admissible stream)\n",
 			res.TotalCapacity(), mres.Total())
-		fmt.Fprintf(out, "  probe effort: %d events simulated, %d replayed from checkpoints (%d warm resets, %d cold)\n",
-			mstats.SimEvents.Load(), mstats.ResumedEvents.Load(),
-			mstats.WarmResets.Load(), mstats.ColdResets.Load())
+		cli.ProbeEffort(out, &stats.Search)
 		return nil
 	}
 	// runDegradation sweeps overrun factors at the Equation 4 capacities:
@@ -206,7 +198,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		stats.Probes += int64(len(curve.Points))
 		fmt.Fprintf(out, "\nfault-injection degradation sweep (%d DAC firings per point, overrun stalls every 7th firing of every task):\n",
 			*minimizeFirings)
 		return vrdfcap.WriteDegradation(out, curve)
@@ -225,7 +216,7 @@ func run(args []string, out io.Writer) error {
 		return reportStats()
 	}
 	fmt.Fprintf(out, "\nverifying by simulation (%d DAC firings per workload, %d workers)...\n",
-		*firings, stats.Workers)
+		*firings, workers)
 	var inj *vrdfcap.FaultInjector
 	if jitter.Sign() > 0 {
 		if inj, err = vrdfcap.NewFaultInjector(sized, vrdfcap.FaultSpec{Jitter: jitter, Seed: uint64(*seed)}); err != nil {
@@ -252,6 +243,7 @@ func run(args []string, out io.Writer) error {
 			Validate:  true,
 			MaxEvents: *maxEvents,
 			Context:   ctx,
+			Effort:    &stats.Verify,
 		}
 		if inj != nil {
 			inj.Apply(&vopts)
@@ -262,14 +254,9 @@ func run(args []string, out io.Writer) error {
 		return budget.Classify(err)
 	}
 	for i, v := range verifications {
-		stats.Probes++
-		if v.SelfTimed != nil {
-			stats.Events += v.SelfTimed.Events
-		}
 		var periodicEvents int64
 		if v.Periodic != nil {
 			periodicEvents = v.Periodic.Events
-			stats.Events += periodicEvents
 		}
 		status := "ok"
 		if !v.OK {
@@ -293,6 +280,7 @@ func run(args []string, out io.Writer) error {
 	v, err := sim.VerifyThroughput(baseSized, c, sim.VerifyOptions{
 		Firings:   *firings,
 		Workloads: vrdfcap.Workloads{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}},
+		Effort:    &stats.Verify,
 	})
 	if err != nil {
 		return err
@@ -301,13 +289,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "  sustained this particular stream (no guarantee exists for all streams)")
 	} else {
 		fmt.Fprintf(out, "  failed as expected: %s\n", v.Reason)
-	}
-	stats.Probes++
-	if v.SelfTimed != nil {
-		stats.Events += v.SelfTimed.Events
-	}
-	if v.Periodic != nil {
-		stats.Events += v.Periodic.Events
 	}
 	if *minimizeFlag {
 		if err := runMinimize(); err != nil {

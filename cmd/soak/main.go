@@ -5,9 +5,10 @@
 // throughput, latency percentiles and the server-side effort deltas read
 // from /statsz.
 //
-// The exit status is the gate: non-zero when any request failed or the
-// measured request rate fell below -min-rps, so CI can run a short soak
-// as a smoke test.
+// The exit status is the gate: non-zero when any request failed, the
+// measured request rate fell below -min-rps, or /statsz counted fewer
+// requests than soak received responses (the server lost count), so CI can
+// run a short soak as a smoke test.
 package main
 
 import (
@@ -94,7 +95,7 @@ func run(args []string, out io.Writer) error {
 
 	deadline := time.Now().Add(*duration)
 	var next atomic.Int64
-	var failures atomic.Int64
+	var failures, responses atomic.Int64
 	lats := make([][]int64, *concurrency)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -111,6 +112,7 @@ func run(args []string, out io.Writer) error {
 					failures.Add(1)
 					continue
 				}
+				responses.Add(1)
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
@@ -141,13 +143,18 @@ func run(args []string, out io.Writer) error {
 			time.Duration(percentile(all, 0.99)),
 			time.Duration(all[len(all)-1]))
 	}
-	if after, ok := readStats(client, base); ok && statsOK {
+	after, afterOK := readStats(client, base)
+	statsOK = statsOK && afterOK
+	counted := after.Requests - before.Requests
+	if statsOK {
 		events := after.SimEvents - before.SimEvents
-		fmt.Fprintf(out, "server: hits+%d coalesced+%d computes+%d shed+%d sim_events+%d (%.0f events/s) log_drops=%d\n",
+		fmt.Fprintf(out, "server: requests+%d cacheHits+%d coalesced+%d computes+%d rejected+%d errors+%d simEvents+%d (%.0f events/s) logDropped=%d\n",
+			counted,
 			after.CacheHits-before.CacheHits,
 			after.Coalesced-before.Coalesced,
 			after.Computes-before.Computes,
 			after.Rejected-before.Rejected,
+			after.Errors-before.Errors,
 			events, float64(events)/elapsed.Seconds(),
 			after.LogDropped)
 	}
@@ -157,6 +164,11 @@ func run(args []string, out io.Writer) error {
 	}
 	if *minRPS > 0 && rps < *minRPS {
 		return fmt.Errorf("measured %.1f req/s, below the -min-rps floor of %.1f", rps, *minRPS)
+	}
+	// A server counts each response before writing it, so its requests
+	// delta is at least the responses soak received.
+	if n := responses.Load(); statsOK && counted < n {
+		return fmt.Errorf("server counted %d requests, soak received %d responses", counted, n)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func TestSoakAgainstInProcessServer(t *testing.T) {
 		t.Fatalf("soak failed: %v\n%s", err, out.String())
 	}
 	text := out.String()
-	for _, want := range []string{"req/s", "0 errors", "p50=", "p99=", "sim_events+"} {
+	for _, want := range []string{"req/s", "0 errors", "p50=", "p99=", "simEvents+", "requests+"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
 		}
@@ -51,5 +52,24 @@ func TestSoakGates(t *testing.T) {
 	err := run([]string{"-addr", "http://127.0.0.1:1", "-duration", "50ms", "-concurrency", "1"}, &out)
 	if err == nil {
 		t.Error("soak against an unreachable server succeeded")
+	}
+}
+
+// TestSoakFailsWhenServerUndercounts pins the counting gate: a server
+// whose /statsz requests delta is smaller than the responses soak received
+// has lost count, and the soak fails even though every request succeeded.
+func TestSoakFailsWhenServerUndercounts(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/statsz" {
+			_, _ = w.Write([]byte(`{"requests":1}`))
+			return
+		}
+		_, _ = w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	var out bytes.Buffer
+	err := run([]string{"-addr", ts.URL, "-duration", "50ms", "-concurrency", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "server counted 0 requests") {
+		t.Fatalf("err = %v, want the undercount reported\n%s", err, out.String())
 	}
 }

@@ -138,13 +138,11 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	store := cacheFlags.Store()
-	stats := parallel.Stats{Workers: parallel.Workers(*parallelN)}
-	timer := parallel.StartTimer()
+	stats := cli.StartRun(parallel.Workers(*parallelN))
 	sized, res, err := vrdfcap.Size(g, *c, policy)
 	if err != nil {
 		return err
 	}
-	stats.Probes++
 	if err := vrdfcap.WriteReport(out, res); err != nil {
 		return err
 	}
@@ -170,7 +168,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		stats.Probes += int64(len(pts))
 		fmt.Fprintln(out, "\nperiod sweep (throughput/buffer trade-off):")
 		for _, pt := range pts {
 			if pt.Valid {
@@ -201,6 +198,7 @@ func run(args []string, out io.Writer) error {
 				Validate:  true,
 				MaxEvents: *maxEvents,
 				Context:   ctx,
+				Effort:    &stats.Verify,
 			}
 			if jitter.Sign() > 0 {
 				inj, err := vrdfcap.NewFaultInjector(sized, vrdfcap.FaultSpec{Jitter: jitter, Seed: uint64(*seed)})
@@ -213,13 +211,6 @@ func run(args []string, out io.Writer) error {
 			v, err := vrdfcap.Verify(sized, *c, vopts)
 			if err != nil {
 				return err
-			}
-			stats.Probes++
-			if v.SelfTimed != nil {
-				stats.Events += v.SelfTimed.Events
-			}
-			if v.Periodic != nil {
-				stats.Events += v.Periodic.Events
 			}
 			fmt.Fprintln(out)
 			if err := vrdfcap.WriteVerification(out, v); err != nil {
@@ -235,10 +226,9 @@ func run(args []string, out io.Writer) error {
 			if probeFirings == 0 {
 				probeFirings = *firings
 			}
-			mstats := &minimize.ProbeStats{}
 			prob, err := minimize.NewProblem(g, sized, res, *c, probeFirings,
 				vrdfcap.UniformWorkloads(sized, *seed), fmt.Sprintf("uniform:seed=%d", *seed), store,
-				minimize.Options{MaxEvents: *maxEvents, Stats: mstats})
+				minimize.Options{MaxEvents: *maxEvents, Stats: &stats.Search})
 			if err != nil {
 				return err
 			}
@@ -246,9 +236,6 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			stats.Probes += int64(mres.Checks)
-			stats.CacheHits += int64(mres.CacheHits + mres.BoundHits)
-			stats.Events += mstats.SimEvents.Load()
 			fmt.Fprintf(out, "\nempirically minimal capacities for this workload (%d firings per probe; %d probes simulated, %d answered by the feasibility cache, %d decided by analytic bounds):\n",
 				probeFirings, mres.Checks, mres.CacheHits, mres.BoundHits)
 			for _, b := range prob.Buffers {
@@ -256,9 +243,7 @@ func run(args []string, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "  totals: analytic=%d, minimal=%d (a lower bound for this workload; the analytic sizing covers every admissible workload)\n",
 				res.TotalCapacity(), mres.Total())
-			fmt.Fprintf(out, "  probe effort: %d events simulated, %d replayed from checkpoints (%d warm resets, %d cold)\n",
-				mstats.SimEvents.Load(), mstats.ResumedEvents.Load(),
-				mstats.WarmResets.Load(), mstats.ColdResets.Load())
+			cli.ProbeEffort(out, &stats.Search)
 		}
 	}
 	if *degradationStr != "" {
@@ -282,7 +267,6 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			stats.Probes += int64(len(curve.Points))
 			fmt.Fprintln(out, "\nfault-injection degradation sweep (overrun stalls every 7th firing of every task):")
 			if err := vrdfcap.WriteDegradation(out, curve); err != nil {
 				return err
@@ -301,9 +285,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *statsFlag {
-		timer.Stop(&stats)
-		fmt.Fprintf(out, "\nrun stats: %s\n", &stats)
-		cli.WriteStats(out, store, written)
+		stats.WriteStats(out, &cacheFlags, store, written)
 	}
 	return nil
 }

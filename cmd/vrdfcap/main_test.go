@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,9 +15,11 @@ import (
 	"testing"
 
 	"vrdfcap"
+	"vrdfcap/internal/minimize"
 	"vrdfcap/internal/mp3"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/serve"
+	"vrdfcap/internal/sim"
 )
 
 func writeMP3JSON(t *testing.T, withConstraint bool) string {
@@ -209,7 +212,8 @@ func TestRunMinimize(t *testing.T) {
 		"probe effort:",
 		"replayed from checkpoints",
 		"totals: analytic=10161",
-		"cache_hits=",
+		"run stats: simEvents=",
+		"cache: verdictHits=",
 	}
 	for _, w := range wants {
 		if !strings.Contains(text, w) {
@@ -283,8 +287,8 @@ func TestRunParallelSweepAndStats(t *testing.T) {
 	if err := run([]string{"-sweep", sweep, "-parallel", "4", "-stats", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	// 1 analysis + 3 sweep points; no verification.
-	if !strings.Contains(out.String(), "run stats: probes=4 sim_events=0 workers=4") {
+	// A sweep is closed-form: it simulates nothing.
+	if !strings.Contains(out.String(), "run stats: simEvents=0 resumedEvents=0 warmResets=0 coldResets=0 workers=4 ") {
 		t.Errorf("stats line missing or wrong:\n%s", out.String())
 	}
 }
@@ -582,5 +586,80 @@ func TestRunSweepCacheDirPersists(t *testing.T) {
 	if cold.String() != warm.String() {
 		t.Errorf("warm sweep output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
 			cold.String(), warm.String())
+	}
+}
+
+// TestEffortAgreesAcrossSurfaces runs one minimisation of testdata/mp3.txt
+// three ways, with the same horizon and seed and a fresh in-memory verdict
+// store each: the library recipe, vrdfcap -minimize -stats and
+// /v1/minimize. All three must report the same simulation effort.
+func TestEffortAgreesAcrossSurfaces(t *testing.T) {
+	const path, firings, seed = "../../testdata/mp3.txt", 2205, 3
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, c, err := vrdfcap.DecodeGraph(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized, res, err := vrdfcap.Size(g, *c, vrdfcap.PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lib minimize.ProbeStats
+	prob, err := minimize.NewProblem(g, sized, res, *c, firings, sim.UniformWorkloads(sized, seed),
+		fmt.Sprintf("uniform:seed=%d", seed), probecache.NewStore(""), minimize.Options{Stats: &lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prob.Search(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := lib.Counts()
+	if want.SimEvents == 0 || want.WarmResets == 0 {
+		t.Fatalf("library effort %+v: the search must simulate and warm-start", want)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"-minimize", "-minimize-firings", fmt.Sprint(firings), "-seed", fmt.Sprint(seed), "-stats", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var cli sim.EffortCounts
+	i := strings.Index(out.String(), "run stats: ")
+	if i < 0 {
+		t.Fatalf("no stats footer:\n%s", out.String())
+	}
+	if _, err := fmt.Sscanf(out.String()[i:], "run stats: simEvents=%d resumedEvents=%d warmResets=%d coldResets=%d",
+		&cli.SimEvents, &cli.ResumedEvents, &cli.WarmResets, &cli.ColdResets); err != nil {
+		t.Fatalf("footer does not parse: %v\n%s", err, out.String())
+	}
+	if cli != want {
+		t.Errorf("vrdfcap -stats effort %+v, library %+v", cli, want)
+	}
+
+	s := serve.New(serve.Config{})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Post(fmt.Sprintf("%s/v1/minimize?firings=%d&seed=%d", ts.URL, firings, seed), "text/plain", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/minimize: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st serve.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.EffortCounts != want {
+		t.Errorf("/statsz effort %+v, library %+v", st.EffortCounts, want)
 	}
 }

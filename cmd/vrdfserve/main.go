@@ -154,10 +154,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	st := s.StatsSnapshot()
 	written, flushErr := store.Flush()
-	fmt.Fprintf(out, "served %d requests: %d cache hits, %d coalesced, %d computed, %d shed, %d errors, %d log drops\n",
-		st.Requests, st.CacheHits, st.Coalesced, st.Computes, st.Rejected, st.Errors, st.LogDropped)
-	if tier := store.Stats().Backend; tier != "" {
-		fmt.Fprintf(out, "cache: %d verdict payload(s) flushed to %s\n", written, tier)
+	fmt.Fprintf(out, "served: requests=%d cacheHits=%d coalesced=%d computes=%d rejected=%d errors=%d logDropped=%d simEvents=%d verdictHits=%d verdictMisses=%d\n",
+		st.Requests, st.CacheHits, st.Coalesced, st.Computes, st.Rejected, st.Errors, st.LogDropped,
+		st.SimEvents, st.VerdictHits, st.VerdictMisses)
+	if *cacheDir != "" {
+		fmt.Fprintf(out, "cache: %d verdict payload(s) flushed to dir:%s\n", written, *cacheDir)
 	}
 	if flushErr != nil {
 		return fmt.Errorf("flush cache: %w", flushErr)

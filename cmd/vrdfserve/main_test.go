@@ -115,7 +115,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	}
 
 	text := out.String()
-	if !strings.Contains(text, "served ") || !strings.Contains(text, "flushed to dir:"+cacheDir) {
+	if !strings.Contains(text, "served: requests=") || !strings.Contains(text, "flushed to dir:"+cacheDir) {
 		t.Fatalf("final stats missing from output:\n%s", text)
 	}
 	// The minimize verdicts must have landed on disk.

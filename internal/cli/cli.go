@@ -1,7 +1,8 @@
 // Package cli holds the plumbing cmd/vrdfcap and cmd/mp3bench share, so
 // their common flags behave identically: the -cache-dir/-no-cache flags
-// with store resolution and the end-of-run flush and stats line, the
-// -degradation factor grid, and the -cpuprofile/-memprofile profiles.
+// with store resolution and the end-of-run flush, the run-stats footer and
+// probe-effort line, the -degradation factor grid, and the
+// -cpuprofile/-memprofile profiles.
 package cli
 
 import (
@@ -11,10 +12,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"vrdfcap/internal/faults"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
+	"vrdfcap/internal/sim"
 )
 
 // Flags holds the cache flag values of one CLI invocation.
@@ -63,18 +66,53 @@ func Flush(st *probecache.Store) (int, error) {
 	return st.Flush()
 }
 
-// WriteStats prints the one-line cache summary used under -stats.
-func WriteStats(w io.Writer, st *probecache.Store, written int) {
+// Run measures one invocation for its stats footer. Its steps count their
+// simulation work into Verify (verification runs) and Search (minimisation
+// probes, whose own line ProbeEffort prints); the footer reports both.
+type Run struct {
+	Verify, Search sim.Effort
+	workers        int
+	start          time.Time
+	cpu            time.Duration
+}
+
+// StartRun begins measuring wall and process CPU time for a run with the
+// given worker bound.
+func StartRun(workers int) *Run {
+	return &Run{workers: workers, start: time.Now(), cpu: processCPUTime()}
+}
+
+// WriteStats prints the footer: the run's simulation effort and the
+// verdict-store lookups under their /statsz key names, the worker bound,
+// wall and CPU time, and, for a -cache-dir store, what it loaded, skipped
+// and wrote.
+func (r *Run) WriteStats(w io.Writer, f *Flags, st *probecache.Store, written int) {
+	wall := time.Since(r.start)
+	var cpu time.Duration
+	if c := processCPUTime(); c > 0 {
+		cpu = c - r.cpu
+	}
+	v, m := r.Verify.Counts(), r.Search.Counts()
+	fmt.Fprintf(w, "\nrun stats: simEvents=%d resumedEvents=%d warmResets=%d coldResets=%d workers=%d wall=%s cpu=%s\n",
+		v.SimEvents+m.SimEvents, v.ResumedEvents+m.ResumedEvents, v.WarmResets+m.WarmResets, v.ColdResets+m.ColdResets,
+		r.workers, wall.Round(time.Microsecond), cpu.Round(time.Microsecond))
 	if st == nil {
 		fmt.Fprintln(w, "cache: disabled")
 		return
 	}
 	s := st.Stats()
-	fmt.Fprintf(w, "cache: %d hits, %d misses across %d problem(s)", s.Hits, s.Misses, s.Entries)
-	if s.Backend != "" {
-		fmt.Fprintf(w, "; store: %d loaded, %d skipped, %d written (%s)", s.Loaded, s.Skipped, written, s.Backend)
+	fmt.Fprintf(w, "cache: verdictHits=%d verdictMisses=%d across %d problem(s)", s.VerdictHits, s.VerdictMisses, s.Entries)
+	if f.Dir != "" {
+		fmt.Fprintf(w, "; store: %d loaded, %d skipped, %d written (dir:%s)", s.Loaded, s.Skipped, written, f.Dir)
 	}
 	fmt.Fprintln(w)
+}
+
+// ProbeEffort prints the probe-effort line of a minimisation report.
+func ProbeEffort(w io.Writer, e *sim.Effort) {
+	c := e.Counts()
+	fmt.Fprintf(w, "  probe effort: %d events simulated, %d replayed from checkpoints (%d warm resets, %d cold)\n",
+		c.SimEvents, c.ResumedEvents, c.WarmResets, c.ColdResets)
 }
 
 // DegradationFactors parses a -degradation value and returns the overrun

@@ -1,6 +1,6 @@
 //go:build unix
 
-package parallel
+package cli
 
 import (
 	"syscall"

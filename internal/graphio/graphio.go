@@ -63,13 +63,6 @@ type Document struct {
 	constraint ConstraintJSON
 }
 
-// FromGraph builds a Document from a graph and optional constraint.
-func FromGraph(g *taskgraph.Graph, c *taskgraph.Constraint) *Document {
-	doc := &Document{}
-	doc.fill(g, c)
-	return doc
-}
-
 // fill populates the document in place, reusing the capacity of its task
 // and buffer slices so a pooled Document pays no slice growth in steady
 // state.
@@ -95,12 +88,6 @@ func (doc *Document) fill(g *taskgraph.Graph, c *taskgraph.Constraint) {
 		doc.constraint = ConstraintJSON{Task: c.Task, Period: c.Period}
 		doc.Constraint = &doc.constraint
 	}
-}
-
-// ToGraph reconstructs the graph (and constraint, if present) from a
-// Document.
-func (doc *Document) ToGraph() (*taskgraph.Graph, *taskgraph.Constraint, error) {
-	return doc.toGraph(Limits{})
 }
 
 // toGraph reconstructs the graph, enforcing the structural limits before
@@ -175,9 +162,9 @@ var encPool = sync.Pool{New: func() any {
 }}
 
 // Encode serialises a graph (and optional constraint) to indented JSON.
-// The result is byte-identical to json.MarshalIndent of FromGraph; the
-// scratch document, buffer and encoder are pooled, so the only allocation
-// retained per call is the returned slice.
+// The result is byte-identical to json.MarshalIndent of the filled
+// Document; the scratch document, buffer and encoder are pooled, so the
+// only allocation retained per call is the returned slice.
 func Encode(g *taskgraph.Graph, c *taskgraph.Constraint) ([]byte, error) {
 	s := encPool.Get().(*encState)
 	defer encPool.Put(s)

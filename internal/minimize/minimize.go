@@ -75,9 +75,8 @@ type Options struct {
 	// consistent) and counted in Result.BoundHits. Unsound bounds are
 	// surfaced as cache-contradiction or monotonicity errors.
 	Bounds *Bounds
-	// Stats, if non-nil, accumulates simulation-effort counters
-	// (events simulated, events skipped by warm starts, warm/cold reset
-	// counts) across all probes of the check.
+	// Stats, if non-nil, counts the simulation effort of every probe run
+	// of the check (sim.Config.Effort), including runs cut short.
 	Stats *ProbeStats
 	// Context, if non-nil, cancels or time-bounds checks and searches
 	// cooperatively, down to the running simulation; the typed errors
@@ -156,19 +155,18 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 				cfg.LiteResult = true
 				cfg.Checkpoints = o.Checkpoints
 				cfg.Context = o.Context
+				cfg.Effort = o.Stats
 				if m, err = sim.Compile(cfg); err != nil {
 					return false, err
 				}
 			}
-			resumed, err := m.ResetWarm(ov)
-			if err != nil {
+			if _, err := m.ResetWarm(ov); err != nil {
 				return false, err
 			}
 			res, err := m.Run()
 			if err != nil {
 				return false, err
 			}
-			o.Stats.note(res.Events-resumed, resumed)
 			pools[i].put(m)
 			if ok, err := feasibleOutcome(res); !ok || err != nil {
 				return false, err
@@ -223,6 +221,7 @@ func throughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 					MaxEvents:   o.MaxEvents,
 					LiteResult:  true,
 					Checkpoints: o.Checkpoints,
+					Effort:      o.Stats,
 				})
 				if err != nil {
 					return false, err
@@ -231,13 +230,6 @@ func throughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 			feasible, err := vf.Feasible(ctx, caps)
 			if err != nil {
 				return false, err
-			}
-			if o.Stats != nil {
-				simulated, resumed, warm, cold := vf.LastEffort()
-				o.Stats.SimEvents.Add(simulated)
-				o.Stats.ResumedEvents.Add(resumed)
-				o.Stats.WarmResets.Add(int64(warm))
-				o.Stats.ColdResets.Add(int64(cold))
 			}
 			pools[i].put(vf)
 			if !feasible {

@@ -128,30 +128,3 @@ func TestWorkers(t *testing.T) {
 		t.Errorf("Workers(5) = %d", got)
 	}
 }
-
-func TestStatsString(t *testing.T) {
-	s := Stats{Probes: 12, Events: 3456, CacheHits: 7, Workers: 4, Wall: 1500 * time.Microsecond, CPU: 6 * time.Millisecond}
-	want := "probes=12 sim_events=3456 workers=4 wall=1.5ms cpu=6ms events_per_sec=2304000 cache_hits=7"
-	if s.String() != want {
-		t.Errorf("String() = %q, want %q", s.String(), want)
-	}
-	if eps := s.EventsPerSec(); eps != 2304000 {
-		t.Errorf("EventsPerSec() = %v, want 2304000", eps)
-	}
-	if eps := (Stats{Events: 10}).EventsPerSec(); eps != 0 {
-		t.Errorf("EventsPerSec() before timer stop = %v, want 0", eps)
-	}
-}
-
-func TestTimerMeasuresWall(t *testing.T) {
-	timer := StartTimer()
-	time.Sleep(2 * time.Millisecond)
-	var s Stats
-	timer.Stop(&s)
-	if s.Wall < 2*time.Millisecond {
-		t.Errorf("Wall = %v, want >= 2ms", s.Wall)
-	}
-	if s.CPU < 0 {
-		t.Errorf("CPU = %v, want >= 0", s.CPU)
-	}
-}

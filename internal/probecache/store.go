@@ -267,14 +267,11 @@ func mergeFiles(ours, theirs diskFile) diskFile {
 
 // StoreStats aggregates a store's cache effectiveness for reporting.
 type StoreStats struct {
-	Entries int   // distinct fingerprints touched
-	Loaded  int   // payloads warm-started from the directory
-	Skipped int   // payloads present but untrusted (bad version, corrupt, ...)
-	Hits    int64 // lookups answered from cache across all entries
-	Misses  int64 // lookups that had to compute
-	// Backend describes the persistence tier: "dir:PATH", or "" for a
-	// memory-only store.
-	Backend string
+	Entries       int   // distinct fingerprints touched
+	Loaded        int   // payloads warm-started from the directory
+	Skipped       int   // payloads present but untrusted (bad version, corrupt, ...)
+	VerdictHits   int64 // lookups answered from cache across all entries
+	VerdictMisses int64 // lookups that had to compute
 }
 
 // Stats returns the store's aggregate counters.
@@ -291,16 +288,13 @@ func (s *Store) Stats() StoreStats {
 		e.mu.Lock()
 		if e.frontier != nil {
 			h, m := e.frontier.Counters()
-			st.Hits += h
-			st.Misses += m
+			st.VerdictHits += h
+			st.VerdictMisses += m
 		}
 		h, m := e.periods.Counters()
-		st.Hits += h
-		st.Misses += m
+		st.VerdictHits += h
+		st.VerdictMisses += m
 		e.mu.Unlock()
-	}
-	if s.dir != "" {
-		st.Backend = "dir:" + s.dir
 	}
 	return st
 }

@@ -8,6 +8,9 @@ type flightCall struct {
 	done  chan struct{}
 	entry *respEntry
 	err   error
+	// waiters counts the requests that joined after the leader; guarded
+	// by the group's mu.
+	waiters int
 }
 
 // flightGroup coalesces concurrent requests for the same problem into one
@@ -35,6 +38,7 @@ func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
+		c.waiters++
 		return c, false
 	}
 	c = &flightCall{done: make(chan struct{})}

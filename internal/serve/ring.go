@@ -20,6 +20,7 @@ const (
 	kindCompute                 // led a flight: the analysis actually ran
 	kindCoalesced               // joined another request's in-flight computation
 	kindError                   // failed before or during computation
+	numKinds
 )
 
 // ring is a bounded lock-free MPSC queue of access-log entries. Producers

@@ -168,21 +168,16 @@ type Server struct {
 	pool     *workerPool
 	problems *problemCache
 	ring     *ring
-	stats    serverStats
-	baseCtx  context.Context
-	cancel   context.CancelFunc
-	logDone  chan struct{}
-}
-
-// serverStats holds the monotone counters behind /statsz.
-type serverStats struct {
-	requests  atomic.Int64
-	hits      atomic.Int64
-	coalesced atomic.Int64
-	computes  atomic.Int64
+	// responses counts every answer except /healthz and /statsz by its
+	// kind (kindHit ...); rejected counts the flights a full worker
+	// queue shed, whose requests are answered as errors; effort counts
+	// the simulation work of minimize probes.
+	responses [numKinds]atomic.Int64
 	rejected  atomic.Int64
-	errors    atomic.Int64
-	probes    minimize.ProbeStats
+	effort    sim.Effort
+	baseCtx   context.Context
+	cancel    context.CancelFunc
+	logDone   chan struct{}
 }
 
 // New returns a started server: the worker pool and the access-log drain
@@ -283,6 +278,20 @@ func (s *Server) writeEntry(w http.ResponseWriter, e *respEntry) {
 	_, _ = w.Write(e.body)
 }
 
+// respond counts the response under its kind, writes it and logs it.
+// Counting comes first, so a client that has its answer also finds it on
+// /statsz. A response without a pooled context (a routing error) is
+// counted but not logged.
+//
+//vrdf:noalloc
+func (s *Server) respond(w http.ResponseWriter, c *reqCtx, pathID int32, e *respEntry, kind uint8, start time.Time) {
+	s.responses[kind].Add(1)
+	s.writeEntry(w, e)
+	if c != nil {
+		s.log(c, pathID, int32(e.status), kind, start)
+	}
+}
+
 // log records the request in the access-log ring; a full ring counts a
 // drop instead of blocking.
 //
@@ -305,7 +314,6 @@ func (s *Server) log(c *reqCtx, path, status int32, kind uint8, start time.Time)
 //vrdf:noalloc
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.stats.requests.Add(1)
 	var pathID int32
 	switch r.URL.Path {
 	case "/v1/size":
@@ -339,9 +347,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	c.hashKey(r.Method, r.URL.Path, r.URL.RawQuery)
 	if e, ok := s.resp.get(&c.key); ok {
-		s.stats.hits.Add(1)
-		s.writeEntry(w, e)
-		s.log(c, pathID, int32(e.status), kindHit, start)
+		s.respond(w, c, pathID, e, kindHit, start)
 		return
 	}
 	s.serveMiss(w, r, c, pathID, start)
@@ -376,13 +382,9 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 			s.flights.finish(spec.key, call, e, err)
 		}
 		if err := s.pool.submit(job); err != nil {
-			s.stats.rejected.Add(1)
+			s.rejected.Add(1)
 			s.flights.finish(spec.key, call, nil, err)
-		} else {
-			s.stats.computes.Add(1)
 		}
-	} else {
-		s.stats.coalesced.Add(1)
 	}
 	select {
 	case <-call.done:
@@ -398,8 +400,7 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 		return
 	}
 	s.resp.put(&c.key, call.entry)
-	s.writeEntry(w, call.entry)
-	s.log(c, pathID, int32(call.entry.status), kind, start)
+	s.respond(w, c, pathID, call.entry, kind, start)
 }
 
 // compute runs one flight's computation on a worker. It is the service's
@@ -580,7 +581,7 @@ func (s *Server) runMinimize(ctx context.Context, fp, workload string, g, sized 
 		var err error
 		prob, err = minimize.NewProblem(g, sized, res, *con, firings,
 			sim.UniformWorkloads(sized, seed), workload, s.cfg.Store,
-			minimize.Options{MaxEvents: s.cfg.MaxEvents, Stats: &s.stats.probes})
+			minimize.Options{MaxEvents: s.cfg.MaxEvents, Stats: &s.effort})
 		if err != nil {
 			return nil, err
 		}
@@ -846,24 +847,21 @@ type errorResponse struct {
 // error path has already left the steady state.
 func (s *Server) failRequest(w http.ResponseWriter, c *reqCtx, pathID int32, start time.Time, err error) {
 	status := statusFor(err)
-	s.stats.errors.Add(1)
-	h := w.Header()
-	h["Content-Type"] = ctJSON
 	if status == http.StatusServiceUnavailable {
-		h.Set("Retry-After", "1")
+		w.Header().Set("Retry-After", "1")
 	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
-	s.log(c, pathID, int32(status), kindError, start)
+	s.respond(w, c, pathID, errorEntry(status, err.Error()), kindError, start)
 }
 
 // plainError answers routing-level errors (no pooled context in hand yet).
 func (s *Server) plainError(w http.ResponseWriter, status int, msg string) {
-	s.stats.errors.Add(1)
-	h := w.Header()
-	h["Content-Type"] = ctJSON
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg})
+	s.respond(w, nil, 0, errorEntry(status, msg), kindError, time.Time{})
+}
+
+// errorEntry renders the JSON body of an error response.
+func errorEntry(status int, msg string) *respEntry {
+	body, _ := json.Marshal(errorResponse{Error: msg}) // a one-string struct always encodes
+	return &respEntry{status: status, body: append(body, '\n')}
 }
 
 var healthOK = []byte("ok\n")
@@ -872,8 +870,12 @@ func (s *Server) serveHealthz(w http.ResponseWriter) {
 	_, _ = w.Write(healthOK)
 }
 
-// Stats is the /statsz payload: request-path counters, cache and pool
-// occupancy, and the simulation effort spent by minimize probes.
+// Stats is the /statsz payload: responses by kind, cache and pool
+// occupancy, and the simulation effort spent by minimize probes. Every
+// response except /healthz and /statsz counts under exactly one kind, so
+// Requests = CacheHits + Computes + Coalesced + Errors. Computes counts
+// the responses that led a successful computation; a computation that
+// fails answers its leader as an error.
 type Stats struct {
 	Requests         int64  `json:"requests"`
 	CacheHits        int64  `json:"cacheHits"`
@@ -884,34 +886,29 @@ type Stats struct {
 	LogDropped       uint64 `json:"logDropped"`
 	CachedResponses  int    `json:"cachedResponses"`
 	CompiledProblems int    `json:"compiledProblems"`
-	SimEvents        int64  `json:"simEvents"`
-	ResumedEvents    int64  `json:"resumedEvents"`
-	WarmResets       int64  `json:"warmResets"`
-	ColdResets       int64  `json:"coldResets"`
-	VerdictHits      int64  `json:"verdictHits"`
-	VerdictMisses    int64  `json:"verdictMisses"`
+	sim.EffortCounts
+	VerdictHits   int64 `json:"verdictHits"`
+	VerdictMisses int64 `json:"verdictMisses"`
 }
 
 // StatsSnapshot returns the current counters.
 func (s *Server) StatsSnapshot() Stats {
 	cs := s.cfg.Store.Stats()
-	return Stats{
-		Requests:         s.stats.requests.Load(),
-		CacheHits:        s.stats.hits.Load(),
-		Coalesced:        s.stats.coalesced.Load(),
-		Computes:         s.stats.computes.Load(),
-		Rejected:         s.stats.rejected.Load(),
-		Errors:           s.stats.errors.Load(),
+	st := Stats{
+		CacheHits:        s.responses[kindHit].Load(),
+		Coalesced:        s.responses[kindCoalesced].Load(),
+		Computes:         s.responses[kindCompute].Load(),
+		Rejected:         s.rejected.Load(),
+		Errors:           s.responses[kindError].Load(),
 		LogDropped:       s.ring.dropped.Load(),
 		CachedResponses:  s.resp.len(),
 		CompiledProblems: s.problems.len(),
-		SimEvents:        s.stats.probes.SimEvents.Load(),
-		ResumedEvents:    s.stats.probes.ResumedEvents.Load(),
-		WarmResets:       s.stats.probes.WarmResets.Load(),
-		ColdResets:       s.stats.probes.ColdResets.Load(),
-		VerdictHits:      cs.Hits,
-		VerdictMisses:    cs.Misses,
+		EffortCounts:     s.effort.Counts(),
+		VerdictHits:      cs.VerdictHits,
+		VerdictMisses:    cs.VerdictMisses,
 	}
+	st.Requests = st.CacheHits + st.Coalesced + st.Computes + st.Errors
+	return st
 }
 
 func (s *Server) serveStatsz(w http.ResponseWriter) {

@@ -45,16 +45,31 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // blockCompute installs a computeHook that blocks flight leaders until the
-// returned release func runs. release is idempotent: callers defer it
-// right after deferring the test server's Close, so it runs first and a
-// failing test reports instead of wedging Close (and Server.Close) behind
-// a blocked worker.
-func blockCompute(cfg *Config) (release func()) {
+// returned release func runs; entered counts the leaders that reached it.
+// release is idempotent: callers defer it right after deferring the test
+// server's Close, so it runs first and a failing test reports instead of
+// wedging Close (and Server.Close) behind a blocked worker.
+func blockCompute(cfg *Config) (release func(), entered *atomic.Int64) {
 	ch := make(chan struct{})
 	var once sync.Once
+	entered = new(atomic.Int64)
 	release = func() { once.Do(func() { close(ch) }) }
-	cfg.computeHook = func() { <-ch }
-	return release
+	cfg.computeHook = func() {
+		entered.Add(1)
+		<-ch
+	}
+	return release, entered
+}
+
+// waiters returns how many requests have coalesced onto running flights.
+func waiters(s *Server) int {
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	n := 0
+	for _, c := range s.flights.calls {
+		n += c.waiters
+	}
+	return n
 }
 
 func doPost(ts *httptest.Server, path, body string) (int, []byte, error) {
@@ -87,7 +102,7 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
 func TestCoalescing(t *testing.T) {
 	const n = 8
 	var cfg Config
-	release := blockCompute(&cfg)
+	release, _ := blockCompute(&cfg)
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -112,9 +127,9 @@ func TestCoalescing(t *testing.T) {
 	// Hold the leader until every other request has coalesced onto its
 	// flight, so "exactly one computation" is deterministic, not a race.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.stats.coalesced.Load() < n-1 {
+	for waiters(s) < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests coalesced", s.stats.coalesced.Load(), n-1)
+			t.Fatalf("only %d of %d requests coalesced", waiters(s), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -425,7 +440,7 @@ func TestComputePanicIs500(t *testing.T) {
 // make distinct problems — comment variants would coalesce instead.
 func TestPoolShedsLoad(t *testing.T) {
 	cfg := Config{Workers: 1, Queue: 1}
-	release := blockCompute(&cfg)
+	release, entered := blockCompute(&cfg)
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -443,9 +458,9 @@ func TestPoolShedsLoad(t *testing.T) {
 	}
 	// Wait until the worker holds flight 1 and flight 2 sits in the queue.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.stats.computes.Load() < 2 {
+	for entered.Load() < 1 || len(s.pool.jobs) < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d computes submitted", s.stats.computes.Load())
+			t.Fatalf("worker holds %d flights, %d queued; want 1 and 1", entered.Load(), len(s.pool.jobs))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -462,7 +477,7 @@ func TestPoolShedsLoad(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 response has no Retry-After header")
 	}
-	if got := s.stats.rejected.Load(); got != 1 {
+	if got := s.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 
@@ -502,8 +517,9 @@ func TestHealthzStatsz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests < 3 || st.CacheHits != 1 || st.Computes != 1 {
-		t.Fatalf("stats %+v, want ≥3 requests, 1 hit, 1 compute", st)
+	// /healthz and /statsz answers are not counted responses.
+	if st.Requests != 2 || st.CacheHits != 1 || st.Computes != 1 {
+		t.Fatalf("stats %+v, want 2 requests: 1 hit, 1 compute", st)
 	}
 	if st.CachedResponses != 1 {
 		t.Fatalf("cachedResponses = %d, want 1", st.CachedResponses)
@@ -582,3 +598,108 @@ func TestAccessLog(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestAbortedMinimizeCountsEffort pins that effort is counted where it
+// happens: a /v1/minimize that the 1 ms budget stops inside a running
+// probe still shows that probe's events on /statsz, and the request counts
+// once, as an error, not also as a computation. A budget that runs out
+// before the first event says nothing about counting, so such attempts
+// retry on a fresh server.
+func TestAbortedMinimizeCountsEffort(t *testing.T) {
+	doc, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 50; attempt++ {
+		s := newTestServer(t, Config{RequestTimeout: time.Millisecond, MaxFirings: 2_000_000})
+		ts := httptest.NewServer(s)
+		status, body := post(t, ts, "/v1/minimize?firings=2000000", string(doc))
+		st := getStats(t, ts)
+		ts.Close()
+		if status != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504: %s", status, body)
+		}
+		if st.Errors != 1 || st.Computes != 0 || st.Requests != 1 {
+			t.Fatalf("stats %+v, want the one request counted once, as an error", st)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("bad error body %s: %v", body, err)
+		}
+		var aborted int64
+		if _, err := fmt.Sscanf(er.Error, "sim: run aborted after %d events", &aborted); err != nil {
+			t.Fatalf("error %q does not report the aborted run's events: %v", er.Error, err)
+		}
+		if aborted == 0 {
+			continue
+		}
+		if st.SimEvents < aborted {
+			t.Fatalf("simEvents = %d, below the %d events of the aborted run", st.SimEvents, aborted)
+		}
+		return
+	}
+	t.Fatal("every attempt ran out of budget before its first simulated event")
+}
+
+// TestResponseKindsSumToRequests pins the /statsz identity: after hits,
+// computations, coalesced waiters and errors, every answered request is
+// counted under exactly one kind.
+func TestResponseKindsSumToRequests(t *testing.T) {
+	var cfg Config
+	release, _ := blockCompute(&cfg)
+	s := newTestServer(t, cfg)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer release()
+
+	done := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			status, _, _ := doPost(ts, "/v1/size", variant(i))
+			done <- status
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for waiters(s) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never coalesced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if status := <-done; status != http.StatusOK {
+			t.Fatalf("status %d, want 200", status)
+		}
+	}
+	post(t, ts, "/v1/size", variant(0))            // response-cache hit
+	post(t, ts, "/v1/size", "task a wcrt 1\n")     // no constraint: 400
+	post(t, ts, "/v1/nowhere", pairDoc)            // 404
+	post(t, ts, "/v1/minimize?firings=0", pairDoc) // bad horizon: 400
+	if resp, err := http.Get(ts.URL + "/healthz"); err == nil {
+		resp.Body.Close()
+	}
+
+	st := getStats(t, ts)
+	if st.CacheHits != 1 || st.Computes != 1 || st.Coalesced != 1 || st.Errors != 3 {
+		t.Errorf("stats %+v, want 1 hit, 1 compute, 1 coalesced, 3 errors", st)
+	}
+	if sum := st.CacheHits + st.Computes + st.Coalesced + st.Errors; sum != st.Requests {
+		t.Errorf("cacheHits+computes+coalesced+errors = %d, requests = %d", sum, st.Requests)
+	}
+}
+
+// getStats reads /statsz over HTTP.
+func getStats(t *testing.T, ts *httptest.Server) Stats {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}

@@ -166,6 +166,9 @@ type Config struct {
 	// per-event prefix checks and enabling-time-dependent shifts could
 	// diverge from a cold run).
 	Checkpoints int
+	// Effort, if non-nil, counts the simulation work of every run of
+	// the machine, including runs that MaxEvents or Context stop.
+	Effort *Effort
 }
 
 // TokenInvariant bounds the token sum of a set of edges.
@@ -1067,11 +1070,22 @@ func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context) }
 
 // run is Run under ctx (nil: no cancellation). A Verifier passes each
 // call's context here, so a pooled machine never keeps a caller's context
-// beyond the run it bounds.
+// beyond the run it bounds. However the run ends, its effort is counted.
 func (m *Machine) run(ctx context.Context) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("sim: Machine.Run called again without Reset")
 	}
+	var resumed int64
+	if m.resumed {
+		resumed = m.events
+	}
+	res, err := m.execute(ctx)
+	m.cfg.Effort.note(m.events-resumed, resumed)
+	return res, err
+}
+
+// execute is the event loop of run.
+func (m *Machine) execute(ctx context.Context) (*Result, error) {
 	m.ran = true
 	res := &Result{Base: m.base}
 

@@ -211,10 +211,12 @@ type VerifyOptions struct {
 	// Periodic-phase checkpoints are only valid under the offset they
 	// were taken with. Feasible runs one periodic offset per probe, so its
 	// next probe usually resumes; Verify's ascending attempts mostly
-	// replay cold. Results are bit-identical either way; LastEffort
-	// reports how much re-simulation each call actually skipped. 0
-	// disables.
+	// replay cold. Results are bit-identical either way; Effort counts
+	// how much re-simulation the resumed runs skipped. 0 disables.
 	Checkpoints int
+	// Effort, if non-nil, counts the simulation work of every phase run
+	// (Config.Effort of both phase machines).
+	Effort *Effort
 }
 
 // Verifier is a compiled throughput verification: both simulation phases —
@@ -242,32 +244,6 @@ type Verifier struct {
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
 	fixedOffsets []int64
-	// Effort counters of the most recent Verify or Feasible (see
-	// LastEffort).
-	lastSim     int64
-	lastResumed int64
-	lastWarm    int
-	lastCold    int
-}
-
-// LastEffort reports the simulation effort of the most recent Verify or
-// Feasible call: events actually executed across all phase runs, events
-// skipped by resuming phases from checkpoints, and how many phase resets
-// were warm (resumed) versus cold (replayed from tick 0). All zeros before
-// the first call; without VerifyOptions.Checkpoints every reset is cold.
-func (vf *Verifier) LastEffort() (simulated, resumedEvents int64, warm, cold int) {
-	return vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold
-}
-
-// noteRun accumulates one phase run's effort into the call's counters.
-func (vf *Verifier) noteRun(totalEvents, resumed int64) {
-	vf.lastSim += totalEvents - resumed
-	vf.lastResumed += resumed
-	if resumed > 0 {
-		vf.lastWarm++
-	} else {
-		vf.lastCold++
-	}
 }
 
 // CompileVerifier validates the constraint and builds both phases of the
@@ -296,6 +272,7 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	cfg.AllowOverrun = opts.AllowOverrun
 	cfg.Context = opts.Context
 	cfg.Checkpoints = opts.Checkpoints
+	cfg.Effort = opts.Effort
 	cfg.ExtraTimes = append([]ratio.Rat{c.Period}, opts.Offsets...)
 	cfg.ExtraTimes = append(cfg.ExtraTimes, opts.ExtraTimes...)
 	if len(opts.Exec) > 0 {
@@ -394,23 +371,15 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 	return ov, nil
 }
 
-// runSelfTimed resets the call's effort counters and runs the self-timed
-// phase under ctx and the token overrides ov. ResetWarm resumes the phase
-// from a retained checkpoint when the capacity change provably cannot
-// affect the replayed prefix; with checkpointing disabled it is a plain
-// cold reset.
+// runSelfTimed runs the self-timed phase under ctx and the token
+// overrides ov. ResetWarm resumes the phase from a retained checkpoint when
+// the capacity change provably cannot affect the replayed prefix; with
+// checkpointing disabled it is a plain cold reset.
 func (vf *Verifier) runSelfTimed(ctx context.Context, ov map[string]int64) (*Result, error) {
-	vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold = 0, 0, 0, 0
-	resumed, err := vf.selfTimed.ResetWarm(ov)
-	if err != nil {
+	if _, err := vf.selfTimed.ResetWarm(ov); err != nil {
 		return nil, err
 	}
-	res, err := vf.selfTimed.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	vf.noteRun(res.Events, resumed)
-	return res, nil
+	return vf.selfTimed.run(ctx)
 }
 
 // runPeriodic runs the periodic phase under ctx with the constrained task's
@@ -422,16 +391,10 @@ func (vf *Verifier) runPeriodic(ctx context.Context, ov map[string]int64, offset
 	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
 		return nil, err
 	}
-	resumed, err := vf.periodic.ResetWarm(ov)
-	if err != nil {
+	if _, err := vf.periodic.ResetWarm(ov); err != nil {
 		return nil, err
 	}
-	res, err := vf.periodic.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	vf.noteRun(res.Events, resumed)
-	return res, nil
+	return vf.periodic.run(ctx)
 }
 
 // Verify runs both phases for one capacity assignment: buffers named in

@@ -404,15 +404,19 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 		Workloads:  mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
 		LiteResult: true,
 	}
+	var coldEffort, feasibleEffort Effort
+	opts.Effort = &coldEffort
 	cold, err := CompileVerifier(g, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Checkpoints = 8
+	opts.Effort = nil
 	warmVerify, err := CompileVerifier(g, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Effort = &feasibleEffort
 	warmFeasible, err := CompileVerifier(g, c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -423,6 +427,8 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 	var probes, infeasible, periodicResumed int
 	probe := func() bool {
 		probes++
+		coldBefore := coldEffort.ColdResets.Load()
+		warmBefore, feasibleBefore := feasibleEffort.WarmResets.Load(), feasibleEffort.ColdResets.Load()
 		cv, err := cold.Verify(caps)
 		if err != nil {
 			t.Fatal(err)
@@ -441,7 +447,7 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 			t.Fatalf("caps %v: warm Verify phases diverged: cold %+v / %+v, warm %+v / %+v",
 				caps, cv.SelfTimed, cv.Periodic, wv.SelfTimed, wv.Periodic)
 		}
-		if _, _, _, coldResets := cold.LastEffort(); cv.Periodic != nil && coldResets != 1+cv.Attempts {
+		if coldResets := coldEffort.ColdResets.Load() - coldBefore; cv.Periodic != nil && coldResets != int64(1+cv.Attempts) {
 			t.Fatalf("caps %v: cold verifier reported %d cold resets for %d attempts", caps, coldResets, cv.Attempts)
 		}
 		ok, err := warmFeasible.Feasible(nil, caps)
@@ -460,8 +466,10 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 		if cv.Periodic != nil {
 			phases = 2
 		}
-		if _, _, warm, cold := warmFeasible.LastEffort(); warm+cold != phases {
-			t.Fatalf("caps %v: Feasible reported %d phase resets, want %d", caps, warm+cold, phases)
+		warm := feasibleEffort.WarmResets.Load() - warmBefore
+		resets := warm + feasibleEffort.ColdResets.Load() - feasibleBefore
+		if resets != int64(phases) {
+			t.Fatalf("caps %v: Feasible reported %d phase resets, want %d", caps, resets, phases)
 		} else if warm == 2 {
 			periodicResumed++
 		}

@@ -1,6 +1,6 @@
 // Package trace post-processes simulation traces: it converts recorded
-// token transfers into the cumulative-transfer events used by the bounds
-// package, checks bound conservativeness against executed schedules, and
+// token transfers into the cumulative-transfer events that
+// bounds.CheckUpper and bounds.CheckLower test for conservativeness, and
 // renders text versions of the paper's Figure 3 (cumulative transfers
 // against the linear bounds α̂p and α̌c) and simple Gantt charts of actor
 // start times.
@@ -32,17 +32,6 @@ func ToEvents(recs []sim.TransferRec, base sim.TimeBase, produce bool) []bounds.
 		})
 	}
 	return out
-}
-
-// CheckConservative verifies that an executed schedule respects a pair of
-// linear bounds on one edge: every production no later than the upper bound
-// and every consumption no earlier than the lower bound. It returns the
-// first violation, or nil.
-func CheckConservative(upper, lower bounds.Line, recs []sim.TransferRec, base sim.TimeBase) *bounds.Violation {
-	if v := bounds.CheckUpper(upper, ToEvents(recs, base, true)); v != nil {
-		return v
-	}
-	return bounds.CheckLower(lower, ToEvents(recs, base, false))
 }
 
 // Row is one line of a Figure-3 style table: a firing's transfer and the
