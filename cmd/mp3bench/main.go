@@ -194,6 +194,7 @@ func run(args []string, out io.Writer) error {
 			Workloads:  vrdfcap.Workloads{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), *seed)}},
 			Workers:    *parallelN,
 			Context:    ctx,
+			Effort:     &stats.Verify,
 		})
 		if err != nil {
 			return err

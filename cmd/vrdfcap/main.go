@@ -163,7 +163,6 @@ func run(args []string, out io.Writer) error {
 		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
 			Parallel: *parallelN,
 			Context:  ctx,
-			Cache:    cli.Periods(store, capacity.SweepKey(g, c.Task, policy)),
 		})
 		if err != nil {
 			return err
@@ -263,6 +262,7 @@ func run(args []string, out io.Writer) error {
 				Firings:    *firings,
 				Workers:    *parallelN,
 				Context:    ctx,
+				Effort:     &stats.Verify,
 			})
 			if err != nil {
 				return err

@@ -561,31 +561,27 @@ func TestRunMinimizeIndependentOfCoreCount(t *testing.T) {
 	}
 }
 
-func TestRunSweepCacheDirPersists(t *testing.T) {
+// TestRunSweepCacheDirWritesNothing pins that a period sweep records no
+// verdicts in the store: it recomputes every point, so two identical runs
+// over one -cache-dir print the same report and leave the directory
+// without a file.
+func TestRunSweepCacheDirWritesNothing(t *testing.T) {
 	path := writeMP3JSON(t, true)
-	dir := t.TempDir()
-	sweep := "1/44100,1/40000,1/30000"
-	var cold, warm bytes.Buffer
-	if err := run([]string{"-sweep", sweep, "-cache-dir", dir, path}, &cold); err != nil {
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	args := []string{"-sweep", "1/44100,1/40000,1/30000", "-cache-dir", dir, path}
+	var first, second bytes.Buffer
+	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("sweep wrote %d cache files (%v), want 1", len(files), err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
+	if err := run(args, &second); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"periods"`) {
-		t.Errorf("cache file has no period verdicts:\n%s", data)
+	if first.String() != second.String() {
+		t.Errorf("second sweep output differs from the first:\n--- first ---\n%s\n--- second ---\n%s",
+			first.String(), second.String())
 	}
-	if err := run([]string{"-sweep", sweep, "-cache-dir", dir, path}, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if cold.String() != warm.String() {
-		t.Errorf("warm sweep output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
-			cold.String(), warm.String())
+	if files, err := os.ReadDir(dir); len(files) != 0 || !os.IsNotExist(err) {
+		t.Errorf("sweep left %d file(s) in the cache directory (%v)", len(files), err)
 	}
 }
 

@@ -16,8 +16,9 @@ type (
 	ChainSchedule = capacity.ChainSchedule
 	// SweepPoint is one point of a throughput/buffer trade-off curve.
 	SweepPoint = capacity.SweepPoint
-	// SweepOptions tunes the worker count, budget and verdict cache of
-	// SweepPeriodsOpt.
+	// SweepOptions tunes the worker count and budget of SweepPeriodsOpt.
+	// Its in-memory Cache only records: a sweep recomputes every point,
+	// and nothing persists period verdicts.
 	SweepOptions = capacity.SweepOptions
 
 	// TDM and RoundRobin derive worst-case response times κ from

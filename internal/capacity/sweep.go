@@ -39,19 +39,19 @@ type SweepOptions struct {
 	// cooperatively between periods; the typed errors satisfy
 	// budget.ErrCanceled and budget.ErrBudgetExceeded.
 	Context context.Context
-	// Cache is the period-verdict cache the sweep records into and
-	// MinimalFeasiblePeriod probes from; nil means no cache. Passing one
-	// cache (for example a probecache.Store entry under SweepKey) to a
-	// sweep and a later minimal-period search over the same graph lets
-	// them share verdicts. Cached verdicts never change a sweep's points —
-	// every point is fully recomputed and overwrites the cache — they only
-	// let MinimalFeasiblePeriod skip re-analysing periods whose validity
-	// is already decided.
+	// Cache is the in-memory period-verdict cache the sweep records into
+	// and MinimalFeasiblePeriod probes from; nil means no cache. Passing
+	// one cache to a sweep and a later minimal-period search over the same
+	// (graph, task, policy) lets the search reuse the sweep's verdicts.
+	// Cached verdicts never change a sweep's points — every point is fully
+	// recomputed and overwrites the cache — they only let
+	// MinimalFeasiblePeriod skip re-analysing periods whose validity is
+	// already decided.
 	Cache *probecache.Periods
 }
 
-// SweepKey returns the probecache fingerprint under which period sweeps of
-// this (graph, constrained task, policy) triple share verdicts.
+// SweepKey returns a probecache fingerprint of a (graph, constrained task,
+// policy) triple, for callers that keep one Periods cache per triple.
 func SweepKey(g *taskgraph.Graph, task string, p Policy) string {
 	return probecache.GraphKey(g, "capacity-sweep", task, p.String())
 }
@@ -181,7 +181,7 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 		if cache != nil {
 			// Probe combines the exact and dominance lookups under one
 			// counter update, so hits + misses equals the probe count.
-			if v, _, hit := cache.Probe(tau); hit {
+			if v, hit := cache.Probe(tau); hit {
 				return v.Valid, nil
 			}
 		}

@@ -53,16 +53,17 @@ func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	warmed := cache.Len()
-	if warmed == 0 || warmed >= len(periods) {
-		t.Fatalf("canceled sweep recorded %d verdicts, want a strict mid-flight subset of %d", warmed, len(periods))
-	}
-
-	// The partially warmed cache must not perturb a full re-sweep.
+	// The serial sweep stopped with an error, so it recorded a strict
+	// prefix of the periods; the first one must be among them.
 	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v, hit := cache.Probe(periods[0]); !hit || v.Valid != cold[0].Valid || v.Total != cold[0].Total {
+		t.Fatalf("canceled sweep recorded nothing for its first period: (%+v, %v)", v, hit)
+	}
+
+	// The partially warmed cache must not perturb a full re-sweep.
 	warm, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -125,20 +126,18 @@ func TestMinimalFeasiblePeriodReusesSweepVerdicts(t *testing.T) {
 }
 
 // TestMinimalFeasiblePeriodSharedDefault pins how callers share period
-// verdicts now that there is no process-wide default: a sweep and a later
-// minimal-period search that each fetch the probecache.Store entry under
-// SweepKey get one Periods, so the search after the sweep is pure cache
-// hits.
+// verdicts now that there is no process-wide default: a caller keeps one
+// Periods per SweepKey (as perfbench's chain workload does), so a search
+// after a sweep of the same triple is pure cache hits.
 func TestMinimalFeasiblePeriodSharedDefault(t *testing.T) {
 	g := sweepPair(t)
 	var periods []ratio.Rat
 	for i := int64(1); i <= 32; i++ {
 		periods = append(periods, r(i*7, 13))
 	}
-	store := probecache.NewStore("")
-	periodsOf := func() *probecache.Periods {
-		return store.Entry(SweepKey(g, "wb", PolicyEquation4)).Periods()
-	}
+	// The key is canonical: a clone of the graph finds the same cache.
+	byKey := map[string]*probecache.Periods{SweepKey(g, "wb", PolicyEquation4): probecache.NewPeriods()}
+	periodsOf := func() *probecache.Periods { return byKey[SweepKey(g.Clone(), "wb", PolicyEquation4)] }
 	if _, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: periodsOf()}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestMinimalFeasiblePeriodSharedDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, misses := periodsOf().Counters(); misses != missesBefore {
-		t.Errorf("search re-analysed %d periods after a sweep through the same store entry", misses-missesBefore)
+		t.Errorf("search re-analysed %d periods after a sweep through the same cache", misses-missesBefore)
 	}
 	want, err := MinimalFeasiblePeriod(g, "wb", periods, PolicyEquation4)
 	if err != nil {
@@ -226,7 +225,7 @@ func TestSweepHealsPoisonedCache(t *testing.T) {
 			t.Errorf("point %d poisoned: %+v vs %+v", i, pts[i], cold[i])
 		}
 	}
-	if v, ok := cache.Lookup(poisoned); !ok || v.Total == -1 {
+	if v, ok := cache.Probe(poisoned); !ok || v.Total == -1 {
 		t.Errorf("poisoned verdict not healed: %+v, %v", v, ok)
 	}
 }

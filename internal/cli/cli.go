@@ -46,15 +46,6 @@ func (f *Flags) Store() *probecache.Store {
 	return probecache.NewStore(f.Dir)
 }
 
-// Periods returns the store's period-verdict cache for the fingerprinted
-// problem, or nil when the store is nil.
-func Periods(st *probecache.Store, fingerprint string) *probecache.Periods {
-	if st == nil {
-		return nil
-	}
-	return st.Entry(fingerprint).Periods()
-}
-
 // Flush persists a disk-backed store and returns how many payloads it wrote;
 // nil and memory-only stores flush nothing. The caller decides whether a
 // flush failure is fatal (the cache is advisory, the computed answers are

@@ -210,6 +210,7 @@ func TestOverrunOnConstrainedTaskFailsDiagnosably(t *testing.T) {
 
 func TestSweepDegradationCurve(t *testing.T) {
 	g, c := figure1(t, r(3, 1), capacity.PolicyEquation4)
+	var parallelEffort, serialEffort sim.Effort
 	curve, err := Sweep(DegradationConfig{
 		Graph:        g,
 		Constraint:   c,
@@ -218,6 +219,7 @@ func TestSweepDegradationCurve(t *testing.T) {
 		Tasks:        []string{"wb"},
 		Firings:      100,
 		Workloads:    sim.Workloads{"wa->wb": {Cons: quanta.Cycle(2, 3)}},
+		Effort:       &parallelEffort,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +254,7 @@ func TestSweepDegradationCurve(t *testing.T) {
 		Firings:      100,
 		Workloads:    sim.Workloads{"wa->wb": {Cons: quanta.Cycle(2, 3)}},
 		Workers:      1,
+		Effort:       &serialEffort,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +263,10 @@ func TestSweepDegradationCurve(t *testing.T) {
 		if curve.Points[i].OK != serial.Points[i].OK {
 			t.Errorf("point %d: parallel OK=%v, serial OK=%v", i, curve.Points[i].OK, serial.Points[i].OK)
 		}
+	}
+	// Every point's simulation is counted, whatever the worker count.
+	if p, s := parallelEffort.Counts(), serialEffort.Counts(); p.SimEvents == 0 || p.ColdResets < 4 || p != s {
+		t.Errorf("sweep effort: parallel %+v, serial %+v; want equal, nonzero, one cold reset per point or more", p, s)
 	}
 }
 

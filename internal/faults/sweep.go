@@ -43,6 +43,9 @@ type DegradationConfig struct {
 	// Context, if non-nil, cancels or time-bounds the sweep
 	// cooperatively. Errors carry the typed budget sentinels.
 	Context context.Context
+	// Effort, if non-nil, counts the simulation work of every point (see
+	// sim.VerifyOptions.Effort).
+	Effort *sim.Effort
 }
 
 // DegradationPoint is the verification outcome at one overrun factor.
@@ -157,6 +160,7 @@ func Sweep(cfg DegradationConfig) (*DegradationCurve, error) {
 			Workloads:  workloads,
 			LiteResult: true,
 			Context:    ctx,
+			Effort:     cfg.Effort,
 		}
 		inj.Apply(&opts)
 		v, err := sim.VerifyThroughput(cfg.Graph, cfg.Constraint, opts)

@@ -72,7 +72,7 @@ func NewProblem(g, sized *taskgraph.Graph, res *capacity.Result, c taskgraph.Con
 	}
 	if store != nil {
 		var err error
-		if p.frontier, err = store.Entry(p.Fingerprint).Frontier(p.Buffers); err != nil {
+		if p.frontier, err = store.Frontier(p.Fingerprint, p.Buffers); err != nil {
 			return nil, err
 		}
 	}

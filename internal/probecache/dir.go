@@ -8,7 +8,7 @@ import (
 )
 
 // The persistence tier is a directory of <fingerprint>.json files, one
-// per Entry. Every write is atomic (temp file + fsync + rename), so a
+// per fingerprint. Every write is atomic (temp file + fsync + rename), so a
 // crash mid-write never leaves a torn payload where a complete one used
 // to be, and a reader racing a writer sees the old or the new payload,
 // never a mixture.

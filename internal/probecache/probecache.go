@@ -5,23 +5,24 @@
 // a monotone predicate: minimize.Search asks "is this capacity vector
 // feasible?" (monotone in every coordinate by Definition 1 of Wiggers et
 // al., DATE 2008 — more space never delays a start), and
-// capacity.SweepPeriods asks "is this period schedulable?" (monotone in the
-// period: relaxing the constraint only relaxes every per-task check).
-// Monotone verdicts are reusable: any vector dominating a known-feasible
-// one is feasible without simulating, and symmetrically for infeasible
-// ones. This package holds those verdicts in three tiers:
+// capacity.MinimalFeasiblePeriod asks "is this period schedulable?"
+// (monotone in the period: relaxing the constraint only relaxes every
+// per-task check). Monotone verdicts are reusable: any vector dominating a
+// known-feasible one is feasible without simulating, and symmetrically for
+// infeasible ones. This package holds those verdicts:
 //
 //   - Frontier: an antichain pair (minimal feasible / maximal infeasible
 //     capacity vectors) answering dominated probes — extracted from
 //     minimize.Search so independent searches can share it.
-//   - Periods: exact and dominance-based period verdicts for the analytic
-//     sweep, shared between SweepPeriods and MinimalFeasiblePeriod.
-//   - Store: a registry keyed by a canonical graph fingerprint
-//     (GraphKey), owned by whoever creates it and passed explicitly to
-//     the sweeps and searches that use it, optionally persisted as versioned JSON files
+//   - Store: a map from a canonical graph fingerprint (GraphKey) to one
+//     Frontier, owned by whoever creates it and passed explicitly to the
+//     searches that use it, optionally persisted as versioned JSON files
 //     so repeated CLI invocations warm-start. Disk content is advisory: a
 //     file that fails to parse, carries the wrong version or fingerprint,
 //     or contradicts monotonicity is ignored, never trusted.
+//   - Periods: in-memory period verdicts a caller shares between
+//     capacity.SweepPeriods and MinimalFeasiblePeriod. A sweep recomputes
+//     every point and only records into it, so it is never persisted.
 //
 // A cache can change how many probes run, never which answer a search
 // returns; the equivalence tests in internal/minimize and

@@ -111,50 +111,40 @@ func r(num, den int64) ratio.Rat { return ratio.MustNew(num, den) }
 
 func TestPeriodsExactAndDominance(t *testing.T) {
 	p := NewPeriods()
-	if _, hit := p.Lookup(r(1, 1)); hit {
+	if _, hit := p.Probe(r(1, 1)); hit {
 		t.Fatal("empty cache answered a probe")
 	}
 	p.Insert(r(2, 1), Verdict{Valid: true, Total: 7})
 	p.Insert(r(1, 2), Verdict{Valid: false})
 
-	if v, ok := p.Lookup(r(2, 1)); !ok || !v.Valid || v.Total != 7 {
-		t.Errorf("exact lookup = (%+v, %v)", v, ok)
-	}
-	if _, ok := p.Lookup(r(3, 1)); ok {
-		t.Error("exact lookup answered an unseen period")
-	}
-
 	cases := []struct {
 		period     ratio.Rat
 		valid, hit bool
+		total      int64
 	}{
-		{r(2, 1), true, true},   // exact
-		{r(3, 1), true, true},   // relaxed beyond a valid period
-		{r(1, 2), false, true},  // exact infeasible
-		{r(1, 4), false, true},  // tighter than an infeasible period
-		{r(1, 1), false, false}, // between the frontiers: must analyse
+		{r(2, 1), true, true, 7},   // exact: the recorded Total is carried
+		{r(3, 1), true, true, 0},   // relaxed beyond a valid period: no Total
+		{r(1, 2), false, true, 0},  // exact infeasible
+		{r(1, 4), false, true, 0},  // tighter than an infeasible period
+		{r(1, 1), false, false, 0}, // between the frontiers: must analyse
 	}
 	for _, tc := range cases {
-		valid, hit := p.LookupValid(tc.period)
-		if hit != tc.hit || (hit && valid != tc.valid) {
-			t.Errorf("LookupValid(%v) = (%v, %v), want (%v, %v)", tc.period, valid, hit, tc.valid, tc.hit)
+		v, hit := p.Probe(tc.period)
+		if hit != tc.hit || (hit && (v.Valid != tc.valid || v.Total != tc.total)) {
+			t.Errorf("Probe(%v) = (%+v, %v), want valid=%v total=%d hit=%v",
+				tc.period, v, hit, tc.valid, tc.total, tc.hit)
 		}
 	}
 	// Overwriting heals a wrong entry.
 	p.Insert(r(2, 1), Verdict{Valid: true, Total: 9})
-	if v, _ := p.Lookup(r(2, 1)); v.Total != 9 {
+	if v, _ := p.Probe(r(2, 1)); v.Total != 9 {
 		t.Errorf("overwrite ignored: %+v", v)
-	}
-	if p.Len() != 2 {
-		t.Errorf("Len = %d, want 2", p.Len())
 	}
 }
 
 // TestPeriodsProbeSingleCount pins the probe-accounting invariant: one Probe
-// call updates exactly one counter, so after N probes hits + misses == N.
-// The old Lookup-miss-then-LookupValid-dominance-hit sequence counted such a
-// probe twice; Probe answers exact verdicts, dominance verdicts and misses
-// under a single counter update.
+// call updates exactly one counter, so after N probes hits + misses == N,
+// whether a probe is answered exactly, by dominance or not at all.
 func TestPeriodsProbeSingleCount(t *testing.T) {
 	p := NewPeriods()
 	p.Insert(r(2, 1), Verdict{Valid: true, Total: 7})
@@ -162,24 +152,20 @@ func TestPeriodsProbeSingleCount(t *testing.T) {
 
 	cases := []struct {
 		period     ratio.Rat
-		valid      bool
-		exact, hit bool
+		valid, hit bool
 	}{
-		{r(2, 1), true, true, true},    // exact feasible, Total carried
-		{r(3, 1), true, false, true},   // dominance: relaxed beyond a valid period
-		{r(1, 2), false, true, true},   // exact infeasible
-		{r(1, 4), false, false, true},  // dominance: tighter than an infeasible period
-		{r(1, 1), false, false, false}, // between the frontiers: miss
-		{r(1, 1), false, false, false}, // a repeated miss still counts once each
+		{r(2, 1), true, true},   // exact feasible
+		{r(3, 1), true, true},   // dominance: relaxed beyond a valid period
+		{r(1, 2), false, true},  // exact infeasible
+		{r(1, 4), false, true},  // dominance: tighter than an infeasible period
+		{r(1, 1), false, false}, // between the frontiers: miss
+		{r(1, 1), false, false}, // a repeated miss still counts once each
 	}
 	for i, tc := range cases {
-		v, exact, hit := p.Probe(tc.period)
-		if hit != tc.hit || exact != tc.exact || (hit && v.Valid != tc.valid) {
-			t.Errorf("case %d: Probe(%v) = (%+v, %v, %v), want valid=%v exact=%v hit=%v",
-				i, tc.period, v, exact, hit, tc.valid, tc.exact, tc.hit)
-		}
-		if exact && tc.period.Equal(r(2, 1)) && v.Total != 7 {
-			t.Errorf("case %d: exact probe dropped Total: %+v", i, v)
+		v, hit := p.Probe(tc.period)
+		if hit != tc.hit || (hit && v.Valid != tc.valid) {
+			t.Errorf("case %d: Probe(%v) = (%+v, %v), want valid=%v hit=%v",
+				i, tc.period, v, hit, tc.valid, tc.hit)
 		}
 	}
 	hits, misses := p.Counters()

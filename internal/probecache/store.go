@@ -9,27 +9,24 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
-	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
 )
 
 // Version is the persisted format version. A payload carrying any other
 // version is ignored on load; Flush always writes the current version.
 // Version 2 added the content checksum (Sum): a flipped byte that still
-// parses must be detectable, because a silently altered Total would
-// change sweep answers.
+// parses must be detectable, because a flipped frontier vector could
+// change a minimum.
 const Version = 2
 
-var (
-	errNonPositivePeriod = errors.New("probecache: persisted period is not positive")
-	errBadSum            = errors.New("probecache: content checksum mismatch")
-)
+var errBadSum = errors.New("probecache: content checksum mismatch")
 
-// Store is a registry of cache entries keyed by canonical graph
-// fingerprints (GraphKey). A store without a directory lives purely in
-// memory; with one, Entry warm-starts from the fingerprint's file when a
-// trustworthy one exists, and Flush persists every entry back, merging
+// Store maps canonical graph fingerprints (GraphKey) to capacity
+// frontiers. A store without a directory lives purely in memory; with
+// one, Frontier warm-starts from the fingerprint's file when a
+// trustworthy one exists, and Flush persists every frontier back, merging
 // with the file already there. Processes sharing one directory therefore
 // pool verdicts, though two interleaved flushes can lose some (see
 // Flush). Persisted data is advisory — a payload that is unreadable,
@@ -41,9 +38,16 @@ var (
 type Store struct {
 	dir     string // "": memory-only
 	mu      sync.Mutex
-	entries map[string]*Entry
-	loaded  int // payloads absorbed from the directory
-	skipped int // payloads present but untrusted
+	entries map[string]*entry
+	loaded  atomic.Int64 // payloads absorbed from the directory
+	skipped atomic.Int64 // payloads present but untrusted
+}
+
+// entry holds one fingerprint's frontier.
+type entry struct {
+	fp       string
+	once     sync.Once
+	frontier atomic.Pointer[Frontier] // nil until the first load settles
 }
 
 // NewStore returns a store persisting to a directory of JSON files;
@@ -51,29 +55,34 @@ type Store struct {
 // the first Flush that has something to write, so a directory that does
 // not exist yet simply reads as empty.
 func NewStore(dir string) *Store {
-	return &Store{dir: dir, entries: make(map[string]*Entry)}
+	return &Store{dir: dir, entries: make(map[string]*entry)}
 }
 
-// Entry returns the cache entry for a fingerprint, creating it (and, for
-// persisted stores, attempting a one-time load of its payload) on first
-// use. A load that fails for any reason starts the entry cold — the cache
-// is advisory, so the caller simply probes by simulation; the entry is
-// NOT reloaded later.
-func (s *Store) Entry(fingerprint string) *Entry {
+// Frontier returns the capacity frontier for a fingerprint over the given
+// buffer order, creating it on first use. A persisted store warm-starts a
+// new frontier from the fingerprint's payload once; a payload that fails
+// any check starts it cold — the cache is advisory, so the caller simply
+// probes by simulation — and is not reread later. All callers sharing a
+// fingerprint must agree on the buffer order; a mismatch is an error
+// because mixing projections would corrupt the dominance test.
+func (s *Store) Frontier(fingerprint string, buffers []string) (*Frontier, error) {
 	s.mu.Lock()
 	e, ok := s.entries[fingerprint]
 	if !ok {
-		e = &Entry{fp: fingerprint, periods: NewPeriods()}
+		e = &entry{fp: fingerprint}
 		s.entries[fingerprint] = e
 	}
 	s.mu.Unlock()
-	if s.dir != "" {
-		// Outside s.mu: file I/O must not serialise unrelated entries.
-		// Concurrent callers of the SAME entry block here until the load
-		// settles, which is exactly the warm-start they asked for.
-		e.loadOnce.Do(func() { s.load(e) })
+	// Outside s.mu: file I/O must not serialise unrelated entries.
+	// Concurrent callers of the SAME entry block here until the load
+	// settles, which is exactly the warm-start they asked for.
+	e.once.Do(func() { e.frontier.Store(s.load(fingerprint, buffers)) })
+	fr := e.frontier.Load()
+	if !fr.SameKeys(buffers) {
+		return nil, fmt.Errorf("probecache: entry %s frontier is over buffers %v, caller wants %v",
+			fingerprint, fr.Keys(), buffers)
 	}
-	return e
+	return fr, nil
 }
 
 // diskFile is the persisted form of one entry.
@@ -82,11 +91,10 @@ type diskFile struct {
 	Fingerprint string `json:"fingerprint"`
 	// Sum is the content checksum: hex sha256 over the compact JSON
 	// marshal of this struct with Sum itself empty. It guards against
-	// byte corruption that still parses — the monotonicity checks below
-	// cannot notice a plausibly-flipped Total.
+	// byte corruption that still parses — the monotonicity checks on
+	// absorb cannot notice a plausibly-flipped capacity.
 	Sum      string            `json:"sum,omitempty"`
 	Frontier *frontierSnapshot `json:"frontier,omitempty"`
-	Periods  []periodRecord    `json:"periods,omitempty"`
 }
 
 // frontierSnapshot is the persisted form of a Frontier.
@@ -122,7 +130,7 @@ func seal(f diskFile) ([]byte, error) {
 }
 
 // decodeFile parses and validates a persisted payload: version,
-// fingerprint and content checksum. Deeper validation (period positivity,
+// fingerprint and content checksum. Deeper validation (buffer order,
 // frontier consistency) happens on absorb.
 func decodeFile(data []byte, fingerprint string) (diskFile, error) {
 	var f diskFile
@@ -145,49 +153,36 @@ func decodeFile(data []byte, fingerprint string) (diskFile, error) {
 	return f, nil
 }
 
-// load absorbs the entry's persisted payload if one exists and is
-// trustworthy. Runs once per entry, outside the store mutex.
-func (s *Store) load(e *Entry) {
-	data, err := readPayload(s.dir, e.fp)
+// load returns a frontier over buffers, warm-started from the
+// fingerprint's payload when the store persists and a trustworthy payload
+// exists, cold otherwise. A payload is absorbed wholesale or not at all: a
+// partially contradictory one is untrusted in full.
+func (s *Store) load(fingerprint string, buffers []string) *Frontier {
+	fr := NewFrontier(buffers)
+	if s.dir == "" {
+		return fr
+	}
+	data, err := readPayload(s.dir, fingerprint)
 	if err != nil {
 		// Miss or unreadable file: start cold. A cache may cost probes,
 		// never block them.
-		return
+		return fr
 	}
-	f, err := decodeFile(data, e.fp)
+	f, err := decodeFile(data, fingerprint)
+	if err == nil && f.Frontier != nil {
+		err = fr.absorb(*f.Frontier)
+	}
 	if err != nil {
-		s.note(&s.skipped)
-		return
+		s.skipped.Add(1)
+		return NewFrontier(buffers)
 	}
-	e.mu.Lock()
-	aerr := e.periods.absorb(f.Periods)
-	if aerr != nil {
-		// Partially absorbed verdicts are safe individually (each is an
-		// independent fact), but the payload as a whole is untrusted:
-		// reset.
-		e.periods = NewPeriods()
-	} else {
-		// The frontier snapshot needs the caller's buffer order to
-		// validate, so it stays pending until Entry.Frontier is called.
-		e.pending = f.Frontier
-	}
-	e.mu.Unlock()
-	if aerr != nil {
-		s.note(&s.skipped)
-	} else {
-		s.note(&s.loaded)
-	}
+	s.loaded.Add(1)
+	return fr
 }
 
-func (s *Store) note(counter *int) {
-	s.mu.Lock()
-	*counter++
-	s.mu.Unlock()
-}
-
-// Flush writes every entry with content back to the directory and
+// Flush writes every non-empty frontier back to the directory and
 // returns how many payloads it wrote; memory-only stores flush nothing.
-// Each entry is merged with the payload currently persisted under its
+// Each frontier is merged with the payload currently persisted under its
 // fingerprint and written back sealed with a fresh checksum, so verdicts
 // another process flushed earlier survive. The read-merge-rename is not
 // atomic across processes: a flush of the same fingerprint landing
@@ -198,24 +193,19 @@ func (s *Store) Flush() (written int, err error) {
 	if s.dir == "" {
 		return 0, nil
 	}
-	s.mu.Lock()
-	entries := make([]*Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-	// Deterministic write order: a flush must touch payloads in the same
-	// order every run, or two flushes racing over the same directory
-	// could interleave differently run to run.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].fp < entries[j].fp })
-	for _, e := range entries {
-		f := e.file()
-		if f.Frontier == nil && len(f.Periods) == 0 {
+	for _, e := range s.sortedEntries() {
+		fr := e.frontier.Load()
+		if fr == nil {
 			continue
 		}
+		snap := fr.snapshot()
+		if len(snap.Feasible)+len(snap.Infeasible) == 0 {
+			continue
+		}
+		f := diskFile{Version: Version, Fingerprint: e.fp, Frontier: &snap}
 		if data, rerr := readPayload(s.dir, e.fp); rerr == nil {
-			if theirs, derr := decodeFile(data, e.fp); derr == nil {
-				f = mergeFiles(f, theirs)
+			if theirs, derr := decodeFile(data, e.fp); derr == nil && theirs.Frontier != nil {
+				f.Frontier = merge(snap, *theirs.Frontier)
 			}
 			// An untrusted persisted payload is simply overwritten.
 		}
@@ -231,38 +221,33 @@ func (s *Store) Flush() (written int, err error) {
 	return written, nil
 }
 
-// mergeFiles folds a replica's persisted payload (theirs, already
-// version/fingerprint/checksum-validated) into the payload about to be
+// sortedEntries lists the entries in fingerprint order. A flush must
+// touch payloads in the same order every run, or two flushes racing over
+// the same directory could interleave differently run to run.
+func (s *Store) sortedEntries() []*entry {
+	s.mu.Lock()
+	entries := make([]*entry, 0, len(s.entries))
+	for _, e := range s.entries {
+		entries = append(entries, e)
+	}
+	s.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].fp < entries[j].fp })
+	return entries
+}
+
+// merge folds a replica's persisted frontier (theirs, already
+// version/fingerprint/checksum-validated) into the one about to be
 // written (ours). Persisted data stays advisory: theirs is absorbed
-// wholesale or dropped wholesale, and on any conflict — an exact-period
-// disagreement, a mismatched buffer order, a monotonicity contradiction —
-// ours wins, because ours was computed in this process and theirs may be
-// stale or poisoned.
-func mergeFiles(ours, theirs diskFile) diskFile {
-	if len(theirs.Periods) > 0 {
-		p := NewPeriods()
-		// Theirs first, ours second: Insert overwrites, so our verdict
-		// wins any exact-period conflict.
-		if p.absorb(theirs.Periods) == nil && p.absorb(ours.Periods) == nil {
-			ours.Periods = p.snapshot()
-		}
+// wholesale or dropped wholesale, and on any conflict — a mismatched
+// buffer order, a monotonicity contradiction — ours wins, because ours
+// was computed in this process and theirs may be stale or poisoned.
+func merge(ours, theirs frontierSnapshot) *frontierSnapshot {
+	fr := NewFrontier(ours.Buffers)
+	if fr.absorb(ours) != nil || fr.absorb(theirs) != nil {
+		return &ours
 	}
-	if theirs.Frontier != nil {
-		if ours.Frontier == nil {
-			fr := NewFrontier(theirs.Frontier.Buffers)
-			if fr.absorb(*theirs.Frontier) == nil {
-				snap := fr.snapshot()
-				ours.Frontier = &snap
-			}
-		} else {
-			fr := NewFrontier(ours.Frontier.Buffers)
-			if fr.absorb(*ours.Frontier) == nil && fr.absorb(*theirs.Frontier) == nil {
-				snap := fr.snapshot()
-				ours.Frontier = &snap
-			}
-		}
-	}
-	return ours
+	snap := fr.snapshot()
+	return &snap
 }
 
 // StoreStats aggregates a store's cache effectiveness for reporting.
@@ -270,109 +255,22 @@ type StoreStats struct {
 	Entries       int   // distinct fingerprints touched
 	Loaded        int   // payloads warm-started from the directory
 	Skipped       int   // payloads present but untrusted (bad version, corrupt, ...)
-	VerdictHits   int64 // lookups answered from cache across all entries
+	VerdictHits   int64 // lookups answered from cache across all frontiers
 	VerdictMisses int64 // lookups that had to compute
 }
 
 // Stats returns the store's aggregate counters.
 func (s *Store) Stats() StoreStats {
-	s.mu.Lock()
-	st := StoreStats{Entries: len(s.entries), Loaded: s.loaded, Skipped: s.skipped}
-	entries := make([]*Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].fp < entries[j].fp })
+	entries := s.sortedEntries()
+	st := StoreStats{Entries: len(entries), Loaded: int(s.loaded.Load()), Skipped: int(s.skipped.Load())}
 	for _, e := range entries {
-		e.mu.Lock()
-		if e.frontier != nil {
-			h, m := e.frontier.Counters()
+		if fr := e.frontier.Load(); fr != nil {
+			h, m := fr.Counters()
 			st.VerdictHits += h
 			st.VerdictMisses += m
 		}
-		h, m := e.periods.Counters()
-		st.VerdictHits += h
-		st.VerdictMisses += m
-		e.mu.Unlock()
 	}
 	return st
-}
-
-// Entry bundles the caches for one fingerprinted problem: a capacity
-// frontier for minimization probes and a period-verdict cache for sweeps.
-type Entry struct {
-	fp       string
-	loadOnce sync.Once
-	mu       sync.Mutex
-	pending  *frontierSnapshot // loaded from the directory, not yet validated
-	frontier *Frontier
-	periods  *Periods
-}
-
-// Fingerprint returns the entry's key.
-func (e *Entry) Fingerprint() string { return e.fp }
-
-// Frontier returns the entry's capacity frontier over the given buffer
-// order, creating it on first use and absorbing any pending persisted
-// snapshot that matches. All callers sharing an entry must agree on the
-// buffer order; a mismatch is an error because mixing projections would
-// corrupt the dominance test.
-func (e *Entry) Frontier(buffers []string) (*Frontier, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.frontier != nil {
-		if !e.frontier.SameKeys(buffers) {
-			return nil, fmt.Errorf("probecache: entry %s frontier is over buffers %v, caller wants %v",
-				e.fp, e.frontier.Keys(), buffers)
-		}
-		return e.frontier, nil
-	}
-	e.frontier = NewFrontier(buffers)
-	if e.pending != nil {
-		// Advisory persisted data: absorb when consistent, drop wholesale
-		// otherwise — a partially contradictory snapshot is untrusted in
-		// full, so the half absorbed before the contradiction goes too.
-		if e.frontier.absorb(*e.pending) != nil {
-			e.frontier = NewFrontier(buffers)
-		}
-		e.pending = nil
-	}
-	return e.frontier, nil
-}
-
-// Periods returns the entry's period-verdict cache.
-func (e *Entry) Periods() *Periods {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.periods
-}
-
-// file snapshots the entry for persistence.
-func (e *Entry) file() diskFile {
-	e.mu.Lock()
-	frontier := e.frontier
-	pending := e.pending
-	periods := e.periods
-	e.mu.Unlock()
-	f := diskFile{Version: Version, Fingerprint: e.fp}
-	switch {
-	case frontier != nil:
-		s := frontier.snapshot()
-		if len(s.Feasible)+len(s.Infeasible) > 0 {
-			f.Frontier = &s
-		}
-	case pending != nil:
-		// Never materialised this run; keep the loaded snapshot as-is.
-		f.Frontier = pending
-	}
-	f.Periods = periods.snapshot()
-	sort.Slice(f.Periods, func(i, j int) bool {
-		a := ratio.MustNew(f.Periods[i].Num, f.Periods[i].Den)
-		b := ratio.MustNew(f.Periods[j].Num, f.Periods[j].Den)
-		return a.Less(b)
-	})
-	return f
 }
 
 // GraphKey returns the canonical fingerprint of a task graph plus any

@@ -5,9 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
-	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
 )
 
@@ -73,15 +73,15 @@ func TestStoreRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "not-yet")
 	g := pairGraph(t)
 	key := GraphKey(g, "test")
+	buffers := []string{"wa->wb", "x"}
 
 	s := NewStore(dir)
-	e := s.Entry(key)
-	if st := s.Stats(); st.Loaded != 0 || st.Skipped != 0 {
-		t.Fatalf("missing directory was not a plain miss: %+v", st)
-	}
-	f, err := e.Frontier([]string{"wa->wb", "x"})
+	f, err := s.Frontier(key, buffers)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Loaded != 0 || st.Skipped != 0 {
+		t.Fatalf("missing directory was not a plain miss: %+v", st)
 	}
 	if err := f.Insert(map[string]int64{"wa->wb": 4, "x": 2}, true); err != nil {
 		t.Fatal(err)
@@ -89,8 +89,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := f.Insert(map[string]int64{"wa->wb": 2, "x": 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	e.Periods().Insert(r(3, 1), Verdict{Valid: true, Total: 7})
-	e.Periods().Insert(r(1, 2), Verdict{Valid: false})
 	if n, err := s.Flush(); err != nil || n != 1 {
 		t.Fatalf("Flush = (%d, %v), want (1, nil)", n, err)
 	}
@@ -102,8 +100,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	// A fresh store warm-starts from the file.
 	warm := NewStore(dir)
-	we := warm.Entry(key)
-	wf, err := we.Frontier([]string{"wa->wb", "x"})
+	wf, err := warm.Frontier(key, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +109,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": 1, "x": 1}); !hit || feasible {
 		t.Errorf("warm frontier missed a dominated infeasible probe: (%v, %v)", feasible, hit)
-	}
-	if v, ok := we.Periods().Lookup(r(3, 1)); !ok || !v.Valid || v.Total != 7 {
-		t.Errorf("warm periods = (%+v, %v)", v, ok)
 	}
 	if st := warm.Stats(); st.Loaded != 1 || st.Skipped != 0 {
 		t.Errorf("stats = %+v, want one loaded file", st)
@@ -131,12 +125,114 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreReadsVersion2Payload pins the on-disk format: a version-2
+// payload exactly as earlier releases wrote it (checksum included) still
+// warm-starts, so upgrading never cold-starts a minimisation cache.
+func TestStoreReadsVersion2Payload(t *testing.T) {
+	const payload = `{
+  "version": 2,
+  "fingerprint": "golden",
+  "sum": "655d5a7afda5926f3c9a429840e129cf26c649fd099a313efd09ad3d19ccf00a",
+  "frontier": {
+    "buffers": [
+      "wa-\u003ewb"
+    ],
+    "feasible": [
+      [
+        4
+      ]
+    ],
+    "infeasible": [
+      [
+        1
+      ]
+    ]
+  }
+}
+`
+	dir := t.TempDir()
+	path := filepath.Join(dir, "golden.json")
+	if err := os.WriteFile(path, []byte(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(dir)
+	f, err := s.Frontier("golden", []string{"wa->wb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feas, inf := f.Size(); feas != 1 || inf != 1 || s.Stats().Loaded != 1 {
+		t.Fatalf("version-2 payload not loaded: frontier (%d, %d), stats %+v", feas, inf, s.Stats())
+	}
+	// Flushing what was loaded rewrites the same bytes.
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != payload {
+		t.Errorf("re-flushed payload differs (%v):\n%s", err, got)
+	}
+}
+
+// TestStoreConcurrentWarmStart has several goroutines meet one persisted
+// fingerprint at once while another reads the stats: the payload is
+// loaded exactly once and every caller gets the same warm frontier.
+func TestStoreConcurrentWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	buffers := []string{"a"}
+	seed := NewStore(dir)
+	f, err := seed.Frontier("k", buffers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Insert(map[string]int64{"a": 4}, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewStore(dir)
+	const n = 8
+	got := make([]*Frontier, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fr, err := s.Frontier("k", buffers)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = fr
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			_ = s.Stats()
+		}
+	}()
+	wg.Wait()
+	for i, fr := range got {
+		if fr != got[0] {
+			t.Fatalf("caller %d got a different frontier", i)
+		}
+	}
+	if feasible, hit := got[0].Lookup(map[string]int64{"a": 5}); !hit || !feasible {
+		t.Errorf("concurrent warm start lost the persisted verdict: (%v, %v)", feasible, hit)
+	}
+	if st := s.Stats(); st.Loaded != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want one entry loaded once", st)
+	}
+}
+
 // corruptionCase writes a bad cache file and expects the loader to ignore
 // it and start cold — never to fail and never to trust it.
 func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 	g := pairGraph(t)
 	key := GraphKey(g, "test")
 	buffers := []string{"wa->wb"}
+	valid := &frontierSnapshot{Buffers: buffers, Feasible: [][]int64{{4}}, Infeasible: [][]int64{{1}}}
 
 	// write seals the file like a real Flush would (the checksum is
 	// computed over whatever Version/Fingerprint the case supplies), so
@@ -151,19 +247,20 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// expectCold asserts the payload was present, skipped as untrusted and
+	// left the frontier empty.
 	expectCold := func(t *testing.T, dir string) {
 		t.Helper()
 		s := NewStore(dir)
-		e := s.Entry(key)
-		f, err := e.Frontier(buffers)
+		f, err := s.Frontier(key, buffers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if feas, inf := f.Size(); feas+inf != 0 {
 			t.Errorf("untrusted file was absorbed: %d feasible, %d infeasible", feas, inf)
 		}
-		if n := e.Periods().Len(); n != 0 {
-			t.Errorf("untrusted periods absorbed: %d", n)
+		if st := s.Stats(); st.Loaded != 0 || st.Skipped != 1 {
+			t.Errorf("stats = %+v, want the payload skipped", st)
 		}
 	}
 
@@ -173,26 +270,21 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectCold(t, dir)
-		if st := NewStoreLoaded(t, dir, key, buffers); st.Skipped != 1 {
-			t.Errorf("skipped = %d, want 1", st.Skipped)
-		}
 	})
 	t.Run("version-mismatch", func(t *testing.T) {
 		dir := t.TempDir()
-		write(t, dir, diskFile{Version: Version + 1, Fingerprint: key,
-			Periods: []periodRecord{{Num: 1, Den: 1, Valid: true}}})
+		write(t, dir, diskFile{Version: Version + 1, Fingerprint: key, Frontier: valid})
 		expectCold(t, dir)
 	})
 	t.Run("fingerprint-mismatch", func(t *testing.T) {
 		dir := t.TempDir()
-		write(t, dir, diskFile{Version: Version, Fingerprint: "deadbeef",
-			Periods: []periodRecord{{Num: 1, Den: 1, Valid: true}}})
+		write(t, dir, diskFile{Version: Version, Fingerprint: "deadbeef", Frontier: valid})
 		expectCold(t, dir)
 	})
-	t.Run("non-positive-period", func(t *testing.T) {
+	t.Run("negative-capacity", func(t *testing.T) {
 		dir := t.TempDir()
 		write(t, dir, diskFile{Version: Version, Fingerprint: key,
-			Periods: []periodRecord{{Num: -1, Den: 1, Valid: true}}})
+			Frontier: &frontierSnapshot{Buffers: buffers, Feasible: [][]int64{{4}}, Infeasible: [][]int64{{-1}}}})
 		expectCold(t, dir)
 	})
 	t.Run("contradictory-frontier", func(t *testing.T) {
@@ -213,8 +305,7 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 	})
 	t.Run("missing-checksum", func(t *testing.T) {
 		dir := t.TempDir()
-		data, err := json.Marshal(diskFile{Version: Version, Fingerprint: key,
-			Periods: []periodRecord{{Num: 1, Den: 1, Valid: true}}})
+		data, err := json.Marshal(diskFile{Version: Version, Fingerprint: key, Frontier: valid})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,17 +315,17 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 		expectCold(t, dir)
 	})
 	t.Run("checksum-mismatch", func(t *testing.T) {
-		// A flipped digit in a Total parses fine and is monotonically
-		// plausible — only the content checksum can catch it.
+		// A flipped digit in a frontier vector parses fine and is
+		// monotonically plausible — only the content checksum can catch it.
 		dir := t.TempDir()
 		good := diskFile{Version: Version, Fingerprint: key,
-			Periods: []periodRecord{{Num: 3, Den: 1, Valid: true, Total: 7}}}
+			Frontier: &frontierSnapshot{Buffers: buffers, Feasible: [][]int64{{4}}, Infeasible: [][]int64{{1}}}}
 		sum, err := sumOf(good)
 		if err != nil {
 			t.Fatal(err)
 		}
 		good.Sum = sum
-		good.Periods[0].Total = 8 // corrupt AFTER sealing
+		good.Frontier.Feasible[0][0] = 3 // corrupt AFTER sealing
 		data, err := json.Marshal(good)
 		if err != nil {
 			t.Fatal(err)
@@ -243,9 +334,6 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectCold(t, dir)
-		if st := NewStoreLoaded(t, dir, key, buffers); st.Skipped != 1 {
-			t.Errorf("skipped = %d, want 1", st.Skipped)
-		}
 	})
 	t.Run("unsafe-fingerprint", func(t *testing.T) {
 		// A fingerprint that is not a plain file name is never read or
@@ -257,8 +345,7 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A trustworthy payload planted where the unsafe name points.
-			data, err := seal(diskFile{Version: Version, Fingerprint: bad,
-				Periods: []periodRecord{{Num: 1, Den: 1, Valid: true}}})
+			data, err := seal(diskFile{Version: Version, Fingerprint: bad, Frontier: valid})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,11 +356,16 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 				}
 			}
 			s := NewStore(dir)
-			e := s.Entry(bad)
-			if st := s.Stats(); st.Loaded != 0 || e.Periods().Len() != 0 {
-				t.Errorf("%q: payload outside the safe layout was loaded: %+v", bad, st)
+			f, err := s.Frontier(bad, buffers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			e.Periods().Insert(r(2, 1), Verdict{Valid: true, Total: 3})
+			if feas, inf := f.Size(); s.Stats().Loaded != 0 || feas+inf != 0 {
+				t.Errorf("%q: payload outside the safe layout was loaded: %+v", bad, s.Stats())
+			}
+			if err := f.Insert(map[string]int64{"wa->wb": 3}, true); err != nil {
+				t.Fatal(err)
+			}
 			if n, err := s.Flush(); err == nil || n != 0 {
 				t.Errorf("%q: Flush = (%d, %v), want an error and nothing written", bad, n, err)
 			}
@@ -298,29 +390,30 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 	})
 }
 
-// TestStoreToleratesTruncationAtEveryByte flushes a real entry, then
+// TestStoreToleratesTruncationAtEveryByte flushes a real frontier, then
 // truncates the persisted file at every possible length: every prefix
 // must load as either a trusted full file (only the full length) or a
 // cold start — never an error, never partial trust.
 func TestStoreToleratesTruncationAtEveryByte(t *testing.T) {
 	g := pairGraph(t)
 	key := GraphKey(g, "truncate")
-	buffers := []string{"wa->wb"}
+	buffers := []string{"wa->wb", "x"}
 
 	dir := t.TempDir()
 	s := NewStore(dir)
-	e := s.Entry(key)
-	f, err := e.Frontier(buffers)
+	f, err := s.Frontier(key, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Insert(map[string]int64{"wa->wb": 4}, true); err != nil {
-		t.Fatal(err)
+	// Two incomparable vectors per side, so a prefix could drop one.
+	for _, v := range []struct {
+		a, x     int64
+		feasible bool
+	}{{4, 9, true}, {9, 4, true}, {1, 3, false}, {3, 1, false}} {
+		if err := f.Insert(map[string]int64{"wa->wb": v.a, "x": v.x}, v.feasible); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := f.Insert(map[string]int64{"wa->wb": 1}, false); err != nil {
-		t.Fatal(err)
-	}
-	e.Periods().Insert(r(3, 1), Verdict{Valid: true, Total: 7})
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +428,7 @@ func TestStoreToleratesTruncationAtEveryByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		warm := NewStore(dir)
-		we := warm.Entry(key)
-		wf, err := we.Frontier(buffers)
+		wf, err := warm.Frontier(key, buffers)
 		if err != nil {
 			t.Fatalf("truncated at %d/%d bytes: Frontier errored: %v", n, len(full), err)
 		}
@@ -349,18 +441,14 @@ func TestStoreToleratesTruncationAtEveryByte(t *testing.T) {
 			// checksum re-verifies from the parsed content, so a trusted
 			// load must reproduce EVERYTHING — all-or-nothing, by
 			// construction.
-			if feas != 1 || inf != 1 || we.Periods().Len() != 1 {
-				t.Fatalf("truncated at %d/%d bytes half-trusted: frontier (%d, %d), periods %d",
-					n, len(full), feas, inf, we.Periods().Len())
+			if feas != 2 || inf != 2 {
+				t.Fatalf("truncated at %d/%d bytes half-trusted: frontier (%d, %d)", n, len(full), feas, inf)
 			}
-			if v, ok := we.Periods().Lookup(r(3, 1)); !ok || !v.Valid || v.Total != 7 {
-				t.Fatalf("truncated at %d/%d bytes loaded an altered verdict: (%+v, %v)", n, len(full), v, ok)
-			}
-		case st.Loaded == 0 && feas+inf == 0 && we.Periods().Len() == 0:
+		case st.Loaded == 0 && feas+inf == 0:
 			// Cold start: the truncation was detected and ignored.
 		default:
-			t.Fatalf("truncated at %d/%d bytes was part-trusted: stats %+v, frontier (%d, %d), periods %d",
-				n, len(full), st, feas, inf, we.Periods().Len())
+			t.Fatalf("truncated at %d/%d bytes was part-trusted: stats %+v, frontier (%d, %d)",
+				n, len(full), st, feas, inf)
 		}
 	}
 	if err := os.WriteFile(path, full, 0o644); err != nil {
@@ -377,28 +465,29 @@ func TestStoreToleratesTruncationAtEveryByte(t *testing.T) {
 func TestFlushMergesConcurrentReplicas(t *testing.T) {
 	g := pairGraph(t)
 	key := GraphKey(g, "merge")
-	buffers := []string{"wa->wb"}
+	buffers := []string{"wa->wb", "x"}
 	dir := t.TempDir()
 
 	a, b := NewStore(dir), NewStore(dir)
-	af, err := a.Entry(key).Frontier(buffers)
+	af, err := a.Frontier(key, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := b.Entry(key).Frontier(buffers)
+	bf, err := b.Frontier(key, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replica A learns a feasible point and a period verdict; replica B
-	// learns an infeasible point and a different period verdict.
-	if err := af.Insert(map[string]int64{"wa->wb": 5}, true); err != nil {
-		t.Fatal(err)
+	// Replica A learns a feasible and an infeasible point; replica B
+	// learns two points incomparable to A's.
+	for _, in := range []struct {
+		fr       *Frontier
+		a, x     int64
+		feasible bool
+	}{{af, 5, 9, true}, {af, 1, 3, false}, {bf, 9, 5, true}, {bf, 3, 1, false}} {
+		if err := in.fr.Insert(map[string]int64{"wa->wb": in.a, "x": in.x}, in.feasible); err != nil {
+			t.Fatal(err)
+		}
 	}
-	a.Entry(key).Periods().Insert(r(3, 1), Verdict{Valid: true, Total: 5})
-	if err := bf.Insert(map[string]int64{"wa->wb": 1}, false); err != nil {
-		t.Fatal(err)
-	}
-	b.Entry(key).Periods().Insert(r(1, 2), Verdict{Valid: false})
 
 	if _, err := a.Flush(); err != nil {
 		t.Fatal(err)
@@ -408,35 +497,33 @@ func TestFlushMergesConcurrentReplicas(t *testing.T) {
 	}
 
 	warm := NewStore(dir)
-	wf, err := warm.Entry(key).Frontier(buffers)
+	wf, err := warm.Frontier(key, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": 9}); !hit || !feasible {
-		t.Errorf("replica A's feasible verdict lost in merge: (%v, %v)", feasible, hit)
+	for _, probe := range []struct {
+		who      string
+		a, x     int64
+		feasible bool
+	}{{"A", 5, 9, true}, {"A", 1, 3, false}, {"B", 9, 5, true}, {"B", 3, 1, false}} {
+		if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": probe.a, "x": probe.x}); !hit || feasible != probe.feasible {
+			t.Errorf("replica %s's verdict at (%d, %d) lost in merge: (%v, %v)", probe.who, probe.a, probe.x, feasible, hit)
+		}
 	}
-	if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": 1}); !hit || feasible {
-		t.Errorf("replica B's infeasible verdict lost in merge: (%v, %v)", feasible, hit)
-	}
-	p := warm.Entry(key).Periods()
-	if v, ok := p.Lookup(r(3, 1)); !ok || !v.Valid || v.Total != 5 {
-		t.Errorf("replica A's period verdict lost in merge: (%+v, %v)", v, ok)
-	}
-	if v, ok := p.Lookup(r(1, 2)); !ok || v.Valid {
-		t.Errorf("replica B's period verdict lost in merge: (%+v, %v)", v, ok)
+	if feas, inf := wf.Size(); feas != 2 || inf != 2 {
+		t.Errorf("merged frontier holds (%d, %d) vectors, want (2, 2)", feas, inf)
 	}
 	if err := wf.SelfCheck(); err != nil {
 		t.Errorf("merged frontier fails self-check: %v", err)
 	}
 }
 
-// NewStoreLoaded opens a store, touches the entry and returns the stats;
-// helper for asserting skip counters.
+// NewStoreLoaded opens a store, touches the fingerprint's frontier and
+// returns the stats; helper for asserting load counters.
 func NewStoreLoaded(t *testing.T, dir, key string, buffers []string) StoreStats {
 	t.Helper()
 	s := NewStore(dir)
-	e := s.Entry(key)
-	if _, err := e.Frontier(buffers); err != nil {
+	if _, err := s.Frontier(key, buffers); err != nil {
 		t.Fatal(err)
 	}
 	return s.Stats()
@@ -444,22 +531,26 @@ func NewStoreLoaded(t *testing.T, dir, key string, buffers []string) StoreStats 
 
 func TestEntryFrontierOrderMismatch(t *testing.T) {
 	s := NewStore("")
-	e := s.Entry("k")
-	if _, err := e.Frontier([]string{"a", "b"}); err != nil {
+	if _, err := s.Frontier("k", []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Frontier([]string{"b", "a"}); err == nil {
+	if _, err := s.Frontier("k", []string{"b", "a"}); err == nil {
 		t.Error("conflicting buffer order accepted")
 	}
-	if _, err := e.Frontier([]string{"a", "b"}); err != nil {
+	if _, err := s.Frontier("k", []string{"a", "b"}); err != nil {
 		t.Errorf("matching order rejected: %v", err)
 	}
 }
 
 func TestMemoryStoreFlushIsNoOp(t *testing.T) {
 	s := NewStore("")
-	e := s.Entry("k")
-	e.Periods().Insert(ratio.One, Verdict{Valid: true})
+	f, err := s.Frontier("k", []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Insert(map[string]int64{"a": 1}, true); err != nil {
+		t.Fatal(err)
+	}
 	if n, err := s.Flush(); err != nil || n != 0 {
 		t.Errorf("Flush on memory store = (%d, %v), want (0, nil)", n, err)
 	}
@@ -468,7 +559,9 @@ func TestMemoryStoreFlushIsNoOp(t *testing.T) {
 func TestFlushSkipsEmptyEntries(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
-	s.Entry("empty")
+	if _, err := s.Frontier("empty", []string{"a"}); err != nil {
+		t.Fatal(err)
+	}
 	if n, err := s.Flush(); err != nil || n != 0 {
 		t.Errorf("Flush wrote %d files (%v), want 0", n, err)
 	}

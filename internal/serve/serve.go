@@ -17,9 +17,10 @@
 //     graph plus every parameter that co-determines the answer): N
 //     concurrent requests for the same problem — even with textually
 //     different documents — run ONE computation, and every waiter receives
-//     byte-identical response bodies. Verdicts land in the probecache
-//     store, so even after the response cache evicts, repeat sizings
-//     replay from the feasibility frontier instead of simulating.
+//     byte-identical response bodies. Minimize verdicts land in the
+//     probecache store, so even after the response cache evicts, a repeat
+//     minimisation replays from the feasibility frontier instead of
+//     simulating.
 //
 //   - Bounded everything. Documents are parsed under graphio.Limits,
 //     computations run on a fixed worker pool with a bounded queue (a full
@@ -92,9 +93,9 @@ type Config struct {
 	// AccessLog receives drained access-log lines (nil: entries are
 	// drained and discarded; drops are still counted either way).
 	AccessLog io.Writer
-	// Store holds feasibility verdicts across requests, and across
-	// processes when it persists to a directory (nil: a private
-	// in-memory store per Server).
+	// Store holds the capacity frontiers of minimize requests across
+	// requests, and across processes when it persists to a directory
+	// (nil: a private in-memory store per Server).
 	Store *probecache.Store
 
 	// computeHook, when set, runs on the worker goroutine right before a
@@ -147,8 +148,7 @@ const (
 	pathMinimize
 	pathSweep
 	pathDegradation
-	pathHealthz
-	pathStatsz
+	pathUnknown // any other path: answered 404
 )
 
 // statusClientClosed is the non-standard (nginx-convention) status
@@ -171,7 +171,7 @@ type Server struct {
 	// responses counts every answer except /healthz and /statsz by its
 	// kind (kindHit ...); rejected counts the flights a full worker
 	// queue shed, whose requests are answered as errors; effort counts
-	// the simulation work of minimize probes.
+	// the simulation work of minimize probes and degradation sweeps.
 	responses [numKinds]atomic.Int64
 	rejected  atomic.Int64
 	effort    sim.Effort
@@ -280,16 +280,13 @@ func (s *Server) writeEntry(w http.ResponseWriter, e *respEntry) {
 
 // respond counts the response under its kind, writes it and logs it.
 // Counting comes first, so a client that has its answer also finds it on
-// /statsz. A response without a pooled context (a routing error) is
-// counted but not logged.
+// /statsz.
 //
 //vrdf:noalloc
 func (s *Server) respond(w http.ResponseWriter, c *reqCtx, pathID int32, e *respEntry, kind uint8, start time.Time) {
 	s.responses[kind].Add(1)
 	s.writeEntry(w, e)
-	if c != nil {
-		s.log(c, pathID, int32(e.status), kind, start)
-	}
+	s.log(c, pathID, int32(e.status), kind, start)
 }
 
 // log records the request in the access-log ring; a full ring counts a
@@ -331,16 +328,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveStatsz(w)
 		return
 	default:
-		s.plainError(w, http.StatusNotFound, "not found")
-		return
+		pathID = pathUnknown
 	}
-	if r.Method != http.MethodPost {
-		s.plainError(w, http.StatusMethodNotAllowed, "POST a graph document")
-		return
-	}
+	// Every counted response is logged from a pooled context; its key
+	// stays zero until the body is hashed.
 	c := reqPool.Get().(*reqCtx)
 	//vrdf:allocok(pointer into any: interface conversion of a pointer does not allocate)
 	defer reqPool.Put(c)
+	c.key = [32]byte{}
+	if pathID == pathUnknown {
+		s.failRequest(w, c, pathID, start, errNotFound)
+		return
+	}
+	if r.Method != http.MethodPost {
+		s.failRequest(w, c, pathID, start, errNotPost)
+		return
+	}
 	if err := c.readBody(r.Body, s.cfg.Limits.MaxBytes); err != nil {
 		s.failRequest(w, c, pathID, start, err)
 		return
@@ -516,7 +519,6 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
 				Parallel: 1,
 				Context:  ctx,
-				Cache:    s.cfg.Store.Entry(capacity.SweepKey(g, con.Task, policy)).Periods(),
 			})
 			if err != nil {
 				return nil, err
@@ -562,6 +564,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				Firings:    firings,
 				Workers:    1,
 				Context:    ctx,
+				Effort:     &s.effort,
 			})
 			if err != nil {
 				return nil, err
@@ -810,17 +813,28 @@ func (e *badRequestError) Unwrap() error { return e.err }
 
 func badReq(err error) error { return &badRequestError{err: err} }
 
+// The router's own rejections, answered 404 and 405.
+var (
+	errNotFound = errors.New("not found")
+	errNotPost  = errors.New("POST a graph document")
+)
+
 func badReqf(format string, args ...any) error {
 	return &badRequestError{err: fmt.Errorf(format, args...)}
 }
 
-// statusFor maps error kinds to HTTP statuses: oversized input 413, other
-// document limits and bad documents/parameters 400, shed load 503,
-// exhausted budget 504, a hung-up client 499, anything else 500.
+// statusFor maps error kinds to HTTP statuses: an unknown path 404, a
+// method other than POST 405, oversized input 413, other document limits
+// and bad documents/parameters 400, shed load 503, exhausted budget 504, a
+// hung-up client 499, anything else 500.
 func statusFor(err error) int {
 	var le *graphio.LimitError
 	var br *badRequestError
 	switch {
+	case errors.Is(err, errNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, errNotPost):
+		return http.StatusMethodNotAllowed
 	case errors.As(err, &le):
 		if le.What == "input bytes" {
 			return http.StatusRequestEntityTooLarge
@@ -853,11 +867,6 @@ func (s *Server) failRequest(w http.ResponseWriter, c *reqCtx, pathID int32, sta
 	s.respond(w, c, pathID, errorEntry(status, err.Error()), kindError, start)
 }
 
-// plainError answers routing-level errors (no pooled context in hand yet).
-func (s *Server) plainError(w http.ResponseWriter, status int, msg string) {
-	s.respond(w, nil, 0, errorEntry(status, msg), kindError, time.Time{})
-}
-
 // errorEntry renders the JSON body of an error response.
 func errorEntry(status int, msg string) *respEntry {
 	body, _ := json.Marshal(errorResponse{Error: msg}) // a one-string struct always encodes
@@ -871,7 +880,8 @@ func (s *Server) serveHealthz(w http.ResponseWriter) {
 }
 
 // Stats is the /statsz payload: responses by kind, cache and pool
-// occupancy, and the simulation effort spent by minimize probes. Every
+// occupancy, and the simulation effort spent by minimize probes and
+// degradation sweeps. Every
 // response except /healthz and /statsz counts under exactly one kind, so
 // Requests = CacheHits + Computes + Coalesced + Errors. Computes counts
 // the responses that led a successful computation; a computation that
@@ -944,7 +954,7 @@ func (s *Server) drainLog() {
 }
 
 // pathNames maps path ids back to endpoint names for the access log.
-var pathNames = [...]string{"size", "minimize", "sweep", "degradation", "healthz", "statsz"}
+var pathNames = [...]string{"size", "minimize", "sweep", "degradation", "unknown"}
 
 var kindNames = [...]string{"hit", "compute", "coalesced", "error"}
 

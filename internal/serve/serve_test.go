@@ -249,6 +249,10 @@ func TestSizeSweepDegradation(t *testing.T) {
 			t.Fatalf("sweep not monotone: %v", sweep.Points)
 		}
 	}
+	// A sweep recomputes every point: it leaves no verdict in the store.
+	if n := s.cfg.Store.Stats().Entries; n != 0 {
+		t.Errorf("sweep left %d store entries, want 0", n)
+	}
 
 	status, body = post(t, ts, "/v1/degradation?max=2&firings=100", pairDoc)
 	if status != http.StatusOK {
@@ -263,6 +267,10 @@ func TestSizeSweepDegradation(t *testing.T) {
 	}
 	if !deg.Points[0].OK {
 		t.Fatalf("nominal point (factor 1) failed: %+v", deg.Points[0])
+	}
+	// The degradation sweep is the only request here that simulates.
+	if st := getStats(t, ts); st.SimEvents == 0 || st.ColdResets < faults.DegradationPoints {
+		t.Errorf("stats %+v: the degradation sweep's simulation was not counted", st)
 	}
 }
 
@@ -338,7 +346,7 @@ func TestMinimizeEventCapIs504(t *testing.T) {
 		t.Fatalf("%d compiled problems, want 1", len(s.problems.entries))
 	}
 	for _, prob := range s.problems.entries {
-		frontier, err := s.cfg.Store.Entry(prob.Fingerprint).Frontier(prob.Buffers)
+		frontier, err := s.cfg.Store.Frontier(prob.Fingerprint, prob.Buffers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,6 +600,32 @@ func TestAccessLog(t *testing.T) {
 			t.Fatalf("access log never drained both kinds; got %q", text)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAccessLogCountsEveryError pins that every response counted on
+// /statsz reaches the access log, routing errors included: a 404 (logged
+// under path=unknown), a 405 and a 400 give three error lines.
+func TestAccessLogCountsEveryError(t *testing.T) {
+	var logged bytes.Buffer // written only by the drain goroutine; read after Close
+	s := New(Config{AccessLog: &logged, LogInterval: time.Millisecond})
+	ts := httptest.NewServer(s)
+	post(t, ts, "/v1/nowhere", pairDoc)
+	if resp, err := http.Get(ts.URL + "/v1/size"); err == nil {
+		resp.Body.Close()
+	}
+	post(t, ts, "/v1/size", "task a wcrt 1\n")
+	st := getStats(t, ts)
+	ts.Close()
+	s.Close() // drains every buffered entry before returning
+	text := logged.String()
+	if n := int64(strings.Count(text, "kind=error")); n != st.Errors || n != 3 {
+		t.Errorf("access log holds %d error lines, /statsz counts %d errors, want 3 each:\n%s", n, st.Errors, text)
+	}
+	for _, want := range []string{"path=unknown status=404", "path=size status=405", "path=size status=400"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("access log lacks %q:\n%s", want, text)
+		}
 	}
 }
 
