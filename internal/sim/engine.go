@@ -23,14 +23,20 @@
 // reallocating, and the event loop itself — a typed binary heap over a
 // preallocated []event plus a dirty-actor bitset — performs no heap
 // allocation per event. Ports with a constant quantum read it as a plain
-// integer; only data-dependent ports call their quanta.Sequence. Run is the
-// convenience wrapper for one-shot use.
+// integer; only data-dependent ports call their quanta.Sequence. Back-to-back
+// firings of one constant-rate actor that no other event interleaves — the
+// §5 DAC draining its buffer one sample at a time — are applied as one
+// run-length step in O(1), with every count, statistic and checkpoint
+// position the per-event loop would produce. Run is the convenience wrapper
+// for one-shot use.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"vrdfcap/internal/budget"
@@ -365,13 +371,20 @@ type actorState struct {
 	armedFor    int64 // ASAP with StartShift: firing index the timer is armed for, -1 none
 	in          []portRef
 	out         []portRef
-	record      bool
 	starts      []int64
+	// runLengthFirings counts the firings the run-length path applied,
+	// over the machine's life.
+	runLengthFirings int64
+	record           bool
+	// runLength marks an actor whose back-to-back firings the event loop
+	// may apply in one step (see Machine.runLength); fixed by Compile.
+	runLength bool
 }
 
 type edgeState struct {
 	name     string
 	initial  int64 // default token count at tick 0
+	producer int   // index of the source actor
 	consumer int   // index of the destination actor
 	tokens   int64
 	peak     int64
@@ -395,7 +408,6 @@ type edgeState struct {
 // (there are none).
 const noShortfall = int64(^uint64(0) >> 1)
 
-// sample appends an occupancy sample, merging same-tick updates.
 // sample records the edge's occupancy at the given tick, coalescing
 // same-tick updates.
 //
@@ -479,8 +491,29 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q = q[:n]
-	i := 0
+	*h = q[:n]
+	h.down(0)
+	return top
+}
+
+// tickAt returns the tick of the event at index i, or farTick past the end.
+//
+//vrdf:noalloc
+func (h eventHeap) tickAt(i int) int64 {
+	if i < len(h) {
+		return h[i].tick
+	}
+	return farTick
+}
+
+// farTick stands for "never": later than any event.
+const farTick = math.MaxInt64
+
+// down restores the heap order below index i after the event there grew.
+//
+//vrdf:noalloc
+func (h eventHeap) down(i int) {
+	q, n := h, len(h)
 	//vrdf:unbudgeted(heap sift-down, O-of-log-n in the calendar size)
 	for {
 		l := 2*i + 1
@@ -497,8 +530,6 @@ func (h *eventHeap) pop() event {
 		q[i], q[least] = q[least], q[i]
 		i = least
 	}
-	*h = q
-	return top
 }
 
 // Machine is a compiled simulation: the graph validated, the time base
@@ -712,6 +743,7 @@ func Compile(cfg Config) (*Machine, error) {
 		es := m.edges[ge.Name]
 		src := m.byName[ge.Src]
 		dst := m.byName[ge.Dst]
+		es.producer = src.idx
 		es.consumer = dst.idx
 		src.out = append(src.out, newPort(es, prod))
 		dst.in = append(dst.in, newPort(es, cons))
@@ -767,6 +799,13 @@ func Compile(cfg Config) (*Machine, error) {
 	if m.ckptSlots > 0 {
 		m.ckptTokens = make([]int64, len(m.edgeList))
 		m.desScratch = make([]int64, len(m.edgeList))
+	}
+	if !cfg.CheckInvariants {
+		// Invariants are checked after every event, so their runs stay
+		// per-event throughout.
+		for _, a := range m.actors {
+			m.compileRunLength(a)
+		}
 	}
 	if err := m.Reset(nil); err != nil {
 		return nil, err
@@ -1060,18 +1099,280 @@ func (m *Machine) startDirty(t int64) error {
 	return nil
 }
 
+// compileRunLength decides whether the event loop may apply a's firings in
+// runs (see runLength). It may when every port of a is constant, every
+// firing takes exactly ρ (ρ > 0, and within the period for a periodic
+// actor, which otherwise underruns), no start of a or of a consumer it
+// wakes is shifted, no recording watches a's edges, and no edge leads from
+// a back into a.
+func (m *Machine) compileRunLength(a *actorState) {
+	if a.exec != nil || a.startShift != nil || a.rhoTicks <= 0 ||
+		(a.mode == Periodic && a.rhoTicks > a.periodT) {
+		return
+	}
+	for _, ports := range [][]portRef{a.in, a.out} {
+		for _, p := range ports {
+			if p.seq != nil || p.edge.record || p.edge.recordOcc {
+				return
+			}
+		}
+	}
+	for _, p := range a.out {
+		if c := m.actors[p.edge.consumer]; c == a || c.startShift != nil {
+			return
+		}
+	}
+	a.runLength = true
+}
+
+// runLength is the event loop's fast path, tried at quiescent points (every
+// same-tick event drained, the dirty set empty) whose earliest event
+// belongs to a run-length actor a. When that event is a's finish, it works
+// out how many firings L of a the per-event loop would process back to
+// back, and applies all L at once. An ASAP a finishes and restarts at the
+// same tick (one event per firing); a periodic a finishes and starts its
+// next scheduled firing (two events per firing). The run ends before the
+// firing at which
+//
+//   - another actor's event is due at the same tick or earlier,
+//   - a lacks the input tokens to start again,
+//   - an idle consumer woken by a's production becomes enabled,
+//   - a reaches the stop horizon (a's last firings stay per-event), or
+//   - the events would pass MaxEvents, the next context check or the next
+//     checkpoint.
+//
+// Tokens, produced/consumed counts, peaks and minima, busy time, firing
+// counters, events, sequence numbers, the minimum shortfall every failed
+// wake-up check would have recorded and a's calendar entries all come out
+// as the per-event loop leaves them; only recorded start ticks are written
+// one per firing. It returns the tick of the last applied event, and false
+// when not even one firing can be applied.
+//
+//vrdf:noalloc
+func (m *Machine) runLength() (int64, bool) {
+	a := m.actors[m.eq[0].actor]
+	if m.eq[0].kind() != evFinish {
+		return 0, false
+	}
+	var first, stride, other int64
+	ci := 0 // calendar index of a's pending periodic start
+	if a.mode == ASAP {
+		// a's finish is its only event; the rest hang below the root.
+		first, stride, other = m.eq[0].tick, a.rhoTicks, min(m.eq.tickAt(1), m.eq.tickAt(2))
+	} else {
+		// a's next scheduled start, the second-smallest event, is a child
+		// of the root: each firing is that finish plus the next start.
+		ci = 1
+		if len(m.eq) > 2 && eventLess(m.eq[2], m.eq[1]) {
+			ci = 2
+		}
+		if len(m.eq) < 2 || m.eq[ci].actor != a.idx || m.eq[ci].kind() != evPeriodicStart ||
+			m.eq[ci].tick != a.offsetT+a.started*a.periodT {
+			return 0, false
+		}
+		first, stride = m.eq[ci].tick, a.periodT
+		other = min(m.eq.tickAt(3-ci), m.eq.tickAt(2*ci+1), m.eq.tickAt(2*ci+2))
+	}
+	if other <= first {
+		return 0, false
+	}
+	for i := range a.in {
+		if p := &a.in[i]; p.edge.tokens < p.q {
+			return 0, false // a cannot start again; skip the divisions below
+		}
+	}
+	L := (other-first-1)/stride + 1
+	// Event budget: pops happen at counts events … events+n-1, none of
+	// which may reach MaxEvents or, after the first, a context check.
+	events := min(m.maxEvents, (m.events|(budgetCheckInterval-1))+1) - m.events
+	if a.mode == ASAP {
+		L = min(L, events)
+		if m.ckptSlots > 0 {
+			L = min(L, m.ckptNext-m.events)
+		}
+		if a == m.stop {
+			L = min(L, m.cfg.Stop.Firings-a.finished-1)
+		}
+	} else {
+		L = min(L, events/2)
+		if m.ckptSlots > 0 {
+			// The checkpoint falls at the first quiescent point at or past
+			// ckptNext: after a finish when it has a tick of its own.
+			gap := m.ckptNext - m.events
+			if a.rhoTicks == a.periodT {
+				gap++
+			}
+			L = min(L, gap/2)
+		}
+		if a == m.stop {
+			// Keep the next scheduled start pushed after every applied one.
+			L = min(L, m.cfg.Stop.Firings-a.started-1)
+		}
+	}
+	for i := range a.in {
+		if p := &a.in[i]; p.q > 0 {
+			L = min(L, p.edge.tokens/p.q)
+		}
+	}
+	// The consumers' enabling costs quanta lookups; bound it last.
+	finish := m.eq[0].tick
+	for i := 0; i < len(a.out) && L > 0; i++ {
+		if c := m.idleWoken(a, i, finish); c != nil {
+			L = min(L, a.enables(c)-1)
+		}
+	}
+	if L <= 0 {
+		return 0, false
+	}
+
+	for i := range a.out {
+		if c := m.idleWoken(a, i, finish); c != nil {
+			a.recordShortfalls(c, L)
+		}
+	}
+	for i := range a.in {
+		if e, n := a.in[i].edge, a.in[i].q*L; n > 0 {
+			e.consumed += n
+			e.tokens -= n
+			e.min = min(e.min, e.tokens)
+		}
+	}
+	for i := range a.out {
+		if e, n := a.out[i].edge, a.out[i].q*L; n > 0 {
+			e.produced += n
+			e.tokens += n
+			e.peak = max(e.peak, e.tokens)
+		}
+	}
+	if a.record {
+		n := len(a.starts)
+		a.starts = slices.Grow(a.starts, int(L))[:n+int(L)] //vrdf:allocok(a.starts keeps its capacity across Reset, so steady-state reruns grow into retained backing)
+		for k, t := n, first; k < len(a.starts); k, t = k+1, t+stride {
+			a.starts[k] = t
+		}
+	}
+	last := first + (L-1)*stride
+	a.started += L
+	a.finished += L
+	a.busyTicks += L * a.rhoTicks
+	a.busyUntil = last + a.rhoTicks
+	a.runLengthFirings += L
+	// Rewrite a's calendar entries with the sequence numbers the per-event
+	// pushes would have drawn, then restore the heap order beneath them.
+	// A periodic firing pushes its finish, then its next scheduled start.
+	pushes, finishSeq := L, m.seq+L-1
+	if a.mode == Periodic {
+		pushes, finishSeq = 2*L, m.seq+2*L-2
+		m.eq[ci] = event{tick: last + stride, ord: uint64(evPeriodicStart)<<ordKindShift | uint64(m.seq+2*L-1), actor: a.idx}
+		m.eq.down(ci)
+	}
+	m.eq[0] = event{tick: a.busyUntil, ord: uint64(evFinish)<<ordKindShift | uint64(finishSeq), actor: a.idx}
+	m.eq.down(0)
+	m.seq += pushes
+	m.events += pushes
+	return last, true
+}
+
+// idleWoken returns the consumer of a's i-th output if a's finish at tick t
+// marks it dirty and it is an ASAP actor idle at t, so its wake-up check
+// tries to start it; nil otherwise, and for every output but the first
+// that reaches the consumer, so each consumer is returned once.
+//
+//vrdf:noalloc
+func (m *Machine) idleWoken(a *actorState, i int, t int64) *actorState {
+	p := &a.out[i]
+	c := m.actors[p.edge.consumer]
+	if p.q == 0 || c.mode != ASAP || c.busyUntil > t {
+		return nil
+	}
+	for _, q := range a.out[:i] {
+		if q.q > 0 && q.edge.consumer == c.idx {
+			return nil
+		}
+	}
+	return c
+}
+
+// fed returns the tokens each firing of a adds to port p of another actor:
+// the quantum of a's output on p's edge, 0 when a does not feed it.
+//
+//vrdf:noalloc
+func (a *actorState) fed(p *portRef) int64 {
+	if p.edge.producer != a.idx {
+		return 0
+	}
+	for _, q := range a.out {
+		if q.edge == p.edge {
+			return q.q
+		}
+	}
+	return 0
+}
+
+// enables returns the first firing i ≥ 1 of run-length actor a after whose
+// finish consumer c is enabled, or farTick when a alone never enables it.
+//
+//vrdf:noalloc
+func (a *actorState) enables(c *actorState) int64 {
+	from := int64(1)
+	for j := range c.in {
+		p := &c.in[j]
+		prod := a.fed(p)
+		deficit := p.at(c.started) - p.edge.tokens
+		if deficit <= from*prod {
+			continue
+		}
+		if prod == 0 {
+			return farTick
+		}
+		from = (deficit-1)/prod + 1
+	}
+	return from
+}
+
+// recordShortfalls records the minimum shortfalls that the wake-up checks
+// of consumer c after run-length actor a's next L finishes observe, given
+// that none of them enables c (L < a.enables(c)). The check after finish i
+// fails on the first input still short; an input stays the first short one
+// over a range of consecutive finishes, and the last of them shows its
+// smallest shortfall.
+//
+//vrdf:noalloc
+func (a *actorState) recordShortfalls(c *actorState, L int64) {
+	from := int64(1)
+	for j := range c.in {
+		p := &c.in[j]
+		prod := a.fed(p)
+		deficit := p.at(c.started) - p.edge.tokens
+		if deficit <= from*prod {
+			continue
+		}
+		last := L
+		if prod > 0 {
+			last = min(L, (deficit-1)/prod)
+		}
+		p.edge.minShortfall = min(p.edge.minShortfall, deficit-last*prod)
+		if last == L {
+			return
+		}
+		from = last + 1
+	}
+}
+
 // Run executes the machine from its reset state to completion. After a run
 // the machine must be Reset (or ResetWarm) before running again. A run
 // resumed from a ResetWarm checkpoint continues mid-schedule and produces
 // results bit-identical to a cold run of the same configuration, with
 // Result.Events still counting from tick 0 (replayed prefix included).
 // The run honours Config.Context.
-func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context) }
+func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context, true) }
 
 // run is Run under ctx (nil: no cancellation). A Verifier passes each
 // call's context here, so a pooled machine never keeps a caller's context
-// beyond the run it bounds. However the run ends, its effort is counted.
-func (m *Machine) run(ctx context.Context) (*Result, error) {
+// beyond the run it bounds. With starts false the Result carries no
+// Starts: a verdict-only caller reads the machine's live recording
+// instead of a copy. However the run ends, its effort is counted.
+func (m *Machine) run(ctx context.Context, starts bool) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("sim: Machine.Run called again without Reset")
 	}
@@ -1079,13 +1380,13 @@ func (m *Machine) run(ctx context.Context) (*Result, error) {
 	if m.resumed {
 		resumed = m.events
 	}
-	res, err := m.execute(ctx)
+	res, err := m.execute(ctx, starts)
 	m.cfg.Effort.note(m.events-resumed, resumed)
 	return res, err
 }
 
 // execute is the event loop of run.
-func (m *Machine) execute(ctx context.Context) (*Result, error) {
+func (m *Machine) execute(ctx context.Context, starts bool) (*Result, error) {
 	m.ran = true
 	res := &Result{Base: m.base}
 
@@ -1112,10 +1413,12 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
+	quiescent := true // every event at tick now drained and startDirty done
+	lastActor := -1   // actor of the last event processed
 	for len(m.eq) > 0 && m.stop.finished < m.cfg.Stop.Firings {
 		if m.events >= m.maxEvents {
 			res.Outcome = LimitExceeded
-			m.fill(res, now)
+			m.fill(res, now, starts)
 			return res, nil
 		}
 		if ctx != nil && m.events&(budgetCheckInterval-1) == 0 {
@@ -1123,9 +1426,23 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 				return nil, fmt.Errorf("sim: run aborted after %d events at tick %d: %w", m.events, now, budget.Classify(err))
 			}
 		}
+		// Try a run when the earliest event belongs to the actor whose event
+		// was processed last, an actor firing back to back. Actors firing in
+		// lockstep then pay for no futile attempts; the first firing of each
+		// run stays per-event.
+		if quiescent && m.eq[0].actor == lastActor && m.actors[lastActor].runLength {
+			if last, ok := m.runLength(); ok {
+				now = last
+				if m.ckptSlots > 0 && m.events >= m.ckptNext {
+					m.takeCheckpoint(now)
+				}
+				continue
+			}
+		}
 		ev := m.eq.pop()
 		m.events++
 		now = ev.tick
+		lastActor = ev.actor
 		a := m.actors[ev.actor]
 		switch ev.kind() {
 		case evFinish:
@@ -1151,7 +1468,7 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 			if a.busyUntil > now {
 				res.Outcome = Underrun
 				res.Underrun = &UnderrunInfo{Actor: a.name, Firing: k, Tick: now}
-				m.fill(res, now)
+				m.fill(res, now, starts)
 				return res, nil
 			}
 			if ok, p, need := a.enabled(); !ok {
@@ -1160,7 +1477,7 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 					Actor: a.name, Firing: k, Tick: now,
 					Edge: p.edge.name, Have: p.edge.tokens, Need: need,
 				}
-				m.fill(res, now)
+				m.fill(res, now, starts)
 				return res, nil
 			}
 			if err := m.start(a, now); err != nil {
@@ -1178,11 +1495,13 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 		// Drain all events at the same tick so token releases at `now`
 		// are visible before ASAP starts at `now`.
 		if len(m.eq) > 0 && m.eq[0].tick == now {
+			quiescent = false
 			continue
 		}
 		if err := m.startDirty(now); err != nil {
 			return nil, err
 		}
+		quiescent = true
 		// Checkpoint at quiescent points only: every same-tick event is
 		// drained and the dirty list is empty, so the snapshot is a state
 		// a cold run passes through between ticks.
@@ -1207,15 +1526,15 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 		sort.Slice(dl.Blocked, func(i, j int) bool { return dl.Blocked[i].Actor < dl.Blocked[j].Actor })
 		res.Deadlock = dl
 	}
-	m.fill(res, now)
+	m.fill(res, now, starts)
 	return res, nil
 }
 
 // fill copies machine state into the result. Recorded series are copied,
 // never aliased, so a Result stays valid after the machine is Reset and
 // reused. Under Config.LiteResult the unconditional summary maps are
-// skipped.
-func (m *Machine) fill(res *Result, now int64) {
+// skipped; with starts false, so are the recorded start times.
+func (m *Machine) fill(res *Result, now int64, starts bool) {
 	res.EndTick = now
 	res.Events = m.events
 	lite := m.cfg.LiteResult
@@ -1234,7 +1553,7 @@ func (m *Machine) fill(res *Result, now int64) {
 			res.Finished[a.name] = a.finished
 			res.BusyTicks[a.name] = a.busyTicks
 		}
-		if a.record {
+		if a.record && starts {
 			if res.Starts == nil {
 				res.Starts = make(map[string][]int64)
 			}

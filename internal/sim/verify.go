@@ -241,6 +241,9 @@ type Verifier struct {
 	selfTimed   *Machine
 	periodic    *Machine
 	periodTicks int64
+	// task is the constrained task in the self-timed machine; Feasible
+	// reads its live start recording instead of a Result copy.
+	task *actorState
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
 	fixedOffsets []int64
@@ -324,6 +327,7 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		selfTimed:   selfTimed,
 		periodic:    periodic,
 		periodTicks: periodTicks,
+		task:        selfTimed.byName[c.Task],
 	}
 	for _, o := range opts.Offsets {
 		t, err := selfTimed.Base().Ticks(o)
@@ -372,21 +376,23 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 }
 
 // runSelfTimed runs the self-timed phase under ctx and the token
-// overrides ov. ResetWarm resumes the phase from a retained checkpoint when
-// the capacity change provably cannot affect the replayed prefix; with
-// checkpointing disabled it is a plain cold reset.
-func (vf *Verifier) runSelfTimed(ctx context.Context, ov map[string]int64) (*Result, error) {
+// overrides ov, with Result.Starts when starts is set. ResetWarm resumes
+// the phase from a retained checkpoint when the capacity change provably
+// cannot affect the replayed prefix; with checkpointing disabled it is a
+// plain cold reset.
+func (vf *Verifier) runSelfTimed(ctx context.Context, ov map[string]int64, starts bool) (*Result, error) {
 	if _, err := vf.selfTimed.ResetWarm(ov); err != nil {
 		return nil, err
 	}
-	return vf.selfTimed.run(ctx)
+	return vf.selfTimed.run(ctx, starts)
 }
 
 // runPeriodic runs the periodic phase under ctx with the constrained task's
 // first start at offset ticks. ResetWarm must not revert the offset
 // override, so the offset is set first and the machine reset after; the
 // checkpoints it resumes from are only those taken under the same offset.
-func (vf *Verifier) runPeriodic(ctx context.Context, ov map[string]int64, offset int64) (*Result, error) {
+// Result.Starts is filled when starts is set.
+func (vf *Verifier) runPeriodic(ctx context.Context, ov map[string]int64, offset int64, starts bool) (*Result, error) {
 	//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; every periodic run re-points it)
 	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
 		return nil, err
@@ -394,7 +400,7 @@ func (vf *Verifier) runPeriodic(ctx context.Context, ov map[string]int64, offset
 	if _, err := vf.periodic.ResetWarm(ov); err != nil {
 		return nil, err
 	}
-	return vf.periodic.run(ctx)
+	return vf.periodic.run(ctx, starts)
 }
 
 // Verify runs both phases for one capacity assignment: buffers named in
@@ -413,7 +419,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		return nil, err
 	}
 	ctx := vf.selfTimed.cfg.Context
-	selfTimed, err := vf.runSelfTimed(ctx, ov)
+	selfTimed, err := vf.runSelfTimed(ctx, ov, true)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +452,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		v.Attempts++
 		v.OffsetTicks = ot
 		v.Offset = vf.selfTimed.Base().Rat(ot)
-		periodic, err := vf.runPeriodic(ctx, ov, ot)
+		periodic, err := vf.runPeriodic(ctx, ov, ot, true)
 		if err != nil {
 			return nil, err
 		}
@@ -491,18 +497,18 @@ func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, 
 	if err != nil {
 		return false, err
 	}
-	selfTimed, err := vf.runSelfTimed(ctx, ov)
+	selfTimed, err := vf.runSelfTimed(ctx, ov, false)
 	if err != nil {
 		return false, err
 	}
 	if selfTimed.Outcome != Completed {
 		return false, eventCapError("self-timed", selfTimed)
 	}
-	offset := MaxLateness(selfTimed.Starts[vf.c.Task], vf.periodTicks) + slackPeriods[len(slackPeriods)-1]*vf.periodTicks
+	offset := MaxLateness(vf.task.starts, vf.periodTicks) + slackPeriods[len(slackPeriods)-1]*vf.periodTicks
 	for _, ot := range vf.fixedOffsets {
 		offset = max(offset, ot)
 	}
-	periodic, err := vf.runPeriodic(ctx, ov, offset)
+	periodic, err := vf.runPeriodic(ctx, ov, offset, false)
 	if err != nil {
 		return false, err
 	}
