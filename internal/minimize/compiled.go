@@ -40,30 +40,27 @@ func (p *pool[T]) put(v T) {
 }
 
 // probeTemplate prepares a task graph for repeated capacity probes without
-// cloning it per probe: one clone is made lazily, unsized buffers get a
-// placeholder capacity (every probe must cover them), and each probed
-// assignment translates to initial-token overrides on the space edges of
-// the compiled machines. The lazy build keeps the check constructors
-// error-free, like the clone-per-probe path they replace: a broken graph
-// surfaces from the first check call.
+// cloning it per probe: one clone is made lazily and unsized buffers get a
+// placeholder capacity, which every probe must cover. The lazy build keeps
+// the check constructors error-free, like the clone-per-probe path they
+// replace: a broken graph surfaces from the first check call.
 type probeTemplate struct {
 	base    *taskgraph.Graph
 	once    sync.Once
 	err     error
 	sized   *taskgraph.Graph
 	mapping *vrdf.Mapping
-	// unsized records the original non-positive capacities so probes
-	// that fail to cover those buffers report them exactly as sizing an
-	// unsized graph always has.
-	unsized map[string]int64
+	// unsized copies the originally unsized buffers in buffer order, so a
+	// probe that leaves one out reports it exactly as sizing an unsized
+	// graph always has.
+	unsized []taskgraph.Buffer
 }
 
 func (t *probeTemplate) build() {
 	t.sized = t.base.Clone()
-	t.unsized = make(map[string]int64)
 	for _, b := range t.sized.Buffers() {
 		if b.Capacity <= 0 {
-			t.unsized[b.DefaultName()] = b.Capacity
+			t.unsized = append(t.unsized, *b)
 			b.Capacity = 1 // placeholder; every probe must override it
 		}
 	}
@@ -75,39 +72,37 @@ func (t *probeTemplate) build() {
 	t.mapping = m
 }
 
-// overrides validates a capacity assignment against the template and
-// translates it to space-edge initial-token overrides. Unknown buffers and
-// non-positive or missing capacities fail with the same errors the
-// clone-and-rebuild path produced.
-func (t *probeTemplate) overrides(caps map[string]int64) (map[string]int64, error) {
+// covers builds the template on first use and checks that caps covers
+// every originally unsized buffer. Everything else about caps is the
+// probe engine's to validate.
+func (t *probeTemplate) covers(caps map[string]int64) error {
 	t.once.Do(t.build)
 	if t.err != nil {
-		return nil, t.err
+		return t.err
 	}
-	byDefault := make(map[string]int64, len(caps))
-	for name, c := range caps {
-		b := t.sized.BufferByName(name)
-		if b == nil {
-			return nil, fmt.Errorf("minimize: unknown buffer %q", name)
+	for _, b := range t.unsized {
+		if _, ok := caps[b.DefaultName()]; !ok {
+			return fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", b.DefaultName(), b.Capacity)
 		}
-		byDefault[b.DefaultName()] = c
+	}
+	return nil
+}
+
+// spaceTokens checks caps like covers and translates it to the space-edge
+// initial-token overrides of a compiled machine. An unknown buffer or a
+// non-positive capacity is an error.
+func (t *probeTemplate) spaceTokens(caps map[string]int64) (map[string]int64, error) {
+	if err := t.covers(caps); err != nil {
+		return nil, err
 	}
 	ov := make(map[string]int64, len(caps))
-	for _, b := range t.sized.Buffers() {
-		name := b.DefaultName()
-		c, probed := byDefault[name]
-		if !probed {
-			if orig, un := t.unsized[name]; un {
-				return nil, fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", name, orig)
-			}
-			continue
+	for name, c := range caps {
+		pair, ok := t.mapping.Pair(name)
+		if !ok {
+			return nil, fmt.Errorf("minimize: unknown buffer %q", name)
 		}
 		if c <= 0 {
 			return nil, fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", name, c)
-		}
-		pair, ok := t.mapping.Pair(name)
-		if !ok {
-			return nil, fmt.Errorf("minimize: buffer %q has no edge pair", name)
 		}
 		ov[pair.Space] = c
 	}

@@ -136,7 +136,7 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 		ctx = context.Background()
 	}
 	return func(caps map[string]int64) (bool, error) {
-		ov, err := tpl.overrides(caps)
+		ov, err := tpl.spaceTokens(caps)
 		if err != nil {
 			return false, err
 		}
@@ -205,7 +205,7 @@ func throughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 	tpl := &probeTemplate{base: g}
 	pools := make([]pool[*sim.Verifier], len(workloads))
 	return func(ctx context.Context, caps map[string]int64) (bool, error) {
-		if _, err := tpl.overrides(caps); err != nil {
+		if err := tpl.covers(caps); err != nil {
 			return false, err
 		}
 		for i := range workloads {

@@ -546,7 +546,7 @@ type Machine struct {
 	actors     []*actorState
 	byName     map[string]*actorState
 	edgeList   []*edgeState
-	edges      map[string]*edgeState
+	edgeIdx    map[string]int // edge name → edgeList index
 	eq         eventHeap
 	seq        int64
 	events     int64
@@ -559,6 +559,7 @@ type Machine struct {
 
 	baseFirings int64   // compiled Stop.Firings; Reset reverts SetStopFirings to it
 	runTokens   []int64 // per edgeList index: initial tokens of the pending/current run
+	frame       []int64 // fillFrame scratch: the initial tokens a name-keyed reset asks for
 	// epoch counts resets. A reset truncates the recording buffers, so a
 	// Snapshot from an earlier epoch may reference recording prefixes
 	// that no longer exist; Restore rejects it.
@@ -572,7 +573,6 @@ type Machine struct {
 	ckptEvery  int64       // current checkpoint interval in events
 	ckptNext   int64       // event count at which the next checkpoint is taken
 	ckptTokens []int64     // initial tokens of the run the checkpoints describe
-	desScratch []int64     // ResetWarm scratch: desired tokens of the next run
 	ckptStop   int64       // Stop.Firings the checkpoints were taken under
 	ckptOffs   []int64     // per-actor offsetT the checkpoints were taken under
 	resumeTick int64       // tick of the restored checkpoint
@@ -641,7 +641,7 @@ func Compile(cfg Config) (*Machine, error) {
 		cfg:       cfg,
 		base:      base,
 		byName:    make(map[string]*actorState),
-		edges:     make(map[string]*edgeState),
+		edgeIdx:   make(map[string]int),
 		maxEvents: cfg.MaxEvents,
 	}
 	if m.maxEvents <= 0 {
@@ -677,8 +677,8 @@ func Compile(cfg Config) (*Machine, error) {
 			record:    recordEdge[ge.Name],
 			recordOcc: recordOcc[ge.Name],
 		}
+		m.edgeIdx[ge.Name] = len(m.edgeList)
 		m.edgeList = append(m.edgeList, es)
-		m.edges[ge.Name] = es
 	}
 
 	for i, ga := range g.Actors() {
@@ -740,7 +740,7 @@ func Compile(cfg Config) (*Machine, error) {
 			prod = quanta.Checked(prod, ge.Prod)
 			cons = quanta.Checked(cons, ge.Cons)
 		}
-		es := m.edges[ge.Name]
+		es := m.edgeList[m.edgeIdx[ge.Name]]
 		src := m.byName[ge.Src]
 		dst := m.byName[ge.Dst]
 		es.producer = src.idx
@@ -753,11 +753,11 @@ func Compile(cfg Config) (*Machine, error) {
 		for _, inv := range cfg.Invariants {
 			ri := resolvedInvariant{name: inv.Name, max: inv.Max}
 			for _, name := range inv.Edges {
-				es, ok := m.edges[name]
+				i, ok := m.edgeIdx[name]
 				if !ok {
 					return nil, fmt.Errorf("sim: invariant %s references unknown edge %q", inv.Name, name)
 				}
-				ri.edges = append(ri.edges, es)
+				ri.edges = append(ri.edges, m.edgeList[i])
 			}
 			m.invariants = append(m.invariants, ri)
 		}
@@ -778,7 +778,9 @@ func Compile(cfg Config) (*Machine, error) {
 		// that a run stopped early by an underrun never uses.
 		m.stop.starts = make([]int64, 0, min(cfg.Stop.Firings, 1<<16))
 	}
-	m.runTokens = make([]int64, len(m.edgeList))
+	// runTokens and the fillFrame scratch share one backing array.
+	tokens := make([]int64, 2*len(m.edgeList))
+	m.runTokens, m.frame = tokens[:len(m.edgeList)], tokens[len(m.edgeList):]
 	if cfg.Checkpoints < 0 {
 		return nil, fmt.Errorf("sim: negative checkpoint count %d", cfg.Checkpoints)
 	}
@@ -798,7 +800,6 @@ func Compile(cfg Config) (*Machine, error) {
 	}
 	if m.ckptSlots > 0 {
 		m.ckptTokens = make([]int64, len(m.edgeList))
-		m.desScratch = make([]int64, len(m.edgeList))
 	}
 	if !cfg.CheckInvariants {
 		// Invariants are checked after every event, so their runs stay
@@ -816,18 +817,6 @@ func Compile(cfg Config) (*Machine, error) {
 // Base returns the machine's resolved time base.
 func (m *Machine) Base() TimeBase { return m.base }
 
-// setInvariantMax repoints the bound of a named token invariant, if it was
-// compiled in (invariants are only resolved under CheckInvariants). The
-// verifier uses this to keep buffer invariants in step with per-probe
-// capacity overrides.
-func (m *Machine) setInvariantMax(name string, max int64) {
-	for i := range m.invariants {
-		if m.invariants[i].name == name {
-			m.invariants[i].max = max
-		}
-	}
-}
-
 // Reset rewinds the machine to tick 0 so it can Run again, restoring the
 // exact state Compile left it in plus the given overrides: initialTokens
 // optionally overrides the initial token count of the named edges for the
@@ -835,36 +824,51 @@ func (m *Machine) setInvariantMax(name string, max int64) {
 // entry revert to the graph's initial tokens; the SetStopFirings and
 // SetPeriodicOffsetTicks overrides revert to the compiled configuration;
 // the retained checkpoints of the previous run are discarded. No compiled
-// structure is rebuilt and no per-edge state is reallocated.
+// structure is rebuilt and no per-edge state is reallocated. An unknown
+// edge or a negative count is an error that leaves the machine unchanged.
 //
 // ResetWarm is the variant that keeps the knob overrides and the
 // checkpoints, so the next run can resume mid-schedule.
 func (m *Machine) Reset(initialTokens map[string]int64) error {
+	if err := m.fillFrame(initialTokens); err != nil {
+		return err
+	}
 	m.cfg.Stop.Firings = m.baseFirings
 	for _, a := range m.actors {
 		a.offsetT = a.baseOffsetT
 	}
-	return m.resetTokens(initialTokens)
+	m.resetTokens(m.frame)
+	return nil
+}
+
+// fillFrame validates a name-keyed initial-token override and writes the
+// per-edge frame it asks for into m.frame: every edge's compiled initial
+// tokens, with the named edges overridden.
+func (m *Machine) fillFrame(initialTokens map[string]int64) error {
+	for i, es := range m.edgeList {
+		m.frame[i] = es.initial
+	}
+	for name, v := range initialTokens {
+		i, ok := m.edgeIdx[name]
+		if !ok {
+			return fmt.Errorf("sim: Reset: unknown edge %q", name)
+		}
+		if v < 0 {
+			return fmt.Errorf("sim: Reset: edge %q: negative initial tokens %d", name, v)
+		}
+		m.frame[i] = v
+	}
+	return nil
 }
 
 // resetTokens rewinds all per-run state (tokens, counters, recordings, the
-// event calendar) without touching the SetStopFirings and
-// SetPeriodicOffsetTicks overrides. It invalidates the retained
-// checkpoints: they describe a run whose recordings are truncated here.
-func (m *Machine) resetTokens(initialTokens map[string]int64) error {
-	for name := range initialTokens {
-		if _, ok := m.edges[name]; !ok {
-			return fmt.Errorf("sim: Reset: unknown edge %q", name)
-		}
-	}
+// event calendar) to the start of a run from the per-edge initial-token
+// frame, without touching the SetStopFirings and SetPeriodicOffsetTicks
+// overrides. It invalidates the retained checkpoints: they describe a run
+// whose recordings are truncated here.
+func (m *Machine) resetTokens(frame []int64) {
 	for i, es := range m.edgeList {
-		tok := es.initial
-		if v, ok := initialTokens[es.name]; ok {
-			if v < 0 {
-				return fmt.Errorf("sim: Reset: edge %q: negative initial tokens %d", es.name, v)
-			}
-			tok = v
-		}
+		tok := frame[i]
 		es.tokens = tok
 		es.peak = tok
 		es.min = tok
@@ -893,7 +897,6 @@ func (m *Machine) resetTokens(initialTokens map[string]int64) error {
 	m.resumed = false
 	m.epoch++
 	m.dropCheckpoints(0)
-	return nil
 }
 
 // SetPeriodicOffsetTicks repoints the start offset of a compiled Periodic

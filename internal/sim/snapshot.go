@@ -306,7 +306,8 @@ func (m *Machine) dropCheckpoints(from int) {
 // events the resumed run skips re-executing (0 when it fell back to a cold
 // reset). Unlike Reset, ResetWarm keeps the SetStopFirings and
 // SetPeriodicOffsetTicks overrides — they are part of the checkpoint
-// validity key, so callers set them first and warm-reset after.
+// validity key, so callers set them first and warm-reset after. The
+// overrides are validated as by Reset, through the same per-edge frame.
 //
 // Validity rests on the quanta sequences, Exec models and scheduling being
 // pure functions of the firing index (the package contract for
@@ -319,38 +320,29 @@ func (m *Machine) dropCheckpoints(from int) {
 // run is bit-identical to a cold run with the new tokens — the
 // differential fuzz target in this package pins that equivalence.
 func (m *Machine) ResetWarm(initialTokens map[string]int64) (resumedEvents int64, err error) {
-	for name := range initialTokens {
-		if _, ok := m.edges[name]; !ok {
-			return 0, fmt.Errorf("sim: Reset: unknown edge %q", name)
-		}
+	if err := m.fillFrame(initialTokens); err != nil {
+		return 0, err
 	}
-	if m.ckptSlots == 0 || len(m.ckpts) == 0 || !m.ckptKeyMatches() {
-		return 0, m.resetTokens(initialTokens)
-	}
-	// Desired initial tokens of the next run, per edge index.
-	des := m.desScratch
-	for i, es := range m.edgeList {
-		tok := es.initial
-		if v, ok := initialTokens[es.name]; ok {
-			if v < 0 {
-				return 0, fmt.Errorf("sim: Reset: edge %q: negative initial tokens %d", es.name, v)
+	return m.resetWarm(m.frame), nil
+}
+
+// resetWarm is ResetWarm from a validated per-edge initial-token frame
+// (non-negative, one entry per edge in edgeList order).
+func (m *Machine) resetWarm(frame []int64) int64 {
+	if len(m.ckpts) > 0 && m.ckptKeyMatches() {
+		// Newest checkpoint valid for every changed edge wins. Both
+		// validity quantities shrink monotonically over a run (the
+		// running minimum can only fall, shortfalls only tighten), so
+		// if a checkpoint is invalid every newer one is too, and every
+		// older one than a valid one is also valid.
+		for j := len(m.ckpts) - 1; j >= 0; j-- {
+			if m.ckptValidFor(m.ckpts[j], frame) {
+				return m.restoreWarm(j, frame)
 			}
-			tok = v
 		}
-		des[i] = tok
 	}
-	// Newest checkpoint valid for every changed edge wins. Both validity
-	// quantities shrink monotonically over a run (the running minimum
-	// can only fall, shortfalls only tighten), so if a checkpoint is
-	// invalid every newer one is too, and every older one than a valid
-	// one is also valid.
-	for j := len(m.ckpts) - 1; j >= 0; j-- {
-		if !m.ckptValidFor(m.ckpts[j], des) {
-			continue
-		}
-		return m.restoreWarm(j, des), nil
-	}
-	return 0, m.resetTokens(initialTokens)
+	m.resetTokens(frame)
+	return 0
 }
 
 // ckptValidFor reports whether resuming from s with the desired

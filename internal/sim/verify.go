@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/quanta"
@@ -223,8 +224,10 @@ type VerifyOptions struct {
 // self-timed and strictly periodic — built once and reusable across
 // capacity assignments. A capacity search compiles one Verifier per
 // workload, pools it between probes, and calls Feasible (or Verify, for
-// the full diagnostics) with a fresh capacity vector per probe; each probe only resets token counts and
-// counters instead of re-validating and rebuilding the graph.
+// the full diagnostics) with a fresh capacity vector per probe, which
+// becomes one per-edge initial-token frame (§3.3: a buffer's capacity is
+// its space edge's initial tokens) that both phase machines reset from and
+// every buffer invariant's bound is written from.
 //
 // A Verifier holds exactly two machines, one per phase. Every periodic run
 // repoints the one periodic machine's offset; its checkpoints are keyed on
@@ -235,9 +238,6 @@ type VerifyOptions struct {
 // A Verifier is not safe for concurrent use.
 type Verifier struct {
 	c           taskgraph.Constraint
-	firings     int64
-	mapping     *vrdf.Mapping
-	tg          *taskgraph.Graph
 	selfTimed   *Machine
 	periodic    *Machine
 	periodTicks int64
@@ -247,6 +247,12 @@ type Verifier struct {
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
 	fixedOffsets []int64
+	// space maps a buffer name to its space edge's index, and spaces
+	// lists those indices in buffer order, the order in which both phase
+	// machines compile the buffer invariants (under Validate only).
+	space  map[string]int
+	spaces []int
+	frame  []int64 // the current probe's initial tokens, per edge
 }
 
 // CompileVerifier validates the constraint and builds both phases of the
@@ -310,9 +316,13 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		return nil, err
 	}
 	// Both configs list the same rational times (the placeholder offset
-	// is integral), so the phases share one time base by construction.
+	// is integral) and the same graph, so the phases share one time base
+	// and one edge order by construction.
 	if selfTimed.Base() != periodic.Base() {
 		return nil, fmt.Errorf("sim: internal error: phase time bases differ (%v vs %v)", selfTimed.Base(), periodic.Base())
+	}
+	if !slices.EqualFunc(selfTimed.edgeList, periodic.edgeList, func(a, b *edgeState) bool { return a.name == b.name }) {
+		return nil, fmt.Errorf("sim: internal error: phase edge orders differ")
 	}
 
 	periodTicks, err := selfTimed.Base().Ticks(c.Period)
@@ -321,13 +331,17 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	}
 	vf := &Verifier{
 		c:           c,
-		firings:     firings,
-		mapping:     mapping,
-		tg:          tg,
 		selfTimed:   selfTimed,
 		periodic:    periodic,
 		periodTicks: periodTicks,
 		task:        selfTimed.byName[c.Task],
+		space:       make(map[string]int, len(mapping.Pairs)),
+		spaces:      make([]int, len(mapping.Pairs)),
+		frame:       make([]int64, len(selfTimed.edgeList)),
+	}
+	for k, p := range mapping.Pairs {
+		vf.space[p.Buffer] = selfTimed.edgeIdx[p.Space]
+		vf.spaces[k] = selfTimed.edgeIdx[p.Space]
 	}
 	for _, o := range opts.Offsets {
 		t, err := selfTimed.Base().Ticks(o)
@@ -346,80 +360,73 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 // of slack beyond the smallest offset dominating the self-timed schedule.
 var slackPeriods = [...]int64{0, 1, 10, 100}
 
-// overrides translates a capacity assignment into the space-edge
-// initial-token overrides of the next runs and repoints the buffer
-// invariants' bounds. Buffers without an entry keep their compiled
-// capacity.
-func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
-	if len(caps) == 0 {
-		return nil, nil
+// load validates caps and writes the next runs' initial-token frame: the
+// compiled tokens, with each buffer in caps at its capacity there. Every
+// buffer invariant's bound is then written from the frame. An invalid
+// entry returns an error before any machine state changes.
+func (vf *Verifier) load(caps map[string]int64) error {
+	for i, es := range vf.selfTimed.edgeList {
+		vf.frame[i] = es.initial
 	}
-	ov := make(map[string]int64, len(caps))
 	for name, c := range caps {
-		b := vf.tg.BufferByName(name)
-		if b == nil {
-			return nil, fmt.Errorf("sim: Verify: unknown buffer %q", name)
+		e, ok := vf.space[name]
+		if !ok {
+			return fmt.Errorf("sim: Verify: unknown buffer %q", name)
 		}
 		if c <= 0 {
-			return nil, fmt.Errorf("sim: Verify: buffer %s capacity %d must be positive", name, c)
+			return fmt.Errorf("sim: Verify: buffer %s capacity %d must be positive", name, c)
 		}
-		pair, ok := vf.mapping.Pair(b.DefaultName())
-		if !ok {
-			return nil, fmt.Errorf("sim: Verify: buffer %q has no edge pair", name)
-		}
-		ov[pair.Space] = c
-		inv := "buffer " + pair.Buffer
-		vf.selfTimed.setInvariantMax(inv, c)
-		vf.periodic.setInvariantMax(inv, c)
+		vf.frame[e] = c
 	}
-	return ov, nil
+	for k := range vf.selfTimed.invariants {
+		vf.selfTimed.invariants[k].max = vf.frame[vf.spaces[k]]
+		vf.periodic.invariants[k].max = vf.frame[vf.spaces[k]]
+	}
+	return nil
 }
 
-// runSelfTimed runs the self-timed phase under ctx and the token
-// overrides ov, with Result.Starts when starts is set. ResetWarm resumes
-// the phase from a retained checkpoint when the capacity change provably
-// cannot affect the replayed prefix; with checkpointing disabled it is a
-// plain cold reset.
-func (vf *Verifier) runSelfTimed(ctx context.Context, ov map[string]int64, starts bool) (*Result, error) {
-	if _, err := vf.selfTimed.ResetWarm(ov); err != nil {
-		return nil, err
-	}
+// runSelfTimed runs the self-timed phase under ctx from the loaded frame,
+// with Result.Starts when starts is set. The reset resumes the phase from
+// a retained checkpoint when the capacity change provably cannot affect
+// the replayed prefix; with checkpointing disabled it is a plain cold
+// reset.
+func (vf *Verifier) runSelfTimed(ctx context.Context, starts bool) (*Result, error) {
+	vf.selfTimed.resetWarm(vf.frame)
 	return vf.selfTimed.run(ctx, starts)
 }
 
-// runPeriodic runs the periodic phase under ctx with the constrained task's
-// first start at offset ticks. ResetWarm must not revert the offset
-// override, so the offset is set first and the machine reset after; the
-// checkpoints it resumes from are only those taken under the same offset.
-// Result.Starts is filled when starts is set.
-func (vf *Verifier) runPeriodic(ctx context.Context, ov map[string]int64, offset int64, starts bool) (*Result, error) {
-	//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; every periodic run re-points it)
+// runPeriodic runs the periodic phase under ctx from the loaded frame with
+// the constrained task's first start at offset ticks. The warm reset must
+// not revert the offset override, so the offset is set first and the
+// machine reset after; the checkpoints it resumes from are only those
+// taken under the same offset. Result.Starts is filled when starts is set.
+func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) (*Result, error) {
+	//vrdf:reuseok(the override is deliberately committed to the resumed run by the warm reset below; every periodic run re-points it)
 	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
 		return nil, err
 	}
-	if _, err := vf.periodic.ResetWarm(ov); err != nil {
-		return nil, err
-	}
+	vf.periodic.resetWarm(vf.frame)
 	return vf.periodic.run(ctx, starts)
 }
 
 // Verify runs both phases for one capacity assignment: buffers named in
-// caps take that capacity (a space-edge initial-token override on the
-// compiled machines), all others keep the capacity they were compiled
-// with. Verify(nil) checks the graph as compiled. Results are bit-identical
-// to VerifyThroughput on an equivalently sized graph.
+// caps take that capacity (their space edges' initial tokens, and their
+// invariants' bound under Validate), all others the capacity they were
+// compiled with, whatever an earlier probe asked for. An unknown buffer or
+// a non-positive capacity is an error that changes nothing. Verify(nil)
+// checks the graph as compiled. Results are bit-identical to
+// VerifyThroughput on an equivalently sized graph.
 //
 // Verify tries the candidate offsets in ascending order and reports the
 // first that passes, or the last failure, with full diagnostics. Callers
 // that only need the verdict should call Feasible, which reaches the same
 // verdict with one periodic run.
 func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
-	ov, err := vf.overrides(caps)
-	if err != nil {
+	if err := vf.load(caps); err != nil {
 		return nil, err
 	}
 	ctx := vf.selfTimed.cfg.Context
-	selfTimed, err := vf.runSelfTimed(ctx, ov, true)
+	selfTimed, err := vf.runSelfTimed(ctx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +459,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		v.Attempts++
 		v.OffsetTicks = ot
 		v.Offset = vf.selfTimed.Base().Rat(ot)
-		periodic, err := vf.runPeriodic(ctx, ov, ot, true)
+		periodic, err := vf.runPeriodic(ctx, ot, true)
 		if err != nil {
 			return nil, err
 		}
@@ -493,11 +500,10 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 // errors.Is(err, budget.ErrBudgetExceeded) instead of a verdict, as it
 // does when ctx's deadline passes.
 func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, error) {
-	ov, err := vf.overrides(caps)
-	if err != nil {
+	if err := vf.load(caps); err != nil {
 		return false, err
 	}
-	selfTimed, err := vf.runSelfTimed(ctx, ov, false)
+	selfTimed, err := vf.runSelfTimed(ctx, false)
 	if err != nil {
 		return false, err
 	}
@@ -508,7 +514,7 @@ func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, 
 	for _, ot := range vf.fixedOffsets {
 		offset = max(offset, ot)
 	}
-	periodic, err := vf.runPeriodic(ctx, ov, offset, false)
+	periodic, err := vf.runPeriodic(ctx, offset, false)
 	if err != nil {
 		return false, err
 	}

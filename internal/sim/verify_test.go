@@ -528,10 +528,12 @@ func TestFeasibleEventCapIsBudgetError(t *testing.T) {
 	}
 }
 
-// TestVerifierRepointsInvariantBounds checks that a capacity override moves
-// the buffer invariant of both phase machines: a raised capacity holds more
-// tokens than the compiled bound allows, so a stale bound on either machine
-// aborts the run under Validate.
+// TestVerifierRepointsInvariantBounds checks that every probe moves the
+// buffer invariants of both phase machines to the probe's capacities: a
+// raised capacity holds more tokens than the compiled bound allows, and a
+// buffer a later probe leaves out reverts to its compiled capacity, so a
+// bound left over from an earlier probe aborts a valid run under Validate.
+// A rejected probe changes no bound.
 func TestVerifierRepointsInvariantBounds(t *testing.T) {
 	g := sizedMP3(t, 6015, 3263, 883)
 	vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
@@ -548,8 +550,50 @@ func TestVerifierRepointsInvariantBounds(t *testing.T) {
 	if ok, err := vf.Feasible(nil, caps); err != nil || !ok {
 		t.Fatalf("Feasible(%v) = (%v, %v); want a pass within the raised bounds", caps, ok, err)
 	}
-	if v, err := vf.Verify(caps); err != nil || !v.OK {
-		t.Fatalf("Verify(%v) = (%+v, %v); want a pass within the raised bounds", caps, v, err)
+	verify := func(caps map[string]int64) {
+		t.Helper()
+		if v, err := vf.Verify(caps); err != nil || !v.OK {
+			t.Fatalf("Verify(%v) = (%+v, %v); want a pass", caps, v, err)
+		}
+	}
+	verify(caps)
+	verify(nil)
+	verify(map[string]int64{names[2]: 500})
+	verify(nil)
+	verify(map[string]int64{names[2]: 500})
+	if ok, err := vf.Feasible(nil, map[string]int64{names[0]: 6015}); err != nil || !ok {
+		t.Fatalf("Feasible omitting %s = (%v, %v); want a pass", names[2], ok, err)
+	}
+	// One valid and one invalid entry: the probe fails as a whole. Map
+	// order decides which entry is seen first, so repeat it.
+	for i := 0; i < 16; i++ {
+		if _, err := vf.Verify(map[string]int64{names[2]: 500, "nope": 1}); err == nil {
+			t.Fatal("Verify with an unknown buffer accepted")
+		}
+		if _, err := vf.Verify(map[string]int64{names[2]: 500, names[1]: 0}); err == nil {
+			t.Fatal("Verify with a zero capacity accepted")
+		}
+		verify(nil)
+	}
+}
+
+// TestFeasibleSteadyStateAllocs pins that a warm §5 MP3 Feasible probe on a
+// reused Verifier allocates only its two phase Results: the capacity
+// assignment becomes the initial tokens without building any map.
+func TestFeasibleSteadyStateAllocs(t *testing.T) {
+	vf := mp3Phases(t, 6015, 3263, 883, 8)
+	names := mp3.BufferNames()
+	caps := map[string]int64{names[0]: 6015, names[1]: 3263, names[2]: 883}
+	if ok, err := vf.Feasible(nil, caps); err != nil || !ok {
+		t.Fatalf("Feasible = (%v, %v); want a pass", ok, err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := vf.Feasible(nil, caps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("warm Feasible probe allocates %.1f objects; want 2 (the phase Results)", allocs)
 	}
 }
 

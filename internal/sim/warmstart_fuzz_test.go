@@ -159,7 +159,10 @@ func FuzzWarmStartDifferential(f *testing.F) {
 // capacity walks, a warm-starting Feasible must give the verdict a cold
 // Verify(caps).OK gives. A disagreement means either the Definition 1
 // argument behind the single largest offset or a periodic-phase warm start
-// is wrong.
+// is wrong. Some probes leave buffers out of caps; those revert to their
+// compiled capacity, so the cold Verify gets the completed assignment,
+// except under Validate, where it gets the partial one too: a buffer
+// invariant bound left over from an earlier probe then aborts its run.
 func FuzzFeasibleMatchesVerify(f *testing.F) {
 	f.Add(int64(1), int64(1))
 	f.Add(int64(2), int64(9))
@@ -167,6 +170,7 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 	f.Add(int64(10), int64(0))
 	f.Add(int64(12), int64(6))
 	f.Add(int64(25), int64(14))
+	f.Add(int64(1), int64(2)) // a Validate walk with partial maps
 	f.Fuzz(func(t *testing.T, seed, walkSeed int64) {
 		gcfg := graphgen.Defaults(seed)
 		gcfg.SourceConstrained = seed%2 == 0
@@ -193,7 +197,10 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 			// run at it instead.
 			opts.Offsets = []ratio.Rat{c.Period.MulInt(1000)}
 		}
-		cold, err := CompileVerifier(sized, c, opts)
+		validate := walkSeed%5 == 2
+		coldOpts := opts
+		coldOpts.Validate = validate
+		cold, err := CompileVerifier(sized, c, coldOpts)
 		if err != nil {
 			t.Skip()
 		}
@@ -216,11 +223,26 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 				name := buffers[rnd.Intn(len(buffers))].DefaultName()
 				caps[name] = max(1, caps[name]+int64(rnd.Intn(7)-4))
 			}
-			v, err := cold.Verify(caps)
-			if err != nil {
-				t.Fatal(err)
+			sent, full := caps, caps
+			if rnd.Intn(3) == 0 {
+				sent, full = make(map[string]int64), make(map[string]int64)
+				for _, b := range buffers {
+					name := b.DefaultName()
+					full[name] = b.Capacity
+					if rnd.Intn(2) == 0 {
+						sent[name], full[name] = caps[name], caps[name]
+					}
+				}
 			}
-			ok, err := warm.Feasible(nil, caps)
+			ref := full
+			if validate {
+				ref = sent
+			}
+			v, err := cold.Verify(ref)
+			if err != nil {
+				t.Fatalf("probe %d (caps %v): cold Verify: %v", probe, ref, err)
+			}
+			ok, err := warm.Feasible(nil, sent)
 			if errors.Is(err, budget.ErrBudgetExceeded) {
 				continue
 			}
@@ -228,7 +250,7 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 				t.Fatal(err)
 			}
 			if ok != v.OK {
-				t.Fatalf("probe %d (caps %v): warm Feasible = %v, cold Verify OK = %v (%s)", probe, caps, ok, v.OK, v.Reason)
+				t.Fatalf("probe %d (caps %v, completed %v): warm Feasible = %v, cold Verify OK = %v (%s)", probe, sent, full, ok, v.OK, v.Reason)
 			}
 		}
 	})
