@@ -29,8 +29,10 @@ import (
 // CheckFunc reports whether a capacity assignment (buffer name → capacity)
 // is feasible. Implementations must be monotone: if caps is feasible, any
 // pointwise-larger assignment must be too. Search calls it one probe at a
-// time; a CheckFunc shared by concurrent searches must be safe for
-// concurrent calls (the checks built by this package are).
+// time and probes its working assignment in place, so caps is valid only
+// for the duration of the call: a check must copy what it keeps. A CheckFunc
+// shared by concurrent searches must be safe for concurrent calls (the
+// checks built by this package are).
 type CheckFunc func(caps map[string]int64) (bool, error)
 
 // probeFunc is a check that runs under the context of the search probing
@@ -362,7 +364,7 @@ func search(ctx context.Context, buffers []string, upper map[string]int64, check
 		}
 		return ok, nil
 	}
-	ok, err := probe(copyCaps(cur))
+	ok, err := probe(cur)
 	if err != nil {
 		return nil, err
 	}
@@ -378,9 +380,8 @@ func search(ctx context.Context, buffers []string, upper map[string]int64, check
 			lo, hi := int64(1), cur[b]
 			for lo < hi {
 				mid := lo + (hi-lo)/2
-				caps := copyCaps(cur)
-				caps[b] = mid
-				ok, err := probe(caps)
+				cur[b] = mid
+				ok, err := probe(cur)
 				if err != nil {
 					return nil, err
 				}

@@ -27,8 +27,11 @@
 // firings of one constant-rate actor that no other event interleaves — the
 // §5 DAC draining its buffer one sample at a time — are applied as one
 // run-length step in O(1), with every count, statistic and checkpoint
-// position the per-event loop would produce. Run is the convenience wrapper
-// for one-shot use.
+// position the per-event loop would produce. A Verifier's feasibility probe
+// records no start times: the self-timed machine keeps the constrained
+// task's running lateness, the one number the periodic offset needs, so a
+// probe costs the events it simulates, not the firings it covers. Run is
+// the convenience wrapper for one-shot use.
 package sim
 
 import (
@@ -371,7 +374,18 @@ type actorState struct {
 	armedFor    int64 // ASAP with StartShift: firing index the timer is armed for, -1 none
 	in          []portRef
 	out         []portRef
-	starts      []int64
+	// starts is the start-time recording of an actor in RecordStarts,
+	// appended to only by runs that record starts (see Machine.recStarts).
+	starts []int64
+	// latePeriod is a period τ in ticks against which a recorded actor's
+	// lateness is tracked. The Verifier sets it on the self-timed
+	// machine's constrained task; elsewhere it stays 0.
+	latePeriod int64
+	// late is, for an actor in RecordStarts, max_k(s_k − k·latePeriod) over
+	// the firings k the current run has started so far (math.MinInt64
+	// before the first): the smallest periodic offset that dominates them.
+	// Every run keeps it, runs that record no start times included.
+	late int64
 	// runLengthFirings counts the firings the run-length path applied,
 	// over the machine's life.
 	runLengthFirings int64
@@ -556,6 +570,13 @@ type Machine struct {
 	dirty      []uint64 // bitset by actor index: ASAP actors to re-examine at the current tick
 	ran        bool     // a Run consumed the state; Reset required
 	resumed    bool     // next Run resumes from a restored checkpoint
+	// recStarts is set when the pending run appends to the RecordStarts
+	// recordings and fills Result.Starts. Every reset sets it; only the
+	// Verifier's verdict-only probes clear it.
+	recStarts bool
+	// ckptStarts is set when every retained checkpoint was taken by a run
+	// that recorded starts, so its start-recording prefix exists.
+	ckptStarts bool
 
 	baseFirings int64   // compiled Stop.Firings; Reset reverts SetStopFirings to it
 	runTokens   []int64 // per edgeList index: initial tokens of the pending/current run
@@ -771,13 +792,6 @@ func Compile(cfg Config) (*Machine, error) {
 	// grows the backing array.
 	m.eq = make(eventHeap, 0, 3*len(m.actors)+8)
 	m.dirty = make([]uint64, (len(m.actors)+63)/64)
-	if m.stop.record {
-		// The stop actor starts at most Stop.Firings firings per run;
-		// presize its recording so the first run does not grow it by
-		// doubling. The cap keeps a long horizon from reserving memory
-		// that a run stopped early by an underrun never uses.
-		m.stop.starts = make([]int64, 0, min(cfg.Stop.Firings, 1<<16))
-	}
 	// runTokens and the fillFrame scratch share one backing array.
 	tokens := make([]int64, 2*len(m.edgeList))
 	m.runTokens, m.frame = tokens[:len(m.edgeList)], tokens[len(m.edgeList):]
@@ -833,6 +847,7 @@ func (m *Machine) Reset(initialTokens map[string]int64) error {
 	if err := m.fillFrame(initialTokens); err != nil {
 		return err
 	}
+	m.recStarts = true
 	m.cfg.Stop.Firings = m.baseFirings
 	for _, a := range m.actors {
 		a.offsetT = a.baseOffsetT
@@ -888,6 +903,7 @@ func (m *Machine) resetTokens(frame []int64) {
 		a.readyAt = 0
 		a.armedFor = -1
 		a.starts = a.starts[:0]
+		a.late = math.MinInt64
 	}
 	m.eq = m.eq[:0]
 	m.seq = 0
@@ -1003,7 +1019,10 @@ func (m *Machine) start(a *actorState, t int64) error {
 	a.busyUntil = t + execT
 	a.busyTicks += execT
 	if a.record {
-		a.starts = append(a.starts, t)
+		if m.recStarts {
+			a.starts = append(a.starts, t)
+		}
+		a.late = max(a.late, t-k*a.latePeriod)
 	}
 	m.push(t+execT, evFinish, a.idx)
 	return nil
@@ -1147,9 +1166,11 @@ func (m *Machine) compileRunLength(a *actorState) {
 // Tokens, produced/consumed counts, peaks and minima, busy time, firing
 // counters, events, sequence numbers, the minimum shortfall every failed
 // wake-up check would have recorded and a's calendar entries all come out
-// as the per-event loop leaves them; only recorded start ticks are written
-// one per firing. It returns the tick of the last applied event, and false
-// when not even one firing can be applied.
+// as the per-event loop leaves them, and so does a's running lateness,
+// updated in O(1): it changes by stride − τ from one firing of the run to
+// the next, so its maximum over the run is at one end. Only a recording run
+// writes start ticks, one per firing. It returns the tick of the last
+// applied event, and false when not even one firing can be applied.
 //
 //vrdf:noalloc
 func (m *Machine) runLength() (int64, bool) {
@@ -1184,7 +1205,20 @@ func (m *Machine) runLength() (int64, bool) {
 			return 0, false // a cannot start again; skip the divisions below
 		}
 	}
-	L := (other-first-1)/stride + 1
+	// An idle consumer that a's very first finish enables is how most
+	// attempts of actors firing in lockstep end, so bound the run by the
+	// consumers' enabling before any division.
+	finish := m.eq[0].tick
+	wake := int64(farTick)
+	for i := 0; i < len(a.out) && wake > 1; i++ {
+		if c := m.idleWoken(a, i, finish); c != nil {
+			wake = min(wake, a.enables(c))
+		}
+	}
+	if wake <= 1 {
+		return 0, false
+	}
+	L := min((other-first-1)/stride+1, wake-1)
 	// Event budget: pops happen at counts events … events+n-1, none of
 	// which may reach MaxEvents or, after the first, a context check.
 	events := min(m.maxEvents, (m.events|(budgetCheckInterval-1))+1) - m.events
@@ -1217,13 +1251,6 @@ func (m *Machine) runLength() (int64, bool) {
 			L = min(L, p.edge.tokens/p.q)
 		}
 	}
-	// The consumers' enabling costs quanta lookups; bound it last.
-	finish := m.eq[0].tick
-	for i := 0; i < len(a.out) && L > 0; i++ {
-		if c := m.idleWoken(a, i, finish); c != nil {
-			L = min(L, a.enables(c)-1)
-		}
-	}
 	if L <= 0 {
 		return 0, false
 	}
@@ -1248,11 +1275,15 @@ func (m *Machine) runLength() (int64, bool) {
 		}
 	}
 	if a.record {
-		n := len(a.starts)
-		a.starts = slices.Grow(a.starts, int(L))[:n+int(L)] //vrdf:allocok(a.starts keeps its capacity across Reset, so steady-state reruns grow into retained backing)
-		for k, t := n, first; k < len(a.starts); k, t = k+1, t+stride {
-			a.starts[k] = t
+		if m.recStarts {
+			n := len(a.starts)
+			a.starts = slices.Grow(a.starts, int(L))[:n+int(L)] //vrdf:allocok(a.starts keeps its capacity across Reset, so steady-state reruns grow into retained backing)
+			for k, t := n, first; k < len(a.starts); k, t = k+1, t+stride {
+				a.starts[k] = t
+			}
 		}
+		l := first - a.started*a.latePeriod
+		a.late = max(a.late, l, l+(L-1)*(stride-a.latePeriod))
 	}
 	last := first + (L-1)*stride
 	a.started += L
@@ -1368,14 +1399,14 @@ func (a *actorState) recordShortfalls(c *actorState, L int64) {
 // results bit-identical to a cold run of the same configuration, with
 // Result.Events still counting from tick 0 (replayed prefix included).
 // The run honours Config.Context.
-func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context, true) }
+func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context) }
 
 // run is Run under ctx (nil: no cancellation). A Verifier passes each
 // call's context here, so a pooled machine never keeps a caller's context
-// beyond the run it bounds. With starts false the Result carries no
-// Starts: a verdict-only caller reads the machine's live recording
-// instead of a copy. However the run ends, its effort is counted.
-func (m *Machine) run(ctx context.Context, starts bool) (*Result, error) {
+// beyond the run it bounds. A run after resetWarm(frame, false) records no
+// start times and its Result carries no Starts. However the run ends, its
+// effort is counted.
+func (m *Machine) run(ctx context.Context) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("sim: Machine.Run called again without Reset")
 	}
@@ -1383,15 +1414,22 @@ func (m *Machine) run(ctx context.Context, starts bool) (*Result, error) {
 	if m.resumed {
 		resumed = m.events
 	}
-	res, err := m.execute(ctx, starts)
+	res, err := m.execute(ctx)
 	m.cfg.Effort.note(m.events-resumed, resumed)
 	return res, err
 }
 
 // execute is the event loop of run.
-func (m *Machine) execute(ctx context.Context, starts bool) (*Result, error) {
+func (m *Machine) execute(ctx context.Context) (*Result, error) {
 	m.ran = true
 	res := &Result{Base: m.base}
+	if m.recStarts && m.stop.record && m.stop.starts == nil {
+		// The stop actor starts at most Stop.Firings firings per run;
+		// presize its recording on the first run that records, so that run
+		// does not grow it by doubling. The cap keeps a long horizon from
+		// reserving memory that a run stopped early never uses.
+		m.stop.starts = make([]int64, 0, min(m.cfg.Stop.Firings, 1<<16))
+	}
 
 	now := int64(0)
 	if m.resumed {
@@ -1421,7 +1459,7 @@ func (m *Machine) execute(ctx context.Context, starts bool) (*Result, error) {
 	for len(m.eq) > 0 && m.stop.finished < m.cfg.Stop.Firings {
 		if m.events >= m.maxEvents {
 			res.Outcome = LimitExceeded
-			m.fill(res, now, starts)
+			m.fill(res, now)
 			return res, nil
 		}
 		if ctx != nil && m.events&(budgetCheckInterval-1) == 0 {
@@ -1471,7 +1509,7 @@ func (m *Machine) execute(ctx context.Context, starts bool) (*Result, error) {
 			if a.busyUntil > now {
 				res.Outcome = Underrun
 				res.Underrun = &UnderrunInfo{Actor: a.name, Firing: k, Tick: now}
-				m.fill(res, now, starts)
+				m.fill(res, now)
 				return res, nil
 			}
 			if ok, p, need := a.enabled(); !ok {
@@ -1480,7 +1518,7 @@ func (m *Machine) execute(ctx context.Context, starts bool) (*Result, error) {
 					Actor: a.name, Firing: k, Tick: now,
 					Edge: p.edge.name, Have: p.edge.tokens, Need: need,
 				}
-				m.fill(res, now, starts)
+				m.fill(res, now)
 				return res, nil
 			}
 			if err := m.start(a, now); err != nil {
@@ -1529,15 +1567,15 @@ func (m *Machine) execute(ctx context.Context, starts bool) (*Result, error) {
 		sort.Slice(dl.Blocked, func(i, j int) bool { return dl.Blocked[i].Actor < dl.Blocked[j].Actor })
 		res.Deadlock = dl
 	}
-	m.fill(res, now, starts)
+	m.fill(res, now)
 	return res, nil
 }
 
 // fill copies machine state into the result. Recorded series are copied,
 // never aliased, so a Result stays valid after the machine is Reset and
 // reused. Under Config.LiteResult the unconditional summary maps are
-// skipped; with starts false, so are the recorded start times.
-func (m *Machine) fill(res *Result, now int64, starts bool) {
+// skipped; in a run that records no starts, so are the start times.
+func (m *Machine) fill(res *Result, now int64) {
 	res.EndTick = now
 	res.Events = m.events
 	lite := m.cfg.LiteResult
@@ -1556,7 +1594,7 @@ func (m *Machine) fill(res *Result, now int64, starts bool) {
 			res.Finished[a.name] = a.finished
 			res.BusyTicks[a.name] = a.busyTicks
 		}
-		if a.record && starts {
+		if a.record && m.recStarts {
 			if res.Starts == nil {
 				res.Starts = make(map[string][]int64)
 			}

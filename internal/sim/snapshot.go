@@ -33,6 +33,7 @@ type actorSnap struct {
 	busyUntil int64
 	readyAt   int64
 	armedFor  int64
+	late      int64
 	startsLen int
 }
 
@@ -126,6 +127,7 @@ func (m *Machine) snapshotInto(s *Snapshot, tick int64, midRun bool) {
 			busyUntil: a.busyUntil,
 			readyAt:   a.readyAt,
 			armedFor:  a.armedFor,
+			late:      a.late,
 			startsLen: len(a.starts),
 		}
 	}
@@ -168,6 +170,7 @@ func (m *Machine) restoreFrom(s *Snapshot) {
 		a.busyUntil = sn.busyUntil
 		a.readyAt = sn.readyAt
 		a.armedFor = sn.armedFor
+		a.late = sn.late
 		a.starts = a.starts[:sn.startsLen]
 	}
 	for i, es := range m.edgeList {
@@ -194,7 +197,8 @@ const initialCheckpointEvery = 1024
 
 // beginCheckpoints records the configuration key of the starting cold run.
 // ResetWarm only reuses checkpoints taken under the same stop horizon,
-// periodic offsets and initial-token frame.
+// periodic offsets and initial-token frame, and a run that records starts
+// only those taken by runs that did.
 func (m *Machine) beginCheckpoints() {
 	m.ckptEvery = initialCheckpointEvery
 	m.ckptNext = m.ckptEvery
@@ -204,14 +208,19 @@ func (m *Machine) beginCheckpoints() {
 		m.ckptOffs = append(m.ckptOffs, a.offsetT)
 	}
 	copy(m.ckptTokens, m.runTokens)
+	m.ckptStarts = m.recStarts
 }
 
 // ckptKeyMatches reports whether the machine's current stop horizon and
-// periodic offsets equal those the retained checkpoints were taken under.
+// periodic offsets equal those the retained checkpoints were taken under,
+// and whether the retained checkpoints hold the start-recording prefix a
+// pending run that records starts resumes from: a run that records none
+// leaves its checkpoints without one.
 //
 //vrdf:noalloc
 func (m *Machine) ckptKeyMatches() bool {
-	if m.cfg.Stop.Firings != m.ckptStop || len(m.ckptOffs) != len(m.actors) {
+	if m.cfg.Stop.Firings != m.ckptStop || len(m.ckptOffs) != len(m.actors) ||
+		(m.recStarts && !m.ckptStarts) {
 		return false
 	}
 	for i, a := range m.actors {
@@ -323,12 +332,15 @@ func (m *Machine) ResetWarm(initialTokens map[string]int64) (resumedEvents int64
 	if err := m.fillFrame(initialTokens); err != nil {
 		return 0, err
 	}
-	return m.resetWarm(m.frame), nil
+	return m.resetWarm(m.frame, true), nil
 }
 
 // resetWarm is ResetWarm from a validated per-edge initial-token frame
-// (non-negative, one entry per edge in edgeList order).
-func (m *Machine) resetWarm(frame []int64) int64 {
+// (non-negative, one entry per edge in edgeList order). With starts false
+// the next run records no start times: a verdict-only probe pays nothing
+// per firing for a recording it never reads.
+func (m *Machine) resetWarm(frame []int64, starts bool) int64 {
+	m.recStarts = starts
 	if len(m.ckpts) > 0 && m.ckptKeyMatches() {
 		// Newest checkpoint valid for every changed edge wins. Both
 		// validity quantities shrink monotonically over a run (the
@@ -403,6 +415,9 @@ func (m *Machine) restoreWarm(j int, des []int64) int64 {
 	}
 	copy(m.ckptTokens, des)
 	copy(m.runTokens, des)
+	// The checkpoints this run takes carry a start-recording prefix only
+	// if it records; ckptKeyMatches let it resume only if the kept ones do.
+	m.ckptStarts = m.recStarts
 	m.ckptNext = s.events + m.ckptEvery
 	m.ran = false
 	m.resumed = true

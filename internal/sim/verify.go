@@ -212,8 +212,10 @@ type VerifyOptions struct {
 	// Periodic-phase checkpoints are only valid under the offset they
 	// were taken with. Feasible runs one periodic offset per probe, so its
 	// next probe usually resumes; Verify's ascending attempts mostly
-	// replay cold. Results are bit-identical either way; Effort counts
-	// how much re-simulation the resumed runs skipped. 0 disables.
+	// replay cold, and Verify never resumes from a checkpoint Feasible
+	// took, which holds no start times. Results are bit-identical either
+	// way; Effort counts how much re-simulation the resumed runs skipped.
+	// 0 disables.
 	Checkpoints int
 	// Effort, if non-nil, counts the simulation work of every phase run
 	// (Config.Effort of both phase machines).
@@ -241,8 +243,9 @@ type Verifier struct {
 	selfTimed   *Machine
 	periodic    *Machine
 	periodTicks int64
-	// task is the constrained task in the self-timed machine; Feasible
-	// reads its live start recording instead of a Result copy.
+	// task is the constrained task in the self-timed machine, which keeps
+	// its running lateness against the constraint's period: Feasible and
+	// Verify take the periodic offset from it without scanning starts.
 	task *actorState
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
@@ -339,6 +342,9 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		spaces:      make([]int, len(mapping.Pairs)),
 		frame:       make([]int64, len(selfTimed.edgeList)),
 	}
+	// The task is in RecordStarts, so every self-timed run keeps its
+	// running lateness against the period, recording starts or not.
+	vf.task.latePeriod = periodTicks
 	for k, p := range mapping.Pairs {
 		vf.space[p.Buffer] = selfTimed.edgeIdx[p.Space]
 		vf.spaces[k] = selfTimed.edgeIdx[p.Space]
@@ -385,28 +391,29 @@ func (vf *Verifier) load(caps map[string]int64) error {
 	return nil
 }
 
-// runSelfTimed runs the self-timed phase under ctx from the loaded frame,
-// with Result.Starts when starts is set. The reset resumes the phase from
-// a retained checkpoint when the capacity change provably cannot affect
-// the replayed prefix; with checkpointing disabled it is a plain cold
-// reset.
+// runSelfTimed runs the self-timed phase under ctx from the loaded frame;
+// with starts set it records start times and fills Result.Starts. The
+// reset resumes the phase from a retained checkpoint when the capacity
+// change provably cannot affect the replayed prefix; with checkpointing
+// disabled it is a plain cold reset.
 func (vf *Verifier) runSelfTimed(ctx context.Context, starts bool) (*Result, error) {
-	vf.selfTimed.resetWarm(vf.frame)
-	return vf.selfTimed.run(ctx, starts)
+	vf.selfTimed.resetWarm(vf.frame, starts)
+	return vf.selfTimed.run(ctx)
 }
 
 // runPeriodic runs the periodic phase under ctx from the loaded frame with
 // the constrained task's first start at offset ticks. The warm reset must
 // not revert the offset override, so the offset is set first and the
 // machine reset after; the checkpoints it resumes from are only those
-// taken under the same offset. Result.Starts is filled when starts is set.
+// taken under the same offset. With starts set the run records start
+// times and fills Result.Starts.
 func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) (*Result, error) {
 	//vrdf:reuseok(the override is deliberately committed to the resumed run by the warm reset below; every periodic run re-points it)
 	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
 		return nil, err
 	}
-	vf.periodic.resetWarm(vf.frame)
-	return vf.periodic.run(ctx, starts)
+	vf.periodic.resetWarm(vf.frame, starts)
+	return vf.periodic.run(ctx)
 }
 
 // Verify runs both phases for one capacity assignment: buffers named in
@@ -418,9 +425,12 @@ func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) 
 // VerifyThroughput on an equivalently sized graph.
 //
 // Verify tries the candidate offsets in ascending order and reports the
-// first that passes, or the last failure, with full diagnostics. Callers
+// first that passes, or the last failure, with full diagnostics. The
+// smallest derived offset is the self-timed machine's running lateness,
+// the value MaxLateness computes over the recorded starts. Both phases
+// record the constrained task's start times into their Results. Callers
 // that only need the verdict should call Feasible, which reaches the same
-// verdict with one periodic run.
+// verdict with one periodic run and records no start times.
 func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	if err := vf.load(caps); err != nil {
 		return nil, err
@@ -441,8 +451,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		return v, nil
 	}
 
-	starts := selfTimed.Starts[vf.c.Task]
-	base := MaxLateness(starts, vf.periodTicks)
+	base := vf.task.late
 
 	// The throughput guarantee is existential in the offset: a periodic
 	// schedule with *some* offset must exist. Try caller-supplied
@@ -492,6 +501,11 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 // offsets and the one with 100 periods of slack — therefore passes exactly
 // when some candidate does, and Feasible runs only that one.
 //
+// The offset O = max_k(s_k − k·τ) comes from the running lateness the
+// self-timed machine keeps in O(1) per run of firings, so neither phase
+// records a start time and a probe's cost does not grow with the number of
+// firings it covers beyond the events it simulates.
+//
 // Both phases run under ctx (nil: no cancellation) in place of
 // VerifyOptions.Context, so one pooled Verifier serves probes of searches
 // with different budgets and keeps none of their contexts. A phase cut
@@ -510,7 +524,7 @@ func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, 
 	if selfTimed.Outcome != Completed {
 		return false, eventCapError("self-timed", selfTimed)
 	}
-	offset := MaxLateness(vf.task.starts, vf.periodTicks) + slackPeriods[len(slackPeriods)-1]*vf.periodTicks
+	offset := vf.task.late + slackPeriods[len(slackPeriods)-1]*vf.periodTicks
 	for _, ot := range vf.fixedOffsets {
 		offset = max(offset, ot)
 	}
@@ -555,7 +569,9 @@ func VerifyThroughput(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOp
 
 // MaxLateness returns max_k (starts[k] − k·periodTicks): the smallest offset
 // O such that the periodic schedule O + k·period dominates the observed
-// start times. Returns 0 for an empty slice.
+// start times. Returns 0 for an empty slice. The Verifier keeps the same
+// value as a running maximum while it simulates instead of scanning
+// recorded starts; MaxLateness is the oracle its tests hold it to.
 func MaxLateness(starts []int64, periodTicks int64) int64 {
 	var max int64
 	for k, s := range starts {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -594,6 +595,111 @@ func TestFeasibleSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 2 {
 		t.Errorf("warm Feasible probe allocates %.1f objects; want 2 (the phase Results)", allocs)
+	}
+}
+
+// TestVerifyAfterFeasibleKeepsStarts pins that the Feasible path records no
+// start times on either phase machine, and that a Verify on the same
+// checkpointing Verifier still returns every start: a recording run must
+// not resume from a checkpoint a non-recording Feasible run took, which has
+// no start prefix to restore. The last Feasible probe of each round has the
+// capacities of the Verify after it, so its checkpoints would all be valid
+// for the Verify were they not refused.
+func TestVerifyAfterFeasibleKeepsStarts(t *testing.T) {
+	vf := mp3Phases(t, 6015, 3263, 883, 8)
+	names := mp3.BufferNames()
+	caps := func(d [3]int64) map[string]int64 {
+		return map[string]int64{names[0]: d[0], names[1]: d[1], names[2]: d[2]}
+	}
+	rounds := [][][3]int64{
+		{{6015, 3263, 883}, {2048, 2496, 882}, {2048, 2495, 882}, {4000, 2496, 882}, {4000, 2496, 882}},
+		{{4000, 2496, 882}, {3000, 2496, 882}, {3000, 2496, 882}},
+	}
+	for r, probes := range rounds {
+		for _, d := range probes {
+			if _, err := vf.Feasible(nil, caps(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r == 0 {
+			for _, m := range []*Machine{vf.selfTimed, vf.periodic} {
+				if m.stop.starts != nil {
+					t.Fatalf("Feasible probes left a start recording of %d ticks (capacity %d); want none allocated", len(m.stop.starts), cap(m.stop.starts))
+				}
+			}
+		}
+		d := probes[len(probes)-1]
+		got, err := vf.Verify(caps(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := VerifyThroughput(sizedMP3(t, d[0], d[1], d[2]), mp3.Constraint(), VerifyOptions{
+			Firings:    2205,
+			Workloads:  mp3Workload(sizedMP3(t, d[0], d[1], d[2]), quanta.Uniform(mp3.FrameSizes(), 2008)),
+			LiteResult: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.OK != want.OK || got.OffsetTicks != want.OffsetTicks {
+			t.Errorf("round %d %v: Verify after Feasible gives OK=%v offset %d; fresh VerifyThroughput OK=%v offset %d",
+				r, d, got.OK, got.OffsetTicks, want.OK, want.OffsetTicks)
+		}
+		if !reflect.DeepEqual(got.SelfTimed.Starts, want.SelfTimed.Starts) || !reflect.DeepEqual(got.Periodic.Starts, want.Periodic.Starts) {
+			t.Errorf("round %d %v: Verify after Feasible recorded %d self-timed and %d periodic starts; fresh VerifyThroughput %d and %d, or different ticks",
+				r, d, len(got.SelfTimed.Starts["vDAC"]), len(got.Periodic.Starts["vDAC"]),
+				len(want.SelfTimed.Starts["vDAC"]), len(want.Periodic.Starts["vDAC"]))
+		}
+	}
+}
+
+// TestFeasibleBytesFlatInHorizon pins that Feasible's allocation does not
+// grow with the horizon: it records no start times, so 441,000 DAC firings
+// (10 s of audio) cost the bytes 2205 do, both for compiling the Verifier
+// with its first, cold probe and for each warm probe after it.
+func TestFeasibleBytesFlatInHorizon(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	names := mp3.BufferNames()
+	caps := map[string]int64{names[0]: 6015, names[1]: 3263, names[2]: 883}
+	var ms runtime.MemStats
+	allocated := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	bytes := func(firings int64) (cold, warm uint64) {
+		g := sizedMP3(t, 6015, 3263, 883)
+		w := mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008))
+		start := allocated()
+		vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
+			Firings:     firings,
+			Workloads:   w,
+			LiteResult:  true,
+			Checkpoints: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := vf.Feasible(nil, caps); err != nil || !ok {
+			t.Fatalf("H = %d: Feasible = (%v, %v); want a pass", firings, ok, err)
+		}
+		cold = allocated() - start
+		const probes = 4
+		start = allocated()
+		for range probes {
+			if _, err := vf.Feasible(nil, caps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cold, (allocated() - start) / probes
+	}
+	shortCold, shortWarm := bytes(2205)
+	longCold, longWarm := bytes(441_000)
+	t.Logf("H = 2205: %d B to compile and probe cold, %d B per warm probe; H = 441000: %d B and %d B", shortCold, shortWarm, longCold, longWarm)
+	if longWarm > shortWarm {
+		t.Errorf("a warm Feasible probe allocates %d B at H = 441000 and %d B at H = 2205; want no growth with the horizon", longWarm, shortWarm)
+	}
+	if longCold > shortCold {
+		t.Errorf("compiling and probing cold allocates %d B at H = 441000 and %d B at H = 2205; want no growth with the horizon", longCold, shortCold)
 	}
 }
 

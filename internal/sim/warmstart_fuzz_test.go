@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -159,10 +160,13 @@ func FuzzWarmStartDifferential(f *testing.F) {
 // capacity walks, a warm-starting Feasible must give the verdict a cold
 // Verify(caps).OK gives. A disagreement means either the Definition 1
 // argument behind the single largest offset or a periodic-phase warm start
-// is wrong. Some probes leave buffers out of caps; those revert to their
-// compiled capacity, so the cold Verify gets the completed assignment,
-// except under Validate, where it gets the partial one too: a buffer
-// invariant bound left over from an earlier probe then aborts its run.
+// is wrong. After every probe, warm-resumed ones included, the running
+// lateness Feasible took its offset from must equal MaxLateness over the
+// start times the cold Verify recorded. Some probes leave buffers out of
+// caps; those revert to their compiled capacity, so the cold Verify gets
+// the completed assignment, except under Validate, where it gets the
+// partial one too: a buffer invariant bound left over from an earlier
+// probe then aborts its run.
 func FuzzFeasibleMatchesVerify(f *testing.F) {
 	f.Add(int64(1), int64(1))
 	f.Add(int64(2), int64(9))
@@ -243,11 +247,18 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 				t.Fatalf("probe %d (caps %v): cold Verify: %v", probe, ref, err)
 			}
 			ok, err := warm.Feasible(nil, sent)
-			if errors.Is(err, budget.ErrBudgetExceeded) {
-				continue
+			if err != nil && !errors.Is(err, budget.ErrBudgetExceeded) {
+				t.Fatal(err)
+			}
+			want := int64(math.MinInt64)
+			if starts := v.SelfTimed.Starts[c.Task]; len(starts) > 0 {
+				want = MaxLateness(starts, warm.periodTicks)
+			}
+			if got := warm.task.late; got != want {
+				t.Fatalf("probe %d (caps %v): running lateness %d, MaxLateness over the recorded starts %d", probe, sent, got, want)
 			}
 			if err != nil {
-				t.Fatal(err)
+				continue
 			}
 			if ok != v.OK {
 				t.Fatalf("probe %d (caps %v, completed %v): warm Feasible = %v, cold Verify OK = %v (%s)", probe, sent, full, ok, v.OK, v.Reason)
