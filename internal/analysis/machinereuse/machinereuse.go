@@ -1,18 +1,9 @@
 // Package machinereuse statically enforces the sim.Machine reuse protocol
-// that PR 6 had to pin with runtime guards after four reuse bugs:
+// Compile → Run → Reset → Run: Machine.Run must not be reachable twice on
+// the same receiver without an intervening Reset — including the second
+// iteration of a loop whose body Runs but never resets.
 //
-//  1. Machine.Run must not be reachable twice on the same receiver without
-//     an intervening Reset or ResetWarm — including the second iteration of
-//     a loop whose body Runs but never resets.
-//  2. The knob overrides SetStopFirings and SetPeriodicOffsetTicks mutate
-//     state that only a Reset/ResetWarm reverts; letting one escape a
-//     function on a machine the caller handed in leaks the override into
-//     the caller's next run.
-//  3. A Snapshot belongs to the reset epoch it was taken in; Restore of a
-//     snapshot captured before the most recent Reset is a guaranteed
-//     runtime error ("snapshot predates the machine's last reset").
-//
-// The engine enforces all three dynamically; this analyzer moves the
+// The engine rejects a second Run at run time; this analyzer moves the
 // failure to vet time. The analysis is a conservative intra-procedural
 // abstract interpretation over the AST: branch arms are analyzed separately
 // and joined (so `if a { m.Run() } else { m.Run() }` is clean), loop bodies
@@ -20,12 +11,6 @@
 // machine that escapes into a call or closure falls back to "unknown",
 // which never reports. Receivers are tracked while they are plain
 // identifiers or unassigned selector chains (m, w.machine, pool.m).
-//
-// A site that violates the letter of the protocol deliberately — a wrapper
-// that owns its machine and Resets on every entry before overriding knobs,
-// so the "leaked" override is re-pointed before it can be observed — carries
-// a //vrdf:reuseok(reason) waiver on its line or the line above. A waiver
-// with an empty reason is itself a finding.
 package machinereuse
 
 import (
@@ -39,7 +24,7 @@ import (
 // Analyzer is the machinereuse analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "machinereuse",
-	Doc:  "check that sim.Machine runs are separated by resets, knob overrides do not escape, and snapshots are not restored across a reset epoch",
+	Doc:  "check that sim.Machine runs are separated by resets",
 	Run:  run,
 }
 
@@ -48,11 +33,10 @@ func run(pass *analysis.Pass) (any, error) {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
-		waivers := analysis.Waivers(pass.Fset, file, "reuseok")
 		ast.Inspect(file, func(n ast.Node) bool {
 			if fn, ok := n.(*ast.FuncDecl); ok {
 				if fn.Body != nil {
-					analyzeFunc(pass, fn.Body, waivers)
+					analyzeFunc(pass, fn.Body)
 				}
 				return false // analyzeFunc descends into nested FuncLits itself
 			}
@@ -64,41 +48,14 @@ func run(pass *analysis.Pass) (any, error) {
 
 // mstate is the abstract state of one tracked machine.
 type mstate struct {
-	ran      bool      // Run since the last reset
-	override token.Pos // pending SetStopFirings/SetPeriodicOffsetTicks, NoPos if none
-	overName string
-	epoch    int  // bumped by Reset/ResetWarm
-	unknown  bool // escaped; never report
-}
-
-// snapInfo records the machine key and epoch a snapshot variable was filled
-// in.
-type snapInfo struct {
-	machine string
-	epoch   int
+	ran     bool // Run since the last reset
+	unknown bool // escaped; never report
 }
 
 // interp is the per-function abstract interpreter.
 type interp struct {
 	pass     *analysis.Pass
-	body     *ast.BlockStmt
 	reported map[token.Pos]bool
-	snaps    map[types.Object]snapInfo
-	rootObjs map[string]types.Object // root identifier name -> object
-	deferred map[string]bool         // machines with a deferred reset
-	waivers  map[int]analysis.Waiver // //vrdf:reuseok waivers of the file
-}
-
-// report emits a diagnostic unless the site carries a reuseok waiver; a
-// waiver without a reason is reported instead.
-func (in *interp) report(pos token.Pos, format string, args ...any) {
-	if w, ok := analysis.Waived(in.pass.Fset, in.waivers, pos); ok {
-		if w.Reason == "" {
-			in.pass.Reportf(w.Pos, "vrdf:reuseok waiver needs a reason")
-		}
-		return
-	}
-	in.pass.Reportf(pos, format, args...)
 }
 
 type env map[string]*mstate
@@ -119,15 +76,7 @@ func join(a, b env) env {
 		m := *av
 		if bv, ok := b[k]; ok {
 			m.unknown = av.unknown || bv.unknown
-			if bv.ran {
-				m.ran = true
-			}
-			if bv.override != token.NoPos && m.override == token.NoPos {
-				m.override, m.overName = bv.override, bv.overName
-			}
-			if bv.epoch > m.epoch {
-				m.epoch = bv.epoch
-			}
+			m.ran = av.ran || bv.ran
 		}
 		out[k] = &m
 	}
@@ -140,59 +89,9 @@ func join(a, b env) env {
 	return out
 }
 
-func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt, waivers map[int]analysis.Waiver) {
-	in := &interp{
-		pass:     pass,
-		body:     body,
-		reported: make(map[token.Pos]bool),
-		snaps:    make(map[types.Object]snapInfo),
-		rootObjs: make(map[string]types.Object),
-		deferred: make(map[string]bool),
-		waivers:  waivers,
-	}
-	out := in.block(body, make(env))
-	in.atReturn(out)
-}
-
-// atReturn reports overrides still pending on caller-visible machines.
-func (in *interp) atReturn(e env) {
-	for key, st := range e {
-		if st.unknown || st.override == token.NoPos || in.deferred[key] {
-			continue
-		}
-		if !in.callerVisible(key) {
-			continue
-		}
-		if in.reported[st.override] {
-			continue
-		}
-		in.reported[st.override] = true
-		in.report(st.override,
-			"%s on %s is not reverted by a Reset or ResetWarm before the function returns; the override leaks into the caller's next run",
-			st.overName, key)
-	}
-}
-
-// callerVisible reports whether the machine outlives this call frame: its
-// root identifier is declared outside the analyzed body (parameter,
-// receiver, captured or package variable), or it is reached through a
-// selector chain (a field of some longer-lived value).
-func (in *interp) callerVisible(key string) bool {
-	root := key
-	for i := 0; i < len(root); i++ {
-		if root[i] == '.' {
-			root = root[:i]
-			break
-		}
-	}
-	if root != key {
-		return true
-	}
-	obj := in.rootObjs[root]
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() < in.body.Pos() || obj.Pos() > in.body.End()
+func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+	in := &interp{pass: pass, reported: make(map[token.Pos]bool)}
+	in.block(body, make(env))
 }
 
 // block runs the statements of b in sequence.
@@ -213,7 +112,6 @@ func (in *interp) stmt(s ast.Stmt, e env) env {
 		for _, r := range s.Rhs {
 			e = in.expr(r, e)
 		}
-		in.recordSnapshots(s, e)
 		for _, l := range s.Lhs {
 			if key, ok := flatten(l); ok {
 				// Assigning over a tracked machine retires its state.
@@ -282,14 +180,11 @@ func (in *interp) stmt(s ast.Stmt, e env) env {
 		for _, r := range s.Results {
 			e = in.expr(r, e)
 		}
-		in.atReturn(e)
 		return e
 	case *ast.DeferStmt:
-		// defer m.Reset(...) / m.ResetWarm(...) discharges pending
-		// overrides at every return.
-		if key, name, ok := machineCall(in.pass, s.Call); ok && (name == "Reset" || name == "ResetWarm") {
-			in.noteRoot(key, s.Call)
-			in.deferred[key] = true
+		// A deferred Reset runs at return, too late to separate two
+		// Runs of the body.
+		if _, name, ok := machineCall(in.pass, s.Call); ok && name == "Reset" {
 			return e
 		}
 		return in.expr(s.Call, e)
@@ -336,7 +231,7 @@ func (in *interp) expr(x ast.Expr, e env) env {
 			// The closure body is checked as its own function; machines it
 			// captures become unknown in this frame (the closure may run at
 			// any time, any number of times).
-			analyzeFunc(in.pass, n.Body, in.waivers)
+			analyzeFunc(in.pass, n.Body)
 			for _, st := range e {
 				st.unknown = true
 			}
@@ -346,7 +241,6 @@ func (in *interp) expr(x ast.Expr, e env) env {
 				for _, a := range n.Args {
 					e = in.expr(a, e)
 				}
-				in.noteRoot(key, n)
 				in.machineOp(n, key, name, e)
 				return false
 			}
@@ -366,35 +260,6 @@ func (in *interp) expr(x ast.Expr, e env) env {
 	return e
 }
 
-// noteRoot resolves and remembers the root identifier's object for
-// callerVisible.
-func (in *interp) noteRoot(key string, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	x := sel.X
-	for {
-		switch v := x.(type) {
-		case *ast.SelectorExpr:
-			x = v.X
-			continue
-		case *ast.ParenExpr:
-			x = v.X
-			continue
-		case *ast.StarExpr:
-			x = v.X
-			continue
-		}
-		break
-	}
-	if id, ok := x.(*ast.Ident); ok {
-		if obj := in.pass.TypesInfo.Uses[id]; obj != nil {
-			in.rootObjs[id.Name] = obj
-		}
-	}
-}
-
 // machineOp applies one tracked method call to the state.
 func (in *interp) machineOp(call *ast.CallExpr, key, name string, e env) {
 	st := e[key]
@@ -406,68 +271,12 @@ func (in *interp) machineOp(call *ast.CallExpr, key, name string, e env) {
 	case "Run":
 		if st.ran && !st.unknown && !in.reported[call.Pos()] {
 			in.reported[call.Pos()] = true
-			in.report(call.Pos(),
-				"second Run on %s without an intervening Reset or ResetWarm", key)
+			in.pass.Reportf(call.Pos(), "second Run on %s without an intervening Reset", key)
 		}
 		st.ran = true
-	case "Reset", "ResetWarm":
+	case "Reset":
 		st.ran = false
-		st.override = token.NoPos
-		st.epoch++
 		st.unknown = false
-	case "SetStopFirings", "SetPeriodicOffsetTicks":
-		st.override = call.Pos()
-		st.overName = name
-	case "Restore":
-		if len(call.Args) == 1 {
-			if id, ok := call.Args[0].(*ast.Ident); ok {
-				if obj := in.pass.TypesInfo.Uses[id]; obj != nil {
-					if si, ok := in.snaps[obj]; ok && si.machine == key && si.epoch < st.epoch && !st.unknown && !in.reported[call.Pos()] {
-						in.reported[call.Pos()] = true
-						in.report(call.Pos(),
-							"Restore of snapshot %s taken before the last Reset of %s; the engine rejects cross-epoch restores at run time", id.Name, key)
-					}
-				}
-			}
-		}
-		// Restore reinstates the snapshot's run flag; be permissive.
-		st.ran = false
-	case "Snapshot":
-		// Handled at the assignment that captures the result.
-	}
-}
-
-// recordSnapshots notes `s := m.Snapshot(...)` bindings with the machine's
-// current epoch.
-func (in *interp) recordSnapshots(s *ast.AssignStmt, e env) {
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
-	for i, r := range s.Rhs {
-		call, ok := r.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		key, name, ok := machineCall(in.pass, call)
-		if !ok || name != "Snapshot" {
-			continue
-		}
-		id, ok := s.Lhs[i].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := in.pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = in.pass.TypesInfo.Uses[id]
-		}
-		if obj == nil {
-			continue
-		}
-		epoch := 0
-		if st := e[key]; st != nil {
-			epoch = st.epoch
-		}
-		in.snaps[obj] = snapInfo{machine: key, epoch: epoch}
 	}
 }
 
@@ -480,7 +289,7 @@ func machineCall(pass *analysis.Pass, call *ast.CallExpr) (key, name string, ok 
 		return "", "", false
 	}
 	switch sel.Sel.Name {
-	case "Run", "Reset", "ResetWarm", "Snapshot", "Restore", "SetStopFirings", "SetPeriodicOffsetTicks":
+	case "Run", "Reset":
 	default:
 		return "", "", false
 	}

@@ -8,7 +8,7 @@ import "fixtures/internal/sim"
 
 func doubleRun(m *sim.Machine) {
 	m.Run()
-	m.Run() // want `second Run on m without an intervening Reset or ResetWarm`
+	m.Run() // want `second Run on m without an intervening Reset`
 }
 
 func runResetRun(m *sim.Machine) {
@@ -17,15 +17,9 @@ func runResetRun(m *sim.Machine) {
 	m.Run() // ok: reset in between
 }
 
-func runResetWarmRun(m *sim.Machine) {
-	m.Run()
-	m.ResetWarm(nil)
-	m.Run() // ok: warm reset counts
-}
-
 func loopRunNoReset(m *sim.Machine) {
 	for i := 0; i < 3; i++ {
-		m.Run() // want `second Run on m without an intervening Reset or ResetWarm`
+		m.Run() // want `second Run on m without an intervening Reset`
 	}
 }
 
@@ -34,6 +28,12 @@ func loopRunReset(m *sim.Machine) {
 		m.Run() // ok: every iteration resets before looping back
 		m.Reset(nil)
 	}
+}
+
+func deferredReset(m *sim.Machine) {
+	m.Run()
+	defer m.Reset(nil)
+	m.Run() // want `second Run on m without an intervening Reset`
 }
 
 func branchRuns(m *sim.Machine, b bool) {
@@ -48,65 +48,12 @@ func branchThenRun(m *sim.Machine, b bool) {
 	if b {
 		m.Run()
 	}
-	m.Run() // want `second Run on m without an intervening Reset or ResetWarm`
+	m.Run() // want `second Run on m without an intervening Reset`
 }
 
 func fieldReceiver(w struct{ M *sim.Machine }) {
 	w.M.Run()
-	w.M.Run() // want `second Run on w.M without an intervening Reset or ResetWarm`
-}
-
-// --- escaping knob overrides ---
-
-func overrideLeaks(m *sim.Machine) {
-	m.SetStopFirings(5) // want `SetStopFirings on m is not reverted by a Reset or ResetWarm`
-	m.Run()
-}
-
-func overrideReset(m *sim.Machine) {
-	m.SetStopFirings(5)
-	m.Run()
-	m.Reset(nil) // ok: reverted before returning
-}
-
-func overrideDeferredReset(m *sim.Machine) {
-	defer m.Reset(nil) // ok: discharged at every return
-	m.SetStopFirings(5)
-	m.Run()
-}
-
-func offsetLeaks(m *sim.Machine) {
-	m.SetPeriodicOffsetTicks("src", 3) // want `SetPeriodicOffsetTicks on m is not reverted by a Reset or ResetWarm`
-}
-
-func overrideWaived(m *sim.Machine) {
-	//vrdf:reuseok(the caller resets before every run by protocol)
-	m.SetStopFirings(5) // ok: waived with a reason
-}
-
-func overrideWaivedNoReason(m *sim.Machine) {
-	//vrdf:reuseok() // want `vrdf:reuseok waiver needs a reason`
-	m.SetStopFirings(5)
-}
-
-func localOverride() {
-	m, _ := sim.Compile()
-	m.SetStopFirings(5) // ok: the machine does not outlive this function
-	m.Run()
-}
-
-// --- snapshots across reset epochs ---
-
-func staleSnapshot(m *sim.Machine) {
-	s := m.Snapshot(nil)
-	m.Reset(nil)
-	m.Restore(s) // want `Restore of snapshot s taken before the last Reset of m`
-}
-
-func freshSnapshot(m *sim.Machine) {
-	m.Reset(nil)
-	s := m.Snapshot(nil)
-	m.Restore(s) // ok: same epoch
+	w.M.Run() // want `second Run on w.M without an intervening Reset`
 }
 
 // --- escapes stay silent ---

@@ -36,9 +36,9 @@ func TestFigure1ExactMinimum(t *testing.T) {
 
 func TestWitnessReplaysToDeadlockInSimulator(t *testing.T) {
 	// The adversarial witness found by the untimed search must reproduce
-	// the deadlock in the timed simulator — cross-validating both. All
-	// replays run on one compiled machine (the Replayer); only the
-	// witness sequences, stop condition and space tokens change per call.
+	// the deadlock in the timed simulator — cross-validating both. Each
+	// replay is one simulator run of the pair at the witness's capacity
+	// and horizon.
 	prod := taskgraph.MustQuanta(3)
 	cons := taskgraph.MustQuanta(2, 3)
 	min, err := MinCapacity(prod, cons)
@@ -50,8 +50,8 @@ func TestWitnessReplaysToDeadlockInSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every undersized capacity yields a witness, and each witness must
-	// deadlock the timed engine at its capacity — exercising the reused
-	// machine across several capacities and witness lengths.
+	// deadlock the timed engine at its capacity, across several
+	// capacities and witness lengths.
 	for capn := min - 1; capn >= cons.Max(); capn-- {
 		ok, w, err := DeadlockFree(prod, cons, capn)
 		if err != nil {

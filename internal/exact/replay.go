@@ -2,6 +2,7 @@ package exact
 
 import (
 	"fmt"
+	"slices"
 
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
@@ -9,75 +10,31 @@ import (
 	"vrdfcap/internal/taskgraph"
 )
 
-// Replayer validates adversarial pair witnesses in the timed simulator on a
-// single compiled machine. The untimed search proves a deadlock exists;
-// replaying its witness cross-checks the two engines against each other.
-// One machine is compiled per quanta-set pair, and each Replay call swaps
-// in the witness sequences, repoints the stop condition and resets the
-// space tokens to the probed capacity — no per-replay rebuild. Not safe for
-// concurrent use.
+// Replayer validates adversarial pair witnesses in the timed simulator. The
+// untimed search proves a deadlock exists; replaying its witness
+// cross-checks the two engines against each other. Each Replay is one
+// sim.Run of a timed producer–consumer pair sized to the probed capacity,
+// driven by the witness sequences up to the witness's horizon.
 type Replayer struct {
-	m     *sim.Machine
-	space string // space-edge name carrying the capacity override
-
-	// prodFill/consFill extend a witness arbitrarily past the deadlock
-	// point: the deadlock must strike regardless of the continuation.
-	prodFill, consFill int64
-	prodVals, consVals []int64 // current witness, swapped per Replay
+	prod, cons taskgraph.QuantaSet
 }
 
-// seq reads the replayer's current witness slice, falling back to fill
-// beyond its end. Bound once at compile time; the slices swap per Replay.
-func replaySeq(vals *[]int64, fill *int64) quanta.Sequence {
-	return quanta.Func(func(k int64) int64 {
-		if v := *vals; k < int64(len(v)) {
-			return v[k]
-		}
-		return *fill
-	})
-}
-
-// NewReplayer compiles a timed producer–consumer pair ("wa" feeding "wb",
-// both with unit response time) for repeated witness replays.
+// NewReplayer prepares witness replays on a timed producer–consumer pair
+// ("wa" feeding "wb", both with unit response time) with the given quanta
+// sets.
 func NewReplayer(prod, cons taskgraph.QuantaSet) (*Replayer, error) {
 	if !prod.IsValid() || !cons.IsValid() {
 		return nil, fmt.Errorf("exact: invalid quanta sets")
 	}
-	g, err := taskgraph.Pair("wa", ratio.One, "wb", ratio.One, prod, cons)
-	if err != nil {
-		return nil, err
-	}
-	// Placeholder capacity; every Replay overrides the space tokens.
-	buffer := g.Buffers()[0]
-	buffer.Capacity = prod.Max() + cons.Max()
-	r := &Replayer{prodFill: prod.Max(), consFill: cons.Max()}
-	cfg, mapping, err := sim.TaskGraphConfig(g, sim.Workloads{
-		buffer.DefaultName(): {
-			Prod: replaySeq(&r.prodVals, &r.prodFill),
-			Cons: replaySeq(&r.consVals, &r.consFill),
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	pair, ok := mapping.Pair(buffer.DefaultName())
-	if !ok {
-		return nil, fmt.Errorf("exact: buffer %s has no edge pair", buffer.DefaultName())
-	}
-	r.space = pair.Space
-	cfg.Stop = sim.Stop{Actor: "wb", Firings: 1} // repointed per Replay
-	m, err := sim.Compile(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.m = m
-	return r, nil
+	return &Replayer{prod: prod, cons: cons}, nil
 }
 
 // Replay executes the witness against the given capacity and returns the
 // simulator's result; a true counterexample ends with Outcome Deadlocked.
-// The run continues a few firings past the witness (repeating each set's
-// maximum) so a deadlock cannot be masked by the stop condition.
+// Each sequence is extended past the witness by its set's maximum — the
+// deadlock must strike regardless of the continuation — and the run
+// continues a few firings past the witness so a deadlock cannot be masked
+// by the stop condition.
 func (r *Replayer) Replay(w *Witness, capacity int64) (*sim.Result, error) {
 	if w == nil {
 		return nil, fmt.Errorf("exact: nil witness")
@@ -85,17 +42,23 @@ func (r *Replayer) Replay(w *Witness, capacity int64) (*sim.Result, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("exact: capacity must be positive, got %d", capacity)
 	}
-	r.prodVals = w.Prod
-	r.consVals = w.Cons
-	// Reset reverts knob overrides, so it must run before SetStopFirings.
-	if err := r.m.Reset(map[string]int64{r.space: capacity}); err != nil {
+	g, err := taskgraph.Pair("wa", ratio.One, "wb", ratio.One, r.prod, r.cons)
+	if err != nil {
 		return nil, err
 	}
-	//vrdf:reuseok(the Replayer owns r.m and every Replay entry Resets before overriding, so the leaked stop count is re-pointed before it can be observed)
-	if err := r.m.SetStopFirings(int64(len(w.Cons)) + 10); err != nil {
+	buffer := g.Buffers()[0]
+	buffer.Capacity = capacity
+	cfg, _, err := sim.TaskGraphConfig(g, sim.Workloads{
+		buffer.DefaultName(): {
+			Prod: quanta.Sticky(slices.Concat(w.Prod, []int64{r.prod.Max()})...),
+			Cons: quanta.Sticky(slices.Concat(w.Cons, []int64{r.cons.Max()})...),
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	return r.m.Run()
+	cfg.Stop = sim.Stop{Actor: "wb", Firings: int64(len(w.Cons)) + 10}
+	return sim.Run(cfg)
 }
 
 // Deadlocks reports whether replaying the witness at the given capacity

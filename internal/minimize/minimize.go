@@ -125,7 +125,7 @@ func feasibleOutcome(res *sim.Result) (bool, error) {
 // only resets token counts (the capacity assignment becomes the space
 // edges' initial tokens) instead of cloning the graph and rebuilding the
 // engine. With Options.Checkpoints set, the reset is warm: the machine
-// retains run snapshots and resumes from the latest checkpoint the capacity
+// retains run checkpoints and resumes from the latest one the capacity
 // change cannot affect. The per-workload machine pools are LIFO, so a probe
 // gets back the machine the previous probe used — consecutive probes of a
 // binary search then differ on one edge and its checkpoints stay valid.
@@ -162,7 +162,7 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 					return false, err
 				}
 			}
-			if _, err := m.ResetWarm(ov); err != nil {
+			if err := m.Reset(ov); err != nil {
 				return false, err
 			}
 			res, err := m.Run()

@@ -55,7 +55,9 @@ func TestProbeInputErrors(t *testing.T) {
 		}
 		return vf
 	}
-	machine := func(t *testing.T, warm bool) func(map[string]int64) (bool, error) {
+	// machine probes a compiled machine through Reset; with checkpoints
+	// > 0 each Reset resumes warm from the newest valid checkpoint.
+	machine := func(t *testing.T, checkpoints int) func(map[string]int64) (bool, error) {
 		t.Helper()
 		cfg, _, err := sim.TaskGraphConfig(sized(t), w)
 		if err != nil {
@@ -63,19 +65,13 @@ func TestProbeInputErrors(t *testing.T) {
 		}
 		cfg.Stop = sim.Stop{Actor: mp3.TaskDAC, Firings: firings}
 		cfg.LiteResult = true
-		if warm {
-			cfg.Checkpoints = 8
-		}
+		cfg.Checkpoints = checkpoints
 		m, err := sim.Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func(tokens map[string]int64) (bool, error) {
-			if warm {
-				if _, err := m.ResetWarm(tokens); err != nil {
-					return false, err
-				}
-			} else if err := m.Reset(tokens); err != nil {
+			if err := m.Reset(tokens); err != nil {
 				return false, err
 			}
 			res, err := m.Run()
@@ -117,10 +113,10 @@ func TestProbeInputErrors(t *testing.T) {
 			return func(caps map[string]int64) (bool, error) { return vf.Feasible(nil, caps) }
 		}},
 		{name: "Machine.Reset", edges: true, compile: func(t *testing.T) func(map[string]int64) (bool, error) {
-			return machine(t, false)
+			return machine(t, 0)
 		}},
 		{name: "Machine.ResetWarm", edges: true, compile: func(t *testing.T) func(map[string]int64) (bool, error) {
-			return machine(t, true)
+			return machine(t, 8)
 		}},
 	}
 

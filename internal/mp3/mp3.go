@@ -20,7 +20,6 @@ package mp3
 
 import (
 	"fmt"
-	"math/rand"
 
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
@@ -146,49 +145,4 @@ func BufferNames() [3]string {
 		TaskMP3 + "->" + TaskSRC,
 		TaskSRC + "->" + TaskDAC,
 	}
-}
-
-// VBRStream generates a reproducible variable bit-rate stream of frame byte
-// sizes. It stands in for the paper's compact-disc stream: each value is a
-// legal 48 kHz frame size, drawn from the standard bit-rate table with a
-// seeded generator.
-type VBRStream struct {
-	rng   *rand.Rand
-	sizes []int64
-}
-
-// NewVBRStream returns a stream seeded deterministically.
-func NewVBRStream(seed int64) *VBRStream {
-	return &VBRStream{
-		rng:   rand.New(rand.NewSource(seed)),
-		sizes: FrameSizes().Values(),
-	}
-}
-
-// Next returns the next frame's byte size.
-func (s *VBRStream) Next() int64 {
-	return s.sizes[s.rng.Intn(len(s.sizes))]
-}
-
-// Take returns the next n frame sizes.
-func (s *VBRStream) Take(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out
-}
-
-// CBRStream returns n copies of the frame size at the given bit rate —
-// the constant-bit-rate special case the related work can handle.
-func CBRStream(bitrateKbps int64, n int) ([]int64, error) {
-	size, err := FrameBytes(bitrateKbps, StreamRate)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = size
-	}
-	return out, nil
 }

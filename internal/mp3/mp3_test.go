@@ -123,44 +123,6 @@ func TestWCRTValues(t *testing.T) {
 	}
 }
 
-func TestVBRStreamDeterministicAndValid(t *testing.T) {
-	a := NewVBRStream(5)
-	b := NewVBRStream(5)
-	sizes := FrameSizes()
-	seen := map[int64]bool{}
-	for i := 0; i < 1000; i++ {
-		v := a.Next()
-		if v != b.Next() {
-			t.Fatal("same seed diverged")
-		}
-		if !sizes.Contains(v) {
-			t.Fatalf("frame size %d not a legal 48 kHz size", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) < 10 {
-		t.Errorf("only %d distinct sizes in 1000 frames; generator suspiciously narrow", len(seen))
-	}
-	if got := a.Take(5); len(got) != 5 {
-		t.Errorf("Take(5) returned %d", len(got))
-	}
-}
-
-func TestCBRStream(t *testing.T) {
-	s, err := CBRStream(320, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range s {
-		if v != 960 {
-			t.Errorf("CBR 320 frame = %d, want 960", v)
-		}
-	}
-	if _, err := CBRStream(-1, 4); err == nil {
-		t.Error("negative bitrate accepted")
-	}
-}
-
 func TestGraphWithFrameQuantaConstant(t *testing.T) {
 	g, err := GraphWithFrameQuanta(taskgraph.MustQuanta(960))
 	if err != nil {

@@ -163,17 +163,17 @@ type Config struct {
 	// look at; explicitly requested recordings (Starts, Transfers,
 	// Occupancy) are still collected.
 	LiteResult bool
-	// Checkpoints is the number of run snapshots the machine retains for
-	// warm-starting (0 disables). With N > 0 slots, Run checkpoints its
-	// state every checkpointEvery events into a reusable arena —
-	// thinning logarithmically once the slots fill, so the retained
-	// checkpoints always span the whole run — and ResetWarm can resume
+	// Checkpoints is the number of run-state checkpoints the machine
+	// retains for warm-starting (0 disables). With N > 0 slots, Run
+	// checkpoints its state every checkpointEvery events into a reusable
+	// arena — thinning logarithmically once the slots fill, so the
+	// retained checkpoints always span the whole run — and Reset resumes
 	// the next run from the newest checkpoint the changed initial tokens
-	// cannot have affected, instead of replaying from tick 0.
-	// Checkpointing is silently disabled under Validate, CheckInvariants
-	// or StartShift (a warm start skips re-executing the prefix, so
-	// per-event prefix checks and enabling-time-dependent shifts could
-	// diverge from a cold run).
+	// cannot have affected, instead of replaying from tick 0. The resumed
+	// run is bit-identical to a cold one. Checkpointing is silently
+	// disabled under Validate, CheckInvariants or StartShift (a warm start
+	// skips re-executing the prefix, so per-event prefix checks and
+	// enabling-time-dependent shifts could diverge from a cold run).
 	Checkpoints int
 	// Effort, if non-nil, counts the simulation work of every run of
 	// the machine, including runs that MaxEvents or Context stop.
@@ -357,23 +357,22 @@ func newPort(es *edgeState, seq quanta.Sequence) portRef {
 }
 
 type actorState struct {
-	idx         int
-	name        string
-	mode        Mode
-	rhoTicks    int64
-	exec        func(k int64) ratio.Rat
-	startShift  func(k int64) ratio.Rat
-	offsetT     int64
-	baseOffsetT int64 // compiled offset; Reset reverts SetPeriodicOffsetTicks to it
-	periodT     int64
-	started     int64
-	finished    int64
-	busyTicks   int64 // accumulated execution time
-	busyUntil   int64 // earliest tick the next firing may start
-	readyAt     int64 // ASAP with StartShift: tick the armed firing may start
-	armedFor    int64 // ASAP with StartShift: firing index the timer is armed for, -1 none
-	in          []portRef
-	out         []portRef
+	idx        int
+	name       string
+	mode       Mode
+	rhoTicks   int64
+	exec       func(k int64) ratio.Rat
+	startShift func(k int64) ratio.Rat
+	offsetT    int64
+	periodT    int64
+	started    int64
+	finished   int64
+	busyTicks  int64 // accumulated execution time
+	busyUntil  int64 // earliest tick the next firing may start
+	readyAt    int64 // ASAP with StartShift: tick the armed firing may start
+	armedFor   int64 // ASAP with StartShift: firing index the timer is armed for, -1 none
+	in         []portRef
+	out        []portRef
 	// starts is the start-time recording of an actor in RecordStarts,
 	// appended to only by runs that record starts (see Machine.recStarts).
 	starts []int64
@@ -578,25 +577,19 @@ type Machine struct {
 	// that recorded starts, so its start-recording prefix exists.
 	ckptStarts bool
 
-	baseFirings int64   // compiled Stop.Firings; Reset reverts SetStopFirings to it
-	runTokens   []int64 // per edgeList index: initial tokens of the pending/current run
-	frame       []int64 // fillFrame scratch: the initial tokens a name-keyed reset asks for
-	// epoch counts resets. A reset truncates the recording buffers, so a
-	// Snapshot from an earlier epoch may reference recording prefixes
-	// that no longer exist; Restore rejects it.
-	epoch int64
+	runTokens []int64 // per edgeList index: initial tokens of the pending/current run
+	frame     []int64 // fillFrame scratch: the initial tokens a name-keyed reset asks for
 
 	// Warm-start state (all inert when ckptSlots == 0).
-	ckptSlots  int         // retained checkpoint slots; 0 disables
-	ckpts      []*Snapshot // checkpoints of the last/current run, ascending by events
-	ckptFree   []*Snapshot // retired snapshot arenas for reuse
-	ckptArena  []Snapshot  // checkpoint slots never handed out yet
-	ckptEvery  int64       // current checkpoint interval in events
-	ckptNext   int64       // event count at which the next checkpoint is taken
-	ckptTokens []int64     // initial tokens of the run the checkpoints describe
-	ckptStop   int64       // Stop.Firings the checkpoints were taken under
-	ckptOffs   []int64     // per-actor offsetT the checkpoints were taken under
-	resumeTick int64       // tick of the restored checkpoint
+	ckptSlots  int           // retained checkpoint slots; 0 disables
+	ckpts      []*checkpoint // checkpoints of the last/current run, ascending by events
+	ckptFree   []*checkpoint // retired checkpoint arenas for reuse
+	ckptArena  []checkpoint  // checkpoint slots never handed out yet
+	ckptEvery  int64         // current checkpoint interval in events
+	ckptNext   int64         // event count at which the next checkpoint is taken
+	ckptTokens []int64       // initial tokens of the run the checkpoints describe
+	ckptOffs   []int64       // per-actor offsetT the checkpoints were taken under
+	resumeTick int64         // tick of the restored checkpoint
 }
 
 type resolvedInvariant struct {
@@ -736,7 +729,6 @@ func Compile(cfg Config) (*Machine, error) {
 				}
 			}
 		}
-		as.baseOffsetT = as.offsetT
 		m.actors = append(m.actors, as)
 		m.byName[ga.Name] = as
 	}
@@ -785,7 +777,6 @@ func Compile(cfg Config) (*Machine, error) {
 	}
 
 	m.stop = m.byName[cfg.Stop.Actor]
-	m.baseFirings = cfg.Stop.Firings
 	// The calendar holds at most one finish per actor, one pending
 	// periodic attempt per periodic actor and one armed shifted start per
 	// shifted actor; preallocate past that so the steady state never
@@ -831,28 +822,22 @@ func Compile(cfg Config) (*Machine, error) {
 // Base returns the machine's resolved time base.
 func (m *Machine) Base() TimeBase { return m.base }
 
-// Reset rewinds the machine to tick 0 so it can Run again, restoring the
-// exact state Compile left it in plus the given overrides: initialTokens
-// optionally overrides the initial token count of the named edges for the
-// next run (capacity probes override the space edges); edges without an
-// entry revert to the graph's initial tokens; the SetStopFirings and
-// SetPeriodicOffsetTicks overrides revert to the compiled configuration;
-// the retained checkpoints of the previous run are discarded. No compiled
-// structure is rebuilt and no per-edge state is reallocated. An unknown
-// edge or a negative count is an error that leaves the machine unchanged.
-//
-// ResetWarm is the variant that keeps the knob overrides and the
-// checkpoints, so the next run can resume mid-schedule.
+// Reset prepares the machine to Run again: initialTokens optionally
+// overrides the initial token count of the named edges for the next run
+// (capacity probes override the space edges); edges without an entry
+// revert to the graph's initial tokens. With Config.Checkpoints set, the
+// next run resumes from the newest retained checkpoint of the previous run
+// that the changed initial tokens cannot have affected; otherwise, and
+// when no checkpoint qualifies, the machine rewinds to tick 0. Either way
+// the next run is bit-identical to a fresh Run of the same configuration
+// with those tokens. No compiled structure is rebuilt and no per-edge
+// state is reallocated. An unknown edge or a negative count is an error
+// that leaves the machine unchanged.
 func (m *Machine) Reset(initialTokens map[string]int64) error {
 	if err := m.fillFrame(initialTokens); err != nil {
 		return err
 	}
-	m.recStarts = true
-	m.cfg.Stop.Firings = m.baseFirings
-	for _, a := range m.actors {
-		a.offsetT = a.baseOffsetT
-	}
-	m.resetTokens(m.frame)
+	m.resetWarm(m.frame, true)
 	return nil
 }
 
@@ -878,8 +863,7 @@ func (m *Machine) fillFrame(initialTokens map[string]int64) error {
 
 // resetTokens rewinds all per-run state (tokens, counters, recordings, the
 // event calendar) to the start of a run from the per-edge initial-token
-// frame, without touching the SetStopFirings and SetPeriodicOffsetTicks
-// overrides. It invalidates the retained checkpoints: they describe a run
+// frame. It invalidates the retained checkpoints: they describe a run
 // whose recordings are truncated here.
 func (m *Machine) resetTokens(frame []int64) {
 	for i, es := range m.edgeList {
@@ -911,40 +895,7 @@ func (m *Machine) resetTokens(frame []int64) {
 	clear(m.dirty)
 	m.ran = false
 	m.resumed = false
-	m.epoch++
 	m.dropCheckpoints(0)
-}
-
-// SetPeriodicOffsetTicks repoints the start offset of a compiled Periodic
-// actor, in ticks of the machine's time base. It takes effect at the next
-// Run; Reset reverts it to the compiled offset, ResetWarm keeps it. The
-// throughput verifier uses this to try several offsets on one compiled
-// machine.
-func (m *Machine) SetPeriodicOffsetTicks(actor string, ticks int64) error {
-	a := m.byName[actor]
-	if a == nil {
-		return fmt.Errorf("sim: SetPeriodicOffsetTicks: unknown actor %q", actor)
-	}
-	if a.mode != Periodic {
-		return fmt.Errorf("sim: SetPeriodicOffsetTicks: actor %q is not periodic", actor)
-	}
-	if ticks < 0 {
-		return fmt.Errorf("sim: SetPeriodicOffsetTicks: negative offset %d", ticks)
-	}
-	a.offsetT = ticks
-	return nil
-}
-
-// SetStopFirings repoints the completion firing count of the machine's stop
-// actor. It takes effect at the next Run; Reset reverts it to the compiled
-// count, ResetWarm keeps it. The exact-witness replayer uses this to replay
-// differently sized witnesses on one compiled machine.
-func (m *Machine) SetStopFirings(firings int64) error {
-	if firings <= 0 {
-		return fmt.Errorf("sim: SetStopFirings: firings must be positive, got %d", firings)
-	}
-	m.cfg.Stop.Firings = firings
-	return nil
 }
 
 // push schedules an event of the given kind for actor at tick.
@@ -1394,11 +1345,10 @@ func (a *actorState) recordShortfalls(c *actorState, L int64) {
 }
 
 // Run executes the machine from its reset state to completion. After a run
-// the machine must be Reset (or ResetWarm) before running again. A run
-// resumed from a ResetWarm checkpoint continues mid-schedule and produces
-// results bit-identical to a cold run of the same configuration, with
-// Result.Events still counting from tick 0 (replayed prefix included).
-// The run honours Config.Context.
+// the machine must be Reset before running again. A run resumed from a
+// checkpoint continues mid-schedule and produces results bit-identical to
+// a cold run of the same configuration, with Result.Events still counting
+// from tick 0 (replayed prefix included). The run honours Config.Context.
 func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context) }
 
 // run is Run under ctx (nil: no cancellation). A Verifier passes each
@@ -1433,7 +1383,7 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 
 	now := int64(0)
 	if m.resumed {
-		// State, calendar and counters were restored by ResetWarm; the
+		// State, calendar and counters were restored by the reset; the
 		// seeding below already happened in the replayed prefix.
 		m.resumed = false
 		now = m.resumeTick

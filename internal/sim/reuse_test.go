@@ -10,78 +10,6 @@ import (
 	"vrdfcap/internal/quanta"
 )
 
-// TestResetRevertsKnobOverrides pins the Reset/ResetWarm contract for the
-// SetStopFirings and SetPeriodicOffsetTicks overrides: Reset restores the
-// compiled configuration (a reused machine behaves like a freshly compiled
-// one), while ResetWarm keeps the overrides because they are part of the
-// checkpoint validity key.
-func TestResetRevertsKnobOverrides(t *testing.T) {
-	cfg, _ := pairConfig(t, 4, quanta.Constant(2), 50)
-	cfg.Actors = map[string]ActorConfig{
-		"wb": {Mode: Periodic, Offset: r(10, 1), Period: r(2, 1)},
-	}
-	baseline, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseline.Outcome != Completed {
-		t.Fatalf("baseline outcome = %v, want %v", baseline.Outcome, Completed)
-	}
-
-	m, err := Compile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offTicks, err := m.Base().Ticks(r(14, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetStopFirings(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetPeriodicOffsetTicks("wb", offTicks); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reset(nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, got) {
-		t.Errorf("Reset kept knob overrides: a reused machine diverged from a fresh one\nfresh:  %+v\nreused: %+v", baseline, got)
-	}
-
-	// ResetWarm keeps both overrides; the run must match a fresh machine
-	// compiled with them.
-	ovCfg := cfg
-	ovCfg.Actors = map[string]ActorConfig{
-		"wb": {Mode: Periodic, Offset: r(14, 1), Period: r(2, 1)},
-	}
-	ovCfg.Stop.Firings = 20
-	want, err := Run(ovCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetStopFirings(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetPeriodicOffsetTicks("wb", offTicks); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ResetWarm(nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err = m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("ResetWarm dropped knob overrides\nwant: %+v\ngot:  %+v", want, got)
-	}
-}
-
 // TestReusedMachineHonorsCanceledContext pins the budget bugfix: the event
 // counter that paces Context checks is per-run state, so a reused machine
 // must notice an already-canceled Context within the first

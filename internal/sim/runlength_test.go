@@ -42,8 +42,10 @@ func perEventTwin(t *testing.T, cfg Config) (fast, perEvent *Machine) {
 // and the calendar as a set (its heap layout may differ).
 func sameState(t *testing.T, fast, perEvent *Machine) {
 	t.Helper()
-	f, p := fast.Snapshot(nil), perEvent.Snapshot(nil)
-	for _, s := range []*Snapshot{f, p} {
+	f, p := &checkpoint{}, &checkpoint{}
+	fast.snapshotInto(f, 0)
+	perEvent.snapshotInto(p, 0)
+	for _, s := range []*checkpoint{f, p} {
 		slices.SortFunc(s.eq, func(a, b event) int {
 			if eventLess(a, b) {
 				return -1
@@ -234,9 +236,7 @@ func TestRunLengthMatchesPerEventMP3(t *testing.T) {
 			fast, perEvent := perEventTwin(t, phase.cfg)
 			if phase.name == "periodic" {
 				for _, m := range []*Machine{fast, perEvent} {
-					if err := m.SetPeriodicOffsetTicks("vDAC", offset); err != nil {
-						t.Fatal(err)
-					}
+					m.byName["vDAC"].offsetT = offset
 				}
 			}
 			want, err := perEvent.Run()

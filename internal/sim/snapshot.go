@@ -1,23 +1,14 @@
 package sim
 
-import "fmt"
-
-// Snapshot is a deep copy of a Machine's mutable run state — event
+// checkpoint is a deep copy of a Machine's mutable run state — event
 // calendar, actor states, edge token counts and the lengths of the
-// recording buffers — in a reusable arena. Taking a snapshot into an arena
-// that has reached its steady-state capacity performs no allocation, so
-// checkpointing inside Run and snapshot pools shared across machines stay
-// allocation-free after warm-up.
-//
-// A Snapshot is bound to the machine that filled it (Snapshot rebinds an
-// arena on every call) and to that machine's reset epoch: recordings are
-// stored as prefix lengths of the machine's live buffers, so a reset —
-// which truncates those buffers — invalidates every earlier snapshot.
-type Snapshot struct {
-	owner  *Machine
-	epoch  int64
-	midRun bool // taken inside Run (an auto-checkpoint), not via the public API
-	ran    bool
+// recording buffers — in a reusable arena. Filling a checkpoint whose arena
+// has reached its steady-state capacity performs no allocation, so
+// checkpointing inside Run stays allocation-free after warm-up. Recordings
+// are stored as prefix lengths of the machine's live buffers: a run only
+// appends to them, and a cold reset, which truncates them, drops every
+// checkpoint.
+type checkpoint struct {
 	tick   int64
 	events int64
 	seq    int64
@@ -52,66 +43,10 @@ type edgeSnap struct {
 	lastOcc OccupancySample
 }
 
-// Events returns the absolute event count at the snapshot.
-func (s *Snapshot) Events() int64 { return s.events }
-
-// Tick returns the simulation tick at the snapshot.
-func (s *Snapshot) Tick() int64 { return s.tick }
-
-// Snapshot deep-copies the machine's current run state into the given
-// arena (allocating a fresh one when into is nil) and returns it. It may
-// be called on a reset machine (capturing the ready-to-run state) or after
-// a run (capturing the final state); Restore brings the machine back to
-// exactly that point.
-func (m *Machine) Snapshot(into *Snapshot) *Snapshot {
-	if into == nil {
-		into = &Snapshot{}
-	}
-	m.snapshotInto(into, 0, false)
-	return into
-}
-
-// Restore reinstates a snapshot previously taken from this machine. It
-// fails for a snapshot owned by another machine, taken before the most
-// recent reset (the recordings it references were truncated), or taken by
-// the internal checkpointing of a Run (use ResetWarm for those). Restoring
-// discards the retained checkpoints: they may describe a different run
-// than the restored state.
-func (m *Machine) Restore(s *Snapshot) error {
-	if s == nil {
-		return fmt.Errorf("sim: Restore: nil snapshot")
-	}
-	if s.owner != m {
-		return fmt.Errorf("sim: Restore: snapshot belongs to a different machine")
-	}
-	if s.epoch != m.epoch {
-		return fmt.Errorf("sim: Restore: snapshot predates the machine's last reset")
-	}
-	if s.midRun {
-		return fmt.Errorf("sim: Restore: snapshot is an internal run checkpoint; use ResetWarm")
-	}
-	m.restoreFrom(s)
-	m.ran = s.ran
-	m.resumed = false
-	if s.events == 0 {
-		// A pre-run state: its token counts are the initial tokens of
-		// the run a subsequent Run will execute.
-		for i, es := range m.edgeList {
-			m.runTokens[i] = es.tokens
-		}
-	}
-	m.dropCheckpoints(0)
-	return nil
-}
-
 // snapshotInto fills s from the machine's current state. The caller must
 // ensure the state is quiescent: no partially processed tick (inside Run
 // this means after startDirty, with the dirty list empty).
-func (m *Machine) snapshotInto(s *Snapshot, tick int64, midRun bool) {
-	s.owner = m
-	s.epoch = m.epoch
-	s.midRun = midRun
-	s.ran = m.ran
+func (m *Machine) snapshotInto(s *checkpoint, tick int64) {
 	s.tick = tick
 	s.events = m.events
 	s.seq = m.seq
@@ -152,14 +87,14 @@ func (m *Machine) snapshotInto(s *Snapshot, tick int64, midRun bool) {
 	}
 }
 
-// restoreFrom copies a snapshot's state back into the machine. Recording
-// buffers are truncated to their snapshot lengths; their retained prefixes
-// are identical to the snapshot's time (runs only append, and the one
+// restoreFrom copies a checkpoint's state back into the machine. Recording
+// buffers are truncated to their checkpoint lengths; their retained
+// prefixes are identical to the checkpoint's time (runs only append, and the one
 // mutable element — the last occupancy sample — is restored explicitly).
 //
 //vrdf:noalloc
-func (m *Machine) restoreFrom(s *Snapshot) {
-	m.eq = append(m.eq[:0], s.eq...) //vrdf:allocok(the calendar keeps its capacity across Reset; a snapshot never holds more events than the run that produced it)
+func (m *Machine) restoreFrom(s *checkpoint) {
+	m.eq = append(m.eq[:0], s.eq...) //vrdf:allocok(the calendar keeps its capacity across Reset; a checkpoint never holds more events than the run that produced it)
 	m.seq = s.seq
 	m.events = s.events
 	for i, a := range m.actors {
@@ -196,13 +131,12 @@ func (m *Machine) restoreFrom(s *Snapshot) {
 const initialCheckpointEvery = 1024
 
 // beginCheckpoints records the configuration key of the starting cold run.
-// ResetWarm only reuses checkpoints taken under the same stop horizon,
-// periodic offsets and initial-token frame, and a run that records starts
-// only those taken by runs that did.
+// Reset only resumes from checkpoints taken under the same periodic offsets
+// and initial-token frame, and a run that records starts only from those
+// taken by runs that did.
 func (m *Machine) beginCheckpoints() {
 	m.ckptEvery = initialCheckpointEvery
 	m.ckptNext = m.ckptEvery
-	m.ckptStop = m.cfg.Stop.Firings
 	m.ckptOffs = m.ckptOffs[:0]
 	for _, a := range m.actors {
 		m.ckptOffs = append(m.ckptOffs, a.offsetT)
@@ -211,16 +145,15 @@ func (m *Machine) beginCheckpoints() {
 	m.ckptStarts = m.recStarts
 }
 
-// ckptKeyMatches reports whether the machine's current stop horizon and
-// periodic offsets equal those the retained checkpoints were taken under,
-// and whether the retained checkpoints hold the start-recording prefix a
-// pending run that records starts resumes from: a run that records none
-// leaves its checkpoints without one.
+// ckptKeyMatches reports whether the machine's current periodic offsets
+// equal those the retained checkpoints were taken under, and whether the
+// retained checkpoints hold the start-recording prefix a pending run that
+// records starts resumes from: a run that records none leaves its
+// checkpoints without one.
 //
 //vrdf:noalloc
 func (m *Machine) ckptKeyMatches() bool {
-	if m.cfg.Stop.Firings != m.ckptStop || len(m.ckptOffs) != len(m.actors) ||
-		(m.recStarts && !m.ckptStarts) {
+	if len(m.ckptOffs) != len(m.actors) || (m.recStarts && !m.ckptStarts) {
 		return false
 	}
 	for i, a := range m.actors {
@@ -237,8 +170,8 @@ func (m *Machine) ckptKeyMatches() bool {
 // stay roughly evenly spaced over the whole run, so a warm start never
 // resumes further from its target than one interval.
 func (m *Machine) takeCheckpoint(tick int64) {
-	s := m.grabSnapshot()
-	m.snapshotInto(s, tick, true)
+	s := m.grabCheckpoint()
+	m.snapshotInto(s, tick)
 	m.ckpts = append(m.ckpts, s)
 	if len(m.ckpts) > m.ckptSlots {
 		kept := m.ckpts[:0]
@@ -255,12 +188,12 @@ func (m *Machine) takeCheckpoint(tick int64) {
 	m.ckptNext = m.events + m.ckptEvery
 }
 
-// grabSnapshot returns a checkpoint slot, reusing a retired one when the
+// grabCheckpoint returns a checkpoint slot, reusing a retired one when the
 // free list has any and otherwise taking the next unused slot of the
 // machine's checkpoint arena.
 //
 //vrdf:noalloc
-func (m *Machine) grabSnapshot() *Snapshot {
+func (m *Machine) grabCheckpoint() *checkpoint {
 	if n := len(m.ckptFree); n > 0 {
 		s := m.ckptFree[n-1]
 		m.ckptFree[n-1] = nil
@@ -283,7 +216,7 @@ func (m *Machine) grabSnapshot() *Snapshot {
 func (m *Machine) newCheckpointArena() {
 	n := m.ckptSlots + 1
 	evCap, na, ne := cap(m.eq), len(m.actors), len(m.edgeList)
-	m.ckptArena = make([]Snapshot, n)
+	m.ckptArena = make([]checkpoint, n)
 	evs := make([]event, n*evCap)
 	actors := make([]actorSnap, n*na)
 	edges := make([]edgeSnap, n*ne)
@@ -294,8 +227,8 @@ func (m *Machine) newCheckpointArena() {
 		s.edges = edges[i*ne : (i+1)*ne : (i+1)*ne]
 	}
 	if m.ckpts == nil {
-		m.ckpts = make([]*Snapshot, 0, n)
-		m.ckptFree = make([]*Snapshot, 0, n)
+		m.ckpts = make([]*checkpoint, 0, n)
+		m.ckptFree = make([]*checkpoint, 0, n)
 	}
 }
 
@@ -309,14 +242,13 @@ func (m *Machine) dropCheckpoints(from int) {
 	m.ckpts = m.ckpts[:from]
 }
 
-// ResetWarm prepares the next run like Reset, but resumes from a retained
-// checkpoint of the previous run when the changed initial tokens provably
-// cannot have affected the replayed prefix. It returns the number of
-// events the resumed run skips re-executing (0 when it fell back to a cold
-// reset). Unlike Reset, ResetWarm keeps the SetStopFirings and
-// SetPeriodicOffsetTicks overrides — they are part of the checkpoint
-// validity key, so callers set them first and warm-reset after. The
-// overrides are validated as by Reset, through the same per-edge frame.
+// resetWarm prepares the next run from a validated per-edge initial-token
+// frame (non-negative, one entry per edge in edgeList order). It resumes
+// from a retained checkpoint of the previous run when the changed initial
+// tokens provably cannot have affected the replayed prefix, and otherwise
+// resets cold. With starts false the next run records no start times: a
+// verdict-only probe pays nothing per firing for a recording it never
+// reads.
 //
 // Validity rests on the quanta sequences, Exec models and scheduling being
 // pure functions of the firing index (the package contract for
@@ -328,18 +260,7 @@ func (m *Machine) dropCheckpoints(from int) {
 // start, finish and transfer of the prefix is unchanged, so the resumed
 // run is bit-identical to a cold run with the new tokens — the
 // differential fuzz target in this package pins that equivalence.
-func (m *Machine) ResetWarm(initialTokens map[string]int64) (resumedEvents int64, err error) {
-	if err := m.fillFrame(initialTokens); err != nil {
-		return 0, err
-	}
-	return m.resetWarm(m.frame, true), nil
-}
-
-// resetWarm is ResetWarm from a validated per-edge initial-token frame
-// (non-negative, one entry per edge in edgeList order). With starts false
-// the next run records no start times: a verdict-only probe pays nothing
-// per firing for a recording it never reads.
-func (m *Machine) resetWarm(frame []int64, starts bool) int64 {
+func (m *Machine) resetWarm(frame []int64, starts bool) {
 	m.recStarts = starts
 	if len(m.ckpts) > 0 && m.ckptKeyMatches() {
 		// Newest checkpoint valid for every changed edge wins. Both
@@ -349,17 +270,17 @@ func (m *Machine) resetWarm(frame []int64, starts bool) int64 {
 		// older one than a valid one is also valid.
 		for j := len(m.ckpts) - 1; j >= 0; j-- {
 			if m.ckptValidFor(m.ckpts[j], frame) {
-				return m.restoreWarm(j, frame)
+				m.restoreWarm(j, frame)
+				return
 			}
 		}
 	}
 	m.resetTokens(frame)
-	return 0
 }
 
 // ckptValidFor reports whether resuming from s with the desired
 // initial-token frame keeps the replayed prefix bit-identical.
-func (m *Machine) ckptValidFor(s *Snapshot, des []int64) bool {
+func (m *Machine) ckptValidFor(s *checkpoint, des []int64) bool {
 	for i, es := range m.edgeList {
 		delta := des[i] - m.ckptTokens[i]
 		if delta == 0 {
@@ -385,10 +306,10 @@ func (m *Machine) ckptValidFor(s *Snapshot, des []int64) bool {
 // statistics by their deltas (valid checkpoints replay the exact same
 // transfer sequence, so every occupancy value on a changed edge differs by
 // exactly the initial-token delta), adjusts the retained older checkpoints
-// the same way, and arms Run to resume. Returns the events skipped.
+// the same way, and arms Run to resume.
 //
 //vrdf:noalloc
-func (m *Machine) restoreWarm(j int, des []int64) int64 {
+func (m *Machine) restoreWarm(j int, des []int64) {
 	s := m.ckpts[j]
 	m.restoreFrom(s)
 	m.dropCheckpoints(j + 1)
@@ -422,5 +343,4 @@ func (m *Machine) restoreWarm(j int, des []int64) int64 {
 	m.ran = false
 	m.resumed = true
 	m.resumeTick = s.tick
-	return s.events
 }

@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
-	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/taskgraph"
 )
 
@@ -41,73 +38,22 @@ func chainConfig(t *testing.T, firings int64) (Config, string) {
 	return cfg, pair.Space
 }
 
-// TestSnapshotRestoreRoundTrip pins the public Snapshot/Restore API: a
-// pre-run snapshot restored after a run replays the run bit-identically,
-// and the arena can be reused across rounds without divergence.
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	cfg, _ := pairConfig(t, 7, quanta.Cycle(2, 3), 40)
-	m, err := Compile(cfg)
-	if err != nil {
-		t.Fatal(err)
+// resumedEvents returns the events the pending run of m skips by resuming
+// from a checkpoint: 0 after a cold reset.
+func resumedEvents(m *Machine) int64 {
+	if m.resumed {
+		return m.events
 	}
-	var arena *Snapshot
-	arena = m.Snapshot(arena)
-	first, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		if err := m.Restore(arena); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		got, err := m.Run()
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if !reflect.DeepEqual(first, got) {
-			t.Fatalf("round %d: restored run diverged\nfirst: %+v\ngot:   %+v", round, first, got)
-		}
-	}
+	return 0
 }
 
-// TestRestoreRejections pins the Restore guards: nil snapshots, snapshots
-// owned by another machine and snapshots predating a Reset are refused, and
-// the machine stays usable after each rejection.
-func TestRestoreRejections(t *testing.T) {
-	cfg, _ := pairConfig(t, 7, quanta.Cycle(2, 3), 20)
-	m, err := Compile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := Compile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(nil); err == nil {
-		t.Error("nil snapshot accepted")
-	}
-	if err := m.Restore(other.Snapshot(nil)); err == nil {
-		t.Error("snapshot of a different machine accepted")
-	}
-	stale := m.Snapshot(nil)
-	if err := m.Reset(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(stale); err == nil {
-		t.Error("snapshot predating a Reset accepted")
-	}
-	if res, err := m.Run(); err != nil || res.Outcome != Completed {
-		t.Errorf("machine unusable after rejected Restores: %v, %v", res, err)
-	}
-}
-
-// TestResetWarmMatchesCold drives one checkpointing machine through a
-// capacity probe sequence and checks every warm-started run bit-identical
-// to a cold run of a fresh machine at that capacity — including the
-// per-edge token statistics the warm restore shifts by the capacity delta.
-// At least one probe must actually resume from a checkpoint, or the test
-// would pass vacuously through cold fallbacks.
-func TestResetWarmMatchesCold(t *testing.T) {
+// TestCheckpointedResetMatchesCold drives one checkpointing machine
+// through a capacity probe sequence and checks every run after a Reset
+// bit-identical to a cold run of a fresh machine at that capacity —
+// including the per-edge token statistics a warm restore shifts by the
+// capacity delta. At least one probe must actually resume from a
+// checkpoint, or the test would pass vacuously through cold fallbacks.
+func TestCheckpointedResetMatchesCold(t *testing.T) {
 	const firings = 3000
 	cfg, space := chainConfig(t, firings)
 	cfg.Checkpoints = 4
@@ -137,10 +83,10 @@ func TestResetWarmMatchesCold(t *testing.T) {
 	}
 	var totalResumed int64
 	for i, capacity := range []int64{8, 7, 6, 7, 8, 8} {
-		resumed, err := m.ResetWarm(map[string]int64{space: capacity})
-		if err != nil {
+		if err := m.Reset(map[string]int64{space: capacity}); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
+		resumed := resumedEvents(m)
 		totalResumed += resumed
 		got, err := m.Run()
 		if err != nil {
@@ -156,12 +102,19 @@ func TestResetWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestResetWarmKeyMismatchFallsBack pins the checkpoint validity key: a
-// changed stop horizon invalidates the retained checkpoints, so ResetWarm
-// falls back to a cold reset (resuming zero events) and still produces the
-// right run.
-func TestResetWarmKeyMismatchFallsBack(t *testing.T) {
-	cfg, _ := chainConfig(t, 3000)
+// TestCheckpointKeyMismatchFallsBack pins the checkpoint validity key: a
+// changed periodic offset invalidates the retained checkpoints, so Reset
+// falls back to a cold reset (resuming zero events) and the run matches a
+// fresh run at the new offset. Unchanged, the same Reset resumes.
+func TestCheckpointKeyMismatchFallsBack(t *testing.T) {
+	periodicAt := func(offset int64) Config {
+		cfg, _ := chainConfig(t, 3000)
+		cfg.Actors = map[string]ActorConfig{
+			"tc": {Mode: Periodic, Offset: r(offset, 1), Period: r(1, 1)},
+		}
+		return cfg
+	}
+	cfg := periodicAt(10)
 	cfg.Checkpoints = 4
 	m, err := Compile(cfg)
 	if err != nil {
@@ -170,91 +123,33 @@ func TestResetWarmKeyMismatchFallsBack(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetStopFirings(1500); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := m.ResetWarm(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != 0 {
-		t.Errorf("ResetWarm resumed %d events across a stop-horizon change", resumed)
-	}
-	got, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, _ := chainConfig(t, 1500)
-	want, err := Run(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("fallback run diverged\nwant: %+v\ngot:  %+v", want, got)
-	}
-}
-
-// TestSnapshotPoolRace exercises a shared snapshot pool from concurrent
-// goroutines, each owning its machine: Snapshot rebinds the arena to the
-// calling machine, so arenas can migrate between goroutines freely. Run
-// under -race this pins that neither the pool nor the rebinding races.
-func TestSnapshotPoolRace(t *testing.T) {
-	var pool sync.Pool // of *Snapshot
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg, _ := pairConfig(t, 7, quanta.Cycle(2, 3), 30)
-			cfg.Validate = false
-			m, err := Compile(cfg)
-			if err != nil {
-				errs <- err
-				return
-			}
-			first, err := m.Run()
-			if err != nil {
-				errs <- err
-				return
-			}
-			for round := 0; round < 20; round++ {
-				arena, _ := pool.Get().(*Snapshot)
-				if err := m.Reset(nil); err != nil {
-					errs <- err
-					return
-				}
-				arena = m.Snapshot(arena)
-				got, err := m.Run()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !reflect.DeepEqual(first, got) {
-					errs <- fmt.Errorf("round %d: pooled-arena run diverged", round)
-					return
-				}
-				if err := m.Restore(arena); err != nil {
-					errs <- err
-					return
-				}
-				got, err = m.Run()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !reflect.DeepEqual(first, got) {
-					errs <- fmt.Errorf("round %d: restored run diverged", round)
-					return
-				}
-				pool.Put(arena)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, offset := range []int64{10, 12} {
+		ticks, err := m.Base().Ticks(r(offset, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.byName["tc"].offsetT = ticks
+		if err := m.Reset(nil); err != nil {
+			t.Fatal(err)
+		}
+		if resumed := resumedEvents(m); offset == 10 && resumed == 0 {
+			t.Error("Reset did not resume at the unchanged offset")
+		} else if offset == 12 && resumed != 0 {
+			t.Errorf("Reset resumed %d events across an offset change", resumed)
+		}
+		got, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(periodicAt(offset))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Outcome != Completed {
+			t.Fatalf("offset %d: fresh run outcome %v, want %v", offset, want.Outcome, Completed)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("offset %d: run after Reset diverged\nwant: %+v\ngot:  %+v", offset, want, got)
+		}
 	}
 }

@@ -307,8 +307,8 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	for k, ac := range cfg.Actors {
 		pcfg.Actors[k] = ac
 	}
-	// The offset is repointed per run via SetPeriodicOffsetTicks; compile
-	// with the placeholder 0.
+	// The offset is set per run by runPeriodic; compile with the
+	// placeholder 0.
 	constrained := ActorConfig{Mode: Periodic, Offset: ratio.MustNew(0, 1), Period: c.Period}
 	if prev, ok := cfg.Actors[c.Task]; ok {
 		constrained.Exec = prev.Exec
@@ -402,16 +402,12 @@ func (vf *Verifier) runSelfTimed(ctx context.Context, starts bool) (*Result, err
 }
 
 // runPeriodic runs the periodic phase under ctx from the loaded frame with
-// the constrained task's first start at offset ticks. The warm reset must
-// not revert the offset override, so the offset is set first and the
-// machine reset after; the checkpoints it resumes from are only those
-// taken under the same offset. With starts set the run records start
-// times and fills Result.Starts.
+// the constrained task — the machine's stop actor — first starting at
+// offset ticks. The offset is set before the reset, which resumes only
+// from checkpoints taken under the same offset. With starts set the run
+// records start times and fills Result.Starts.
 func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) (*Result, error) {
-	//vrdf:reuseok(the override is deliberately committed to the resumed run by the warm reset below; every periodic run re-points it)
-	if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, offset); err != nil {
-		return nil, err
-	}
+	vf.periodic.stop.offsetT = offset
 	vf.periodic.resetWarm(vf.frame, starts)
 	return vf.periodic.run(ctx)
 }

@@ -19,7 +19,7 @@ import (
 // must produce bit-identical Results — outcome, end tick, event count,
 // firing start times, per-edge statistics, underrun and deadlock
 // diagnostics — to a machine that cold-resets before every run. This is the
-// executable form of the ResetWarm validity argument (prefix coincidence
+// executable form of the warm-reset validity argument (prefix coincidence
 // under the per-edge running-minimum and minimum-shortfall guards).
 func FuzzWarmStartDifferential(f *testing.F) {
 	f.Add(int64(1), int64(1), false)
@@ -128,14 +128,10 @@ func FuzzWarmStartDifferential(f *testing.F) {
 			for k, v := range caps {
 				ov[k] = v
 			}
-			var resumed int64
-			if probe == 0 {
-				if _, err := warm.ResetWarm(ov); err != nil {
-					t.Fatal(err)
-				}
-			} else if resumed, err = warm.ResetWarm(ov); err != nil {
+			if err := warm.Reset(ov); err != nil {
 				t.Fatal(err)
 			}
+			resumed := resumedEvents(warm)
 			if err := cold.Reset(ov); err != nil {
 				t.Fatal(err)
 			}
