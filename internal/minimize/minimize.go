@@ -29,10 +29,10 @@ import (
 // CheckFunc reports whether a capacity assignment (buffer name → capacity)
 // is feasible. Implementations must be monotone: if caps is feasible, any
 // pointwise-larger assignment must be too. Search calls it one probe at a
-// time and probes its working assignment in place, so caps is valid only
-// for the duration of the call: a check must copy what it keeps. A CheckFunc
-// shared by concurrent searches must be safe for concurrent calls (the
-// checks built by this package are).
+// time and hands every probe the same map, rewritten from its working
+// assignment, so caps is valid only for the duration of the call: a check
+// must copy what it keeps. A CheckFunc shared by concurrent searches must
+// be safe for concurrent calls (the checks built by this package are).
 type CheckFunc func(caps map[string]int64) (bool, error)
 
 // probeFunc is a check that runs under the context of the search probing
@@ -296,17 +296,28 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 
 // search is Search under ctx, which it checks before every probe and hands
 // to check; it reads only the cache and bound options of o.
+//
+// The working assignment is one capacity vector in buffer order, mutated
+// in place: the bounds, the frontier and the pass loop read it by index,
+// so a probe they answer hashes no buffer name and allocates nothing. The
+// name-keyed map a CheckFunc takes is brought up to date from the vector
+// only when a probe simulates.
 func search(ctx context.Context, buffers []string, upper map[string]int64, check probeFunc, o Options) (*Result, error) {
 	if len(buffers) == 0 {
 		return nil, fmt.Errorf("minimize: no buffers to search")
 	}
-	cur := make(map[string]int64, len(buffers))
-	for _, b := range buffers {
+	cur := make([]int64, len(buffers))
+	for i, b := range buffers {
 		u, ok := upper[b]
 		if !ok || u <= 0 {
 			return nil, fmt.Errorf("minimize: buffer %q needs a positive upper bound", b)
 		}
-		cur[b] = u
+		for _, prev := range buffers[:i] {
+			if prev == b {
+				return nil, fmt.Errorf("minimize: buffer %q is listed twice", b)
+			}
+		}
+		cur[i] = u
 	}
 	var checks, cacheHits, boundHits int
 	var cache *probecache.Frontier
@@ -321,12 +332,22 @@ func search(ctx context.Context, buffers []string, upper map[string]int64, check
 	default:
 		cache = probecache.NewFrontier(buffers)
 	}
+	bounds := o.Bounds.compile(buffers)
+	// caps is the assignment in the CheckFunc's name-keyed form; named
+	// copies the working vector into it.
+	caps := make(map[string]int64, len(buffers))
+	named := func() map[string]int64 {
+		for i, b := range buffers {
+			caps[b] = cur[i]
+		}
+		return caps
+	}
 	// probe answers dominated assignments from the cache (monotonicity
 	// decides them without simulating) and records every simulated
 	// verdict; cross-pass confirmation probes of the Gauss–Seidel loop —
 	// including any re-probe of the already verified upper bound — become
 	// cache hits.
-	probe := func(caps map[string]int64) (bool, error) {
+	probe := func() (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, budget.Classify(err)
 		}
@@ -335,53 +356,52 @@ func search(ctx context.Context, buffers []string, upper map[string]int64, check
 		// cache so the monotone frontier stays consistent with it: a bound
 		// contradicting an earlier simulated verdict (or vice versa) is a
 		// frontier error, not a silent wrong answer.
-		if o.Bounds != nil {
-			if feasible, decided := o.Bounds.Decide(caps); decided {
-				boundHits++
-				if cache != nil {
-					if err := cache.Insert(caps, feasible); err != nil {
-						return false, err
-					}
+		if feasible, decided := bounds.decide(cur); decided {
+			boundHits++
+			if cache != nil {
+				if err := cache.Insert(cur, feasible); err != nil {
+					return false, err
 				}
-				return feasible, nil
 			}
+			return feasible, nil
 		}
 		if cache != nil {
-			if feasible, hit := cache.Lookup(caps); hit {
+			if feasible, hit := cache.Lookup(cur); hit {
 				cacheHits++
 				return feasible, nil
 			}
 		}
 		checks++
-		ok, err := check(ctx, caps)
+		ok, err := check(ctx, named())
 		if err != nil {
 			return false, budget.Classify(err)
 		}
 		if cache != nil {
-			if err := cache.Insert(caps, ok); err != nil {
+			if err := cache.Insert(cur, ok); err != nil {
 				return false, err
 			}
 		}
 		return ok, nil
 	}
-	ok, err := probe(cur)
+	ok, err := probe()
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("minimize: upper bound %v is not feasible", cur)
+		return nil, fmt.Errorf("minimize: upper bound %v is not feasible", named())
 	}
 	passes := 0
 	for {
 		passes++
-		before := copyCaps(cur)
-		for _, b := range buffers {
+		shrunk := false
+		for i := range buffers {
 			// Invariant: hi is feasible, everything below lo is not.
-			lo, hi := int64(1), cur[b]
+			start := cur[i]
+			lo, hi := int64(1), start
 			for lo < hi {
 				mid := lo + (hi-lo)/2
-				cur[b] = mid
-				ok, err := probe(cur)
+				cur[i] = mid
+				ok, err := probe()
 				if err != nil {
 					return nil, err
 				}
@@ -391,26 +411,14 @@ func search(ctx context.Context, buffers []string, upper map[string]int64, check
 					lo = mid + 1
 				}
 			}
-			cur[b] = hi
-		}
-		shrunk := false
-		for k, v := range cur {
-			if v < before[k] {
+			if hi < start {
 				shrunk = true
-				break
 			}
+			cur[i] = hi
 		}
 		if !shrunk {
 			break
 		}
 	}
-	return &Result{Caps: cur, Checks: checks, CacheHits: cacheHits, BoundHits: boundHits, Passes: passes}, nil
-}
-
-func copyCaps(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return &Result{Caps: named(), Checks: checks, CacheHits: cacheHits, BoundHits: boundHits, Passes: passes}, nil
 }

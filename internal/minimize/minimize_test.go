@@ -2,6 +2,7 @@ package minimize
 
 import (
 	"errors"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/graphgen"
 	"vrdfcap/internal/mp3"
+	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/sim"
@@ -142,6 +144,9 @@ func TestSearchInputValidation(t *testing.T) {
 	if _, err := Search([]string{"x"}, map[string]int64{"x": 0}, nil); err == nil {
 		t.Error("zero upper bound accepted")
 	}
+	if _, err := Search([]string{"x", "y", "x"}, map[string]int64{"x": 1, "y": 1}, nil); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Errorf("duplicate buffer accepted: %v", err)
+	}
 }
 
 // TestFeasibleOutcomeSet pins the accepted/rejected outcome mapping:
@@ -246,7 +251,7 @@ func TestSearchSerialParallelEquivalence(t *testing.T) {
 			if res.Caps[b] == 1 {
 				continue
 			}
-			caps := copyCaps(res.Caps)
+			caps := maps.Clone(res.Caps)
 			caps[b]--
 			if ok, err := check(caps); err != nil || ok {
 				t.Errorf("%s shrinks from %d to %d: (%v, %v)", b, res.Caps[b], caps[b], ok, err)
@@ -389,5 +394,73 @@ func TestDeadlockCheckUnknownBuffer(t *testing.T) {
 	})
 	if _, err := check(map[string]int64{"nope": 3}); err == nil {
 		t.Error("unknown buffer accepted")
+	}
+}
+
+// warmSearchAllocs is what a search answered entirely by its bounds and a
+// warm frontier allocates: the working vector, the result's name-keyed
+// map, the compiled bounds' vectors, the Result and Search's check
+// adapter — a per-search constant, never one allocation per probe.
+const warmSearchAllocs = 5
+
+// TestSearchWarmFrontierAllocs pins the allocation cost of a fully warm
+// search: no probe simulates, and a probe answered by the bounds or the
+// frontier allocates nothing, so the §5 MP3 search (65 probes) allocates
+// as much as the Figure 1 pair's.
+func TestSearchWarmFrontierAllocs(t *testing.T) {
+	mp3Graph, err := mp3.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		g       *taskgraph.Graph
+		c       taskgraph.Constraint
+		firings int64
+	}{
+		{"figure1", figure1Graph(t), taskgraph.Constraint{Task: "wb", Period: r(3, 1)}, 300},
+		{"mp3", mp3Graph, mp3.Constraint(), 441},
+	}
+	counts := make([]float64, len(cases))
+	for i, tc := range cases {
+		sized, res := sizedProblem(t, tc.g, tc.c)
+		sufficient, necessary, err := capacity.SearchBounds(res, tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		upper := map[string]int64{}
+		for _, b := range sized.Buffers() {
+			names = append(names, b.DefaultName())
+			upper[b.DefaultName()] = b.Capacity
+		}
+		opts := Options{
+			Cache:  probecache.NewFrontier(names),
+			Bounds: &Bounds{Sufficient: sufficient, Necessary: necessary},
+		}
+		cold, err := Search(names, upper, ThroughputCheck(tc.g, tc.c, tc.firings, []sim.Workloads{sim.UniformWorkloads(sized, 1)}), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		simulate := func(map[string]int64) (bool, error) {
+			t.Errorf("%s: warm search simulated a probe", tc.name)
+			return false, nil
+		}
+		var warm *Result
+		counts[i] = testing.AllocsPerRun(20, func() {
+			if warm, err = Search(names, upper, simulate, opts); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if !reflect.DeepEqual(warm.Caps, cold.Caps) || warm.CacheHits+warm.BoundHits != cold.Checks+cold.CacheHits+cold.BoundHits {
+			t.Errorf("%s: warm search %+v does not replay cold search %+v", tc.name, warm, cold)
+		}
+		t.Logf("%s: %d probes, %v allocs per search", tc.name, warm.CacheHits+warm.BoundHits, counts[i])
+		if counts[i] > warmSearchAllocs {
+			t.Errorf("%s: warm search allocates %v times, want at most %d", tc.name, counts[i], warmSearchAllocs)
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("warm search allocations grow with the probe count: figure1 %v, mp3 %v", counts[0], counts[1])
 	}
 }

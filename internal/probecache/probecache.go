@@ -78,15 +78,6 @@ func (c *Frontier) SameKeys(buffers []string) bool {
 	return true
 }
 
-// vec projects a capacity assignment onto the frontier's buffer order.
-func (c *Frontier) vec(caps map[string]int64) []int64 {
-	v := make([]int64, len(c.keys))
-	for i, k := range c.keys {
-		v[i] = caps[k]
-	}
-	return v
-}
-
 // leq reports a ≤ b pointwise.
 //
 //vrdf:noalloc
@@ -112,12 +103,16 @@ func (c *Frontier) fmtVec(v []int64) string {
 	return sb.String()
 }
 
-// Lookup answers a probe by dominance: (feasible, true) when the
-// assignment is at or above a known-feasible vector, (false, true) when it
+// Lookup answers a probe by dominance: (feasible, true) when the capacity
+// vector v is at or above a known-feasible vector, (false, true) when it
 // is at or below a known-infeasible one, and (_, false) when the cache
-// cannot decide and the probe must simulate.
-func (c *Frontier) Lookup(caps map[string]int64) (feasible, hit bool) {
-	v := c.vec(caps)
+// cannot decide and the probe must simulate. v holds one capacity per
+// buffer in Keys() order; a vector of any other length panics. Lookup
+// neither keeps nor allocates anything.
+func (c *Frontier) Lookup(v []int64) (feasible, hit bool) {
+	if len(v) != len(c.keys) {
+		panic(fmt.Sprintf("probecache: Lookup of a %d-entry vector on a frontier over %d buffers", len(v), len(c.keys)))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	feasible, hit = c.lookupLocked(v)
@@ -147,16 +142,22 @@ func (c *Frontier) lookupLocked(v []int64) (feasible, hit bool) {
 	return false, false
 }
 
-// Insert records a simulated probe's verdict, keeping the frontiers
-// minimal. A verdict that contradicts the opposite frontier exposes a
-// non-monotone check and is returned as an error.
-func (c *Frontier) Insert(caps map[string]int64, feasible bool) error {
-	v := c.vec(caps)
+// Insert records a probe's verdict for the capacity vector v (in Keys()
+// order), keeping the frontiers minimal. A verdict that contradicts the
+// opposite frontier exposes a non-monotone check and is returned as an
+// error, as is a vector of the wrong length. The frontier keeps a copy of
+// v, never v itself, so the caller may go on mutating it.
+func (c *Frontier) Insert(v []int64, feasible bool) error {
+	if len(v) != len(c.keys) {
+		return fmt.Errorf("probecache: a %d-entry vector cannot be inserted into a frontier over %d buffers", len(v), len(c.keys))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.insertLocked(v, feasible)
 }
 
+// insertLocked records v's verdict. v stays the caller's: an entry that
+// joins a frontier is a copy.
 func (c *Frontier) insertLocked(v []int64, feasible bool) error {
 	if feasible {
 		for _, inf := range c.infeasible {
@@ -176,7 +177,7 @@ func (c *Frontier) insertLocked(v []int64, feasible bool) error {
 				kept = append(kept, f)
 			}
 		}
-		c.feasible = append(kept, v)
+		c.feasible = append(kept, append([]int64(nil), v...))
 		return nil
 	}
 	for _, f := range c.feasible {
@@ -196,7 +197,7 @@ func (c *Frontier) insertLocked(v []int64, feasible bool) error {
 			kept = append(kept, inf)
 		}
 	}
-	c.infeasible = append(kept, v)
+	c.infeasible = append(kept, append([]int64(nil), v...))
 	return nil
 }
 
@@ -286,12 +287,12 @@ func (c *Frontier) absorb(s frontierSnapshot) error {
 		}
 	}
 	for _, v := range s.Feasible {
-		if err := c.insertLocked(append([]int64(nil), v...), true); err != nil {
+		if err := c.insertLocked(v, true); err != nil {
 			return err
 		}
 	}
 	for _, v := range s.Infeasible {
-		if err := c.insertLocked(append([]int64(nil), v...), false); err != nil {
+		if err := c.insertLocked(v, false); err != nil {
 			return err
 		}
 	}

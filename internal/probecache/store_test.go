@@ -83,10 +83,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	if st := s.Stats(); st.Loaded != 0 || st.Skipped != 0 {
 		t.Fatalf("missing directory was not a plain miss: %+v", st)
 	}
-	if err := f.Insert(map[string]int64{"wa->wb": 4, "x": 2}, true); err != nil {
+	if err := f.Insert([]int64{4, 2}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Insert(map[string]int64{"wa->wb": 2, "x": 1}, false); err != nil {
+	if err := f.Insert([]int64{2, 1}, false); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := s.Flush(); err != nil || n != 1 {
@@ -104,10 +104,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": 9, "x": 9}); !hit || !feasible {
+	if feasible, hit := wf.Lookup([]int64{9, 9}); !hit || !feasible {
 		t.Errorf("warm frontier missed a dominated probe: (%v, %v)", feasible, hit)
 	}
-	if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": 1, "x": 1}); !hit || feasible {
+	if feasible, hit := wf.Lookup([]int64{1, 1}); !hit || feasible {
 		t.Errorf("warm frontier missed a dominated infeasible probe: (%v, %v)", feasible, hit)
 	}
 	if st := warm.Stats(); st.Loaded != 1 || st.Skipped != 0 {
@@ -183,7 +183,7 @@ func TestStoreConcurrentWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Insert(map[string]int64{"a": 4}, true); err != nil {
+	if err := f.Insert([]int64{4}, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := seed.Flush(); err != nil {
@@ -218,7 +218,7 @@ func TestStoreConcurrentWarmStart(t *testing.T) {
 			t.Fatalf("caller %d got a different frontier", i)
 		}
 	}
-	if feasible, hit := got[0].Lookup(map[string]int64{"a": 5}); !hit || !feasible {
+	if feasible, hit := got[0].Lookup([]int64{5}); !hit || !feasible {
 		t.Errorf("concurrent warm start lost the persisted verdict: (%v, %v)", feasible, hit)
 	}
 	if st := s.Stats(); st.Loaded != 1 || st.Entries != 1 {
@@ -363,7 +363,7 @@ func TestStoreIgnoresUntrustedFiles(t *testing.T) {
 			if feas, inf := f.Size(); s.Stats().Loaded != 0 || feas+inf != 0 {
 				t.Errorf("%q: payload outside the safe layout was loaded: %+v", bad, s.Stats())
 			}
-			if err := f.Insert(map[string]int64{"wa->wb": 3}, true); err != nil {
+			if err := f.Insert([]int64{3}, true); err != nil {
 				t.Fatal(err)
 			}
 			if n, err := s.Flush(); err == nil || n != 0 {
@@ -410,7 +410,7 @@ func TestStoreToleratesTruncationAtEveryByte(t *testing.T) {
 		a, x     int64
 		feasible bool
 	}{{4, 9, true}, {9, 4, true}, {1, 3, false}, {3, 1, false}} {
-		if err := f.Insert(map[string]int64{"wa->wb": v.a, "x": v.x}, v.feasible); err != nil {
+		if err := f.Insert([]int64{v.a, v.x}, v.feasible); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +484,7 @@ func TestFlushMergesConcurrentReplicas(t *testing.T) {
 		a, x     int64
 		feasible bool
 	}{{af, 5, 9, true}, {af, 1, 3, false}, {bf, 9, 5, true}, {bf, 3, 1, false}} {
-		if err := in.fr.Insert(map[string]int64{"wa->wb": in.a, "x": in.x}, in.feasible); err != nil {
+		if err := in.fr.Insert([]int64{in.a, in.x}, in.feasible); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,7 +506,7 @@ func TestFlushMergesConcurrentReplicas(t *testing.T) {
 		a, x     int64
 		feasible bool
 	}{{"A", 5, 9, true}, {"A", 1, 3, false}, {"B", 9, 5, true}, {"B", 3, 1, false}} {
-		if feasible, hit := wf.Lookup(map[string]int64{"wa->wb": probe.a, "x": probe.x}); !hit || feasible != probe.feasible {
+		if feasible, hit := wf.Lookup([]int64{probe.a, probe.x}); !hit || feasible != probe.feasible {
 			t.Errorf("replica %s's verdict at (%d, %d) lost in merge: (%v, %v)", probe.who, probe.a, probe.x, feasible, hit)
 		}
 	}
@@ -548,7 +548,7 @@ func TestMemoryStoreFlushIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Insert(map[string]int64{"a": 1}, true); err != nil {
+	if err := f.Insert([]int64{1}, true); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := s.Flush(); err != nil || n != 0 {

@@ -353,8 +353,9 @@ func TestMinimizeEventCapIs504(t *testing.T) {
 		if _, infeasible := frontier.Size(); infeasible != 0 {
 			t.Errorf("frontier recorded %d infeasible verdicts from cut-short probes", infeasible)
 		}
-		for _, b := range prob.Buffers {
-			below := map[string]int64{b: prob.Upper[b] - 1}
+		for i, b := range prob.Buffers {
+			below := make([]int64, len(prob.Buffers))
+			below[i] = prob.Upper[b] - 1
 			if _, hit := frontier.Lookup(below); hit {
 				t.Errorf("frontier decides %v below the analytic sizing", below)
 			}
