@@ -48,16 +48,9 @@ type chainBuffer struct {
 // endpoint and returns the reusable Analysis for probing periods under
 // policy p.
 func CompileAnalysis(g *taskgraph.Graph, task string, p Policy) (*Analysis, error) {
-	if g.Task(task) == nil {
-		return nil, fmt.Errorf("taskgraph: constraint on unknown task %q", task)
-	}
-	tasks, buffers, err := g.Chain()
+	tasks, buffers, err := g.ChainFor(task)
 	if err != nil {
 		return nil, err
-	}
-	if task != tasks[0].Name && task != tasks[len(tasks)-1].Name {
-		return nil, fmt.Errorf("taskgraph: constrained task %q must be the chain's source %q or sink %q",
-			task, tasks[0].Name, tasks[len(tasks)-1].Name)
 	}
 	a := &Analysis{
 		task:    task,
@@ -74,8 +67,8 @@ func CompileAnalysis(g *taskgraph.Graph, task string, p Policy) (*Analysis, erro
 		cb := chainBuffer{
 			b:        b,
 			name:     b.DefaultName(),
-			prod:     g.Task(b.Producer),
-			cons:     g.Task(b.Consumer),
+			prod:     tasks[i],
+			cons:     tasks[i+1],
 			prodMin:  b.Prod.Min(),
 			prodMax:  b.Prod.Max(),
 			consMin:  b.Cons.Min(),
@@ -105,8 +98,8 @@ func (a *Analysis) Direction() Direction { return a.direction }
 // At evaluates the compiled analysis at period tau. The Result is
 // identical to Compute on the same graph, constraint and policy.
 func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
-	if tau.Sign() <= 0 {
-		return nil, fmt.Errorf("taskgraph: constraint period must be positive, got %v", tau)
+	if err := taskgraph.CheckPeriod(tau); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Constraint: taskgraph.Constraint{Task: a.task, Period: tau},

@@ -218,10 +218,11 @@ func (r *Result) BufferByName(name string) *BufferResult {
 // The graph must be a valid chain and the constrained task must be its sink
 // or its source. Compute never mutates g; use Sized to obtain a copy with
 // the capacities filled in. Compute is the one-shot form of
-// CompileAnalysis followed by At; callers probing many periods of the same
-// graph should compile once instead.
+// CompileAnalysis followed by At, and checks what c.Validate would in the
+// same order while deriving the chain once; callers probing many periods
+// of the same graph should compile once instead.
 func Compute(g *taskgraph.Graph, c taskgraph.Constraint, p Policy) (*Result, error) {
-	if err := c.Validate(g); err != nil {
+	if err := taskgraph.CheckPeriod(c.Period); err != nil {
 		return nil, err
 	}
 	a, err := CompileAnalysis(g, c.Task, p)

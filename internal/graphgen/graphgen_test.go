@@ -14,7 +14,7 @@ func TestRandomFeasibleChains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := g.ValidateChain(); err != nil {
+		if _, _, err := g.Chain(); err != nil {
 			t.Fatalf("seed %d: invalid chain: %v", seed, err)
 		}
 		if err := c.Validate(g); err != nil {

@@ -42,18 +42,21 @@ func (p *pool[T]) put(v T) {
 // probeTemplate prepares a task graph for repeated capacity probes without
 // cloning it per probe: one clone is made lazily and unsized buffers get a
 // placeholder capacity, which every probe must cover. The lazy build keeps
-// the check constructors error-free, like the clone-per-probe path they
-// replace: a broken graph surfaces from the first check call.
+// the check constructors cheap and error-free, like the clone-per-probe
+// path they replace: a broken graph surfaces from the first check call,
+// when the probe engine compiles.
 type probeTemplate struct {
-	base    *taskgraph.Graph
-	once    sync.Once
-	err     error
-	sized   *taskgraph.Graph
-	mapping *vrdf.Mapping
+	base  *taskgraph.Graph
+	once  sync.Once
+	sized *taskgraph.Graph
 	// unsized copies the originally unsized buffers in buffer order, so a
 	// probe that leaves one out reports it exactly as sizing an unsized
 	// graph always has.
 	unsized []taskgraph.Buffer
+	// space maps each buffer to its space edge; only spaceTokens, the
+	// path of checks that reset bare machines, builds it.
+	spaceOnce sync.Once
+	space     map[string]string
 }
 
 func (t *probeTemplate) build() {
@@ -64,12 +67,6 @@ func (t *probeTemplate) build() {
 			b.Capacity = 1 // placeholder; every probe must override it
 		}
 	}
-	_, m, err := vrdf.FromTaskGraph(t.sized)
-	if err != nil {
-		t.err = err
-		return
-	}
-	t.mapping = m
 }
 
 // covers builds the template on first use and checks that caps covers
@@ -77,9 +74,6 @@ func (t *probeTemplate) build() {
 // probe engine's to validate.
 func (t *probeTemplate) covers(caps map[string]int64) error {
 	t.once.Do(t.build)
-	if t.err != nil {
-		return t.err
-	}
 	for _, b := range t.unsized {
 		if _, ok := caps[b.DefaultName()]; !ok {
 			return fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", b.DefaultName(), b.Capacity)
@@ -89,22 +83,29 @@ func (t *probeTemplate) covers(caps map[string]int64) error {
 }
 
 // spaceTokens checks caps like covers and translates it to the space-edge
-// initial-token overrides of a compiled machine. An unknown buffer or a
+// initial-token overrides of a compiled machine (§3.3: a capacity is the
+// initial tokens of the buffer's space edge). An unknown buffer or a
 // non-positive capacity is an error.
 func (t *probeTemplate) spaceTokens(caps map[string]int64) (map[string]int64, error) {
 	if err := t.covers(caps); err != nil {
 		return nil, err
 	}
+	t.spaceOnce.Do(func() {
+		t.space = make(map[string]string, len(t.sized.Buffers()))
+		for _, b := range t.sized.Buffers() {
+			t.space[b.Name] = vrdf.SpaceEdge(b.Name)
+		}
+	})
 	ov := make(map[string]int64, len(caps))
 	for name, c := range caps {
-		pair, ok := t.mapping.Pair(name)
+		edge, ok := t.space[name]
 		if !ok {
 			return nil, fmt.Errorf("minimize: unknown buffer %q", name)
 		}
 		if c <= 0 {
 			return nil, fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", name, c)
 		}
-		ov[pair.Space] = c
+		ov[edge] = c
 	}
 	return ov, nil
 }

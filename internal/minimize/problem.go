@@ -40,7 +40,10 @@ func Fingerprint(sized *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 type Problem struct {
 	// Fingerprint keys the problem's frontier in the verdict store.
 	Fingerprint string
-	// Buffers lists the searched buffers in chain order.
+	// Buffers lists the searched buffers in chain order, source to sink,
+	// whatever order the graph was built in: the frontier the store keeps
+	// for Fingerprint, which does not depend on that order, has its
+	// vectors in this order.
 	Buffers []string
 	// Upper holds the analytic capacity of each buffer.
 	Upper map[string]int64
@@ -62,16 +65,20 @@ func NewProblem(g, sized *taskgraph.Graph, res *capacity.Result, c taskgraph.Con
 	if firings <= 0 {
 		return nil, fmt.Errorf("minimize: probe horizon must be positive, got %d firings", firings)
 	}
+	_, buffers, err := sized.Chain()
+	if err != nil {
+		return nil, err
+	}
 	p := &Problem{
 		Fingerprint: Fingerprint(sized, c, firings, workloadKey, opts.MaxEvents),
-		Upper:       make(map[string]int64, len(sized.Buffers())),
+		Buffers:     make([]string, len(buffers)),
+		Upper:       make(map[string]int64, len(buffers)),
 	}
-	for _, b := range sized.Buffers() {
-		p.Buffers = append(p.Buffers, b.DefaultName())
-		p.Upper[b.DefaultName()] = b.Capacity
+	for i, b := range buffers {
+		p.Buffers[i] = b.Name
+		p.Upper[b.Name] = b.Capacity
 	}
 	if store != nil {
-		var err error
 		if p.frontier, err = store.Frontier(p.Fingerprint, p.Buffers); err != nil {
 			return nil, err
 		}

@@ -113,6 +113,58 @@ func TestProblemSharesStoreByFingerprint(t *testing.T) {
 	}
 }
 
+// TestNewProblemChainOrder pins that a Problem's buffers are in chain
+// order whatever order the graph was built in: the MP3 chain built in
+// reverse has the same fingerprint, so it must be able to share the
+// frontier the forward build left in the store, and find the same minimum
+// from it without simulating.
+func TestNewProblemChainOrder(t *testing.T) {
+	forward, err := mp3.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := taskgraph.New()
+	for i := len(forward.Tasks()) - 1; i >= 0; i-- {
+		w := forward.Tasks()[i]
+		if _, err := reversed.AddTask(w.Name, w.WCRT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := len(forward.Buffers()) - 1; i >= 0; i-- {
+		if _, err := reversed.AddBuffer(*forward.Buffers()[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := mp3.Constraint()
+	store := probecache.NewStore("")
+	var problems []*Problem
+	var results []*Result
+	for _, g := range []*taskgraph.Graph{forward, reversed} {
+		sized, res := sizedProblem(t, g, c)
+		p, err := NewProblem(g, sized, res, c, 441, sim.UniformWorkloads(sized, 1), "uniform:seed=1", store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Search(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		problems, results = append(problems, p), append(results, out)
+	}
+	names := mp3.BufferNames()
+	for i, p := range problems {
+		if !reflect.DeepEqual(p.Buffers, names[:]) {
+			t.Errorf("build %d: Problem.Buffers = %v, want chain order %v", i, p.Buffers, names)
+		}
+	}
+	if problems[0].Fingerprint != problems[1].Fingerprint {
+		t.Errorf("build order changed the fingerprint: %s and %s", problems[0].Fingerprint, problems[1].Fingerprint)
+	}
+	if results[1].Checks != 0 || !reflect.DeepEqual(results[0].Caps, results[1].Caps) {
+		t.Errorf("reversed build simulated %d probes and found %v; want 0 and %v", results[1].Checks, results[1].Caps, results[0].Caps)
+	}
+}
+
 func TestNewProblemRejectsNonPositiveHorizon(t *testing.T) {
 	g := figure1Graph(t)
 	c := taskgraph.Constraint{Task: "wb", Period: r(3, 1)}

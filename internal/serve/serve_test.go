@@ -738,3 +738,44 @@ func getStats(t *testing.T, ts *httptest.Server) Stats {
 	}
 	return st
 }
+
+// TestMinimizeBufferOrderIndependent pins that a document's buffer order
+// does not reach a minimisation: the reordered MP3 document has the same
+// fingerprint as the original, so after the original's compiled problem
+// is evicted its answer comes from the frontier the original left in the
+// store, in the same chain order, byte for byte.
+func TestMinimizeBufferOrderIndependent(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	otherPeriod := strings.Replace(doc, "constraint vDAC period 1/44100", "constraint vDAC period 1/44000", 1)
+	var bufLines, rest []string
+	for _, line := range strings.SplitAfter(doc, "\n") {
+		if strings.HasPrefix(line, "buffer ") {
+			bufLines = append([]string{line}, bufLines...)
+		} else {
+			rest = append(rest, line)
+		}
+	}
+	reordered := strings.Join(append(rest, bufLines...), "")
+	if otherPeriod == doc || len(bufLines) != 3 {
+		t.Fatal("testdata/mp3.txt no longer has the expected constraint and buffer lines")
+	}
+
+	s := newTestServer(t, Config{ProblemCacheSize: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var bodies [3][]byte
+	for i, d := range []string{doc, otherPeriod, reordered} {
+		status, body := post(t, ts, "/v1/minimize", d)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i+1, status, body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[2], bodies[0]) {
+		t.Errorf("reordered document answers\n%s\nthe original answers\n%s", bodies[2], bodies[0])
+	}
+}

@@ -67,11 +67,12 @@ func (b Buffer) DefaultName() string {
 	return b.Producer + "->" + b.Consumer
 }
 
-// Graph is a task graph. Build one with New and the Add methods, then call
-// Validate (or ValidateChain) before analysis.
+// Graph is a task graph. Build one with New and the Add methods; Chain (or
+// ChainFor, for a constrained task) checks the paper's chain restriction
+// and returns the chain in source-to-sink order.
 type Graph struct {
 	tasks   []*Task
-	byName  map[string]*Task
+	taskIdx map[string]int // task name → index in tasks
 	buffers []*Buffer
 	bufByN  map[string]*Buffer
 }
@@ -79,8 +80,8 @@ type Graph struct {
 // New returns an empty task graph.
 func New() *Graph {
 	return &Graph{
-		byName: make(map[string]*Task),
-		bufByN: make(map[string]*Buffer),
+		taskIdx: make(map[string]int),
+		bufByN:  make(map[string]*Buffer),
 	}
 }
 
@@ -89,25 +90,25 @@ func (g *Graph) AddTask(name string, wcrt ratio.Rat) (*Task, error) {
 	if name == "" {
 		return nil, fmt.Errorf("taskgraph: empty task name")
 	}
-	if _, dup := g.byName[name]; dup {
+	if _, dup := g.taskIdx[name]; dup {
 		return nil, fmt.Errorf("taskgraph: duplicate task %q", name)
 	}
 	if wcrt.Sign() <= 0 {
 		return nil, fmt.Errorf("taskgraph: task %q: worst-case response time must be positive, got %v", name, wcrt)
 	}
 	t := &Task{Name: name, WCRT: wcrt}
+	g.taskIdx[name] = len(g.tasks)
 	g.tasks = append(g.tasks, t)
-	g.byName[name] = t
 	return t, nil
 }
 
 // AddBuffer adds a buffer from producer to consumer with production quanta
 // prod (ξ) and consumption quanta cons (λ). Both tasks must already exist.
 func (g *Graph) AddBuffer(b Buffer) (*Buffer, error) {
-	if _, ok := g.byName[b.Producer]; !ok {
+	if _, ok := g.taskIdx[b.Producer]; !ok {
 		return nil, fmt.Errorf("taskgraph: buffer %q: unknown producer %q", b.DefaultName(), b.Producer)
 	}
-	if _, ok := g.byName[b.Consumer]; !ok {
+	if _, ok := g.taskIdx[b.Consumer]; !ok {
 		return nil, fmt.Errorf("taskgraph: buffer %q: unknown consumer %q", b.DefaultName(), b.Consumer)
 	}
 	if b.Producer == b.Consumer {
@@ -136,7 +137,12 @@ func (g *Graph) AddBuffer(b Buffer) (*Buffer, error) {
 }
 
 // Task returns the task with the given name, or nil.
-func (g *Graph) Task(name string) *Task { return g.byName[name] }
+func (g *Graph) Task(name string) *Task {
+	if i, ok := g.taskIdx[name]; ok {
+		return g.tasks[i]
+	}
+	return nil
+}
 
 // BufferByName returns the buffer with the given name, or nil.
 func (g *Graph) BufferByName(name string) *Buffer { return g.bufByN[name] }
@@ -149,102 +155,79 @@ func (g *Graph) Tasks() []*Task { return g.tasks }
 // callers must not modify it.
 func (g *Graph) Buffers() []*Buffer { return g.buffers }
 
-// Inputs returns the buffers consumed by the named task.
-func (g *Graph) Inputs(task string) []*Buffer {
-	var out []*Buffer
-	for _, b := range g.buffers {
-		if b.Consumer == task {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// Outputs returns the buffers produced by the named task.
-func (g *Graph) Outputs(task string) []*Buffer {
-	var out []*Buffer
-	for _, b := range g.buffers {
-		if b.Producer == task {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// Validate checks the structural invariants common to all task graphs:
-// non-emptiness, reference integrity (guaranteed by construction) and weak
-// connectivity.
-func (g *Graph) Validate() error {
-	if len(g.tasks) == 0 {
-		return fmt.Errorf("taskgraph: graph has no tasks")
-	}
-	if !g.weaklyConnected() {
-		return fmt.Errorf("taskgraph: graph is not weakly connected")
-	}
-	return nil
-}
-
-// ValidateChain checks Validate plus the chain restriction of the paper:
-// every task has at most one input buffer and at most one output buffer.
-func (g *Graph) ValidateChain() error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	for _, t := range g.tasks {
-		if n := len(g.Inputs(t.Name)); n > 1 {
-			return fmt.Errorf("taskgraph: task %q has %d input buffers; chains allow at most one", t.Name, n)
-		}
-		if n := len(g.Outputs(t.Name)); n > 1 {
-			return fmt.Errorf("taskgraph: task %q has %d output buffers; chains allow at most one", t.Name, n)
-		}
-	}
-	// A weakly connected graph whose degrees are <=1 in and <=1 out is a
-	// chain exactly when it has len(tasks)-1 buffers (no cycle).
-	if len(g.buffers) != len(g.tasks)-1 {
-		return fmt.Errorf("taskgraph: %d tasks need %d buffers to form a chain, got %d",
-			len(g.tasks), len(g.tasks)-1, len(g.buffers))
-	}
-	return nil
-}
-
 // Chain returns the tasks ordered from source to sink and the buffers in the
-// same order (buffer i connects task i to task i+1). It fails if the graph
-// is not a valid chain.
+// same order (buffer i connects task i to task i+1). It is the one place
+// that decides whether a graph is a chain in the sense of the paper: it
+// fails on an empty graph, on a task with a second input or output buffer,
+// on a cycle and on a graph that is not weakly connected.
+//
+// Chain makes one pass over the buffers and one walk from the source, so it
+// is linear in the graph. With at most one input and one output buffer per
+// task, the walk from a task without input can neither revisit a task nor
+// leave the tasks it reaches connected to any other, so the walk reaching
+// every task is the proof of connectivity and of the absence of cycles.
 func (g *Graph) Chain() (tasks []*Task, buffers []*Buffer, err error) {
-	if err := g.ValidateChain(); err != nil {
-		return nil, nil, err
+	if len(g.tasks) == 0 {
+		return nil, nil, fmt.Errorf("taskgraph: graph has no tasks")
 	}
-	if len(g.tasks) == 1 {
-		return []*Task{g.tasks[0]}, nil, nil
+	// links[i] describes task i: its input and output buffers as buffer
+	// index + 1 (0 when absent) and the consumer task of its output.
+	links := make([]struct{ in, out, next int }, len(g.tasks))
+	for i, b := range g.buffers {
+		p, c := g.taskIdx[b.Producer], g.taskIdx[b.Consumer]
+		if prev := links[p].out; prev != 0 {
+			return nil, nil, fmt.Errorf("taskgraph: task %q has output buffers %q and %q; chains allow at most one",
+				b.Producer, g.buffers[prev-1].Name, b.Name)
+		}
+		if prev := links[c].in; prev != 0 {
+			return nil, nil, fmt.Errorf("taskgraph: task %q has input buffers %q and %q; chains allow at most one",
+				b.Consumer, g.buffers[prev-1].Name, b.Name)
+		}
+		links[p].out, links[p].next = i+1, c
+		links[c].in = i + 1
 	}
-	next := make(map[string]*Buffer, len(g.buffers))
-	hasIn := make(map[string]bool, len(g.tasks))
-	for _, b := range g.buffers {
-		next[b.Producer] = b
-		hasIn[b.Consumer] = true
-	}
-	var src *Task
-	for _, t := range g.tasks {
-		if !hasIn[t.Name] {
-			src = t
+	cur := -1
+	for i := range links {
+		if links[i].in == 0 {
+			cur = i
 			break
 		}
 	}
-	if src == nil {
-		return nil, nil, fmt.Errorf("taskgraph: no source task (cycle?)")
+	if cur < 0 {
+		return nil, nil, fmt.Errorf("taskgraph: every task has an input buffer, so the graph has a cycle")
 	}
-	cur := src
+	tasks = make([]*Task, 0, len(g.tasks))
+	if len(g.buffers) > 0 {
+		buffers = make([]*Buffer, 0, len(g.tasks)-1)
+	}
 	for {
-		tasks = append(tasks, cur)
-		b, ok := next[cur.Name]
-		if !ok {
+		tasks = append(tasks, g.tasks[cur])
+		out := links[cur].out
+		if out == 0 {
 			break
 		}
-		buffers = append(buffers, b)
-		cur = g.byName[b.Consumer]
+		buffers = append(buffers, g.buffers[out-1])
+		cur = links[cur].next
 	}
 	if len(tasks) != len(g.tasks) {
-		return nil, nil, fmt.Errorf("taskgraph: chain walk visited %d of %d tasks", len(tasks), len(g.tasks))
+		return nil, nil, fmt.Errorf("taskgraph: graph is not weakly connected")
+	}
+	return tasks, buffers, nil
+}
+
+// ChainFor returns the chain like Chain, for an analysis constrained on
+// task: the task must exist and be the chain's source or its sink (§4.3,
+// §4.4).
+func (g *Graph) ChainFor(task string) (tasks []*Task, buffers []*Buffer, err error) {
+	if g.Task(task) == nil {
+		return nil, nil, fmt.Errorf("taskgraph: constraint on unknown task %q", task)
+	}
+	if tasks, buffers, err = g.Chain(); err != nil {
+		return nil, nil, err
+	}
+	if src, sink := tasks[0].Name, tasks[len(tasks)-1].Name; task != src && task != sink {
+		return nil, nil, fmt.Errorf("taskgraph: constrained task %q must be the chain's source %q or sink %q",
+			task, src, sink)
 	}
 	return tasks, buffers, nil
 }
@@ -284,30 +267,6 @@ func (g *Graph) Clone() *Graph {
 	return ng
 }
 
-func (g *Graph) weaklyConnected() bool {
-	if len(g.tasks) <= 1 {
-		return true
-	}
-	adj := make(map[string][]string, len(g.tasks))
-	for _, b := range g.buffers {
-		adj[b.Producer] = append(adj[b.Producer], b.Consumer)
-		adj[b.Consumer] = append(adj[b.Consumer], b.Producer)
-	}
-	seen := map[string]bool{g.tasks[0].Name: true}
-	stack := []string{g.tasks[0].Name}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, m := range adj[n] {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return len(seen) == len(g.tasks)
-}
-
 // Constraint is a throughput requirement: the named task must execute
 // strictly periodically with the given period. In a chain the paper requires
 // the constrained task to be the sink or the source.
@@ -319,23 +278,20 @@ type Constraint struct {
 	Period ratio.Rat
 }
 
-// Validate checks the constraint against the chain graph: the task must
-// exist, the period must be positive, and the task must be the chain's sink
-// or source.
+// Validate checks the constraint against the chain graph: the period must
+// be positive, and the task must exist and be the chain's sink or source.
 func (c Constraint) Validate(g *Graph) error {
-	if c.Period.Sign() <= 0 {
-		return fmt.Errorf("taskgraph: constraint period must be positive, got %v", c.Period)
-	}
-	if g.Task(c.Task) == nil {
-		return fmt.Errorf("taskgraph: constraint on unknown task %q", c.Task)
-	}
-	tasks, _, err := g.Chain()
-	if err != nil {
+	if err := CheckPeriod(c.Period); err != nil {
 		return err
 	}
-	if c.Task != tasks[0].Name && c.Task != tasks[len(tasks)-1].Name {
-		return fmt.Errorf("taskgraph: constrained task %q must be the chain's source %q or sink %q",
-			c.Task, tasks[0].Name, tasks[len(tasks)-1].Name)
+	_, _, err := g.ChainFor(c.Task)
+	return err
+}
+
+// CheckPeriod checks that tau is a valid constraint period: positive.
+func CheckPeriod(tau ratio.Rat) error {
+	if tau.Sign() <= 0 {
+		return fmt.Errorf("taskgraph: constraint period must be positive, got %v", tau)
 	}
 	return nil
 }

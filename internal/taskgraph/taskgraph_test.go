@@ -172,9 +172,9 @@ func TestGraphRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestValidateChain(t *testing.T) {
+func TestChainRejectsNonChains(t *testing.T) {
 	g := figure1(t)
-	if err := g.ValidateChain(); err != nil {
+	if _, _, err := g.Chain(); err != nil {
 		t.Errorf("valid chain rejected: %v", err)
 	}
 
@@ -190,7 +190,7 @@ func TestValidateChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fork.ValidateChain(); err == nil {
+	if _, _, err := fork.Chain(); err == nil {
 		t.Error("fork accepted as chain")
 	} else if !strings.Contains(err.Error(), "output buffers") {
 		t.Errorf("unexpected error: %v", err)
@@ -203,12 +203,32 @@ func TestValidateChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := disc.Validate(); err == nil {
+	if _, _, err := disc.Chain(); err == nil {
 		t.Error("disconnected graph accepted")
+	} else if !strings.Contains(err.Error(), "not weakly connected") {
+		t.Errorf("unexpected error: %v", err)
+	}
+
+	// Cycle: every task has an input buffer.
+	cyc := New()
+	for _, n := range []string{"a", "b", "c"} {
+		if _, err := cyc.AddTask(n, r(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}} {
+		if _, err := cyc.AddBuffer(Buffer{Producer: e[0], Consumer: e[1], Prod: MustQuanta(1), Cons: MustQuanta(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := cyc.Chain(); err == nil {
+		t.Error("cycle accepted as chain")
+	} else if !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("unexpected error: %v", err)
 	}
 
 	// Empty graph.
-	if err := New().Validate(); err == nil {
+	if _, _, err := New().Chain(); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -325,22 +345,6 @@ func TestBuildChainErrors(t *testing.T) {
 	}
 	if _, err := BuildChain([]Stage{{"a", r(1, 1)}}, []Link{{Prod: MustQuanta(1), Cons: MustQuanta(1)}}); err == nil {
 		t.Error("stage/link count mismatch accepted")
-	}
-}
-
-func TestInputsOutputs(t *testing.T) {
-	g := figure1(t)
-	if n := len(g.Inputs("wb")); n != 1 {
-		t.Errorf("Inputs(wb) = %d, want 1", n)
-	}
-	if n := len(g.Outputs("wa")); n != 1 {
-		t.Errorf("Outputs(wa) = %d, want 1", n)
-	}
-	if n := len(g.Inputs("wa")); n != 0 {
-		t.Errorf("Inputs(wa) = %d, want 0", n)
-	}
-	if n := len(g.Outputs("wb")); n != 0 {
-		t.Errorf("Outputs(wb) = %d, want 0", n)
 	}
 }
 

@@ -223,11 +223,10 @@ func (m *Mapping) Pair(buffer string) (BufferPair, bool) {
 //     γ(e_ba) = ξ(b_ab) and δ(e_ba) = ζ(b_ab).
 //
 // Buffers with zero capacity are mapped with zero initial tokens; the
-// capacity computation fills them in later.
+// capacity computation fills them in later. The task graph need not be a
+// chain, but the VRDF graph must pass Validate: it has an actor and is
+// weakly connected.
 func FromTaskGraph(t *taskgraph.Graph) (*Graph, *Mapping, error) {
-	if err := t.Validate(); err != nil {
-		return nil, nil, err
-	}
 	g := New()
 	m := &Mapping{TaskToActor: make(map[string]string)}
 	for _, w := range t.Tasks() {
@@ -244,7 +243,7 @@ func FromTaskGraph(t *taskgraph.Graph) (*Graph, *Mapping, error) {
 			Initial: 0, // every buffer is initially empty (§3.1)
 		}
 		space := Edge{
-			Name: "space:" + b.DefaultName(),
+			Name: SpaceEdge(b.DefaultName()),
 			Src:  b.Consumer, Dst: b.Producer,
 			Prod: b.Cons, Cons: b.Prod,
 			Initial: b.Capacity,
@@ -261,8 +260,15 @@ func FromTaskGraph(t *taskgraph.Graph) (*Graph, *Mapping, error) {
 			Space:  space.Name,
 		})
 	}
+	if err := g.Validate(); err != nil {
+		return nil, nil, err
+	}
 	return g, m, nil
 }
+
+// SpaceEdge returns the name FromTaskGraph gives the space edge of the
+// named buffer.
+func SpaceEdge(buffer string) string { return "space:" + buffer }
 
 // CheckBufferSymmetry verifies the §3.3 invariants on a constructed graph:
 // for every buffer pair, π(data) == γ(space) and γ(data) == π(space), and
