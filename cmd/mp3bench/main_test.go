@@ -52,9 +52,10 @@ func TestMinimizeSkipVerify(t *testing.T) {
 		// The empirical lower bound for this stream at 441 firings per
 		// probe; deterministic (seed 2008) and worker-independent.
 		"minimal=3641",
-		// The footer reports the search's effort under the /statsz keys.
-		"probe effort: 18630 events simulated, 0 replayed from checkpoints (0 warm resets, 28 cold)",
-		"run stats: simEvents=18630 resumedEvents=0 warmResets=0 coldResets=28 ",
+		// The footer reports the search's effort under the /statsz keys:
+		// one periodic run per simulated probe.
+		"probe effort: 12415 events simulated, 0 replayed from checkpoints (0 warm resets, 14 cold)",
+		"run stats: simEvents=12415 resumedEvents=0 warmResets=0 coldResets=14 ",
 	}
 	for _, w := range wants {
 		if !strings.Contains(text, w) {

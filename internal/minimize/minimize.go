@@ -183,14 +183,14 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 // verified in order and the first infeasible one decides.
 //
 // The check reuses a compiled sim.Verifier per workload across probes
-// and asks it only for the verdict (sim.Verifier.Feasible): one self-timed
-// run and one periodic run at the largest candidate offset, which by
-// Definition 1 passes exactly when Verify would. With Options.Checkpoints
-// set both runs warm-start between probes; the periodic run always uses
-// the same slack, and the LIFO pools give each probe back the verifier the
-// previous probe used, so its checkpoints match. A probe that
-// Options.MaxEvents cuts short is an error satisfying
-// budget.ErrBudgetExceeded, never a verdict.
+// and asks it only for the verdict (sim.Verifier.Feasible): one periodic
+// run whose constrained task starts when the rest of the chain goes quiet,
+// which by Definition 1 passes exactly when Verify would. Each verifier
+// compiles that one machine. With Options.Checkpoints set the run
+// warm-starts between probes; every probe uses the quiet start, and the
+// LIFO pools give each probe back the verifier the previous probe used, so
+// its checkpoints match. A probe that Options.MaxEvents cuts short is an
+// error satisfying budget.ErrBudgetExceeded, never a verdict.
 func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, opts ...Options) CheckFunc {
 	o := optOf(opts)
 	check := throughputCheck(g, c, firings, workloads, o)

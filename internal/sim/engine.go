@@ -28,10 +28,10 @@
 // §5 DAC draining its buffer one sample at a time — are applied as one
 // run-length step in O(1), with every count, statistic and checkpoint
 // position the per-event loop would produce. A Verifier's feasibility probe
-// records no start times: the self-timed machine keeps the constrained
-// task's running lateness, the one number the periodic offset needs, so a
-// probe costs the events it simulates, not the firings it covers. Run is
-// the convenience wrapper for one-shot use.
+// is one periodic run that records no start times and starts the
+// constrained task when the rest of the graph goes quiet, a tick the run
+// decides itself, so a probe costs the events it simulates, not the firings
+// it covers. Run is the convenience wrapper for one-shot use.
 package sim
 
 import (
@@ -363,7 +363,7 @@ type actorState struct {
 	rhoTicks   int64
 	exec       func(k int64) ratio.Rat
 	startShift func(k int64) ratio.Rat
-	offsetT    int64
+	offsetT    int64 // the current run's start of firing 0 (see offset)
 	periodT    int64
 	started    int64
 	finished   int64
@@ -373,18 +373,16 @@ type actorState struct {
 	armedFor   int64 // ASAP with StartShift: firing index the timer is armed for, -1 none
 	in         []portRef
 	out        []portRef
+	// offset is the configured start of a periodic actor's firing 0 in
+	// ticks, which a cold reset copies to offsetT: set by Compile,
+	// repointed by the Verifier between runs, and quietStart for a stop
+	// actor that starts when the rest of the graph goes quiet. A quiet
+	// run sets offsetT to the tick at which that happened. Checkpoints
+	// are keyed on offset and save offsetT.
+	offset int64
 	// starts is the start-time recording of an actor in RecordStarts,
 	// appended to only by runs that record starts (see Machine.recStarts).
 	starts []int64
-	// latePeriod is a period τ in ticks against which a recorded actor's
-	// lateness is tracked. The Verifier sets it on the self-timed
-	// machine's constrained task; elsewhere it stays 0.
-	latePeriod int64
-	// late is, for an actor in RecordStarts, max_k(s_k − k·latePeriod) over
-	// the firings k the current run has started so far (math.MinInt64
-	// before the first): the smallest periodic offset that dominates them.
-	// Every run keeps it, runs that record no start times included.
-	late int64
 	// runLengthFirings counts the firings the run-length path applied,
 	// over the machine's life.
 	runLengthFirings int64
@@ -522,6 +520,12 @@ func (h eventHeap) tickAt(i int) int64 {
 // farTick stands for "never": later than any event.
 const farTick = math.MaxInt64
 
+// quietStart is the offset of a periodic stop actor whose first start is
+// decided by the run: at the first tick the event calendar runs dry, when
+// every other actor is blocked and nothing is pending. The Verifier's
+// feasibility probe starts the constrained task this way.
+const quietStart = -1
+
 // down restores the heap order below index i after the event there grew.
 //
 //vrdf:noalloc
@@ -588,7 +592,7 @@ type Machine struct {
 	ckptEvery  int64         // current checkpoint interval in events
 	ckptNext   int64         // event count at which the next checkpoint is taken
 	ckptTokens []int64       // initial tokens of the run the checkpoints describe
-	ckptOffs   []int64       // per-actor offsetT the checkpoints were taken under
+	ckptOffs   []int64       // per-actor offset the checkpoints were taken under
 	resumeTick int64         // tick of the restored checkpoint
 }
 
@@ -622,13 +626,20 @@ func (m *Machine) checkInvariants(tick int64) error {
 // all index-based simulation state once. The returned Machine is ready to
 // Run; call Reset between runs to reuse it.
 func Compile(cfg Config) (*Machine, error) {
-	g := cfg.Graph
-	if g == nil {
+	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sim: nil graph")
 	}
-	if err := g.Validate(); err != nil {
+	if err := cfg.Graph.Validate(); err != nil {
 		return nil, err
 	}
+	return compile(cfg)
+}
+
+// compile is Compile for a graph known to be valid: vrdf.FromTaskGraph
+// validates the graphs it builds, so the Verifier skips a second
+// connectivity search per machine.
+func compile(cfg Config) (*Machine, error) {
+	g := cfg.Graph
 	if cfg.Stop.Actor == "" || cfg.Stop.Firings <= 0 {
 		return nil, fmt.Errorf("sim: stop condition requires an actor and a positive firing count")
 	}
@@ -718,7 +729,7 @@ func Compile(cfg Config) (*Machine, error) {
 				if ac.Offset.Sign() < 0 {
 					return nil, fmt.Errorf("sim: periodic actor %s needs a non-negative offset, got %v", ga.Name, ac.Offset)
 				}
-				if as.offsetT, err = base.Ticks(ac.Offset); err != nil {
+				if as.offset, err = base.Ticks(ac.Offset); err != nil {
 					return nil, fmt.Errorf("sim: actor %s offset: %w", ga.Name, err)
 				}
 				if as.periodT, err = base.Ticks(ac.Period); err != nil {
@@ -887,7 +898,7 @@ func (m *Machine) resetTokens(frame []int64) {
 		a.readyAt = 0
 		a.armedFor = -1
 		a.starts = a.starts[:0]
-		a.late = math.MinInt64
+		a.offsetT = a.offset
 	}
 	m.eq = m.eq[:0]
 	m.seq = 0
@@ -969,11 +980,8 @@ func (m *Machine) start(a *actorState, t int64) error {
 	a.started++
 	a.busyUntil = t + execT
 	a.busyTicks += execT
-	if a.record {
-		if m.recStarts {
-			a.starts = append(a.starts, t)
-		}
-		a.late = max(a.late, t-k*a.latePeriod)
+	if a.record && m.recStarts {
+		a.starts = append(a.starts, t)
 	}
 	m.push(t+execT, evFinish, a.idx)
 	return nil
@@ -1117,11 +1125,11 @@ func (m *Machine) compileRunLength(a *actorState) {
 // Tokens, produced/consumed counts, peaks and minima, busy time, firing
 // counters, events, sequence numbers, the minimum shortfall every failed
 // wake-up check would have recorded and a's calendar entries all come out
-// as the per-event loop leaves them, and so does a's running lateness,
-// updated in O(1): it changes by stride − τ from one firing of the run to
-// the next, so its maximum over the run is at one end. Only a recording run
-// writes start ticks, one per firing. It returns the tick of the last
-// applied event, and false when not even one firing can be applied.
+// as the per-event loop leaves them. Only a recording run writes start
+// ticks, one per firing. A run leaves a's last finish in the calendar, so
+// it never steps over the point where the calendar runs dry and a quiet
+// start is decided. It returns the tick of the last applied event, and
+// false when not even one firing can be applied.
 //
 //vrdf:noalloc
 func (m *Machine) runLength() (int64, bool) {
@@ -1225,16 +1233,12 @@ func (m *Machine) runLength() (int64, bool) {
 			e.peak = max(e.peak, e.tokens)
 		}
 	}
-	if a.record {
-		if m.recStarts {
-			n := len(a.starts)
-			a.starts = slices.Grow(a.starts, int(L))[:n+int(L)] //vrdf:allocok(a.starts keeps its capacity across Reset, so steady-state reruns grow into retained backing)
-			for k, t := n, first; k < len(a.starts); k, t = k+1, t+stride {
-				a.starts[k] = t
-			}
+	if a.record && m.recStarts {
+		n := len(a.starts)
+		a.starts = slices.Grow(a.starts, int(L))[:n+int(L)] //vrdf:allocok(a.starts keeps its capacity across Reset, so steady-state reruns grow into retained backing)
+		for k, t := n, first; k < len(a.starts); k, t = k+1, t+stride {
+			a.starts[k] = t
 		}
-		l := first - a.started*a.latePeriod
-		a.late = max(a.late, l, l+(L-1)*(stride-a.latePeriod))
 	}
 	last := first + (L-1)*stride
 	a.started += L
@@ -1391,13 +1395,14 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 		if m.ckptSlots > 0 {
 			m.beginCheckpoints()
 		}
-		// Seed periodic actors' first start attempts, and give every ASAP
-		// actor its initial start attempt at tick 0.
+		// Seed periodic actors' first start attempts, except a quiet
+		// start's, and give every ASAP actor its initial start attempt at
+		// tick 0.
 		for _, a := range m.actors {
-			if a.mode == Periodic {
-				m.push(a.offsetT, evPeriodicStart, a.idx)
-			} else {
+			if a.mode == ASAP {
 				m.markDirty(a.idx)
+			} else if a.offsetT != quietStart {
+				m.push(a.offsetT, evPeriodicStart, a.idx)
 			}
 		}
 		if err := m.startDirty(0); err != nil {
@@ -1406,7 +1411,18 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 	}
 	quiescent := true // every event at tick now drained and startDirty done
 	lastActor := -1   // actor of the last event processed
-	for len(m.eq) > 0 && m.stop.finished < m.cfg.Stop.Firings {
+	for m.stop.finished < m.cfg.Stop.Firings {
+		if len(m.eq) == 0 {
+			if m.stop.offsetT != quietStart {
+				break
+			}
+			// Every other actor is blocked and nothing is pending, so
+			// nothing happens until the stop actor fires: its quiet start
+			// is now. Deciding it here makes it an event of the run, which
+			// the checkpoints after it capture like any other.
+			m.stop.offsetT = now
+			m.push(now, evPeriodicStart, m.stop.idx)
+		}
 		if m.events >= m.maxEvents {
 			res.Outcome = LimitExceeded
 			m.fill(res, now)

@@ -59,6 +59,18 @@ func sameState(t *testing.T, fast, perEvent *Machine) {
 	}
 }
 
+// quietStarts resets each machine so that its periodic stop actor starts
+// at the quiet start, as the Verifier's Feasible probe runs it.
+func quietStarts(t *testing.T, ms ...*Machine) {
+	t.Helper()
+	for _, m := range ms {
+		m.stop.offset = quietStart
+		if err := m.Reset(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // runLengthFirings sums the firings the run-length path applied on m.
 func runLengthFirings(m *Machine) int64 {
 	var n int64
@@ -69,7 +81,8 @@ func runLengthFirings(m *Machine) int64 {
 }
 
 // FuzzRunLengthMatchesPerEvent is the oracle for the run-length fast path:
-// across random chains with self-timed and periodic sinks, source-
+// across random chains with self-timed, periodic and quiet-start sinks
+// (whose start a run-length step must not step over), source-
 // constrained chains, zero-quantum ports, capacities below the Equation-4
 // sizing, jittered neighbours and event caps that cut runs short, a run
 // that applies back-to-back firings in one step must produce a Result
@@ -84,6 +97,8 @@ func FuzzRunLengthMatchesPerEvent(f *testing.F) {
 	f.Add(int64(10), int64(0), uint16(1500))
 	f.Add(int64(12), int64(6), uint16(333))
 	f.Add(int64(25), int64(14), uint16(0))
+	f.Add(int64(3), int64(18), uint16(0))   // quiet start
+	f.Add(int64(4), int64(19), uint16(900)) // quiet start, source-constrained
 	f.Fuzz(runLengthCase)
 }
 
@@ -156,6 +171,12 @@ func runLengthCase(t *testing.T, seed, variant int64, maxEvents uint16) {
 	// per-event twin runs without them (CheckInvariants disables them).
 	cfg.Checkpoints = int(variant / 3 % 3)
 	fast, perEvent := perEventTwin(t, cfg)
+	// Quiet-start variant of the periodic constrained task: it starts when
+	// the rest of the chain goes quiet, as in a Feasible probe.
+	quiet := (variant/2)%2 == 1 && (variant/16)%2 == 1
+	if quiet {
+		quietStarts(t, fast, perEvent)
+	}
 	want, werr := perEvent.Run()
 	got, gerr := fast.Run()
 	if (werr == nil) != (gerr == nil) {
@@ -177,6 +198,9 @@ func runLengthCase(t *testing.T, seed, variant int64, maxEvents uint16) {
 		}
 		for _, a := range slow.actors {
 			a.runLength = false
+		}
+		if quiet {
+			quietStarts(t, slow)
 		}
 		if _, err := slow.Run(); err != nil {
 			t.Fatal(err)
@@ -210,34 +234,30 @@ func mp3Phases(t *testing.T, d1, d2, d3 int64, checkpoints int) *Verifier {
 	return vf
 }
 
-// feasibleOffset returns the periodic DAC offset Feasible runs vf's
-// periodic phase at: 100 periods past the self-timed schedule's lateness.
-func feasibleOffset(t *testing.T, vf *Verifier) int64 {
+// selfTimedCfg returns the configuration of vf's self-timed phase.
+func selfTimedCfg(t *testing.T, vf *Verifier) Config {
 	t.Helper()
-	st, err := vf.selfTimed.Run()
+	st, err := vf.selfTimedPhase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MaxLateness(st.Starts["vDAC"], vf.periodTicks) + 100*vf.periodTicks
+	return st.cfg
 }
 
 // TestRunLengthMatchesPerEventMP3 pins both §5 MP3 phases, at the
 // Equation-4 capacities, at the sampled minimum (2048/2496/882, total
 // 5426) and one container below it, against the per-event loop. The
-// periodic phase starts the DAC at the offset Feasible would choose.
+// periodic phase starts the DAC at the quiet start, as Feasible does.
 func TestRunLengthMatchesPerEventMP3(t *testing.T) {
 	for _, caps := range [][3]int64{{6015, 3263, 883}, {2048, 2496, 882}, {2048, 2495, 882}} {
 		vf := mp3Phases(t, caps[0], caps[1], caps[2], 0)
-		offset := feasibleOffset(t, vf)
 		for _, phase := range []struct {
 			name string
 			cfg  Config
-		}{{"self-timed", vf.selfTimed.cfg}, {"periodic", vf.periodic.cfg}} {
+		}{{"self-timed", selfTimedCfg(t, vf)}, {"periodic", vf.periodic.cfg}} {
 			fast, perEvent := perEventTwin(t, phase.cfg)
 			if phase.name == "periodic" {
-				for _, m := range []*Machine{fast, perEvent} {
-					m.byName["vDAC"].offsetT = offset
-				}
+				quietStarts(t, fast, perEvent)
 			}
 			want, err := perEvent.Run()
 			if err != nil {
@@ -259,17 +279,14 @@ func TestRunLengthMatchesPerEventMP3(t *testing.T) {
 }
 
 // TestRunLengthCarriesMP3DAC pins that the fast path is taken where it
-// pays: in a §5 MP3 Feasible probe at 2205 firings, at least 95% of the
-// DAC's firings in each phase are applied as run-length steps. A slip in
-// the eligibility rules would leave results unchanged and quietly cost
-// the speed-up; this test catches it.
+// pays: in a §5 MP3 Feasible probe at 2205 firings, and in the self-timed
+// phase of a Verify, at least 95% of the DAC's firings are applied as
+// run-length steps. A slip in the eligibility rules would leave results
+// unchanged and quietly cost the speed-up; this test catches it.
 func TestRunLengthCarriesMP3DAC(t *testing.T) {
 	vf := mp3Phases(t, 2048, 2496, 882, 8)
-	ok, err := vf.Feasible(nil, nil)
-	if err != nil || !ok {
-		t.Fatalf("Feasible at 2048/2496/882 = %v, %v; want true", ok, err)
-	}
-	for _, m := range []*Machine{vf.selfTimed, vf.periodic} {
+	carried := func(m *Machine) {
+		t.Helper()
 		dac := m.byName["vDAC"]
 		if dac.started != 2205 {
 			t.Fatalf("vDAC started %d firings, want 2205", dac.started)
@@ -279,6 +296,15 @@ func TestRunLengthCarriesMP3DAC(t *testing.T) {
 				dac.mode, dac.runLengthFirings, dac.started, 100*share)
 		}
 	}
+	ok, err := vf.Feasible(nil, nil)
+	if err != nil || !ok {
+		t.Fatalf("Feasible at 2048/2496/882 = %v, %v; want true", ok, err)
+	}
+	carried(vf.periodic)
+	if v, err := vf.Verify(nil); err != nil || !v.OK {
+		t.Fatalf("Verify at 2048/2496/882 = %+v, %v; want a pass", v, err)
+	}
+	carried(vf.selfTimed)
 }
 
 // TestRunLengthKeepsCheckpointPositions pins that a checkpointing machine
@@ -287,38 +313,32 @@ func TestRunLengthCarriesMP3DAC(t *testing.T) {
 func TestRunLengthKeepsCheckpointPositions(t *testing.T) {
 	fast := mp3Phases(t, 6015, 3263, 883, 8)
 	slow := mp3Phases(t, 6015, 3263, 883, 8)
-	for _, m := range []*Machine{slow.selfTimed, slow.periodic} {
-		for _, a := range m.actors {
-			a.runLength = false
-		}
+	for _, a := range slow.periodic.actors {
+		a.runLength = false
 	}
 	var fastEffort, slowEffort Effort
-	fast.selfTimed.cfg.Effort, fast.periodic.cfg.Effort = &fastEffort, &fastEffort
-	slow.selfTimed.cfg.Effort, slow.periodic.cfg.Effort = &slowEffort, &slowEffort
+	fast.periodic.cfg.Effort, slow.periodic.cfg.Effort = &fastEffort, &slowEffort
 	for _, caps := range []map[string]int64{nil, {"vSRC->vDAC": 882}, {"vMP3->vSRC": 3072}, {"vBR->vMP3": 4096}, {"vBR->vMP3": 2048}} {
 		for _, vf := range []*Verifier{fast, slow} {
 			if _, err := vf.Feasible(nil, caps); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i, pair := range [][2]*Machine{{fast.selfTimed, slow.selfTimed}, {fast.periodic, slow.periodic}} {
-			f, s := pair[0].ckpts, pair[1].ckpts
-			if len(f) != len(s) {
-				t.Fatalf("caps %v, machine %d: %d checkpoints, per-event %d", caps, i, len(f), len(s))
-			}
-			for j := range f {
-				if f[j].events != s[j].events || f[j].tick != s[j].tick {
-					t.Errorf("caps %v, machine %d, checkpoint %d at event %d tick %d, per-event at %d tick %d",
-						caps, i, j, f[j].events, f[j].tick, s[j].events, s[j].tick)
-				}
+		f, s := fast.periodic.ckpts, slow.periodic.ckpts
+		if len(f) != len(s) {
+			t.Fatalf("caps %v: %d checkpoints, per-event %d", caps, len(f), len(s))
+		}
+		for j := range f {
+			if f[j].events != s[j].events || f[j].tick != s[j].tick {
+				t.Errorf("caps %v, checkpoint %d at event %d tick %d, per-event at %d tick %d",
+					caps, j, f[j].events, f[j].tick, s[j].events, s[j].tick)
 			}
 		}
 	}
 	if fastEffort.Counts() != slowEffort.Counts() {
 		t.Errorf("effort %+v, per-event %+v", fastEffort.Counts(), slowEffort.Counts())
 	}
-	if runLengthFirings(slow.selfTimed)+runLengthFirings(slow.periodic) != 0 ||
-		runLengthFirings(fast.selfTimed) == 0 {
+	if runLengthFirings(slow.periodic) != 0 || runLengthFirings(fast.periodic) == 0 {
 		t.Error("the run-length path was not switched as the test intends")
 	}
 }
@@ -358,13 +378,13 @@ func TestRunLengthOffByOneLimits(t *testing.T) {
 // its n-th poll stops at the same event and tick either way.
 func TestRunLengthKeepsContextChecks(t *testing.T) {
 	vf := mp3Phases(t, 6015, 3263, 883, 0)
-	offset := feasibleOffset(t, vf)
-	cfg := vf.periodic.cfg
-	cfg.Actors = map[string]ActorConfig{"vDAC": {Mode: Periodic, Offset: vf.selfTimed.Base().Rat(offset), Period: mp3.Constraint().Period}}
-	for _, cfg := range []Config{vf.selfTimed.cfg, cfg} {
+	for _, cfg := range []Config{selfTimedCfg(t, vf), vf.periodic.cfg} {
 		cfg.Stop.Firings = 20 * budgetCheckInterval
 		for polls := 1; polls < 5; polls++ {
 			fast, perEvent := perEventTwin(t, cfg)
+			if cfg.Actors["vDAC"].Mode == Periodic {
+				quietStarts(t, fast, perEvent)
+			}
 			var errs [2]error
 			for i, m := range []*Machine{perEvent, fast} {
 				m.cfg.Context = &cancelAfter{Context: context.Background(), n: polls}

@@ -24,7 +24,7 @@ type actorSnap struct {
 	busyUntil int64
 	readyAt   int64
 	armedFor  int64
-	late      int64
+	offsetT   int64
 	startsLen int
 }
 
@@ -62,7 +62,7 @@ func (m *Machine) snapshotInto(s *checkpoint, tick int64) {
 			busyUntil: a.busyUntil,
 			readyAt:   a.readyAt,
 			armedFor:  a.armedFor,
-			late:      a.late,
+			offsetT:   a.offsetT,
 			startsLen: len(a.starts),
 		}
 	}
@@ -105,7 +105,7 @@ func (m *Machine) restoreFrom(s *checkpoint) {
 		a.busyUntil = sn.busyUntil
 		a.readyAt = sn.readyAt
 		a.armedFor = sn.armedFor
-		a.late = sn.late
+		a.offsetT = sn.offsetT
 		a.starts = a.starts[:sn.startsLen]
 	}
 	for i, es := range m.edgeList {
@@ -131,21 +131,22 @@ func (m *Machine) restoreFrom(s *checkpoint) {
 const initialCheckpointEvery = 1024
 
 // beginCheckpoints records the configuration key of the starting cold run.
-// Reset only resumes from checkpoints taken under the same periodic offsets
-// and initial-token frame, and a run that records starts only from those
-// taken by runs that did.
+// Reset only resumes from checkpoints taken under the same configured
+// periodic offsets (a quiet start's tick is run state, which the checkpoints
+// save) and initial-token frame, and a run that records starts only from
+// those taken by runs that did.
 func (m *Machine) beginCheckpoints() {
 	m.ckptEvery = initialCheckpointEvery
 	m.ckptNext = m.ckptEvery
 	m.ckptOffs = m.ckptOffs[:0]
 	for _, a := range m.actors {
-		m.ckptOffs = append(m.ckptOffs, a.offsetT)
+		m.ckptOffs = append(m.ckptOffs, a.offset)
 	}
 	copy(m.ckptTokens, m.runTokens)
 	m.ckptStarts = m.recStarts
 }
 
-// ckptKeyMatches reports whether the machine's current periodic offsets
+// ckptKeyMatches reports whether the machine's configured periodic offsets
 // equal those the retained checkpoints were taken under, and whether the
 // retained checkpoints hold the start-recording prefix a pending run that
 // records starts resumes from: a run that records none leaves its
@@ -157,7 +158,7 @@ func (m *Machine) ckptKeyMatches() bool {
 		return false
 	}
 	for i, a := range m.actors {
-		if a.offsetT != m.ckptOffs[i] {
+		if a.offset != m.ckptOffs[i] {
 			return false
 		}
 	}
@@ -259,7 +260,10 @@ func (m *Machine) dropCheckpoints(from int) {
 // δ < the smallest shortfall any such check observed. Either way every
 // start, finish and transfer of the prefix is unchanged, so the resumed
 // run is bit-identical to a cold run with the new tokens — the
-// differential fuzz target in this package pins that equivalence.
+// differential fuzz target in this package pins that equivalence. A quiet
+// start falls where the calendar runs dry, every enabling check of the
+// prefix having failed or started its firing, so an unchanged prefix
+// decides it at the same tick.
 func (m *Machine) resetWarm(frame []int64, starts bool) {
 	m.recStarts = starts
 	if len(m.ckpts) > 0 && m.ckptKeyMatches() {

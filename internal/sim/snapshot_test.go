@@ -128,7 +128,7 @@ func TestCheckpointKeyMismatchFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.byName["tc"].offsetT = ticks
+		m.byName["tc"].offset = ticks
 		if err := m.Reset(nil); err != nil {
 			t.Fatal(err)
 		}

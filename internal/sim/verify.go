@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/quanta"
@@ -152,9 +151,10 @@ type Verification struct {
 	// deadlocked: the tick and every blocked actor with the edge it
 	// starved on. Nil on success and for non-deadlock failures.
 	Deadlock *DeadlockInfo
-	// OffsetTicks and Offset give the start offset used for the
-	// periodic phase: the smallest offset that dominates the observed
-	// self-timed schedule.
+	// OffsetTicks and Offset give the start offset of the last periodic
+	// attempt: the first that passed, or else the last candidate, the
+	// quiet start (see Verifier.Feasible). A quiet-start attempt that
+	// MaxEvents cut short before the start was decided reports -1 tick.
 	OffsetTicks int64
 	Offset      ratio.Rat
 	// SelfTimed and Periodic are the raw results of the two phases;
@@ -178,10 +178,11 @@ type VerifyOptions struct {
 	MaxEvents int64
 	// RecordTransfers is passed through to both phases.
 	RecordTransfers []string
-	// Offsets lists candidate periodic start offsets tried before the
-	// automatically derived ones — e.g. the analytic offset from
+	// Offsets lists candidate periodic start offsets Verify tries before
+	// the automatically derived ones — e.g. the analytic offset from
 	// capacity.Anchored. Each must be non-negative and representable in
-	// the run's time base.
+	// the run's time base. Feasible ignores them: no offset passes where
+	// its quiet start fails.
 	Offsets []ratio.Rat
 	// Exec optionally supplies per-task execution-time models (values in
 	// (0, ρ]); tasks without an entry take exactly ρ per firing. List
@@ -205,16 +206,17 @@ type VerifyOptions struct {
 	// and budget.ErrBudgetExceeded. Feasible takes its context per call
 	// instead.
 	Context context.Context
-	// Checkpoints enables warm-started probing on both phase machines:
+	// Checkpoints enables warm-started probing on the phase machines:
 	// each retains up to this many run checkpoints (Config.Checkpoints)
 	// and a probe resumes a phase from the newest checkpoint the changed
 	// capacities cannot have affected instead of replaying from tick 0.
 	// Periodic-phase checkpoints are only valid under the offset they
-	// were taken with. Feasible runs one periodic offset per probe, so its
-	// next probe usually resumes; Verify's ascending attempts mostly
-	// replay cold, and Verify never resumes from a checkpoint Feasible
-	// took, which holds no start times. Results are bit-identical either
-	// way; Effort counts how much re-simulation the resumed runs skipped.
+	// were taken with. Every Feasible probe runs the quiet start, whose
+	// checkpoints record the start tick the run decided, so its next
+	// probe usually resumes; Verify's ascending attempts mostly replay
+	// cold, and Verify never resumes from a checkpoint Feasible took,
+	// which holds no start times. Results are bit-identical either way;
+	// Effort counts how much re-simulation the resumed runs skipped.
 	// 0 disables.
 	Checkpoints int
 	// Effort, if non-nil, counts the simulation work of every phase run
@@ -222,46 +224,46 @@ type VerifyOptions struct {
 	Effort *Effort
 }
 
-// Verifier is a compiled throughput verification: both simulation phases —
-// self-timed and strictly periodic — built once and reusable across
-// capacity assignments. A capacity search compiles one Verifier per
-// workload, pools it between probes, and calls Feasible (or Verify, for
-// the full diagnostics) with a fresh capacity vector per probe, which
-// becomes one per-edge initial-token frame (§3.3: a buffer's capacity is
-// its space edge's initial tokens) that both phase machines reset from and
-// every buffer invariant's bound is written from.
+// Verifier is a compiled throughput verification, reusable across capacity
+// assignments. A capacity search compiles one Verifier per workload, pools
+// it between probes, and calls Feasible (or Verify, for the full
+// diagnostics) with a fresh capacity vector per probe, which becomes one
+// per-edge initial-token frame (§3.3: a buffer's capacity is its space
+// edge's initial tokens) that the phase machines reset from and every
+// buffer invariant's bound is written from.
 //
-// A Verifier holds exactly two machines, one per phase. Every periodic run
-// repoints the one periodic machine's offset; its checkpoints are keyed on
-// that offset, so they serve the next run at the same offset — which is
-// what consecutive Feasible probes are, since each runs at the largest
-// candidate offset.
+// The periodic machine runs the strictly periodic phase: every Feasible
+// probe, from the quiet start, and every Verify attempt, from the offset
+// the attempt sets. Its checkpoints are keyed on that offset, so they
+// serve the next run with the same one — which is what consecutive
+// Feasible probes are. The self-timed machine serves only Verify and is
+// compiled by its first call, so a Verifier that only answers Feasible
+// compiles one machine.
 //
 // A Verifier is not safe for concurrent use.
 type Verifier struct {
-	c           taskgraph.Constraint
-	selfTimed   *Machine
-	periodic    *Machine
-	periodTicks int64
-	// task is the constrained task in the self-timed machine, which keeps
-	// its running lateness against the constraint's period: Feasible and
-	// Verify take the periodic offset from it without scanning starts.
-	task *actorState
-	// fixedOffsets holds opts.Offsets converted to ticks, tried before
-	// the offsets derived from the self-timed schedule.
+	c        taskgraph.Constraint
+	periodic *Machine
+	// selfTimed is Verify's self-timed phase, compiled from selfTimedCfg
+	// on first use (nil until then).
+	selfTimed    *Machine
+	selfTimedCfg Config
+	periodTicks  int64
+	// fixedOffsets holds opts.Offsets converted to ticks, Verify's first
+	// candidates.
 	fixedOffsets []int64
 	// space maps a buffer name to its space edge's index, and spaces
-	// lists those indices in buffer order, the order in which both phase
+	// lists those indices in buffer order, the order in which the phase
 	// machines compile the buffer invariants (under Validate only).
 	space  map[string]int
 	spaces []int
 	frame  []int64 // the current probe's initial tokens, per edge
 }
 
-// CompileVerifier validates the constraint and builds both phases of the
-// throughput check once. The graph must be fully sized; Verify(caps) and
-// Feasible(caps) can override buffer capacities per probe without
-// recompiling.
+// CompileVerifier validates the constraint and builds the periodic phase of
+// the throughput check once; Verify builds the self-timed phase on first
+// use. The graph must be fully sized; Verify(caps) and Feasible(caps) can
+// override buffer capacities per probe without recompiling.
 func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOptions) (*Verifier, error) {
 	if err := c.Validate(tg); err != nil {
 		return nil, err
@@ -297,60 +299,45 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		}
 	}
 
-	selfTimed, err := Compile(cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	pcfg := cfg
 	pcfg.Actors = make(map[string]ActorConfig, len(cfg.Actors)+1)
 	for k, ac := range cfg.Actors {
 		pcfg.Actors[k] = ac
 	}
-	// The offset is set per run by runPeriodic; compile with the
-	// placeholder 0.
+	// Every run sets the offset; compile with the placeholder 0, which
+	// adds no time to the base, so the self-timed phase compiled from cfg
+	// later shares it.
 	constrained := ActorConfig{Mode: Periodic, Offset: ratio.MustNew(0, 1), Period: c.Period}
 	if prev, ok := cfg.Actors[c.Task]; ok {
 		constrained.Exec = prev.Exec
 	}
 	pcfg.Actors[c.Task] = constrained
-	periodic, err := Compile(pcfg)
+	// TaskGraphConfig's graph comes from vrdf.FromTaskGraph, which
+	// validated it.
+	periodic, err := compile(pcfg)
 	if err != nil {
 		return nil, err
 	}
-	// Both configs list the same rational times (the placeholder offset
-	// is integral) and the same graph, so the phases share one time base
-	// and one edge order by construction.
-	if selfTimed.Base() != periodic.Base() {
-		return nil, fmt.Errorf("sim: internal error: phase time bases differ (%v vs %v)", selfTimed.Base(), periodic.Base())
-	}
-	if !slices.EqualFunc(selfTimed.edgeList, periodic.edgeList, func(a, b *edgeState) bool { return a.name == b.name }) {
-		return nil, fmt.Errorf("sim: internal error: phase edge orders differ")
-	}
 
-	periodTicks, err := selfTimed.Base().Ticks(c.Period)
+	periodTicks, err := periodic.Base().Ticks(c.Period)
 	if err != nil {
 		return nil, fmt.Errorf("sim: period not representable: %w", err)
 	}
 	vf := &Verifier{
-		c:           c,
-		selfTimed:   selfTimed,
-		periodic:    periodic,
-		periodTicks: periodTicks,
-		task:        selfTimed.byName[c.Task],
-		space:       make(map[string]int, len(mapping.Pairs)),
-		spaces:      make([]int, len(mapping.Pairs)),
-		frame:       make([]int64, len(selfTimed.edgeList)),
+		c:            c,
+		periodic:     periodic,
+		selfTimedCfg: cfg,
+		periodTicks:  periodTicks,
+		space:        make(map[string]int, len(mapping.Pairs)),
+		spaces:       make([]int, len(mapping.Pairs)),
+		frame:        make([]int64, len(periodic.edgeList)),
 	}
-	// The task is in RecordStarts, so every self-timed run keeps its
-	// running lateness against the period, recording starts or not.
-	vf.task.latePeriod = periodTicks
 	for k, p := range mapping.Pairs {
-		vf.space[p.Buffer] = selfTimed.edgeIdx[p.Space]
-		vf.spaces[k] = selfTimed.edgeIdx[p.Space]
+		vf.space[p.Buffer] = periodic.edgeIdx[p.Space]
+		vf.spaces[k] = periodic.edgeIdx[p.Space]
 	}
 	for _, o := range opts.Offsets {
-		t, err := selfTimed.Base().Ticks(o)
+		t, err := periodic.Base().Ticks(o)
 		if err != nil {
 			return nil, fmt.Errorf("sim: candidate offset %v: %w (list its denominator in the graph's times)", o, err)
 		}
@@ -362,8 +349,26 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	return vf, nil
 }
 
-// slackPeriods lists the automatically derived periodic offsets, in periods
-// of slack beyond the smallest offset dominating the self-timed schedule.
+// selfTimedPhase returns Verify's self-timed machine, compiling it on first
+// use. Its configuration lists the periodic machine's graph and rational
+// times, so the two share one edge order and one time base.
+func (vf *Verifier) selfTimedPhase() (*Machine, error) {
+	if vf.selfTimed == nil {
+		m, err := compile(vf.selfTimedCfg)
+		if err != nil {
+			return nil, err
+		}
+		if m.Base() != vf.periodic.Base() {
+			return nil, fmt.Errorf("sim: internal error: phase time bases differ (%v vs %v)", m.Base(), vf.periodic.Base())
+		}
+		vf.selfTimed = m
+	}
+	return vf.selfTimed, nil
+}
+
+// slackPeriods lists Verify's automatically derived periodic offsets, in
+// periods of slack beyond the smallest offset dominating the self-timed
+// schedule.
 var slackPeriods = [...]int64{0, 1, 10, 100}
 
 // load validates caps and writes the next runs' initial-token frame: the
@@ -371,7 +376,7 @@ var slackPeriods = [...]int64{0, 1, 10, 100}
 // buffer invariant's bound is then written from the frame. An invalid
 // entry returns an error before any machine state changes.
 func (vf *Verifier) load(caps map[string]int64) error {
-	for i, es := range vf.selfTimed.edgeList {
+	for i, es := range vf.periodic.edgeList {
 		vf.frame[i] = es.initial
 	}
 	for name, c := range caps {
@@ -384,30 +389,24 @@ func (vf *Verifier) load(caps map[string]int64) error {
 		}
 		vf.frame[e] = c
 	}
-	for k := range vf.selfTimed.invariants {
-		vf.selfTimed.invariants[k].max = vf.frame[vf.spaces[k]]
-		vf.periodic.invariants[k].max = vf.frame[vf.spaces[k]]
+	for k := range vf.periodic.invariants {
+		bound := vf.frame[vf.spaces[k]]
+		vf.periodic.invariants[k].max = bound
+		if vf.selfTimed != nil {
+			vf.selfTimed.invariants[k].max = bound
+		}
 	}
 	return nil
 }
 
-// runSelfTimed runs the self-timed phase under ctx from the loaded frame;
-// with starts set it records start times and fills Result.Starts. The
-// reset resumes the phase from a retained checkpoint when the capacity
-// change provably cannot affect the replayed prefix; with checkpointing
-// disabled it is a plain cold reset.
-func (vf *Verifier) runSelfTimed(ctx context.Context, starts bool) (*Result, error) {
-	vf.selfTimed.resetWarm(vf.frame, starts)
-	return vf.selfTimed.run(ctx)
-}
-
 // runPeriodic runs the periodic phase under ctx from the loaded frame with
 // the constrained task — the machine's stop actor — first starting at
-// offset ticks. The offset is set before the reset, which resumes only
-// from checkpoints taken under the same offset. With starts set the run
-// records start times and fills Result.Starts.
+// offset ticks, or at the quiet start for quietStart. The offset is set
+// before the reset, which resumes only from checkpoints taken under the
+// same offset. With starts set the run records start times and fills
+// Result.Starts.
 func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) (*Result, error) {
-	vf.periodic.stop.offsetT = offset
+	vf.periodic.stop.offset = offset
 	vf.periodic.resetWarm(vf.frame, starts)
 	return vf.periodic.run(ctx)
 }
@@ -421,18 +420,25 @@ func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) 
 // VerifyThroughput on an equivalently sized graph.
 //
 // Verify tries the candidate offsets in ascending order and reports the
-// first that passes, or the last failure, with full diagnostics. The
-// smallest derived offset is the self-timed machine's running lateness,
-// the value MaxLateness computes over the recorded starts. Both phases
-// record the constrained task's start times into their Results. Callers
-// that only need the verdict should call Feasible, which reaches the same
-// verdict with one periodic run and records no start times.
+// first that passes, or the last failure, with full diagnostics: the
+// fixed offsets, then the smallest offset dominating the self-timed
+// schedule (MaxLateness over its recorded starts) with 0, 1, 10 and 100
+// periods of slack, and last Feasible's quiet start, so that Verify(caps).OK
+// equals Feasible's verdict. Both phases record the constrained task's
+// start times into their Results. Callers that only need the verdict
+// should call Feasible, which reaches it with one periodic run and records
+// no start times.
 func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
+	st, err := vf.selfTimedPhase()
+	if err != nil {
+		return nil, err
+	}
 	if err := vf.load(caps); err != nil {
 		return nil, err
 	}
-	ctx := vf.selfTimed.cfg.Context
-	selfTimed, err := vf.runSelfTimed(ctx, true)
+	ctx := vf.periodic.cfg.Context
+	st.resetWarm(vf.frame, true)
+	selfTimed, err := st.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -447,27 +453,28 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		return v, nil
 	}
 
-	base := vf.task.late
+	base := MaxLateness(selfTimed.Starts[vf.c.Task], vf.periodTicks)
 
 	// The throughput guarantee is existential in the offset: a periodic
 	// schedule with *some* offset must exist. Try caller-supplied
 	// offsets (e.g. the analytic anchoring) first, then the smallest
 	// offset that dominates the self-timed schedule, then grow the
-	// slack; a sizing that underruns even with generous slack is
-	// insufficient.
+	// slack, and last the quiet start, which passes exactly when some
+	// offset does.
 	offsetTicks := append([]int64(nil), vf.fixedOffsets...)
 	for _, slack := range slackPeriods {
 		offsetTicks = append(offsetTicks, base+slack*vf.periodTicks)
 	}
-	//vrdf:unbudgeted(at most len fixedOffsets plus four attempts; each Run enforces the machine budget)
+	offsetTicks = append(offsetTicks, quietStart)
+	//vrdf:unbudgeted(at most len fixedOffsets plus five attempts; each Run enforces the machine budget)
 	for _, ot := range offsetTicks {
 		v.Attempts++
-		v.OffsetTicks = ot
-		v.Offset = vf.selfTimed.Base().Rat(ot)
 		periodic, err := vf.runPeriodic(ctx, ot, true)
 		if err != nil {
 			return nil, err
 		}
+		v.OffsetTicks = vf.periodic.stop.offsetT
+		v.Offset = vf.periodic.Base().Rat(v.OffsetTicks)
 		v.Periodic = periodic
 		// The structured diagnostics track the last attempt, like Reason.
 		v.Underrun = periodic.Underrun
@@ -487,24 +494,33 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	return v, nil
 }
 
-// Feasible reports the verdict of Verify(caps).OK with a single periodic
-// run. A periodic phase that passes at offset o also passes at every
-// o+d: the passing run shifted by d is a schedule for offset o+d in which
-// every task starts d later, and since VRDF graphs are monotone in their
-// start times (Definition 1) the self-timed tasks of the actual run at o+d
-// start no later than in that shifted run, so every periodic start is
-// still enabled. The largest of Verify's candidate offsets — the fixed
-// offsets and the one with 100 periods of slack — therefore passes exactly
-// when some candidate does, and Feasible runs only that one.
+// Feasible reports the verdict of Verify(caps).OK with one periodic run,
+// whose constrained task starts at the quiet start q: the first tick at
+// which, with that task not yet started, every other task is blocked and
+// no event is pending. This one run answers the existential question
+// "does the periodic phase pass at some offset" exactly:
 //
-// The offset O = max_k(s_k − k·τ) comes from the running lateness the
-// self-timed machine keeps in O(1) per run of firings, so neither phase
-// records a start time and a probe's cost does not grow with the number of
-// firings it covers beyond the events it simulates.
+//   - From q on nothing happens until the constrained task starts, so every
+//     offset o ≥ q gives q's run, shifted in time by o − q.
+//   - A periodic phase that passes at offset o also passes at every o+d:
+//     the passing run shifted by d is a schedule for offset o+d in which
+//     every task starts d later, and since VRDF graphs are monotone in
+//     their start times (Definition 1) the self-timed tasks of the actual
+//     run at o+d start no later than in that shifted run, so every
+//     periodic start is still enabled. A pass below q implies one at q.
 //
-// Both phases run under ctx (nil: no cancellation) in place of
+// On a source-constrained chain (§4.4) nothing can fire before the source
+// does, so q = 0. The run decides q itself, as an event its checkpoints
+// capture, so a warm-started probe resumes past q only where a cold one
+// reaches the same q. Feasible runs no self-timed phase, ignores
+// VerifyOptions.Offsets and records no start times: a probe costs the
+// events it simulates, not the firings it covers. Before q those grow with
+// the total capacity, since the other tasks run until the buffers block
+// them.
+//
+// The run is under ctx (nil: no cancellation) in place of
 // VerifyOptions.Context, so one pooled Verifier serves probes of searches
-// with different budgets and keeps none of their contexts. A phase cut
+// with different budgets and keeps none of their contexts. A run cut
 // short by VerifyOptions.MaxEvents says nothing about the capacities:
 // Feasible then returns an error satisfying
 // errors.Is(err, budget.ErrBudgetExceeded) instead of a verdict, as it
@@ -513,34 +529,14 @@ func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, 
 	if err := vf.load(caps); err != nil {
 		return false, err
 	}
-	selfTimed, err := vf.runSelfTimed(ctx, false)
+	res, err := vf.runPeriodic(ctx, quietStart, false)
 	if err != nil {
 		return false, err
 	}
-	if selfTimed.Outcome != Completed {
-		return false, eventCapError("self-timed", selfTimed)
+	if res.Outcome == LimitExceeded {
+		return false, budget.Exhausted(fmt.Errorf("sim: periodic phase hit the event cap after %d events, before a verdict", res.Events))
 	}
-	offset := vf.task.late + slackPeriods[len(slackPeriods)-1]*vf.periodTicks
-	for _, ot := range vf.fixedOffsets {
-		offset = max(offset, ot)
-	}
-	periodic, err := vf.runPeriodic(ctx, offset, false)
-	if err != nil {
-		return false, err
-	}
-	if periodic.Outcome != Completed {
-		return false, eventCapError("periodic", periodic)
-	}
-	return true, nil
-}
-
-// eventCapError returns the typed error of a phase run that MaxEvents cut
-// short, and nil for any outcome that is a verdict.
-func eventCapError(phase string, res *Result) error {
-	if res.Outcome != LimitExceeded {
-		return nil
-	}
-	return budget.Exhausted(fmt.Errorf("sim: %s phase hit the event cap after %d events, before a verdict", phase, res.Events))
+	return res.Outcome == Completed, nil
 }
 
 // VerifyThroughput checks by simulation that the (sized) task graph can
@@ -553,8 +549,10 @@ func eventCapError(phase string, res *Result) error {
 // s_k. Phase 2 forces the constrained task to the strictly periodic
 // schedule O + k·τ with O = max_k (s_k − k·τ), the smallest offset that
 // dominates the self-timed schedule, and reports an underrun if any firing
-// is not enabled at its scheduled start. By monotonicity (Definition 1) a
-// sufficient buffer sizing passes this check for every admissible workload.
+// is not enabled at its scheduled start; it retries with more slack and
+// last from the quiet start (see Verifier.Feasible). By monotonicity
+// (Definition 1) a sufficient buffer sizing passes this check for every
+// admissible workload.
 func VerifyThroughput(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOptions) (*Verification, error) {
 	vf, err := CompileVerifier(tg, c, opts)
 	if err != nil {
@@ -565,9 +563,8 @@ func VerifyThroughput(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOp
 
 // MaxLateness returns max_k (starts[k] − k·periodTicks): the smallest offset
 // O such that the periodic schedule O + k·period dominates the observed
-// start times. Returns 0 for an empty slice. The Verifier keeps the same
-// value as a running maximum while it simulates instead of scanning
-// recorded starts; MaxLateness is the oracle its tests hold it to.
+// start times, and Verify's first derived candidate offset. Returns 0 for
+// an empty slice.
 func MaxLateness(starts []int64, periodTicks int64) int64 {
 	var max int64
 	for k, s := range starts {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/mp3"
@@ -171,6 +172,25 @@ func TestVerifySourceConstrained(t *testing.T) {
 	}
 	if !v.OK {
 		t.Errorf("source-constrained verification failed: %s", v.Reason)
+	}
+	// Nothing downstream can fire before the source does, since the data
+	// edge starts empty, so Feasible starts the source at tick 0, also
+	// where it fails.
+	vf, err := CompileVerifier(g, c, VerifyOptions{
+		Firings:   500,
+		Workloads: Workloads{"cam->proc": {Prod: quanta.Cycle(2, 3)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int64{7, 2} {
+		ok, err := vf.Feasible(nil, map[string]int64{"cam->proc": capacity})
+		if err != nil || ok != (capacity == 7) {
+			t.Errorf("capacity %d: Feasible = (%v, %v); want %v", capacity, ok, err, capacity == 7)
+		}
+		if q := vf.periodic.stop.offsetT; q != 0 {
+			t.Errorf("capacity %d: Feasible started the source at tick %d; want the quiet start at tick 0", capacity, q)
+		}
 	}
 	// A starved buffer (capacity 2 < a single production of 3) blocks
 	// the source outright.
@@ -461,17 +481,13 @@ func TestVerifierWarmMatchesCold(t *testing.T) {
 		if !ok {
 			infeasible++
 		}
-		// Feasible runs the periodic phase only after a completed
-		// self-timed one; two warm resets mean the periodic one resumed.
-		phases := 1
-		if cv.Periodic != nil {
-			phases = 2
-		}
+		// Feasible runs one phase, the periodic one from the quiet start;
+		// a warm reset means it resumed.
 		warm := feasibleEffort.WarmResets.Load() - warmBefore
 		resets := warm + feasibleEffort.ColdResets.Load() - feasibleBefore
-		if resets != int64(phases) {
-			t.Fatalf("caps %v: Feasible reported %d phase resets, want %d", caps, resets, phases)
-		} else if warm == 2 {
+		if resets != 1 {
+			t.Fatalf("caps %v: Feasible reported %d phase resets, want 1", caps, resets)
+		} else if warm == 1 {
 			periodicResumed++
 		}
 		return cv.OK
@@ -529,6 +545,45 @@ func TestFeasibleEventCapIsBudgetError(t *testing.T) {
 	}
 }
 
+// TestFeasibleHostileCapacity probes Feasible with a capacity far above
+// Equation 4: 10^9 containers on vSRC->vDAC. Before the quiet start the
+// upstream tasks run until the buffers block them, so a probe's events grow
+// with the total capacity, and such a probe must still end in a verdict or
+// in an error satisfying budget.ErrBudgetExceeded, both under MaxEvents and
+// under a context deadline with the default event cap.
+func TestFeasibleHostileCapacity(t *testing.T) {
+	g := sizedMP3(t, 6015, 3263, 883)
+	caps := map[string]int64{mp3.BufferNames()[2]: 1_000_000_000}
+	for _, tc := range []struct {
+		name      string
+		maxEvents int64
+		deadline  time.Duration
+	}{{"event cap", 1_000_000, 0}, {"deadline", 0, 20 * time.Millisecond}} {
+		vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
+			Firings:     2205,
+			Workloads:   mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
+			MaxEvents:   tc.maxEvents,
+			LiteResult:  true,
+			Checkpoints: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if tc.deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, tc.deadline)
+			defer cancel()
+		}
+		start := time.Now()
+		ok, err := vf.Feasible(ctx, caps)
+		if err != nil && !errors.Is(err, budget.ErrBudgetExceeded) {
+			t.Fatalf("%s: Feasible = (%v, %v); want a verdict or an error satisfying budget.ErrBudgetExceeded", tc.name, ok, err)
+		}
+		t.Logf("%s: Feasible = (%v, %v) after %v", tc.name, ok, err, time.Since(start))
+	}
+}
+
 // TestVerifierRepointsInvariantBounds checks that every probe moves the
 // buffer invariants of both phase machines to the probe's capacities: a
 // raised capacity holds more tokens than the compiled bound allows, and a
@@ -579,8 +634,8 @@ func TestVerifierRepointsInvariantBounds(t *testing.T) {
 }
 
 // TestFeasibleSteadyStateAllocs pins that a warm §5 MP3 Feasible probe on a
-// reused Verifier allocates only its two phase Results: the capacity
-// assignment becomes the initial tokens without building any map.
+// reused Verifier allocates only the Result of its one periodic run: the
+// capacity assignment becomes the initial tokens without building any map.
 func TestFeasibleSteadyStateAllocs(t *testing.T) {
 	vf := mp3Phases(t, 6015, 3263, 883, 8)
 	names := mp3.BufferNames()
@@ -593,13 +648,14 @@ func TestFeasibleSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 2 {
-		t.Errorf("warm Feasible probe allocates %.1f objects; want 2 (the phase Results)", allocs)
+	if allocs != 1 {
+		t.Errorf("warm Feasible probe allocates %.1f objects; want 1 (the periodic phase's Result)", allocs)
 	}
 }
 
-// TestVerifyAfterFeasibleKeepsStarts pins that the Feasible path records no
-// start times on either phase machine, and that a Verify on the same
+// TestVerifyAfterFeasibleKeepsStarts pins that the Feasible path compiles
+// no self-timed machine and records no start times on the periodic one,
+// and that a Verify on the same
 // checkpointing Verifier still returns every start: a recording run must
 // not resume from a checkpoint a non-recording Feasible run took, which has
 // no start prefix to restore. The last Feasible probe of each round has the
@@ -622,10 +678,11 @@ func TestVerifyAfterFeasibleKeepsStarts(t *testing.T) {
 			}
 		}
 		if r == 0 {
-			for _, m := range []*Machine{vf.selfTimed, vf.periodic} {
-				if m.stop.starts != nil {
-					t.Fatalf("Feasible probes left a start recording of %d ticks (capacity %d); want none allocated", len(m.stop.starts), cap(m.stop.starts))
-				}
+			if vf.selfTimed != nil {
+				t.Fatal("Feasible probes compiled the self-timed machine")
+			}
+			if m := vf.periodic; m.stop.starts != nil {
+				t.Fatalf("Feasible probes left a start recording of %d ticks (capacity %d); want none allocated", len(m.stop.starts), cap(m.stop.starts))
 			}
 		}
 		d := probes[len(probes)-1]
@@ -656,7 +713,10 @@ func TestVerifyAfterFeasibleKeepsStarts(t *testing.T) {
 // TestFeasibleBytesFlatInHorizon pins that Feasible's allocation does not
 // grow with the horizon: it records no start times, so 441,000 DAC firings
 // (10 s of audio) cost the bytes 2205 do, both for compiling the Verifier
-// with its first, cold probe and for each warm probe after it.
+// with its first, cold probe and for each warm probe after it. A warm probe
+// allocates one Result, 112 B; with go1.24 the cold figure is about 23 KB
+// for the one machine a Feasible-only Verifier compiles (about 41 KB when
+// every Verifier compiled a self-timed machine too).
 func TestFeasibleBytesFlatInHorizon(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	names := mp3.BufferNames()
@@ -695,6 +755,9 @@ func TestFeasibleBytesFlatInHorizon(t *testing.T) {
 	shortCold, shortWarm := bytes(2205)
 	longCold, longWarm := bytes(441_000)
 	t.Logf("H = 2205: %d B to compile and probe cold, %d B per warm probe; H = 441000: %d B and %d B", shortCold, shortWarm, longCold, longWarm)
+	if shortWarm > 112 {
+		t.Errorf("a warm Feasible probe allocates %d B; want at most 112, its one Result", shortWarm)
+	}
 	if longWarm > shortWarm {
 		t.Errorf("a warm Feasible probe allocates %d B at H = 441000 and %d B at H = 2205; want no growth with the horizon", longWarm, shortWarm)
 	}

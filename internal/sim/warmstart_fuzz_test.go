@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,7 +19,9 @@ import (
 // firing start times, per-edge statistics, underrun and deadlock
 // diagnostics — to a machine that cold-resets before every run. This is the
 // executable form of the warm-reset validity argument (prefix coincidence
-// under the per-edge running-minimum and minimum-shortfall guards).
+// under the per-edge running-minimum and minimum-shortfall guards). In the
+// quiet-start variant the run decides when the sink first starts, so the
+// decision lies inside the prefixes that warm runs skip.
 func FuzzWarmStartDifferential(f *testing.F) {
 	f.Add(int64(1), int64(1), false)
 	f.Add(int64(2), int64(9), true)
@@ -28,6 +29,8 @@ func FuzzWarmStartDifferential(f *testing.F) {
 	f.Add(int64(10), int64(0), true)
 	f.Add(int64(12), int64(6), false)
 	f.Add(int64(25), int64(14), true)
+	f.Add(int64(3), int64(5), false) // quiet start
+	f.Add(int64(7), int64(26), true) // quiet start
 	f.Fuzz(func(t *testing.T, seed, capSeed int64, faulty bool) {
 		gcfg := graphgen.Defaults(seed)
 		gcfg.ZeroConsumption = seed%5 == 0
@@ -58,6 +61,14 @@ func FuzzWarmStartDifferential(f *testing.F) {
 			offset := c.Period.MulInt(int64(len(sized.Tasks())) * 4)
 			cfg.Actors = map[string]ActorConfig{
 				c.Task: {Mode: Periodic, Offset: offset, Period: c.Period},
+			}
+		}
+		// Quiet-start variant: the periodic sink starts when the rest of
+		// the chain goes quiet, as in a Feasible probe.
+		quiet := capSeed%7 == 5 && capSeed%3 != 0
+		if quiet {
+			cfg.Actors = map[string]ActorConfig{
+				c.Task: {Mode: Periodic, Offset: ratio.MustNew(0, 1), Period: c.Period},
 			}
 		}
 		if faulty {
@@ -101,6 +112,10 @@ func FuzzWarmStartDifferential(f *testing.F) {
 		cold, err := Compile(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if quiet {
+			// Every Reset below starts the run from this offset.
+			warm.stop.offset, cold.stop.offset = quietStart, quietStart
 		}
 
 		// A probe sequence over the buffers' space edges, starting at the
@@ -155,11 +170,11 @@ func FuzzWarmStartDifferential(f *testing.F) {
 // random sink- and source-constrained chains, workloads, fixed offsets and
 // capacity walks, a warm-starting Feasible must give the verdict a cold
 // Verify(caps).OK gives. A disagreement means either the Definition 1
-// argument behind the single largest offset or a periodic-phase warm start
-// is wrong. After every probe, warm-resumed ones included, the running
-// lateness Feasible took its offset from must equal MaxLateness over the
-// start times the cold Verify recorded. Some probes leave buffers out of
-// caps; those revert to their compiled capacity, so the cold Verify gets
+// argument behind the quiet start or a periodic-phase warm start is wrong.
+// After every probe, warm-resumed ones included, the start tick Feasible
+// decided must equal the one a cold Feasible decides, and Verify's quiet
+// start candidate wherever Verify reached it. Some probes leave buffers out
+// of caps; those revert to their compiled capacity, so the cold Verify gets
 // the completed assignment, except under Validate, where it gets the
 // partial one too: a buffer invariant bound left over from an earlier
 // probe then aborts its run.
@@ -193,8 +208,8 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 		}
 		opts := VerifyOptions{Firings: 300, Workloads: w, MaxEvents: 2_000_000, LiteResult: true}
 		if walkSeed%4 == 0 {
-			// A fixed offset beyond the 100-period slack makes Feasible
-			// run at it instead.
+			// A fixed offset beyond the 100-period slack: Verify tries it
+			// first, Feasible ignores it.
 			opts.Offsets = []ratio.Rat{c.Period.MulInt(1000)}
 		}
 		validate := walkSeed%5 == 2
@@ -246,15 +261,18 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 			if err != nil && !errors.Is(err, budget.ErrBudgetExceeded) {
 				t.Fatal(err)
 			}
-			want := int64(math.MinInt64)
-			if starts := v.SelfTimed.Starts[c.Task]; len(starts) > 0 {
-				want = MaxLateness(starts, warm.periodTicks)
-			}
-			if got := warm.task.late; got != want {
-				t.Fatalf("probe %d (caps %v): running lateness %d, MaxLateness over the recorded starts %d", probe, sent, got, want)
-			}
 			if err != nil {
 				continue
+			}
+			q := warm.periodic.stop.offsetT
+			if v.Attempts == len(cold.fixedOffsets)+len(slackPeriods)+1 && v.OffsetTicks != q {
+				t.Fatalf("probe %d (caps %v): Feasible started at tick %d, Verify's quiet start candidate at %d", probe, sent, q, v.OffsetTicks)
+			}
+			if _, err := cold.Feasible(nil, ref); err != nil {
+				t.Fatalf("probe %d (caps %v): cold Feasible: %v", probe, ref, err)
+			}
+			if coldQ := cold.periodic.stop.offsetT; coldQ != q {
+				t.Fatalf("probe %d (caps %v): warm Feasible started at tick %d, cold Feasible at %d", probe, sent, q, coldQ)
 			}
 			if ok != v.OK {
 				t.Fatalf("probe %d (caps %v, completed %v): warm Feasible = %v, cold Verify OK = %v (%s)", probe, sent, full, ok, v.OK, v.Reason)
