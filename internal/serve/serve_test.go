@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"vrdfcap/internal/faults"
+	"vrdfcap/internal/graphio"
 )
 
 // pairDoc is the paper's Figure 1 pair: producer always writes 3, consumer
@@ -777,5 +779,28 @@ func TestMinimizeBufferOrderIndependent(t *testing.T) {
 	}
 	if !bytes.Equal(bodies[2], bodies[0]) {
 		t.Errorf("reordered document answers\n%s\nthe original answers\n%s", bodies[2], bodies[0])
+	}
+}
+
+// TestSizeKeyPinned pins the coalescing key /v1/size derives for the §5
+// MP3 document: the key is the canonical graph fingerprint, so its bytes
+// must not move when the fingerprint's implementation does.
+func TestSizeKeyPinned(t *testing.T) {
+	doc, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, con, err := graphio.DecodeAny(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	spec, err := s.buildSpec(pathSize, g, con, url.Values{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "2c640a9a2b6443e68936ce2ba67c2fe73643c59018e16dac17404e4b32850fc4"
+	if spec.key != want {
+		t.Fatalf("/v1/size key = %s, want %s", spec.key, want)
 	}
 }

@@ -2,31 +2,49 @@ package vrdfcap_test
 
 import (
 	"io"
+	"os"
 	"testing"
 
 	"vrdfcap"
 )
 
 // BenchmarkWriteReport tracks the allocation cost of rendering an analysis
-// report; the pooled tabwriters keep repeat renders from re-growing their
-// cell buffers (compare with -benchmem).
+// report: the Figure 1 pair, and the §5 MP3 chain with its memory column.
 func BenchmarkWriteReport(b *testing.B) {
 	g, err := vrdfcap.Pair("wa", vrdfcap.Rat(1, 1), "wb", vrdfcap.Rat(1, 1),
 		vrdfcap.Quanta(3), vrdfcap.Quanta(2, 3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := vrdfcap.Analyze(g, vrdfcap.Constraint{Task: "wb", Period: vrdfcap.Rat(3, 1)},
+	pair, err := vrdfcap.Analyze(g, vrdfcap.Constraint{Task: "wb", Period: vrdfcap.Rat(3, 1)},
 		vrdfcap.PolicyEquation4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := vrdfcap.WriteReport(io.Discard, res); err != nil {
-			b.Fatal(err)
-		}
+	data, err := os.ReadFile("testdata/mp3.txt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, c, err := vrdfcap.DecodeGraph(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mp3, err := vrdfcap.Analyze(g, *c, vrdfcap.PolicyEquation4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		res  *vrdfcap.Result
+	}{{"pair", pair}, {"mp3", mp3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := vrdfcap.WriteReport(io.Discard, bc.res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
