@@ -119,7 +119,10 @@ func BenchmarkFigure3ScheduleBounds(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lines := res.Buffers[0].AnchoredLines()
+	lines, err := res.Buffers[0].AnchoredLines()
+	if err != nil {
+		b.Fatal(err)
+	}
 	sized, err := capacity.Sized(g, res)
 	if err != nil {
 		b.Fatal(err)
@@ -480,7 +483,10 @@ func BenchmarkRationalVsFloat(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				exact := d.SufficientTokens()
+				exact, err := d.SufficientTokens()
+				if err != nil {
+					b.Fatal(err)
+				}
 				f := (rhoP.Float64()+rhoC.Float64())/mu.Float64() + (5 - 1) + (3 - 1) + 1
 				if int64(math.Floor(f)) != exact {
 					mismatches++

@@ -140,6 +140,26 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunOverflowIsOneLineError pins that a valid document whose analysis
+// leaves int64 rationals fails with one error line naming the overflow,
+// not a panic and its stack trace.
+func TestRunOverflowIsOneLineError(t *testing.T) {
+	doc := "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod {1000000000000000,1000000000000001} cons 1\nconstraint b period 1000000000000000000\n"
+	path := filepath.Join(t.TempDir(), "overflow.txt")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{path}, &out)
+	if err == nil {
+		t.Fatalf("overflowing document accepted:\n%s", out.String())
+	}
+	const want = "capacity: task a: minimal start distance φ: ratio: int64 overflow in mul"
+	if err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
 func TestRunLatencyAndSweep(t *testing.T) {
 	path := writeMP3JSON(t, true)
 	var out bytes.Buffer

@@ -156,22 +156,49 @@ func Distances(mu, rhoProd, rhoCons ratio.Rat, prodMax, consMax int64) (PairDist
 	if prodMax < 1 || consMax < 1 {
 		return PairDistances{}, fmt.Errorf("bounds: maximum quanta must be at least 1, got %d and %d", prodMax, consMax)
 	}
-	pg := rhoProd.Add(mu.MulInt(prodMax - 1))
-	cg := rhoCons.Add(mu.MulInt(consMax - 1))
+	pg, err := gap(mu, rhoProd, prodMax)
+	if err != nil {
+		return PairDistances{}, err
+	}
+	cg, err := gap(mu, rhoCons, consMax)
+	if err != nil {
+		return PairDistances{}, err
+	}
+	sg, err := pg.AddChecked(cg)
+	if err != nil {
+		return PairDistances{}, err
+	}
 	return PairDistances{
 		Mu:          mu,
 		ProducerGap: pg,
 		ConsumerGap: cg,
-		SpaceGap:    pg.Add(cg),
+		SpaceGap:    sg,
 	}, nil
+}
+
+// gap evaluates ρ + μ·(q̂ − 1), the shape of Equations (1) and (2).
+func gap(mu, rho ratio.Rat, maxQuantum int64) (ratio.Rat, error) {
+	lead, err := mu.MulChecked(ratio.FromInt(maxQuantum - 1))
+	if err != nil {
+		return ratio.Rat{}, err
+	}
+	return rho.AddChecked(lead)
 }
 
 // SufficientTokens evaluates Equation (4): the number of tokens consumed
 // from the space edge before the first token is produced on it, according to
 // the linear bounds, is SpaceGap/μ + 1; the largest integer not exceeding
-// that value is a sufficient number of initial tokens.
-func (d PairDistances) SufficientTokens() int64 {
-	return d.SpaceGap.Div(d.Mu).Add(ratio.One).Floor()
+// that value is a sufficient number of initial tokens. It fails when
+// SpaceGap/μ + 1 is not representable in int64.
+func (d PairDistances) SufficientTokens() (int64, error) {
+	q, err := d.SpaceGap.DivChecked(d.Mu)
+	if err != nil {
+		return 0, err
+	}
+	if q, err = q.AddChecked(ratio.One); err != nil {
+		return 0, err
+	}
+	return q.Floor(), nil
 }
 
 // Lines materialises a concrete pair of space-edge bound lines separated by

@@ -117,8 +117,8 @@ func TestDistancesFigure4(t *testing.T) {
 		t.Errorf("Eq(3) = %v, want %v", d.SpaceGap, want)
 	}
 	// Eq(4): 19/4 / 1 + 1 = 5.75 -> 5 tokens suffice.
-	if got := d.SufficientTokens(); got != 5 {
-		t.Errorf("Eq(4) tokens = %d, want 5", got)
+	if got, err := d.SufficientTokens(); err != nil || got != 5 {
+		t.Errorf("Eq(4) tokens = %d, %v, want 5", got, err)
 	}
 }
 
@@ -143,8 +143,8 @@ func TestDistancesMP3Edges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := d.SufficientTokens(); got != c.want {
-			t.Errorf("%s: Eq(4) = %d, want %d", c.name, got, c.want)
+		if got, err := d.SufficientTokens(); err != nil || got != c.want {
+			t.Errorf("%s: Eq(4) = %d, %v, want %d", c.name, got, err, c.want)
 		}
 	}
 }
@@ -199,7 +199,9 @@ func TestPropSufficientTokensMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bumped.SufficientTokens() >= base.SufficientTokens()
+		b1, err1 := bumped.SufficientTokens()
+		b0, err0 := base.SufficientTokens()
+		return err1 == nil && err0 == nil && b1 >= b0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

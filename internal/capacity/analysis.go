@@ -110,7 +110,9 @@ func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
 		Buffers:    make([]BufferResult, len(a.buffers)),
 		Valid:      true,
 	}
-	a.propagatePhi(res)
+	if err := a.propagatePhi(res); err != nil {
+		return nil, err
+	}
 	a.runTaskChecks(res)
 	for i := range a.buffers {
 		if err := a.computeBuffer(res, i); err != nil {
@@ -122,8 +124,9 @@ func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
 
 // propagatePhi derives every task's φ per §4.3 (sink-constrained) or §4.4
 // (source-constrained) into res.Checks[i].Phi and res.Phi, and every
-// buffer's bound rate μ into res.Buffers[i].Mu.
-func (a *Analysis) propagatePhi(res *Result) {
+// buffer's bound rate μ into res.Buffers[i].Mu. It fails when a rate or a
+// start distance is not representable in int64 rationals.
+func (a *Analysis) propagatePhi(res *Result) error {
 	checks, bufs := res.Checks, res.Buffers
 	switch a.direction {
 	case SinkConstrained:
@@ -131,7 +134,10 @@ func (a *Analysis) propagatePhi(res *Result) {
 		// Walk upstream: φ(vx) = (φ(vy)/γ̂(e_xy)) · π̌(e_xy).
 		for i := len(a.buffers) - 1; i >= 0; i-- {
 			b := &a.buffers[i]
-			mu := checks[i+1].Phi.DivInt(b.consMax)
+			mu, err := checks[i+1].Phi.DivChecked(ratio.FromInt(b.consMax))
+			if err != nil {
+				return fmt.Errorf("capacity: buffer %s: rate μ: %w", b.name, err)
+			}
 			bufs[i].Mu = mu
 			if b.zeroQuantum != "" {
 				res.Valid = false
@@ -142,14 +148,19 @@ func (a *Analysis) propagatePhi(res *Result) {
 				checks[i].Phi = mu
 				continue
 			}
-			checks[i].Phi = mu.MulInt(b.prodMin)
+			if checks[i].Phi, err = mu.MulChecked(ratio.FromInt(b.prodMin)); err != nil {
+				return fmt.Errorf("capacity: task %s: minimal start distance φ: %w", b.prod.Name, err)
+			}
 		}
 	case SourceConstrained:
 		checks[0].Phi = res.Constraint.Period
 		// Walk downstream: φ(vy) = (φ(vx)/π̂(e_xy)) · γ̌(e_xy).
 		for i := range a.buffers {
 			b := &a.buffers[i]
-			mu := checks[i].Phi.DivInt(b.prodMax)
+			mu, err := checks[i].Phi.DivChecked(ratio.FromInt(b.prodMax))
+			if err != nil {
+				return fmt.Errorf("capacity: buffer %s: rate μ: %w", b.name, err)
+			}
 			bufs[i].Mu = mu
 			if b.zeroQuantum != "" {
 				res.Valid = false
@@ -157,12 +168,15 @@ func (a *Analysis) propagatePhi(res *Result) {
 				checks[i+1].Phi = mu
 				continue
 			}
-			checks[i+1].Phi = mu.MulInt(b.consMin)
+			if checks[i+1].Phi, err = mu.MulChecked(ratio.FromInt(b.consMin)); err != nil {
+				return fmt.Errorf("capacity: task %s: minimal start distance φ: %w", b.cons.Name, err)
+			}
 		}
 	}
 	for i, w := range a.tasks {
 		res.Phi[w.Name] = checks[i].Phi
 	}
+	return nil
 }
 
 // runTaskChecks evaluates ρ(w) ≤ φ(w) for every task.
@@ -188,6 +202,10 @@ func (a *Analysis) computeBuffer(res *Result, i int) error {
 	if err != nil {
 		return fmt.Errorf("capacity: buffer %s: %w", b.name, err)
 	}
+	eq4, err := dist.SufficientTokens()
+	if err != nil {
+		return fmt.Errorf("capacity: buffer %s: equation (4): %w", b.name, err)
+	}
 	*br = BufferResult{
 		Buffer:         b.name,
 		Producer:       b.b.Producer,
@@ -198,12 +216,14 @@ func (a *Analysis) computeBuffer(res *Result, i int) error {
 		ProdMax:        b.prodMax,
 		ConsMax:        b.consMax,
 		Distances:      dist,
-		CapacityEq4:    dist.SufficientTokens(),
+		CapacityEq4:    eq4,
 		ConstantRates:  b.constant,
 		ContainerBytes: b.b.ContainerBytes,
 	}
 	if br.ConstantRates {
-		br.CapacityBaseline = baselineCapacity(mu, b.prod.WCRT, b.cons.WCRT, b.prodMax, b.consMax)
+		if br.CapacityBaseline, err = baselineCapacity(mu, b.prod.WCRT, b.cons.WCRT, b.prodMax, b.consMax); err != nil {
+			return fmt.Errorf("capacity: buffer %s: baseline: %w", b.name, err)
+		}
 	}
 	switch a.policy {
 	case PolicyEquation4:

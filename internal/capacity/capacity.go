@@ -241,12 +241,34 @@ func Compute(g *taskgraph.Graph, c taskgraph.Constraint, p Policy) (*Result, err
 // effectively move in multiples of g = gcd(p, c), which tightens the
 // variable-rate correction (p−1) + (c−1) + 1 of Equation (4) to
 // (p−g) + (c−g). This reproduces the paper's published baseline numbers
-// (5888, 3072, 882) exactly.
-func baselineCapacity(mu, rhoProd, rhoCons ratio.Rat, p, c int64) int64 {
+// (5888, 3072, 882) exactly. It fails when a term is not representable in
+// int64.
+func baselineCapacity(mu, rhoProd, rhoCons ratio.Rat, p, c int64) (int64, error) {
 	g := ratio.GCD(p, c)
-	resp := rhoProd.Add(rhoCons).Div(mu) // containers "in flight" due to response times
-	units := resp.DivInt(g).Ceil()       // round up to whole gcd units
-	return units*g + p + c - 2*g
+	rho, err := rhoProd.AddChecked(rhoCons)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := rho.DivChecked(mu) // containers "in flight" due to response times
+	if err != nil {
+		return 0, err
+	}
+	units, err := resp.DivChecked(ratio.FromInt(g)) // round up to whole gcd units
+	if err != nil {
+		return 0, err
+	}
+	// units·g + (p−g) + (c−g), each step checked.
+	total, err := ratio.FromInt(units.Ceil()).MulChecked(ratio.FromInt(g))
+	if err != nil {
+		return 0, err
+	}
+	if total, err = total.AddChecked(ratio.FromInt(p - g)); err != nil {
+		return 0, err
+	}
+	if total, err = total.AddChecked(ratio.FromInt(c - g)); err != nil {
+		return 0, err
+	}
+	return total.Num(), nil
 }
 
 // Sized returns a deep copy of g whose buffer capacities are set to the

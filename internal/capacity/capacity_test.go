@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -451,5 +452,39 @@ func TestMemoryReporting(t *testing.T) {
 	}
 	if pres.TotalMemoryBytes() != 0 {
 		t.Errorf("unspecified container sizes yielded %d bytes", pres.TotalMemoryBytes())
+	}
+}
+
+// TestOverflowIsTypedError pins that a valid document whose rationals
+// leave int64 fails Compute with an error wrapping *ratio.OverflowError,
+// instead of panicking: in the φ propagation (a 10^18 period times a
+// 10^15 production quantum), and in Equation (3), where two response times
+// with coprime denominators near 4·10^9 sum past int64.
+func TestOverflowIsTypedError(t *testing.T) {
+	cases := []struct {
+		name       string
+		rhoA, rhoB ratio.Rat
+		prod       taskgraph.QuantaSet
+		period     ratio.Rat
+		want       string
+	}{
+		{"phi", r(1, 1), r(1, 1), taskgraph.MustQuanta(1000000000000000, 1000000000000001),
+			r(1000000000000000000, 1), "capacity: task a: minimal start distance φ: ratio: int64 overflow in mul"},
+		{"eq3", r(1, 4000000007), r(1, 4000000009), taskgraph.MustQuanta(1),
+			r(1, 1), "capacity: buffer a->b: ratio: int64 overflow in add"},
+	}
+	for _, c := range cases {
+		g, err := taskgraph.Pair("a", c.rhoA, "b", c.rhoB, c.prod, taskgraph.MustQuanta(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Compute(g, taskgraph.Constraint{Task: "b", Period: c.period}, PolicyHybrid)
+		var oe *ratio.OverflowError
+		if !errors.As(err, &oe) {
+			t.Fatalf("%s: Compute error %v does not wrap *ratio.OverflowError", c.name, err)
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
 	}
 }

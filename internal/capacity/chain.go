@@ -3,6 +3,7 @@ package capacity
 import (
 	"fmt"
 
+	"vrdfcap/internal/bounds"
 	"vrdfcap/internal/ratio"
 )
 
@@ -47,22 +48,39 @@ func Anchored(res *Result) (*ChainSchedule, error) {
 	sinkRho := res.Checks[len(res.Checks)-1].Rho
 	for i := range res.Buffers {
 		br := &res.Buffers[i]
-		lines := br.AnchoredLines()
-		// Shift the pair's zero-anchored lines to the chain anchor.
-		lines.DataUpper = lines.DataUpper.Shift(anchor)
-		lines.DataLower = lines.DataLower.Shift(anchor)
-		lines.SpaceLower = lines.SpaceLower.Shift(anchor)
-		lines.SpaceUpper = lines.SpaceUpper.Shift(anchor)
-		lines.ConsumerOffset = lines.ConsumerOffset.Add(anchor)
+		lines, err := br.AnchoredLines()
+		if err == nil {
+			// Shift the pair's zero-anchored lines to the chain anchor.
+			err = lines.shift(anchor)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("capacity: buffer %s: anchored bounds: %w", br.Buffer, err)
+		}
 		cs.Anchors = append(cs.Anchors, anchor)
 		cs.Lines = append(cs.Lines, lines)
 		// The consumer of buffer i is the producer of buffer i+1: its
 		// first start in the bound schedule anchors the next pair.
 		anchor = lines.ConsumerOffset
 	}
+	latency, err := anchor.AddChecked(sinkRho)
+	if err != nil {
+		return nil, fmt.Errorf("capacity: latency bound: %w", err)
+	}
 	cs.SinkOffset = anchor
-	cs.LatencyBound = anchor.Add(sinkRho)
+	cs.LatencyBound = latency
 	return cs, nil
+}
+
+// shift displaces every line and the consumer offset by d.
+func (pl *PairLines) shift(d ratio.Rat) error {
+	var err error
+	for _, l := range []*bounds.Line{&pl.DataUpper, &pl.DataLower, &pl.SpaceLower, &pl.SpaceUpper} {
+		if *l, err = shifted(*l, d); err != nil {
+			return err
+		}
+	}
+	pl.ConsumerOffset, err = pl.ConsumerOffset.AddChecked(d)
+	return err
 }
 
 // Note on lines.DataLower.Shift: PairLines.DataUpper and DataLower are the

@@ -34,17 +34,46 @@ type PairLines struct {
 // AnchoredLines materialises the pair's bound lines in the anchoring where
 // the producing task's first firing starts at time 0. For the first buffer
 // of a chain this is the natural absolute anchoring; for downstream buffers
-// shift every offset by the upstream accumulation as needed.
-func (br *BufferResult) AnchoredLines() PairLines {
+// shift every offset by the upstream accumulation as needed. It fails when
+// an offset is not representable in int64 rationals.
+func (br *BufferResult) AnchoredLines() (PairLines, error) {
 	mu := br.Mu
 	dataUpper := bounds.Line{Offset: br.RhoProd, Mu: mu}
-	spaceLower := bounds.Line{Offset: mu.MulInt(br.ProdMax - 1).Neg(), Mu: mu}
-	spaceUpper := spaceLower.Shift(br.Distances.SpaceGap)
+	lead, err := mu.MulChecked(ratio.FromInt(br.ProdMax - 1))
+	if err != nil {
+		return PairLines{}, err
+	}
+	spaceOffset, err := lead.NegChecked()
+	if err != nil {
+		return PairLines{}, err
+	}
+	spaceLower := bounds.Line{Offset: spaceOffset, Mu: mu}
+	spaceUpper, err := shifted(spaceLower, br.Distances.SpaceGap)
+	if err != nil {
+		return PairLines{}, err
+	}
+	// The consumer's binding token γ̂ on the data upper bound:
+	// ρ(producer) + μ·(γ̂ − 1).
+	lag, err := mu.MulChecked(ratio.FromInt(br.ConsMax - 1))
+	if err != nil {
+		return PairLines{}, err
+	}
+	consumerOffset, err := br.RhoProd.AddChecked(lag)
+	if err != nil {
+		return PairLines{}, err
+	}
 	return PairLines{
 		DataUpper:      dataUpper,
 		DataLower:      dataUpper,
 		SpaceLower:     spaceLower,
 		SpaceUpper:     spaceUpper,
-		ConsumerOffset: dataUpper.At(br.ConsMax),
-	}
+		ConsumerOffset: consumerOffset,
+	}, nil
+}
+
+// shifted returns l displaced vertically (in time) by d, or the overflow
+// error Line.Shift would panic with.
+func shifted(l bounds.Line, d ratio.Rat) (bounds.Line, error) {
+	offset, err := l.Offset.AddChecked(d)
+	return bounds.Line{Offset: offset, Mu: l.Mu}, err
 }

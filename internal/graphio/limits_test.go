@@ -1,8 +1,10 @@
 package graphio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -150,6 +152,32 @@ func TestLimitsRangeNotExpanded(t *testing.T) {
 func TestDefaultLimitsAcceptRepoDocuments(t *testing.T) {
 	if _, _, err := DecodeAnyLimited([]byte(mp3Text), DefaultLimits); err != nil {
 		t.Fatalf("DefaultLimits rejected the MP3 chain: %v", err)
+	}
+}
+
+// TestDefaultLimitsAcceptLongLine pins that a line's length is bounded
+// only by MaxBytes: testdata/mp3.txt with a 70,000-byte comment line, 71 KB
+// in all, decodes under DefaultLimits to the graph mp3.txt decodes to. A
+// bufio.Scanner caps a line at 64 KiB and rejected this document.
+func TestDefaultLimitsAcceptLongLine(t *testing.T) {
+	doc, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := append([]byte("# "+strings.Repeat("x", 70000-3)+"\n"), doc...)
+	if len(long) > DefaultLimits.MaxBytes {
+		t.Fatalf("document of %d bytes exceeds DefaultLimits", len(long))
+	}
+	g, c, err := DecodeAnyLimited(long, DefaultLimits)
+	if err != nil {
+		t.Fatalf("DefaultLimits rejected mp3.txt with a long comment line: %v", err)
+	}
+	wg, wc, err := DecodeAny(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := EncodeText(g, c), EncodeText(wg, wc); !bytes.Equal(got, want) {
+		t.Fatalf("decoded to\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -1,12 +1,13 @@
 package graphio
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
@@ -32,47 +33,60 @@ func DecodeText(data []byte) (*taskgraph.Graph, *taskgraph.Constraint, error) {
 // decodeText parses the text format under the limits. Counts are checked
 // incrementally as declarations parse (the document is rejected at the
 // first excess line) and quanta ranges are width-checked before expansion.
+//
+// Lines end at '\n', with one trailing '\r' dropped, and fields are
+// separated by runs of Unicode white space, as bufio.ScanLines and
+// strings.Fields would split them; a line may be as long as the document.
+// Only a line that holds more than a comment becomes a string, and its
+// fields are substrings of it.
 func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint, error) {
 	if err := l.checkBytes(len(data)); err != nil {
 		return nil, nil, err
 	}
 	g := taskgraph.New()
 	var con *taskgraph.Constraint
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	var fieldStore [12]string // a buffer line with both options has 12 fields
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		raw := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			raw, data = data[:i], data[i+1:]
+		} else {
+			data = nil
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
+		if n := len(raw); n > 0 && raw[n-1] == '\r' {
+			raw = raw[:n-1]
+		}
+		if i := bytes.IndexByte(raw, '#'); i >= 0 {
+			raw = raw[:i]
+		}
+		if len(raw) == 0 {
 			continue
 		}
-		fail := func(format string, args ...interface{}) error {
-			return fmt.Errorf("graphio: line %d: %s", lineNo, fmt.Sprintf(format, args...))
+		line := string(raw)
+		fields := appendFields(fieldStore[:0], line)
+		if len(fields) == 0 {
+			continue
 		}
 		switch fields[0] {
 		case "task":
 			// task <name> wcrt <rat>
 			if len(fields) != 4 || fields[2] != "wcrt" {
-				return nil, nil, fail("expected 'task <name> wcrt <time>', got %q", line)
+				return nil, nil, lineError(lineNo, "expected 'task <name> wcrt <time>', got %q", line)
 			}
 			if err := l.checkTasks(len(g.Tasks()) + 1); err != nil {
 				return nil, nil, err
 			}
 			wcrt, err := ratio.Parse(fields[3])
 			if err != nil {
-				return nil, nil, fail("bad wcrt: %v", err)
+				return nil, nil, lineError(lineNo, "bad wcrt: %v", err)
 			}
 			if _, err := g.AddTask(fields[1], wcrt); err != nil {
-				return nil, nil, fail("%v", err)
+				return nil, nil, lineError(lineNo, "%v", err)
 			}
 		case "buffer":
 			// buffer <prod> -> <cons> prod <q> cons <q> [cap n] [bytes n]
 			if len(fields) < 8 || fields[2] != "->" || fields[4] != "prod" || fields[6] != "cons" {
-				return nil, nil, fail("expected 'buffer <producer> -> <consumer> prod <quanta> cons <quanta> [cap n] [bytes n]', got %q", line)
+				return nil, nil, lineError(lineNo, "expected 'buffer <producer> -> <consumer> prod <quanta> cons <quanta> [cap n] [bytes n]', got %q", line)
 			}
 			if err := l.checkBuffers(len(g.Buffers()) + 1); err != nil {
 				return nil, nil, err
@@ -82,14 +96,14 @@ func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint,
 				if IsLimit(err) {
 					return nil, nil, err
 				}
-				return nil, nil, fail("bad production quanta: %v", err)
+				return nil, nil, lineError(lineNo, "bad production quanta: %v", err)
 			}
 			cons, err := parseQuantaLimited(fields[7], l)
 			if err != nil {
 				if IsLimit(err) {
 					return nil, nil, err
 				}
-				return nil, nil, fail("bad consumption quanta: %v", err)
+				return nil, nil, lineError(lineNo, "bad consumption quanta: %v", err)
 			}
 			buf := taskgraph.Buffer{
 				Producer: fields[1],
@@ -100,11 +114,11 @@ func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint,
 			rest := fields[8:]
 			for len(rest) > 0 {
 				if len(rest) < 2 {
-					return nil, nil, fail("dangling option %q", rest[0])
+					return nil, nil, lineError(lineNo, "dangling option %q", rest[0])
 				}
 				n, err := strconv.ParseInt(rest[1], 10, 64)
 				if err != nil {
-					return nil, nil, fail("bad %s value %q", rest[0], rest[1])
+					return nil, nil, lineError(lineNo, "bad %s value %q", rest[0], rest[1])
 				}
 				switch rest[0] {
 				case "cap":
@@ -112,32 +126,29 @@ func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint,
 				case "bytes":
 					buf.ContainerBytes = n
 				default:
-					return nil, nil, fail("unknown buffer option %q", rest[0])
+					return nil, nil, lineError(lineNo, "unknown buffer option %q", rest[0])
 				}
 				rest = rest[2:]
 			}
 			if _, err := g.AddBuffer(buf); err != nil {
-				return nil, nil, fail("%v", err)
+				return nil, nil, lineError(lineNo, "%v", err)
 			}
 		case "constraint":
 			// constraint <task> period <rat>
 			if len(fields) != 4 || fields[2] != "period" {
-				return nil, nil, fail("expected 'constraint <task> period <time>', got %q", line)
+				return nil, nil, lineError(lineNo, "expected 'constraint <task> period <time>', got %q", line)
 			}
 			if con != nil {
-				return nil, nil, fail("duplicate constraint")
+				return nil, nil, lineError(lineNo, "duplicate constraint")
 			}
 			period, err := ratio.Parse(fields[3])
 			if err != nil {
-				return nil, nil, fail("bad period: %v", err)
+				return nil, nil, lineError(lineNo, "bad period: %v", err)
 			}
 			con = &taskgraph.Constraint{Task: fields[1], Period: period}
 		default:
-			return nil, nil, fail("unknown directive %q", fields[0])
+			return nil, nil, lineError(lineNo, "unknown directive %q", fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("graphio: %w", err)
 	}
 	if con != nil {
 		if err := con.Validate(g); err != nil {
@@ -145,6 +156,37 @@ func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint,
 		}
 	}
 	return g, con, nil
+}
+
+// lineError reports a syntax error on a line of a text document.
+func lineError(lineNo int, format string, args ...any) error {
+	return fmt.Errorf("graphio: line %d: %s", lineNo, fmt.Sprintf(format, args...))
+}
+
+// appendFields appends the fields of s to dst: the maximal runs of
+// characters that are not Unicode white space, exactly as strings.Fields
+// returns them (a byte that is not valid UTF-8 is not white space).
+func appendFields(dst []string, s string) []string {
+	start := -1 // offset of the field being scanned, or -1 between fields
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 var textBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -186,12 +228,15 @@ func parseQuanta(s string) (taskgraph.QuantaSet, error) {
 // is expanded, so a tiny document cannot demand a huge allocation.
 func parseQuantaLimited(s string, l Limits) (taskgraph.QuantaSet, error) {
 	if strings.HasPrefix(s, "{") && strings.HasSuffix(s, "}") {
-		parts := strings.Split(s[1:len(s)-1], ",")
-		if err := l.checkQuanta(len(parts)); err != nil {
+		members := s[1 : len(s)-1]
+		if err := l.checkQuanta(strings.Count(members, ",") + 1); err != nil {
 			return taskgraph.QuantaSet{}, err
 		}
-		vals := make([]int64, 0, len(parts))
-		for _, p := range parts {
+		var store [16]int64
+		vals := store[:0]
+		for more := true; more; {
+			var p string
+			p, members, more = strings.Cut(members, ",")
 			v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 			if err != nil {
 				return taskgraph.QuantaSet{}, fmt.Errorf("bad set member %q", p)

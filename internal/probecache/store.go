@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -282,49 +284,65 @@ func (s *Store) Stats() StoreStats {
 // cannot be fingerprinted, so callers must fold a faithful textual
 // description of them into parts; omitting a distinguishing part conflates
 // distinct problems and poisons the shared cache.
+//
+// The preimage is built whole in one buffer and hashed with one call: each
+// field is its bytes and a 0 byte, numbers in decimal, tasks in name order
+// and buffers in DefaultName order.
 func GraphKey(g *taskgraph.Graph, parts ...string) string {
-	h := sha256.New()
-	buf := make([]byte, 0, 64)
-	field := func(s string) {
-		buf = append(buf[:0], s...)
-		buf = append(buf, 0)
-		h.Write(buf)
-	}
-	num := func(n int64) {
-		buf = strconv.AppendInt(buf[:0], n, 10)
-		buf = append(buf, 0)
-		h.Write(buf)
-	}
+	var stack [1024]byte // a sized §5 MP3 minimisation key hashes about 385 bytes
+	pre := stack[:0]
 	if g != nil {
-		tasks := append([]*taskgraph.Task(nil), g.Tasks()...)
-		sort.Slice(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
-		for _, t := range tasks {
-			field("task")
-			field(t.Name)
-			num(t.WCRT.Num())
-			num(t.WCRT.Den())
+		tasks := slices.Clone(g.Tasks())
+		slices.SortFunc(tasks, func(a, b *taskgraph.Task) int { return strings.Compare(a.Name, b.Name) })
+		buffers := make([]namedBuffer, len(g.Buffers()))
+		for i, b := range g.Buffers() {
+			buffers[i] = namedBuffer{name: b.DefaultName(), b: b}
 		}
-		buffers := append([]*taskgraph.Buffer(nil), g.Buffers()...)
-		sort.Slice(buffers, func(i, j int) bool { return buffers[i].DefaultName() < buffers[j].DefaultName() })
-		for _, b := range buffers {
-			field("buffer")
-			field(b.DefaultName())
-			field(b.Producer)
-			field(b.Consumer)
+		slices.SortFunc(buffers, func(a, b namedBuffer) int { return strings.Compare(a.name, b.name) })
+		for _, t := range tasks {
+			pre = appendField(pre, "task")
+			pre = appendField(pre, t.Name)
+			pre = appendNum(pre, t.WCRT.Num())
+			pre = appendNum(pre, t.WCRT.Den())
+		}
+		for _, nb := range buffers {
+			b := nb.b
+			pre = appendField(pre, "buffer")
+			pre = appendField(pre, nb.name)
+			pre = appendField(pre, b.Producer)
+			pre = appendField(pre, b.Consumer)
 			for _, v := range b.Prod.Values() {
-				num(v)
+				pre = appendNum(pre, v)
 			}
-			field("cons")
+			pre = appendField(pre, "cons")
 			for _, v := range b.Cons.Values() {
-				num(v)
+				pre = appendNum(pre, v)
 			}
-			num(b.Capacity)
-			num(b.ContainerBytes)
+			pre = appendNum(pre, b.Capacity)
+			pre = appendNum(pre, b.ContainerBytes)
 		}
 	}
 	for _, p := range parts {
-		field("part")
-		field(p)
+		pre = appendField(pre, "part")
+		pre = appendField(pre, p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(pre)
+	return hex.EncodeToString(sum[:])
+}
+
+// namedBuffer pairs a buffer with its DefaultName, computed once for the
+// sort.
+type namedBuffer struct {
+	name string
+	b    *taskgraph.Buffer
+}
+
+// appendField appends one string field of a GraphKey preimage.
+func appendField(pre []byte, s string) []byte {
+	return append(append(pre, s...), 0)
+}
+
+// appendNum appends one number field of a GraphKey preimage.
+func appendNum(pre []byte, n int64) []byte {
+	return append(strconv.AppendInt(pre, n, 10), 0)
 }

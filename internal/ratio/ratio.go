@@ -371,11 +371,21 @@ func (r Rat) Float64() float64 {
 
 // String formats r as "n" when integral and "n/d" otherwise.
 func (r Rat) String() string {
+	var buf [41]byte // "-9223372036854775808/9223372036854775807"
+	b, _ := r.AppendText(buf[:0])
+	return string(b)
+}
+
+// AppendText implements encoding.TextAppender: it appends the String
+// format of r to b. It never fails.
+func (r Rat) AppendText(b []byte) ([]byte, error) {
 	r = r.normalised()
-	if r.den == 1 {
-		return strconv.FormatInt(r.num, 10)
+	b = strconv.AppendInt(b, r.num, 10)
+	if r.den != 1 {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, r.den, 10)
 	}
-	return strconv.FormatInt(r.num, 10) + "/" + strconv.FormatInt(r.den, 10)
+	return b, nil
 }
 
 // Parse parses "n", "n/d" or a decimal like "1.25" into a Rat.
@@ -441,7 +451,7 @@ func Parse(s string) (Rat, error) {
 }
 
 // MarshalText implements encoding.TextMarshaler using the String format.
-func (r Rat) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+func (r Rat) MarshalText() ([]byte, error) { return r.AppendText(nil) }
 
 // UnmarshalText implements encoding.TextUnmarshaler accepting the Parse
 // formats.

@@ -296,6 +296,10 @@ func TestErrorMapping(t *testing.T) {
 		{"degradation max below 1", "/v1/degradation?max=1/2", pairDoc, http.StatusBadRequest},
 		{"firings over cap", "/v1/minimize?firings=999999999", pairDoc, http.StatusBadRequest},
 		{"quanta set over limit", "/v1/size", "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod 0..9999999 cons 1\nconstraint b period 1", http.StatusBadRequest},
+		// A valid document whose φ propagation leaves int64: a typed
+		// analysis error, not a panic that drops the connection.
+		{"rational overflow", "/v1/size", overflowDoc, http.StatusBadRequest},
+		{"rational overflow minimize", "/v1/minimize", overflowDoc, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := post(t, ts, tc.path, tc.body)
@@ -323,6 +327,35 @@ func TestErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/size: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// overflowDoc is a 130-byte document whose analysis overflows int64
+// rationals: φ(a) is the 10^18 period times the 10^15 production quantum.
+const overflowDoc = `task a wcrt 1
+task b wcrt 1
+buffer a -> b prod {1000000000000000,1000000000000001} cons 1
+constraint b period 1000000000000000000
+`
+
+// TestSizeAcceptsLongLine pins that /v1/size answers a document whose
+// comment line exceeds 64 KiB but whose size is within the body limit:
+// testdata/mp3.txt behind a 70,000-byte comment line sizes like mp3.txt.
+func TestSizeAcceptsLongLine(t *testing.T) {
+	doc, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	status, body := post(t, ts, "/v1/size", "# "+strings.Repeat("x", 70000-3)+"\n"+string(doc))
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", status, body)
+	}
+	_, want := post(t, ts, "/v1/size", string(doc))
+	if !bytes.Equal(body, want) {
+		t.Fatalf("long-line document sized to\n%s\nmp3.txt sized to\n%s", body, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,7 +26,7 @@ func NewQuantaSet(values ...int64) (QuantaSet, error) {
 	}
 	sorted := make([]int64, len(values))
 	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	out := sorted[:1]
 	for _, v := range sorted[1:] {
 		if v != out[len(out)-1] {

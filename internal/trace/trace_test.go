@@ -31,7 +31,10 @@ func figure3Run(t *testing.T, consSeq quanta.Sequence, firings int64) (*sim.Resu
 		t.Fatal(err)
 	}
 	br := &res.Buffers[0]
-	lines := br.AnchoredLines()
+	lines, err := br.AnchoredLines()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sized, err := capacity.Sized(g, res)
 	if err != nil {
 		t.Fatal(err)

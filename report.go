@@ -3,98 +3,209 @@ package vrdfcap
 import (
 	"fmt"
 	"io"
-	"sync"
-	"text/tabwriter"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+
+	"vrdfcap/internal/ratio"
 )
-
-// twPool recycles tabwriter.Writers across reports: a Writer retains its
-// internal cell and line buffers, so a pooled one renders a table without
-// re-growing them. Init rebinds the output and resets all state.
-var twPool = sync.Pool{New: func() any { return new(tabwriter.Writer) }}
-
-func getTabWriter(w io.Writer) *tabwriter.Writer {
-	tw := twPool.Get().(*tabwriter.Writer)
-	tw.Init(w, 2, 4, 2, ' ', 0)
-	return tw
-}
-
-// putTabWriter returns a flushed writer to the pool and drops the caller's
-// output reference by re-binding to a discard writer.
-func putTabWriter(tw *tabwriter.Writer) {
-	tw.Init(io.Discard, 2, 4, 2, ' ', 0)
-	twPool.Put(tw)
-}
 
 // WriteReport renders an analysis result as an aligned text report: the
 // constraint, the per-task schedule checks (ρ against φ), the per-buffer
-// capacities under every applicable formula, and any diagnostics.
+// capacities under every applicable formula, and any diagnostics. The
+// report is built in one buffer and written with one Write.
 func WriteReport(w io.Writer, res *Result) error {
-	if _, err := fmt.Fprintf(w, "throughput constraint: task %s strictly periodic, period %s (%s, policy %s)\n",
-		res.Constraint.Task, res.Constraint.Period, res.Direction, res.Policy); err != nil {
-		return err
-	}
+	b := make([]byte, 0, reportSize(res))
+	b = append(b, "throughput constraint: task "...)
+	b = append(b, res.Constraint.Task...)
+	b = append(b, " strictly periodic, period "...)
+	b, _ = res.Constraint.Period.AppendText(b)
+	b = append(b, " ("...)
+	b = append(b, res.Direction.String()...)
+	b = append(b, ", policy "...)
+	b = append(b, res.Policy.String()...)
+	b = append(b, ")\n\n"...)
 
-	tw := getTabWriter(w)
-	defer putTabWriter(tw)
-	fmt.Fprintln(tw, "\ntask\tρ (WCRT)\tφ (min start distance)\tschedule")
+	// Room for every cell end of the larger table: 4 columns of checks,
+	// up to 7 of buffers, each with a header row.
+	t := table{ends: make([]int, 0, max(4*(len(res.Checks)+1), 7*(len(res.Buffers)+1)))}
+	t.begin(b, 4)
+	b = t.text(b, "task")
+	b = t.text(b, "ρ (WCRT)")
+	b = t.text(b, "φ (min start distance)")
+	b = t.text(b, "schedule")
 	for _, ck := range res.Checks {
-		status := "ok"
-		if !ck.OK {
-			status = "VIOLATED"
+		b = t.text(b, ck.Task)
+		b = t.rat(b, ck.Rho)
+		b = t.rat(b, ck.Phi)
+		if ck.OK {
+			b = t.text(b, "ok")
+		} else {
+			b = t.text(b, "VIOLATED")
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", ck.Task, ck.Rho, ck.Phi, status)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
+	b = t.end(b)
 
 	showMemory := res.TotalMemoryBytes() > 0
-	tw.Init(w, 2, 4, 2, ' ', 0) // flushed above; reuse for the buffer table
-	header := "\nbuffer\tμ (time/container)\teq(3) gap\teq(4) capacity\tbaseline\tselected"
+	b = append(b, '\n')
 	if showMemory {
-		header += "\tmemory"
+		t.begin(b, 7)
+	} else {
+		t.begin(b, 6)
 	}
-	fmt.Fprintln(tw, header)
+	b = t.text(b, "buffer")
+	b = t.text(b, "μ (time/container)")
+	b = t.text(b, "eq(3) gap")
+	b = t.text(b, "eq(4) capacity")
+	b = t.text(b, "baseline")
+	b = t.text(b, "selected")
+	if showMemory {
+		b = t.text(b, "memory")
+	}
 	for i := range res.Buffers {
-		b := &res.Buffers[i]
-		base := "-"
-		if b.ConstantRates {
-			base = fmt.Sprintf("%d", b.CapacityBaseline)
+		br := &res.Buffers[i]
+		b = t.text(b, br.Buffer)
+		b = t.rat(b, br.Mu)
+		b = t.rat(b, br.Distances.SpaceGap)
+		b = t.int(b, br.CapacityEq4)
+		if br.ConstantRates {
+			b = t.int(b, br.CapacityBaseline)
+		} else {
+			b = t.text(b, "-")
 		}
-		row := fmt.Sprintf("%s\t%s\t%s\t%d\t%s\t%d",
-			b.Buffer, b.Mu, b.Distances.SpaceGap, b.CapacityEq4, base, b.Capacity)
+		b = t.int(b, br.Capacity)
 		if showMemory {
-			if b.ContainerBytes > 0 {
-				row += fmt.Sprintf("\t%d B", b.MemoryBytes())
+			if br.ContainerBytes > 0 {
+				b = strconv.AppendInt(b, br.MemoryBytes(), 10)
+				b = t.text(b, " B")
 			} else {
-				row += "\t-"
+				b = t.text(b, "-")
 			}
 		}
-		fmt.Fprintln(tw, row)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
+	b = t.end(b)
 
-	if _, err := fmt.Fprintf(w, "\ntotal capacity: %d containers\n", res.TotalCapacity()); err != nil {
-		return err
-	}
+	b = append(b, "\ntotal capacity: "...)
+	b = strconv.AppendInt(b, res.TotalCapacity(), 10)
+	b = append(b, " containers\n"...)
 	if showMemory {
-		if _, err := fmt.Fprintf(w, "total memory: %d bytes\n", res.TotalMemoryBytes()); err != nil {
-			return err
-		}
+		b = append(b, "total memory: "...)
+		b = strconv.AppendInt(b, res.TotalMemoryBytes(), 10)
+		b = append(b, " bytes\n"...)
 	}
 	if !res.Valid {
-		if _, err := fmt.Fprintln(w, "\nWARNING: the throughput constraint cannot be guaranteed:"); err != nil {
-			return err
-		}
+		b = append(b, "\nWARNING: the throughput constraint cannot be guaranteed:\n"...)
 		for _, d := range res.Diagnostics {
-			if _, err := fmt.Fprintf(w, "  - %s\n", d); err != nil {
-				return err
-			}
+			b = append(b, "  - "...)
+			b = append(b, d...)
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
+}
+
+// reportSize estimates the length of res's report, so that its buffer is
+// usually allocated once: the fixed text plus a line per table row and the
+// diagnostics. The §5 MP3 report is 739 bytes of an estimated 864.
+func reportSize(res *Result) int {
+	n := 384 + 48*len(res.Checks) + 96*len(res.Buffers)
+	for _, d := range res.Diagnostics {
+		n += len(d) + 5
+	}
+	return n
+}
+
+// table lays out a table of cells the way text/tabwriter does with
+// minwidth 2, padding 2, padchar ' ' and no flags, for tables whose rows
+// all have the same number of cells: each column but the last is as wide
+// as its widest cell, counted in runes, plus 2, and the last cell of a row
+// is not padded. Cells are appended to the output as they come; end pads
+// them in place once every column's width is known.
+type table struct {
+	start int   // offset of the table's first cell in the output
+	ncol  int   // cells per row, at most maxColumns
+	ends  []int // offset just past each cell so far, row by row
+}
+
+// maxColumns bounds the cells per row, so end keeps its widths on the
+// stack.
+const maxColumns = 8
+
+// columnPadding is the space text/tabwriter puts after the widest cell of
+// a column.
+const columnPadding = 2
+
+// begin starts a table of ncol columns at the end of b.
+func (t *table) begin(b []byte, ncol int) {
+	t.start, t.ncol, t.ends = len(b), ncol, t.ends[:0]
+}
+
+// text appends a cell holding s.
+func (t *table) text(b []byte, s string) []byte {
+	b = append(b, s...)
+	t.ends = append(t.ends, len(b))
+	return b
+}
+
+// rat appends a cell holding r.
+func (t *table) rat(b []byte, r ratio.Rat) []byte {
+	b, _ = r.AppendText(b)
+	t.ends = append(t.ends, len(b))
+	return b
+}
+
+// int appends a cell holding n in decimal.
+func (t *table) int(b []byte, n int64) []byte {
+	b = strconv.AppendInt(b, n, 10)
+	t.ends = append(t.ends, len(b))
+	return b
+}
+
+// end pads the table's cells and ends every row with a newline. It grows
+// b by the padding and the newlines, then moves the cells to their final
+// offsets from the last to the first: a cell only ever moves right, past
+// ground its successors have already left.
+func (t *table) end(b []byte) []byte {
+	var widths [maxColumns]int
+	last := t.ncol - 1
+	grow := len(t.ends) / t.ncol // one newline per row
+	for pass := 0; pass < 2; pass++ {
+		start := t.start
+		for i, end := range t.ends {
+			if c := i % t.ncol; c < last {
+				n := utf8.RuneCount(b[start:end])
+				if pass == 0 {
+					widths[c] = max(widths[c], n+columnPadding)
+				} else {
+					grow += widths[c] - n
+				}
+			}
+			start = end
+		}
+	}
+	old := len(b)
+	b = slices.Grow(b, grow)[:old+grow]
+	at := len(b)
+	for i := len(t.ends) - 1; i >= 0; i-- {
+		start, end := t.start, t.ends[i]
+		if i > 0 {
+			start = t.ends[i-1]
+		}
+		if c := i % t.ncol; c == last {
+			at--
+			b[at] = '\n'
+		} else {
+			pad := widths[c] - utf8.RuneCount(b[start:end])
+			at -= pad
+			for j := at; j < at+pad; j++ {
+				b[j] = ' '
+			}
+		}
+		at -= end - start
+		copy(b[at:], b[start:end])
+	}
+	return b
 }
 
 // WriteVerification renders a simulation-based verification outcome.
@@ -155,33 +266,40 @@ func WriteVerification(w io.Writer, v *Verification) error {
 // WriteDegradation renders a fault-injection degradation curve: one row per
 // overrun factor with the verification verdict, then the slack summary —
 // how far beyond the worst-case response times the sizing still sustained
-// the throughput constraint.
+// the throughput constraint. The curve is built in one buffer and written
+// with one Write.
 func WriteDegradation(w io.Writer, curve *DegradationCurve) error {
-	tw := getTabWriter(w)
-	defer putTabWriter(tw)
-	fmt.Fprintln(tw, "overrun factor\tverdict\treason")
+	b := make([]byte, 0, 160+64*len(curve.Points))
+	t := table{ends: make([]int, 0, 3*(len(curve.Points)+1))}
+	t.begin(b, 3)
+	b = t.text(b, "overrun factor")
+	b = t.text(b, "verdict")
+	b = t.text(b, "reason")
 	for i := range curve.Points {
 		p := &curve.Points[i]
-		verdict, reason := "ok", "-"
-		if !p.OK {
-			verdict = "FAILED"
-			reason = p.Reason
+		b = t.rat(b, p.Factor)
+		if p.OK {
+			b = t.text(b, "ok")
+			b = t.text(b, "-")
+		} else {
+			b = t.text(b, "FAILED")
+			b = t.text(b, p.Reason)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", p.Factor, verdict, reason)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
+	b = t.end(b)
 	if ff := curve.FirstFailure(); ff == nil {
-		if _, err := fmt.Fprintf(w, "\nno degradation observed up to factor %s (slack >= %s)\n",
-			curve.Points[len(curve.Points)-1].Factor, curve.Slack()); err != nil {
-			return err
-		}
+		b = append(b, "\nno degradation observed up to factor "...)
+		b, _ = curve.Points[len(curve.Points)-1].Factor.AppendText(b)
+		b = append(b, " (slack >= "...)
+		b, _ = curve.Slack().AppendText(b)
+		b = append(b, ")\n"...)
 	} else {
-		if _, err := fmt.Fprintf(w, "\nfirst failure at factor %s; overrun slack %s\n",
-			ff.Factor, curve.Slack()); err != nil {
-			return err
-		}
+		b = append(b, "\nfirst failure at factor "...)
+		b, _ = ff.Factor.AppendText(b)
+		b = append(b, "; overrun slack "...)
+		b, _ = curve.Slack().AppendText(b)
+		b = append(b, '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
