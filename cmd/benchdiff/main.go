@@ -7,6 +7,7 @@
 //     (default 10) over the baseline's allocs_per_op; a baseline of exactly
 //     0 is a zero-tolerance gate — the first heap allocation on an
 //     annotated zero-alloc path fails CI, whatever the tolerance;
+//   - B/op is gated the same way against the baseline's bytes_per_op;
 //   - probes_sim may not increase at all — a probe answered by the
 //     feasibility cache that starts simulating again is a correctness-class
 //     regression of the caching layer, not noise;
@@ -15,8 +16,8 @@
 //     warm starts stopped resuming or the bound pruning stopped deciding,
 //     a regression of the warm-start layer rather than noise.
 //
-// Both metrics are hardware-independent, so the gate is meaningful on any
-// CI runner; ns/op and B/op are reported but never gated. The best (minimum)
+// These metrics are hardware-independent, so the gate is meaningful on any
+// CI runner; ns/op is reported but never gated. The best (minimum)
 // sample of each benchmark is compared, which makes -count=N runs robust to
 // scheduling noise. A baseline benchmark missing from the input fails the
 // gate: the bench set and the baseline must stay in sync.
@@ -51,6 +52,7 @@ func main() {
 type sample struct {
 	nsPerOp        float64
 	allocsOp       int64
+	bytesOp        int64
 	probesSim      float64
 	eventsPerProbe float64
 	seen           int
@@ -61,6 +63,7 @@ type sample struct {
 // allocs_per_op of 0 gates at exactly zero.
 type baselineEntry struct {
 	AllocsPerOp    *int64   `json:"allocs_per_op"`
+	BytesPerOp     *int64   `json:"bytes_per_op"`
 	ProbesSim      *float64 `json:"probes_sim"`
 	EventsPerProbe *float64 `json:"events_per_probe"`
 }
@@ -73,7 +76,7 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(out)
 	baselinePath := fs.String("baseline", "", "baseline JSON file (required)")
-	tolerance := fs.Float64("alloc-tolerance", 10, "allowed allocs/op regression in percent")
+	tolerance := fs.Float64("alloc-tolerance", 10, "allowed allocs/op and B/op regression in percent")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -131,19 +134,25 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 			continue
 		}
 		status := "ok"
-		if b.AllocsPerOp != nil && s.allocsOp >= 0 {
+		for _, m := range []struct {
+			unit string
+			base *int64
+			got  int64
+		}{{"allocs/op", b.AllocsPerOp, s.allocsOp}, {"B/op", b.BytesPerOp, s.bytesOp}} {
+			if m.base == nil || m.got < 0 {
+				continue
+			}
 			// A zero baseline means a zero limit: the tolerance is
 			// multiplicative, so an annotated zero-alloc path fails on its
 			// first allocation.
-			limit := float64(*b.AllocsPerOp) * (1 + *tolerance/100)
-			if float64(s.allocsOp) > limit {
+			if limit := float64(*m.base) * (1 + *tolerance/100); float64(m.got) > limit {
 				status = "FAIL"
-				if *b.AllocsPerOp == 0 {
-					failures = append(failures, fmt.Sprintf("%s: allocs/op %d but the baseline requires zero (zero-tolerance gate)",
-						name, s.allocsOp))
+				if *m.base == 0 {
+					failures = append(failures, fmt.Sprintf("%s: %s %d but the baseline requires zero (zero-tolerance gate)",
+						name, m.unit, m.got))
 				} else {
-					failures = append(failures, fmt.Sprintf("%s: allocs/op %d exceeds baseline %d by more than %g%%",
-						name, s.allocsOp, *b.AllocsPerOp, *tolerance))
+					failures = append(failures, fmt.Sprintf("%s: %s %d exceeds baseline %d by more than %g%%",
+						name, m.unit, m.got, *m.base, *tolerance))
 				}
 			}
 		}
@@ -157,11 +166,8 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 			failures = append(failures, fmt.Sprintf("%s: events_per_probe %g exceeds baseline %g (any increase fails)",
 				name, s.eventsPerProbe, *b.EventsPerProbe))
 		}
-		baseAllocs := "-"
-		if b.AllocsPerOp != nil {
-			baseAllocs = strconv.FormatInt(*b.AllocsPerOp, 10)
-		}
-		fmt.Fprintf(out, "%-40s %s  allocs/op %d (baseline %s)", name, status, s.allocsOp, baseAllocs)
+		fmt.Fprintf(out, "%-40s %s  allocs/op %d (baseline %s)  B/op %d (baseline %s)",
+			name, status, s.allocsOp, baselineText(b.AllocsPerOp), s.bytesOp, baselineText(b.BytesPerOp))
 		if b.ProbesSim != nil {
 			fmt.Fprintf(out, "  probes_sim %g (baseline %g)", s.probesSim, *b.ProbesSim)
 		}
@@ -180,6 +186,14 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "all %d gated benchmarks within tolerance\n", len(names))
 	return nil
+}
+
+// baselineText formats an optional baseline value, "-" when absent.
+func baselineText(v *int64) string {
+	if v == nil {
+		return "-"
+	}
+	return strconv.FormatInt(*v, 10)
 }
 
 // benchLine matches one result line of `go test -bench` output:
@@ -207,7 +221,7 @@ func parseBench(r io.Reader) (map[string]*sample, error) {
 		}
 		s, ok := out[name]
 		if !ok {
-			s = &sample{nsPerOp: -1, allocsOp: -1, probesSim: -1, eventsPerProbe: -1}
+			s = &sample{nsPerOp: -1, allocsOp: -1, bytesOp: -1, probesSim: -1, eventsPerProbe: -1}
 			out[name] = s
 		}
 		s.seen++
@@ -224,6 +238,10 @@ func parseBench(r io.Reader) (map[string]*sample, error) {
 			case "allocs/op":
 				if iv := int64(v); s.allocsOp < 0 || iv < s.allocsOp {
 					s.allocsOp = iv
+				}
+			case "B/op":
+				if iv := int64(v); s.bytesOp < 0 || iv < s.bytesOp {
+					s.bytesOp = iv
 				}
 			case "probes_sim":
 				if s.probesSim < 0 || v < s.probesSim {

@@ -77,6 +77,30 @@ BenchmarkReusedMachineRun-8   	20000	52000 ns/op	48 B/op	1 allocs/op
 	}
 }
 
+func TestBytesRegressionFails(t *testing.T) {
+	base := writeBaseline(t, testBaseline)
+	// Allocs at the baseline, but the best B/op sample is 100000: 11% over
+	// the 90000 baseline.
+	input := `
+BenchmarkSweepPeriods-8   	100	3400000 ns/op	100000 B/op	1000 allocs/op	12.00 probes_sim
+BenchmarkSweepPeriods-8   	100	3400000 ns/op	120000 B/op	1000 allocs/op	12.00 probes_sim
+BenchmarkReusedMachineRun-8   	20000	52000 ns/op	48 B/op	1 allocs/op
+`
+	out, err := runDiff(t, base, input)
+	if err == nil || !strings.Contains(err.Error(), "B/op 100000 exceeds baseline 90000") {
+		t.Fatalf("expected B/op regression failure, got %v\n%s", err, out)
+	}
+	if out, err := runDiff(t, base, input, "-alloc-tolerance", "20"); err != nil {
+		t.Fatalf("20%% tolerance should pass: %v\n%s", err, out)
+	}
+	// A zero bytes_per_op baseline admits no byte at all.
+	zero := writeBaseline(t, `{"benchmarks": {"BenchmarkServeCacheHit": {"bytes_per_op": 0}}}`)
+	_, err = runDiff(t, zero, "BenchmarkServeCacheHit-8   \t3000000\t390 ns/op\t8 B/op\t0 allocs/op\n")
+	if err == nil || !strings.Contains(err.Error(), "B/op 8 but the baseline requires zero") {
+		t.Fatalf("expected zero-tolerance B/op failure, got %v", err)
+	}
+}
+
 func TestZeroAllocBaselineIsZeroTolerance(t *testing.T) {
 	base := writeBaseline(t, `{"benchmarks": {"BenchmarkServeCacheHit": {"ns_per_op": 383, "allocs_per_op": 0}}}`)
 	// A single allocation fails, whatever the percentage tolerance: 0 times

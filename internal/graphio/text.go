@@ -37,8 +37,8 @@ func DecodeText(data []byte) (*taskgraph.Graph, *taskgraph.Constraint, error) {
 // Lines end at '\n', with one trailing '\r' dropped, and fields are
 // separated by runs of Unicode white space, as bufio.ScanLines and
 // strings.Fields would split them; a line may be as long as the document.
-// Only a line that holds more than a comment becomes a string, and its
-// fields are substrings of it.
+// A line that is empty once its comment is cut makes no string; any other
+// becomes one string, and its fields are substrings of it.
 func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint, error) {
 	if err := l.checkBytes(len(data)); err != nil {
 		return nil, nil, err

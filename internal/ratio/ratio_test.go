@@ -237,6 +237,21 @@ func TestParseBoundaryDecimals(t *testing.T) {
 	}
 }
 
+// TestAppendText pins that AppendText appends exactly String's text after
+// what the buffer already holds, at the extremes of int64 too.
+func TestAppendText(t *testing.T) {
+	for _, r := range []Rat{{}, Zero, MustNew(-7, 3), MustNew(441, 44100), FromInt(math.MinInt64),
+		MustNew(math.MinInt64, math.MaxInt64), MustNew(math.MaxInt64, math.MaxInt64-1)} {
+		got, err := r.AppendText([]byte("x="))
+		if err != nil || string(got) != "x="+r.String() {
+			t.Errorf("AppendText(%v) = %q, %v; want %q", r, got, err, "x="+r.String())
+		}
+	}
+	if s := MustNew(math.MinInt64, math.MaxInt64).String(); s != "-9223372036854775808/9223372036854775807" {
+		t.Errorf("String of the widest rational = %q", s)
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	for _, r := range []Rat{Zero, One, MustNew(-7, 3), MustNew(441, 44100), FromInt(6015)} {
 		b, err := r.MarshalText()

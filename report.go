@@ -19,7 +19,7 @@ func WriteReport(w io.Writer, res *Result) error {
 	b = append(b, "throughput constraint: task "...)
 	b = append(b, res.Constraint.Task...)
 	b = append(b, " strictly periodic, period "...)
-	b, _ = res.Constraint.Period.AppendText(b)
+	b = appendRat(b, res.Constraint.Period)
 	b = append(b, " ("...)
 	b = append(b, res.Direction.String()...)
 	b = append(b, ", policy "...)
@@ -116,6 +116,12 @@ func reportSize(res *Result) int {
 	return n
 }
 
+// appendRat appends r in its String format.
+func appendRat(b []byte, r ratio.Rat) []byte {
+	b, _ = r.AppendText(b) // AppendText never fails
+	return b
+}
+
 // table lays out a table of cells the way text/tabwriter does with
 // minwidth 2, padding 2, padchar ' ' and no flags, for tables whose rows
 // all have the same number of cells: each column but the last is as wide
@@ -141,7 +147,8 @@ func (t *table) begin(b []byte, ncol int) {
 	t.start, t.ncol, t.ends = len(b), ncol, t.ends[:0]
 }
 
-// text appends a cell holding s.
+// text appends s and ends a cell there: the cell holds s and whatever was
+// appended since the previous cell ended.
 func (t *table) text(b []byte, s string) []byte {
 	b = append(b, s...)
 	t.ends = append(t.ends, len(b))
@@ -150,7 +157,7 @@ func (t *table) text(b []byte, s string) []byte {
 
 // rat appends a cell holding r.
 func (t *table) rat(b []byte, r ratio.Rat) []byte {
-	b, _ = r.AppendText(b)
+	b = appendRat(b, r)
 	t.ends = append(t.ends, len(b))
 	return b
 }
@@ -169,30 +176,33 @@ func (t *table) int(b []byte, n int64) []byte {
 func (t *table) end(b []byte) []byte {
 	var widths [maxColumns]int
 	last := t.ncol - 1
-	grow := len(t.ends) / t.ncol // one newline per row
-	for pass := 0; pass < 2; pass++ {
-		start := t.start
-		for i, end := range t.ends {
-			if c := i % t.ncol; c < last {
-				n := utf8.RuneCount(b[start:end])
-				if pass == 0 {
-					widths[c] = max(widths[c], n+columnPadding)
-				} else {
-					grow += widths[c] - n
-				}
-			}
-			start = end
+	padded := 0 // runes in the cells that get padding
+	start, c := t.start, 0
+	for _, end := range t.ends {
+		if c < last {
+			n := utf8.RuneCount(b[start:end])
+			widths[c] = max(widths[c], n+columnPadding)
+			padded += n
+			c++
+		} else {
+			c = 0
 		}
+		start = end
+	}
+	rows := len(t.ends) / t.ncol
+	grow := rows - padded // a newline per row, and the padding
+	for _, w := range widths[:last] {
+		grow += rows * w
 	}
 	old := len(b)
 	b = slices.Grow(b, grow)[:old+grow]
-	at := len(b)
+	at, c := len(b), last
 	for i := len(t.ends) - 1; i >= 0; i-- {
 		start, end := t.start, t.ends[i]
 		if i > 0 {
 			start = t.ends[i-1]
 		}
-		if c := i % t.ncol; c == last {
+		if c == last {
 			at--
 			b[at] = '\n'
 		} else {
@@ -204,6 +214,9 @@ func (t *table) end(b []byte) []byte {
 		}
 		at -= end - start
 		copy(b[at:], b[start:end])
+		if c--; c < 0 {
+			c = last
+		}
 	}
 	return b
 }
@@ -289,15 +302,15 @@ func WriteDegradation(w io.Writer, curve *DegradationCurve) error {
 	b = t.end(b)
 	if ff := curve.FirstFailure(); ff == nil {
 		b = append(b, "\nno degradation observed up to factor "...)
-		b, _ = curve.Points[len(curve.Points)-1].Factor.AppendText(b)
+		b = appendRat(b, curve.Points[len(curve.Points)-1].Factor)
 		b = append(b, " (slack >= "...)
-		b, _ = curve.Slack().AppendText(b)
+		b = appendRat(b, curve.Slack())
 		b = append(b, ")\n"...)
 	} else {
 		b = append(b, "\nfirst failure at factor "...)
-		b, _ = ff.Factor.AppendText(b)
+		b = appendRat(b, ff.Factor)
 		b = append(b, "; overrun slack "...)
-		b, _ = curve.Slack().AppendText(b)
+		b = appendRat(b, curve.Slack())
 		b = append(b, '\n')
 	}
 	_, err := w.Write(b)
