@@ -1,6 +1,5 @@
 // Command vrdfvet is the repo's domain-invariant checker: a vet tool that
-// enforces the machine reuse protocol, the //vrdf:noalloc steady-state
-// contract, budgeted search loops, centralized ratio arithmetic, and
+// enforces budgeted search loops, centralized ratio arithmetic, and
 // determinism of the core packages. See internal/analysis/README.md for the
 // analyzer catalogue and the annotation grammar.
 //
@@ -14,7 +13,7 @@
 // gets correct per-package type information and build caching for free.
 //
 // Individual analyzers can be selected the same way as with go vet:
-// `vrdfvet -machinereuse ./...` runs only that analyzer.
+// `vrdfvet -budgetloop ./...` runs only that analyzer.
 package main
 
 import (

@@ -2,7 +2,7 @@
 // slice of golang.org/x/tools/go/analysis that the vrdfvet suite needs:
 // Analyzer/Pass/Diagnostic types, plus the shared helpers (test-file
 // detection, //vrdf: waiver-comment parsing, package-scope matching) used by
-// the five domain analyzers under internal/analysis/*.
+// the three domain analyzers under internal/analysis/*.
 //
 // The repo deliberately has no external dependencies (go.mod carries no
 // requires), so the x/tools module is not available; the API here mirrors it
@@ -26,7 +26,7 @@ import (
 // package through the Pass and reports findings via Pass.Report.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and as its command-line
-	// enable flag (e.g. `vrdfvet -machinereuse`).
+	// enable flag (e.g. `vrdfvet -budgetloop`).
 	Name string
 	// Doc is the analyzer's help text; the first line is the summary.
 	Doc string
@@ -40,13 +40,12 @@ func (a *Analyzer) String() string { return a.Name }
 // A Pass is one (analyzer, package) unit of work, carrying the syntax and
 // type information of exactly one package.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	TypesInfo  *types.Info
-	TypesSizes types.Sizes
-	Report     func(Diagnostic)
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	Report    func(Diagnostic)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -56,16 +55,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A Diagnostic is one finding.
 type Diagnostic struct {
-	Pos      token.Pos
-	End      token.Pos // optional
-	Category string    // optional
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // IsTestFile reports whether pos lies in a _test.go file. Every vrdfvet
-// analyzer skips test files: tests deliberately violate the runtime
-// protocols they pin (reuse_test.go calls Run twice to prove the dynamic
-// guard fires) and legitimately consult wall-clock deadlines.
+// analyzer skips test files: tests legitimately consult wall-clock
+// deadlines and drive the core in loops whose bound is the test itself.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

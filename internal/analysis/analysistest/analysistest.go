@@ -64,13 +64,12 @@ func runPackage(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
 	t.Helper()
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       pkg.Fset,
-		Files:      pkg.Files,
-		Pkg:        pkg.Pkg,
-		TypesInfo:  pkg.Info,
-		TypesSizes: pkg.Sizes,
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Pkg,
+		TypesInfo: pkg.Info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if _, err := a.Run(pass); err != nil {
 		t.Fatalf("%s: analyzer %s failed: %v", pkg.ImportPath, a.Name, err)

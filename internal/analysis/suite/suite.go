@@ -7,8 +7,6 @@ import (
 	"vrdfcap/internal/analysis"
 	"vrdfcap/internal/analysis/budgetloop"
 	"vrdfcap/internal/analysis/detcore"
-	"vrdfcap/internal/analysis/machinereuse"
-	"vrdfcap/internal/analysis/noalloc"
 	"vrdfcap/internal/analysis/ratioarith"
 )
 
@@ -17,8 +15,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		budgetloop.Analyzer,
 		detcore.Analyzer,
-		machinereuse.Analyzer,
-		noalloc.Analyzer,
 		ratioarith.Analyzer,
 	}
 }

@@ -187,12 +187,11 @@ func analyze(cfg *Config, analyzers []*analysis.Analyzer) ([]string, error) {
 	var out []posDiag
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        pkg,
-			TypesInfo:  info,
-			TypesSizes: load.Sizes(),
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
 		}
 		name := a.Name
 		pass.Report = func(d analysis.Diagnostic) {

@@ -64,6 +64,30 @@ func TestSweepDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestMinimalFeasiblePeriodCanceled pins that the minimal-period search
+// consults its context on every probe: a cancelled context and a passed
+// deadline stop it with the typed errors before it analyses a period.
+func TestMinimalFeasiblePeriodCanceled(t *testing.T) {
+	g := sweepPair(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"canceled", canceled, budget.ErrCanceled},
+		{"deadline", expired, budget.ErrBudgetExceeded},
+	} {
+		_, err := MinimalFeasiblePeriodOpt(g, "wb", sweepPeriodList(), PolicyEquation4, SweepOptions{Context: tc.ctx})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestSweepBudgetedMatchesUnbudgeted pins that an unexpired budget does not
 // perturb the curve.
 func TestSweepBudgetedMatchesUnbudgeted(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -397,6 +398,24 @@ func TestDeadlockCheckUnknownBuffer(t *testing.T) {
 	}
 }
 
+// bytesPerCall calls f n times and returns the least and the most heap
+// bytes one call allocated.
+func bytesPerCall(n int, f func()) (least, most uint64) {
+	var ms runtime.MemStats
+	for i := range n {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		b := ms.TotalAlloc - before
+		if i == 0 || b < least {
+			least = b
+		}
+		most = max(most, b)
+	}
+	return least, most
+}
+
 // warmSearchAllocs is what a search answered entirely by its bounds and a
 // warm frontier allocates: the working vector, the result's name-keyed
 // map, the compiled bounds' vectors, the Result and Search's check
@@ -406,8 +425,13 @@ const warmSearchAllocs = 5
 // TestSearchWarmFrontierAllocs pins the allocation cost of a fully warm
 // search: no probe simulates, and a probe answered by the bounds or the
 // frontier allocates nothing, so the §5 MP3 search (65 probes) allocates
-// as much as the Figure 1 pair's.
+// as much as the Figure 1 pair's. It also pins the bytes: every warm
+// search allocates the same bytes, so none grow with the number of
+// searches. A frontier that kept something per lookup would allocate
+// nothing on most searches and a doubling on a few, which AllocsPerRun
+// rounds away. Bytes come from TotalAlloc at GOMAXPROCS 1.
 func TestSearchWarmFrontierAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mp3Graph, err := mp3.Graph()
 	if err != nil {
 		t.Fatal(err)
@@ -455,9 +479,17 @@ func TestSearchWarmFrontierAllocs(t *testing.T) {
 		if !reflect.DeepEqual(warm.Caps, cold.Caps) || warm.CacheHits+warm.BoundHits != cold.Checks+cold.CacheHits+cold.BoundHits {
 			t.Errorf("%s: warm search %+v does not replay cold search %+v", tc.name, warm, cold)
 		}
-		t.Logf("%s: %d probes, %v allocs per search", tc.name, warm.CacheHits+warm.BoundHits, counts[i])
+		least, most := bytesPerCall(64, func() {
+			if _, err := Search(names, upper, simulate, opts); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		t.Logf("%s: %d probes, %v allocs and %d-%d B per search", tc.name, warm.CacheHits+warm.BoundHits, counts[i], least, most)
 		if counts[i] > warmSearchAllocs {
 			t.Errorf("%s: warm search allocates %v times, want at most %d", tc.name, counts[i], warmSearchAllocs)
+		}
+		if most != least {
+			t.Errorf("%s: warm searches allocate from %d to %d B; want the same bytes on every search", tc.name, least, most)
 		}
 	}
 	if counts[0] != counts[1] {

@@ -291,6 +291,8 @@ func (s *Store) Stats() StoreStats {
 func GraphKey(g *taskgraph.Graph, parts ...string) string {
 	var stack [1024]byte // a sized §5 MP3 minimisation key hashes about 385 bytes
 	pre := stack[:0]
+	var quanta [16]int64 // scratch for one quanta set; the largest §5 MP3 set holds 14
+	vals := quanta[:0]
 	if g != nil {
 		tasks := slices.Clone(g.Tasks())
 		slices.SortFunc(tasks, func(a, b *taskgraph.Task) int { return strings.Compare(a.Name, b.Name) })
@@ -311,11 +313,13 @@ func GraphKey(g *taskgraph.Graph, parts ...string) string {
 			pre = appendField(pre, nb.name)
 			pre = appendField(pre, b.Producer)
 			pre = appendField(pre, b.Consumer)
-			for _, v := range b.Prod.Values() {
+			vals = b.Prod.AppendValues(vals[:0])
+			for _, v := range vals {
 				pre = appendNum(pre, v)
 			}
 			pre = appendField(pre, "cons")
-			for _, v := range b.Cons.Values() {
+			vals = b.Cons.AppendValues(vals[:0])
+			for _, v := range vals {
 				pre = appendNum(pre, v)
 			}
 			pre = appendNum(pre, b.Capacity)

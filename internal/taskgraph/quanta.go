@@ -105,9 +105,13 @@ func (q QuantaSet) Contains(v int64) bool {
 
 // Values returns a copy of the members in ascending order.
 func (q QuantaSet) Values() []int64 {
-	out := make([]int64, len(q.values))
-	copy(out, q.values)
-	return out
+	return q.AppendValues(make([]int64, 0, len(q.values)))
+}
+
+// AppendValues appends the members in ascending order to dst and returns
+// the extended slice.
+func (q QuantaSet) AppendValues(dst []int64) []int64 {
+	return append(dst, q.values...)
 }
 
 // Len returns the number of members.
