@@ -8,10 +8,15 @@
 // The exit status is the gate: non-zero when any request failed, the
 // measured request rate fell below -min-rps, or /statsz counted fewer
 // requests than soak received responses (the server lost count), so CI can
-// run a short soak as a smoke test.
+// run a short soak as a smoke test. A 200 whose body differs from the first
+// body soak saw for the same problem counts as a failed request: every
+// variant of one problem must get one answer, whether it was a cache hit, a
+// computation or a coalesced wait, so a coalescing key too coarse to tell
+// two problems apart fails the soak.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -75,15 +80,33 @@ func run(args []string, out io.Writer) error {
 	// formatting: requests[i] cycles problems fastest, variants slower, so
 	// the stream interleaves distinct problems while exact repeats recur
 	// once the cycle wraps.
-	type request struct{ url, body string }
+	type request struct {
+		url, body string
+		problem   int
+	}
 	reqs := make([]request, 0, *problems**variants)
 	for v := 0; v < *variants; v++ {
 		for p := 0; p < *problems; p++ {
 			reqs = append(reqs, request{
-				url:  fmt.Sprintf("%s/v1/minimize?firings=%d&seed=%d", base, *firings, p+1),
-				body: fmt.Sprintf("# soak variant %d\n%s", v, doc),
+				url:     fmt.Sprintf("%s/v1/minimize?firings=%d&seed=%d", base, *firings, p+1),
+				body:    fmt.Sprintf("# soak variant %d\n%s", v, doc),
+				problem: p,
 			})
 		}
+	}
+	// answers holds the first 200 body seen per problem; every later 200
+	// for that problem must match it byte for byte.
+	answers := make([][]byte, *problems)
+	var answersMu sync.Mutex
+	var mismatches atomic.Int64
+	consistent := func(problem int, body []byte) bool {
+		answersMu.Lock()
+		defer answersMu.Unlock()
+		if answers[problem] == nil {
+			answers[problem] = body
+			return true
+		}
+		return bytes.Equal(body, answers[problem])
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -113,9 +136,14 @@ func run(args []string, out io.Writer) error {
 					continue
 				}
 				responses.Add(1)
-				_, _ = io.Copy(io.Discard, resp.Body)
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
+				if err != nil || resp.StatusCode != http.StatusOK {
+					failures.Add(1)
+					continue
+				}
+				if !consistent(r.problem, body) {
+					mismatches.Add(1)
 					failures.Add(1)
 					continue
 				}
@@ -160,7 +188,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if n := failures.Load(); n > 0 {
-		return fmt.Errorf("%d of %d requests failed", n, total)
+		return fmt.Errorf("%d of %d requests failed, %d of them with a body that differs from the problem's first answer", n, total, mismatches.Load())
 	}
 	if *minRPS > 0 && rps < *minRPS {
 		return fmt.Errorf("measured %.1f req/s, below the -min-rps floor of %.1f", rps, *minRPS)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -71,5 +72,27 @@ func TestSoakFailsWhenServerUndercounts(t *testing.T) {
 	err := run([]string{"-addr", ts.URL, "-duration", "50ms", "-concurrency", "1"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "server counted 0 requests") {
 		t.Fatalf("err = %v, want the undercount reported\n%s", err, out.String())
+	}
+}
+
+// TestSoakFailsOnInconsistentBodies pins the body-consistency gate: a
+// server that answers two variants of one problem with different 200
+// bodies fails the soak, though every status was 200.
+func TestSoakFailsOnInconsistentBodies(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/statsz" {
+			_, _ = w.Write([]byte(`{}`))
+			return
+		}
+		// Echo the variant's comment line: a key that tells variants apart.
+		body, _ := io.ReadAll(r.Body)
+		first, _, _ := strings.Cut(string(body), "\n")
+		_, _ = w.Write([]byte(first))
+	}))
+	defer ts.Close()
+	var out bytes.Buffer
+	err := run([]string{"-addr", ts.URL, "-duration", "50ms", "-concurrency", "1", "-problems", "1", "-variants", "2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "differs from the problem's first answer") {
+		t.Fatalf("err = %v, want the body mismatch reported\n%s", err, out.String())
 	}
 }

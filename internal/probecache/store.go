@@ -261,11 +261,14 @@ type StoreStats struct {
 	VerdictMisses int64 // lookups that had to compute
 }
 
-// Stats returns the store's aggregate counters.
+// Stats returns the store's aggregate counters. It only sums, so it walks
+// the entries once under s.mu in map order, copying and sorting nothing.
 func (s *Store) Stats() StoreStats {
-	entries := s.sortedEntries()
-	st := StoreStats{Entries: len(entries), Loaded: int(s.loaded.Load()), Skipped: int(s.skipped.Load())}
-	for _, e := range entries {
+	st := StoreStats{Loaded: int(s.loaded.Load()), Skipped: int(s.skipped.Load())}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st.Entries = len(s.entries)
+	for _, e := range s.entries {
 		if fr := e.frontier.Load(); fr != nil {
 			h, m := fr.Counters()
 			st.VerdictHits += h

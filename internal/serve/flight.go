@@ -14,10 +14,12 @@ type flightCall struct {
 }
 
 // flightGroup coalesces concurrent requests for the same problem into one
-// computation. Keys are canonical problem fingerprints
-// (probecache.GraphKey over the parsed graph plus every parameter that
-// co-determines the answer), NOT raw request bytes — two documents that
-// differ only in comments or field order coalesce onto the same flight.
+// computation. Keys come from requestKey — the canonical graph
+// fingerprint plus the endpoint, policy, constraint task and period and
+// the endpoint's parsed query parameters — NOT raw request bytes: two
+// documents that differ only in comments, field order or buffer order
+// coalesce onto the same flight, and two requests whose answers differ
+// never do.
 //
 // Unlike the response cache, a flight exists only while its computation
 // runs: finish removes the key before publishing the result, so a later

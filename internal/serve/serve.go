@@ -12,22 +12,26 @@
 //     performs no heap allocation (pinned by BenchmarkServeCacheHit and
 //     the //vrdf:noalloc annotations).
 //
-//   - Request coalescing. Cache misses are keyed a second time by the
-//     canonical problem fingerprint (probecache.GraphKey over the parsed
-//     graph plus every parameter that co-determines the answer): N
-//     concurrent requests for the same problem — even with textually
-//     different documents — run ONE computation, and every waiter receives
-//     byte-identical response bodies. Minimize verdicts land in the
-//     probecache store, so even after the response cache evicts, a repeat
-//     minimisation replays from the feasibility frontier instead of
-//     simulating.
+//   - Request coalescing. Cache misses are keyed a second time by
+//     requestKey: the canonical graph fingerprint (probecache.GraphKey)
+//     plus the endpoint, the policy, the constraint's task and period and
+//     the endpoint's parsed query parameters — every input a response
+//     depends on. N concurrent requests for the same problem — even with
+//     textually different documents — run ONE computation, and every
+//     waiter receives the body its own request would have computed.
+//     Minimize verdicts land in the probecache store, so even after the
+//     response cache evicts, a repeat minimisation replays from the
+//     feasibility frontier instead of simulating.
 //
 //   - Bounded everything. Documents are parsed under graphio.Limits,
 //     computations run on a fixed worker pool with a bounded queue (a full
 //     queue sheds load with 503 instead of buffering), each computation
 //     runs under a context deadline that reaches the running simulation,
-//     and the access log is a lock-free ring that drops entries under
-//     pressure rather than blocking the request path.
+//     the response and compiled-problem caches evict FIFO, and the access
+//     log is a lock-free ring that drops entries under pressure rather
+//     than blocking the request path. The verdict store (Config.Store) is
+//     the exception: it keeps one frontier per distinct minimisation
+//     fingerprint for the server's lifetime.
 package serve
 
 import (
@@ -84,7 +88,7 @@ type Config struct {
 	MaxSweepPeriods int
 	// ResponseCacheSize bounds the rendered-response cache (≤0: 1024).
 	ResponseCacheSize int
-	// ProblemCacheSize bounds the compiled-problem LRU (≤0: 64).
+	// ProblemCacheSize bounds the compiled-problem cache (≤0: 64).
 	ProblemCacheSize int
 	// LogBuffer is the access-log ring size in entries, rounded up to a
 	// power of two (≤0: 1024); LogInterval is the drain cadence (≤0: 50ms).
@@ -163,10 +167,10 @@ var ctJSON = []string{"application/json"}
 // net/http (it implements http.Handler), stop with Close.
 type Server struct {
 	cfg      Config
-	resp     *respCache
+	resp     *fifoCache[[32]byte, *respEntry]
 	flights  *flightGroup
 	pool     *workerPool
-	problems *problemCache
+	problems *fifoCache[string, *minimize.Problem]
 	ring     *ring
 	// responses counts every answer except /healthz and /statsz by its
 	// kind (kindHit ...); rejected counts the flights a full worker
@@ -187,9 +191,9 @@ func New(cfg Config) *Server {
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		resp:     newRespCache(cfg.ResponseCacheSize),
+		resp:     newFIFOCache[[32]byte, *respEntry](cfg.ResponseCacheSize),
 		flights:  newFlightGroup(),
-		problems: newProblemCache(cfg.ProblemCacheSize),
+		problems: newFIFOCache[string, *minimize.Problem](cfg.ProblemCacheSize),
 		ring:     newRing(cfg.LogBuffer),
 		baseCtx:  baseCtx,
 		cancel:   cancel,
@@ -349,7 +353,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.hashKey(r.Method, r.URL.Path, r.URL.RawQuery)
-	if e, ok := s.resp.get(&c.key); ok {
+	if e, ok := s.resp.get(c.key); ok {
 		s.respond(w, c, pathID, e, kindHit, start)
 		return
 	}
@@ -402,7 +406,7 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 		s.failRequest(w, c, pathID, start, call.err)
 		return
 	}
-	s.resp.put(&c.key, call.entry)
+	s.resp.put(c.key, call.entry)
 	s.respond(w, c, pathID, call.entry, kind, start)
 }
 
@@ -452,68 +456,94 @@ type jobSpec struct {
 	run func(ctx context.Context) (any, error)
 }
 
+// requestKey is the service's one coalescing-key recipe; it also keys the
+// compiled-problem cache. It covers every input a response depends on:
+// the canonical graph (probecache.GraphKey, blind to comments, field and
+// buffer order and the document encoding), the endpoint, the policy, the
+// constraint's task and period, and params, the endpoint's parsed query
+// values. Two requests share a flight, and so a body, only when all of
+// these agree.
+func requestKey(g *taskgraph.Graph, con *taskgraph.Constraint, endpoint string, policy capacity.Policy, params ...string) string {
+	return probecache.GraphKey(g, append([]string{"serve-" + endpoint,
+		"policy=" + policy.String(), "task=" + con.Task, "period=" + con.Period.String()}, params...)...)
+}
+
 // buildSpec validates the per-endpoint parameters and prepares the
-// computation. Cheap, pure analytic work (capacity.Compute) runs inline
-// here — it both validates the document shape before a worker slot is
-// taken and pins the coalescing fingerprint; simulation-backed work goes
-// into the returned closure.
+// computation. Parameters parse first, so a parameter error is reported
+// before an analysis error. Cheap, pure analytic work (capacity.Compute)
+// then runs inline — it validates the document shape before a worker slot
+// is taken; simulation-backed work goes into the returned closure, which
+// reads res and key once both are set.
 func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Constraint, q url.Values) (*jobSpec, error) {
 	policy, err := parsePolicy(q)
 	if err != nil {
 		return nil, err
 	}
+	var (
+		res    *capacity.Result
+		key    string
+		params []string
+		run    func(ctx context.Context) (any, error)
+	)
 	switch pathID {
 	case pathSize:
-		res, err := capacity.Compute(g, *con, policy)
-		if err != nil {
-			return nil, badReq(err)
-		}
-		key := probecache.GraphKey(g, "serve-size",
-			"policy="+policy.String(), "task="+con.Task, "period="+con.Period.String())
-		return &jobSpec{key: key, run: func(context.Context) (any, error) {
+		run = func(context.Context) (any, error) {
 			return sizeResponseOf(res, policy), nil
-		}}, nil
+		}
 
 	case pathMinimize:
 		firings, seed, err := s.horizonParams(q)
 		if err != nil {
 			return nil, err
 		}
-		res, err := capacity.Compute(g, *con, policy)
-		if err != nil {
-			return nil, badReq(err)
+		params = horizonParts(firings, seed)
+		run = func(ctx context.Context) (any, error) {
+			resp := minimizeResponse{Valid: res.Valid, Policy: policy.String(), Task: con.Task,
+				Period: con.Period.String(), Firings: firings, Seed: seed, Diagnostics: res.Diagnostics}
+			if !res.Valid {
+				return resp, nil
+			}
+			// A repeat request reuses the compiled problem and its
+			// verifiers; verdicts outlive an evicted problem in the store.
+			prob, ok := s.problems.get(key)
+			if !ok {
+				sized, err := capacity.Sized(g, res)
+				if err != nil {
+					return nil, err
+				}
+				prob, err = minimize.NewProblem(g, sized, res, *con, firings,
+					sim.UniformWorkloads(sized, seed), fmt.Sprintf("uniform:seed=%d", seed), s.cfg.Store,
+					minimize.Options{MaxEvents: s.cfg.MaxEvents, Stats: &s.effort})
+				if err != nil {
+					return nil, err
+				}
+				s.problems.put(key, prob)
+			}
+			mres, err := prob.Search(ctx)
+			if err != nil {
+				return nil, err
+			}
+			// Probe-effort counters (cache hits, events simulated)
+			// deliberately stay out of the body: cold, warm and coalesced
+			// answers to the same problem must be byte-identical. Effort
+			// is visible on /statsz.
+			for _, name := range prob.Buffers {
+				resp.Buffers = append(resp.Buffers, minimizeBuffer{
+					Name: name, Analytic: prob.Upper[name], Minimal: mres.Caps[name],
+				})
+				resp.AnalyticTotal += prob.Upper[name]
+				resp.MinimalTotal += mres.Caps[name]
+			}
+			return resp, nil
 		}
-		if !res.Valid {
-			key := probecache.GraphKey(g, "serve-minimize-invalid",
-				"policy="+policy.String(), "task="+con.Task, "period="+con.Period.String())
-			return &jobSpec{key: key, run: func(context.Context) (any, error) {
-				return minimizeResponse{Valid: false, Policy: policy.String(), Task: con.Task,
-					Period: con.Period.String(), Firings: firings, Seed: seed,
-					Diagnostics: res.Diagnostics}, nil
-			}}, nil
-		}
-		sized, err := capacity.Sized(g, res)
-		if err != nil {
-			return nil, badReq(err)
-		}
-		workload := fmt.Sprintf("uniform:seed=%d", seed)
-		fp := minimize.Fingerprint(sized, *con, firings, workload, s.cfg.MaxEvents)
-		return &jobSpec{key: fp, run: func(ctx context.Context) (any, error) {
-			return s.runMinimize(ctx, fp, workload, g, sized, res, con, policy, firings, seed)
-		}}, nil
 
 	case pathSweep:
 		periods, joined, err := s.sweepParams(q)
 		if err != nil {
 			return nil, err
 		}
-		// Validate the chain shape before taking a worker slot.
-		if _, err := capacity.Compute(g, *con, policy); err != nil {
-			return nil, badReq(err)
-		}
-		key := probecache.GraphKey(g, "serve-sweep",
-			"task="+con.Task, "policy="+policy.String(), "periods="+joined)
-		return &jobSpec{key: key, run: func(ctx context.Context) (any, error) {
+		params = []string{"periods=" + joined}
+		run = func(ctx context.Context) (any, error) {
 			// One worker per request: Config.Workers already runs
 			// requests in parallel, and results do not depend on it.
 			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
@@ -524,7 +554,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				return nil, err
 			}
 			return sweepResponseOf(con.Task, policy, pts), nil
-		}}, nil
+		}
 
 	case pathDegradation:
 		firings, seed, err := s.horizonParams(q)
@@ -535,27 +565,15 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		if err != nil {
 			return nil, err
 		}
-		res, err := capacity.Compute(g, *con, policy)
-		if err != nil {
-			return nil, badReq(err)
-		}
-		if !res.Valid {
-			key := probecache.GraphKey(g, "serve-degradation-invalid",
-				"policy="+policy.String(), "task="+con.Task, "period="+con.Period.String())
-			return &jobSpec{key: key, run: func(context.Context) (any, error) {
+		params = append([]string{"max=" + maxFactor.String()}, horizonParts(firings, seed)...)
+		run = func(ctx context.Context) (any, error) {
+			if !res.Valid {
 				return degradationResponse{Valid: false, Diagnostics: res.Diagnostics}, nil
-			}}, nil
-		}
-		sized, err := capacity.Sized(g, res)
-		if err != nil {
-			return nil, badReq(err)
-		}
-		key := probecache.GraphKey(sized, "serve-degradation",
-			"max="+maxFactor.String(),
-			fmt.Sprintf("firings=%d", firings),
-			fmt.Sprintf("seed=%d", seed),
-		)
-		return &jobSpec{key: key, run: func(ctx context.Context) (any, error) {
+			}
+			sized, err := capacity.Sized(g, res)
+			if err != nil {
+				return nil, err
+			}
 			curve, err := faults.Sweep(faults.DegradationConfig{
 				Graph:      sized,
 				Constraint: *con,
@@ -570,49 +588,16 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				return nil, err
 			}
 			return degradationResponseOf(curve), nil
-		}}, nil
-	}
-	return nil, badReqf("unknown endpoint id %d", pathID)
-}
-
-// runMinimize executes (or replays from the warm caches) one minimization.
-// The compiled problem is kept in the LRU under its fingerprint, so a
-// repeat request reuses the compiled verifiers.
-func (s *Server) runMinimize(ctx context.Context, fp, workload string, g, sized *taskgraph.Graph, res *capacity.Result, con *taskgraph.Constraint, policy capacity.Policy, firings, seed int64) (any, error) {
-	prob, ok := s.problems.get(fp)
-	if !ok {
-		var err error
-		prob, err = minimize.NewProblem(g, sized, res, *con, firings,
-			sim.UniformWorkloads(sized, seed), workload, s.cfg.Store,
-			minimize.Options{MaxEvents: s.cfg.MaxEvents, Stats: &s.effort})
-		if err != nil {
-			return nil, err
 		}
-		s.problems.put(fp, prob)
+
+	default:
+		return nil, badReqf("unknown endpoint id %d", pathID)
 	}
-	mres, err := prob.Search(ctx)
-	if err != nil {
-		return nil, err
+	if res, err = capacity.Compute(g, *con, policy); err != nil {
+		return nil, badReq(err)
 	}
-	resp := minimizeResponse{
-		Valid:   true,
-		Policy:  policy.String(),
-		Task:    con.Task,
-		Period:  con.Period.String(),
-		Firings: firings,
-		Seed:    seed,
-	}
-	// Probe-effort counters (cache hits, events simulated) deliberately
-	// stay out of the body: cold, warm and coalesced answers to the same
-	// problem must be byte-identical. Effort is visible on /statsz.
-	for _, name := range prob.Buffers {
-		resp.Buffers = append(resp.Buffers, minimizeBuffer{
-			Name: name, Analytic: prob.Upper[name], Minimal: mres.Caps[name],
-		})
-		resp.AnalyticTotal += prob.Upper[name]
-		resp.MinimalTotal += mres.Caps[name]
-	}
-	return resp, nil
+	key = requestKey(g, con, pathNames[pathID], policy, params...)
+	return &jobSpec{key: key, run: run}, nil
 }
 
 // Parameter parsing.
@@ -644,6 +629,11 @@ func (s *Server) horizonParams(q url.Values) (firings, seed int64, err error) {
 		return 0, 0, err
 	}
 	return firings, seed, nil
+}
+
+// horizonParts renders a parsed firings/seed pair as requestKey params.
+func horizonParts(firings, seed int64) []string {
+	return []string{"firings=" + strconv.FormatInt(firings, 10), "seed=" + strconv.FormatInt(seed, 10)}
 }
 
 // sweepParams parses the comma-separated period list, returning both the

@@ -774,6 +774,20 @@ func getStats(t *testing.T, ts *httptest.Server) Stats {
 	return st
 }
 
+// reverseBuffers returns doc with its buffer lines moved to the end in
+// reverse order, and how many there are.
+func reverseBuffers(doc string) (string, int) {
+	var bufLines, rest []string
+	for _, line := range strings.SplitAfter(doc, "\n") {
+		if strings.HasPrefix(line, "buffer ") {
+			bufLines = append([]string{line}, bufLines...)
+		} else {
+			rest = append(rest, line)
+		}
+	}
+	return strings.Join(append(rest, bufLines...), ""), len(bufLines)
+}
+
 // TestMinimizeBufferOrderIndependent pins that a document's buffer order
 // does not reach a minimisation: the reordered MP3 document has the same
 // fingerprint as the original, so after the original's compiled problem
@@ -786,16 +800,8 @@ func TestMinimizeBufferOrderIndependent(t *testing.T) {
 	}
 	doc := string(raw)
 	otherPeriod := strings.Replace(doc, "constraint vDAC period 1/44100", "constraint vDAC period 1/44000", 1)
-	var bufLines, rest []string
-	for _, line := range strings.SplitAfter(doc, "\n") {
-		if strings.HasPrefix(line, "buffer ") {
-			bufLines = append([]string{line}, bufLines...)
-		} else {
-			rest = append(rest, line)
-		}
-	}
-	reordered := strings.Join(append(rest, bufLines...), "")
-	if otherPeriod == doc || len(bufLines) != 3 {
+	reordered, buffers := reverseBuffers(doc)
+	if otherPeriod == doc || buffers != 3 {
 		t.Fatal("testdata/mp3.txt no longer has the expected constraint and buffer lines")
 	}
 
@@ -835,5 +841,147 @@ func TestSizeKeyPinned(t *testing.T) {
 	const want = "2c640a9a2b6443e68936ce2ba67c2fe73643c59018e16dac17404e4b32850fc4"
 	if spec.key != want {
 		t.Fatalf("/v1/size key = %s, want %s", spec.key, want)
+	}
+}
+
+// specKey decodes doc and returns the coalescing key buildSpec derives for
+// it at the given endpoint and query.
+func specKey(t *testing.T, s *Server, pathID int32, query, doc string) string {
+	t.Helper()
+	g, con, err := graphio.DecodeAny([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := url.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := s.buildSpec(pathID, g, con, q)
+	if err != nil {
+		t.Fatalf("buildSpec(%s?%s): %v", pathNames[pathID], query, err)
+	}
+	return spec.key
+}
+
+// pairAt returns pairDoc with its constraint's period replaced.
+func pairAt(period string) string {
+	return strings.Replace(pairDoc, "period 3", "period "+period, 1)
+}
+
+// TestRequestKeyCoversResponse pins what a coalescing key covers: two
+// requests whose bodies differ must get different keys (or a waiter would
+// receive the other request's answer), and two requests that differ only
+// in how the document is written must share one.
+func TestRequestKeyCoversResponse(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/mp3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp3 := string(raw)
+	reversed, _ := reverseBuffers(mp3)
+	g, con, err := graphio.DecodeAny([]byte(pairDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asJSON, err := graphio.Encode(g, con)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type req struct {
+		path       int32
+		query, doc string
+	}
+	cases := []struct {
+		name string
+		a, b req
+		same bool
+	}{
+		// Eq. 4 sizes the pair to 6 containers at both periods, but the
+		// degradation curves differ (slack 1 at τ = 4, 2 at τ = 6).
+		{"degradation period", req{pathDegradation, "max=3", pairAt("4")}, req{pathDegradation, "max=3", pairAt("6")}, false},
+		{"invalid minimize seed", req{pathMinimize, "seed=1", pairAt("1/2")}, req{pathMinimize, "seed=2", pairAt("1/2")}, false},
+		{"invalid minimize firings", req{pathMinimize, "firings=100", pairAt("1/2")}, req{pathMinimize, "firings=200", pairAt("1/2")}, false},
+		{"minimize policy", req{pathMinimize, "policy=equation4", pairDoc}, req{pathMinimize, "policy=hybrid", pairDoc}, false},
+		{"sweep periods", req{pathSweep, "periods=3,4", pairDoc}, req{pathSweep, "periods=3,6", pairDoc}, false},
+		{"comment variant", req{pathMinimize, "seed=3", pairDoc}, req{pathMinimize, "seed=3", variant(1)}, true},
+		{"buffer order", req{pathMinimize, "", mp3}, req{pathMinimize, "", reversed}, true},
+		{"JSON and text", req{pathDegradation, "max=2", pairDoc}, req{pathDegradation, "max=2", string(asJSON)}, true},
+	}
+	s := newTestServer(t, Config{})
+	for _, tc := range cases {
+		ka := specKey(t, s, tc.a.path, tc.a.query, tc.a.doc)
+		kb := specKey(t, s, tc.b.path, tc.b.query, tc.b.doc)
+		if (ka == kb) != tc.same {
+			t.Errorf("%s: keys %s and %s, want same=%v", tc.name, ka, kb, tc.same)
+		}
+	}
+}
+
+// TestCoalescedWaiterGetsOwnAnswer pins that a request never receives
+// another request's answer: a τ = 6 degradation request arriving while a
+// τ = 4 one computes gets the τ = 6 curve, and so does a later exact
+// repeat of it (the response cache stores each request's own answer).
+func TestCoalescedWaiterGetsOwnAnswer(t *testing.T) {
+	const path = "/v1/degradation?max=3"
+	fresh := func(doc string) []byte {
+		ts := httptest.NewServer(newTestServer(t, Config{}))
+		defer ts.Close()
+		status, body := post(t, ts, path, doc)
+		if status != http.StatusOK {
+			t.Fatalf("fresh server: status %d: %s", status, body)
+		}
+		return body
+	}
+	want4, want6 := fresh(pairAt("4")), fresh(pairAt("6"))
+	if bytes.Equal(want4, want6) {
+		t.Fatalf("τ = 4 and τ = 6 degradation curves agree (%s); the test needs them distinct", want4)
+	}
+
+	cfg := Config{Workers: 2}
+	release, entered := blockCompute(&cfg)
+	s := newTestServer(t, cfg)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer release()
+
+	bodies := make([][]byte, 2)
+	var wg sync.WaitGroup
+	send := func(i int, doc string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, body, err := doPost(ts, path, doc)
+			if err != nil || status != http.StatusOK {
+				t.Errorf("request %d: status %d, err %v: %s", i, status, err, body)
+			}
+			bodies[i] = body
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	send(0, pairAt("4"))
+	waitFor("the τ = 4 flight to start", func() bool { return entered.Load() == 1 })
+	send(1, pairAt("6"))
+	// The τ = 6 request either joins the running flight or leads its own.
+	waitFor("the τ = 6 request to arrive", func() bool { return waiters(s) == 1 || entered.Load() == 2 })
+	release()
+	wg.Wait()
+
+	if !bytes.Equal(bodies[0], want4) {
+		t.Errorf("τ = 4 leader got\n%s\nwant\n%s", bodies[0], want4)
+	}
+	if !bytes.Equal(bodies[1], want6) {
+		t.Errorf("τ = 6 request got\n%s\nwant\n%s", bodies[1], want6)
+	}
+	if status, body := post(t, ts, path, pairAt("6")); status != http.StatusOK || !bytes.Equal(body, want6) {
+		t.Errorf("τ = 6 repeat: status %d, got\n%s\nwant\n%s", status, body, want6)
 	}
 }
