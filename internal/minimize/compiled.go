@@ -39,12 +39,12 @@ func (p *pool[T]) put(v T) {
 	p.mu.Unlock()
 }
 
-// probeTemplate prepares a task graph for repeated capacity probes without
-// cloning it per probe: one clone is made lazily and unsized buffers get a
-// placeholder capacity, which every probe must cover. The lazy build keeps
-// the check constructors cheap and error-free, like the clone-per-probe
-// path they replace: a broken graph surfaces from the first check call,
-// when the probe engine compiles.
+// probeTemplate prepares a task graph for DeadlockFreeCheck's repeated
+// capacity probes without cloning it per probe: one clone is made lazily
+// and unsized buffers get a placeholder capacity, which every probe must
+// cover. The lazy build keeps the check constructor cheap and error-free:
+// a broken graph surfaces from the first check call, when the probe
+// machine compiles.
 type probeTemplate struct {
 	base  *taskgraph.Graph
 	once  sync.Once
@@ -53,49 +53,34 @@ type probeTemplate struct {
 	// probe that leaves one out reports it exactly as sizing an unsized
 	// graph always has.
 	unsized []taskgraph.Buffer
-	// space maps each buffer to its space edge; only spaceTokens, the
-	// path of checks that reset bare machines, builds it.
-	spaceOnce sync.Once
-	space     map[string]string
+	// space maps each buffer to its space edge.
+	space map[string]string
 }
 
 func (t *probeTemplate) build() {
 	t.sized = t.base.Clone()
+	t.space = make(map[string]string, len(t.sized.Buffers()))
 	for _, b := range t.sized.Buffers() {
 		if b.Capacity <= 0 {
 			t.unsized = append(t.unsized, *b)
 			b.Capacity = 1 // placeholder; every probe must override it
 		}
+		t.space[b.Name] = vrdf.SpaceEdge(b.Name)
 	}
 }
 
-// covers builds the template on first use and checks that caps covers
-// every originally unsized buffer. Everything else about caps is the
-// probe engine's to validate.
-func (t *probeTemplate) covers(caps map[string]int64) error {
-	t.once.Do(t.build)
-	for _, b := range t.unsized {
-		if _, ok := caps[b.DefaultName()]; !ok {
-			return fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", b.DefaultName(), b.Capacity)
-		}
-	}
-	return nil
-}
-
-// spaceTokens checks caps like covers and translates it to the space-edge
+// spaceTokens builds the template on first use, checks that caps covers
+// every originally unsized buffer, and translates caps to the space-edge
 // initial-token overrides of a compiled machine (§3.3: a capacity is the
 // initial tokens of the buffer's space edge). An unknown buffer or a
 // non-positive capacity is an error.
 func (t *probeTemplate) spaceTokens(caps map[string]int64) (map[string]int64, error) {
-	if err := t.covers(caps); err != nil {
-		return nil, err
-	}
-	t.spaceOnce.Do(func() {
-		t.space = make(map[string]string, len(t.sized.Buffers()))
-		for _, b := range t.sized.Buffers() {
-			t.space[b.Name] = vrdf.SpaceEdge(b.Name)
+	t.once.Do(t.build)
+	for _, b := range t.unsized {
+		if _, ok := caps[b.DefaultName()]; !ok {
+			return nil, fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", b.DefaultName(), b.Capacity)
 		}
-	})
+	}
 	ov := make(map[string]int64, len(caps))
 	for name, c := range caps {
 		edge, ok := t.space[name]

@@ -204,20 +204,18 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 // throughputCheck is ThroughputCheck with the context taken per probe
 // instead of from Options.Context, which it ignores.
 func throughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, o Options) probeFunc {
-	tpl := &probeTemplate{base: g}
 	pools := make([]pool[*sim.Verifier], len(workloads))
 	return func(ctx context.Context, caps map[string]int64) (bool, error) {
-		if err := tpl.covers(caps); err != nil {
-			return false, err
-		}
 		for i := range workloads {
 			if err := ctx.Err(); err != nil {
 				return false, budget.Classify(err)
 			}
 			vf, ok := pools[i].get()
 			if !ok {
+				// The verifier compiles g's unsized buffers as such, and
+				// rejects a probe that leaves one out.
 				var err error
-				vf, err = sim.CompileVerifier(tpl.sized, c, sim.VerifyOptions{
+				vf, err = sim.CompileVerifier(g, c, sim.VerifyOptions{
 					Firings:     firings,
 					Workloads:   workloads[i],
 					MaxEvents:   o.MaxEvents,

@@ -496,3 +496,50 @@ func TestSearchWarmFrontierAllocs(t *testing.T) {
 		t.Errorf("warm search allocations grow with the probe count: figure1 %v, mp3 %v", counts[0], counts[1])
 	}
 }
+
+// coldMP3SearchAllocs is what one cold §5 MP3 search allocates, as
+// BenchmarkSection5MP3Minimize records it in BENCH_sim.json: compiling
+// its one verifier, the checkpoint arena, the frontier and the search's
+// own vectors. No simulated probe allocates.
+const coldMP3SearchAllocs = 97
+
+// TestSearchColdMP3Allocs pins the allocation count of the cold §5 MP3
+// search at 2205 DAC firings, with 8 checkpoints and bound pruning, as
+// BenchmarkSection5MP3Minimize runs it: a fresh check and frontier per
+// search, 27 probes simulated. One allocation per simulated probe, or per
+// warm restore, would add tens, far past the benchmark gate's 10%.
+func TestSearchColdMP3Allocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, err := mp3.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mp3.Constraint()
+	sized, res := sizedProblem(t, g, c)
+	sufficient, necessary, err := capacity.SearchBounds(res, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := &Bounds{Sufficient: sufficient, Necessary: necessary}
+	names := mp3.BufferNames()
+	upper := map[string]int64{}
+	for _, n := range names {
+		upper[n] = sized.BufferByName(n).Capacity
+	}
+	w := []sim.Workloads{{names[0]: {Cons: quanta.Uniform(mp3.FrameSizes(), 2008)}}}
+	var found *Result
+	allocs := testing.AllocsPerRun(20, func() {
+		opts := Options{Checkpoints: 8, Bounds: bounds, Stats: &ProbeStats{}}
+		if found, err = Search(names[:], upper, ThroughputCheck(g, c, 2205, w, opts), opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if found.Total() != 5426 || found.Checks != 27 || found.CacheHits != 20 || found.BoundHits != 18 {
+		t.Fatalf("search found total %d with %d/%d/%d probes simulated/cached/bound; want 5426 with 27/20/18",
+			found.Total(), found.Checks, found.CacheHits, found.BoundHits)
+	}
+	t.Logf("cold §5 MP3 search: %v allocs", allocs)
+	if allocs > coldMP3SearchAllocs {
+		t.Errorf("cold §5 MP3 search allocates %v times; want at most %d", allocs, coldMP3SearchAllocs)
+	}
+}

@@ -460,12 +460,16 @@ type jobSpec struct {
 // compiled-problem cache. It covers every input a response depends on:
 // the canonical graph (probecache.GraphKey, blind to comments, field and
 // buffer order and the document encoding), the endpoint, the policy, the
-// constraint's task and period, and params, the endpoint's parsed query
-// values. Two requests share a flight, and so a body, only when all of
-// these agree.
-func requestKey(g *taskgraph.Graph, con *taskgraph.Constraint, endpoint string, policy capacity.Policy, params ...string) string {
-	return probecache.GraphKey(g, append([]string{"serve-" + endpoint,
-		"policy=" + policy.String(), "task=" + con.Task, "period=" + con.Period.String()}, params...)...)
+// constraint's task, its period except for /v1/sweep, which answers for
+// the periods of its query instead, and params, the endpoint's parsed
+// query values. Two requests share a flight, and so a body, only when all
+// of these agree.
+func requestKey(g *taskgraph.Graph, con *taskgraph.Constraint, pathID int32, policy capacity.Policy, params ...string) string {
+	parts := []string{"serve-" + pathNames[pathID], "policy=" + policy.String(), "task=" + con.Task}
+	if pathID != pathSweep {
+		parts = append(parts, "period="+con.Period.String())
+	}
+	return probecache.GraphKey(g, append(parts, params...)...)
 }
 
 // buildSpec validates the per-endpoint parameters and prepares the
@@ -596,7 +600,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 	if res, err = capacity.Compute(g, *con, policy); err != nil {
 		return nil, badReq(err)
 	}
-	key = requestKey(g, con, pathNames[pathID], policy, params...)
+	key = requestKey(g, con, pathID, policy, params...)
 	return &jobSpec{key: key, run: run}, nil
 }
 

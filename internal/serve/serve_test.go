@@ -17,6 +17,7 @@ import (
 
 	"vrdfcap/internal/faults"
 	"vrdfcap/internal/graphio"
+	"vrdfcap/internal/probecache"
 )
 
 // pairDoc is the paper's Figure 1 pair: producer always writes 3, consumer
@@ -914,6 +915,54 @@ func TestRequestKeyCoversResponse(t *testing.T) {
 		kb := specKey(t, s, tc.b.path, tc.b.query, tc.b.doc)
 		if (ka == kb) != tc.same {
 			t.Errorf("%s: keys %s and %s, want same=%v", tc.name, ka, kb, tc.same)
+		}
+	}
+}
+
+// TestSweepKeyIgnoresConstraintPeriod pins that /v1/sweep coalesces
+// across the constraint's period, which its body does not depend on: the
+// Figure 1 pair at τ = 4 and τ = 6 gets one sweep key, and fresh servers
+// answer the two byte-identically. Every other endpoint's key still
+// covers the period, with the bytes of the recipe that lists the period
+// after the task.
+func TestSweepKeyIgnoresConstraintPeriod(t *testing.T) {
+	const sweep = "periods=3,4,6"
+	fresh := func(doc string) []byte {
+		ts := httptest.NewServer(newTestServer(t, Config{}))
+		defer ts.Close()
+		status, body := post(t, ts, "/v1/sweep?"+sweep, doc)
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, body)
+		}
+		return body
+	}
+	if at4, at6 := fresh(pairAt("4")), fresh(pairAt("6")); !bytes.Equal(at4, at6) {
+		t.Fatalf("sweep bodies differ between τ = 4 and τ = 6:\n%s\n%s", at4, at6)
+	}
+	s := newTestServer(t, Config{})
+	if k4, k6 := specKey(t, s, pathSweep, sweep, pairAt("4")), specKey(t, s, pathSweep, sweep, pairAt("6")); k4 != k6 {
+		t.Errorf("sweep keys at τ = 4 and τ = 6 differ: %s, %s", k4, k6)
+	}
+	g, con, err := graphio.DecodeAny([]byte(pairAt("4")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := fmt.Sprintf("firings=%d", s.cfg.Firings)
+	for _, tc := range []struct {
+		path   int32
+		query  string
+		params []string
+	}{
+		{pathSize, "", nil},
+		{pathMinimize, "seed=3", []string{horizon, "seed=3"}},
+		{pathDegradation, "max=3", []string{"max=3", horizon, "seed=1"}},
+	} {
+		want := probecache.GraphKey(g, append([]string{"serve-" + pathNames[tc.path], "policy=equation4", "task=" + con.Task, "period=4"}, tc.params...)...)
+		if got := specKey(t, s, tc.path, tc.query, pairAt("4")); got != want {
+			t.Errorf("%s key = %s, want %s", pathNames[tc.path], got, want)
+		}
+		if specKey(t, s, tc.path, tc.query, pairAt("6")) == want {
+			t.Errorf("%s key ignores the constraint's period", pathNames[tc.path])
 		}
 	}
 }

@@ -346,10 +346,20 @@ func (p *portRef) at(k int64) int64 {
 	return p.seq.At(k)
 }
 
-// newPort builds a port over seq, hoisting a quanta.Constant value out of
-// the interface. A quanta.Checked wrapper is never hoisted, so under
-// Config.Validate every transfer is still checked.
-func newPort(es *edgeState, seq quanta.Sequence) portRef {
+// newPort builds a port over seq, or over the single value of the constant
+// quanta set when seq is nil, keeping a constant quantum as a plain integer.
+// Under validate every transfer is checked against set: the sequence is
+// wrapped in a quanta.Checked, which is never hoisted.
+func newPort(es *edgeState, seq quanta.Sequence, set vrdf.QuantaSet, validate bool) portRef {
+	if seq == nil {
+		if !validate {
+			return portRef{edge: es, q: set.Max()}
+		}
+		seq = quanta.Constant(set.Max())
+	}
+	if validate {
+		seq = quanta.Checked(seq, set)
+	}
 	if v, ok := quanta.ConstantValue(seq); ok {
 		return portRef{edge: es, q: v}
 	}
@@ -561,9 +571,8 @@ type Machine struct {
 	cfg        Config
 	base       TimeBase
 	actors     []*actorState
-	byName     map[string]*actorState
 	edgeList   []*edgeState
-	edgeIdx    map[string]int // edge name → edgeList index
+	edgeIdx    map[string]int // edge name → edgeList index, built by edgeIndex
 	eq         eventHeap
 	seq        int64
 	events     int64
@@ -594,6 +603,11 @@ type Machine struct {
 	ckptTokens []int64       // initial tokens of the run the checkpoints describe
 	ckptOffs   []int64       // per-actor offset the checkpoints were taken under
 	resumeTick int64         // tick of the restored checkpoint
+
+	// endTick is the tick at which the last run ended and underrun its
+	// failed start when it underran; result reads both.
+	endTick  int64
+	underrun UnderrunInfo
 }
 
 type resolvedInvariant struct {
@@ -646,76 +660,69 @@ func compile(cfg Config) (*Machine, error) {
 	if g.Actor(cfg.Stop.Actor) == nil {
 		return nil, fmt.Errorf("sim: stop actor %q not in graph", cfg.Stop.Actor)
 	}
+	gActors, gEdges := g.Actors(), g.Edges()
 
-	// Collect every rational time the run will see to build the base.
-	times := append([]ratio.Rat(nil), cfg.ExtraTimes...)
-	for _, a := range g.Actors() {
-		times = append(times, a.Rho)
-		if ac, ok := cfg.Actors[a.Name]; ok {
-			if ac.Mode == Periodic {
-				times = append(times, ac.Offset, ac.Period)
-			}
-		}
-	}
-	base, err := NewTimeBase(times...)
+	// Fold every rational time the run will see into the base.
+	base, err := NewTimeBase(cfg.ExtraTimes...)
 	if err != nil {
 		return nil, err
+	}
+	for _, a := range gActors {
+		if base, err = base.extend(a.Rho); err != nil {
+			return nil, err
+		}
+		if ac := cfg.Actors[a.Name]; ac.Mode == Periodic {
+			if base, err = base.extend(ac.Offset, ac.Period); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	m := &Machine{
 		cfg:       cfg,
 		base:      base,
-		byName:    make(map[string]*actorState),
-		edgeIdx:   make(map[string]int),
 		maxEvents: cfg.MaxEvents,
 	}
 	if m.maxEvents <= 0 {
 		m.maxEvents = defaultMaxEvents
 	}
 
-	recordStart := make(map[string]bool, len(cfg.RecordStarts))
 	for _, n := range cfg.RecordStarts {
 		if g.Actor(n) == nil {
 			return nil, fmt.Errorf("sim: RecordStarts actor %q not in graph", n)
 		}
-		recordStart[n] = true
 	}
-	recordEdge := make(map[string]bool, len(cfg.RecordTransfers))
 	for _, n := range cfg.RecordTransfers {
 		if g.EdgeByName(n) == nil {
 			return nil, fmt.Errorf("sim: RecordTransfers edge %q not in graph", n)
 		}
-		recordEdge[n] = true
 	}
-	recordOcc := make(map[string]bool, len(cfg.RecordOccupancy))
 	for _, n := range cfg.RecordOccupancy {
 		if g.EdgeByName(n) == nil {
 			return nil, fmt.Errorf("sim: RecordOccupancy edge %q not in graph", n)
 		}
-		recordOcc[n] = true
 	}
 
-	for _, ge := range g.Edges() {
-		es := &edgeState{
-			name:      ge.Name,
-			initial:   ge.Initial,
-			record:    recordEdge[ge.Name],
-			recordOcc: recordOcc[ge.Name],
-		}
-		m.edgeIdx[ge.Name] = len(m.edgeList)
-		m.edgeList = append(m.edgeList, es)
+	// The actor and edge states are carved from one backing array each.
+	edges := make([]edgeState, len(gEdges))
+	m.edgeList = make([]*edgeState, len(gEdges))
+	for i, ge := range gEdges {
+		edges[i] = edgeState{name: ge.Name, initial: ge.Initial}
+		m.edgeList[i] = &edges[i]
 	}
-
-	for i, ga := range g.Actors() {
+	actors := make([]actorState, len(gActors))
+	m.actors = make([]*actorState, len(gActors))
+	byName := make(map[string]int, len(gActors))
+	for i, ga := range gActors {
 		rhoT, err := base.Ticks(ga.Rho)
 		if err != nil {
 			return nil, fmt.Errorf("sim: actor %s: %w", ga.Name, err)
 		}
-		as := &actorState{
+		as := &actors[i]
+		*as = actorState{
 			idx:      i,
 			name:     ga.Name,
 			rhoTicks: rhoT,
-			record:   recordStart[ga.Name],
 			armedFor: -1,
 		}
 		if ac, ok := cfg.Actors[ga.Name]; ok {
@@ -740,44 +747,63 @@ func compile(cfg Config) (*Machine, error) {
 				}
 			}
 		}
-		m.actors = append(m.actors, as)
-		m.byName[ga.Name] = as
+		m.actors[i] = as
+		byName[ga.Name] = i
+	}
+	for _, n := range cfg.RecordStarts {
+		actors[byName[n]].record = true
+	}
+	for _, n := range cfg.RecordTransfers {
+		i, _ := m.edgeIndex(n)
+		edges[i].record = true
+	}
+	for _, n := range cfg.RecordOccupancy {
+		i, _ := m.edgeIndex(n)
+		edges[i].recordOcc = true
 	}
 
-	for _, ge := range g.Edges() {
+	// Every edge is one output port of its producer and one input port of
+	// its consumer. The ports are carved from one backing array too: the
+	// first pass counts each actor's ports as the lengths of slices over
+	// the whole array, the second gives each actor its own range of it.
+	ports := make([]portRef, 2*len(gEdges))
+	for _, as := range m.actors {
+		as.in, as.out = ports[:0], ports[:0]
+	}
+	for i, ge := range gEdges {
+		es := &edges[i]
+		es.producer, es.consumer = byName[ge.Src], byName[ge.Dst]
+		src, dst := &actors[es.producer], &actors[es.consumer]
+		src.out = src.out[:len(src.out)+1]
+		dst.in = dst.in[:len(dst.in)+1]
+	}
+	next := 0
+	for _, as := range m.actors {
+		nIn, nOut := len(as.in), len(as.out)
+		as.in = ports[next : next : next+nIn]
+		next += nIn
+		as.out = ports[next : next : next+nOut]
+		next += nOut
+	}
+	for i, ge := range gEdges {
 		eq := cfg.Quanta[ge.Name]
-		prod := eq.Prod
-		if prod == nil {
-			if !ge.Prod.IsConstant() {
-				return nil, fmt.Errorf("sim: edge %s has variable production quanta %v but no sequence configured", ge.Name, ge.Prod)
-			}
-			prod = quanta.Constant(ge.Prod.Max())
+		if eq.Prod == nil && !ge.Prod.IsConstant() {
+			return nil, fmt.Errorf("sim: edge %s has variable production quanta %v but no sequence configured", ge.Name, ge.Prod)
 		}
-		cons := eq.Cons
-		if cons == nil {
-			if !ge.Cons.IsConstant() {
-				return nil, fmt.Errorf("sim: edge %s has variable consumption quanta %v but no sequence configured", ge.Name, ge.Cons)
-			}
-			cons = quanta.Constant(ge.Cons.Max())
+		if eq.Cons == nil && !ge.Cons.IsConstant() {
+			return nil, fmt.Errorf("sim: edge %s has variable consumption quanta %v but no sequence configured", ge.Name, ge.Cons)
 		}
-		if cfg.Validate {
-			prod = quanta.Checked(prod, ge.Prod)
-			cons = quanta.Checked(cons, ge.Cons)
-		}
-		es := m.edgeList[m.edgeIdx[ge.Name]]
-		src := m.byName[ge.Src]
-		dst := m.byName[ge.Dst]
-		es.producer = src.idx
-		es.consumer = dst.idx
-		src.out = append(src.out, newPort(es, prod))
-		dst.in = append(dst.in, newPort(es, cons))
+		es := &edges[i]
+		src, dst := &actors[es.producer], &actors[es.consumer]
+		src.out = append(src.out, newPort(es, eq.Prod, ge.Prod, cfg.Validate))
+		dst.in = append(dst.in, newPort(es, eq.Cons, ge.Cons, cfg.Validate))
 	}
 
 	if cfg.CheckInvariants {
 		for _, inv := range cfg.Invariants {
 			ri := resolvedInvariant{name: inv.Name, max: inv.Max}
 			for _, name := range inv.Edges {
-				i, ok := m.edgeIdx[name]
+				i, ok := m.edgeIndex(name)
 				if !ok {
 					return nil, fmt.Errorf("sim: invariant %s references unknown edge %q", inv.Name, name)
 				}
@@ -787,16 +813,9 @@ func compile(cfg Config) (*Machine, error) {
 		}
 	}
 
-	m.stop = m.byName[cfg.Stop.Actor]
-	// The calendar holds at most one finish per actor, one pending
-	// periodic attempt per periodic actor and one armed shifted start per
-	// shifted actor; preallocate past that so the steady state never
-	// grows the backing array.
-	m.eq = make(eventHeap, 0, 3*len(m.actors)+8)
+	m.stop = m.actors[byName[cfg.Stop.Actor]]
+	m.eq = make(eventHeap, 0, m.calendarBound())
 	m.dirty = make([]uint64, (len(m.actors)+63)/64)
-	// runTokens and the fillFrame scratch share one backing array.
-	tokens := make([]int64, 2*len(m.edgeList))
-	m.runTokens, m.frame = tokens[:len(m.edgeList)], tokens[len(m.edgeList):]
 	if cfg.Checkpoints < 0 {
 		return nil, fmt.Errorf("sim: negative checkpoint count %d", cfg.Checkpoints)
 	}
@@ -814,8 +833,18 @@ func compile(cfg Config) (*Machine, error) {
 			m.ckptSlots = 0
 		}
 	}
+	// runTokens, the fillFrame scratch and, on a checkpointing machine, the
+	// checkpoints' key (initial tokens per edge, offsets per actor) share
+	// one backing array.
+	ne, na := len(m.edgeList), len(m.actors)
+	n := 2 * ne
 	if m.ckptSlots > 0 {
-		m.ckptTokens = make([]int64, len(m.edgeList))
+		n += ne + na
+	}
+	tokens := make([]int64, n)
+	m.runTokens, m.frame = tokens[:ne:ne], tokens[ne:2*ne:2*ne]
+	if m.ckptSlots > 0 {
+		m.ckptTokens, m.ckptOffs = tokens[2*ne:3*ne:3*ne], tokens[3*ne:3*ne:n]
 	}
 	if !cfg.CheckInvariants {
 		// Invariants are checked after every event, so their runs stay
@@ -828,6 +857,38 @@ func compile(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// calendarBound is the most events the calendar can hold at once: one
+// finish per actor (firings of one actor never overlap), one pending start
+// attempt per periodic actor and one armed start per shifted actor. The
+// calendar and every checkpoint's copy of it are allocated at this size,
+// so no run grows them.
+func (m *Machine) calendarBound() int {
+	n := len(m.actors)
+	for _, a := range m.actors {
+		if a.mode == Periodic {
+			n++
+		}
+		if a.startShift != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// edgeIndex returns the edgeList index of the named edge. The name index
+// is built on first use: only name-keyed resets, recordings and
+// invariants look edges up by name.
+func (m *Machine) edgeIndex(name string) (int, bool) {
+	if m.edgeIdx == nil {
+		m.edgeIdx = make(map[string]int, len(m.edgeList))
+		for i, es := range m.edgeList {
+			m.edgeIdx[es.name] = i
+		}
+	}
+	i, ok := m.edgeIdx[name]
+	return i, ok
 }
 
 // Base returns the machine's resolved time base.
@@ -860,7 +921,7 @@ func (m *Machine) fillFrame(initialTokens map[string]int64) error {
 		m.frame[i] = es.initial
 	}
 	for name, v := range initialTokens {
-		i, ok := m.edgeIdx[name]
+		i, ok := m.edgeIndex(name)
 		if !ok {
 			return fmt.Errorf("sim: Reset: unknown edge %q", name)
 		}
@@ -1358,25 +1419,35 @@ func (m *Machine) Run() (*Result, error) { return m.run(m.cfg.Context) }
 // run is Run under ctx (nil: no cancellation). A Verifier passes each
 // call's context here, so a pooled machine never keeps a caller's context
 // beyond the run it bounds. A run after resetWarm(frame, false) records no
-// start times and its Result carries no Starts. However the run ends, its
-// effort is counted.
+// start times and its Result carries no Starts.
 func (m *Machine) run(ctx context.Context) (*Result, error) {
+	out, err := m.verdict(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return m.result(out), nil
+}
+
+// verdict is run without the Result: it returns how the run ended and
+// allocates nothing, leaving the run's end in the machine for result to
+// read until the next reset. However the run ends, its effort is counted.
+func (m *Machine) verdict(ctx context.Context) (Outcome, error) {
 	if m.ran {
-		return nil, fmt.Errorf("sim: Machine.Run called again without Reset")
+		return 0, fmt.Errorf("sim: Machine.Run called again without Reset")
 	}
 	var resumed int64
 	if m.resumed {
 		resumed = m.events
 	}
-	res, err := m.execute(ctx)
+	out, err := m.execute(ctx)
 	m.cfg.Effort.note(m.events-resumed, resumed)
-	return res, err
+	return out, err
 }
 
-// execute is the event loop of run.
-func (m *Machine) execute(ctx context.Context) (*Result, error) {
+// execute is the event loop of verdict. It records the tick at which the
+// run ended, and for an underrun the failed start, for result.
+func (m *Machine) execute(ctx context.Context) (Outcome, error) {
 	m.ran = true
-	res := &Result{Base: m.base}
 	if m.recStarts && m.stop.record && m.stop.starts == nil {
 		// The stop actor starts at most Stop.Firings firings per run;
 		// presize its recording on the first run that records, so that run
@@ -1406,7 +1477,7 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 			}
 		}
 		if err := m.startDirty(0); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	quiescent := true // every event at tick now drained and startDirty done
@@ -1424,13 +1495,12 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 			m.push(now, evPeriodicStart, m.stop.idx)
 		}
 		if m.events >= m.maxEvents {
-			res.Outcome = LimitExceeded
-			m.fill(res, now)
-			return res, nil
+			m.endTick = now
+			return LimitExceeded, nil
 		}
 		if ctx != nil && m.events&(budgetCheckInterval-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run aborted after %d events at tick %d: %w", m.events, now, budget.Classify(err))
+				return 0, fmt.Errorf("sim: run aborted after %d events at tick %d: %w", m.events, now, budget.Classify(err))
 			}
 		}
 		// Try a run when the earliest event belongs to the actor whose event
@@ -1473,22 +1543,18 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 				break
 			}
 			if a.busyUntil > now {
-				res.Outcome = Underrun
-				res.Underrun = &UnderrunInfo{Actor: a.name, Firing: k, Tick: now}
-				m.fill(res, now)
-				return res, nil
+				m.endTick, m.underrun = now, UnderrunInfo{Actor: a.name, Firing: k, Tick: now}
+				return Underrun, nil
 			}
 			if ok, p, need := a.enabled(); !ok {
-				res.Outcome = Underrun
-				res.Underrun = &UnderrunInfo{
+				m.endTick, m.underrun = now, UnderrunInfo{
 					Actor: a.name, Firing: k, Tick: now,
 					Edge: p.edge.name, Have: p.edge.tokens, Need: need,
 				}
-				m.fill(res, now)
-				return res, nil
+				return Underrun, nil
 			}
 			if err := m.start(a, now); err != nil {
-				return nil, err
+				return 0, err
 			}
 			if a.started < m.cfg.Stop.Firings || a != m.stop {
 				m.push(a.offsetT+a.started*a.periodT, evPeriodicStart, a.idx)
@@ -1496,7 +1562,7 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 		}
 		if m.cfg.CheckInvariants {
 			if err := m.checkInvariants(now); err != nil {
-				return nil, err
+				return 0, err
 			}
 		}
 		// Drain all events at the same tick so token releases at `now`
@@ -1506,7 +1572,7 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 			continue
 		}
 		if err := m.startDirty(now); err != nil {
-			return nil, err
+			return 0, err
 		}
 		quiescent = true
 		// Checkpoint at quiescent points only: every same-tick event is
@@ -1516,12 +1582,24 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 			m.takeCheckpoint(now)
 		}
 	}
-
+	m.endTick = now
 	if m.stop.finished >= m.cfg.Stop.Firings {
-		res.Outcome = Completed
-	} else {
-		res.Outcome = Deadlocked
-		dl := &DeadlockInfo{Tick: now}
+		return Completed, nil
+	}
+	return Deadlocked, nil
+}
+
+// result builds a fresh Result of the run that just ended with outcome
+// out, with its full diagnostics: the failed start of an underrun, and for
+// a deadlock every blocked actor, read from the state the run stopped in.
+func (m *Machine) result(out Outcome) *Result {
+	res := &Result{Outcome: out, Base: m.base}
+	switch out {
+	case Underrun:
+		u := m.underrun
+		res.Underrun = &u
+	case Deadlocked:
+		dl := &DeadlockInfo{Tick: m.endTick}
 		for _, a := range m.actors {
 			if ok, p, need := a.enabled(); !ok {
 				dl.Blocked = append(dl.Blocked, BlockedActor{
@@ -1533,8 +1611,8 @@ func (m *Machine) execute(ctx context.Context) (*Result, error) {
 		sort.Slice(dl.Blocked, func(i, j int) bool { return dl.Blocked[i].Actor < dl.Blocked[j].Actor })
 		res.Deadlock = dl
 	}
-	m.fill(res, now)
-	return res, nil
+	m.fill(res, m.endTick)
+	return res
 }
 
 // fill copies machine state into the result. Recorded series are copied,

@@ -287,7 +287,7 @@ func TestRunLengthCarriesMP3DAC(t *testing.T) {
 	vf := mp3Phases(t, 2048, 2496, 882, 8)
 	carried := func(m *Machine) {
 		t.Helper()
-		dac := m.byName["vDAC"]
+		dac := actorNamed(t, m, "vDAC")
 		if dac.started != 2205 {
 			t.Fatalf("vDAC started %d firings, want 2205", dac.started)
 		}

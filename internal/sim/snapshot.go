@@ -54,36 +54,36 @@ func (m *Machine) snapshotInto(s *checkpoint, tick int64) {
 	if len(s.actors) != len(m.actors) {
 		s.actors = make([]actorSnap, len(m.actors))
 	}
+	// Fields are written in place: building each record as a value and
+	// copying it in costs a block copy per actor and edge.
 	for i, a := range m.actors {
-		s.actors[i] = actorSnap{
-			started:   a.started,
-			finished:  a.finished,
-			busyTicks: a.busyTicks,
-			busyUntil: a.busyUntil,
-			readyAt:   a.readyAt,
-			armedFor:  a.armedFor,
-			offsetT:   a.offsetT,
-			startsLen: len(a.starts),
-		}
+		sn := &s.actors[i]
+		sn.started = a.started
+		sn.finished = a.finished
+		sn.busyTicks = a.busyTicks
+		sn.busyUntil = a.busyUntil
+		sn.readyAt = a.readyAt
+		sn.armedFor = a.armedFor
+		sn.offsetT = a.offsetT
+		sn.startsLen = len(a.starts)
 	}
 	if len(s.edges) != len(m.edgeList) {
 		s.edges = make([]edgeSnap, len(m.edgeList))
 	}
 	for i, es := range m.edgeList {
-		sn := edgeSnap{
-			tokens:       es.tokens,
-			peak:         es.peak,
-			min:          es.min,
-			produced:     es.produced,
-			consumed:     es.consumed,
-			minShortfall: es.minShortfall,
-			recsLen:      len(es.recs),
-			occLen:       len(es.occ),
-		}
+		sn := &s.edges[i]
+		sn.tokens = es.tokens
+		sn.peak = es.peak
+		sn.min = es.min
+		sn.produced = es.produced
+		sn.consumed = es.consumed
+		sn.minShortfall = es.minShortfall
+		sn.recsLen = len(es.recs)
+		sn.occLen = len(es.occ)
+		sn.lastOcc = OccupancySample{}
 		if sn.occLen > 0 {
 			sn.lastOcc = es.occ[sn.occLen-1]
 		}
-		s.edges[i] = sn
 	}
 }
 
@@ -213,10 +213,11 @@ func (m *Machine) grabCheckpoint() *checkpoint {
 // — the retained slots plus the one taken before thinning — with their
 // calendars, actor and edge records carved from one backing array each, so
 // a checkpointing machine pays a fixed handful of allocations instead of
-// several per slot.
+// several per slot. Each calendar holds calendarBound events, the most a
+// run's calendar ever holds, so snapshotInto never grows one.
 func (m *Machine) newCheckpointArena() {
 	n := m.ckptSlots + 1
-	evCap, na, ne := cap(m.eq), len(m.actors), len(m.edgeList)
+	evCap, na, ne := m.calendarBound(), len(m.actors), len(m.edgeList)
 	m.ckptArena = make([]checkpoint, n)
 	evs := make([]event, n*evCap)
 	actors := make([]actorSnap, n*na)

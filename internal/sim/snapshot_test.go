@@ -38,6 +38,18 @@ func chainConfig(t *testing.T, firings int64) (Config, string) {
 	return cfg, pair.Space
 }
 
+// actorNamed returns the state of m's actor of the given name.
+func actorNamed(t testing.TB, m *Machine, name string) *actorState {
+	t.Helper()
+	for _, a := range m.actors {
+		if a.name == name {
+			return a
+		}
+	}
+	t.Fatalf("no actor %q", name)
+	return nil
+}
+
 // resumedEvents returns the events the pending run of m skips by resuming
 // from a checkpoint: 0 after a cold reset.
 func resumedEvents(m *Machine) int64 {
@@ -128,7 +140,7 @@ func TestCheckpointKeyMismatchFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.byName["tc"].offset = ticks
+		actorNamed(t, m, "tc").offset = ticks
 		if err := m.Reset(nil); err != nil {
 			t.Fatal(err)
 		}

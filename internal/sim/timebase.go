@@ -19,7 +19,13 @@ type TimeBase struct {
 // NewTimeBase returns a base in which every given rational is an integer
 // number of ticks.
 func NewTimeBase(times ...ratio.Rat) (TimeBase, error) {
-	lcm := int64(1)
+	return TimeBase{TicksPerUnit: 1}.extend(times...)
+}
+
+// extend returns the smallest base in which b's ticks and the given times
+// are all integers.
+func (b TimeBase) extend(times ...ratio.Rat) (TimeBase, error) {
+	lcm := b.TicksPerUnit
 	for _, t := range times {
 		d := t.Den()
 		g := ratio.GCD(lcm, d)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/quanta"
@@ -105,9 +106,16 @@ func AdversarialWorkloads(tg *taskgraph.Graph, adv Adversary) Workloads {
 // Every buffer must have a positive capacity; run the capacity analysis (or
 // choose capacities) first.
 func TaskGraphConfig(tg *taskgraph.Graph, w Workloads) (Config, *vrdf.Mapping, error) {
+	return taskGraphConfig(tg, w, false, true)
+}
+
+// taskGraphConfig is TaskGraphConfig. With unsized set it accepts buffers
+// of capacity 0, whose space edges then start empty, and with invariants
+// clear it registers no buffer invariants.
+func taskGraphConfig(tg *taskgraph.Graph, w Workloads, unsized, invariants bool) (Config, *vrdf.Mapping, error) {
 	for _, b := range tg.Buffers() {
-		if b.Capacity <= 0 {
-			return Config{}, nil, fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", b.DefaultName(), b.Capacity)
+		if b.Capacity < 0 || b.Capacity == 0 && !unsized {
+			return Config{}, nil, unsizedError(b.DefaultName(), b.Capacity)
 		}
 	}
 	g, m, err := vrdf.FromTaskGraph(tg)
@@ -118,10 +126,16 @@ func TaskGraphConfig(tg *taskgraph.Graph, w Workloads) (Config, *vrdf.Mapping, e
 		Graph:  g,
 		Quanta: make(map[string]EdgeQuanta, len(g.Edges())),
 	}
+	if invariants {
+		cfg.Invariants = make([]TokenInvariant, 0, len(m.Pairs))
+	}
 	for _, p := range m.Pairs {
 		wl := w[p.Buffer]
 		cfg.Quanta[p.Data] = EdgeQuanta{Prod: wl.Prod, Cons: wl.Cons}
 		cfg.Quanta[p.Space] = EdgeQuanta{Prod: wl.Cons, Cons: wl.Prod}
+		if !invariants {
+			continue
+		}
 		// Tokens on the data and space edges of one buffer can never
 		// exceed its capacity (some containers may additionally be
 		// held by in-flight firings). Registered for use with
@@ -133,6 +147,12 @@ func TaskGraphConfig(tg *taskgraph.Graph, w Workloads) (Config, *vrdf.Mapping, e
 		})
 	}
 	return cfg, m, nil
+}
+
+// unsizedError is the error for simulating a buffer without a positive
+// capacity.
+func unsizedError(buffer string, capacity int64) error {
+	return fmt.Errorf("sim: buffer %s has capacity %d; size the graph before simulating", buffer, capacity)
 }
 
 // Verification is the outcome of VerifyThroughput.
@@ -252,18 +272,28 @@ type Verifier struct {
 	// fixedOffsets holds opts.Offsets converted to ticks, Verify's first
 	// candidates.
 	fixedOffsets []int64
-	// space maps a buffer name to its space edge's index, and spaces
-	// lists those indices in buffer order, the order in which the phase
-	// machines compile the buffer invariants (under Validate only).
-	space  map[string]int
-	spaces []int
-	frame  []int64 // the current probe's initial tokens, per edge
+	// buffers lists the buffers in the order the phase machines compile
+	// their invariants (under Validate only), which load reads a probe's
+	// capacities in.
+	buffers []verifierBuffer
+	frame   []int64 // the current probe's initial tokens, per edge
+}
+
+// verifierBuffer is one buffer of a Verifier: its name, its space edge's
+// index, and whether it was compiled unsized, so that every probe must
+// give its capacity.
+type verifierBuffer struct {
+	name    string
+	space   int
+	unsized bool
 }
 
 // CompileVerifier validates the constraint and builds the periodic phase of
 // the throughput check once; Verify builds the self-timed phase on first
-// use. The graph must be fully sized; Verify(caps) and Feasible(caps) can
-// override buffer capacities per probe without recompiling.
+// use. Verify(caps) and Feasible(caps) can override buffer capacities per
+// probe without recompiling. A buffer of capacity 0 is compiled unsized:
+// every probe must give its capacity, and one that leaves it out is the
+// error TaskGraphConfig returns for an unsized graph.
 func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOptions) (*Verifier, error) {
 	if err := c.Validate(tg); err != nil {
 		return nil, err
@@ -272,7 +302,8 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	if firings <= 0 {
 		firings = 1000
 	}
-	cfg, mapping, err := TaskGraphConfig(tg, opts.Workloads)
+	// Only Validate's machines check the buffer invariants.
+	cfg, mapping, err := taskGraphConfig(tg, opts.Workloads, true, opts.Validate)
 	if err != nil {
 		return nil, err
 	}
@@ -328,13 +359,17 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		periodic:     periodic,
 		selfTimedCfg: cfg,
 		periodTicks:  periodTicks,
-		space:        make(map[string]int, len(mapping.Pairs)),
-		spaces:       make([]int, len(mapping.Pairs)),
+		buffers:      make([]verifierBuffer, len(mapping.Pairs)),
 		frame:        make([]int64, len(periodic.edgeList)),
 	}
 	for k, p := range mapping.Pairs {
-		vf.space[p.Buffer] = periodic.edgeIdx[p.Space]
-		vf.spaces[k] = periodic.edgeIdx[p.Space]
+		// vrdf.FromTaskGraph adds each buffer's data edge, then its space
+		// edge, and the machine keeps the graph's edge order.
+		space := periodic.edgeList[2*k+1]
+		if space.name != p.Space {
+			return nil, fmt.Errorf("sim: internal error: buffer %s has space edge %s, not %s", p.Buffer, space.name, p.Space)
+		}
+		vf.buffers[k] = verifierBuffer{name: p.Buffer, space: 2*k + 1, unsized: space.initial == 0}
 	}
 	for _, o := range opts.Offsets {
 		t, err := periodic.Base().Ticks(o)
@@ -372,25 +407,37 @@ func (vf *Verifier) selfTimedPhase() (*Machine, error) {
 var slackPeriods = [...]int64{0, 1, 10, 100}
 
 // load validates caps and writes the next runs' initial-token frame: the
-// compiled tokens, with each buffer in caps at its capacity there. Every
-// buffer invariant's bound is then written from the frame. An invalid
-// entry returns an error before any machine state changes.
+// compiled tokens, with each buffer in caps at its capacity there. It
+// reads caps by looking up its own buffers in order, so an entry naming
+// none of them shows only in the count of entries found. Every buffer
+// invariant's bound is then written from the frame. An invalid entry, or
+// an unsized buffer left out, returns an error before any machine state
+// changes.
+//
+//vrdf:noalloc
 func (vf *Verifier) load(caps map[string]int64) error {
 	for i, es := range vf.periodic.edgeList {
 		vf.frame[i] = es.initial
 	}
-	for name, c := range caps {
-		e, ok := vf.space[name]
-		if !ok {
-			return fmt.Errorf("sim: Verify: unknown buffer %q", name)
+	found := 0
+	for _, b := range vf.buffers {
+		c, ok := caps[b.name]
+		switch {
+		case !ok && b.unsized:
+			return unsizedError(b.name, 0) //vrdf:allocok(the error of an invalid probe)
+		case !ok:
+			continue
+		case c <= 0:
+			return fmt.Errorf("sim: Verify: buffer %s capacity %d must be positive", b.name, c) //vrdf:allocok(the error of an invalid probe)
 		}
-		if c <= 0 {
-			return fmt.Errorf("sim: Verify: buffer %s capacity %d must be positive", name, c)
-		}
-		vf.frame[e] = c
+		vf.frame[b.space] = c
+		found++
+	}
+	if found < len(caps) {
+		return vf.unknownBuffer(caps)
 	}
 	for k := range vf.periodic.invariants {
-		bound := vf.frame[vf.spaces[k]]
+		bound := vf.frame[vf.buffers[k].space]
 		vf.periodic.invariants[k].max = bound
 		if vf.selfTimed != nil {
 			vf.selfTimed.invariants[k].max = bound
@@ -399,25 +446,36 @@ func (vf *Verifier) load(caps map[string]int64) error {
 	return nil
 }
 
+// unknownBuffer returns the error for an entry of caps that names none of
+// the verifier's buffers.
+func (vf *Verifier) unknownBuffer(caps map[string]int64) error {
+	for name := range caps {
+		if !slices.ContainsFunc(vf.buffers, func(b verifierBuffer) bool { return b.name == name }) {
+			return fmt.Errorf("sim: Verify: unknown buffer %q", name)
+		}
+	}
+	return nil
+}
+
 // runPeriodic runs the periodic phase under ctx from the loaded frame with
 // the constrained task — the machine's stop actor — first starting at
-// offset ticks, or at the quiet start for quietStart. The offset is set
-// before the reset, which resumes only from checkpoints taken under the
-// same offset. With starts set the run records start times and fills
-// Result.Starts.
-func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) (*Result, error) {
+// offset ticks, or at the quiet start for quietStart, and returns how the
+// run ended (see Machine.verdict). The offset is set before the reset,
+// which resumes only from checkpoints taken under the same offset. With
+// starts set the run records start times.
+func (vf *Verifier) runPeriodic(ctx context.Context, offset int64, starts bool) (Outcome, error) {
 	vf.periodic.stop.offset = offset
 	vf.periodic.resetWarm(vf.frame, starts)
-	return vf.periodic.run(ctx)
+	return vf.periodic.verdict(ctx)
 }
 
 // Verify runs both phases for one capacity assignment: buffers named in
 // caps take that capacity (their space edges' initial tokens, and their
 // invariants' bound under Validate), all others the capacity they were
-// compiled with, whatever an earlier probe asked for. An unknown buffer or
-// a non-positive capacity is an error that changes nothing. Verify(nil)
-// checks the graph as compiled. Results are bit-identical to
-// VerifyThroughput on an equivalently sized graph.
+// compiled with, whatever an earlier probe asked for. An unknown buffer, a
+// non-positive capacity or a buffer compiled unsized left out is an error
+// that changes nothing. Verify(nil) checks the graph as compiled. Results
+// are bit-identical to VerifyThroughput on an equivalently sized graph.
 //
 // Verify tries the candidate offsets in ascending order and reports the
 // first that passes, or the last failure, with full diagnostics: the
@@ -469,10 +527,11 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	//vrdf:unbudgeted(at most len fixedOffsets plus five attempts; each Run enforces the machine budget)
 	for _, ot := range offsetTicks {
 		v.Attempts++
-		periodic, err := vf.runPeriodic(ctx, ot, true)
+		out, err := vf.runPeriodic(ctx, ot, true)
 		if err != nil {
 			return nil, err
 		}
+		periodic := vf.periodic.result(out)
 		v.OffsetTicks = vf.periodic.stop.offsetT
 		v.Offset = vf.periodic.Base().Rat(v.OffsetTicks)
 		v.Periodic = periodic
@@ -529,14 +588,14 @@ func (vf *Verifier) Feasible(ctx context.Context, caps map[string]int64) (bool, 
 	if err := vf.load(caps); err != nil {
 		return false, err
 	}
-	res, err := vf.runPeriodic(ctx, quietStart, false)
+	out, err := vf.runPeriodic(ctx, quietStart, false)
 	if err != nil {
 		return false, err
 	}
-	if res.Outcome == LimitExceeded {
-		return false, budget.Exhausted(fmt.Errorf("sim: periodic phase hit the event cap after %d events, before a verdict", res.Events))
+	if out == LimitExceeded {
+		return false, budget.Exhausted(fmt.Errorf("sim: periodic phase hit the event cap after %d events, before a verdict", vf.periodic.events))
 	}
-	return res.Outcome == Completed, nil
+	return out == Completed, nil
 }
 
 // VerifyThroughput checks by simulation that the (sized) task graph can

@@ -634,8 +634,9 @@ func TestVerifierRepointsInvariantBounds(t *testing.T) {
 }
 
 // TestFeasibleSteadyStateAllocs pins that a warm §5 MP3 Feasible probe on a
-// reused Verifier allocates only the Result of its one periodic run: the
-// capacity assignment becomes the initial tokens without building any map.
+// reused Verifier allocates nothing: the capacity assignment becomes the
+// initial tokens without building any map, and the verdict comes from the
+// run's outcome without a Result.
 func TestFeasibleSteadyStateAllocs(t *testing.T) {
 	vf := mp3Phases(t, 6015, 3263, 883, 8)
 	names := mp3.BufferNames()
@@ -648,8 +649,8 @@ func TestFeasibleSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("warm Feasible probe allocates %.1f objects; want 1 (the periodic phase's Result)", allocs)
+	if allocs != 0 {
+		t.Errorf("warm Feasible probe allocates %.1f objects; want 0", allocs)
 	}
 }
 
@@ -714,9 +715,9 @@ func TestVerifyAfterFeasibleKeepsStarts(t *testing.T) {
 // grow with the horizon: it records no start times, so 441,000 DAC firings
 // (10 s of audio) cost the bytes 2205 do, both for compiling the Verifier
 // with its first, cold probe and for each warm probe after it. A warm probe
-// allocates one Result, 112 B; with go1.24 the cold figure is about 23 KB
-// for the one machine a Feasible-only Verifier compiles (about 41 KB when
-// every Verifier compiled a self-timed machine too).
+// allocates nothing; with go1.24 the cold figure is about 16.5 KB for the
+// one machine a Feasible-only Verifier compiles and its checkpoint arena
+// (about 41 KB when every Verifier compiled a self-timed machine too).
 func TestFeasibleBytesFlatInHorizon(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	names := mp3.BufferNames()
@@ -795,5 +796,100 @@ func TestFeasibleRunsUnderCallContext(t *testing.T) {
 	}
 	if _, err := vf.Verify(nil); !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("Verify = %v; want the compiled, cancelled VerifyOptions.Context to stop it", err)
+	}
+}
+
+// TestVerifyDiagnosticsAfterFeasible pins that Feasible's verdict-only runs
+// leave Verify's diagnostics untouched: on one checkpointing Verifier,
+// probes alternate Feasible and Verify over passing, underrunning and
+// deadlocking capacities, and every Verify returns the verdict, Reason,
+// Underrun, Deadlock and offset of a freshly compiled Verifier's Verify.
+func TestVerifyDiagnosticsAfterFeasible(t *testing.T) {
+	vf := mp3Phases(t, 6015, 3263, 883, 8)
+	names := mp3.BufferNames()
+	caps := func(d [3]int64) map[string]int64 {
+		return map[string]int64{names[0]: d[0], names[1]: d[1], names[2]: d[2]}
+	}
+	pass, underrun, deadlock := [3]int64{6015, 3263, 883}, [3]int64{6015, 3263, 600}, [3]int64{6015, 3263, 10}
+	seen := map[string]bool{}
+	for i, d := range [][3]int64{pass, underrun, deadlock, underrun, pass, deadlock, deadlock, pass, underrun} {
+		feasible, err := vf.Feasible(nil, caps(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := vf.Verify(caps(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mp3Phases(t, d[0], d[1], d[2], 8).Verify(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.OK != want.OK || feasible != want.OK || got.Reason != want.Reason || got.OffsetTicks != want.OffsetTicks ||
+			!reflect.DeepEqual(got.Underrun, want.Underrun) || !reflect.DeepEqual(got.Deadlock, want.Deadlock) {
+			t.Errorf("probe %d %v: Feasible %v, then Verify OK=%v offset %d %q underrun %+v deadlock %+v; fresh Verify OK=%v offset %d %q underrun %+v deadlock %+v",
+				i, d, feasible, got.OK, got.OffsetTicks, got.Reason, got.Underrun, got.Deadlock,
+				want.OK, want.OffsetTicks, want.Reason, want.Underrun, want.Deadlock)
+		}
+		switch {
+		case want.OK:
+			seen["pass"] = true
+		case want.Underrun != nil:
+			seen["underrun"] = true
+		case want.Deadlock != nil:
+			seen["deadlock"] = true
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("probes covered %v; want a pass, an underrun and a deadlock", seen)
+	}
+}
+
+// TestVerifierUnsizedBuffer pins the probe-input errors of a Verifier
+// compiled over a graph with an unsized buffer: a probe that leaves it out
+// gets the error TaskGraphConfig gives the unsized graph, word for word,
+// unknown and non-positive entries keep their texts, and a probe that
+// sizes every buffer gets the verdict of a Verifier compiled sized.
+func TestVerifierUnsizedBuffer(t *testing.T) {
+	names := mp3.BufferNames()
+	g := sizedMP3(t, 6015, 3263, 0)
+	_, _, want := TaskGraphConfig(g, nil)
+	if want == nil {
+		t.Fatal("TaskGraphConfig accepted an unsized graph")
+	}
+	vf, err := CompileVerifier(g, mp3.Constraint(), VerifyOptions{
+		Firings:     2205,
+		Workloads:   mp3Workload(g, quanta.Uniform(mp3.FrameSizes(), 2008)),
+		LiteResult:  true,
+		Checkpoints: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		caps map[string]int64
+		want string
+	}{
+		{map[string]int64{names[0]: 6015, names[1]: 3263}, want.Error()},
+		{nil, want.Error()},
+		{map[string]int64{names[0]: 6015, names[1]: 3263, names[2]: 883, "nope": 1}, `sim: Verify: unknown buffer "nope"`},
+		{map[string]int64{names[0]: 6015, names[1]: 0, names[2]: 883}, "sim: Verify: buffer " + names[1] + " capacity 0 must be positive"},
+	} {
+		if _, err := vf.Feasible(nil, tc.caps); err == nil || err.Error() != tc.want {
+			t.Errorf("Feasible(%v) = %v; want %q", tc.caps, err, tc.want)
+		}
+		if _, err := vf.Verify(tc.caps); err == nil || err.Error() != tc.want {
+			t.Errorf("Verify(%v) = %v; want %q", tc.caps, err, tc.want)
+		}
+	}
+	for _, d3 := range []int64{883, 10} {
+		caps := map[string]int64{names[0]: 6015, names[1]: 3263, names[2]: d3}
+		got, err := vf.Feasible(nil, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sized, err := mp3Phases(t, 6015, 3263, d3, 8).Feasible(nil, nil); err != nil || got != sized {
+			t.Errorf("d3 = %d: Feasible = %v on the unsized verifier, (%v, %v) on a sized one", d3, got, sized, err)
+		}
 	}
 }

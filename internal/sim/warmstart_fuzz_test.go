@@ -152,6 +152,7 @@ func FuzzWarmStartDifferential(f *testing.F) {
 			}
 			wres, werr := warm.Run()
 			cres, cerr := cold.Run()
+			checkCalendarBound(t, warm)
 			if (werr == nil) != (cerr == nil) {
 				t.Fatalf("probe %d: warm err %v, cold err %v", probe, werr, cerr)
 			}
@@ -261,6 +262,7 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 			if err != nil && !errors.Is(err, budget.ErrBudgetExceeded) {
 				t.Fatal(err)
 			}
+			checkCalendarBound(t, warm.periodic)
 			if err != nil {
 				continue
 			}
@@ -279,4 +281,24 @@ func FuzzFeasibleMatchesVerify(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCalendarBound fails when m's event calendar, or any checkpoint's
+// copy of it, has grown past compile's calendarBound. Compile and the
+// checkpoint arena allocate every calendar at that bound, so a calendar
+// that ever held more events, in a run or in a checkpoint that
+// snapshotInto filled, has a larger capacity.
+func checkCalendarBound(t *testing.T, m *Machine) {
+	t.Helper()
+	bound := m.calendarBound()
+	if cap(m.eq) != bound {
+		t.Fatalf("the event calendar grew to %d events; compile bounds it at %d", cap(m.eq), bound)
+	}
+	for _, slots := range [][]*checkpoint{m.ckpts, m.ckptFree} {
+		for _, c := range slots {
+			if cap(c.eq) != bound {
+				t.Fatalf("a checkpoint's calendar grew to %d events; compile bounds it at %d", cap(c.eq), bound)
+			}
+		}
+	}
 }

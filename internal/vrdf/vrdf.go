@@ -65,23 +65,23 @@ type Graph struct {
 }
 
 // New returns an empty VRDF graph.
-func New() *Graph {
+func New() *Graph { return newGraph(0, 0) }
+
+// newGraph returns an empty VRDF graph with room for the given numbers of
+// actors and edges.
+func newGraph(actors, edges int) *Graph {
 	return &Graph{
-		byName:  make(map[string]*Actor),
-		edgeByN: make(map[string]*Edge),
+		actors:  make([]*Actor, 0, actors),
+		byName:  make(map[string]*Actor, actors),
+		edges:   make([]*Edge, 0, edges),
+		edgeByN: make(map[string]*Edge, edges),
 	}
 }
 
 // AddActor adds an actor with the given response time.
 func (g *Graph) AddActor(name string, rho ratio.Rat) (*Actor, error) {
-	if name == "" {
-		return nil, fmt.Errorf("vrdf: empty actor name")
-	}
-	if _, dup := g.byName[name]; dup {
-		return nil, fmt.Errorf("vrdf: duplicate actor %q", name)
-	}
-	if rho.Sign() <= 0 {
-		return nil, fmt.Errorf("vrdf: actor %q: response time must be positive, got %v", name, rho)
+	if err := g.checkActor(name, rho); err != nil {
+		return nil, err
 	}
 	a := &Actor{Name: name, Rho: rho}
 	g.actors = append(g.actors, a)
@@ -89,33 +89,56 @@ func (g *Graph) AddActor(name string, rho ratio.Rat) (*Actor, error) {
 	return a, nil
 }
 
+// checkActor reports why an actor of the given name and response time
+// cannot join the graph, or nil.
+func (g *Graph) checkActor(name string, rho ratio.Rat) error {
+	if name == "" {
+		return fmt.Errorf("vrdf: empty actor name")
+	}
+	if _, dup := g.byName[name]; dup {
+		return fmt.Errorf("vrdf: duplicate actor %q", name)
+	}
+	if rho.Sign() <= 0 {
+		return fmt.Errorf("vrdf: actor %q: response time must be positive, got %v", name, rho)
+	}
+	return nil
+}
+
 // AddEdge adds an edge. Src and Dst must already exist.
 func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 	if e.Name == "" {
 		e.Name = "e:" + e.Src + "->" + e.Dst
 	}
-	if _, dup := g.edgeByN[e.Name]; dup {
-		return nil, fmt.Errorf("vrdf: duplicate edge %q", e.Name)
-	}
-	if _, ok := g.byName[e.Src]; !ok {
-		return nil, fmt.Errorf("vrdf: edge %q: unknown source actor %q", e.Name, e.Src)
-	}
-	if _, ok := g.byName[e.Dst]; !ok {
-		return nil, fmt.Errorf("vrdf: edge %q: unknown destination actor %q", e.Name, e.Dst)
-	}
-	if !e.Prod.IsValid() {
-		return nil, fmt.Errorf("vrdf: edge %q: invalid production quanta", e.Name)
-	}
-	if !e.Cons.IsValid() {
-		return nil, fmt.Errorf("vrdf: edge %q: invalid consumption quanta", e.Name)
-	}
-	if e.Initial < 0 {
-		return nil, fmt.Errorf("vrdf: edge %q: negative initial tokens %d", e.Name, e.Initial)
+	if err := g.checkEdge(&e); err != nil {
+		return nil, err
 	}
 	ne := e
 	g.edges = append(g.edges, &ne)
 	g.edgeByN[ne.Name] = &ne
 	return &ne, nil
+}
+
+// checkEdge reports why the named edge e cannot join the graph, or nil.
+func (g *Graph) checkEdge(e *Edge) error {
+	if _, dup := g.edgeByN[e.Name]; dup {
+		return fmt.Errorf("vrdf: duplicate edge %q", e.Name)
+	}
+	if _, ok := g.byName[e.Src]; !ok {
+		return fmt.Errorf("vrdf: edge %q: unknown source actor %q", e.Name, e.Src)
+	}
+	if _, ok := g.byName[e.Dst]; !ok {
+		return fmt.Errorf("vrdf: edge %q: unknown destination actor %q", e.Name, e.Dst)
+	}
+	if !e.Prod.IsValid() {
+		return fmt.Errorf("vrdf: edge %q: invalid production quanta", e.Name)
+	}
+	if !e.Cons.IsValid() {
+		return fmt.Errorf("vrdf: edge %q: invalid consumption quanta", e.Name)
+	}
+	if e.Initial < 0 {
+		return fmt.Errorf("vrdf: edge %q: negative initial tokens %d", e.Name, e.Initial)
+	}
+	return nil
 }
 
 // Actor returns the actor with the given name, or nil.
@@ -161,24 +184,29 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("vrdf: graph has no actors")
 	}
 	if len(g.actors) > 1 {
-		adj := make(map[string][]string)
-		for _, e := range g.edges {
-			adj[e.Src] = append(adj[e.Src], e.Dst)
-			adj[e.Dst] = append(adj[e.Dst], e.Src)
+		// Union-find over actor indices: every edge joins its two ends'
+		// components, and the graph is connected when one remains.
+		idx := make(map[string]int, len(g.actors))
+		parent := make([]int, len(g.actors))
+		for i, a := range g.actors {
+			idx[a.Name] = i
+			parent[i] = i
 		}
-		seen := map[string]bool{g.actors[0].Name: true}
-		stack := []string{g.actors[0].Name}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, m := range adj[n] {
-				if !seen[m] {
-					seen[m] = true
-					stack = append(stack, m)
-				}
+		root := func(i int) int {
+			for parent[i] != i {
+				parent[i] = parent[parent[i]]
+				i = parent[i]
+			}
+			return i
+		}
+		components := len(g.actors)
+		for _, e := range g.edges {
+			if a, b := root(idx[e.Src]), root(idx[e.Dst]); a != b {
+				parent[a] = b
+				components--
 			}
 		}
-		if len(seen) != len(g.actors) {
+		if components != 1 {
 			return fmt.Errorf("vrdf: graph is not weakly connected")
 		}
 	}
@@ -227,38 +255,47 @@ func (m *Mapping) Pair(buffer string) (BufferPair, bool) {
 // chain, but the VRDF graph must pass Validate: it has an actor and is
 // weakly connected.
 func FromTaskGraph(t *taskgraph.Graph) (*Graph, *Mapping, error) {
-	g := New()
-	m := &Mapping{TaskToActor: make(map[string]string)}
-	for _, w := range t.Tasks() {
-		if _, err := g.AddActor(w.Name, w.WCRT); err != nil {
+	tasks, buffers := t.Tasks(), t.Buffers()
+	g := newGraph(len(tasks), 2*len(buffers))
+	m := &Mapping{
+		TaskToActor: make(map[string]string, len(tasks)),
+		Pairs:       make([]BufferPair, len(buffers)),
+	}
+	// The actors and the edges are each carved from one backing array.
+	actors := make([]Actor, len(tasks))
+	for i, w := range tasks {
+		if err := g.checkActor(w.Name, w.WCRT); err != nil {
 			return nil, nil, err
 		}
+		actors[i] = Actor{Name: w.Name, Rho: w.WCRT}
+		g.actors = append(g.actors, &actors[i])
+		g.byName[w.Name] = &actors[i]
 		m.TaskToActor[w.Name] = w.Name
 	}
-	for _, b := range t.Buffers() {
-		data := Edge{
-			Name: "data:" + b.DefaultName(),
+	edges := make([]Edge, 2*len(buffers))
+	for i, b := range buffers {
+		name := b.DefaultName()
+		m.Pairs[i] = BufferPair{Buffer: name, Data: "data:" + name, Space: SpaceEdge(name)}
+		edges[2*i] = Edge{
+			Name: m.Pairs[i].Data,
 			Src:  b.Producer, Dst: b.Consumer,
 			Prod: b.Prod, Cons: b.Cons,
 			Initial: 0, // every buffer is initially empty (§3.1)
 		}
-		space := Edge{
-			Name: SpaceEdge(b.DefaultName()),
+		edges[2*i+1] = Edge{
+			Name: m.Pairs[i].Space,
 			Src:  b.Consumer, Dst: b.Producer,
 			Prod: b.Cons, Cons: b.Prod,
 			Initial: b.Capacity,
 		}
-		if _, err := g.AddEdge(data); err != nil {
-			return nil, nil, err
+		for j := 2 * i; j < 2*i+2; j++ {
+			e := &edges[j]
+			if err := g.checkEdge(e); err != nil {
+				return nil, nil, err
+			}
+			g.edges = append(g.edges, e)
+			g.edgeByN[e.Name] = e
 		}
-		if _, err := g.AddEdge(space); err != nil {
-			return nil, nil, err
-		}
-		m.Pairs = append(m.Pairs, BufferPair{
-			Buffer: b.DefaultName(),
-			Data:   data.Name,
-			Space:  space.Name,
-		})
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
