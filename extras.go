@@ -1,6 +1,8 @@
 package vrdfcap
 
 import (
+	"context"
+
 	"vrdfcap/internal/arbiter"
 	"vrdfcap/internal/capacity"
 	"vrdfcap/internal/exact"
@@ -16,11 +18,6 @@ type (
 	ChainSchedule = capacity.ChainSchedule
 	// SweepPoint is one point of a throughput/buffer trade-off curve.
 	SweepPoint = capacity.SweepPoint
-	// SweepOptions tunes the worker count and budget of SweepPeriodsOpt.
-	// Its in-memory Cache only records: a sweep recomputes every point,
-	// and nothing persists period verdicts.
-	SweepOptions = capacity.SweepOptions
-
 	// TDM and RoundRobin derive worst-case response times κ from
 	// worst-case execution times and arbiter settings (§3.1).
 	TDM        = arbiter.TDM
@@ -52,11 +49,21 @@ func SweepPeriods(g *Graph, task string, periods []RatNum, p Policy) ([]SweepPoi
 	return capacity.SweepPeriods(g, task, periods, p)
 }
 
-// SweepPeriodsOpt is SweepPeriods with explicit options: Parallel bounds the
-// number of periods analysed concurrently (0 selects GOMAXPROCS, 1 forces
-// the serial path); the results are identical for every setting.
+// SweepOptions tunes the worker count and budget of SweepPeriodsOpt.
+type SweepOptions struct {
+	// Parallel bounds the number of periods analysed concurrently: 0
+	// selects GOMAXPROCS, 1 forces the serial path. The results are
+	// identical for every setting.
+	Parallel int
+	// Context, if non-nil, cancels or time-bounds the sweep between
+	// periods; the typed errors satisfy ErrCanceled and
+	// ErrBudgetExceeded.
+	Context context.Context
+}
+
+// SweepPeriodsOpt is SweepPeriods with explicit options.
 func SweepPeriodsOpt(g *Graph, task string, periods []RatNum, p Policy, opts SweepOptions) ([]SweepPoint, error) {
-	return capacity.SweepPeriodsOpt(g, task, periods, p, opts)
+	return capacity.SweepPeriodsOpt(g, task, periods, p, capacity.SweepOptions{Parallel: opts.Parallel, Context: opts.Context})
 }
 
 // MinimalFeasiblePeriod returns the first feasible point of an ascending

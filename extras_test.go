@@ -1,6 +1,9 @@
 package vrdfcap
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"vrdfcap/internal/mp3"
@@ -47,6 +50,22 @@ func TestSweepPeriodsFacade(t *testing.T) {
 		if pts[i].Total > pts[i-1].Total {
 			t.Errorf("capacity not monotone across sweep: %v", pts)
 		}
+	}
+	// The facade's options reach the sweep: every worker count gives the
+	// same points, and a canceled context stops it with ErrCanceled.
+	for _, parallel := range []int{0, 1, 2} {
+		opt, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(opt, pts) {
+			t.Errorf("Parallel %d: %v, want %v", parallel, opt, pts)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Context: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Errorf("canceled sweep: %v, want ErrCanceled", err)
 	}
 	min, err := MinimalFeasiblePeriod(g, "wb", periods, PolicyEquation4)
 	if err != nil {

@@ -2,8 +2,9 @@ package exact
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
+	"vrdfcap/internal/mix"
 	"vrdfcap/internal/taskgraph"
 )
 
@@ -18,109 +19,74 @@ type ChainWitness struct {
 	Out map[string][]int64
 }
 
-// chainTask mirrors taskState for a task with up to one input and one
-// output buffer: the committed quanta of the next firing and whether the
-// task is mid-firing.
-type chainTask struct {
-	qin, qout int64 // 0 when the side does not exist
-	inFlight  bool
-}
-
-// chainState is the buffer occupancies plus every task's position. Encoded
-// as a string key for map storage (chains are short).
-type chainState struct {
-	d     []int64 // data tokens per buffer
-	s     []int64 // space tokens per buffer
-	tasks []chainTask
-}
-
-func (cs *chainState) clone() chainState {
-	n := chainState{
-		d:     append([]int64(nil), cs.d...),
-		s:     append([]int64(nil), cs.s...),
-		tasks: append([]chainTask(nil), cs.tasks...),
-	}
-	return n
-}
-
 // pick is one coupled (consumption, production) quantum choice of a task's
 // firing.
 type pick struct{ qin, qout int64 }
 
-// chainEdge records how the search reached a state, for witness
-// reconstruction.
-type chainEdge struct {
-	prevKey string
-	task    int
-	p       pick
-	hasPick bool
-	valid   bool
-}
+// Row layout. A state of a chain with nb buffers and nb+1 tasks is a row
+// of int64s: the data tokens of every buffer, then their space tokens,
+// then per task its committed quanta and in-flight flag. Three
+// bookkeeping cells follow the state: the row it was reached from, the
+// task that moved and the index of the choice it committed (-1 for a
+// start, which commits nothing).
+const (
+	taskCells = 3 // qin, qout, in-flight
+	metaCells = 3 // parent row, task, choice
+)
 
 // ChainCertifier is a chain compiled for repeated deadlock-freedom checks
 // at different capacity assignments. CompileChain hoists everything that
 // does not depend on capacities — the chain decomposition, the coupled
 // per-task quanta choices and the state-count factors — and Certify reuses
-// the visited-state map, BFS queue and key-encoding buffer across calls, so
-// probing a capacity sweep rebuilds nothing. Not safe for concurrent use;
-// compile one certifier per goroutine.
+// one state arena and its index across calls, so a warm certifier probing
+// a safe capacity allocates nothing. Not safe for concurrent use; compile
+// one certifier per goroutine.
+//
+// The search is breadth-first. States are rows of one []int64 arena in
+// discovery order, so the arena is also the queue, and an open-addressing
+// table of row numbers under a deterministic hash dedupes them.
 type ChainCertifier struct {
-	tasks     []*taskgraph.Task
-	buffers   []*taskgraph.Buffer
-	byName    map[string]int // buffer name (default and custom) → index
-	choices   [][]pick       // per task: admissible coupled choices
-	choiceEst float64        // product over tasks of 2·|choices|
+	tasks     []string // task names in chain order
+	names     []string // per buffer: the name capacity overrides use
+	compiled  []int64  // per buffer: the capacity on the compiled graph
+	choices   [][]pick // per task: admissible coupled choices
+	choiceEst float64  // product over tasks of 2·|choices|
 	maxStates int
 
 	// Reusable per-Certify search state.
-	caps   []int64
-	parent map[string]chainEdge
-	queue  []chainState
-	keyBuf []byte
+	caps  []int64
+	width int     // cells per row: state, then metaCells
+	rows  []int64 // explored states in BFS order
+	table []int32 // row number + 1 per slot; 0 marks an empty slot
+	cur   []int64 // the state being expanded
 }
 
-// CompileChain validates that g is a chain and compiles it for repeated
-// certification. maxStates bounds each Certify's search (<= 0 selects the
-// default of 2 million states). Capacities are not inspected here — they
-// are resolved per Certify call, so an unsized graph can be compiled once
-// and certified under many assignments.
-func CompileChain(g *taskgraph.Graph, maxStates int) (*ChainCertifier, error) {
+// compile builds the certifier's search over a chain whose i-th buffer has
+// production set prod[i] and consumption set cons[i]. maxStates <= 0
+// selects the default guard of 2 million states.
+func compile(prod, cons []taskgraph.QuantaSet, maxStates int) *ChainCertifier {
 	if maxStates <= 0 {
 		maxStates = 2_000_000
 	}
-	tasks, buffers, err := g.Chain()
-	if err != nil {
-		return nil, err
-	}
+	nb := len(prod)
+	width := 2*nb + taskCells*(nb+1) + metaCells
 	c := &ChainCertifier{
-		tasks:     tasks,
-		buffers:   buffers,
-		byName:    make(map[string]int, 2*len(buffers)),
-		choices:   make([][]pick, len(tasks)),
+		choices:   make([][]pick, nb+1),
 		choiceEst: 1,
 		maxStates: maxStates,
-		caps:      make([]int64, len(buffers)),
-		parent:    make(map[string]chainEdge),
-	}
-	for i, b := range buffers {
-		c.byName[b.DefaultName()] = i
-		if b.Name != "" {
-			c.byName[b.Name] = i
-		}
+		caps:      make([]int64, nb),
+		width:     width,
+		cur:       make([]int64, width),
 	}
 	// Per task: the admissible coupled choices (positive quanta only;
 	// zero-quantum firings cannot affect stuck-state reachability).
-	for i := range tasks {
-		var ins, outs []int64
+	for i := range c.choices {
+		ins, outs := []int64{0}, []int64{0}
 		if i > 0 {
-			ins = positive(buffers[i-1].Cons)
-		} else {
-			ins = []int64{0}
+			ins = positive(cons[i-1])
 		}
-		if i < len(buffers) {
-			outs = positive(buffers[i].Prod)
-		} else {
-			outs = []int64{0}
+		if i < nb {
+			outs = positive(prod[i])
 		}
 		for _, qi := range ins {
 			for _, qo := range outs {
@@ -129,31 +95,33 @@ func CompileChain(g *taskgraph.Graph, maxStates int) (*ChainCertifier, error) {
 		}
 		c.choiceEst *= float64(2 * len(c.choices[i]))
 	}
-	return c, nil
+	return c
 }
 
-// stateKey encodes a state into the certifier's reusable buffer and
-// returns it as a map key.
-func (c *ChainCertifier) stateKey(cs *chainState) string {
-	b := c.keyBuf[:0]
-	for i := range cs.d {
-		b = strconv.AppendInt(b, cs.d[i], 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, cs.s[i], 10)
-		b = append(b, ';')
+// CompileChain validates that g is a chain and compiles it for repeated
+// certification. maxStates bounds each Certify's search (<= 0 selects the
+// default of 2 million states). Capacities are not inspected here — they
+// are resolved per Certify call, so an unsized graph can be compiled once
+// and certified under many assignments.
+func CompileChain(g *taskgraph.Graph, maxStates int) (*ChainCertifier, error) {
+	tasks, buffers, err := g.Chain()
+	if err != nil {
+		return nil, err
 	}
-	for _, t := range cs.tasks {
-		b = strconv.AppendInt(b, t.qin, 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, t.qout, 10)
-		if t.inFlight {
-			b = append(b, ",1;"...)
-		} else {
-			b = append(b, ",0;"...)
-		}
+	prod := make([]taskgraph.QuantaSet, len(buffers))
+	cons := make([]taskgraph.QuantaSet, len(buffers))
+	for i, b := range buffers {
+		prod[i], cons[i] = b.Prod, b.Cons
 	}
-	c.keyBuf = b
-	return string(b)
+	c := compile(prod, cons, maxStates)
+	for _, b := range buffers {
+		c.names = append(c.names, b.DefaultName())
+		c.compiled = append(c.compiled, b.Capacity)
+	}
+	for _, t := range tasks {
+		c.tasks = append(c.tasks, t.Name)
+	}
+	return c, nil
 }
 
 // Certify exhaustively checks the compiled chain, sized by caps, against
@@ -163,158 +131,226 @@ func (c *ChainCertifier) stateKey(cs *chainState) string {
 // positive.
 func (c *ChainCertifier) Certify(caps map[string]int64) (bool, *ChainWitness, error) {
 	for name := range caps {
-		if _, ok := c.byName[name]; !ok {
+		if !slices.Contains(c.names, name) {
 			return false, nil, fmt.Errorf("exact: capacity override for unknown buffer %q", name)
 		}
 	}
-	for i, b := range c.buffers {
-		c.caps[i] = b.Capacity
-		if v, ok := caps[b.DefaultName()]; ok {
+	for i, name := range c.names {
+		c.caps[i] = c.compiled[i]
+		if v, ok := caps[name]; ok {
 			c.caps[i] = v
-		} else if b.Name != "" {
-			if v, ok := caps[b.Name]; ok {
-				c.caps[i] = v
-			}
 		}
 		if c.caps[i] <= 0 {
-			return false, nil, fmt.Errorf("exact: buffer %s has no capacity", b.DefaultName())
+			return false, nil, fmt.Errorf("exact: buffer %s has no capacity", name)
 		}
 	}
+	stuck, err := c.run()
+	if err != nil || stuck < 0 {
+		return err == nil, nil, err
+	}
+	w := &ChainWitness{In: map[string][]int64{}, Out: map[string][]int64{}}
+	for i, name := range c.tasks {
+		if seq := c.picks(stuck, i, false); seq != nil {
+			w.In[name] = seq
+		}
+		if seq := c.picks(stuck, i, true); seq != nil {
+			w.Out[name] = seq
+		}
+	}
+	return false, w, nil
+}
 
+// run searches the chain at the capacities in c.caps and returns the row
+// of the first stuck state in BFS order, or -1 when no state is stuck.
+func (c *ChainCertifier) run() (int, error) {
 	// Refuse obviously hopeless searches up front: the state count is
 	// bounded by the product of per-buffer occupancy counts and
 	// per-task commitment/phase counts.
 	est := c.choiceEst
-	for i := range c.buffers {
-		est *= float64(c.caps[i]+1) * float64(c.caps[i]+2) / 2
+	for _, z := range c.caps {
+		est *= float64(z+1) * float64(z+2) / 2
 	}
 	if est > float64(c.maxStates) {
-		return false, nil, fmt.Errorf("exact: chain state space (~%.3g states) exceeds the %d-state guard; use the analytical bound for graphs this large", est, c.maxStates)
+		return -1, fmt.Errorf("exact: chain state space (~%.3g states) exceeds the %d-state guard; use the analytical bound for graphs this large", est, c.maxStates)
 	}
 
-	clear(c.parent)
-	c.queue = c.queue[:0]
-	parent := c.parent
-	push := func(next chainState, fromKey string, e chainEdge) {
-		k := c.stateKey(&next)
-		if _, seen := parent[k]; seen {
-			return
-		}
-		e.prevKey = fromKey
-		e.valid = true
-		parent[k] = e
-		c.queue = append(c.queue, next)
+	nb := len(c.caps)
+	st := c.cur
+	c.rows = c.rows[:0]
+	clear(c.table)
+	// Seed: empty buffers and every task uncommitted (qin = qout = -1).
+	// Tasks then commit one at a time through intermediate states, which
+	// avoids an exponential seed set.
+	clear(st)
+	copy(st[nb:], c.caps)
+	for i := range c.choices {
+		st[c.task(i)], st[c.task(i)+1] = -1, -1
 	}
-	// Seed: every combination of initial commitments. To avoid an
-	// exponential seed set, commit tasks one at a time through synthetic
-	// intermediate states (qin = qout = -1 marks "uncommitted").
-	seed := chainState{
-		d:     make([]int64, len(c.buffers)),
-		s:     make([]int64, len(c.buffers)),
-		tasks: make([]chainTask, len(c.tasks)),
-	}
-	for i := range c.buffers {
-		seed.s[i] = c.caps[i]
-	}
-	for i := range seed.tasks {
-		seed.tasks[i] = chainTask{qin: -1, qout: -1}
-	}
-	rootKey := "root"
-	parent[rootKey] = chainEdge{}
-	push(seed, rootKey, chainEdge{})
+	c.next(-1, -1, -1)
+	c.keep()
 
-	guard := 0
-	for head := 0; head < len(c.queue); head++ {
-		st := c.queue[head]
-		k := c.stateKey(&st)
-		guard++
-		if guard > c.maxStates {
-			return false, nil, fmt.Errorf("exact: chain state space exceeds %d states", c.maxStates)
+	for head := 0; head*c.width < len(c.rows); head++ {
+		if head >= c.maxStates {
+			return -1, fmt.Errorf("exact: chain state space exceeds %d states", c.maxStates)
 		}
+		copy(st, c.rows[head*c.width:(head+1)*c.width])
 
 		// If some task is uncommitted, branch its first commitment and
 		// defer everything else.
-		uncommitted := -1
-		for i, t := range st.tasks {
-			if t.qin < 0 {
-				uncommitted = i
-				break
-			}
-		}
-		if uncommitted >= 0 {
-			for _, p := range c.choices[uncommitted] {
-				next := st.clone()
-				next.tasks[uncommitted] = chainTask{qin: p.qin, qout: p.qout}
-				push(next, k, chainEdge{task: uncommitted, p: p, hasPick: true})
+		if u := c.uncommitted(); u >= 0 {
+			for k, p := range c.choices[u] {
+				r := c.next(head, u, k)
+				r[c.task(u)], r[c.task(u)+1] = p.qin, p.qout
+				c.keep()
 			}
 			continue
 		}
 
 		progress := false
-		for i, t := range st.tasks {
-			if !t.inFlight {
+		for i := range c.choices {
+			t := c.task(i)
+			qin, qout := st[t], st[t+1]
+			if st[t+2] == 0 {
 				// Start: needs input data and output space.
-				okIn := i == 0 || st.d[i-1] >= t.qin
-				okOut := i == len(c.buffers) || st.s[i] >= t.qout
-				if okIn && okOut {
+				if (i == 0 || st[i-1] >= qin) && (i == nb || st[nb+i] >= qout) {
 					progress = true
-					next := st.clone()
+					r := c.next(head, i, -1)
 					if i > 0 {
-						next.d[i-1] -= t.qin
+						r[i-1] -= qin
 					}
-					if i < len(c.buffers) {
-						next.s[i] -= t.qout
+					if i < nb {
+						r[nb+i] -= qout
 					}
-					next.tasks[i].inFlight = true
-					push(next, k, chainEdge{})
+					r[t+2] = 1
+					c.keep()
 				}
 				continue
 			}
 			// Finish: produce data, release space, recommit.
 			progress = true
-			for _, p := range c.choices[i] {
-				next := st.clone()
+			for k, p := range c.choices[i] {
+				r := c.next(head, i, k)
 				if i > 0 {
-					next.s[i-1] += t.qin
+					r[nb+i-1] += qin
 				}
-				if i < len(c.buffers) {
-					next.d[i] += t.qout
+				if i < nb {
+					r[i] += qout
 				}
-				next.tasks[i] = chainTask{qin: p.qin, qout: p.qout}
-				push(next, k, chainEdge{task: i, p: p, hasPick: true})
+				r[t], r[t+1], r[t+2] = p.qin, p.qout, 0
+				c.keep()
 			}
 		}
-
 		if !progress {
-			w := &ChainWitness{In: map[string][]int64{}, Out: map[string][]int64{}}
-			curKey := k
-			//vrdf:unbudgeted(walks the acyclic parent chain of an already-explored state, bounded by the budgeted search above)
-			for {
-				e := parent[curKey]
-				if !e.valid {
-					break
-				}
-				if e.hasPick {
-					name := c.tasks[e.task].Name
-					if e.p.qin > 0 {
-						w.In[name] = append(w.In[name], e.p.qin)
-					}
-					if e.p.qout > 0 {
-						w.Out[name] = append(w.Out[name], e.p.qout)
-					}
-				}
-				curKey = e.prevKey
-			}
-			for _, seq := range w.In {
-				reverse(seq)
-			}
-			for _, seq := range w.Out {
-				reverse(seq)
-			}
-			return false, w, nil
+			return head, nil
 		}
 	}
-	return true, nil, nil
+	return -1, nil
+}
+
+// task returns the first cell of task i's (qin, qout, in-flight) triple.
+func (c *ChainCertifier) task(i int) int { return 2*len(c.caps) + taskCells*i }
+
+// uncommitted returns the first task of the expanded state with no
+// committed quanta yet, or -1.
+func (c *ChainCertifier) uncommitted() int {
+	for i := range c.choices {
+		if c.cur[c.task(i)] < 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// next appends a copy of the expanded state as a candidate row reached
+// from row parent by task's choice (-1 for a start) and returns the row
+// for the caller to apply the move to; keep then files or drops it.
+func (c *ChainCertifier) next(parent, task, choice int) []int64 {
+	c.rows = append(c.rows, c.cur...)
+	r := c.rows[len(c.rows)-c.width:]
+	m := c.width - metaCells
+	r[m], r[m+1], r[m+2] = int64(parent), int64(task), int64(choice)
+	return r
+}
+
+// keep files the candidate row appended last, or drops it when an equal
+// state is already in the arena.
+func (c *ChainCertifier) keep() {
+	n := len(c.rows) / c.width
+	if 2*n > len(c.table) {
+		c.grow()
+	}
+	r := c.rows[len(c.rows)-c.width:]
+	m := c.width - metaCells
+	mask := len(c.table) - 1
+	slot := hash(r[:m]) & mask
+	//vrdf:unbudgeted(linear probing ends at an empty slot: the table is kept at most half full)
+	for c.table[slot] != 0 {
+		j := int(c.table[slot]) - 1
+		if slices.Equal(c.rows[j*c.width:][:m], r[:m]) {
+			c.rows = c.rows[:len(c.rows)-c.width]
+			return
+		}
+		slot = (slot + 1) & mask
+	}
+	c.table[slot] = int32(n)
+}
+
+// grow doubles the table and re-files every row but the candidate.
+func (c *ChainCertifier) grow() {
+	c.table = make([]int32, max(64, 2*len(c.table)))
+	mask := len(c.table) - 1
+	m := c.width - metaCells
+	for j := 0; (j+1)*c.width < len(c.rows); j++ {
+		slot := hash(c.rows[j*c.width:][:m]) & mask
+		//vrdf:unbudgeted(linear probing ends at an empty slot: the table is kept at most half full)
+		for c.table[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		c.table[slot] = int32(j + 1)
+	}
+}
+
+// hash mixes a state's cells into a table index.
+func hash(cells []int64) int {
+	h := uint64(len(cells))
+	for _, v := range cells {
+		h = (h ^ uint64(v)) * 0x100000001b3
+	}
+	return int(mix.SplitMix64(h) >> 1)
+}
+
+// picks returns the quanta task committed on its output (out) or input
+// side along the path to row, in firing order, or nil when there are
+// none. Sides a task does not have hold 0 and are never reported.
+func (c *ChainCertifier) picks(row, task int, out bool) []int64 {
+	m := c.width - metaCells
+	quantum := func(r []int64) int64 {
+		if int(r[m+1]) != task || r[m+2] < 0 {
+			return 0
+		}
+		p := c.choices[task][r[m+2]]
+		if out {
+			return p.qout
+		}
+		return p.qin
+	}
+	n := 0
+	for j := row; j >= 0; j = int(c.rows[j*c.width+m]) {
+		if quantum(c.rows[j*c.width:]) > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	seq := make([]int64, n)
+	for j := row; j >= 0; j = int(c.rows[j*c.width+m]) {
+		if q := quantum(c.rows[j*c.width:]); q > 0 {
+			n--
+			seq[n] = q
+		}
+	}
+	return seq
 }
 
 // ChainDeadlockFree exhaustively checks a sized chain against every

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"reflect"
 	"testing"
 
 	"vrdfcap/internal/quanta"
@@ -28,26 +29,37 @@ func threeChain(t *testing.T, p1, c1, p2, c2 taskgraph.QuantaSet, cap1, cap2 int
 }
 
 func TestChainMatchesPairModel(t *testing.T) {
-	// On a two-task chain the chain checker must agree with the pair
-	// checker for every capacity.
+	// The pair entry points search the pair as a two-task chain: on
+	// every capacity they must give CompileChain's verdict on
+	// taskgraph.Pair, and the same witness, producer quanta as the
+	// source's Out and consumer quanta as the sink's In.
 	prod := taskgraph.MustQuanta(3)
 	cons := taskgraph.MustQuanta(2, 3)
+	g, err := taskgraph.Pair("a", ratio.One, "b", ratio.One, prod, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := CompileChain(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for capn := int64(3); capn <= 6; capn++ {
-		pairOK, _, err := DeadlockFree(prod, cons, capn)
+		pairOK, pw, err := DeadlockFree(prod, cons, capn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := taskgraph.Pair("a", ratio.One, "b", ratio.One, prod, cons)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Buffers()[0].Capacity = capn
-		chainOK, _, err := ChainDeadlockFree(g, 0)
+		chainOK, cw, err := cert.Certify(map[string]int64{"a->b": capn})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pairOK != chainOK {
-			t.Errorf("capacity %d: pair says %v, chain says %v", capn, pairOK, chainOK)
+			t.Fatalf("capacity %d: pair says %v, chain says %v", capn, pairOK, chainOK)
+		}
+		if pairOK {
+			continue
+		}
+		if !reflect.DeepEqual(pw.Prod, cw.Out["a"]) || !reflect.DeepEqual(pw.Cons, cw.In["b"]) {
+			t.Errorf("capacity %d: pair witness %+v, chain witness %+v", capn, pw, cw)
 		}
 	}
 }

@@ -45,8 +45,8 @@ func TestChainCertifierMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestChainCertifierWitnessStableAcrossReuse pins that the reused
-// visited-state map and queue cannot corrupt witness reconstruction: after
+// TestChainCertifierWitnessStableAcrossReuse pins that the reused state
+// arena and its index cannot corrupt witness reconstruction: after
 // an unrelated Certify call, a deadlocking probe returns the identical
 // witness a fresh one-shot search finds.
 func TestChainCertifierWitnessStableAcrossReuse(t *testing.T) {
@@ -116,5 +116,35 @@ func TestChainCertifierValidation(t *testing.T) {
 	}
 	if _, _, err := small.Certify(nil); err == nil || !strings.Contains(err.Error(), "guard") {
 		t.Errorf("state guard did not trip: %v", err)
+	}
+}
+
+// TestCertifyAllocs pins the arena reuse: a warm certifier decides a safe
+// capacity without allocating, and a deadlocking one allocates only the
+// witness it returns.
+func TestCertifyAllocs(t *testing.T) {
+	cert, err := CompileChain(threeChain(t, taskgraph.MustQuanta(3), taskgraph.MustQuanta(2, 3),
+		taskgraph.MustQuanta(2, 3), taskgraph.MustQuanta(2), 1, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	safe := map[string]int64{"a->b": 5, "b->c": 4}
+	unsafe := map[string]int64{"a->b": 4, "b->c": 14}
+	for _, c := range []struct {
+		caps map[string]int64
+		ok   bool
+		max  float64
+	}{{safe, true, 0}, {unsafe, false, 16}} {
+		// AllocsPerRun's warm-up call sizes the arena and the table.
+		allocs := testing.AllocsPerRun(20, func() {
+			ok, _, err := cert.Certify(c.caps)
+			if err != nil || ok != c.ok {
+				t.Fatalf("Certify(%v) = %v, %v; want %v", c.caps, ok, err, c.ok)
+			}
+		})
+		t.Logf("Certify(%v): %v allocs", c.caps, allocs)
+		if allocs > c.max {
+			t.Errorf("Certify(%v) allocates %v times; want at most %v", c.caps, allocs, c.max)
+		}
 	}
 }

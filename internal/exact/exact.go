@@ -3,7 +3,8 @@
 // for every admissible sequence of transfer quanta — the quantity the
 // paper's Figure-1 discussion reasons about by example ("if the consumption
 // quantum equals two in every task execution, then the minimum buffer
-// capacity for deadlock-free execution is four").
+// capacity for deadlock-free execution is four") — and certifies whole
+// chains the same way.
 //
 // The search plays an adaptive adversary: at every state it may pick any
 // quantum from the declared sets for the next producer or consumer firing.
@@ -18,6 +19,9 @@
 // reaches every token-reachable state). A found deadlock comes with a
 // witness — the per-firing quanta sequences that reproduce it in the timed
 // simulator.
+//
+// One engine serves pairs and chains: a pair is searched as a two-task
+// chain (see ChainCertifier).
 package exact
 
 import (
@@ -25,6 +29,12 @@ import (
 
 	"vrdfcap/internal/taskgraph"
 )
+
+// pairMaxStates is the state guard of the pair entry points, ten times the
+// chain default: MinCapacity's last probe of the constant MP3 edge (1152
+// produced, 480 consumed), at its minimum 1536, is estimated at 4.7
+// million states.
+const pairMaxStates = 20_000_000
 
 // Witness is an adversarial counterexample: feeding these sequences to the
 // pair (producer quanta and consumer quanta per firing, in order) drives it
@@ -34,164 +44,13 @@ type Witness struct {
 	Cons []int64
 }
 
-// taskState is one task's position: the quantum of the firing it is
-// committed to next (Pending — chosen by the adversary when the previous
-// firing finished, exactly as a fixed sequence fixes it), or the quantum it
-// is currently executing (InFlight).
-type taskState struct {
-	q        int64
-	inFlight bool
-}
-
-// state is (data tokens, space tokens, producer state, consumer state).
-// Space tokens are implied by the invariant d + s + inflight == capacity
-// but kept explicit for clarity.
-type state struct {
-	d, s int64
-	p, c taskState
-}
-
-// pairEdge records how the search reached a state, for witness
-// reconstruction.
-type pairEdge struct {
-	prev     state
-	prodPick int64 // quantum committed for the producer (0 = none)
-	consPick int64 // quantum committed for the consumer (0 = none)
-	valid    bool
-}
-
-// pairSearcher holds the compiled inputs and reusable search state for
-// exploring one producer–consumer pair at several capacities. MinCapacity
-// walks capacities upward on a single searcher, so the visited-state map
-// and BFS queue are allocated once and recycled per capacity instead of
-// rebuilt per probe. Not safe for concurrent use.
-type pairSearcher struct {
-	prodVals []int64
-	consVals []int64
-	parent   map[state]pairEdge
-	queue    []state
-}
-
-// newPairSearcher validates the quanta sets and compiles them into a
-// reusable searcher.
-func newPairSearcher(prod, cons taskgraph.QuantaSet) (*pairSearcher, error) {
+// compilePair validates the quanta sets and compiles the pair as a
+// two-task chain.
+func compilePair(prod, cons taskgraph.QuantaSet) (*ChainCertifier, error) {
 	if !prod.IsValid() || !cons.IsValid() {
 		return nil, fmt.Errorf("exact: invalid quanta sets")
 	}
-	return &pairSearcher{
-		prodVals: positive(prod),
-		consVals: positive(cons),
-		parent:   make(map[state]pairEdge),
-	}, nil
-}
-
-// deadlockFree runs one untimed reachability search at the given capacity,
-// reusing the searcher's map and queue.
-func (ps *pairSearcher) deadlockFree(capacity int64) (bool, *Witness, error) {
-	if capacity <= 0 {
-		return false, nil, fmt.Errorf("exact: capacity must be positive, got %d", capacity)
-	}
-	// The state space is O(capacity² · |P| · |C|); refuse blow-ups (the
-	// MP3 chain's first buffer would need ~10⁸ states — use the
-	// analytical bound there, that is what it is for).
-	est := (capacity + 1) * (capacity + 2) * 2 * int64(len(ps.prodVals)) * int64(len(ps.consVals))
-	if est > 20_000_000 {
-		return false, nil, fmt.Errorf("exact: ~%d states exceed the search guard; use the Equation-4 bound for pairs this large", est)
-	}
-
-	clear(ps.parent)
-	ps.queue = ps.queue[:0]
-	parent := ps.parent
-	push := func(next state, from state, e pairEdge) {
-		if _, seen := parent[next]; seen {
-			return
-		}
-		e.prev = from
-		e.valid = true
-		parent[next] = e
-		ps.queue = append(ps.queue, next)
-	}
-
-	// Initial states: the adversary commits the first quantum of each
-	// task. The synthetic root lets witness reconstruction terminate.
-	root := state{d: -1, s: -1}
-	parent[root] = pairEdge{}
-	for _, qp := range ps.prodVals {
-		for _, qc := range ps.consVals {
-			push(state{
-				d: 0, s: capacity,
-				p: taskState{q: qp}, c: taskState{q: qc},
-			}, root, pairEdge{prodPick: qp, consPick: qc})
-		}
-	}
-
-	for head := 0; head < len(ps.queue); head++ {
-		st := ps.queue[head]
-
-		progress := false
-		// Producer start: its committed quantum fits in the space.
-		if !st.p.inFlight && st.s >= st.p.q {
-			progress = true
-			next := st
-			next.s -= st.p.q
-			next.p.inFlight = true
-			push(next, st, pairEdge{})
-		}
-		// Producer finish: data appears; adversary commits the next
-		// production quantum.
-		if st.p.inFlight {
-			progress = true
-			for _, qp := range ps.prodVals {
-				next := st
-				next.d += st.p.q
-				next.p = taskState{q: qp}
-				push(next, st, pairEdge{prodPick: qp})
-			}
-		}
-		// Consumer start.
-		if !st.c.inFlight && st.d >= st.c.q {
-			progress = true
-			next := st
-			next.d -= st.c.q
-			next.c.inFlight = true
-			push(next, st, pairEdge{})
-		}
-		// Consumer finish: space returns; adversary commits the next
-		// consumption quantum.
-		if st.c.inFlight {
-			progress = true
-			for _, qc := range ps.consVals {
-				next := st
-				next.s += st.c.q
-				next.c = taskState{q: qc}
-				push(next, st, pairEdge{consPick: qc})
-			}
-		}
-
-		if !progress {
-			// Both idle with unstartable commitments: deadlock.
-			w := &Witness{}
-			cur := st
-			//vrdf:unbudgeted(walks the acyclic parent chain of an already-explored state, bounded by the budgeted search above)
-			for {
-				e := parent[cur]
-				if !e.valid {
-					break
-				}
-				if e.prodPick > 0 {
-					w.Prod = append(w.Prod, e.prodPick)
-				}
-				if e.consPick > 0 {
-					w.Cons = append(w.Cons, e.consPick)
-				}
-				cur = e.prev
-			}
-			reverse(w.Prod)
-			reverse(w.Cons)
-			return false, w, nil
-		}
-	}
-	return true, nil, nil
+	return compile([]taskgraph.QuantaSet{prod}, []taskgraph.QuantaSet{cons}, pairMaxStates), nil
 }
 
 // DeadlockFree reports whether the pair with the given capacity is
@@ -206,34 +65,40 @@ func (ps *pairSearcher) deadlockFree(capacity int64) (bool, *Witness, error) {
 // available tokens. Zero-quantum firings transfer nothing and cannot
 // unstick the peer, so the adversary never needs them and they are omitted.
 func DeadlockFree(prod, cons taskgraph.QuantaSet, capacity int64) (bool, *Witness, error) {
-	ps, err := newPairSearcher(prod, cons)
+	c, err := compilePair(prod, cons)
 	if err != nil {
 		return false, nil, err
 	}
-	return ps.deadlockFree(capacity)
+	if capacity <= 0 {
+		return false, nil, fmt.Errorf("exact: capacity must be positive, got %d", capacity)
+	}
+	c.caps[0] = capacity
+	stuck, err := c.run()
+	if err != nil || stuck < 0 {
+		return err == nil, nil, err
+	}
+	return false, &Witness{Prod: c.picks(stuck, 0, true), Cons: c.picks(stuck, 1, false)}, nil
 }
 
 // MinCapacity returns the exact minimum deadlock-free capacity of the pair,
 // searching upwards from the largest single transfer. The untimed limit of
 // Equation (4), π̂ + γ̂ − 1, is a guaranteed-sufficient upper bound, so the
 // search always terminates. All capacities are probed on one compiled
-// searcher, reusing the visited-state map and queue across probes.
+// pair, reusing its state arena across probes.
 func MinCapacity(prod, cons taskgraph.QuantaSet) (int64, error) {
-	ps, err := newPairSearcher(prod, cons)
+	c, err := compilePair(prod, cons)
 	if err != nil {
 		return 0, err
 	}
-	lo := prod.Max()
-	if c := cons.Max(); c > lo {
-		lo = c
-	}
+	lo := max(prod.Max(), cons.Max())
 	hi := prod.Max() + cons.Max() - 1
 	for z := lo; z <= hi; z++ {
-		ok, _, err := ps.deadlockFree(z)
+		c.caps[0] = z
+		stuck, err := c.run()
 		if err != nil {
 			return 0, err
 		}
-		if ok {
+		if stuck < 0 {
 			return z, nil
 		}
 	}
@@ -246,18 +111,11 @@ func MinCapacity(prod, cons taskgraph.QuantaSet) (int64, error) {
 // affect reachability of a stuck state).
 func positive(q taskgraph.QuantaSet) []int64 {
 	vals := q.Values()
-	out := vals[:0:0]
+	out := vals[:0]
 	for _, v := range vals {
 		if v > 0 {
 			out = append(out, v)
 		}
 	}
 	return out
-}
-
-//vrdf:noalloc
-func reverse(s []int64) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -7,9 +7,8 @@ import (
 	"vrdfcap/internal/taskgraph"
 )
 
-// BenchmarkExactPairMinCapacity measures the pair search with the reused
-// searcher: all capacity probes of one MinCapacity call share a single
-// visited-state map and BFS queue.
+// BenchmarkExactPairMinCapacity measures the pair search: all capacity
+// probes of one MinCapacity call share one state arena and its index.
 func BenchmarkExactPairMinCapacity(b *testing.B) {
 	prod := taskgraph.MustQuanta(2, 3, 5)
 	cons := taskgraph.MustQuanta(2, 4)

@@ -211,3 +211,21 @@ func TestExactAgreesWithSampledSearch(t *testing.T) {
 		}
 	}
 }
+
+func TestConstantPairClosedForm(t *testing.T) {
+	// A constant pair (p, c) deadlocks exactly below p + c − gcd(p, c),
+	// which gives the Figure-1 values 3 (p = n = 3) and 4 (p = 3, n = 2).
+	// The closed form is an oracle independent of the search; every pair
+	// up to 24 is held to it.
+	for p := int64(1); p <= 24; p++ {
+		for c := int64(1); c <= 24; c++ {
+			got, err := MinCapacity(taskgraph.MustQuanta(p), taskgraph.MustQuanta(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := p + c - gcd(p, c); got != want {
+				t.Errorf("MinCapacity(%d, %d) = %d, want %d", p, c, got, want)
+			}
+		}
+	}
+}

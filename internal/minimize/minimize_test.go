@@ -501,7 +501,7 @@ func TestSearchWarmFrontierAllocs(t *testing.T) {
 // BenchmarkSection5MP3Minimize records it in BENCH_sim.json: compiling
 // its one verifier, the checkpoint arena, the frontier and the search's
 // own vectors. No simulated probe allocates.
-const coldMP3SearchAllocs = 97
+const coldMP3SearchAllocs = 63
 
 // TestSearchColdMP3Allocs pins the allocation count of the cold §5 MP3
 // search at 2205 DAC firings, with 8 checkpoints and bound pruning, as

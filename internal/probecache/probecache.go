@@ -31,6 +31,7 @@ package probecache
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,15 +49,69 @@ import (
 type Frontier struct {
 	keys       []string // buffer order of the vectors
 	mu         sync.Mutex
-	feasible   [][]int64 // minimal known-feasible vectors
-	infeasible [][]int64 // maximal known-infeasible vectors
+	feasible   side // minimal known-feasible vectors
+	infeasible side // maximal known-infeasible vectors
 	hits       atomic.Int64
 	misses     atomic.Int64
 }
 
+// side is one frontier: n vectors of k entries each, back to back in one
+// backing array in insertion order. A feasible vector (up) answers every
+// probe at or above it, an infeasible one every probe at or below it.
+type side struct {
+	k, n int
+	up   bool
+	vals []int64
+}
+
 // NewFrontier returns an empty frontier over the given buffer order.
 func NewFrontier(buffers []string) *Frontier {
-	return &Frontier{keys: append([]string(nil), buffers...)}
+	k := len(buffers)
+	return &Frontier{
+		keys:       append([]string(nil), buffers...),
+		feasible:   side{k: k, up: true},
+		infeasible: side{k: k},
+	}
+}
+
+// vec returns the side's i-th vector.
+func (s *side) vec(i int) []int64 { return s.vals[i*s.k : (i+1)*s.k : (i+1)*s.k] }
+
+// covers reports whether the vector e of the side answers a probe of v.
+//
+//vrdf:noalloc
+func (s *side) covers(e, v []int64) bool {
+	if s.up {
+		return leq(e, v)
+	}
+	return leq(v, e)
+}
+
+// find returns the index of the first vector that answers a probe of v,
+// or -1.
+//
+//vrdf:noalloc
+func (s *side) find(v []int64) int {
+	for i := 0; i < s.n; i++ {
+		if s.covers(s.vec(i), v) {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends a copy of v, first compacting away in place the vectors v
+// answers for, which the side no longer needs.
+func (s *side) add(v []int64) {
+	n := 0
+	for i := 0; i < s.n; i++ {
+		if e := s.vec(i); !s.covers(v, e) {
+			copy(s.vals[n*s.k:], e)
+			n++
+		}
+	}
+	s.vals = append(s.vals[:n*s.k], v...)
+	s.n = n + 1
 }
 
 // Keys returns a copy of the buffer order the frontier projects vectors
@@ -129,15 +184,11 @@ func (c *Frontier) Lookup(v []int64) (feasible, hit bool) {
 //
 //vrdf:noalloc
 func (c *Frontier) lookupLocked(v []int64) (feasible, hit bool) {
-	for _, f := range c.feasible {
-		if leq(f, v) {
-			return true, true
-		}
+	if c.feasible.find(v) >= 0 {
+		return true, true
 	}
-	for _, inf := range c.infeasible {
-		if leq(v, inf) {
-			return false, true
-		}
+	if c.infeasible.find(v) >= 0 {
+		return false, true
 	}
 	return false, false
 }
@@ -159,45 +210,21 @@ func (c *Frontier) Insert(v []int64, feasible bool) error {
 // insertLocked records v's verdict. v stays the caller's: an entry that
 // joins a frontier is a copy.
 func (c *Frontier) insertLocked(v []int64, feasible bool) error {
-	if feasible {
-		for _, inf := range c.infeasible {
-			if leq(v, inf) {
-				return fmt.Errorf("probecache: check is not monotone: %s is feasible but the pointwise-larger %s was infeasible",
-					c.fmtVec(v), c.fmtVec(inf))
-			}
-		}
-		for _, f := range c.feasible {
-			if leq(f, v) {
-				return nil // dominated by an existing entry
-			}
-		}
-		kept := c.feasible[:0]
-		for _, f := range c.feasible {
-			if !leq(v, f) {
-				kept = append(kept, f)
-			}
-		}
-		c.feasible = append(kept, append([]int64(nil), v...))
-		return nil
+	same, other := &c.feasible, &c.infeasible
+	if !feasible {
+		same, other = other, same
 	}
-	for _, f := range c.feasible {
-		if leq(f, v) {
-			return fmt.Errorf("probecache: check is not monotone: %s is infeasible but the pointwise-smaller %s was feasible",
-				c.fmtVec(v), c.fmtVec(f))
+	if i := other.find(v); i >= 0 {
+		if feasible {
+			return fmt.Errorf("probecache: check is not monotone: %s is feasible but the pointwise-larger %s was infeasible",
+				c.fmtVec(v), c.fmtVec(other.vec(i)))
 		}
+		return fmt.Errorf("probecache: check is not monotone: %s is infeasible but the pointwise-smaller %s was feasible",
+			c.fmtVec(v), c.fmtVec(other.vec(i)))
 	}
-	for _, inf := range c.infeasible {
-		if leq(v, inf) {
-			return nil
-		}
+	if same.find(v) < 0 { // else an existing entry already answers v
+		same.add(v)
 	}
-	kept := c.infeasible[:0]
-	for _, inf := range c.infeasible {
-		if !leq(inf, v) {
-			kept = append(kept, inf)
-		}
-	}
-	c.infeasible = append(kept, append([]int64(nil), v...))
 	return nil
 }
 
@@ -206,7 +233,7 @@ func (c *Frontier) insertLocked(v []int64, feasible bool) error {
 func (c *Frontier) Size() (feasible, infeasible int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.feasible), len(c.infeasible)
+	return c.feasible.n, c.infeasible.n
 }
 
 // Counters returns the number of lookups answered by dominance (hits) and
@@ -225,27 +252,23 @@ func (c *Frontier) Counters() (hits, misses int64) {
 func (c *Frontier) SelfCheck() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, f := range c.feasible {
-		for _, inf := range c.infeasible {
-			if leq(f, inf) {
-				return fmt.Errorf("probecache: frontier contradiction: feasible %s at or below infeasible %s",
-					c.fmtVec(f), c.fmtVec(inf))
-			}
+	for i := 0; i < c.feasible.n; i++ {
+		if j := c.infeasible.find(c.feasible.vec(i)); j >= 0 {
+			return fmt.Errorf("probecache: frontier contradiction: feasible %s at or below infeasible %s",
+				c.fmtVec(c.feasible.vec(i)), c.fmtVec(c.infeasible.vec(j)))
 		}
 	}
-	for i, a := range c.feasible {
-		for j, b := range c.feasible {
-			if i != j && leq(a, b) {
-				return fmt.Errorf("probecache: feasible frontier is not an antichain: %s dominated by %s",
-					c.fmtVec(b), c.fmtVec(a))
-			}
-		}
-	}
-	for i, a := range c.infeasible {
-		for j, b := range c.infeasible {
-			if i != j && leq(a, b) {
-				return fmt.Errorf("probecache: infeasible frontier is not an antichain: %s dominated by %s",
-					c.fmtVec(a), c.fmtVec(b))
+	for _, s := range []*side{&c.feasible, &c.infeasible} {
+		for i := 0; i < s.n; i++ {
+			for j := 0; j < s.n; j++ {
+				if a, b := s.vec(i), s.vec(j); i != j && leq(a, b) {
+					if s.up {
+						return fmt.Errorf("probecache: feasible frontier is not an antichain: %s dominated by %s",
+							c.fmtVec(b), c.fmtVec(a))
+					}
+					return fmt.Errorf("probecache: infeasible frontier is not an antichain: %s dominated by %s",
+						c.fmtVec(a), c.fmtVec(b))
+				}
 			}
 		}
 	}
@@ -257,11 +280,11 @@ func (c *Frontier) snapshot() frontierSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := frontierSnapshot{Buffers: append([]string(nil), c.keys...)}
-	for _, f := range c.feasible {
-		s.Feasible = append(s.Feasible, append([]int64(nil), f...))
+	for i := 0; i < c.feasible.n; i++ {
+		s.Feasible = append(s.Feasible, slices.Clone(c.feasible.vec(i)))
 	}
-	for _, inf := range c.infeasible {
-		s.Infeasible = append(s.Infeasible, append([]int64(nil), inf...))
+	for i := 0; i < c.infeasible.n; i++ {
+		s.Infeasible = append(s.Infeasible, slices.Clone(c.infeasible.vec(i)))
 	}
 	return s
 }
