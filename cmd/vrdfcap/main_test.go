@@ -142,21 +142,33 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunOverflowIsOneLineError pins that a valid document whose analysis
 // leaves int64 rationals fails with one error line naming the overflow,
-// not a panic and its stack trace.
+// not a panic and its stack trace: at the document's period, and at a
+// swept period, where the line is Compute's at that period.
 func TestRunOverflowIsOneLineError(t *testing.T) {
-	doc := "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod {1000000000000000,1000000000000001} cons 1\nconstraint b period 1000000000000000000\n"
-	path := filepath.Join(t.TempDir(), "overflow.txt")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	err := run([]string{path}, &out)
-	if err == nil {
-		t.Fatalf("overflowing document accepted:\n%s", out.String())
-	}
-	const want = "capacity: task a: minimal start distance φ: ratio: int64 overflow in mul"
-	if err.Error() != want {
-		t.Fatalf("error %q, want %q", err, want)
+	const (
+		pair     = "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod {1000000000000000,1000000000000001} cons 1\n"
+		overflow = "capacity: task a: minimal start distance φ: ratio: int64 overflow in mul"
+	)
+	for _, c := range []struct {
+		period string
+		args   []string
+		want   string
+	}{
+		{"1000000000000000000", nil, overflow},
+		{"1", []string{"-sweep", "1,1000000000000000000"}, "capacity: period 1000000000000000000: " + overflow},
+	} {
+		path := filepath.Join(t.TempDir(), "overflow.txt")
+		if err := os.WriteFile(path, []byte(pair+"constraint b period "+c.period+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := run(append(c.args, path), &out)
+		if err == nil {
+			t.Fatalf("%v: overflowing document accepted:\n%s", c.args, out.String())
+		}
+		if err.Error() != c.want {
+			t.Fatalf("%v: error %q, want %q", c.args, err, c.want)
+		}
 	}
 }
 

@@ -16,7 +16,10 @@ type (
 	// analytic periodic offset for the sink and an end-to-end latency
 	// bound.
 	ChainSchedule = capacity.ChainSchedule
-	// SweepPoint is one point of a throughput/buffer trade-off curve.
+	// SweepPoint is one point of a throughput/buffer trade-off curve:
+	// period, validity and total capacity. Only MinimalFeasiblePeriod
+	// fills its Result; a SweepPeriods point leaves it nil (Analyze gives
+	// a point's full analysis).
 	SweepPoint = capacity.SweepPoint
 	// TDM and RoundRobin derive worst-case response times κ from
 	// worst-case execution times and arbiter settings (§3.1).

@@ -26,6 +26,10 @@ type Analysis struct {
 	direction Direction
 	tasks     []*taskgraph.Task // chain order, source to sink
 	buffers   []chainBuffer     // chain order; buffers[i] links tasks[i] to tasks[i+1]
+	// closed answers verdict without At. It is nil where it was not
+	// compiled (Compute, a minimal-period search the cache answers
+	// throughout) or where no period can take it.
+	closed *closedForm
 }
 
 // chainBuffer is one buffer of a compiled chain with everything At needs
@@ -46,8 +50,20 @@ type chainBuffer struct {
 
 // CompileAnalysis validates g as a chain with the constrained task at an
 // endpoint and returns the reusable Analysis for probing periods under
-// policy p.
+// policy p. It also compiles the closed form the period sweeps decide
+// their points by (see closedForm).
 func CompileAnalysis(g *taskgraph.Graph, task string, p Policy) (*Analysis, error) {
+	a, err := compileChain(g, task, p)
+	if err != nil {
+		return nil, err
+	}
+	a.closed = compileClosedForm(a)
+	return a, nil
+}
+
+// compileChain is CompileAnalysis without the closed form, for callers
+// that evaluate a single period.
+func compileChain(g *taskgraph.Graph, task string, p Policy) (*Analysis, error) {
 	tasks, buffers, err := g.ChainFor(task)
 	if err != nil {
 		return nil, err
@@ -113,6 +129,9 @@ func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
 	if err := a.propagatePhi(res); err != nil {
 		return nil, err
 	}
+	for i, w := range a.tasks {
+		res.Phi[w.Name] = res.Checks[i].Phi
+	}
 	a.runTaskChecks(res)
 	for i := range a.buffers {
 		if err := a.computeBuffer(res, i); err != nil {
@@ -123,9 +142,10 @@ func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
 }
 
 // propagatePhi derives every task's φ per §4.3 (sink-constrained) or §4.4
-// (source-constrained) into res.Checks[i].Phi and res.Phi, and every
-// buffer's bound rate μ into res.Buffers[i].Mu. It fails when a rate or a
-// start distance is not representable in int64 rationals.
+// (source-constrained) into res.Checks[i].Phi, and every buffer's bound
+// rate μ into res.Buffers[i].Mu. A zero quantum clears res.Valid and adds
+// its diagnostic. It fails when a rate or a start distance is not
+// representable in int64 rationals.
 func (a *Analysis) propagatePhi(res *Result) error {
 	checks, bufs := res.Checks, res.Buffers
 	switch a.direction {
@@ -172,9 +192,6 @@ func (a *Analysis) propagatePhi(res *Result) error {
 				return fmt.Errorf("capacity: task %s: minimal start distance φ: %w", b.cons.Name, err)
 			}
 		}
-	}
-	for i, w := range a.tasks {
-		res.Phi[w.Name] = checks[i].Phi
 	}
 	return nil
 }

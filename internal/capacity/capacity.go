@@ -225,7 +225,7 @@ func Compute(g *taskgraph.Graph, c taskgraph.Constraint, p Policy) (*Result, err
 	if err := taskgraph.CheckPeriod(c.Period); err != nil {
 		return nil, err
 	}
-	a, err := CompileAnalysis(g, c.Task, p)
+	a, err := compileChain(g, c.Task, p)
 	if err != nil {
 		return nil, err
 	}

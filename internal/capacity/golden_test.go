@@ -29,13 +29,29 @@ func chainSweepGrid(tau ratio.Rat) []ratio.Rat {
 	return out
 }
 
-// goldenAnalysisTranscript analyses 64 graphgen chains (4–8 tasks; half
-// sink-, half source-constrained, some with zero quanta) at every grid
-// point, under every policy, constrained at the generated endpoint and at
-// the opposite one — the latter drives the zero-quantum diagnostics —
-// and feeds each fmt.Sprintf("%+v") of the Result, or the error, to emit
-// together with the Result or error it renders.
+// goldenAnalysisTranscript analyses every golden fixture at every grid
+// point and feeds each fmt.Sprintf("%+v") of the Result, or the error, to
+// emit together with the Result or error it renders.
 func goldenAnalysisTranscript(t *testing.T, emit func(line string, res *Result, err error)) {
+	t.Helper()
+	goldenFixtures(t, func(i int, task string, p Policy, a *Analysis, grid []ratio.Rat) {
+		for _, tau := range grid {
+			res, err := a.At(tau)
+			if err != nil {
+				emit(fmt.Sprintf("chain %d %s %v %v: error %v", i, task, p, tau, err), nil, err)
+				continue
+			}
+			emit(fmt.Sprintf("chain %d %s %v %v: %+v", i, task, p, tau, res), res, nil)
+		}
+	})
+}
+
+// goldenFixtures compiles 64 graphgen chains (4–8 tasks; half sink-, half
+// source-constrained, some with zero quanta) under every policy,
+// constrained at the generated endpoint and at the opposite one — the
+// latter drives the zero-quantum diagnostics — and hands each analysis to
+// visit with the chain's k/32·τ grid.
+func goldenFixtures(t *testing.T, visit func(i int, task string, p Policy, a *Analysis, grid []ratio.Rat)) {
 	t.Helper()
 	policies := []Policy{PolicyEquation4, PolicyBaseline, PolicyHybrid}
 	for i := 0; i < 64; i++ {
@@ -64,14 +80,7 @@ func goldenAnalysisTranscript(t *testing.T, emit func(line string, res *Result, 
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, tau := range chainSweepGrid(c.Period) {
-					res, err := a.At(tau)
-					if err != nil {
-						emit(fmt.Sprintf("chain %d %s %v %v: error %v", i, task, p, tau, err), nil, err)
-						continue
-					}
-					emit(fmt.Sprintf("chain %d %s %v %v: %+v", i, task, p, tau, res), res, nil)
-				}
+				visit(i, task, p, a, chainSweepGrid(c.Period))
 			}
 		}
 	}

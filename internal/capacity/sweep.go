@@ -22,7 +22,9 @@ type SweepPoint struct {
 	Valid bool
 	// Total is the summed buffer capacity (meaningful when Valid).
 	Total int64
-	// Result is the full analysis at this period.
+	// Result is the full analysis at this period. MinimalFeasiblePeriod
+	// sets it for the point it returns; the points of SweepPeriods leave
+	// it nil (use Analysis.At or Compute for a point's full analysis).
 	Result *Result
 }
 
@@ -69,8 +71,11 @@ func SweepPeriods(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy
 }
 
 // SweepPeriodsOpt is SweepPeriods with explicit options. The chain is
-// validated and compiled once (CompileAnalysis); every worker probes the
-// shared compiled analysis instead of re-deriving the chain per period.
+// validated and compiled once (CompileAnalysis), and every worker decides
+// its periods from the compiled closed form: one threshold comparison and
+// one exact floor per buffer, with Analysis.At answering any period whose
+// magnitudes the closed form cannot prove in int64 range. Each point's
+// Valid, Total and error are At's at that period; Result stays nil.
 func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) ([]SweepPoint, error) {
 	if len(periods) == 0 {
 		return nil, fmt.Errorf("capacity: empty period sweep")
@@ -89,16 +94,11 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 			return SweepPoint{}, budget.Classify(err)
 		}
 		tau := periods[i]
-		res, err := a.At(tau)
+		valid, total, err := a.verdict(tau)
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", tau, err)
 		}
-		pt := SweepPoint{
-			Period: tau,
-			Valid:  res.Valid,
-			Total:  res.TotalCapacity(),
-			Result: res,
-		}
+		pt := SweepPoint{Period: tau, Valid: valid, Total: total}
 		if cache != nil {
 			// Freshly computed verdicts overwrite whatever was stored, so
 			// a stale or corrupted cache entry heals on the next sweep.
@@ -141,7 +141,10 @@ func MinimalFeasiblePeriod(g *taskgraph.Graph, task string, periods []ratio.Rat,
 // relaxing τ can only help — which makes binary search over the sorted
 // candidates exact. Instead of analysing every candidate, the search probes
 // O(log n) candidates and answers each probe from opts.Cache, when given,
-// if a recorded verdict — exact or by dominance — already decides it.
+// if a recorded verdict — exact or by dominance — already decides it. A
+// probe the cache does not decide is decided by the compiled closed form,
+// as in SweepPeriodsOpt, and the full analysis (Analysis.At) runs once, at
+// the winner, to fill the returned point's Result.
 func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) (SweepPoint, error) {
 	if len(periods) == 0 {
 		return SweepPoint{}, fmt.Errorf("capacity: empty period sweep")
@@ -163,7 +166,7 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 		}
 	}
 	periods = uniq
-	a, err := CompileAnalysis(g, task, p)
+	a, err := compileChain(g, task, p)
 	if err != nil {
 		return SweepPoint{}, err
 	}
@@ -172,7 +175,9 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	computed := make([]*SweepPoint, len(periods))
+	// The closed form is compiled at the first probe the cache does not
+	// answer, so a search the cache answers throughout pays nothing for it.
+	compiled := false
 	probe := func(i int) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, budget.Classify(err)
@@ -185,16 +190,17 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 				return v.Valid, nil
 			}
 		}
-		res, err := a.At(tau)
+		if !compiled {
+			a.closed, compiled = compileClosedForm(a), true
+		}
+		valid, total, err := a.verdict(tau)
 		if err != nil {
 			return false, fmt.Errorf("capacity: period %v: %w", tau, err)
 		}
-		pt := SweepPoint{Period: tau, Valid: res.Valid, Total: res.TotalCapacity(), Result: res}
-		computed[i] = &pt
 		if cache != nil {
-			cache.Insert(tau, probecache.Verdict{Valid: pt.Valid, Total: pt.Total})
+			cache.Insert(tau, probecache.Verdict{Valid: valid, Total: total})
 		}
-		return pt.Valid, nil
+		return valid, nil
 	}
 	// Invariant: every candidate below lo is infeasible, every candidate
 	// at or beyond hi is feasible (by monotonicity once probed).
@@ -215,11 +221,6 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 		return SweepPoint{}, fmt.Errorf("capacity: no feasible period among %d candidates (fastest %v, slowest %v)",
 			len(periods), periods[0], periods[len(periods)-1])
 	}
-	if pt := computed[lo]; pt != nil {
-		return *pt, nil
-	}
-	// The winning probe was answered by the cache; materialise the full
-	// analysis for it once.
 	res, err := a.At(periods[lo])
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", periods[lo], err)

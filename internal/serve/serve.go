@@ -554,8 +554,13 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 				Parallel: 1,
 				Context:  ctx,
 			})
-			if err != nil {
+			switch {
+			case errors.Is(err, budget.ErrBudgetExceeded) || errors.Is(err, budget.ErrCanceled):
 				return nil, err
+			case err != nil:
+				// The analysis failed at one of the periods, as Compute
+				// fails on a document: a typed 400, not a 500.
+				return nil, badReq(err)
 			}
 			return sweepResponseOf(con.Task, policy, pts), nil
 		}
