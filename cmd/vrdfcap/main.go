@@ -25,8 +25,8 @@
 //	-exact         exhaustive deadlock-freedom certificate (small graphs)
 //	-minimize      search the empirically minimal capacities by simulation
 //	-minimize-firings n  firings per minimization probe (0 = use -firings)
-//	-parallel n    worker goroutines for -sweep and -degradation
-//	               (0 = GOMAXPROCS); -minimize is always serial
+//	-parallel n    worker goroutines for -degradation
+//	               (0 = GOMAXPROCS); -sweep and -minimize are always serial
 //	-timeout d     wall-clock budget for simulation-backed steps (0 = none)
 //	-max-events n  cap simulated events per run (0 = engine default)
 //	-jitter q      admissible execution-time jitter in [0,1) for -verify
@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 	exactFlag := fs.Bool("exact", false, "certify the sizing deadlock-free by exhaustive adversarial search (small graphs)")
 	minimizeFlag := fs.Bool("minimize", false, "search the empirically minimal capacities that still satisfy the constraint (simulation-based)")
 	minimizeFirings := fs.Int64("minimize-firings", 0, "firings of the constrained task per minimization probe (0 = use -firings)")
-	parallelN := fs.Int("parallel", 0, "worker goroutines for -sweep and -degradation (0 = GOMAXPROCS, 1 = serial; -minimize is always serial)")
+	parallelN := fs.Int("parallel", 0, "worker goroutines for -degradation (0 = GOMAXPROCS, 1 = serial; -sweep and -minimize are always serial)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during -verify, e.g. 1/2")
@@ -160,10 +160,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
-			Parallel: *parallelN,
-			Context:  ctx,
-		})
+		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{Context: ctx})
 		if err != nil {
 			return err
 		}

@@ -505,6 +505,10 @@ func TestRunMinimizeCacheDirColdWarm(t *testing.T) {
 		t.Errorf("cold run stats missing the flush count:\n%s", cold.String())
 	}
 
+	before, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	var warm bytes.Buffer
 	if err := run(args, &warm); err != nil {
 		t.Fatal(err)
@@ -512,8 +516,12 @@ func TestRunMinimizeCacheDirColdWarm(t *testing.T) {
 	if !strings.Contains(warm.String(), "; 0 probes simulated") {
 		t.Errorf("warm cache-dir run still simulated probes:\n%s", warm.String())
 	}
-	if !strings.Contains(warm.String(), "1 loaded") {
-		t.Errorf("warm run stats missing the loaded count:\n%s", warm.String())
+	// Nothing new was learnt, so nothing is rewritten.
+	if !strings.Contains(warm.String(), "1 loaded, 0 skipped, 0 written") {
+		t.Errorf("warm run stats missing the loaded count or rewrote the payload:\n%s", warm.String())
+	}
+	if after, err := os.Stat(files[0]); err != nil || !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("warm run touched its unchanged payload (%v)", err)
 	}
 	if got, want := minimizeSection(t, warm.String()), minimizeSection(t, cold.String()); got != want {
 		t.Errorf("warm cache changed the found capacities:\n--- cold ---\n%s\n--- warm ---\n%s", want, got)

@@ -47,17 +47,14 @@ func AnchoredSchedule(res *Result) (*ChainSchedule, error) {
 }
 
 // SweepPeriods analyses the chain at every candidate period, producing the
-// throughput/buffer trade-off curve for design-space exploration.
+// throughput/buffer trade-off curve for design-space exploration. One
+// serial loop decides the periods from the chain's compiled closed form.
 func SweepPeriods(g *Graph, task string, periods []RatNum, p Policy) ([]SweepPoint, error) {
 	return capacity.SweepPeriods(g, task, periods, p)
 }
 
-// SweepOptions tunes the worker count and budget of SweepPeriodsOpt.
+// SweepOptions tunes the budget of SweepPeriodsOpt.
 type SweepOptions struct {
-	// Parallel bounds the number of periods analysed concurrently: 0
-	// selects GOMAXPROCS, 1 forces the serial path. The results are
-	// identical for every setting.
-	Parallel int
 	// Context, if non-nil, cancels or time-bounds the sweep between
 	// periods; the typed errors satisfy ErrCanceled and
 	// ErrBudgetExceeded.
@@ -66,11 +63,12 @@ type SweepOptions struct {
 
 // SweepPeriodsOpt is SweepPeriods with explicit options.
 func SweepPeriodsOpt(g *Graph, task string, periods []RatNum, p Policy, opts SweepOptions) ([]SweepPoint, error) {
-	return capacity.SweepPeriodsOpt(g, task, periods, p, capacity.SweepOptions{Parallel: opts.Parallel, Context: opts.Context})
+	return capacity.SweepPeriodsOpt(g, task, periods, p, capacity.SweepOptions{Context: opts.Context})
 }
 
-// MinimalFeasiblePeriod returns the first feasible point of an ascending
-// period sweep.
+// MinimalFeasiblePeriod returns the least feasible candidate period, in
+// any candidate order: the least candidate at or above the chain's
+// validity threshold, with the full analysis there in its Result.
 func MinimalFeasiblePeriod(g *Graph, task string, periods []RatNum, p Policy) (SweepPoint, error) {
 	return capacity.MinimalFeasiblePeriod(g, task, periods, p)
 }

@@ -1,6 +1,5 @@
-// Package capacity exercises the budgetloop analyzer on the shape of
-// capacity.MinimalFeasiblePeriodOpt: a minimal-period bisection whose
-// probe closure must consult the caller's context.
+// Package capacity exercises the budgetloop analyzer on a minimal-period
+// bisection whose probe closure must consult the caller's context.
 package capacity
 
 import "context"

@@ -18,8 +18,7 @@ import (
 // graph after compiling invalidates the Analysis.
 //
 // At is a pure function of the period, so one Analysis may be shared by
-// any number of goroutines — the parallel period sweep compiles once and
-// probes from every worker.
+// any number of goroutines.
 type Analysis struct {
 	task      string
 	policy    Policy
@@ -27,8 +26,8 @@ type Analysis struct {
 	tasks     []*taskgraph.Task // chain order, source to sink
 	buffers   []chainBuffer     // chain order; buffers[i] links tasks[i] to tasks[i+1]
 	// closed answers verdict without At. It is nil where it was not
-	// compiled (Compute, a minimal-period search the cache answers
-	// throughout) or where no period can take it.
+	// compiled (Compute, a minimal-period query) or where no period can
+	// take it.
 	closed *closedForm
 }
 

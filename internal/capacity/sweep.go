@@ -3,10 +3,9 @@ package capacity
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vrdfcap/internal/budget"
-	"vrdfcap/internal/parallel"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
@@ -30,30 +29,29 @@ type SweepPoint struct {
 
 // SweepOptions tunes SweepPeriodsOpt and MinimalFeasiblePeriodOpt.
 type SweepOptions struct {
-	// Parallel bounds the number of periods analysed concurrently on this
-	// machine: 0 selects GOMAXPROCS, 1 forces the serial path. Every
-	// period is an independent pure computation, so the results —
-	// ordering, values and the error reported on a bad period — are
-	// identical for every setting (see internal/parallel for the
-	// first-error contract).
+	// Parallel is not read: a sweep decides its periods in one serial
+	// loop, each in a few dozen nanoseconds.
+	//
+	// Deprecated: nothing reads Parallel; it stays only until the
+	// perfbench harness stops setting it.
 	Parallel int
 	// Context, if non-nil, cancels or time-bounds the sweep
 	// cooperatively between periods; the typed errors satisfy
 	// budget.ErrCanceled and budget.ErrBudgetExceeded.
 	Context context.Context
-	// Cache is the in-memory period-verdict cache the sweep records into
-	// and MinimalFeasiblePeriod probes from; nil means no cache. Passing
-	// one cache to a sweep and a later minimal-period search over the same
-	// (graph, task, policy) lets the search reuse the sweep's verdicts.
-	// Cached verdicts never change a sweep's points — every point is fully
-	// recomputed and overwrites the cache — they only let
-	// MinimalFeasiblePeriod skip re-analysing periods whose validity is
-	// already decided.
+	// Cache is not read: neither query keeps period verdicts.
+	//
+	// Deprecated: nothing reads Cache; it stays only until the perfbench
+	// harness stops setting it.
 	Cache *probecache.Periods
 }
 
 // SweepKey returns a probecache fingerprint of a (graph, constrained task,
-// policy) triple, for callers that keep one Periods cache per triple.
+// policy) triple.
+//
+// Deprecated: no period cache is kept per triple any more; SweepKey stays
+// only until the perfbench harness stops calling it. Use
+// probecache.GraphKey.
 func SweepKey(g *taskgraph.Graph, task string, p Policy) string {
 	return probecache.GraphKey(g, "capacity-sweep", task, p.String())
 }
@@ -63,19 +61,18 @@ func SweepKey(g *taskgraph.Graph, task string, p Policy) string {
 // Stuijk et al. ([11] in the paper) perform for constant-rate SDF graphs,
 // here available for data-dependent chains. Tighter periods need larger
 // buffers; periods below a task's response-time limit are reported
-// infeasible rather than skipped. Periods are evaluated concurrently
-// (bounded by GOMAXPROCS); use SweepPeriodsOpt to control the worker
-// count.
+// infeasible rather than skipped.
 func SweepPeriods(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy) ([]SweepPoint, error) {
 	return SweepPeriodsOpt(g, task, periods, p, SweepOptions{})
 }
 
 // SweepPeriodsOpt is SweepPeriods with explicit options. The chain is
-// validated and compiled once (CompileAnalysis), and every worker decides
-// its periods from the compiled closed form: one threshold comparison and
-// one exact floor per buffer, with Analysis.At answering any period whose
-// magnitudes the closed form cannot prove in int64 range. Each point's
-// Valid, Total and error are At's at that period; Result stays nil.
+// validated and compiled once (CompileAnalysis), and one serial loop
+// decides the periods in list order from the compiled closed form: one
+// threshold comparison and one exact floor per buffer, with Analysis.At
+// answering any period whose magnitudes the closed form cannot prove in
+// int64 range. Each point's Valid, Total and error are At's at that
+// period; Result stays nil. The first failing period ends the sweep.
 func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) ([]SweepPoint, error) {
 	if len(periods) == 0 {
 		return nil, fmt.Errorf("capacity: empty period sweep")
@@ -84,146 +81,106 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 	if err != nil {
 		return nil, err
 	}
-	cache := opts.Cache
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eval := func(i int) (SweepPoint, error) {
+	ctx := opts.context()
+	out := make([]SweepPoint, len(periods))
+	for i, tau := range periods {
 		if err := ctx.Err(); err != nil {
-			return SweepPoint{}, budget.Classify(err)
+			return nil, budget.Classify(err)
 		}
-		tau := periods[i]
 		valid, total, err := a.verdict(tau)
 		if err != nil {
-			return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", tau, err)
+			return nil, fmt.Errorf("capacity: period %v: %w", tau, err)
 		}
-		pt := SweepPoint{Period: tau, Valid: valid, Total: total}
-		if cache != nil {
-			// Freshly computed verdicts overwrite whatever was stored, so
-			// a stale or corrupted cache entry heals on the next sweep.
-			cache.Insert(tau, probecache.Verdict{Valid: pt.Valid, Total: pt.Total})
-		}
-		return pt, nil
+		out[i] = SweepPoint{Period: tau, Valid: valid, Total: total}
 	}
-	if parallel.Workers(opts.Parallel) == 1 {
-		out := make([]SweepPoint, 0, len(periods))
-		for i := range periods {
-			pt, err := eval(i)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pt)
-		}
-		return out, nil
-	}
-	pts, err := parallel.Map(ctx, opts.Parallel, len(periods), eval)
-	if err != nil {
-		return nil, budget.Classify(err)
-	}
-	return pts, nil
+	return out, nil
 }
 
 // MinimalFeasiblePeriod returns the smallest candidate period at which the
-// chain is feasible, or an error if none is. The candidate list is expected
-// in ascending order; a list that is not ascending is sorted into a copy
-// first, so the returned point is the true minimum regardless of input
-// order (an unsorted list used to silently return the first feasible — not
-// the minimal — period).
+// chain is feasible, or an error if none is. The candidates may come in
+// any order; see MinimalFeasiblePeriodOpt for the contract.
 func MinimalFeasiblePeriod(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy) (SweepPoint, error) {
 	return MinimalFeasiblePeriodOpt(g, task, periods, p, SweepOptions{})
 }
 
 // MinimalFeasiblePeriodOpt is MinimalFeasiblePeriod with explicit options.
 //
-// Validity is monotone in the period — every schedule check compares a
-// fixed response time ρ(w) against φ(w) = τ·const with const > 0, so
-// relaxing τ can only help — which makes binary search over the sorted
-// candidates exact. Instead of analysing every candidate, the search probes
-// O(log n) candidates and answers each probe from opts.Cache, when given,
-// if a recorded verdict — exact or by dominance — already decides it. A
-// probe the cache does not decide is decided by the compiled closed form,
-// as in SweepPeriodsOpt, and the full analysis (Analysis.At) runs once, at
-// the winner, to fill the returned point's Result.
+// Every check compares a fixed response time ρ(w) against φ(w) = c_w·τ
+// with c_w > 0 (§4.3/§4.4), so wherever At succeeds the chain is valid
+// exactly from the threshold T = max_w ρ(w)/c_w on, unless a zero quantum
+// rules every period out. The query decides by T and analyses one period:
+//
+//   - The candidates are sorted and deduplicated into a copy; the
+//     caller's slice is never mutated, and N below counts the copy.
+//   - The context is checked before anything is decided.
+//   - If the least candidate is not a valid period
+//     (taskgraph.CheckPeriod), that error is returned, wrapped as
+//     "capacity: period τ: …".
+//   - The winner is the least candidate ≥ T. Its Result is At's there,
+//     and an At error there is returned, wrapped the same way. At is not
+//     run at any other candidate, so a candidate below T or above the
+//     winner cannot turn the answer into an error.
+//   - If no candidate is ≥ T, or a zero quantum rules every period out,
+//     the error reads "capacity: no feasible period among N candidates
+//     (fastest …, slowest …)".
+//   - A chain without T — At fails at every period for a reason that
+//     does not depend on it, or T leaves int64 — is decided candidate by
+//     candidate in ascending order through At, checking the context
+//     before each; the first error or the first valid point ends the
+//     search.
 func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) (SweepPoint, error) {
 	if len(periods) == 0 {
 		return SweepPoint{}, fmt.Errorf("capacity: empty period sweep")
 	}
-	// Sort and dedupe into a copy: duplicate candidates would skew the
-	// binary-search midpoints (wasting probes re-deciding the same period)
-	// without changing the answer, and the caller's slice is never mutated.
-	less := func(i, j int) bool { return periods[i].Less(periods[j]) }
-	sorted := make([]ratio.Rat, len(periods))
-	copy(sorted, periods)
-	periods = sorted
-	if !sort.SliceIsSorted(periods, less) {
-		sort.Slice(periods, less)
+	sorted := slices.Clone(periods)
+	if !slices.IsSortedFunc(sorted, ratio.Rat.Cmp) {
+		slices.SortFunc(sorted, ratio.Rat.Cmp)
 	}
-	uniq := periods[:1]
-	for _, tau := range periods[1:] {
-		if !tau.Equal(uniq[len(uniq)-1]) {
-			uniq = append(uniq, tau)
-		}
-	}
-	periods = uniq
+	periods = slices.CompactFunc(sorted, ratio.Rat.Equal)
 	a, err := compileChain(g, task, p)
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	cache := opts.Cache
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
+	ctx := opts.context()
+	if err := ctx.Err(); err != nil {
+		return SweepPoint{}, budget.Classify(err)
 	}
-	// The closed form is compiled at the first probe the cache does not
-	// answer, so a search the cache answers throughout pays nothing for it.
-	compiled := false
-	probe := func(i int) (bool, error) {
-		if err := ctx.Err(); err != nil {
-			return false, budget.Classify(err)
-		}
-		tau := periods[i]
-		if cache != nil {
-			// Probe combines the exact and dominance lookups under one
-			// counter update, so hits + misses equals the probe count.
-			if v, hit := cache.Probe(tau); hit {
-				return v.Valid, nil
+	if err := taskgraph.CheckPeriod(periods[0]); err != nil {
+		return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", periods[0], err)
+	}
+	switch t, feasible, ok := a.threshold(nil); {
+	case !ok:
+		for _, tau := range periods {
+			if err := ctx.Err(); err != nil {
+				return SweepPoint{}, budget.Classify(err)
+			}
+			if pt, err := a.point(tau); err != nil || pt.Valid {
+				return pt, err
 			}
 		}
-		if !compiled {
-			a.closed, compiled = compileClosedForm(a), true
-		}
-		valid, total, err := a.verdict(tau)
-		if err != nil {
-			return false, fmt.Errorf("capacity: period %v: %w", tau, err)
-		}
-		if cache != nil {
-			cache.Insert(tau, probecache.Verdict{Valid: valid, Total: total})
-		}
-		return valid, nil
-	}
-	// Invariant: every candidate below lo is infeasible, every candidate
-	// at or beyond hi is feasible (by monotonicity once probed).
-	lo, hi := 0, len(periods)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		valid, err := probe(mid)
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		if valid {
-			hi = mid
-		} else {
-			lo = mid + 1
+	case feasible:
+		if i, _ := slices.BinarySearchFunc(periods, t, ratio.Rat.Cmp); i < len(periods) {
+			return a.point(periods[i])
 		}
 	}
-	if lo == len(periods) {
-		return SweepPoint{}, fmt.Errorf("capacity: no feasible period among %d candidates (fastest %v, slowest %v)",
-			len(periods), periods[0], periods[len(periods)-1])
-	}
-	res, err := a.At(periods[lo])
+	return SweepPoint{}, fmt.Errorf("capacity: no feasible period among %d candidates (fastest %v, slowest %v)",
+		len(periods), periods[0], periods[len(periods)-1])
+}
+
+// point is the full analysis at tau as a sweep point, or At's error
+// wrapped with the period.
+func (a *Analysis) point(tau ratio.Rat) (SweepPoint, error) {
+	res, err := a.At(tau)
 	if err != nil {
-		return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", periods[lo], err)
+		return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", tau, err)
 	}
-	return SweepPoint{Period: periods[lo], Valid: res.Valid, Total: res.TotalCapacity(), Result: res}, nil
+	return SweepPoint{Period: tau, Valid: res.Valid, Total: res.TotalCapacity(), Result: res}, nil
+}
+
+// context returns the options' context, or context.Background.
+func (o SweepOptions) context() context.Context {
+	if o.Context == nil {
+		return context.Background()
+	}
+	return o.Context
 }

@@ -29,20 +29,16 @@ func benchmarkSweepFixture(b *testing.B) (sweepFixture, []ratio.Rat) {
 	return sweepFixture{g: g, task: c.Task}, periods
 }
 
-// benchmarkSweep sweeps 64 periods over a 40-stage chain; per-period
-// analysis cost dominates the pool overhead, so the parallel variant
-// approaches a GOMAXPROCS-fold speedup on multi-core runners. The sweep
-// compiles the chain once (CompileAnalysis) and probes the compiled
-// analysis per period; the nil Cache keeps the measurement free of
-// cross-run verdict caching so allocs/op is deterministic for the CI bench
-// gate.
-func benchmarkSweep(b *testing.B, workers int) {
+// BenchmarkSweepPeriods is the serial design-space sweep of 64 periods
+// over a 40-stage chain that the CI bench gate tracks for allocs/op
+// regressions. The sweep compiles the chain once (CompileAnalysis) and
+// decides every period from the compiled closed form.
+func BenchmarkSweepPeriods(b *testing.B) {
 	fx, periods := benchmarkSweepFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := SweepPeriodsOpt(fx.g, fx.task, periods, PolicyEquation4,
-			SweepOptions{Parallel: workers})
+		pts, err := SweepPeriods(fx.g, fx.task, periods, PolicyEquation4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,21 +48,11 @@ func benchmarkSweep(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSweepPeriods is the serial design-space sweep the CI bench
-// gate tracks for allocs/op regressions.
-func BenchmarkSweepPeriods(b *testing.B)  { benchmarkSweep(b, 1) }
-func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }
-
-// BenchmarkSweepPeriodsSmall mirrors one cold job of the chain-sweep
-// ledger workload: short graphgen chains (4–8 tasks), each swept serially
-// over the 64-point k/32·τ grid with caching off. Unlike the 40-stage
-// fixture above, roughly half of these grid points are infeasible, so
-// diagnostics and per-period set-up weigh as they do in practice.
-func BenchmarkSweepPeriodsSmall(b *testing.B) {
-	const chains = 16
-	gs := make([]*taskgraph.Graph, chains)
-	tasks := make([]string, chains)
-	grids := make([][]ratio.Rat, chains)
+// smallChains returns 16 graphgen chains of 4–8 tasks, the shape of the
+// chain-sweep ledger workload, with their constraints.
+func smallChains(b *testing.B) ([]*taskgraph.Graph, []taskgraph.Constraint) {
+	gs := make([]*taskgraph.Graph, 16)
+	cons := make([]taskgraph.Constraint, len(gs))
 	for i := range gs {
 		g, c, err := graphgen.Random(graphgen.Config{
 			Seed: int64(i), MinTasks: 4, MaxTasks: 8, MaxQuantum: 8, MaxSetSize: 3,
@@ -74,19 +60,57 @@ func BenchmarkSweepPeriodsSmall(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		gs[i], tasks[i], grids[i] = g, c.Task, chainSweepGrid(c.Period)
+		gs[i], cons[i] = g, c
+	}
+	return gs, cons
+}
+
+// BenchmarkSweepPeriodsSmall mirrors the sweep of one cold chain-sweep
+// job: each smallChains chain swept over the 64-point k/32·τ grid. Unlike
+// the 40-stage fixture above, roughly half of these grid points are
+// infeasible, so diagnostics and per-period set-up weigh as they do in
+// practice.
+func BenchmarkSweepPeriodsSmall(b *testing.B) {
+	gs, cons := smallChains(b)
+	grids := make([][]ratio.Rat, len(gs))
+	for j, c := range cons {
+		grids[j] = chainSweepGrid(c.Period)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, g := range gs {
-			pts, err := SweepPeriodsOpt(g, tasks[j], grids[j], PolicyEquation4,
-				SweepOptions{Parallel: 1})
+			pts, err := SweepPeriods(g, cons[j].Task, grids[j], PolicyEquation4)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !pts[len(pts)-1].Valid {
 				b.Fatalf("chain %d infeasible at 2τ", j)
+			}
+		}
+	}
+}
+
+// BenchmarkMinimalFeasiblePeriod mirrors the minimal-period query of one
+// chain-sweep job: each smallChains chain queried on its fine grid
+// (fineSweepGrid), 64 periods from the last infeasible to the first
+// feasible point of the k/32·τ grid.
+func BenchmarkMinimalFeasiblePeriod(b *testing.B) {
+	gs, cons := smallChains(b)
+	grids := make([][]ratio.Rat, len(gs))
+	for j, c := range cons {
+		grids[j] = fineSweepGrid(b, gs[j], c.Task, c.Period)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, g := range gs {
+			pt, err := MinimalFeasiblePeriod(g, cons[j].Task, grids[j], PolicyEquation4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !pt.Valid {
+				b.Fatalf("chain %d: minimal period %v infeasible", j, pt.Period)
 			}
 		}
 	}

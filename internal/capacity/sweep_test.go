@@ -1,8 +1,10 @@
 package capacity
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"vrdfcap/internal/graphgen"
@@ -121,51 +123,138 @@ func TestMinimalFeasiblePeriodShuffled(t *testing.T) {
 	}
 }
 
-// TestSweepSerialParallelEquivalence pins the tentpole contract: the
-// parallel sweep returns bit-identical results to the serial loop on
-// seeded random chains — same ordering, same analyses, same totals.
-func TestSweepSerialParallelEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		cfg := graphgen.Defaults(seed)
-		cfg.ZeroConsumption = seed%3 == 0
-		g, c, err := graphgen.Random(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		// Period axis straddling the feasibility frontier: τ·k/8 for
-		// k = 2..17 — tighter than τ below k = 8, relaxed above.
-		var periods []ratio.Rat
-		for k := int64(2); k < 18; k++ {
-			periods = append(periods, c.Period.MulInt(k).DivInt(8))
-		}
-		serial, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{Parallel: 1})
-		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
-		}
-		par, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{Parallel: 8})
-		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("seed %d: serial and parallel sweeps differ\nserial:   %+v\nparallel: %+v", seed, serial, par)
+// TestSweepErrorDeterminism pins which error a sweep reports when several
+// periods fail: the first failing period in list order, whatever the
+// others. On the overflow pair, At fails at 10^18 and at 10^18+1 but not
+// at 1.
+func TestSweepErrorDeterminism(t *testing.T) {
+	g, err := taskgraph.Pair("a", r(1, 1), "b", r(1, 1),
+		taskgraph.MustQuanta(1000000000000000, 1000000000000001), taskgraph.MustQuanta(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := r(1000000000000000001, 1), r(1000000000000000000, 1)
+	_, want := Compute(g, taskgraph.Constraint{Task: "b", Period: first}, PolicyEquation4)
+	if want == nil {
+		t.Fatal("Compute did not overflow")
+	}
+	for _, periods := range [][]ratio.Rat{{ratio.One, first, second}, {first, ratio.One, second}} {
+		_, err := SweepPeriods(g, "b", periods, PolicyEquation4)
+		if wantText := fmt.Sprintf("capacity: period %v: %v", first, want); err == nil || err.Error() != wantText {
+			t.Errorf("sweep of %v: error %v, want %s", periods, err, wantText)
 		}
 	}
 }
 
-// TestSweepErrorDeterminism checks that a failing period reports the same
-// error under both paths: the first failure in list order, regardless of
-// which worker hits an error first.
-func TestSweepErrorDeterminism(t *testing.T) {
+// TestMinimalFeasiblePeriodMatchesLinearScan cross-checks the threshold
+// decision against the exhaustive scan of a sweep on seeded random chains.
+func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		cfg := graphgen.Defaults(seed + 40)
+		g, c, err := graphgen.Random(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var periods []ratio.Rat
+		for k := int64(2); k < 18; k++ {
+			periods = append(periods, c.Period.MulInt(k).DivInt(8))
+		}
+		pts, err := SweepPeriods(g, c.Task, periods, PolicyEquation4)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var want *SweepPoint
+		for i := range pts {
+			if pts[i].Valid {
+				want = &pts[i]
+				break
+			}
+		}
+		got, err := MinimalFeasiblePeriod(g, c.Task, periods, PolicyEquation4)
+		if want == nil {
+			if err == nil {
+				t.Fatalf("seed %d: no candidate is feasible but search returned %v", seed, got.Period)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !got.Period.Equal(want.Period) || got.Total != want.Total {
+			t.Fatalf("seed %d: threshold decision = (%v, %d), linear scan = (%v, %d)",
+				seed, got.Period, got.Total, want.Period, want.Total)
+		}
+	}
+}
+
+// TestMinimalFeasiblePeriodRejectsNonPositive pins that a non-positive
+// least candidate is reported with taskgraph.CheckPeriod's error, wrapped
+// with the period, even where a later candidate is feasible and would be
+// found without looking at it.
+func TestMinimalFeasiblePeriodRejectsNonPositive(t *testing.T) {
 	g := sweepPair(t)
-	// An unknown task makes Compute fail for every period; the reported
-	// period must be the first one in list order either way.
-	periods := []ratio.Rat{r(5, 1), r(7, 1), r(9, 1)}
-	_, serialErr := SweepPeriodsOpt(g, "nope", periods, PolicyEquation4, SweepOptions{Parallel: 1})
-	_, parErr := SweepPeriodsOpt(g, "nope", periods, PolicyEquation4, SweepOptions{Parallel: 8})
-	if serialErr == nil || parErr == nil {
-		t.Fatalf("expected errors, got %v and %v", serialErr, parErr)
+	periods := []ratio.Rat{r(4, 1), r(2, 1), r(1, 1), r(1, 2), r(1, 4), ratio.Zero}
+	_, err := MinimalFeasiblePeriod(g, "wb", periods, PolicyEquation4)
+	want := "capacity: period 0: " + taskgraph.CheckPeriod(ratio.Zero).Error()
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %s", err, want)
 	}
-	if serialErr.Error() != parErr.Error() {
-		t.Fatalf("error mismatch:\nserial:   %v\nparallel: %v", serialErr, parErr)
+}
+
+// TestMinimalFeasiblePeriodAllocs pins that the minimal-period query
+// allocates a fixed count whatever its number of candidates and their
+// order: the sorted copy, compiling the chain (5) and one At (5). The candidates
+// are chain-sweep's fine grid: 64 periods from the last infeasible to the
+// first feasible point of the k/32·τ grid.
+func TestMinimalFeasiblePeriodAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, c, err := graphgen.Random(graphgen.Config{Seed: 1, MinTasks: 8, MaxTasks: 8, MaxQuantum: 8, MaxSetSize: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	fine := fineSweepGrid(t, g, c.Task, c.Period)
+	reversed := slices.Clone(fine)
+	slices.Reverse(reversed)
+	allocs := func(periods []ratio.Rat) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := MinimalFeasiblePeriod(g, c.Task, periods, PolicyEquation4); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, all, rev := allocs(fine[len(fine)-4:]), allocs(fine), allocs(reversed)
+	t.Logf("8-task minimal period: %v allocs at 4 candidates, %v at 64, %v at 64 reversed", few, all, rev)
+	if all != few || rev != few || all > minimalPeriodAllocs {
+		t.Errorf("8-task minimal period allocates %v times at 4 candidates, %v at 64 and %v at 64 reversed; want the same count, at most %d",
+			few, all, rev, minimalPeriodAllocs)
+	}
+}
+
+// minimalPeriodAllocs bounds TestMinimalFeasiblePeriodAllocs.
+const minimalPeriodAllocs = 11
+
+// fineSweepGrid is the fine grid of a chain-sweep job: chainSweepGrid
+// points are swept, and 64 evenly spaced periods span the last infeasible
+// point to the first feasible one (half that point when the first point is
+// already feasible).
+func fineSweepGrid(tb testing.TB, g *taskgraph.Graph, task string, tau ratio.Rat) []ratio.Rat {
+	tb.Helper()
+	pts, err := SweepPeriods(g, task, chainSweepGrid(tau), PolicyEquation4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	first := len(pts) - 1
+	for first > 0 && pts[first-1].Valid {
+		first--
+	}
+	lo, hi := pts[first].Period.DivInt(2), pts[first].Period
+	if first > 0 {
+		lo = pts[first-1].Period
+	}
+	out := make([]ratio.Rat, 64)
+	step := hi.Sub(lo).DivInt(int64(len(out) - 1))
+	for j := range out {
+		out[j] = lo.Add(step.MulInt(int64(j)))
+	}
+	return out
 }

@@ -3,6 +3,8 @@ package minimize
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -110,6 +112,56 @@ func TestProblemSharesStoreByFingerprint(t *testing.T) {
 	}
 	if p3, _ := search(200); p3.Fingerprint == p1.Fingerprint {
 		t.Error("a different horizon shares the fingerprint")
+	}
+}
+
+// TestProblemFlushSkipsUnchangedFrontier pins that a fully cached search
+// against a store loaded from disk leaves the payload alone: the second
+// search simulates nothing, and its Flush writes nothing and keeps the
+// file's mtime.
+func TestProblemFlushSkipsUnchangedFrontier(t *testing.T) {
+	g := figure1Graph(t)
+	c := taskgraph.Constraint{Task: "wb", Period: r(3, 1)}
+	sized, res := sizedProblem(t, g, c)
+	dir := t.TempDir()
+	search := func() (*probecache.Store, *Result) {
+		t.Helper()
+		store := probecache.NewStore(dir)
+		p, err := NewProblem(g, sized, res, c, 300, sim.UniformWorkloads(sized, 1), "uniform:seed=1", store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Search(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, out
+	}
+	store, cold := search()
+	if n, err := store.Flush(); err != nil || n != 1 {
+		t.Fatalf("cold Flush = (%d, %v), want (1, nil)", n, err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("payloads %v (%v), want one", files, err)
+	}
+	before, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, warm := search()
+	if warm.Checks != 0 || !reflect.DeepEqual(warm.Caps, cold.Caps) {
+		t.Fatalf("warm search simulated %d probes and found %v; want 0 and %v", warm.Checks, warm.Caps, cold.Caps)
+	}
+	if n, err := store.Flush(); err != nil || n != 0 {
+		t.Errorf("warm Flush = (%d, %v), want (0, nil)", n, err)
+	}
+	after, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("fully cached search rewrote its payload: mtime %v, was %v", after.ModTime(), before.ModTime())
 	}
 }
 

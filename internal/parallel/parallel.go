@@ -1,7 +1,7 @@
 // Package parallel is the small, dependency-free worker-pool layer shared
-// by the exploration paths of this library: the period sweeps of
-// internal/capacity, the degradation sweeps of internal/faults and the
-// verification fan-outs of the commands.
+// by the exploration paths of this library that simulate: the degradation
+// sweeps of internal/faults and the verification fan-outs of the
+// commands.
 //
 // Map is the only scheduling primitive: it evaluates an indexed pure
 // function across a bounded pool of goroutines and returns the results in
@@ -9,12 +9,11 @@
 // replaces — if any evaluation fails, the error returned is the one with
 // the smallest index, regardless of goroutine scheduling — so callers can
 // switch between Workers == 1 and Workers == GOMAXPROCS without observing
-// different results. Design-space exploration over the throughput/buffer
-// trade-off curve is embarrassingly parallel (every probe is an
-// independent pure computation); this package supplies the bound, the
-// cancellation, the determinism and the panic isolation (a panicking
-// worker is recovered into a *PanicError instead of killing the process),
-// and nothing else.
+// different results. Those explorations are embarrassingly parallel
+// (every probe is an independent pure computation); this package supplies
+// the bound, the cancellation, the determinism and the panic isolation (a
+// panicking worker is recovered into a *PanicError instead of killing the
+// process), and nothing else.
 package parallel
 
 import (

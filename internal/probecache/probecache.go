@@ -1,13 +1,10 @@
-// Package probecache caches feasibility-probe verdicts across searches,
-// sweeps and CLI invocations.
+// Package probecache caches feasibility-probe verdicts across searches
+// and CLI invocations.
 //
-// Every layer of this library that sizes buffers probes candidates against
-// a monotone predicate: minimize.Search asks "is this capacity vector
-// feasible?" (monotone in every coordinate by Definition 1 of Wiggers et
-// al., DATE 2008 — more space never delays a start), and
-// capacity.MinimalFeasiblePeriod asks "is this period schedulable?"
-// (monotone in the period: relaxing the constraint only relaxes every
-// per-task check). Monotone verdicts are reusable: any vector dominating a
+// minimize.Search probes capacity vectors against a monotone predicate,
+// "is this capacity vector feasible?" (monotone in every coordinate by
+// Definition 1 of Wiggers et al., DATE 2008 — more space never delays a
+// start). Monotone verdicts are reusable: any vector dominating a
 // known-feasible one is feasible without simulating, and symmetrically for
 // infeasible ones. This package holds those verdicts:
 //
@@ -20,13 +17,13 @@
 //     so repeated CLI invocations warm-start. Disk content is advisory: a
 //     file that fails to parse, carries the wrong version or fingerprint,
 //     or contradicts monotonicity is ignored, never trusted.
-//   - Periods: in-memory period verdicts a caller shares between
-//     capacity.SweepPeriods and MinimalFeasiblePeriod. A sweep recomputes
-//     every point and only records into it, so it is never persisted.
+//   - Periods: a deprecated, empty stub. The period queries of package
+//     capacity decide by the chain's validity threshold in closed form and
+//     keep no verdicts; the name stays only while the perfbench harness
+//     uses it.
 //
 // A cache can change how many probes run, never which answer a search
-// returns; the equivalence tests in internal/minimize and
-// internal/capacity pin that contract.
+// returns; the equivalence tests in internal/minimize pin that contract.
 package probecache
 
 import (

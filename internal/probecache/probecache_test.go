@@ -145,72 +145,3 @@ func TestFrontierSameKeys(t *testing.T) {
 }
 
 func r(num, den int64) ratio.Rat { return ratio.MustNew(num, den) }
-
-func TestPeriodsExactAndDominance(t *testing.T) {
-	p := NewPeriods()
-	if _, hit := p.Probe(r(1, 1)); hit {
-		t.Fatal("empty cache answered a probe")
-	}
-	p.Insert(r(2, 1), Verdict{Valid: true, Total: 7})
-	p.Insert(r(1, 2), Verdict{Valid: false})
-
-	cases := []struct {
-		period     ratio.Rat
-		valid, hit bool
-		total      int64
-	}{
-		{r(2, 1), true, true, 7},   // exact: the recorded Total is carried
-		{r(3, 1), true, true, 0},   // relaxed beyond a valid period: no Total
-		{r(1, 2), false, true, 0},  // exact infeasible
-		{r(1, 4), false, true, 0},  // tighter than an infeasible period
-		{r(1, 1), false, false, 0}, // between the frontiers: must analyse
-	}
-	for _, tc := range cases {
-		v, hit := p.Probe(tc.period)
-		if hit != tc.hit || (hit && (v.Valid != tc.valid || v.Total != tc.total)) {
-			t.Errorf("Probe(%v) = (%+v, %v), want valid=%v total=%d hit=%v",
-				tc.period, v, hit, tc.valid, tc.total, tc.hit)
-		}
-	}
-	// Overwriting heals a wrong entry.
-	p.Insert(r(2, 1), Verdict{Valid: true, Total: 9})
-	if v, _ := p.Probe(r(2, 1)); v.Total != 9 {
-		t.Errorf("overwrite ignored: %+v", v)
-	}
-}
-
-// TestPeriodsProbeSingleCount pins the probe-accounting invariant: one Probe
-// call updates exactly one counter, so after N probes hits + misses == N,
-// whether a probe is answered exactly, by dominance or not at all.
-func TestPeriodsProbeSingleCount(t *testing.T) {
-	p := NewPeriods()
-	p.Insert(r(2, 1), Verdict{Valid: true, Total: 7})
-	p.Insert(r(1, 2), Verdict{Valid: false})
-
-	cases := []struct {
-		period     ratio.Rat
-		valid, hit bool
-	}{
-		{r(2, 1), true, true},   // exact feasible
-		{r(3, 1), true, true},   // dominance: relaxed beyond a valid period
-		{r(1, 2), false, true},  // exact infeasible
-		{r(1, 4), false, true},  // dominance: tighter than an infeasible period
-		{r(1, 1), false, false}, // between the frontiers: miss
-		{r(1, 1), false, false}, // a repeated miss still counts once each
-	}
-	for i, tc := range cases {
-		v, hit := p.Probe(tc.period)
-		if hit != tc.hit || (hit && v.Valid != tc.valid) {
-			t.Errorf("case %d: Probe(%v) = (%+v, %v), want valid=%v hit=%v",
-				i, tc.period, v, hit, tc.valid, tc.hit)
-		}
-	}
-	hits, misses := p.Counters()
-	if got, want := hits+misses, int64(len(cases)); got != want {
-		t.Errorf("hits(%d) + misses(%d) = %d after %d probes, want exactly %d",
-			hits, misses, got, len(cases), want)
-	}
-	if hits != 4 || misses != 2 {
-		t.Errorf("hits, misses = %d, %d, want 4, 2", hits, misses)
-	}
-}

@@ -28,10 +28,10 @@ var errBadSum = errors.New("probecache: content checksum mismatch")
 // Store maps canonical graph fingerprints (GraphKey) to capacity
 // frontiers. A store without a directory lives purely in memory; with
 // one, Frontier warm-starts from the fingerprint's file when a
-// trustworthy one exists, and Flush persists every frontier back, merging
-// with the file already there. Processes sharing one directory therefore
-// pool verdicts, though two interleaved flushes can lose some (see
-// Flush). Persisted data is advisory — a payload that is unreadable,
+// trustworthy one exists, and Flush persists every frontier that changed
+// back, merging with the file already there. Processes sharing one
+// directory therefore pool verdicts, though two interleaved flushes can
+// lose some (see Flush). Persisted data is advisory — a payload that is unreadable,
 // malformed, mis-versioned, mis-fingerprinted, checksum-broken or
 // monotonically inconsistent is skipped without error, and the verdicts
 // recomputed in its place overwrite it on the next Flush.
@@ -47,9 +47,13 @@ type Store struct {
 
 // entry holds one fingerprint's frontier.
 type entry struct {
-	fp       string
-	once     sync.Once
 	frontier atomic.Pointer[Frontier] // nil until the first load settles
+	// synced is the frontier as last loaded from or written to the
+	// directory, nil when it was neither; Flush skips a frontier that
+	// still equals it.
+	synced atomic.Pointer[frontierSnapshot]
+	fp     string
+	once   sync.Once
 }
 
 // NewStore returns a store persisting to a directory of JSON files;
@@ -78,7 +82,7 @@ func (s *Store) Frontier(fingerprint string, buffers []string) (*Frontier, error
 	// Outside s.mu: file I/O must not serialise unrelated entries.
 	// Concurrent callers of the SAME entry block here until the load
 	// settles, which is exactly the warm-start they asked for.
-	e.once.Do(func() { e.frontier.Store(s.load(fingerprint, buffers)) })
+	e.once.Do(func() { e.frontier.Store(s.load(e, buffers)) })
 	fr := e.frontier.Load()
 	if !fr.SameKeys(buffers) {
 		return nil, fmt.Errorf("probecache: entry %s frontier is over buffers %v, caller wants %v",
@@ -155,22 +159,23 @@ func decodeFile(data []byte, fingerprint string) (diskFile, error) {
 	return f, nil
 }
 
-// load returns a frontier over buffers, warm-started from the
+// load returns e's frontier over buffers, warm-started from the
 // fingerprint's payload when the store persists and a trustworthy payload
 // exists, cold otherwise. A payload is absorbed wholesale or not at all: a
-// partially contradictory one is untrusted in full.
-func (s *Store) load(fingerprint string, buffers []string) *Frontier {
+// partially contradictory one is untrusted in full. An absorbed payload
+// marks the frontier synced.
+func (s *Store) load(e *entry, buffers []string) *Frontier {
 	fr := NewFrontier(buffers)
 	if s.dir == "" {
 		return fr
 	}
-	data, err := readPayload(s.dir, fingerprint)
+	data, err := readPayload(s.dir, e.fp)
 	if err != nil {
 		// Miss or unreadable file: start cold. A cache may cost probes,
 		// never block them.
 		return fr
 	}
-	f, err := decodeFile(data, fingerprint)
+	f, err := decodeFile(data, e.fp)
 	if err == nil && f.Frontier != nil {
 		err = fr.absorb(*f.Frontier)
 	}
@@ -179,18 +184,20 @@ func (s *Store) load(fingerprint string, buffers []string) *Frontier {
 		return NewFrontier(buffers)
 	}
 	s.loaded.Add(1)
+	snap := fr.snapshot()
+	e.synced.Store(&snap)
 	return fr
 }
 
-// Flush writes every non-empty frontier back to the directory and
-// returns how many payloads it wrote; memory-only stores flush nothing.
-// Each frontier is merged with the payload currently persisted under its
-// fingerprint and written back sealed with a fresh checksum, so verdicts
-// another process flushed earlier survive. The read-merge-rename is not
-// atomic across processes: a flush of the same fingerprint landing
-// between this one's read and its rename is overwritten, and its
-// verdicts are lost. Losing verdicts only costs re-simulation; the
-// answers never change.
+// Flush writes back to the directory every non-empty frontier that
+// changed since it was loaded or last written, and returns how many
+// payloads it wrote; memory-only stores flush nothing. Each frontier is
+// merged with the payload currently persisted under its fingerprint and
+// written back sealed with a fresh checksum, so verdicts another process
+// flushed earlier survive. The read-merge-rename is not atomic across
+// processes: a flush of the same fingerprint landing between this one's
+// read and its rename is overwritten, and its verdicts are lost. Losing
+// verdicts only costs re-simulation; the answers never change.
 func (s *Store) Flush() (written int, err error) {
 	if s.dir == "" {
 		return 0, nil
@@ -201,7 +208,7 @@ func (s *Store) Flush() (written int, err error) {
 			continue
 		}
 		snap := fr.snapshot()
-		if len(snap.Feasible)+len(snap.Infeasible) == 0 {
+		if len(snap.Feasible)+len(snap.Infeasible) == 0 || snap.equal(e.synced.Load()) {
 			continue
 		}
 		f := diskFile{Version: Version, Fingerprint: e.fp, Frontier: &snap}
@@ -218,9 +225,17 @@ func (s *Store) Flush() (written int, err error) {
 		if werr := writePayload(s.dir, e.fp, data); werr != nil {
 			return written, fmt.Errorf("probecache: write %s: %w", e.fp, werr)
 		}
+		e.synced.Store(&snap)
 		written++
 	}
 	return written, nil
+}
+
+// equal reports whether s and o, when not nil, hold the same vectors in
+// the same order.
+func (s *frontierSnapshot) equal(o *frontierSnapshot) bool {
+	eq := func(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
+	return o != nil && eq(s.Feasible, o.Feasible) && eq(s.Infeasible, o.Infeasible)
 }
 
 // sortedEntries lists the entries in fingerprint order. A flush must

@@ -163,12 +163,27 @@ func TestStoreReadsVersion2Payload(t *testing.T) {
 	if feas, inf := f.Size(); feas != 1 || inf != 1 || s.Stats().Loaded != 1 {
 		t.Fatalf("version-2 payload not loaded: frontier (%d, %d), stats %+v", feas, inf, s.Stats())
 	}
-	// Flushing what was loaded rewrites the same bytes.
+	// Flushing what was loaded writes nothing, and a store that learns
+	// the same verdicts cold writes the same bytes.
+	if n, err := s.Flush(); err != nil || n != 0 {
+		t.Fatalf("Flush of the loaded payload = (%d, %v), want (0, nil)", n, err)
+	}
+	dir = t.TempDir()
+	s = NewStore(dir)
+	if f, err = s.Frontier("golden", []string{"wa->wb"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Insert([]int64{4}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Insert([]int64{1}, false); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != payload {
-		t.Errorf("re-flushed payload differs (%v):\n%s", err, got)
+	if got, err := os.ReadFile(filepath.Join(dir, "golden.json")); err != nil || string(got) != payload {
+		t.Errorf("flushed payload differs (%v):\n%s", err, got)
 	}
 }
 
@@ -574,4 +589,65 @@ func TestFlushSkipsEmptyEntries(t *testing.T) {
 			t.Errorf("empty entry persisted: %s", de.Name())
 		}
 	}
+}
+
+// TestFlushSkipsUnchangedFrontier pins that Flush writes only frontiers
+// that gained a verdict since they were loaded or last written: a loaded
+// frontier answering lookups, or taking a verdict it already answers, is
+// not rewritten and its file keeps its mtime; a new verdict is written
+// once.
+func TestFlushSkipsUnchangedFrontier(t *testing.T) {
+	dir := t.TempDir()
+	key, buffers := GraphKey(pairGraph(t), "unchanged"), []string{"a", "b"}
+	flush := func(s *Store, want int) {
+		t.Helper()
+		if n, err := s.Flush(); err != nil || n != want {
+			t.Fatalf("Flush = (%d, %v), want (%d, nil)", n, err, want)
+		}
+	}
+	cold := NewStore(dir)
+	f, err := cold.Frontier(key, buffers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Insert([]int64{4, 4}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Insert([]int64{1, 1}, false); err != nil {
+		t.Fatal(err)
+	}
+	flush(cold, 1)
+	flush(cold, 0)
+
+	path := filepath.Join(dir, key+".json")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewStore(dir)
+	f, err = warm.Frontier(key, buffers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range [][]int64{{5, 4}, {1, 0}, {9, 9}} {
+		if _, hit := f.Lookup(v); !hit {
+			t.Fatalf("loaded frontier missed %v", v)
+		}
+	}
+	if err := f.Insert([]int64{6, 6}, true); err != nil { // already answered
+		t.Fatal(err)
+	}
+	flush(warm, 0)
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("unchanged frontier rewritten: mtime %v, was %v", after.ModTime(), before.ModTime())
+	}
+	if err := f.Insert([]int64{2, 5}, true); err != nil {
+		t.Fatal(err)
+	}
+	flush(warm, 1)
+	flush(warm, 0)
 }

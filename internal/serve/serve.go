@@ -548,12 +548,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		}
 		params = []string{"periods=" + joined}
 		run = func(ctx context.Context) (any, error) {
-			// One worker per request: Config.Workers already runs
-			// requests in parallel, and results do not depend on it.
-			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
-				Parallel: 1,
-				Context:  ctx,
-			})
+			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{Context: ctx})
 			switch {
 			case errors.Is(err, budget.ErrBudgetExceeded) || errors.Is(err, budget.ErrCanceled):
 				return nil, err
