@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -189,33 +188,46 @@ func appendFields(dst []string, s string) []string {
 	return dst
 }
 
-var textBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // EncodeText renders a graph (and optional constraint) in the text format.
-// The scratch buffer is pooled; the returned slice is the only retained
-// allocation.
+// It appends into a stack scratch that holds a typical document and
+// returns an exact-length copy, the one allocation.
 func EncodeText(g *taskgraph.Graph, c *taskgraph.Constraint) []byte {
-	b := textBufPool.Get().(*bytes.Buffer)
-	defer textBufPool.Put(b)
-	b.Reset()
+	var stack [1024]byte
+	b := stack[:0]
 	for _, t := range g.Tasks() {
-		fmt.Fprintf(b, "task %s wcrt %s\n", t.Name, t.WCRT)
+		b = append(b, "task "...)
+		b = append(b, t.Name...)
+		b = append(b, " wcrt "...)
+		b, _ = t.WCRT.AppendText(b)
+		b = append(b, '\n')
 	}
 	for _, buf := range g.Buffers() {
-		fmt.Fprintf(b, "buffer %s -> %s prod %s cons %s",
-			buf.Producer, buf.Consumer, formatQuanta(buf.Prod), formatQuanta(buf.Cons))
+		b = append(b, "buffer "...)
+		b = append(b, buf.Producer...)
+		b = append(b, " -> "...)
+		b = append(b, buf.Consumer...)
+		b = append(b, " prod "...)
+		b, _ = buf.Prod.AppendText(b)
+		b = append(b, " cons "...)
+		b, _ = buf.Cons.AppendText(b)
 		if buf.Capacity > 0 {
-			fmt.Fprintf(b, " cap %d", buf.Capacity)
+			b = append(b, " cap "...)
+			b = strconv.AppendInt(b, buf.Capacity, 10)
 		}
 		if buf.ContainerBytes > 0 {
-			fmt.Fprintf(b, " bytes %d", buf.ContainerBytes)
+			b = append(b, " bytes "...)
+			b = strconv.AppendInt(b, buf.ContainerBytes, 10)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	if c != nil {
-		fmt.Fprintf(b, "constraint %s period %s\n", c.Task, c.Period)
+		b = append(b, "constraint "...)
+		b = append(b, c.Task...)
+		b = append(b, " period "...)
+		b, _ = c.Period.AppendText(b)
+		b = append(b, '\n')
 	}
-	return append([]byte(nil), b.Bytes()...)
+	return append([]byte(nil), b...)
 }
 
 // parseQuanta accepts "7", "{2,3}" or "96..99".
@@ -279,15 +291,6 @@ func clampWidth(wm1 uint64) int {
 		return maxInt
 	}
 	return int(wm1) + 1
-}
-
-// formatQuanta renders a set in the text syntax (single value or {...};
-// ranges are not reconstructed).
-func formatQuanta(q taskgraph.QuantaSet) string {
-	if q.IsConstant() {
-		return fmt.Sprintf("%d", q.Max())
-	}
-	return q.String() // already "{a,b,c}"
 }
 
 // DecodeAny sniffs the format: documents starting with '{' parse as JSON,

@@ -433,35 +433,45 @@ func TestMinimizeEventCapIs504(t *testing.T) {
 // TestMinimizeTimeoutStopsRunningProbe pins that the request's wall-clock
 // budget reaches the simulation it interrupts: with a 1 ms budget and a
 // horizon whose single probe simulates for far longer, /v1/minimize
-// answers 504 from inside the running probe, not after it.
+// answers 504 from inside the running probe, not after it. Every attempt
+// must answer 504 within 100 ms. A budget that runs out between two
+// probes is answered by the search's own context check, with no run
+// aborted, so such attempts retry on a fresh server.
 func TestMinimizeTimeoutStopsRunningProbe(t *testing.T) {
 	doc, err := os.ReadFile("../../testdata/mp3.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{RequestTimeout: time.Millisecond, MaxFirings: 2_000_000})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	start := time.Now()
-	status, body := post(t, ts, "/v1/minimize?firings=2000000", string(doc))
-	elapsed := time.Since(start)
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", status, body)
+	for attempt := 0; attempt < 50; attempt++ {
+		s := newTestServer(t, Config{RequestTimeout: time.Millisecond, MaxFirings: 2_000_000})
+		ts := httptest.NewServer(s)
+		start := time.Now()
+		status, body := post(t, ts, "/v1/minimize?firings=2000000", string(doc))
+		elapsed := time.Since(start)
+		ts.Close()
+		if status != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504: %s", status, body)
+		}
+		// One probe at this horizon simulates for well over 100 ms even on
+		// a fast machine; an answer after it would mean the budget was
+		// only checked between probes.
+		if elapsed > 100*time.Millisecond {
+			t.Fatalf("504 after %v; want it within a few ms of the 1 ms budget", elapsed)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("bad error body %s: %v", body, err)
+		}
+		if er.Error == "wall-clock budget exceeded: context deadline exceeded" {
+			continue
+		}
+		if !strings.Contains(er.Error, "sim: run aborted after") ||
+			!strings.HasSuffix(er.Error, "wall-clock budget exceeded: context deadline exceeded") {
+			t.Fatalf("error %q: want the running simulation aborted by the exhausted wall-clock budget", er.Error)
+		}
+		return
 	}
-	var er errorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatalf("bad error body %s: %v", body, err)
-	}
-	if !strings.Contains(er.Error, "sim: run aborted after") ||
-		!strings.HasSuffix(er.Error, "wall-clock budget exceeded: context deadline exceeded") {
-		t.Errorf("error %q: want the running simulation aborted by the exhausted wall-clock budget", er.Error)
-	}
-	// One probe at this horizon simulates for well over 100 ms even on a
-	// fast machine; an answer after it would mean the budget was only
-	// checked between probes.
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("504 after %v; want it within a few ms of the 1 ms budget", elapsed)
-	}
+	t.Fatal("no attempt ran out of budget inside a simulated run")
 }
 
 // TestComputePanicIs500 pins the service's one panic boundary: a panicking

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // QuantaSet is a finite, non-empty set of non-negative integers describing
@@ -133,17 +133,25 @@ func (q QuantaSet) Equal(r QuantaSet) bool {
 // String formats the set as "{a,b,c}" or "a" for singletons, matching the
 // notation used in the paper's figures.
 func (q QuantaSet) String() string {
-	if !q.IsValid() {
-		return "{}"
-	}
+	var buf [64]byte
+	b, _ := q.AppendText(buf[:0])
+	return string(b)
+}
+
+// AppendText implements encoding.TextAppender: it appends the String
+// format of q to b ("{}" for the invalid zero value). It never fails.
+func (q QuantaSet) AppendText(b []byte) ([]byte, error) {
 	if q.IsConstant() {
-		return fmt.Sprintf("%d", q.values[0])
+		return strconv.AppendInt(b, q.values[0], 10), nil
 	}
-	parts := make([]string, len(q.values))
+	b = append(b, '{')
 	for i, v := range q.values {
-		parts[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(b, '}'), nil
 }
 
 func (q QuantaSet) mustValid() {

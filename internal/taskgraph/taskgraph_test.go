@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,32 @@ func TestQuantaSetConstruction(t *testing.T) {
 	c := MustQuanta(7)
 	if !c.IsConstant() || c.String() != "7" {
 		t.Errorf("Constant(7) misbehaves: %v", c)
+	}
+}
+
+// TestQuantaTextBytes pins String and AppendText to the notation the
+// fmt-based String wrote: a bare member for a singleton, {a,b,c}
+// otherwise, and {} for the invalid zero value.
+func TestQuantaTextBytes(t *testing.T) {
+	for _, tc := range []struct {
+		q    QuantaSet
+		want string
+	}{
+		{QuantaSet{}, "{}"},
+		{MustQuanta(0, 1), "{0,1}"},
+		{MustQuanta(7), "7"},
+		{MustQuanta(math.MaxInt64), "9223372036854775807"},
+		{MustQuanta(3, 2, 3), "{2,3}"},
+		{MustQuanta(0, 8, math.MaxInt64), "{0,8,9223372036854775807}"},
+		{MustQuanta(96, 120, 144, 168, 192, 240, 288, 336, 384, 480, 576, 672, 768, 960),
+			"{96,120,144,168,192,240,288,336,384,480,576,672,768,960}"},
+	} {
+		if got := tc.q.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+		if got, err := tc.q.AppendText([]byte("q=")); err != nil || string(got) != "q="+tc.want {
+			t.Errorf("AppendText = %q, %v, want %q", got, err, "q="+tc.want)
+		}
 	}
 }
 

@@ -210,7 +210,9 @@ func DecodeJSON(data []byte) (*Graph, *Constraint, error) { return graphio.Decod
 func DecodeGraph(data []byte) (*Graph, *Constraint, error) { return graphio.DecodeAny(data) }
 
 // EncodeText renders a graph and optional constraint in the line-oriented
-// text format (see internal/graphio for the grammar).
+// text format (see internal/graphio for the grammar): tasks, then buffers,
+// then the constraint, one per line. The returned slice is the caller's
+// own copy.
 func EncodeText(g *Graph, c *Constraint) []byte { return graphio.EncodeText(g, c) }
 
 // WriteDOT renders the task graph in Graphviz DOT form.
