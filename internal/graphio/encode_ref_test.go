@@ -86,6 +86,7 @@ func TestEncodeTextMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameEncoding(t, fmt.Sprintf("chain %d", i), g, &c)
+		requireTextRoundTrip(t, fmt.Sprintf("chain %d", i), g, &c)
 	}
 
 	for _, name := range []string{"mp3.txt", "camera.txt"} {
@@ -98,10 +99,11 @@ func TestEncodeTextMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameEncoding(t, name, g, c)
+		requireTextRoundTrip(t, name, g, c)
 	}
 
-	// Hand-built graphs reach what no decoder produces: names the text
-	// grammar cannot hold and extreme values.
+	// Hand-built graphs reach what no text document produces: multi-byte
+	// and invalid UTF-8 names and extreme values.
 	big := ratio.MustNew(math.MaxInt64, math.MaxInt64-1)
 	type task struct {
 		name string
@@ -145,12 +147,12 @@ func TestEncodeTextMatchesReference(t *testing.T) {
 		},
 		{
 			name:  "multi-byte and invalid UTF-8 names",
-			tasks: []task{{"ψ→ü", ratio.FromInt(1)}, {"\xff\xfe", ratio.FromInt(1)}, {"a b\t#c\n", ratio.FromInt(1)}},
+			tasks: []task{{"ψ→ü", ratio.FromInt(1)}, {"\xff\xfe", ratio.FromInt(1)}, {"->\x00{1,2}", ratio.FromInt(1)}},
 			bufs: []taskgraph.Buffer{
 				{Producer: "ψ→ü", Consumer: "\xff\xfe", Prod: taskgraph.MustQuanta(1, 2), Cons: taskgraph.MustQuanta(3)},
-				{Producer: "\xff\xfe", Consumer: "a b\t#c\n", Prod: taskgraph.MustQuanta(5), Cons: taskgraph.MustQuanta(5)},
+				{Producer: "\xff\xfe", Consumer: "->\x00{1,2}", Prod: taskgraph.MustQuanta(5), Cons: taskgraph.MustQuanta(5)},
 			},
-			con: &taskgraph.Constraint{Task: "a b\t#c\n", Period: ratio.MustNew(1, 44100)},
+			con: &taskgraph.Constraint{Task: "->\x00{1,2}", Period: ratio.MustNew(1, 44100)},
 		},
 		{
 			name:  "document larger than the stack scratch",
@@ -172,18 +174,73 @@ func TestEncodeTextMatchesReference(t *testing.T) {
 			}
 		}
 		requireSameEncoding(t, tc.name, g, tc.con)
+		if tc.con == nil || tc.con.Validate(g) == nil {
+			requireTextRoundTrip(t, tc.name, g, tc.con)
+		}
+	}
+
+	// A name holding white space or '#' would split or end its line, so
+	// no graph can hold one and no document decodes to one.
+	for _, name := range []string{"a b", "x#y", "#", "tab\t", "nl\n", "nbsp\u00a0", "ls\u2028", "nel\u0085", "ideo\u3000"} {
+		if _, err := taskgraph.New().AddTask(name, ratio.FromInt(1)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("AddTask(%q) = %v, want an error naming the task", name, err)
+		}
+		doc := fmt.Sprintf(`{"tasks":[{"name":%q,"wcrt":"1"}],"buffers":[]}`, name)
+		if _, _, err := Decode([]byte(doc)); err == nil || !strings.Contains(err.Error(), "white space or '#'") {
+			t.Errorf("Decode of task %q: %v, want the name rejected", name, err)
+		}
+	}
+}
+
+// requireTextRoundTrip fails unless the text encoding of the graph decodes
+// to the same graph: the same tasks and buffers in the same order, the
+// same quanta, capacities and container sizes, and the same constraint.
+// Buffer names are not compared: the text grammar does not carry them, so
+// every decoded buffer takes its default name.
+func requireTextRoundTrip(t *testing.T, name string, g *taskgraph.Graph, c *taskgraph.Constraint) {
+	t.Helper()
+	text := EncodeText(g, c)
+	g2, c2, err := DecodeText(text)
+	if err != nil {
+		t.Fatalf("%s: decoding the encoded graph: %v\n%s", name, err, text)
+	}
+	fail := func(what string, got, want any) {
+		t.Helper()
+		t.Fatalf("%s: round trip changed %s: %v, want %v\n%s", name, what, got, want, text)
+	}
+	if len(g2.Tasks()) != len(g.Tasks()) || len(g2.Buffers()) != len(g.Buffers()) {
+		fail("shape", [2]int{len(g2.Tasks()), len(g2.Buffers())}, [2]int{len(g.Tasks()), len(g.Buffers())})
+	}
+	for i, tk := range g.Tasks() {
+		if got := g2.Tasks()[i]; got.Name != tk.Name || !got.WCRT.Equal(tk.WCRT) {
+			fail(fmt.Sprintf("task %d", i), *got, *tk)
+		}
+	}
+	for i, b := range g.Buffers() {
+		got := g2.Buffers()[i]
+		if got.Producer != b.Producer || got.Consumer != b.Consumer || !got.Prod.Equal(b.Prod) || !got.Cons.Equal(b.Cons) ||
+			got.Capacity != b.Capacity || got.ContainerBytes != b.ContainerBytes {
+			fail(fmt.Sprintf("buffer %d", i), *got, *b)
+		}
+	}
+	if (c == nil) != (c2 == nil) || c != nil && (c2.Task != c.Task || !c2.Period.Equal(c.Period)) {
+		fail("constraint", c2, c)
 	}
 }
 
 // FuzzEncodeTextMatchesReference holds EncodeText to the reference
-// encoder on every graph Decode accepts from a fuzzed JSON document. JSON
-// reaches names the text grammar cannot hold (white space, '#', escaped
-// control characters) and the full int64 range of quanta and options.
+// encoder on every graph Decode accepts from a fuzzed JSON document, and
+// checks that the text it writes decodes back to the same graph. JSON
+// reaches names no text document holds (escaped control characters,
+// invalid UTF-8) and the full int64 range of quanta and options; names
+// with white space or '#' must be rejected.
 func FuzzEncodeTextMatchesReference(f *testing.F) {
 	f.Add([]byte(`{"tasks":[{"name":"a","wcrt":"1"},{"name":"b","wcrt":"1/3"}],"buffers":[{"producer":"a","consumer":"b","prod":[1],"cons":[2,3]}]}`))
 	f.Add([]byte(`{"tasks":[{"name":"a b","wcrt":"9223372036854775807/9223372036854775806"},{"name":"ü�#","wcrt":"2.5"}],` +
 		`"buffers":[{"producer":"a b","consumer":"ü�#","prod":[0,9223372036854775807],"cons":[9223372036854775807],` +
 		`"capacity":9223372036854775807,"container_bytes":9223372036854775807}],"constraint":{"task":"ü�#","period":"1/44100"}}`))
+	f.Add([]byte(`{"tasks":[{"name":"\u0000->","wcrt":"7/2"},{"name":"{1,2}","wcrt":"1"}],` +
+		`"buffers":[{"name":"custom","producer":"\u0000->","consumer":"{1,2}","prod":[0,3],"cons":[3],"capacity":4}],"constraint":{"task":"{1,2}","period":"3"}}`))
 	f.Add([]byte(`{"tasks":[],"buffers":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, c, err := Decode(data)
@@ -191,5 +248,6 @@ func FuzzEncodeTextMatchesReference(f *testing.F) {
 			return
 		}
 		requireSameEncoding(t, "decoded document", g, c)
+		requireTextRoundTrip(t, "decoded document", g, c)
 	})
 }

@@ -1,7 +1,6 @@
 package graphio
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -36,8 +35,9 @@ func DecodeText(data []byte) (*taskgraph.Graph, *taskgraph.Constraint, error) {
 // Lines end at '\n', with one trailing '\r' dropped, and fields are
 // separated by runs of Unicode white space, as bufio.ScanLines and
 // strings.Fields would split them; a line may be as long as the document.
-// A line that is empty once its comment is cut makes no string; any other
-// becomes one string, and its fields are substrings of it.
+// The document becomes one string, and every line and field is a
+// substring of it, so a graph keeps its document's string alive; a string
+// per line would pin as much, since a line may be as long as the document.
 func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint, error) {
 	if err := l.checkBytes(len(data)); err != nil {
 		return nil, nil, err
@@ -45,23 +45,20 @@ func decodeText(data []byte, l Limits) (*taskgraph.Graph, *taskgraph.Constraint,
 	g := taskgraph.New()
 	var con *taskgraph.Constraint
 	var fieldStore [12]string // a buffer line with both options has 12 fields
-	for lineNo := 1; len(data) > 0; lineNo++ {
-		raw := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			raw, data = data[:i], data[i+1:]
+	doc := string(data)
+	for lineNo := 1; len(doc) > 0; lineNo++ {
+		line := doc
+		if i := strings.IndexByte(doc, '\n'); i >= 0 {
+			line, doc = doc[:i], doc[i+1:]
 		} else {
-			data = nil
+			doc = ""
 		}
-		if n := len(raw); n > 0 && raw[n-1] == '\r' {
-			raw = raw[:n-1]
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
 		}
-		if i := bytes.IndexByte(raw, '#'); i >= 0 {
-			raw = raw[:i]
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
 		}
-		if len(raw) == 0 {
-			continue
-		}
-		line := string(raw)
 		fields := appendFields(fieldStore[:0], line)
 		if len(fields) == 0 {
 			continue
@@ -164,15 +161,22 @@ func lineError(lineNo int, format string, args ...any) error {
 
 // appendFields appends the fields of s to dst: the maximal runs of
 // characters that are not Unicode white space, exactly as strings.Fields
-// returns them (a byte that is not valid UTF-8 is not white space).
+// returns them (a byte that is not valid UTF-8 is not white space). An
+// ASCII byte is classified by a table; only a multi-byte character is
+// decoded and asked of unicode.IsSpace.
 func appendFields(dst []string, s string) []string {
 	start := -1 // offset of the field being scanned, or -1 between fields
 	for i := 0; i < len(s); {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
+		var space bool
+		size := 1
+		if c := s[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
 			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
 		}
-		if unicode.IsSpace(r) {
+		if space {
 			if start >= 0 {
 				dst = append(dst, s[start:i])
 				start = -1
@@ -187,6 +191,9 @@ func appendFields(dst []string, s string) []string {
 	}
 	return dst
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // EncodeText renders a graph (and optional constraint) in the text format.
 // It appends into a stack scratch that holds a typical document and

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vrdfcap/internal/graphgen"
 	"vrdfcap/internal/mp3"
 	"vrdfcap/internal/ratio"
 )
@@ -139,5 +140,43 @@ func TestDecodeAnySniffsFormat(t *testing.T) {
 	}
 	if _, _, err := DecodeAny([]byte("  \n\t")); err == nil {
 		t.Error("empty document accepted")
+	}
+}
+
+// TestDecodeTextAllocs pins the parser's allocations on the MP3 document
+// and on an 8-task chain shaped like the chain-sweep workload's: the
+// document string, the graph, its task and buffer arrays and their views,
+// one default name per buffer, one array per quanta set of two or more
+// members, and the constraint.
+func TestDecodeTextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the count holds without -race")
+	}
+	var chain8 []byte
+	for seed := int64(1_000_003); chain8 == nil; seed++ {
+		g, c, err := graphgen.Random(graphgen.Config{Seed: seed, MinTasks: 4, MaxTasks: 8, MaxQuantum: 8, MaxSetSize: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Tasks()) == 8 {
+			chain8 = EncodeText(g, &c)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		doc  []byte
+		max  float64
+	}{
+		{"the MP3 document", []byte(mp3Text), 11},
+		{"an 8-task chain", chain8, 25},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			if _, _, err := DecodeText(tc.doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tc.max {
+			t.Errorf("DecodeText of %s: %v allocs, want at most %v\n%s", tc.name, n, tc.max, tc.doc)
+		}
 	}
 }

@@ -300,6 +300,8 @@ func TestErrorMapping(t *testing.T) {
 		{"degradation max below 1", "/v1/degradation?max=1/2", pairDoc, http.StatusBadRequest},
 		{"firings over cap", "/v1/minimize?firings=999999999", pairDoc, http.StatusBadRequest},
 		{"quanta set over limit", "/v1/size", "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod 0..9999999 cons 1\nconstraint b period 1", http.StatusBadRequest},
+		// A name the text format cannot carry is bad input in JSON too.
+		{"task name with white space", "/v1/size", `{"tasks":[{"name":"a b","wcrt":"1"}],"buffers":[],"constraint":{"task":"a b","period":"1"}}`, http.StatusBadRequest},
 		// A valid document whose φ propagation leaves int64: a typed
 		// analysis error, not a panic that drops the connection.
 		{"rational overflow", "/v1/size", overflowDoc, http.StatusBadRequest},

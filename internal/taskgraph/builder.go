@@ -35,7 +35,12 @@ func BuildChain(stages []Stage, links []Link) (*Graph, error) {
 		return nil, fmt.Errorf("taskgraph: %d stages need %d links, got %d",
 			len(stages), len(stages)-1, len(links))
 	}
-	g := New()
+	g := &Graph{
+		tasks:      make([]*Task, 0, len(stages)),
+		taskFree:   make([]Task, len(stages)),
+		buffers:    make([]*Buffer, 0, len(links)),
+		bufferFree: make([]Buffer, len(links)),
+	}
 	for _, s := range stages {
 		if _, err := g.AddTask(s.Name, s.WCRT); err != nil {
 			return nil, err

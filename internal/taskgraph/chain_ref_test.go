@@ -349,21 +349,69 @@ func FuzzChainMatchesReference(f *testing.F) {
 	})
 }
 
-// TestChainAllocs pins Chain's allocations: a constant number, whatever
-// the chain's length (the scans it replaced made 18 on the MP3 chain and
-// 16,508 on 4096 tasks).
+// TestChainAllocs pins Chain's allocations. The first call on a graph
+// makes a constant number, whatever the chain's length (the scans it
+// replaced made 18 on the MP3 chain and 16,508 on 4096 tasks); every later
+// Chain or ChainFor call reuses the derived chain and allocates nothing.
 func TestChainAllocs(t *testing.T) {
 	g, err := mp3.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { g.Chain() }); n > 4 {
-		t.Errorf("Chain on the MP3 chain: %v allocs, want at most 4", n)
-	}
 	long := longChain(t, 4096)
-	if n := testing.AllocsPerRun(5, func() { long.Chain() }); n >= 64 {
-		t.Errorf("Chain on a 4096-task chain: %v allocs, want fewer than 64", n)
+	for _, tc := range []struct {
+		name  string
+		g     *taskgraph.Graph
+		first float64
+	}{
+		{"the MP3 chain", g, 4},
+		{"a 4096-task chain", long, 63},
+		{"a reversed 4096-task chain", reversed(t, long), 63},
+	} {
+		const runs = 5
+		fresh := make([]*taskgraph.Graph, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range fresh {
+			fresh[i] = tc.g.Clone()
+		}
+		next := 0
+		first := testing.AllocsPerRun(runs, func() {
+			fresh[next].Chain()
+			next++
+		})
+		if first > tc.first {
+			t.Errorf("first Chain on %s: %v allocs, want at most %v", tc.name, first, tc.first)
+		}
+		tasks, _, err := tc.g.Chain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := tasks[len(tasks)-1].Name
+		if n := testing.AllocsPerRun(100, func() {
+			tc.g.Chain()
+			tc.g.ChainFor(sink)
+		}); n != 0 {
+			t.Errorf("repeated Chain and ChainFor on %s: %v allocs, want 0", tc.name, n)
+		}
 	}
+}
+
+// reversed rebuilds g with its tasks and buffers added in reverse order,
+// so its chain order is not its insertion order.
+func reversed(t testing.TB, g *taskgraph.Graph) *taskgraph.Graph {
+	r := taskgraph.New()
+	tasks, buffers := g.Tasks(), g.Buffers()
+	for i := range tasks {
+		tk := tasks[len(tasks)-1-i]
+		if _, err := r.AddTask(tk.Name, tk.WCRT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range buffers {
+		if _, err := r.AddBuffer(*buffers[len(buffers)-1-i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
 }
 
 // longChain builds an n-task chain of unit quanta.

@@ -19,10 +19,23 @@ type QuantaSet struct {
 	values []int64 // sorted ascending, deduplicated
 }
 
+// smallQuanta backs every singleton set {v} with 0 < v < len(smallQuanta).
+// Sets are immutable, so they can share this read-only array, and such a
+// singleton costs no allocation.
+var smallQuanta = func() (a [4096]int64) {
+	for i := range a {
+		a[i] = int64(i)
+	}
+	return a
+}()
+
 // NewQuantaSet returns the quanta set holding the given values.
 func NewQuantaSet(values ...int64) (QuantaSet, error) {
-	if len(values) == 0 {
+	switch len(values) {
+	case 0:
 		return QuantaSet{}, fmt.Errorf("taskgraph: empty quanta set")
+	case 1:
+		return singleton(values[0])
 	}
 	sorted := make([]int64, len(values))
 	copy(sorted, values)
@@ -42,6 +55,20 @@ func NewQuantaSet(values ...int64) (QuantaSet, error) {
 		return QuantaSet{}, fmt.Errorf("taskgraph: quanta set {0} is not allowed")
 	}
 	return QuantaSet{values: out}, nil
+}
+
+// singleton returns {v} without copying: from smallQuanta when v is small,
+// else in a one-element array.
+func singleton(v int64) (QuantaSet, error) {
+	switch {
+	case v < 0:
+		return QuantaSet{}, fmt.Errorf("taskgraph: negative quantum %d", v)
+	case v == 0:
+		return QuantaSet{}, fmt.Errorf("taskgraph: quanta set {0} is not allowed")
+	case v < int64(len(smallQuanta)):
+		return QuantaSet{values: smallQuanta[v : v+1 : v+1]}, nil
+	}
+	return QuantaSet{values: []int64{v}}, nil
 }
 
 // MustQuanta is like NewQuantaSet but panics on error; for literals.

@@ -19,7 +19,12 @@ package taskgraph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
+	"unicode"
 
 	"vrdfcap/internal/ratio"
 )
@@ -70,45 +75,81 @@ func (b Buffer) DefaultName() string {
 // Graph is a task graph. Build one with New and the Add methods; Chain (or
 // ChainFor, for a constrained task) checks the paper's chain restriction
 // and returns the chain in source-to-sink order.
+//
+// Tasks and buffers live in backing arrays the graph grows by doubling, so
+// a small graph costs a few allocations and no element ever moves: every
+// pointer the graph hands out stays valid for its life. Capacities,
+// response times and quanta may be changed through those pointers; names,
+// producers and consumers may not, since the name index and the derived
+// chain are keyed by them. Every method but AddTask and AddBuffer may be
+// called from any number of goroutines at once, so a built graph can be
+// shared.
 type Graph struct {
+	tasks   []*Task   // insertion order
+	buffers []*Buffer // insertion order
+	// taskFree and bufferFree are the unused tails of the newest backing
+	// arrays; each added element takes the first slot of its tail.
+	taskFree   []Task
+	bufferFree []Buffer
+	// taskIdx and bufferIdx map names to indices once the graph holds more
+	// than smallGraph elements of that kind; until then lookups scan,
+	// which is cheaper than hashing at that size.
+	taskIdx   map[string]int32
+	bufferIdx map[string]int32
+	// chainOnce derives chain on first use; AddTask and AddBuffer reset
+	// it, so the chain reflects the graph as last built.
+	chainOnce sync.Once
+	chain     derivedChain
+}
+
+// smallGraph is the element count up to which names are found by a scan
+// and Chain's scratch lives on the stack.
+const smallGraph = 16
+
+// derivedChain is Chain's result, derived once per built graph.
+type derivedChain struct {
 	tasks   []*Task
-	taskIdx map[string]int // task name → index in tasks
 	buffers []*Buffer
-	bufByN  map[string]*Buffer
+	err     error
 }
 
 // New returns an empty task graph.
-func New() *Graph {
-	return &Graph{
-		taskIdx: make(map[string]int),
-		bufByN:  make(map[string]*Buffer),
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // AddTask adds a task with the given name and worst-case response time.
+// The name must not hold Unicode white space or '#', which the text
+// format uses as separator and comment mark.
 func (g *Graph) AddTask(name string, wcrt ratio.Rat) (*Task, error) {
 	if name == "" {
 		return nil, fmt.Errorf("taskgraph: empty task name")
 	}
-	if _, dup := g.taskIdx[name]; dup {
+	if strings.IndexFunc(name, breaksName) >= 0 {
+		return nil, fmt.Errorf("taskgraph: task %q: name must not contain white space or '#'", name)
+	}
+	if g.taskIndex(name) >= 0 {
 		return nil, fmt.Errorf("taskgraph: duplicate task %q", name)
 	}
 	if wcrt.Sign() <= 0 {
 		return nil, fmt.Errorf("taskgraph: task %q: worst-case response time must be positive, got %v", name, wcrt)
 	}
-	t := &Task{Name: name, WCRT: wcrt}
-	g.taskIdx[name] = len(g.tasks)
-	g.tasks = append(g.tasks, t)
+	// The first backing array holds four tasks, a short chain.
+	var t *Task
+	g.tasks, g.taskFree, t = place(g.tasks, g.taskFree, 4, Task{Name: name, WCRT: wcrt})
+	g.taskIdx = indexed(g.taskIdx, g.tasks, func(t *Task) string { return t.Name })
+	g.chainOnce = sync.Once{}
 	return t, nil
 }
+
+// breaksName reports whether r may not appear in a task name.
+func breaksName(r rune) bool { return r == '#' || unicode.IsSpace(r) }
 
 // AddBuffer adds a buffer from producer to consumer with production quanta
 // prod (ξ) and consumption quanta cons (λ). Both tasks must already exist.
 func (g *Graph) AddBuffer(b Buffer) (*Buffer, error) {
-	if _, ok := g.taskIdx[b.Producer]; !ok {
+	if g.taskIndex(b.Producer) < 0 {
 		return nil, fmt.Errorf("taskgraph: buffer %q: unknown producer %q", b.DefaultName(), b.Producer)
 	}
-	if _, ok := g.taskIdx[b.Consumer]; !ok {
+	if g.taskIndex(b.Consumer) < 0 {
 		return nil, fmt.Errorf("taskgraph: buffer %q: unknown consumer %q", b.DefaultName(), b.Consumer)
 	}
 	if b.Producer == b.Consumer {
@@ -126,26 +167,96 @@ func (g *Graph) AddBuffer(b Buffer) (*Buffer, error) {
 	if b.ContainerBytes < 0 {
 		return nil, fmt.Errorf("taskgraph: buffer %q: negative container size %d", b.DefaultName(), b.ContainerBytes)
 	}
-	nb := b // copy
-	nb.Name = b.DefaultName()
-	if _, dup := g.bufByN[nb.Name]; dup {
-		return nil, fmt.Errorf("taskgraph: duplicate buffer %q", nb.Name)
+	b.Name = b.DefaultName()
+	if g.bufferIndex(b.Name) >= 0 {
+		return nil, fmt.Errorf("taskgraph: duplicate buffer %q", b.Name)
 	}
-	g.buffers = append(g.buffers, &nb)
-	g.bufByN[nb.Name] = &nb
-	return &nb, nil
+	// A chain of n tasks has n-1 buffers, so the first backing array is
+	// sized for that.
+	var nb *Buffer
+	g.buffers, g.bufferFree, nb = place(g.buffers, g.bufferFree, len(g.tasks)-1, b)
+	g.bufferIdx = indexed(g.bufferIdx, g.buffers, func(b *Buffer) string { return b.Name })
+	g.chainOnce = sync.Once{}
+	return nb, nil
+}
+
+// place stores e in the first free slot and appends its address to view.
+// When free is empty it allocates a backing array of max(len(view), hint,
+// 1) slots, doubling the storage, and grows view's capacity to match, so
+// elements never move and view grows once per backing array.
+func place[E any](view []*E, free []E, hint int, e E) ([]*E, []E, *E) {
+	if len(free) == 0 {
+		n := max(len(view), hint, 1)
+		free = make([]E, n)
+		view = slices.Grow(view, n)
+	}
+	free[0] = e
+	return append(view, &free[0]), free[1:], &free[0]
+}
+
+// indexed returns the name index of view after its last element was
+// added: idx with that element recorded, or, once view holds more than
+// smallGraph elements, a new index of all of them.
+func indexed[E any](idx map[string]int32, view []*E, name func(*E) string) map[string]int32 {
+	switch n := len(view); {
+	case idx != nil:
+		idx[name(view[n-1])] = int32(n - 1)
+	case n > smallGraph:
+		idx = make(map[string]int32, 2*n)
+		for i, e := range view {
+			idx[name(e)] = int32(i)
+		}
+	}
+	return idx
+}
+
+// taskIndex returns the index of the named task, or -1.
+func (g *Graph) taskIndex(name string) int {
+	if g.taskIdx != nil {
+		if i, ok := g.taskIdx[name]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i, t := range g.tasks {
+		if t.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// bufferIndex returns the index of the named buffer, or -1.
+func (g *Graph) bufferIndex(name string) int {
+	if g.bufferIdx != nil {
+		if i, ok := g.bufferIdx[name]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i, b := range g.buffers {
+		if b.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Task returns the task with the given name, or nil.
 func (g *Graph) Task(name string) *Task {
-	if i, ok := g.taskIdx[name]; ok {
+	if i := g.taskIndex(name); i >= 0 {
 		return g.tasks[i]
 	}
 	return nil
 }
 
 // BufferByName returns the buffer with the given name, or nil.
-func (g *Graph) BufferByName(name string) *Buffer { return g.bufByN[name] }
+func (g *Graph) BufferByName(name string) *Buffer {
+	if i := g.bufferIndex(name); i >= 0 {
+		return g.buffers[i]
+	}
+	return nil
+}
 
 // Tasks returns the tasks in insertion order. The slice is shared; callers
 // must not modify it.
@@ -161,46 +272,84 @@ func (g *Graph) Buffers() []*Buffer { return g.buffers }
 // fails on an empty graph, on a task with a second input or output buffer,
 // on a cycle and on a graph that is not weakly connected.
 //
-// Chain makes one pass over the buffers and one walk from the source, so it
-// is linear in the graph. With at most one input and one output buffer per
-// task, the walk from a task without input can neither revisit a task nor
-// leave the tasks it reaches connected to any other, so the walk reaching
-// every task is the proof of connectivity and of the absence of cycles.
+// The chain is derived once per built graph and shared: the slices must
+// not be modified, and repeated calls allocate nothing. Where the
+// insertion order is the chain order, the slices are Tasks and Buffers.
 func (g *Graph) Chain() (tasks []*Task, buffers []*Buffer, err error) {
-	if len(g.tasks) == 0 {
-		return nil, nil, fmt.Errorf("taskgraph: graph has no tasks")
+	g.chainOnce.Do(g.deriveChain)
+	return g.chain.tasks, g.chain.buffers, g.chain.err
+}
+
+// deriveChain makes one pass over the buffers and one walk from the
+// source, so it is linear in the graph. With at most one input and one
+// output buffer per task, the walk from a task without input can neither
+// revisit a task nor leave the tasks it reaches connected to any other, so
+// the walk reaching every task is the proof of connectivity and of the
+// absence of cycles.
+func (g *Graph) deriveChain() {
+	g.chain = derivedChain{}
+	n := len(g.tasks)
+	if n == 0 {
+		g.chain.err = fmt.Errorf("taskgraph: graph has no tasks")
+		return
 	}
 	// links[i] describes task i: its input and output buffers as buffer
 	// index + 1 (0 when absent) and the consumer task of its output.
-	links := make([]struct{ in, out, next int }, len(g.tasks))
+	type link struct{ in, out, next int }
+	var stack [smallGraph]link
+	links := stack[:]
+	if n > len(stack) {
+		links = make([]link, n)
+	}
+	links = links[:n]
 	for i, b := range g.buffers {
-		p, c := g.taskIdx[b.Producer], g.taskIdx[b.Consumer]
+		p, c := g.taskIndex(b.Producer), g.taskIndex(b.Consumer)
 		if prev := links[p].out; prev != 0 {
-			return nil, nil, fmt.Errorf("taskgraph: task %q has output buffers %q and %q; chains allow at most one",
+			g.chain.err = fmt.Errorf("taskgraph: task %q has output buffers %q and %q; chains allow at most one",
 				b.Producer, g.buffers[prev-1].Name, b.Name)
+			return
 		}
 		if prev := links[c].in; prev != 0 {
-			return nil, nil, fmt.Errorf("taskgraph: task %q has input buffers %q and %q; chains allow at most one",
+			g.chain.err = fmt.Errorf("taskgraph: task %q has input buffers %q and %q; chains allow at most one",
 				b.Consumer, g.buffers[prev-1].Name, b.Name)
+			return
 		}
 		links[p].out, links[p].next = i+1, c
 		links[c].in = i + 1
 	}
-	cur := -1
+	src := -1
 	for i := range links {
 		if links[i].in == 0 {
-			cur = i
+			src = i
 			break
 		}
 	}
-	if cur < 0 {
-		return nil, nil, fmt.Errorf("taskgraph: every task has an input buffer, so the graph has a cycle")
+	if src < 0 {
+		g.chain.err = fmt.Errorf("taskgraph: every task has an input buffer, so the graph has a cycle")
+		return
 	}
-	tasks = make([]*Task, 0, len(g.tasks))
-	if len(g.buffers) > 0 {
-		buffers = make([]*Buffer, 0, len(g.tasks)-1)
+	// The first walk counts the tasks reached and checks whether the
+	// chain visits tasks and buffers in insertion order.
+	reached, inOrder := 0, true
+	for cur := src; ; reached++ {
+		out := links[cur].out
+		inOrder = inOrder && cur == reached && (out == 0 || out-1 == reached)
+		if out == 0 {
+			break
+		}
+		cur = links[cur].next
 	}
-	for {
+	if reached+1 != n {
+		g.chain.err = fmt.Errorf("taskgraph: graph is not weakly connected")
+		return
+	}
+	if inOrder {
+		g.chain.tasks, g.chain.buffers = g.tasks[:n:n], g.buffers[:n-1:n-1]
+		return
+	}
+	tasks := make([]*Task, 0, n)
+	buffers := make([]*Buffer, 0, n-1)
+	for cur := src; ; {
 		tasks = append(tasks, g.tasks[cur])
 		out := links[cur].out
 		if out == 0 {
@@ -209,10 +358,7 @@ func (g *Graph) Chain() (tasks []*Task, buffers []*Buffer, err error) {
 		buffers = append(buffers, g.buffers[out-1])
 		cur = links[cur].next
 	}
-	if len(tasks) != len(g.tasks) {
-		return nil, nil, fmt.Errorf("taskgraph: graph is not weakly connected")
-	}
-	return tasks, buffers, nil
+	g.chain.tasks, g.chain.buffers = tasks, buffers
 }
 
 // ChainFor returns the chain like Chain, for an analysis constrained on
@@ -251,20 +397,28 @@ func (g *Graph) Sink() (*Task, error) {
 }
 
 // Clone returns a deep copy of the graph. Capacities are copied too, so a
-// clone can be resized without disturbing the original.
+// clone can be resized without disturbing the original. The copy's
+// elements fill one exactly sized backing array per kind, so the clone
+// and the original share no storage.
 func (g *Graph) Clone() *Graph {
-	ng := New()
-	for _, t := range g.tasks {
-		if _, err := ng.AddTask(t.Name, t.WCRT); err != nil {
-			panic("taskgraph: clone of valid graph failed: " + err.Error())
-		}
+	return &Graph{
+		tasks:     cloneElems(g.tasks),
+		buffers:   cloneElems(g.buffers),
+		taskIdx:   maps.Clone(g.taskIdx),
+		bufferIdx: maps.Clone(g.bufferIdx),
 	}
-	for _, b := range g.buffers {
-		if _, err := ng.AddBuffer(*b); err != nil {
-			panic("taskgraph: clone of valid graph failed: " + err.Error())
-		}
+}
+
+// cloneElems copies the elements of view into one new backing array and
+// returns their addresses in the same order.
+func cloneElems[E any](view []*E) []*E {
+	elems := make([]E, len(view))
+	out := make([]*E, len(view))
+	for i, e := range view {
+		elems[i] = *e
+		out[i] = &elems[i]
 	}
-	return ng
+	return out
 }
 
 // Constraint is a throughput requirement: the named task must execute

@@ -68,6 +68,29 @@ func TestQuantaTextBytes(t *testing.T) {
 	}
 }
 
+// TestQuantaSingletons checks that a singleton below the shared table's
+// size costs no allocation, that a larger one costs one, and that neither
+// can be changed through what the set hands out.
+func TestQuantaSingletons(t *testing.T) {
+	for _, tc := range []struct {
+		v      int64
+		allocs float64
+	}{{1, 0}, {2048, 0}, {int64(len(smallQuanta) - 1), 0}, {int64(len(smallQuanta)), 1}, {math.MaxInt64, 1}} {
+		var q QuantaSet
+		if n := testing.AllocsPerRun(10, func() { q = MustQuanta(tc.v) }); n != tc.allocs {
+			t.Errorf("MustQuanta(%d): %v allocs, want %v", tc.v, n, tc.allocs)
+		}
+		vals := q.AppendValues(nil)
+		vals[0]++
+		if !q.IsConstant() || q.Min() != tc.v || q.Max() != tc.v || !q.Contains(tc.v) {
+			t.Errorf("MustQuanta(%d) = %v after changing its values' copy", tc.v, q)
+		}
+	}
+	if smallQuanta[7] != 7 {
+		t.Errorf("the shared singleton table holds %d at 7", smallQuanta[7])
+	}
+}
+
 func TestQuantaSetRejectsInvalid(t *testing.T) {
 	if _, err := NewQuantaSet(); err == nil {
 		t.Error("empty set accepted")
